@@ -15,30 +15,20 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import movingavg, quadrature, spectral
 from .increments import ProbePlan, classify_stationarity
-from .kernels import (
-    FBS,
-    FieldSpec,
-    MildTheta,
-    MovingPair,
-    Strict2D,
-    StrictGeneral,
-    StrictWeights,
-    YHalf,
-    ZHalf,
-    make_kernel,
-)
+from .kernels import FieldSpec, MovingPair, StrictWeights, make_kernel
 from .lamperti import c_theta, mild_criterion_residual, StationaryCov
 from .simulate import (
     Grid,
-    cov_matrix,
     empirical_cov,
     grid_from_axes,
     limit_partial_sums,
@@ -78,6 +68,7 @@ _SPEC_FIELDS = {
     "zhalf": {"gamma"},
     "movingpair": {"H", "d0", "d1"},
 }
+_SPEC_CLASSES = {c.family: c for c in get_args(FieldSpec)}
 
 
 def _signs_from_key(key: str) -> tuple:
@@ -87,10 +78,6 @@ def _signs_from_key(key: str) -> tuple:
     except (KeyError, TypeError):
         raise ConfigError(
             f"spec.weights: keys must be strings of '+'/'-', got {key!r}") from None
-
-
-def _key_from_signs(e) -> str:
-    return "".join("+" if v > 0 else "-" for v in e)
 
 
 def spec_from_dict(d) -> FieldSpec:
@@ -110,24 +97,21 @@ def spec_from_dict(d) -> FieldSpec:
     if missing:
         raise ConfigError(f"spec: missing keys {sorted(missing)} for {family!r}")
     try:
-        if family == "fbs":
-            return FBS(tuple(float(h) for h in d["H"]))
-        if family == "strict":
-            w = {_signs_from_key(k): float(v) for k, v in d["weights"].items()}
-            return StrictGeneral(tuple(float(h) for h in d["H"]),
-                                 StrictWeights(w))
-        if family == "strict2d":
-            h1, h2 = (float(h) for h in d["H"])
-            return Strict2D(h1, h2, float(d["gamma"]))
-        if family == "mildtheta":
-            h1, h2 = (float(h) for h in d["H"])
-            return MildTheta(h1, h2, float(d["theta"]))
-        if family == "yhalf":
-            return YHalf(float(d["theta"]))
-        if family == "zhalf":
-            return ZHalf(float(d["gamma"]))
-        h1, h2 = (float(h) for h in d["H"])
-        return MovingPair(h1, h2, float(d["d0"]), float(d["d1"]))
+        args = {k: float(d[k]) for k in ("gamma", "theta", "d0", "d1") if k in d}
+        if "weights" in d:
+            if not isinstance(d["weights"], dict):
+                raise ConfigError("spec.weights: expected an object mapping "
+                                  "sign strings to weights")
+            args["weights"] = StrictWeights(
+                {_signs_from_key(k): float(v) for k, v in d["weights"].items()})
+        H = tuple(float(h) for h in d.get("H", ()))
+        if family in ("fbs", "strict"):
+            args["H"] = H
+        elif "H" in d:
+            if len(H) != 2:
+                raise ConfigError(f"spec.H: expected 2 components for {family!r}")
+            args["h1"], args["h2"] = H
+        return _SPEC_CLASSES[family](**args)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -136,26 +120,11 @@ def spec_from_dict(d) -> FieldSpec:
 
 def spec_to_dict(spec: FieldSpec) -> dict:
     d = {"family": spec.family}
-    if isinstance(spec, FBS):
-        d["H"] = list(spec.H)
-    elif isinstance(spec, StrictGeneral):
-        d["H"] = list(spec.H)
-        d["weights"] = {_key_from_signs(e): g for e, g in
-                        sorted(spec.weights.gamma_by_sign.items())}
-    elif isinstance(spec, Strict2D):
-        d["H"] = [spec.h1, spec.h2]
-        d["gamma"] = spec.gamma
-    elif isinstance(spec, MildTheta):
-        d["H"] = [spec.h1, spec.h2]
-        d["theta"] = spec.theta
-    elif isinstance(spec, YHalf):
-        d["theta"] = spec.theta
-    elif isinstance(spec, ZHalf):
-        d["gamma"] = spec.gamma
-    elif isinstance(spec, MovingPair):
-        d["H"] = [spec.h1, spec.h2]
-        d["d0"] = spec.d0
-        d["d1"] = spec.d1
+    for key in _SPEC_FIELDS[spec.family]:
+        d[key] = (list(spec.hurst) if key == "H" else getattr(spec, key))
+    if "weights" in d:
+        d["weights"] = {"".join("+" if v > 0 else "-" for v in e): g
+                        for e, g in sorted(spec.weights.gamma_by_sign.items())}
     return d
 
 
@@ -177,22 +146,46 @@ _COMMAND_KEYS = {
     "limit-demo": {"r1", "r2", "t_axes", "t_points", "n_reps"},
 }
 _PROBE_KEYS = {"n_pairs", "n_shifts", "box", "shift_box", "seed"}
-_DEFAULT_TOL = {"check": 1e-6, "cov": 1e-6, "density": 1e-6,
-                "classify": 1e-6, "simulate": 1e-6, "mc": 1e-6,
-                "limit-demo": 1e-6}
+_DEFAULT_TOL = 1e-6
 _DEFAULT_N = {"simulate": 5000, "mc": 20000}
 
 
-def _point_list(value, name):
+def _number(value, name, kind, lo=None, hi=None):
+    """A finite int or float config value within [lo, hi]."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    want = numbers.Integral if kind is int else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, want)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name}: expected {what}, got {value!r}")
+    value = kind(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ConfigError(f"{name}: must lie in [{lo}, "
+                          f"{'inf' if hi is None else hi}], got {value}")
+    return value
+
+
+def _floats(value, name, ndim=2):
+    """Finite float array of rank ``ndim``; a single point counts as a list."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{name}: expected numbers") from None
-    if arr.ndim == 1:
+    if arr.ndim == 1 and ndim == 2:
         arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ConfigError(f"{name}: expected a point or a list of points")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ConfigError(f"{name}: expected a " + ("list of numbers" if ndim == 1
+                                                    else "point or list of points"))
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name}: values must be finite")
     return arr
+
+
+def _make_grid(grid: dict) -> Grid:
+    if "axes" in grid:
+        return grid_from_axes(grid["axes"])
+    return Grid(np.asarray(grid["points"], dtype=float))
 
 
 @dataclass
@@ -236,11 +229,11 @@ def validate_config(cfg: dict) -> RunConfig:
                           f"{command!r} (strict mode)")
 
     params: dict = {}
-    params["seed"] = int(cfg.get("seed", 0))
+    params["seed"] = _number(cfg.get("seed", 0), "seed", int)
     if not 0 <= params["seed"] < 2**64:
         raise ConfigError(f"seed: must be an unsigned 64-bit integer, "
                           f"got {params['seed']}")
-    params["tol"] = float(cfg.get("tol", _DEFAULT_TOL[command]))
+    params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
     params["out"] = str(cfg.get("out", "."))
 
     spec = None
@@ -253,7 +246,7 @@ def validate_config(cfg: dict) -> RunConfig:
         for key in ("s", "t"):
             if key not in cfg:
                 raise ConfigError(f"{key}: required for command 'cov'")
-            pt = _point_list(cfg[key], key)
+            pt = _floats(cfg[key], key)
             if pt.shape != (1, len(spec.hurst)):
                 raise ConfigError(
                     f"{key}: expected one point of dimension {len(spec.hurst)}")
@@ -261,9 +254,12 @@ def validate_config(cfg: dict) -> RunConfig:
                 raise ConfigError(f"{key}: coordinates must be nonnegative")
             params[key] = pt[0].tolist()
     elif command == "density":
+        if spec.family != "fbs":
+            raise ConfigError(f"spec.family: density is only available for "
+                              f"'fbs', not {spec.family!r}")
         if "x" not in cfg:
             raise ConfigError("x: required for command 'density'")
-        pts = _point_list(cfg["x"], "x")
+        pts = _floats(cfg["x"], "x")
         if pts.shape[1] != len(spec.hurst):
             raise ConfigError(f"x: points must have dimension {len(spec.hurst)}")
         params["x"] = pts.tolist()
@@ -280,11 +276,10 @@ def validate_config(cfg: dict) -> RunConfig:
         extra = set(probes) - _PROBE_KEYS
         if extra:
             raise ConfigError(f"probes: unknown keys {sorted(extra)}")
-        params["probes"] = {k: (float(v) if k in ("box", "shift_box")
-                                else int(v)) for k, v in probes.items()}
-        if command == "mc":
-            params["n_samples"] = int(cfg.get("n_samples", _DEFAULT_N["mc"]))
-            params["n_workers"] = int(cfg.get("n_workers", 1))
+        params["probes"] = {
+            k: (_number(v, f"probes.{k}", float) if k in ("box", "shift_box")
+                else _number(v, f"probes.{k}", int, lo=0 if k == "seed" else 1))
+            for k, v in probes.items()}
     elif command == "simulate":
         grid = cfg.get("grid", {"axes": [[0.5, 1.0, 1.5, 2.0, 2.5]]
                                 * len(spec.hurst)})
@@ -294,24 +289,38 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"grid: unknown keys {sorted(set(grid) - {'axes', 'points'})}")
         if "axes" in grid and "points" in grid:
             raise ConfigError("grid: give either axes or points, not both")
-        params["grid"] = {k: np.asarray(v, dtype=float).tolist()
-                          for k, v in grid.items()}
-        params["n_samples"] = int(cfg.get("n_samples", _DEFAULT_N["simulate"]))
-        params["n_workers"] = int(cfg.get("n_workers", 1))
+        try:   # the Grid checks finiteness, positivity and duplicates
+            params["grid"] = (
+                {"axes": [np.asarray(a, dtype=float).tolist()
+                          for a in grid["axes"]]} if "axes" in grid else
+                {"points": np.atleast_2d(
+                    np.asarray(grid["points"], dtype=float)).tolist()})
+            n_dim = _make_grid(params["grid"]).dim
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"grid: {exc}") from None
+        if n_dim != len(spec.hurst):
+            raise ConfigError(f"grid: points must have dimension "
+                              f"{len(spec.hurst)}")
     elif command == "limit-demo":
         for key in ("r1", "r2"):
             if key not in cfg:
                 raise ConfigError(f"{key}: required for command 'limit-demo'")
-            params[key] = int(cfg[key])
+            params[key] = _number(cfg[key], key, int, lo=1, hi=512)
         if "t_points" in cfg and "t_axes" in cfg:
             raise ConfigError("limit-demo: give either t_axes or t_points")
-        if "t_points" in cfg:
-            params["t_points"] = _point_list(cfg["t_points"], "t_points").tolist()
-        else:
-            axes = cfg.get("t_axes", [0.5, 1.0, 1.5, 2.0])
-            axes = np.asarray(axes, dtype=float).tolist()
-            params["t_axes"] = axes
-        params["n_reps"] = int(cfg.get("n_reps", 2000))
+        key = "t_points" if "t_points" in cfg else "t_axes"
+        pts = _floats(cfg.get(key, [0.5, 1.0, 1.5, 2.0]), key,
+                      2 if key == "t_points" else 1)
+        if np.any(pts < 0.0) or (key == "t_points" and pts.shape[1] != 2):
+            raise ConfigError(f"{key}: expected nonnegative values"
+                              + (" in 2-D points" if key == "t_points" else ""))
+        params[key] = pts.tolist()
+        params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int, lo=2)
+    if command in _DEFAULT_N:
+        params["n_samples"] = _number(cfg.get("n_samples", _DEFAULT_N[command]),
+                                      "n_samples", int, lo=2)
+        params["n_workers"] = _number(cfg.get("n_workers", 1), "n_workers",
+                                      int, lo=1)
 
     return RunConfig(command=command, spec=spec, params=params)
 
@@ -551,16 +560,11 @@ def _run_classify(cfg, out_dir):
 
 
 def _run_simulate(cfg, out_dir):
-    grid_cfg = cfg.params["grid"]
-    if "axes" in grid_cfg:
-        grid = grid_from_axes(grid_cfg["axes"])
-    else:
-        grid = Grid(np.asarray(grid_cfg["points"], dtype=float))
+    grid = _make_grid(cfg.params["grid"])
     batch = sample_field(cfg.spec, grid, cfg.params["seed"],
                          cfg.params["n_samples"],
                          n_workers=cfg.params["n_workers"])
-    kernel = make_kernel(cfg.spec)
-    analytic = cov_matrix(kernel, grid)
+    analytic = batch.cov
     emp, se = empirical_cov(batch, analytic)
 
     t_cols = [f"t{k + 1}" for k in range(grid.dim)]

@@ -25,20 +25,28 @@ and, at H = 1/2,
 
     min(t, s) + (i e / pi) (t log t - s log s - (t-s) log|t-s|),
 
-with the conventions 0 log 0 := 0 and sgn(0) := 0.  Uniform weights
-gamma_e = 2^{-N} collapse the mixture to the fractional Brownian sheet.
+with the conventions 0 log 0 := 0 and sgn(0) := 0.  Writing P = (a + i e b)/2
+and expanding the product, the covariance is evaluated in real arithmetic
+through the sign moments m_S = sum_e gamma_e prod_{j in S} e_j:
+
+    K = 2^{-N} sum_{even S} (-1)^{|S|/2} m_S prod_{j in S} b_j prod_{j not in S} a_j.
+
+The odd moments vanish by the weight symmetry.  Uniform weights
+gamma_e = 2^{-N} leave only S = {} and collapse the mixture to the fractional
+Brownian sheet.  Every family is one of two canonical specifications: this
+strict mixture (``StrictGeneral``) or the sheet with a separable mild
+correction (``MildTheta``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
-
-import numpy as np
 
 __all__ = [
     "StationarityClass",
@@ -71,8 +79,15 @@ class StationarityClass(enum.Enum):
     NONE = "none"
 
 
+def _float_tuple(values) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except TypeError:   # a scalar
+        return (float(values),)
+
+
 def validate_hurst(values) -> tuple[float, ...]:
-    out = tuple(float(v) for v in np.atleast_1d(values))
+    out = _float_tuple(values)
     if len(out) < 1:
         raise ValueError("Hurst vector must have at least one component")
     for v in out:
@@ -82,11 +97,12 @@ def validate_hurst(values) -> tuple[float, ...]:
 
 
 def _as_point(p, n=None) -> tuple[float, ...]:
-    pt = tuple(float(v) for v in np.atleast_1d(p))
+    pt = _float_tuple(p)
     if n is not None and len(pt) != n:
         raise ValueError(f"point has dimension {len(pt)}, expected {n}")
-    if any(v < 0.0 for v in pt):
-        raise ValueError(f"points must lie in the positive orthant, got {pt}")
+    if not all(0.0 <= v < math.inf for v in pt):
+        raise ValueError(
+            f"points must be finite and in the positive orthant, got {pt}")
     return pt
 
 
@@ -106,6 +122,23 @@ def _sign_vectors(n):
     return list(itertools.product((1, -1), repeat=n))
 
 
+def _weight_violations(w: dict, n: int, name: str, total_want: float) -> list:
+    """Sign-vector coverage, nonnegativity, e -> -e symmetry and the total."""
+    if set(w) != set(_sign_vectors(n)):
+        return [f"need all {2**n} sign vectors of length {n}"]
+    out = []
+    for e, v in w.items():
+        if not 0.0 <= v < math.inf:
+            out.append(f"{name}{e} = {v:g} is negative or not finite")
+        neg = tuple(-x for x in e)
+        if abs(v - w[neg]) > 1e-12 * max(1.0, abs(v)):
+            out.append(f"{name}{e} != {name}{neg} (symmetry)")
+    total = sum(w.values())
+    if abs(total - total_want) > 1e-10 * max(1.0, total_want):
+        out.append(f"sum of {name}_e is {total!r}, expected {total_want!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class StrictWeights:
     """Normalized mixture weights gamma_e, one per sign vector e in {-1,+1}^N."""
@@ -115,21 +148,9 @@ class StrictWeights:
     def __post_init__(self):
         gam = {tuple(int(x) for x in k): float(v)
                for k, v in self.gamma_by_sign.items()}
-        n = len(next(iter(gam)))
-        violations = []
-        expected = set(_sign_vectors(n))
-        if set(gam) != expected:
-            violations.append(f"need all {2**n} sign vectors of length {n}")
-        else:
-            for e, v in gam.items():
-                if v < 0.0:
-                    violations.append(f"gamma{e} = {v:g} is negative")
-                neg = tuple(-x for x in e)
-                if abs(v - gam[neg]) > 1e-12:
-                    violations.append(f"gamma{e} != gamma{neg}")
-            total = sum(gam.values())
-            if abs(total - 1.0) > 1e-10:
-                violations.append(f"weights sum to {total!r}, expected 1")
+        if not gam:
+            raise WeightValidationError(["no weights given"])
+        violations = _weight_violations(gam, len(next(iter(gam))), "gamma", 1.0)
         if violations:
             raise WeightValidationError(violations)
         object.__setattr__(self, "gamma_by_sign", gam)
@@ -144,6 +165,28 @@ class StrictWeights:
 
     def items(self):
         return self.gamma_by_sign.items()
+
+    @functools.cached_property
+    def sign_moment_terms(self) -> list:
+        """(2^{-N} (-1)^{|S|/2} m_S, [j in S]) per even S with m_S != 0.
+
+        An odd moment beyond what the per-pair symmetry tolerance allows
+        would leave the covariance an imaginary part and raises.
+        """
+        n = self.n
+        terms, odd = [], []
+        for size in range(n + 1):
+            for S in itertools.combinations(range(n), size):
+                m = sum(g * math.prod(e[j] for j in S) for e, g in self.items())
+                if size % 2 == 0 and m != 0.0:
+                    terms.append((2.0**-n * (-1)**(size // 2) * m,
+                                  tuple(j in S for j in range(n))))
+                elif size % 2 and abs(m) > 2**(n - 1) * 1e-12:
+                    odd.append(f"odd sign moment m{S} = {m:g} leaves the "
+                               "covariance an imaginary part")
+        if odd:
+            raise WeightValidationError(odd)
+        return terms
 
 
 def _spectral_mass(H) -> float:
@@ -162,26 +205,14 @@ def validate_weights(raw_K: Mapping, H) -> StrictWeights:
     """
     H = validate_hurst(H)
     K = {tuple(int(x) for x in k): float(v) for k, v in raw_K.items()}
-    n = len(H)
-    violations = []
-    if set(K) != set(_sign_vectors(n)):
-        raise WeightValidationError(
-            [f"need all {2**n} sign vectors of length {n}"])
-    for e, v in K.items():
-        if v < 0.0:
-            violations.append(f"K{e} = {v:g} is negative")
-        neg = tuple(-x for x in e)
-        if abs(v - K[neg]) > 1e-12 * max(1.0, abs(v)):
-            violations.append(f"K{e} != K{neg} (symmetry)")
     mass = _spectral_mass(H)
-    total = sum(K.values())
-    if abs(total - mass) > 1e-10 * max(1.0, mass):
-        violations.append(f"sum of K_e is {total!r}, expected {mass!r}")
+    violations = _weight_violations(K, len(H), "K", mass)
     if violations:
         raise WeightValidationError(violations)
     return StrictWeights({e: v / mass for e, v in K.items()})
 
 
+@functools.lru_cache(maxsize=256)
 def strict2d_weights(gamma: float) -> StrictWeights:
     """Two-dimensional weights realizing coupling gamma = -sum_e gamma_e e1 e2."""
     if not -1.0 <= gamma <= 1.0:
@@ -213,6 +244,11 @@ def _sym_bracket(h: float, t: float, s: float) -> float:
     return t**e + s**e - abs(t - s)**e
 
 
+def _a_bracket(h: float, t: float, s: float) -> float:
+    """The symmetric bracket, in its exact form 2 min(t, s) at H = 1/2."""
+    return 2.0 * min(t, s) if h == 0.5 else _sym_bracket(h, t, s)
+
+
 def _skew_bracket(h: float, t: float, s: float) -> float:
     """-t^{2H} + s^{2H} + sgn(t-s)|t-s|^{2H} with sgn(0) := 0."""
     e = 2.0 * h
@@ -221,88 +257,35 @@ def _skew_bracket(h: float, t: float, s: float) -> float:
     return -(t**e) + s**e + tail
 
 
-def _strict_factor(h: float, t: float, s: float, e: int) -> complex:
-    """Normalized per-coordinate mixture factor P(H, t, s, e)."""
-    if h == 0.5:
-        return complex(min(t, s), e * _log_bracket(t, s) / math.pi)
-    return 0.5 * complex(_sym_bracket(h, t, s),
-                         e * math.tan(math.pi * h) * _skew_bracket(h, t, s))
-
-
 # --------------------------------------------------------------------------
-# Covariance functions
+# The two evaluators: the strict mixture and the mild family
 # --------------------------------------------------------------------------
 
-def cov_fbs(H, s, t) -> float:
-    """Fractional Brownian sheet: 2^{-N} prod_k (t^{2H}+s^{2H}-|t-s|^{2H})."""
-    H = validate_hurst(H)
-    s = _as_point(s, len(H))
-    t = _as_point(t, len(H))
-    out = 2.0 ** -len(H)
-    for h, sk, tk in zip(H, s, t):
-        out *= _sym_bracket(h, tk, sk)
-    return out
+def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
+    """Mixture covariance Re sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j).
 
-
-def cov_strict_general(H, weights: StrictWeights, s, t,
-                       imag_tol: float = 1e-10) -> float:
-    """Mixture covariance sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j).
-
-    The weight symmetry gamma_e = gamma_{-e} makes the imaginary parts of
-    opposite sign vectors cancel; a residual beyond ``imag_tol`` (relative
-    to the diagonal scale) indicates corrupted weights and raises.
+    Evaluated from the sign-moment terms of the weights, P = (a + i e b)/2:
+    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket,
+    or a = 2 min(t, s) and b = (2/pi) times the log bracket at H = 1/2.
+    A single term is S = {} (the sheet), which needs no b.
     """
     H = validate_hurst(H)
     if weights.n != len(H):
         raise ValueError(f"weights are {weights.n}-dimensional, H is {len(H)}")
+    terms = weights.sign_moment_terms
     s = _as_point(s, len(H))
     t = _as_point(t, len(H))
-    total = 0.0 + 0.0j
-    for e, gam in weights.items():
-        if gam == 0.0:
-            continue
-        prod = complex(gam)
-        for j, ej in enumerate(e):
-            prod *= _strict_factor(H[j], t[j], s[j], ej)
-        total += prod
-    scale = max(math.prod(tk**(2 * h) for h, tk in zip(H, t)),
-                math.prod(sk**(2 * h) for h, sk in zip(H, s)), 1.0)
-    if abs(total.imag) > imag_tol * scale:
-        raise WeightValidationError(
-            [f"covariance has non-vanishing imaginary part {total.imag:g}"])
-    return total.real
-
-
-def cov_strict_2d(h1: float, h2: float, gamma: float, s, t) -> float:
-    """Two-dimensional strictly-stationary-increment covariance.
-
-    Dispatches on which Hurst components equal 1/2 and evaluates the
-    corresponding closed form directly (product of symmetric brackets plus
-    gamma times the product of the skew brackets, with min/log brackets
-    replacing power brackets at H = 1/2).
-    """
-    (h1, h2) = validate_hurst((h1, h2))
-    if not -1.0 <= gamma <= 1.0:
-        raise ValueError(f"coupling gamma must lie in [-1,1], got {gamma!r}")
-    s = _as_point(s, 2)
-    t = _as_point(t, 2)
-    if h1 != 0.5 and h2 != 0.5:
-        sym = _sym_bracket(h1, t[0], s[0]) * _sym_bracket(h2, t[1], s[1])
-        skew = (math.tan(math.pi * h1) * _skew_bracket(h1, t[0], s[0])
-                * math.tan(math.pi * h2) * _skew_bracket(h2, t[1], s[1]))
-        return 0.25 * sym + 0.25 * gamma * skew
-    if h1 == 0.5 and h2 == 0.5:
-        return (min(t[0], s[0]) * min(t[1], s[1])
-                + gamma / math.pi**2
-                * _log_bracket(t[0], s[0]) * _log_bracket(t[1], s[1]))
-    # exactly one component at 1/2; orient so it is the first
-    if h1 == 0.5:
-        (m_t, m_s), (p_t, p_s), hp = (t[0], s[0]), (t[1], s[1]), h2
-    else:
-        (m_t, m_s), (p_t, p_s), hp = (t[1], s[1]), (t[0], s[0]), h1
-    return (0.5 * min(m_t, m_s) * _sym_bracket(hp, p_t, p_s)
-            + gamma * math.tan(math.pi * hp) / (2 * math.pi)
-            * _log_bracket(m_t, m_s) * _skew_bracket(hp, p_t, p_s))
+    a = [_a_bracket(h, tk, sk) for h, tk, sk in zip(H, t, s)]
+    b = a if len(terms) == 1 else [
+        2.0 / math.pi * _log_bracket(tk, sk) if h == 0.5
+        else math.tan(math.pi * h) * _skew_bracket(h, tk, sk)
+        for h, tk, sk in zip(H, t, s)]
+    total = 0.0
+    for coef, in_s in terms:
+        for aj, bj, j_in_s in zip(a, b, in_s):
+            coef *= bj if j_in_s else aj
+        total += coef
+    return total
 
 
 def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
@@ -320,36 +303,40 @@ def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
         m = max(sk, tk)
         if m == 0.0:
             return 0.0
-        base *= _sym_bracket(h, tk, sk)
+        base *= _a_bracket(h, tk, sk)
         corr *= (tk**(2 * h) - sk**(2 * h)) / m**(2 * h)
     return base * (1.0 + 0.25 * theta * corr)
 
 
+# --------------------------------------------------------------------------
+# Covariance functions
+# --------------------------------------------------------------------------
+
+def cov_fbs(H, s, t) -> float:
+    """Fractional Brownian sheet: 2^{-N} prod_k (t^{2H}+s^{2H}-|t-s|^{2H})."""
+    H = validate_hurst(H)
+    s = _as_point(s, len(H))
+    t = _as_point(t, len(H))
+    out = 2.0 ** -len(H)
+    for h, sk, tk in zip(H, s, t):
+        out *= _sym_bracket(h, tk, sk)
+    return out
+
+
+def cov_strict_2d(h1: float, h2: float, gamma: float, s, t) -> float:
+    """Two-dimensional strict covariance (a1 a2 + gamma b1 b2) / 4."""
+    return cov_strict_general((h1, h2), strict2d_weights(gamma), s, t)
+
+
 def cov_y_half(theta: float, s, t) -> float:
     """Brownian-sheet covariance with the mild correction at H = (1/2, 1/2)."""
-    _warn_theta(theta)
-    s = _as_point(s, 2)
-    t = _as_point(t, 2)
-    mins = min(t[0], s[0]) * min(t[1], s[1])
-    if mins == 0.0 and (max(t[0], s[0]) == 0.0 or max(t[1], s[1]) == 0.0):
-        return 0.0
-    corr = ((t[0] - s[0]) / max(t[0], s[0])) * ((t[1] - s[1]) / max(t[1], s[1]))
-    return mins * (1.0 + 0.25 * theta * corr)
+    return cov_mild_theta(0.5, 0.5, theta, s, t)
 
 
 def cov_z_half(gamma: float, s, t) -> float:
     """Brownian-sheet covariance plus the log-bracket coupling at H = (1/2, 1/2)."""
-    if not -1.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [-1,1], got {gamma!r}")
-    if gamma <= 0.0:
-        warnings.warn(
-            f"gamma={gamma:g} is outside (0,1], where dependence of disjoint "
-            "increments is guaranteed positive", stacklevel=2)
-    s = _as_point(s, 2)
-    t = _as_point(t, 2)
-    return (min(t[0], s[0]) * min(t[1], s[1])
-            + gamma / math.pi**2
-            * _log_bracket(t[0], s[0]) * _log_bracket(t[1], s[1]))
+    _warn_gamma(gamma, stacklevel=3)
+    return cov_strict_2d(0.5, 0.5, gamma, s, t)
 
 
 def _warn_theta(theta: float):
@@ -359,12 +346,38 @@ def _warn_theta(theta: float):
             "guaranteed, run the numerical eigenvalue check", stacklevel=3)
 
 
+def _warn_gamma(gamma: float, stacklevel: int):
+    if -1.0 <= gamma <= 0.0:
+        warnings.warn(
+            f"gamma={gamma:g} is outside (0,1], where dependence of disjoint "
+            "increments is guaranteed positive", stacklevel=stacklevel)
+
+
 # --------------------------------------------------------------------------
 # Field specifications
 # --------------------------------------------------------------------------
 
+class _Family:
+    """Metadata shared by the specifications; two-dimensional by default.
+
+    ``canonical()`` names the equal ``StrictGeneral`` or ``MildTheta``
+    specification, the only two that :func:`make_kernel` evaluates.
+    """
+
+    @property
+    def hurst(self):
+        return (self.h1, self.h2)
+
+    @property
+    def claimed_class(self):
+        return StationarityClass.STRICT_WIDE
+
+    def canonical(self):
+        return self
+
+
 @dataclass(frozen=True)
-class FBS:
+class FBS(_Family):
     """Fractional Brownian sheet with Hurst vector H."""
 
     H: tuple
@@ -378,13 +391,12 @@ class FBS:
     def hurst(self):
         return self.H
 
-    @property
-    def claimed_class(self):
-        return StationarityClass.STRICT_WIDE
+    def canonical(self):
+        return StrictGeneral(self.H, StrictWeights.uniform(len(self.H)))
 
 
 @dataclass(frozen=True)
-class StrictGeneral:
+class StrictGeneral(_Family):
     """General strictly-stationary-increment mixture with explicit weights."""
 
     H: tuple
@@ -401,13 +413,9 @@ class StrictGeneral:
     def hurst(self):
         return self.H
 
-    @property
-    def claimed_class(self):
-        return StationarityClass.STRICT_WIDE
-
 
 @dataclass(frozen=True)
-class Strict2D:
+class Strict2D(_Family):
     """Two-dimensional strict family parameterized by coupling gamma."""
 
     h1: float
@@ -417,21 +425,14 @@ class Strict2D:
     family = "strict2d"
 
     def __post_init__(self):
-        validate_hurst((self.h1, self.h2))
-        if not -1.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [-1,1], got {self.gamma!r}")
+        self.canonical()   # validates H and gamma
 
-    @property
-    def hurst(self):
-        return (self.h1, self.h2)
-
-    @property
-    def claimed_class(self):
-        return StationarityClass.STRICT_WIDE
+    def canonical(self):
+        return StrictGeneral(self.hurst, strict2d_weights(self.gamma))
 
 
 @dataclass(frozen=True)
-class MildTheta:
+class MildTheta(_Family):
     """Mild-stationary family with separable correction strength theta."""
 
     h1: float
@@ -442,10 +443,8 @@ class MildTheta:
 
     def __post_init__(self):
         validate_hurst((self.h1, self.h2))
-
-    @property
-    def hurst(self):
-        return (self.h1, self.h2)
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
     @property
     def claimed_class(self):
@@ -455,65 +454,66 @@ class MildTheta:
 
 
 @dataclass(frozen=True)
-class YHalf:
-    """Mild family at H = (1/2, 1/2)."""
+class YHalf(_Family):
+    """Mild family at H = (1/2, 1/2): ``MildTheta(1/2, 1/2, theta)``."""
 
     theta: float
 
     family = "yhalf"
+    h1 = h2 = 0.5
+    claimed_class = MildTheta.claimed_class
 
-    @property
-    def hurst(self):
-        return (0.5, 0.5)
+    def __post_init__(self):
+        self.canonical()   # validates theta
 
-    @property
-    def claimed_class(self):
-        if self.theta == 0.0:
-            return StationarityClass.STRICT_WIDE
-        return StationarityClass.MILD_ONLY
+    def canonical(self):
+        return MildTheta(0.5, 0.5, self.theta)
 
 
 @dataclass(frozen=True)
-class ZHalf:
-    """Strict family at H = (1/2, 1/2) with log-bracket coupling gamma."""
+class ZHalf(_Family):
+    """Strict family at H = (1/2, 1/2): ``Strict2D(1/2, 1/2, gamma)``."""
 
     gamma: float
 
     family = "zhalf"
+    h1 = h2 = 0.5
 
     def __post_init__(self):
-        if not -1.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [-1,1], got {self.gamma!r}")
+        self.canonical()   # validates gamma
+        _warn_gamma(self.gamma, stacklevel=4)
 
-    @property
-    def hurst(self):
-        return (0.5, 0.5)
-
-    @property
-    def claimed_class(self):
-        return StationarityClass.STRICT_WIDE
+    def canonical(self):
+        return Strict2D(0.5, 0.5, self.gamma).canonical()
 
 
 def moving_constraint_residual(h1, h2, d0, d1) -> float:
-    """Residual of the moving-average normalization constraint.
+    """Residual of the moving-average unit-variance constraint on (d0, d1).
 
     d0^2 + 2 d0 d1 sin(pi H1) sin(pi H2) + d1^2 - 1 away from H = 1/2;
     at H1 = H2 = 1/2 the kernels are orthogonal and the constraint is
-    d0^2 + d1^2 - 1.
+    d0^2 + d1^2 - 1.  Mixed vectors with one component at 1/2 are rejected.
     """
-    if h1 == 0.5 and h2 == 0.5:
+    validate_hurst((h1, h2))
+    half = (h1 == 0.5, h2 == 0.5)
+    if any(half) and not all(half):
+        raise ValueError("the moving pair needs both Hurst components at 1/2 "
+                         "or neither")
+    if all(half):
         return d0 * d0 + d1 * d1 - 1.0
     return (d0 * d0 + 2.0 * d0 * d1 * math.sin(math.pi * h1)
             * math.sin(math.pi * h2) + d1 * d1 - 1.0)
 
 
 @dataclass(frozen=True)
-class MovingPair:
+class MovingPair(_Family):
     """Two-sided moving-average pair (d0: causal part, d1: anticausal part).
 
-    No closed-form covariance; evaluation happens through quadrature of the
-    kernel inner products (see :mod:`rectfield.movingavg`).  Requires both
-    Hurst components away from 1/2, or both exactly 1/2.
+    Its covariance is the closed form of ``Strict2D(h1, h2, gamma)`` with the
+    coupling ``gamma`` below (the vector-fBm cross-covariance form of
+    Lavancier, Philippe & Surgailis 2009).  The quadrature of the kernel
+    inner products in :mod:`rectfield.movingavg` is its independent oracle.
+    Requires both Hurst components away from 1/2, or both exactly 1/2.
     """
 
     h1: float
@@ -524,23 +524,28 @@ class MovingPair:
     family = "movingpair"
 
     def __post_init__(self):
-        validate_hurst((self.h1, self.h2))
-        half = (self.h1 == 0.5, self.h2 == 0.5)
-        if any(half) and not all(half):
-            raise ValueError(
-                "MovingPair needs both Hurst components at 1/2 or neither")
         res = moving_constraint_residual(self.h1, self.h2, self.d0, self.d1)
-        if abs(res) > 1e-12:
+        if not abs(res) <= 1e-12:
             raise ValueError(
                 f"(d0, d1) violate the normalization constraint: residual {res:g}")
 
     @property
-    def hurst(self):
-        return (self.h1, self.h2)
+    def gamma(self) -> float:
+        """2 d0 d1 cos(pi H1) cos(pi H2), or 2 d0 d1 at H = (1/2, 1/2).
 
-    @property
-    def claimed_class(self):
-        return StationarityClass.STRICT_WIDE
+        On the constraint curve it lies in [-1, 1]: with a = pi H1 and
+        b = pi H2, |cos a cos b| <= 1 - sin a sin b, so
+        |gamma| <= d0^2 + d1^2 + 2 d0 d1 sin a sin b = 1.
+        """
+        if self.h1 == 0.5:
+            return 2.0 * self.d0 * self.d1
+        return (2.0 * self.d0 * self.d1 * math.cos(math.pi * self.h1)
+                * math.cos(math.pi * self.h2))
+
+    def canonical(self):
+        # the constraint holds to 1e-12, so gamma may pass +-1 by as much
+        gamma = max(-1.0, min(1.0, self.gamma))
+        return Strict2D(self.h1, self.h2, gamma).canonical()
 
 
 FieldSpec = Union[FBS, StrictGeneral, Strict2D, MildTheta, YHalf, ZHalf, MovingPair]
@@ -572,21 +577,12 @@ class CovKernel:
 
 def make_kernel(spec: FieldSpec) -> CovKernel:
     """Build the evaluable covariance kernel for a field specification."""
-    if isinstance(spec, FBS):
-        ev = lambda s, t: cov_fbs(spec.H, s, t)
-    elif isinstance(spec, StrictGeneral):
-        ev = lambda s, t: cov_strict_general(spec.H, spec.weights, s, t)
-    elif isinstance(spec, Strict2D):
-        ev = lambda s, t: cov_strict_2d(spec.h1, spec.h2, spec.gamma, s, t)
-    elif isinstance(spec, MildTheta):
-        ev = lambda s, t: cov_mild_theta(spec.h1, spec.h2, spec.theta, s, t)
-    elif isinstance(spec, YHalf):
-        ev = lambda s, t: cov_y_half(spec.theta, s, t)
-    elif isinstance(spec, ZHalf):
-        ev = lambda s, t: cov_z_half(spec.gamma, s, t)
-    elif isinstance(spec, MovingPair):
-        from . import movingavg  # deferred: movingavg depends on this module
-        ev = lambda s, t: movingavg.cov_moving_pair(spec, s, t)
-    else:
+    if not isinstance(spec, _Family):
         raise TypeError(f"unknown field specification {type(spec).__name__}")
+    canon = spec.canonical()
+    if isinstance(canon, StrictGeneral):
+        canon.weights.sign_moment_terms   # computed and checked once, here
+        ev = lambda s, t: cov_strict_general(canon.H, canon.weights, s, t)
+    else:
+        ev = lambda s, t: cov_mild_theta(canon.h1, canon.h2, canon.theta, s, t)
     return CovKernel(spec=spec, claimed_class=spec.claimed_class, evaluate=ev)

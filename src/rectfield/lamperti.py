@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .gammafn import abs_sinh_pow
 from .kernels import CovKernel, validate_hurst
 
 __all__ = [

@@ -28,7 +28,10 @@ Every covariance in this module is computed by one-dimensional quadrature
 of the coordinate factors (the integrands are products over coordinates, so
 the N-dimensional integral factorizes exactly); singular abscissae {0, s, t}
 are declared panel edges and the infinite tails use the same engine as the
-rest of the package.
+rest of the package.  The pair itself has a closed form,
+``make_kernel(MovingPair(...))`` (see :class:`rectfield.kernels.MovingPair`);
+the quadrature here is its independent oracle, used by the tests and by
+``rectfield check --suite ma``, never by kernel evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .gammafn import c2, pow_plus
-from .kernels import MovingPair, validate_hurst
+from .kernels import MovingPair, moving_constraint_residual, validate_hurst
 from .quadrature import DEFAULT_BUDGET, QuadratureError, _Budget, _quad_panel
 
 __all__ = [
@@ -299,7 +302,9 @@ def cov_from_ma(kernel: MAKernel, s, t, imag_tol: float = 1e-6) -> float:
 
 
 def cov_moving_pair(spec: MovingPair, s, t) -> float:
-    """Covariance of the two-parameter past/future moving-average family.
+    """Quadrature covariance of the two-parameter past/future moving average.
+
+    The oracle for the closed form ``make_kernel(spec)``:
 
     K(s, t) = c2(H1)^2 c2(H2)^2 [ d0^2 prod_j I_pp + d0 d1 (prod_j I_pf
               + prod_j I_fp) + d1^2 prod_j I_ff ]
@@ -337,18 +342,8 @@ def validate_dd(h1: float, h2: float, d0: float, d1: float,
                 tol: float = 1e-12) -> DDCheck:
     """Check the unit-variance constraint on (d0, d1).
 
-    Away from H = 1/2 the constraint couples the parts through
-    sin(pi H1) sin(pi H2); at H1 = H2 = 1/2 the parts are orthogonal and it
-    degenerates to d0^2 + d1^2 = 1.  Mixed vectors are rejected.
+    See :func:`rectfield.kernels.moving_constraint_residual`; mixed Hurst
+    vectors with exactly one component at 1/2 are rejected.
     """
-    validate_hurst((h1, h2))
-    half = (h1 == 0.5, h2 == 0.5)
-    if any(half) and not all(half):
-        raise ValueError("constraint is undefined for mixed Hurst vectors "
-                         "with exactly one component at 1/2")
-    if h1 == 0.5:
-        residual = d0 * d0 + d1 * d1 - 1.0
-    else:
-        residual = (d0 * d0 + 2 * d0 * d1 * math.sin(math.pi * h1)
-                    * math.sin(math.pi * h2) + d1 * d1 - 1.0)
+    residual = moving_constraint_residual(h1, h2, d0, d1)
     return DDCheck(abs(residual) <= tol, residual)

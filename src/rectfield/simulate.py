@@ -58,6 +58,8 @@ class Grid:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ValueError("grid needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
         if np.any(pts <= 0.0):
             raise ValueError("grid points must have strictly positive "
                              "coordinates (the axes are degenerate)")
@@ -129,6 +131,7 @@ class SampleBatch:
     values: np.ndarray      # (n_samples, n_points)
     spec: FieldSpec | None
     jitter: float = 0.0
+    cov: np.ndarray | None = None   # the covariance matrix the draws follow
 
     @property
     def n_samples(self) -> int:
@@ -177,7 +180,7 @@ def sample_field(spec: FieldSpec, grid: Grid, seed: int, n_samples: int,
     values, jitter = cholesky_sample(M, seed, n_samples, n_workers=n_workers,
                                      context=spec.family)
     return SampleBatch(seed=seed, grid=grid, values=values, spec=spec,
-                       jitter=jitter)
+                       jitter=jitter, cov=M)
 
 
 def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):

@@ -194,3 +194,80 @@ def test_mc_command(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {"probe", "kind", "estimate", "se", "reference", "analytic",
             "z_reference", "z_analytic"} <= set(rows[0])
+
+
+def _main_with_config(tmp_path, text, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return main([command, "--config", str(path), "--out", str(tmp_path)])
+
+
+def test_density_rejects_non_sheet_families(tmp_path, capsys):
+    # g_product(H) is the density of the sheet only; other families exit 2
+    for spec in ({"family": "mildtheta", "H": [0.3, 0.7], "theta": 1.0},
+                 {"family": "movingpair", "H": [0.3, 0.7], "d0": 1.0,
+                  "d1": 0.0}):
+        cfg = json.dumps({"command": "density", "spec": spec,
+                          "x": [[0.5, 0.5]]})
+        assert _main_with_config(tmp_path, cfg, "density") == 2
+        assert spec["family"] in capsys.readouterr().err
+    assert not (tmp_path / "density.csv").exists()
+
+
+@pytest.mark.parametrize("text, command, where", [
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, Infinity]}', "cov", "t:"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [NaN, 1], "t": [2, 2]}', "cov", "s:"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": 10,'
+     ' "grid": {"axes": [[0.5, NaN], [1.0, 2.0]]}}', "simulate", "grid"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": 10,'
+     ' "grid": {"points": [[0.5, Infinity]]}}', "simulate", "grid"),
+    ('{"r1": 8, "r2": 8, "t_axes": [1.0, Infinity]}', "limit-demo", "t_axes"),
+    ('{"suite": "ma", "seed": "abc"}', "check", "seed"),
+    ('{"suite": "ma", "tol": [1]}', "check", "tol"),
+    ('{"suite": "ma", "seed": 1.5}', "check", "seed"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": "many"}',
+     "simulate", "n_samples"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_workers": "two"}',
+     "mc", "n_workers"),
+    ('{"r1": "x", "r2": 8}', "limit-demo", "r1"),
+    ('{"r1": 8, "r2": [8]}', "limit-demo", "r2"),
+    ('{"r1": 8, "r2": 8, "n_reps": "lots"}', "limit-demo", "n_reps"),
+    ('{"r1": 8, "r2": 8, "n_reps": 0}', "limit-demo", "n_reps"),
+    ('{"spec": {"family": "strict", "H": [0.3, 0.7], "weights": {}}}',
+     "classify", "weights"),
+    ('{"spec": {"family": "strict", "H": [0.3, 0.7], "weights": [1]}}',
+     "classify", "spec.weights"),
+])
+def test_bad_input_is_a_config_error(tmp_path, capsys, text, command, where):
+    assert _main_with_config(tmp_path, text, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where in err
+    assert "Traceback" not in err
+
+
+def test_simulate_builds_the_covariance_matrix_once(tmp_path, monkeypatch):
+    import sys
+
+    import rectfield.simulate as sim
+
+    calls = []
+    real = sim.cov_matrix
+    for mod in [m for n, m in sys.modules.items() if n.startswith("rectfield")]:
+        for name, value in list(vars(mod).items()):
+            if value is real:   # every reference, as a tracer would count
+                monkeypatch.setattr(mod, name,
+                                    lambda *a: calls.append(1) or real(*a))
+    cfg = {"command": "simulate",
+           "spec": {"family": "strict2d", "H": [0.3, 0.7], "gamma": 0.5},
+           "grid": {"axes": [[0.5, 1.5], [1.0, 2.0]]}, "n_samples": 300,
+           "seed": 15, "out": str(tmp_path)}
+    assert run(validate_config(cfg)) == 0
+    assert len(calls) == 1
+    # the samples are the draws of sample_field for the same seed, bit for bit
+    batch = sim.sample_field(spec_from_dict(cfg["spec"]),
+                             sim.grid_from_axes(cfg["grid"]["axes"]), 15, 300)
+    with open(tmp_path / "samples.csv") as fh:
+        values = [float(r["value"]) for r in csv.DictReader(fh)]
+    assert values == batch.values.ravel().tolist()

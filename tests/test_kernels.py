@@ -71,6 +71,32 @@ def test_strict_2d_examples():
                 cov_fbs((h1, h2), s, t), rel=1e-12, abs=1e-14)
 
 
+def _complex_mixture(H, weights, s, t):
+    """Re sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j) in complex arithmetic.
+
+    The definition from the module docstring of ``rectfield.kernels``,
+    written out independently of its sign-moment evaluation.
+    """
+    def xlogx(x):
+        return x * math.log(x) if x > 0.0 else 0.0
+
+    total = 0.0 + 0.0j
+    for e, gam in weights.items():
+        prod = complex(gam)
+        for h, tj, sj, ej in zip(H, t, s, e):
+            d = tj - sj
+            if h == 0.5:
+                log_br = xlogx(tj) - xlogx(sj) - (d * math.log(abs(d)) if d else 0.0)
+                prod *= complex(min(tj, sj), ej * log_br / math.pi)
+            else:
+                p = 2.0 * h
+                sym = tj**p + sj**p - abs(d)**p
+                skew = -tj**p + sj**p + (math.copysign(abs(d)**p, d) if d else 0.0)
+                prod *= 0.5 * complex(sym, ej * math.tan(math.pi * h) * skew)
+        total += prod
+    return total.real
+
+
 def test_strict_2d_matches_general_mixture():
     rng = np.random.default_rng(2)
     for h1, h2 in ((0.3, 0.7), (0.5, 0.7), (0.25, 0.5), (0.5, 0.5)):
@@ -79,8 +105,29 @@ def test_strict_2d_matches_general_mixture():
             for _ in range(5):
                 s, t = rng.uniform(0.05, 3.0, 2), rng.uniform(0.05, 3.0, 2)
                 direct = cov_strict_2d(h1, h2, gamma, s, t)
-                mixture = cov_strict_general((h1, h2), w, s, t)
+                mixture = _complex_mixture((h1, h2), w, s, t)
                 assert direct == pytest.approx(mixture, rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sign_moments_match_complex_reference(n):
+    rng = np.random.default_rng(20 + n)
+    signs = list(itertools.product((1, -1), repeat=n))
+    for _ in range(60):
+        H = tuple(0.5 if rng.random() < 0.3 else float(rng.uniform(0.05, 0.95))
+                  for _ in range(n))
+        half = rng.dirichlet(np.ones(len(signs) // 2)) / 2.0
+        w = {}
+        for e, g in zip(signs, half):
+            w[e] = w[tuple(-x for x in e)] = float(g)
+        weights = StrictWeights(w)
+        kernel = make_kernel(StrictGeneral(H, weights))
+        s, t = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+        scale = max(math.prod(float(x) ** (2 * h) for h, x in zip(H, p))
+                    for p in (s, t))
+        ref = _complex_mixture(H, weights, s, t)
+        assert abs(kernel(s, t) - ref) <= 1e-14 * scale
+        assert abs(cov_strict_general(H, weights, s, t) - ref) <= 1e-14 * scale
 
 
 def test_strict_general_uniform_weights_is_fbs():
@@ -175,6 +222,10 @@ def test_validate_weights_reports_each_violation():
 
 
 def test_strict_weights_validation():
+    with pytest.raises(WeightValidationError):
+        StrictWeights({})
+    with pytest.raises(WeightValidationError):
+        StrictWeights({(1,): math.nan, (-1,): math.nan})
     with pytest.raises(WeightValidationError):
         StrictWeights({(1, 1): 0.6, (-1, -1): 0.2, (1, -1): 0.1, (-1, 1): 0.1})
     with pytest.raises(WeightValidationError):
@@ -273,7 +324,21 @@ def test_fbs_diagonal_law_hypothesis(h1, h2):
                                 rel=1e-12)
 
 
+def test_points_must_be_finite():
+    for bad in ((1.0, math.inf), (math.nan, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            cov_fbs((0.3, 0.7), (1.0, 1.0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            make_kernel(Strict2D(0.3, 0.7, 0.5))(bad, (1.0, 1.0))
+
+
 def test_spec_validation():
+    with pytest.raises(ValueError):
+        MildTheta(0.3, 0.7, math.nan)
+    with pytest.raises(ValueError):
+        YHalf(math.inf)
+    with pytest.raises(ValueError):
+        MovingPair(0.3, 0.7, math.nan, 0.0)
     with pytest.raises(ValueError):
         FBS((1.2, 0.5))
     with pytest.raises(ValueError):
@@ -292,6 +357,56 @@ def test_claimed_classes():
     assert YHalf(0.0).claimed_class is StationarityClass.STRICT_WIDE
     assert MildTheta(0.3, 0.7, 0.5).claimed_class is StationarityClass.MILD_ONLY
     assert ZHalf(0.5).claimed_class is StationarityClass.STRICT_WIDE
+
+
+@pytest.mark.parametrize("spec, canonical", [
+    (FBS((0.3, 0.7)), StrictGeneral((0.3, 0.7), StrictWeights.uniform(2))),
+    (Strict2D(0.3, 0.7, 0.5), StrictGeneral((0.3, 0.7), strict2d_weights(0.5))),
+    (ZHalf(0.8), Strict2D(0.5, 0.5, 0.8)),
+    (YHalf(0.7), MildTheta(0.5, 0.5, 0.7)),
+    (MovingPair(0.5, 0.5, 0.6, 0.8), Strict2D(0.5, 0.5, 2 * 0.6 * 0.8)),
+], ids=lambda x: type(x).__name__)
+def test_families_evaluate_as_their_canonical_spec(spec, canonical):
+    kernel, ref = make_kernel(spec), make_kernel(canonical)
+    assert kernel.spec is spec
+    assert kernel.claimed_class is spec.claimed_class
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        s, t = rng.uniform(0.0, 3.0, 2), rng.uniform(0.0, 3.0, 2)
+        assert kernel(s, t) == ref(s, t)
+
+
+def test_z_half_nonpositive_gamma_warns_on_construction():
+    with pytest.warns(UserWarning, match="outside"):
+        ZHalf(0.0)
+
+
+@given(st.floats(min_value=0.01, max_value=0.99).filter(lambda h: h != 0.5),
+       st.floats(min_value=0.01, max_value=0.99).filter(lambda h: h != 0.5),
+       st.floats(min_value=-1.0, max_value=1.0),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_moving_pair_gamma_in_unit_interval_hypothesis(h1, h2, d0, plus):
+    """The mapped coupling of a moving pair on its constraint curve is in [-1, 1].
+
+    With a = pi H1, b = pi H2 in (0, pi) and c = sin a sin b > 0,
+    cos(a - b) <= 1 and cos(a + b) >= -1 give |cos a cos b| <= 1 - c, so
+
+        |gamma| = 2 |d0 d1| |cos a cos b| <= 2 |d0 d1| (1 - c)
+                <= 2 |d0 d1| + 2 c d0 d1 <= d0^2 + d1^2 + 2 c d0 d1 = 1.
+
+    At H = (1/2, 1/2), |gamma| = |2 d0 d1| <= d0^2 + d1^2 = 1.  Off the
+    curve by the residual r, the same chain bounds |gamma| by 1 + r.
+    """
+    for H in ((h1, h2), (0.5, 0.5)):
+        c = math.sin(math.pi * H[0]) * math.sin(math.pi * H[1]) \
+            if H != (0.5, 0.5) else 0.0
+        root = d0 * d0 * (c * c - 1.0) + 1.0
+        d1 = -d0 * c + (1.0 if plus else -1.0) * math.sqrt(root)
+        spec = MovingPair(H[0], H[1], d0, d1)
+        res = d0 * d0 + 2.0 * c * d0 * d1 + d1 * d1 - 1.0
+        assert abs(spec.gamma) <= 1.0 + abs(res) + 4e-16
+        make_kernel(spec)((1.0, 2.0), (2.0, 1.0))   # builds without error
 
 
 def test_make_kernel_unknown_spec():

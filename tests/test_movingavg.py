@@ -7,6 +7,7 @@ import pytest
 
 from rectfield.increments import Rectangle, increment_cov
 from rectfield.kernels import MovingPair, cov_fbs, make_kernel
+from rectfield import movingavg
 from rectfield.movingavg import (
     cov_from_ma,
     cov_moving_pair,
@@ -199,6 +200,44 @@ def test_moving_pair_increment_stationarity():
             Rectangle(h, (h[0] + u1[0], h[1] + u1[1])),
             Rectangle(h, (h[0] + u2[0], h[1] + u2[1])))
         assert shifted == pytest.approx(base, abs=1e-2)
+
+
+def _constraint_pairs(h1, h2):
+    """(d0, d1) on the unit-variance curve, both roots where they differ."""
+    c = 0.0 if h1 == 0.5 else math.sin(math.pi * h1) * math.sin(math.pi * h2)
+    out = []
+    for d0 in (1.0, 0.4, -0.6):
+        root = math.sqrt(d0 * d0 * (c * c - 1.0) + 1.0)
+        out += [(d0, -d0 * c + root), (d0, -d0 * c - root)]
+    return out
+
+
+@pytest.mark.parametrize("H", [(0.3, 0.7), (0.25, 0.25), (0.2, 0.85),
+                               (0.5, 0.5)])
+def test_moving_pair_closed_form_matches_quadrature(H):
+    # the quadrature inner products are the independent oracle of the
+    # closed form Strict2D(H1, H2, 2 d0 d1 cos(pi H1) cos(pi H2))
+    rng = np.random.default_rng(44)
+    points = [(rng.uniform(0.2, 2.5, 2), rng.uniform(0.2, 2.5, 2))
+              for _ in range(3)] + [((1.0, 1.0), (1.0, 1.0))]
+    for d0, d1 in _constraint_pairs(*H):
+        spec = MovingPair(H[0], H[1], d0, d1)
+        kernel = make_kernel(spec)
+        for s, t in points:
+            assert abs(kernel(s, t) - cov_moving_pair(spec, s, t)) <= 1e-8
+
+
+def test_moving_pair_kernel_runs_no_quadrature():
+    caches = (movingavg._power_inner, movingavg._log_inner_il,
+              movingavg._log_inner_ll)
+    before = [f.cache_info().misses for f in caches]
+    rng = np.random.default_rng(45)
+    for H in ((0.3, 0.7), (0.5, 0.5)):
+        d0, d1 = _constraint_pairs(*H)[1]
+        kernel = make_kernel(MovingPair(H[0], H[1], d0, d1))
+        for _ in range(20):
+            kernel(rng.uniform(0.1, 3.0, 2), rng.uniform(0.1, 3.0, 2))
+    assert [f.cache_info().misses for f in caches] == before
 
 
 def test_validate_dd():

@@ -25,6 +25,9 @@ def test_grid_validation():
         Grid(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError, match="duplicate"):
         Grid(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(np.array([[1.0, 2.0], [bad, 1.0]]))
 
 
 def test_grid_from_axes():
