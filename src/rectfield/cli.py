@@ -135,19 +135,22 @@ def spec_to_dict(spec: FieldSpec) -> dict:
 _COMMANDS = ("cov", "density", "check", "classify", "simulate", "mc",
              "limit-demo")
 
-_COMMON_KEYS = {"command", "seed", "tol", "out", "n_samples"}
+_COMMON_KEYS = {"command", "seed", "out"}
 _COMMAND_KEYS = {
     "cov": {"spec", "s", "t"},
     "density": {"spec", "x"},
-    "check": {"suite"},
+    "check": {"suite", "tol"},
     "classify": {"spec", "probes"},
-    "simulate": {"spec", "grid", "n_workers"},
-    "mc": {"spec", "probes", "n_workers"},
+    "simulate": {"spec", "grid", "n_samples", "n_workers"},
+    "mc": {"spec", "probes", "n_samples", "n_workers"},
     "limit-demo": {"r1", "r2", "t_axes", "t_points", "n_reps"},
 }
 _PROBE_KEYS = {"n_pairs", "n_shifts", "box", "shift_box", "seed"}
 _DEFAULT_TOL = 1e-6
 _DEFAULT_N = {"simulate": 5000, "mc": 20000}
+# The simulate and mc gates allow 4 analytic SE, about 4/sqrt(n) of the
+# variance scale, so a handful of samples passes any covariance.
+_MIN_N_SAMPLES = 100
 
 
 def _number(value, name, kind, lo=None, hi=None):
@@ -233,7 +236,6 @@ def validate_config(cfg: dict) -> RunConfig:
     if not 0 <= params["seed"] < 2**64:
         raise ConfigError(f"seed: must be an unsigned 64-bit integer, "
                           f"got {params['seed']}")
-    params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
     params["out"] = str(cfg.get("out", "."))
 
     spec = None
@@ -269,6 +271,13 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"suite: expected one of lemmas/densities/"
                               f"criteria/ma, got {suite!r}")
         params["suite"] = suite
+        if suite == "lemmas":
+            params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
+            if params["tol"] <= 0.0:
+                raise ConfigError(f"tol: must be positive, got {params['tol']}")
+        elif "tol" in cfg:
+            raise ConfigError(f"tol: only suite 'lemmas' takes a tolerance; "
+                              f"suite {suite!r} has fixed tolerances")
     elif command in ("classify", "mc"):
         probes = cfg.get("probes", {})
         if not isinstance(probes, dict):
@@ -318,7 +327,7 @@ def validate_config(cfg: dict) -> RunConfig:
         params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int, lo=2)
     if command in _DEFAULT_N:
         params["n_samples"] = _number(cfg.get("n_samples", _DEFAULT_N[command]),
-                                      "n_samples", int, lo=2)
+                                      "n_samples", int, lo=_MIN_N_SAMPLES)
         params["n_workers"] = _number(cfg.get("n_workers", 1), "n_workers",
                                       int, lo=1)
 
@@ -369,7 +378,7 @@ def _pair_row(name, params, got, want, tol):
             "pass": abs(got - want) <= tol}
 
 
-def _suite_densities(tol):
+def _suite_densities():
     rows = []
     xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
     rel = max(abs(spectral.g_fbm(0.5, x) - spectral.g_w(x)) / spectral.g_w(x)
@@ -393,7 +402,7 @@ def _suite_densities(tol):
     return rows
 
 
-def _suite_criteria(tol):
+def _suite_criteria():
     rows = []
     vgrid = np.linspace(-3.0, 3.0, 7)
     for h1, h2 in ((0.3, 0.7), (0.5, 0.5)):
@@ -429,7 +438,7 @@ def _suite_criteria(tol):
     return rows
 
 
-def _suite_ma(tol):
+def _suite_ma():
     from .kernels import cov_fbs
     rows = []
     for h1, h2, d0, d1 in ((0.3, 0.7, 1.0, 0.0), (0.5, 0.5, 1.0, 0.0),
@@ -465,8 +474,9 @@ def _suite_ma(tol):
     return rows
 
 
-_SUITES = {"lemmas": _suite_lemmas, "densities": _suite_densities,
-           "criteria": _suite_criteria, "ma": _suite_ma}
+# the suites with fixed tolerances; "lemmas" takes the config's ``tol``
+_SUITES = {"densities": _suite_densities, "criteria": _suite_criteria,
+           "ma": _suite_ma}
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +523,8 @@ def _run_density(cfg, out_dir):
 
 def _run_check(cfg, out_dir):
     suite = cfg.params["suite"]
-    rows = _SUITES[suite](cfg.params["tol"])
+    rows = (_suite_lemmas(cfg.params["tol"]) if suite == "lemmas"
+            else _SUITES[suite]())
     cols = ["identity", "params", "numeric_re", "numeric_im", "closed_re",
             "closed_im", "abs_err", "tol", "pass"]
     _write_csv(out_dir / f"check_{suite}.csv", rows, cols)

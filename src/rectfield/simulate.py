@@ -12,7 +12,10 @@ The Monte Carlo side estimates increment covariances from simulated fields
 partial-sum demonstration: normalized rectangular sums of an iid lattice
 field converge to the Brownian sheet, and the empirical covariance of the
 normalized sums is compared against both the pre-limit lattice covariance
-and the limiting min-product form.
+and the limiting min-product form.  The demo never builds the lattice: it
+draws the exact sum of each cell of the partition that the requested points
+induce, so its cost depends on the number of distinct point coordinates,
+not on the scaling factors.
 """
 
 from __future__ import annotations
@@ -286,6 +289,27 @@ class LimitDemo:
     n_reps: int
 
 
+def _blocks(k: np.ndarray):
+    """Block sizes and block index of each lattice index in ``k``.
+
+    The sorted distinct values e of ``k`` cut the lattice indices 0..max(k)
+    into consecutive blocks (e[j-1], e[j]] with sizes diff([-1, e]); each
+    entry of ``k`` is the right end of its block.
+    """
+    edges = np.unique(k)
+    return np.diff(edges, prepend=-1), np.searchsorted(edges, k)
+
+
+def _rect_sums(cells: np.ndarray, b1: np.ndarray, b2: np.ndarray):
+    """Rectangular sums from the origin, read from cell sums.
+
+    ``cells[..., i, j]`` is the sum over block i of the first coordinate and
+    block j of the second; the sum up to the point with block indices
+    (b1[p], b2[p]) is the double cumulative sum there.  Returns (..., p).
+    """
+    return cells.cumsum(axis=-2).cumsum(axis=-1)[..., b1, b2]
+
+
 def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
                        n_reps: int = 2000) -> LimitDemo:
     """Empirical covariance of normalized rectangular sums of an iid lattice.
@@ -295,6 +319,13 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
     covariance over ``n_reps`` replications is returned together with the
     exact pre-limit covariance (floor(u1 r1)+1)(floor(u2 r2)+1)/(r1 r2),
     u = min(t, s), and the limiting min-product covariance.
+
+    The lattice is never built.  The distinct floor indices cut it into
+    m1 x m2 cells, and V at every point is a double cumulative sum of cell
+    sums.  A cell of n iid N(0, 1) sites sums to sqrt(n) N(0, 1) exactly,
+    so each replication draws m1 m2 normals, whatever r1 and r2 are, and
+    the sums have the same joint law as the lattice sums.  Replication
+    chunks of ``CHUNK_SIZE`` use Philox streams keyed (seed, 0, chunk).
     """
     if not (1 <= r1 <= 512 and 1 <= r2 <= 512):
         raise ValueError("scaling factors must lie in [1, 512]")
@@ -309,19 +340,19 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
             f"lattice of {(K1 + 1) * (K2 + 1)} cells exceeds the "
             f"{MAX_LATTICE} guard")
 
+    (n1, b1), (n2, b2) = _blocks(k1), _blocks(k2)
+    scale = np.sqrt(np.outer(n1, n2) / (r1 * r2))
+    # replications per draw: bounds memory for many cells, not the bits
+    step = max(1, (1 << 20) // scale.size)
     m = len(t_points)
     acc = np.zeros((m, m))
-    norm = 1.0 / math.sqrt(r1 * r2)
-    chunk_reps = max(1, min(64, (1 << 22) // max((K1 + 1) * (K2 + 1), 1)))
-    done, chunk_idx = 0, 0
-    while done < n_reps:
-        take = min(chunk_reps, n_reps - done)
-        y = _stream(seed, 0, chunk_idx).standard_normal((take, K1 + 1, K2 + 1))
-        s = y.cumsum(axis=1).cumsum(axis=2)
-        v = s[:, k1, :][:, np.arange(m), k2] * norm
-        acc += v.T @ v
-        done += take
-        chunk_idx += 1
+    for chunk, lo in enumerate(range(0, n_reps, CHUNK_SIZE)):
+        rng = _stream(seed, 0, chunk)
+        take = min(CHUNK_SIZE, n_reps - lo)
+        for sub in range(0, take, step):
+            z = rng.standard_normal((min(step, take - sub),) + scale.shape)
+            v = _rect_sums(z * scale, b1, b2)
+            acc += v.T @ v
 
     emp = acc / n_reps
     exact = ((np.minimum.outer(k1, k1) + 1.0)

@@ -239,12 +239,52 @@ def test_density_rejects_non_sheet_families(tmp_path, capsys):
      "classify", "weights"),
     ('{"spec": {"family": "strict", "H": [0.3, 0.7], "weights": [1]}}',
      "classify", "spec.weights"),
+    ('{"suite": "criteria", "tol": 1e-300}', "check", "tol"),
+    ('{"suite": "lemmas", "tol": -5}', "check", "tol"),
+    ('{"suite": "lemmas", "tol": 0}', "check", "tol"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, 2], "tol": -5}', "cov", "tol"),
+    ('{"r1": 8, "r2": 8, "tol": 1e-3}', "limit-demo", "tol"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, 2], "n_samples": 10}', "cov", "n_samples"),
+    ('{"spec": {"family": "fbs", "H": [0.5]}, "x": [[0.5]], "n_samples": 10}',
+     "density", "n_samples"),
+    ('{"suite": "ma", "n_samples": 10}', "check", "n_samples"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0}, "n_samples": 10}',
+     "classify", "n_samples"),
+    ('{"r1": 8, "r2": 8, "n_samples": 10}', "limit-demo", "n_samples"),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, command, where):
     assert _main_with_config(tmp_path, text, command) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
     assert "Traceback" not in err
+
+
+def test_n_samples_floor_makes_the_gates_meaningful(tmp_path, capsys):
+    # with 2 samples the 4-SE mc gate passed all 24 probes of a mild field
+    flags = ["--spec", "mildtheta", "--H", "0.3", "0.7", "--theta", "1",
+             "--out", str(tmp_path)]
+    assert main(["mc", *flags, "--n-samples", "2"]) == 2
+    assert "n_samples" in capsys.readouterr().err
+    assert not (tmp_path / "mc.csv").exists()
+    for command in ("simulate", "mc"):
+        spec = {"family": "fbs", "H": [0.5, 0.5]}
+        with pytest.raises(ConfigError, match="n_samples"):
+            validate_config({"command": command, "spec": spec,
+                             "n_samples": 99})
+        cfg = validate_config({"command": command, "spec": spec,
+                               "n_samples": 100})
+        assert cfg.params["n_samples"] == 100
+
+
+def test_only_the_lemmas_suite_takes_a_tolerance(tmp_path):
+    cfg = validate_config({"command": "check", "suite": "lemmas",
+                           "tol": 1e-300, "out": str(tmp_path)})
+    assert cfg.params["tol"] == 1e-300
+    assert run(cfg) == 1   # the tolerance is honoured, so the sweep fails
+    assert "tol" not in validate_config({"command": "check",
+                                         "suite": "ma"}).params
 
 
 def test_simulate_builds_the_covariance_matrix_once(tmp_path, monkeypatch):

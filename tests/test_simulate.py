@@ -7,6 +7,7 @@ import pytest
 
 from rectfield.kernels import FBS, YHalf, ZHalf, make_kernel
 from rectfield.simulate import (
+    CHUNK_SIZE,
     Grid,
     PSDError,
     cholesky_sample,
@@ -17,6 +18,7 @@ from rectfield.simulate import (
     mc_increment_stationarity,
     sample_field,
 )
+from rectfield.simulate import _blocks, _rect_sums, _stream
 
 
 def test_grid_validation():
@@ -213,3 +215,59 @@ def test_limit_partial_sums_guards():
         limit_partial_sums(1024, 64, [(1.0, 1.0)])
     with pytest.raises(MemoryError):
         limit_partial_sums(512, 512, [(5000.0, 5000.0)])
+
+
+def _lattice_partial_sums(Y, k1, k2):
+    """Oracle: sums of the lattice Y[..., 0..k1, 0..k2], site by site."""
+    return Y.cumsum(axis=-2).cumsum(axis=-1)[..., k1, k2]
+
+
+def test_limit_cell_sums_match_the_lattice():
+    # unsorted points, zero coordinates, several points per floor index
+    r = 5
+    t = np.array([[0.9, 0.5], [0.0, 1.0], [0.45, 0.0], [0.5, 0.59],
+                  [1.0, 0.2], [0.0, 0.0], [0.5, 1.0], [0.3, 0.59]])
+    k1 = np.floor(t[:, 0] * r).astype(int)
+    k2 = np.floor(t[:, 1] * r).astype(int)
+    Y = np.random.default_rng(3).standard_normal((4, k1.max() + 1,
+                                                  k2.max() + 1))
+    (n1, b1), (n2, b2) = _blocks(k1), _blocks(k2)
+    assert n1.sum() == k1.max() + 1 and n2.sum() == k2.max() + 1
+    cells = np.add.reduceat(Y, np.cumsum(n1) - n1, axis=1)
+    cells = np.add.reduceat(cells, np.cumsum(n2) - n2, axis=2)
+    assert cells.shape == (4, len(set(k1)), len(set(k2)))
+    got = _rect_sums(cells, b1, b2)
+    assert np.max(np.abs(got - _lattice_partial_sums(Y, k1, k2))) <= 1e-12
+
+
+def test_limit_partial_sums_follow_the_lattice_law():
+    # at small r the pre-limit covariance differs from the sheet by up to
+    # 1/r per axis, so a wrong block size or scale shifts the z-scores
+    pts = [(0.5, 0.5), (1.0, 0.25), (0.75, 1.0), (0.25, 1.0)]
+    z = []
+    for seed in range(300):
+        d = limit_partial_sums(8, 4, pts, seed=seed, n_reps=200)
+        iu = np.triu_indices(len(pts))
+        z.extend(((d.emp_cov - d.exact_cov) / d.se)[iu])
+    z = np.asarray(z)
+    assert abs(z.mean()) <= 0.2
+    assert abs(z.std() - 1.0) <= 0.12
+
+
+def test_limit_partial_sums_same_seed_same_bits():
+    pts = [(1.0, 0.5), (0.25, 2.0), (1.5, 1.5)]
+    n_reps = 2 * CHUNK_SIZE + 3
+    a = limit_partial_sums(64, 32, pts, seed=12, n_reps=n_reps)
+    b = limit_partial_sums(64, 32, pts, seed=12, n_reps=n_reps)
+    assert np.array_equal(a.emp_cov, b.emp_cov)
+    c = limit_partial_sums(64, 32, pts, seed=13, n_reps=n_reps)
+    assert not np.array_equal(a.emp_cov, c.emp_cov)
+    # chunk c holds replications [c CHUNK_SIZE, (c+1) CHUNK_SIZE) drawn from
+    # the Philox stream keyed (seed, 0, c), one normal per cell, row-major
+    n1, b1 = _blocks(np.array([64, 16, 96]))   # floor(t1 * 64)
+    n2, b2 = _blocks(np.array([16, 64, 48]))   # floor(t2 * 32)
+    z = np.concatenate([
+        _stream(12, 0, c).standard_normal((min(CHUNK_SIZE, n_reps - lo), 3, 3))
+        for c, lo in enumerate(range(0, n_reps, CHUNK_SIZE))])
+    v = _rect_sums(z * np.sqrt(np.outer(n1, n2) / (64 * 32)), b1, b2)
+    assert np.allclose(a.emp_cov, v.T @ v / n_reps, rtol=1e-13, atol=0)
