@@ -31,8 +31,10 @@ from .kernels import (
     ZHalf,
     cov_fbs,
     cov_mild_theta,
+    cov_mild_theta_array,
     cov_strict_2d,
     cov_strict_general,
+    cov_strict_general_array,
     cov_y_half,
     cov_z_half,
     make_kernel,

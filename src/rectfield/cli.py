@@ -289,6 +289,13 @@ def validate_config(cfg: dict) -> RunConfig:
             k: (_number(v, f"probes.{k}", float) if k in ("box", "shift_box")
                 else _number(v, f"probes.{k}", int, lo=0 if k == "seed" else 1))
             for k, v in probes.items()}
+        # extents are drawn from [0.05, box]; shifts of 0 compare nothing
+        if params["probes"].get("box", 2.0) <= 0.05:
+            raise ConfigError(f"probes.box: must exceed 0.05, got "
+                              f"{params['probes']['box']}")
+        if params["probes"].get("shift_box", 3.0) <= 0.0:
+            raise ConfigError(f"probes.shift_box: must be positive, got "
+                              f"{params['probes']['shift_box']}")
     elif command == "simulate":
         grid = cfg.get("grid", {"axes": [[0.5, 1.0, 1.5, 2.0, 2.5]]
                                 * len(spec.hurst)})
@@ -491,6 +498,16 @@ def _write_csv(path: Path, rows, columns):
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _write_samples(path: Path, values: np.ndarray):
+    """samples.csv, one (rep, point, value) row per draw, in the bytes
+    ``_write_csv`` would write: 17 significant digits and CRLF line ends."""
+    n = values.shape[1]
+    with open(path, "w", newline="") as fh:
+        fh.write("rep,point,value\r\n")
+        fh.writelines(f"{i // n},{i % n},{v:.17g}\r\n"
+                      for i, v in enumerate(values.ravel().tolist()))
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated config; write CSV artifacts and echo the config."""
     out_dir = Path(config.params["out"])
@@ -583,10 +600,7 @@ def _run_simulate(cfg, out_dir):
                       **{c: grid.points[i, k] for k, c in enumerate(t_cols)})
                  for i in range(grid.n_points)]
     _write_csv(out_dir / "grid.csv", grid_rows, ["index"] + t_cols)
-    sample_rows = [{"rep": r, "point": p, "value": batch.values[r, p]}
-                   for r in range(batch.n_samples)
-                   for p in range(grid.n_points)]
-    _write_csv(out_dir / "samples.csv", sample_rows, ["rep", "point", "value"])
+    _write_samples(out_dir / "samples.csv", batch.values)
 
     report_rows, within = [], 0
     for i in range(grid.n_points):

@@ -7,16 +7,21 @@ probes whether increment covariances are invariant under shifting the box
 anchor: invariance of all cross covariances means wide-sense (for Gaussian
 fields, strictly) stationary rectangular increments, invariance of the
 variances alone means the mild property, and neither means none.
+
+The algebra is batched: for a stack of box pairs, the corners (..., 2^N, N)
+of both boxes go to the kernel's array form in one call, and the corner
+covariances K (..., 2^N, 2^N) are contracted with the corner signs,
+signs @ K @ signs.  ``increment_cov``, the classifier and the analytic
+values of the Monte Carlo probes all go through this contraction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import StationarityClass
+from .kernels import CovKernel, StationarityClass, lift_scalar
 
 __all__ = [
     "Rectangle",
@@ -76,16 +81,50 @@ def corner_expansion(r: Rectangle) -> list:
     return corners
 
 
+def _corners(lo, hi):
+    """Corners (..., 2^N, N) of the boxes [lo, hi] (..., N), and their signs.
+
+    Corner i takes lo_k where bit N-1-k of i is set and hi_k elsewhere, with
+    sign (-1)^(set bits): the order and signs of ``corner_expansion``.
+    """
+    lo = np.asarray(lo, dtype=float)
+    n = lo.shape[-1]
+    mask = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+    signs = np.where(mask.sum(axis=1) % 2 == 1, -1.0, 1.0)
+    corners = np.where(mask, lo[..., None, :],
+                       np.asarray(hi, dtype=float)[..., None, :])
+    return corners, signs
+
+
+def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Covariances of the increments over [lo1, hi1] and [lo2, hi2].
+
+    The box corners broadcast against each other over their leading axes;
+    the result has the broadcast leading shape.  All corner pairs go to the
+    kernel in one call.
+    """
+    c1, signs = _corners(lo1, hi1)
+    c2, _ = _corners(lo2, hi2)
+    batch = kernel.batch if isinstance(kernel, CovKernel) else lift_scalar(kernel)
+    K = batch(c1[..., :, None, :], c2[..., None, :, :])
+    return signs @ K @ signs
+
+
+def _plan_boxes(plan: "ProbePlan"):
+    """Extents (P, 2, N) of the var and cross probes of a plan, and anchors.
+
+    Along the second axis the first box extents are (u1, u1) and the second
+    (u1, u2); the anchors h have shape (S, N).
+    """
+    u = np.asarray(plan.u_pairs, dtype=float)
+    return u[:, [0, 0]], u, np.asarray(plan.shifts, dtype=float)
+
+
 def increment_cov(kernel, r1: Rectangle, r2: Rectangle) -> float:
     """E[increment over r1 * increment over r2] by bilinear corner expansion."""
-    ev = kernel.evaluate if hasattr(kernel, "evaluate") else kernel
     if r1.n != r2.n:
         raise ValueError(f"rectangle dimensions differ: {r1.n} vs {r2.n}")
-    total = 0.0
-    for p1, sg1 in corner_expansion(r1):
-        for p2, sg2 in corner_expansion(r2):
-            total += sg1 * sg2 * ev(p1, p2)
-    return total
+    return float(_increment_covs(kernel, r1.s, r1.t, r2.s, r2.t))
 
 
 def y_half_increment_cov_closed(theta: float, h, s, t) -> float:
@@ -129,10 +168,24 @@ class ProbePlan:
     u_pairs: tuple
     shifts: tuple
 
+    def __post_init__(self):
+        if not self.u_pairs or not self.shifts:
+            raise ValueError("a probe plan needs at least one pair and one "
+                             "shift")
+
     @classmethod
     def default(cls, n: int, n_pairs: int = 20, n_shifts: int = 10,
                 box: float = 2.0, shift_box: float = 3.0,
                 seed: int = 20240601) -> "ProbePlan":
+        """Extents from uniform(0.05, box)^N, anchors from uniform(0, shift_box)^N.
+
+        ``box`` must exceed 0.05 and ``shift_box`` must be positive: with
+        every anchor at h = 0 the probes compare each value with itself.
+        """
+        if not box > 0.05:
+            raise ValueError(f"box must exceed 0.05, got {box!r}")
+        if not shift_box > 0.0:
+            raise ValueError(f"shift_box must be positive, got {shift_box!r}")
         rng = np.random.default_rng(seed)
         pairs = tuple(
             (tuple(rng.uniform(0.05, box, n)), tuple(rng.uniform(0.05, box, n)))
@@ -187,26 +240,26 @@ def classify_stationarity(kernel, plan: ProbePlan | None = None,
                              "do not carry a dimension")
         plan = ProbePlan.default(n)
 
+    a, b, h = _plan_boxes(plan)
+    origin = np.zeros_like(a)
+    ref = _increment_covs(kernel, origin, a, origin, b)          # (P, 2)
+    var = np.maximum(_increment_covs(kernel, origin, b, origin, b), 0.0)
+    scale = np.maximum(np.sqrt(var[:, [0, 0]] * var), 1e-300)    # (P, 2)
+    lo = h[None, None]
+    val = _increment_covs(kernel, lo, a[:, :, None] + lo,
+                          lo, b[:, :, None] + lo)                # (P, 2, S)
+    resid = np.abs(val - ref[..., None]) / scale[..., None]
+    max_var = float(resid[:, 0].max())
+    max_cross = float(resid[:, 1].max())
+
     rows = []
-    max_var, max_cross = 0.0, 0.0
-    for u1, u2 in plan.u_pairs:
-        for variant, (a, b) in (("var", (u1, u1)), ("cross", (u1, u2))):
-            r1 = Rectangle(tuple(0.0 for _ in a), a)
-            r2 = Rectangle(tuple(0.0 for _ in b), b)
-            ref = increment_cov(kernel, r1, r2)
-            scale = math.sqrt(max(increment_cov(kernel, r1, r1), 0.0)
-                              * max(increment_cov(kernel, r2, r2), 0.0))
-            scale = max(scale, 1e-300)
-            for h in plan.shifts:
-                val = increment_cov(kernel, r1.shifted(h), r2.shifted(h))
-                resid = abs(val - ref) / scale
-                rows.append({"kind": variant, "u1": a, "u2": b, "h": h,
-                             "value": val, "reference": ref,
-                             "residual": resid})
-                if variant == "var":
-                    max_var = max(max_var, resid)
-                else:
-                    max_cross = max(max_cross, resid)
+    val, ref, resid = val.tolist(), ref.tolist(), resid.tolist()
+    for p, (u1, u2) in enumerate(plan.u_pairs):
+        for v, (variant, u) in enumerate((("var", u1), ("cross", u2))):
+            for k, shift in enumerate(plan.shifts):
+                rows.append({"kind": variant, "u1": u1, "u2": u, "h": shift,
+                             "value": val[p][v][k], "reference": ref[p][v],
+                             "residual": resid[p][v][k]})
 
     label: StationarityClass | None
     if max_var <= tol_invariant and max_cross <= tol_invariant:

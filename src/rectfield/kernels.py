@@ -36,6 +36,14 @@ gamma_e = 2^{-N} leave only S = {} and collapse the mixture to the fractional
 Brownian sheet.  Every family is one of two canonical specifications: this
 strict mixture (``StrictGeneral``) or the sheet with a separable mild
 correction (``MildTheta``).
+
+Each of the two evaluators has a scalar form (``cov_strict_general``,
+``cov_mild_theta``), which takes two points, and an array form
+(``cov_strict_general_array``, ``cov_mild_theta_array``), which takes point
+arrays of shape (..., N) that broadcast against each other and returns the
+covariances, shape (...).  Both forms use the same brackets and the same
+conventions; the scalar form serves the quadrature callbacks and is the
+oracle of the array form in the tests.  A ``CovKernel`` carries both.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
+
+import numpy as np
 
 __all__ = [
     "StationarityClass",
@@ -63,11 +73,14 @@ __all__ = [
     "MovingPair",
     "FieldSpec",
     "CovKernel",
+    "lift_scalar",
     "make_kernel",
     "cov_fbs",
     "cov_strict_general",
+    "cov_strict_general_array",
     "cov_strict_2d",
     "cov_mild_theta",
+    "cov_mild_theta_array",
     "cov_y_half",
     "cov_z_half",
 ]
@@ -104,6 +117,17 @@ def _as_point(p, n=None) -> tuple[float, ...]:
         raise ValueError(
             f"points must be finite and in the positive orthant, got {pt}")
     return pt
+
+
+def _as_points(p, n) -> np.ndarray:
+    """Float array of points (..., n), checked like ``_as_point`` at once."""
+    pts = np.asarray(p, dtype=float)
+    if pts.shape[-1:] != (n,):
+        raise ValueError(f"points of shape {pts.shape} do not have dimension "
+                         f"{n} on their last axis")
+    if not np.all((pts >= 0.0) & (pts < math.inf)):
+        raise ValueError("points must be finite and in the positive orthant")
+    return pts
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +282,34 @@ def _skew_bracket(h: float, t: float, s: float) -> float:
 
 
 # --------------------------------------------------------------------------
+# Array building blocks: the brackets above, elementwise
+# --------------------------------------------------------------------------
+
+def _xlogx_array(x: np.ndarray) -> np.ndarray:
+    """x log|x| elementwise with 0 log 0 := 0 (log is taken of 1 there)."""
+    return x * np.log(np.where(x != 0.0, np.abs(x), 1.0))
+
+
+def _brackets_array(h: float, t: np.ndarray, s: np.ndarray, need_b: bool):
+    """The a and b brackets of one coordinate (b is None unless needed).
+
+    Each power is taken once and shared by both brackets; sgn(0) := 0 comes
+    from ``np.sign``.  The arithmetic is that of the scalar brackets.
+    """
+    if h == 0.5:
+        a = 2.0 * np.minimum(t, s)
+        b = (2.0 / math.pi * (_xlogx_array(t) - _xlogx_array(s)
+                              - _xlogx_array(t - s)) if need_b else None)
+        return a, b
+    e = 2.0 * h
+    d = t - s
+    te, se, de = t**e, s**e, np.abs(d)**e
+    a = te + se - de
+    b = math.tan(math.pi * h) * (-te + se + np.sign(d) * de) if need_b else None
+    return a, b
+
+
+# --------------------------------------------------------------------------
 # The two evaluators: the strict mixture and the mild family
 # --------------------------------------------------------------------------
 
@@ -300,12 +352,59 @@ def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
     t = _as_point(t, 2)
     base, corr = 0.25, 1.0
     for h, sk, tk in zip((h1, h2), s, t):
-        m = max(sk, tk)
-        if m == 0.0:
+        m = max(sk, tk)**(2 * h)
+        if m == 0.0:   # also where the power underflows: both brackets are 0
             return 0.0
         base *= _a_bracket(h, tk, sk)
-        corr *= (tk**(2 * h) - sk**(2 * h)) / m**(2 * h)
+        corr *= (tk**(2 * h) - sk**(2 * h)) / m
     return base * (1.0 + 0.25 * theta * corr)
+
+
+def cov_strict_general_array(H, weights: StrictWeights, s, t) -> np.ndarray:
+    """``cov_strict_general`` over broadcast point arrays (..., N) -> (...).
+
+    Overflow and the NaNs that follow it are left to the caller, which
+    checks finiteness; numpy is told not to warn about them.
+    """
+    H = validate_hurst(H)
+    if weights.n != len(H):
+        raise ValueError(f"weights are {weights.n}-dimensional, H is {len(H)}")
+    terms = weights.sign_moment_terms
+    s = _as_points(s, len(H))
+    t = _as_points(t, len(H))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = [_brackets_array(h, t[..., k], s[..., k], len(terms) > 1)
+              for k, h in enumerate(H)]
+        total = 0.0
+        for coef, in_s in terms:
+            for (aj, bj), j_in_s in zip(ab, in_s):
+                coef = coef * (bj if j_in_s else aj)
+            total = total + coef
+    return total
+
+
+def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray:
+    """``cov_mild_theta`` over broadcast point arrays (..., 2) -> (...).
+
+    Where max(s_k, t_k) = 0 the correction ratio is taken as 0; the base
+    factor vanishes there, so the covariance is 0 as in the scalar form.
+    """
+    (h1, h2) = validate_hurst((h1, h2))
+    _warn_theta(theta)
+    s = _as_points(s, 2)
+    t = _as_points(t, 2)
+    base, corr = 0.25, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h in enumerate((h1, h2)):
+            sk, tk = s[..., k], t[..., k]
+            e = 2.0 * h
+            te, se = tk**e, sk**e
+            a = (2.0 * np.minimum(tk, sk) if h == 0.5
+                 else te + se - np.abs(tk - sk)**e)
+            m = np.where(tk >= sk, te, se)   # max(s, t)^{2H}, the same power
+            base = base * a
+            corr = corr * ((te - se) / np.where(m > 0.0, m, 1.0))
+        return base * (1.0 + 0.25 * theta * corr)
 
 
 # --------------------------------------------------------------------------
@@ -557,11 +656,22 @@ FieldSpec = Union[FBS, StrictGeneral, Strict2D, MildTheta, YHalf, ZHalf, MovingP
 
 @dataclass(frozen=True)
 class CovKernel:
-    """An evaluable covariance with its family metadata."""
+    """An evaluable covariance with its family metadata.
+
+    ``evaluate(s, t)`` takes two points and returns a float; ``batch(S, T)``
+    takes point arrays of shape (..., N) that broadcast against each other
+    and returns the covariances, shape (...).  A kernel built without
+    ``batch`` gets one that loops over ``evaluate``.
+    """
 
     spec: FieldSpec
     claimed_class: StationarityClass
     evaluate: Callable[..., float]
+    batch: Callable[..., np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.batch is None:
+            object.__setattr__(self, "batch", lift_scalar(self.evaluate))
 
     def __call__(self, s, t) -> float:
         return self.evaluate(s, t)
@@ -575,6 +685,19 @@ class CovKernel:
         return len(self.spec.hurst)
 
 
+def lift_scalar(ev: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """The array form of a scalar covariance ``ev(s, t)``: one call per pair."""
+    def batch(s, t):
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.asarray(t, dtype=float))
+        out = np.empty(s.shape[:-1])
+        for idx in np.ndindex(out.shape):
+            out[idx] = ev(s[idx], t[idx])
+        return out
+
+    return batch
+
+
 def make_kernel(spec: FieldSpec) -> CovKernel:
     """Build the evaluable covariance kernel for a field specification."""
     if not isinstance(spec, _Family):
@@ -583,6 +706,11 @@ def make_kernel(spec: FieldSpec) -> CovKernel:
     if isinstance(canon, StrictGeneral):
         canon.weights.sign_moment_terms   # computed and checked once, here
         ev = lambda s, t: cov_strict_general(canon.H, canon.weights, s, t)
+        batch = lambda s, t: cov_strict_general_array(canon.H, canon.weights,
+                                                      s, t)
     else:
         ev = lambda s, t: cov_mild_theta(canon.h1, canon.h2, canon.theta, s, t)
-    return CovKernel(spec=spec, claimed_class=spec.claimed_class, evaluate=ev)
+        batch = lambda s, t: cov_mild_theta_array(canon.h1, canon.h2,
+                                                  canon.theta, s, t)
+    return CovKernel(spec=spec, claimed_class=spec.claimed_class, evaluate=ev,
+                     batch=batch)

@@ -2,13 +2,15 @@
 
 Sampling is plain dense linear algebra: assemble the covariance matrix of a
 kernel over the grid, factor it (Cholesky, with one diagonal-jitter retry),
-and multiply standard normals through the factor.  Normals come from
+and multiply standard normals through the factor.  The matrix is assembled
+by the kernel's array form, one call per block of rows, so the temporaries
+stay O(block * n) next to the n x n result.  Normals come from
 counter-based Philox streams keyed by (seed, stream, chunk index), so the
 same seed reproduces the same bits regardless of how many workers generate
 the chunks.
 
 The Monte Carlo side estimates increment covariances from simulated fields
-(for comparison with the closed-form increment algebra) and runs the
+(for comparison with the batched closed-form increment algebra) and runs the
 partial-sum demonstration: normalized rectangular sums of an iid lattice
 field converge to the Brownian sheet, and the empirical covariance of the
 normalized sums is compared against both the pre-limit lattice covariance
@@ -26,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import ProbePlan, Rectangle, corner_expansion, increment_cov
+from .increments import (
+    ProbePlan,
+    Rectangle,
+    _increment_covs,
+    _plan_boxes,
+    corner_expansion,
+)
 from .kernels import CovKernel, FieldSpec, make_kernel
 
 __all__ = [
@@ -45,6 +53,7 @@ __all__ = [
 
 CHUNK_SIZE = 256          # replications per RNG stream; fixed for determinism
 MAX_LATTICE = 4_194_304   # lattice-size guard for the partial-sum demo
+ROW_BLOCK = 128           # covariance-matrix rows per kernel call
 
 
 class PSDError(RuntimeError):
@@ -88,18 +97,30 @@ def grid_from_axes(axes) -> Grid:
 
 
 def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
-    """Dense covariance matrix M[i, j] = K(p_i, p_j), symmetrized."""
+    """Dense covariance matrix M[i, j] = K(p_i, p_j), exactly symmetric.
+
+    Each block of ``ROW_BLOCK`` rows is one call of ``kernel.batch`` over
+    the columns j >= the block's first row; the entries with i <= j are
+    kept and mirrored.  A non-finite value raises, naming the first pair
+    (i <= j, in row order) where it occurs.
+    """
+    pts = grid.points
     n = grid.n_points
     M = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = kernel.evaluate(grid.points[i], grid.points[j])
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"kernel returned non-finite value at points "
-                    f"{grid.points[i]}, {grid.points[j]}")
-            M[i, j] = M[j, i] = v
-    return 0.5 * (M + M.T)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        block = kernel.batch(pts[lo:hi, None, :], pts[None, lo:, :])
+        square = block[:, :hi - lo]
+        below = np.tril_indices(hi - lo, -1)
+        square[below] = square.T[below]
+        bad = np.argwhere(~np.isfinite(block))
+        if len(bad):
+            i, j = lo + bad[0]
+            raise ValueError(f"kernel returned non-finite value at points "
+                             f"{pts[i]}, {pts[j]}")
+        M[lo:hi, lo:] = block
+        M[lo:, lo:hi] = block.T
+    return M
 
 
 def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
@@ -207,8 +228,8 @@ def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):
 # --------------------------------------------------------------------------
 
 def _mc_increment_pair(kernel, r1: Rectangle, r2: Rectangle, seed: int,
-                       stream: int, n_samples: int, n_workers: int):
-    """Empirical E[inc(r1) inc(r2)] with its analytic SE."""
+                       stream: int, n_samples: int, n_workers: int) -> float:
+    """Empirical E[inc(r1) inc(r2)] from draws at the nonzero corners."""
     corners1 = corner_expansion(r1)
     corners2 = corner_expansion(r2)
     live = {}
@@ -230,13 +251,7 @@ def _mc_increment_pair(kernel, r1: Rectangle, r2: Rectangle, seed: int,
                 inc += sg * values[:, live[pt]]
         return inc
 
-    inc1, inc2 = weighted(corners1), weighted(corners2)
-    est = float(inc1 @ inc2) / n_samples
-    v1 = increment_cov(kernel, r1, r1)
-    v2 = increment_cov(kernel, r2, r2)
-    c = increment_cov(kernel, r1, r2)
-    se = math.sqrt(max(v1 * v2 + c * c, 0.0) / n_samples)
-    return est, se, c
+    return float(weighted(corners1) @ weighted(corners2)) / n_samples
 
 
 def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
@@ -253,24 +268,35 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     kernel = make_kernel(spec)
     if plan is None:
         plan = ProbePlan.default(len(spec.hurst), n_pairs=4, n_shifts=3)
+    a, b, h = _plan_boxes(plan)
+    origin = np.zeros_like(a)
+    lo = h[None, None]
+    boxes = np.stack([a, b])[:, :, :, None] + lo                 # (2, P, 2, S)
+    reference = _increment_covs(kernel, origin, a, origin, b).tolist()
+    v1, v2 = _increment_covs(kernel, lo, boxes, lo, boxes).tolist()
+    analytic = _increment_covs(kernel, lo, boxes[0], lo, boxes[1]).tolist()
     rows = []
     stream = 0
     zero = tuple(0.0 for _ in spec.hurst)
-    for pair_idx, (u1, u2) in enumerate(plan.u_pairs):
-        for kind, (a, b) in (("var", (u1, u1)), ("cross", (u1, u2))):
-            ref = increment_cov(kernel, Rectangle(zero, a), Rectangle(zero, b))
-            for h in plan.shifts:
-                r1 = Rectangle(zero, a).shifted(h)
-                r2 = Rectangle(zero, b).shifted(h)
-                est, se, analytic = _mc_increment_pair(
-                    kernel, r1, r2, seed, stream, n_samples, n_workers)
+    for p, (u1, u2) in enumerate(plan.u_pairs):
+        for v, (kind, (u, w)) in enumerate((("var", (u1, u1)),
+                                             ("cross", (u1, u2)))):
+            ref = reference[p][v]
+            for k, shift in enumerate(plan.shifts):
+                r1 = Rectangle(zero, u).shifted(shift)
+                r2 = Rectangle(zero, w).shifted(shift)
+                est = _mc_increment_pair(kernel, r1, r2, seed, stream,
+                                         n_samples, n_workers)
                 stream += 1
+                c = analytic[p][v][k]
+                se = math.sqrt(max(v1[p][v][k] * v2[p][v][k] + c * c, 0.0)
+                               / n_samples)
                 rows.append({
-                    "probe": pair_idx, "kind": kind, "h": h,
+                    "probe": p, "kind": kind, "h": shift,
                     "estimate": est, "se": se, "reference": ref,
-                    "analytic": analytic,
+                    "analytic": c,
                     "z_reference": (est - ref) / se if se > 0 else 0.0,
-                    "z_analytic": (est - analytic) / se if se > 0 else 0.0,
+                    "z_analytic": (est - c) / se if se > 0 else 0.0,
                 })
     return rows
 

@@ -4,10 +4,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rectfield.cli import (
     ConfigError,
+    _fmt,
+    _write_samples,
     main,
     parse_config,
     run,
@@ -253,6 +256,20 @@ def test_density_rejects_non_sheet_families(tmp_path, capsys):
     ('{"spec": {"family": "yhalf", "theta": 1.0}, "n_samples": 10}',
      "classify", "n_samples"),
     ('{"r1": 8, "r2": 8, "n_samples": 10}', "limit-demo", "n_samples"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0},'
+     ' "probes": {"n_pairs": 2, "n_shifts": 2, "shift_box": 0}}',
+     "classify", "probes.shift_box"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0},'
+     ' "probes": {"n_pairs": 2, "n_shifts": 2, "shift_box": 0}}',
+     "mc", "probes.shift_box"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0}, "probes": {"shift_box": -1}}',
+     "classify", "probes.shift_box"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0}, "probes": {"box": 0.01}}',
+     "classify", "probes.box"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0}, "probes": {"box": 0.05}}',
+     "classify", "probes.box"),
+    ('{"spec": {"family": "yhalf", "theta": 1.0}, "probes": {"box": -1}}',
+     "mc", "probes.box"),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, command, where):
     assert _main_with_config(tmp_path, text, command) == 2
@@ -311,3 +328,36 @@ def test_simulate_builds_the_covariance_matrix_once(tmp_path, monkeypatch):
     with open(tmp_path / "samples.csv") as fh:
         values = [float(r["value"]) for r in csv.DictReader(fh)]
     assert values == batch.values.ravel().tolist()
+
+
+def _samples_csv_per_row(path, values):
+    """The per-row writer samples.csv had: a dict per draw, ``_fmt`` per value."""
+    rows = [{"rep": r, "point": p, "value": values[r, p]}
+            for r in range(values.shape[0]) for p in range(values.shape[1])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rep", "point", "value"])
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in ("rep", "point", "value")])
+
+
+def test_samples_csv_matches_the_per_row_writer(tmp_path):
+    import rectfield.simulate as sim
+
+    cfg = {"command": "simulate",
+           "spec": {"family": "fbs", "H": [0.3, 0.7]},
+           "grid": {"axes": [[0.5, 1.5, 2.0], [1.0, 2.0]]}, "n_samples": 120,
+           "seed": 16, "out": str(tmp_path / "run")}
+    assert run(validate_config(cfg)) == 0
+    batch = sim.sample_field(spec_from_dict(cfg["spec"]),
+                             sim.grid_from_axes(cfg["grid"]["axes"]), 16, 120)
+    _samples_csv_per_row(tmp_path / "oracle.csv", batch.values)
+    assert (tmp_path / "run" / "samples.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+    # values whose shortest and 17-digit forms differ, signed zeros, extremes
+    edge = np.array([[0.1, -0.0, 1.0, -1e-300], [5e-324, 1.7976931348623157e308,
+                                                 -2.5, 1 / 3]])
+    _write_samples(tmp_path / "edge.csv", edge)
+    _samples_csv_per_row(tmp_path / "edge_oracle.csv", edge)
+    assert (tmp_path / "edge.csv").read_bytes() == \
+        (tmp_path / "edge_oracle.csv").read_bytes()

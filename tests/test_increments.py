@@ -17,8 +17,12 @@ from rectfield.increments import (
 )
 from rectfield.kernels import (
     FBS,
+    MildTheta,
+    MovingPair,
     StationarityClass,
     Strict2D,
+    StrictGeneral,
+    StrictWeights,
     YHalf,
     ZHalf,
     cov_fbs,
@@ -207,9 +211,122 @@ def test_classify_inconclusive_band():
         report.require_label()
 
 
+def test_probe_plan_rejects_empty_ranges_and_plans():
+    # box <= 0.05 leaves uniform(0.05, box) empty or a point; shift_box <= 0
+    # puts every anchor at h = 0, where every probe compares a value with
+    # itself and a mild field passes as strict
+    for kw in ({"box": 0.01}, {"box": 0.05}, {"box": -1.0},
+               {"shift_box": 0.0}, {"shift_box": -1.0}, {"box": math.nan}):
+        with pytest.raises(ValueError, match="box"):
+            ProbePlan.default(2, **kw)
+    with pytest.raises(ValueError, match="at least one"):
+        ProbePlan(u_pairs=(), shifts=((0.0, 0.0),))
+    with pytest.raises(ValueError, match="at least one"):
+        ProbePlan.default(2, n_shifts=0)
+
+
 def test_probe_plan_reproducible():
     a = ProbePlan.default(2)
     b = ProbePlan.default(2)
     assert a == b
     assert len(a.u_pairs) == 20
     assert len(a.shifts) == 10
+
+
+# --------------------------------------------------------------------------
+# The batched classifier against a scalar corner loop
+# --------------------------------------------------------------------------
+
+def _corner_loop(ev, H, r1, r2):
+    """Increment covariance by the scalar corner loop, and its scale.
+
+    The scale sums max(|K|, prod_k max(p_k, q_k)^{2 H_k}) over the corner
+    pairs: the size of the terms the contraction adds up.
+    """
+    total, scale = 0.0, 0.0
+    for p, sg1 in corner_expansion(r1):
+        for q, sg2 in corner_expansion(r2):
+            k = ev(p, q)
+            total += sg1 * sg2 * k
+            scale += max(abs(k), math.prod(max(a, b) ** (2 * h)
+                                           for a, b, h in zip(p, q, H)))
+    return total, scale
+
+
+def _classify_reference(ev, H, plan):
+    """Rows and label of ``classify_stationarity``, one corner loop per box."""
+    rows, max_var, max_cross = [], 0.0, 0.0
+    for u1, u2 in plan.u_pairs:
+        for kind, (a, b) in (("var", (u1, u1)), ("cross", (u1, u2))):
+            zero = tuple(0.0 for _ in a)
+            r1, r2 = Rectangle(zero, a), Rectangle(zero, b)
+            ref, ref_scale = _corner_loop(ev, H, r1, r2)
+            scale = max(math.sqrt(max(_corner_loop(ev, H, r1, r1)[0], 0.0)
+                                  * max(_corner_loop(ev, H, r2, r2)[0], 0.0)),
+                        1e-300)
+            for h in plan.shifts:
+                val, val_scale = _corner_loop(ev, H, r1.shifted(h),
+                                              r2.shifted(h))
+                resid = abs(val - ref) / scale
+                rows.append({"kind": kind, "u1": a, "u2": b, "h": h,
+                             "value": val, "reference": ref, "residual": resid,
+                             "value_scale": val_scale, "ref_scale": ref_scale,
+                             "scale": scale})
+                if kind == "var":
+                    max_var = max(max_var, resid)
+                else:
+                    max_cross = max(max_cross, resid)
+    if max_var <= 1e-8 and max_cross <= 1e-8:
+        label = StationarityClass.STRICT_WIDE
+    elif max_var <= 1e-8 and max_cross >= 1e-4:
+        label = StationarityClass.MILD_ONLY
+    elif max_var >= 1e-4:
+        label = StationarityClass.NONE
+    else:
+        label = None
+    return rows, label
+
+
+def _warped(s, t):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return cov_fbs((0.5, 0.5), s, t) * math.sqrt((1 + s[0]) * (1 + t[0]))
+
+
+_CLASSIFY_CASES = [
+    FBS((0.3, 0.7)), FBS((0.5, 0.5)), FBS((0.3, 0.6, 0.8)),
+    Strict2D(0.3, 0.7, 0.5), Strict2D(0.5, 0.5, -0.4), ZHalf(1.0),
+    MildTheta(0.3, 0.7, 0.5), MildTheta(0.5, 0.7, -0.9), YHalf(1.0),
+    MovingPair(0.5, 0.5, 0.6, 0.8),
+    StrictGeneral((0.3, 0.5, 0.8), StrictWeights(
+        {(1, 1, 1): 0.2, (-1, -1, -1): 0.2, (1, 1, -1): 0.05,
+         (-1, -1, 1): 0.05, (1, -1, 1): 0.15, (-1, 1, -1): 0.15,
+         (-1, 1, 1): 0.1, (1, -1, -1): 0.1})),
+    "bare callable",
+]
+
+
+@pytest.mark.parametrize("case", _CLASSIFY_CASES, ids=repr)
+def test_classify_matches_scalar_corner_loop(case):
+    if case == "bare callable":
+        kernel, ev, H = _warped, _warped, (0.5, 0.5)
+    else:
+        kernel = make_kernel(case)
+        ev, H = kernel.evaluate, case.hurst
+    plan = ProbePlan.default(len(H), n_pairs=4, n_shifts=3, seed=21)
+    report = classify_stationarity(kernel, plan=plan)
+    want_rows, want_label = _classify_reference(ev, H, plan)
+    assert report.label is want_label
+    assert len(report.rows) == len(want_rows)
+    for got, want in zip(report.rows, want_rows):
+        assert list(got) == ["kind", "u1", "u2", "h", "value", "reference",
+                             "residual"]
+        assert [got[k] for k in ("kind", "u1", "u2", "h")] == \
+            [want[k] for k in ("kind", "u1", "u2", "h")]
+        assert abs(got["value"] - want["value"]) <= 1e-14 * want["value_scale"]
+        assert abs(got["reference"] - want["reference"]) <= \
+            1e-14 * want["ref_scale"]
+        # the residual divides both errors by the variance scale
+        assert abs(got["residual"] - want["residual"]) <= (
+            1e-14 * (want["value_scale"] + want["ref_scale"]) / want["scale"]
+            + 1e-12 * want["residual"])

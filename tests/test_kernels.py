@@ -270,6 +270,12 @@ def test_z_half_examples():
                                                             rel=1e-14)
 
 
+def test_mild_theta_underflowing_power_is_zero():
+    # 6e-299^1.4 underflows to 0; the correction ratio divided by it
+    assert cov_mild_theta(0.3, 0.7, 0.5, (0.0, 0.0), (1.0, 6e-299)) == 0.0
+    assert cov_mild_theta(0.3, 0.7, 0.5, (1.0, 6e-299), (1.0, 6e-299)) == 0.0
+
+
 def test_theta_outside_unit_interval_warns():
     with pytest.warns(UserWarning, match="semidefinite"):
         cov_y_half(1.5, (1, 1), (2, 2))
@@ -427,3 +433,66 @@ def test_three_dimensional_fbs():
     w = StrictWeights.uniform(3)
     assert cov_strict_general(H, w, s, t) == pytest.approx(
         cov_fbs(H, s, t), rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# Array forms against the scalar evaluators
+# --------------------------------------------------------------------------
+
+_coordinate = st.one_of(st.just(0.0), st.just(1.0),
+                        st.floats(min_value=0.0, max_value=4.0))
+
+
+@st.composite
+def _specs_and_points(draw):
+    """A spec (DEFAULT_SPECS or a 3-D strict mixture) and m points s, t."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(DEFAULT_SPECS))
+    else:
+        H = tuple(draw(st.sampled_from((0.2, 0.5, 0.5, 0.8, 0.35)))
+                  for _ in range(3))
+        raw = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                            min_size=4, max_size=4))
+        signs = list(itertools.product((1, -1), repeat=3))[:4]
+        total = 2.0 * sum(raw)
+        gamma = {}
+        for e, g in zip(signs, raw):
+            gamma[e] = gamma[tuple(-x for x in e)] = g / total
+        spec = StrictGeneral(H, StrictWeights(gamma))
+    n = len(spec.hurst)
+    m = draw(st.integers(min_value=1, max_value=6))
+    pts = st.lists(_coordinate, min_size=n, max_size=n)
+    s = draw(st.lists(pts, min_size=m, max_size=m))
+    t = [list(p) if draw(st.booleans()) else draw(pts) for p in s]   # s = t
+    return spec, np.array(s), np.array(t)
+
+
+@given(_specs_and_points())
+@settings(max_examples=120, deadline=None)
+def test_batch_matches_scalar_hypothesis(case):
+    # every pair (s_i, t_j) through one broadcast call, against the scalar
+    # evaluator, relative to max(|K|, prod_k max(s_k, t_k)^{2 H_k})
+    spec, s, t = case
+    kernel = make_kernel(spec)
+    H = np.array(spec.hurst)
+    got = kernel.batch(s[:, None, :], t[None, :, :])
+    assert got.shape == (len(s), len(t))
+    for i, p in enumerate(s):
+        for j, q in enumerate(t):
+            want = kernel.evaluate(p, q)
+            scale = max(abs(want), float(np.prod(np.maximum(p, q) ** (2 * H))))
+            assert abs(got[i, j] - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("spec", [FBS((0.3, 0.7)), MildTheta(0.3, 0.7, 0.5)],
+                         ids=repr)
+def test_batch_rejects_bad_points(spec):
+    kernel = make_kernel(spec)
+    good = np.ones((3, 2))
+    for bad in (np.array([[1.0, math.nan]]), np.array([[1.0, -0.5]]),
+                np.array([[1.0, math.inf]]), np.ones((3, 3)), np.ones(3),
+                np.float64(1.0)):
+        with pytest.raises(ValueError):
+            kernel.batch(bad, good[:1])
+        with pytest.raises(ValueError):
+            kernel.batch(good[:1], bad)

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from rectfield.kernels import FBS, YHalf, ZHalf, make_kernel
+from rectfield.increments import ProbePlan, Rectangle, corner_expansion
+from rectfield.kernels import (
+    FBS,
+    CovKernel,
+    MildTheta,
+    Strict2D,
+    YHalf,
+    ZHalf,
+    make_kernel,
+)
 from rectfield.simulate import (
     CHUNK_SIZE,
     Grid,
@@ -271,3 +280,78 @@ def test_limit_partial_sums_same_seed_same_bits():
         for c, lo in enumerate(range(0, n_reps, CHUNK_SIZE))])
     v = _rect_sums(z * np.sqrt(np.outer(n1, n2) / (64 * 32)), b1, b2)
     assert np.allclose(a.emp_cov, v.T @ v / n_reps, rtol=1e-13, atol=0)
+
+
+def test_cov_matrix_names_the_first_non_finite_pair():
+    # 1e200^1.8 overflows, so K(p, q) is NaN for every pair with q = big
+    k = make_kernel(FBS((0.9, 0.5)))
+    pts = np.array([[1.0, 1.0], [2.0, 2.0], [1e200, 1.0]])
+    with pytest.raises(ValueError, match="non-finite") as err:
+        cov_matrix(k, Grid(pts))
+    assert f"{pts[0]}, {pts[2]}" in str(err.value)
+
+    # across row blocks: a NaN at (p_i, p_j) with i < j is named; a NaN only
+    # at (p_j, p_i) is never evaluated, since M[j, i] mirrors M[i, j]
+    grid = Grid(np.column_stack([np.linspace(0.1, 3.0, 300), np.ones(300)]))
+    p, q = grid.points[150], grid.points[200]
+    base = make_kernel(FBS((0.3, 0.7)))
+
+    def poisoned(first, second):
+        def batch(s, t):
+            hit = np.all(s == first, axis=-1) & np.all(t == second, axis=-1)
+            return np.where(hit, np.nan, base.batch(s, t))
+        return CovKernel(base.spec, base.claimed_class, base.evaluate, batch)
+
+    with pytest.raises(ValueError) as err:
+        cov_matrix(poisoned(p, q), grid)
+    assert f"{p}, {q}" in str(err.value)
+    M = cov_matrix(poisoned(q, p), grid)
+    assert np.array_equal(M, cov_matrix(base, grid))
+    assert np.array_equal(M, M.T)
+
+
+def test_cov_matrix_matches_the_scalar_kernel_across_row_blocks():
+    # 150 points span two row blocks; M[i, j] = K(p_i, p_j) for i <= j, to
+    # 1e-14 of max(|K|, prod_k max(p_k, q_k)^{2 H_k}) as for the kernels
+    rng = np.random.default_rng(17)
+    grid = Grid(rng.uniform(0.05, 3.0, size=(150, 2)))
+    pts = grid.points
+    i, j = np.triu_indices(len(pts))
+    for spec in (ZHalf(0.7), Strict2D(0.3, 0.7, 0.5), MildTheta(0.3, 0.7, 0.5)):
+        kernel = make_kernel(spec)
+        M = cov_matrix(kernel, grid)
+        want = np.array([kernel.evaluate(pts[a], pts[b]) for a, b in zip(i, j)])
+        scale = np.maximum(np.abs(want), np.prod(np.maximum(
+            pts[i], pts[j]) ** (2 * np.array(spec.hurst)), axis=-1))
+        assert np.array_equal(M, M.T)
+        assert np.max(np.abs(M[i, j] - want) / scale) <= 1e-14
+
+
+def test_mc_analytic_values_match_the_corner_loop():
+    # reference, analytic and se of each row against scalar corner loops
+    spec = MildTheta(0.3, 0.7, 0.8)
+    kernel = make_kernel(spec)
+    plan = ProbePlan.default(2, n_pairs=2, n_shifts=2, seed=5)
+    rows = mc_increment_stationarity(spec, plan=plan, seed=3, n_samples=100)
+
+    def loop(r1, r2):
+        return sum(sg1 * sg2 * kernel.evaluate(p, q)
+                   for p, sg1 in corner_expansion(r1)
+                   for q, sg2 in corner_expansion(r2))
+
+    zero = (0.0, 0.0)
+    want = []
+    for u1, u2 in plan.u_pairs:
+        for kind, (a, b) in (("var", (u1, u1)), ("cross", (u1, u2))):
+            ref = loop(Rectangle(zero, a), Rectangle(zero, b))
+            for h in plan.shifts:
+                r1 = Rectangle(zero, a).shifted(h)
+                r2 = Rectangle(zero, b).shifted(h)
+                c = loop(r1, r2)
+                se = math.sqrt((loop(r1, r1) * loop(r2, r2) + c * c) / 100)
+                want.append((kind, h, ref, c, se))
+    assert [(r["kind"], r["h"]) for r in rows] == [w[:2] for w in want]
+    for r, (_, _, ref, c, se) in zip(rows, want):
+        assert r["reference"] == pytest.approx(ref, rel=1e-12)
+        assert r["analytic"] == pytest.approx(c, rel=1e-12)
+        assert r["se"] == pytest.approx(se, rel=1e-12)
