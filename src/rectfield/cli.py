@@ -289,13 +289,10 @@ def validate_config(cfg: dict) -> RunConfig:
             k: (_number(v, f"probes.{k}", float) if k in ("box", "shift_box")
                 else _number(v, f"probes.{k}", int, lo=0 if k == "seed" else 1))
             for k, v in probes.items()}
-        # extents are drawn from [0.05, box]; shifts of 0 compare nothing
-        if params["probes"].get("box", 2.0) <= 0.05:
-            raise ConfigError(f"probes.box: must exceed 0.05, got "
-                              f"{params['probes']['box']}")
-        if params["probes"].get("shift_box", 3.0) <= 0.0:
-            raise ConfigError(f"probes.shift_box: must be positive, got "
-                              f"{params['probes']['shift_box']}")
+        try:   # ProbePlan.default names the box or shift_box it rejects
+            ProbePlan.default(len(spec.hurst), **params["probes"])
+        except ValueError as exc:
+            raise ConfigError(f"probes.{exc}") from None
     elif command == "simulate":
         grid = cfg.get("grid", {"axes": [[0.5, 1.0, 1.5, 2.0, 2.5]]
                                 * len(spec.hurst)})
@@ -557,14 +554,7 @@ def _probe_plan(cfg):
     opts = cfg.params.get("probes", {})
     if not opts:
         return None
-    n = len(cfg.spec.hurst)
-    return ProbePlan.default(
-        n,
-        n_pairs=opts.get("n_pairs", 20),
-        n_shifts=opts.get("n_shifts", 10),
-        box=opts.get("box", 2.0),
-        shift_box=opts.get("shift_box", 3.0),
-        seed=opts.get("seed", 20240601))
+    return ProbePlan.default(len(cfg.spec.hurst), **opts)
 
 
 def _run_classify(cfg, out_dir):

@@ -11,8 +11,10 @@ variances alone means the mild property, and neither means none.
 The algebra is batched: for a stack of box pairs, the corners (..., 2^N, N)
 of both boxes go to the kernel's array form in one call, and the corner
 covariances K (..., 2^N, 2^N) are contracted with the corner signs,
-signs @ K @ signs.  ``increment_cov``, the classifier and the analytic
-values of the Monte Carlo probes all go through this contraction.
+signs @ K @ signs.  ``increment_cov`` goes through this contraction, and
+``probe_covariances`` fills the table of every probe covariance of a plan
+with it, a block of probe pairs per call; the classifier and the analytic
+values of the Monte Carlo probes read that table.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ import numpy as np
 
 from .kernels import CovKernel, StationarityClass, lift_scalar
 
+PLAN_BLOCK = 1 << 16      # corner pairs per kernel call in probe_covariances
+
 __all__ = [
     "Rectangle",
     "corner_expansion",
     "increment_cov",
     "y_half_increment_cov_closed",
     "ProbePlan",
+    "probe_covariances",
     "ClassificationReport",
     "InconclusiveClassification",
     "classify_stationarity",
@@ -69,23 +74,16 @@ def corner_expansion(r: Rectangle) -> list:
     Corner for index vector i has coordinates t_k - i_k (t_k - s_k) and sign
     (-1)^{sum i_k}; the all-zero index gives (t, +1).  Signs sum to zero.
     """
-    corners = []
-    for mask in range(2 ** r.n):
-        sign = 1
-        pt = list(r.t)
-        for k in range(r.n):
-            if (mask >> (r.n - 1 - k)) & 1:
-                pt[k] = r.s[k]
-                sign = -sign
-        corners.append((tuple(pt), sign))
-    return corners
+    corners, signs = _corners(r.s, r.t)
+    return [(tuple(pt), int(sg))
+            for pt, sg in zip(corners.tolist(), signs.tolist())]
 
 
 def _corners(lo, hi):
     """Corners (..., 2^N, N) of the boxes [lo, hi] (..., N), and their signs.
 
     Corner i takes lo_k where bit N-1-k of i is set and hi_k elsewhere, with
-    sign (-1)^(set bits): the order and signs of ``corner_expansion``.
+    sign (-1)^(set bits).
     """
     lo = np.asarray(lo, dtype=float)
     n = lo.shape[-1]
@@ -108,16 +106,6 @@ def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
     batch = kernel.batch if isinstance(kernel, CovKernel) else lift_scalar(kernel)
     K = batch(c1[..., :, None, :], c2[..., None, :, :])
     return signs @ K @ signs
-
-
-def _plan_boxes(plan: "ProbePlan"):
-    """Extents (P, 2, N) of the var and cross probes of a plan, and anchors.
-
-    Along the second axis the first box extents are (u1, u1) and the second
-    (u1, u2); the anchors h have shape (S, N).
-    """
-    u = np.asarray(plan.u_pairs, dtype=float)
-    return u[:, [0, 0]], u, np.asarray(plan.shifts, dtype=float)
 
 
 def increment_cov(kernel, r1: Rectangle, r2: Rectangle) -> float:
@@ -195,6 +183,29 @@ class ProbePlan:
         return cls(u_pairs=pairs, shifts=shifts)
 
 
+def probe_covariances(kernel, plan: ProbePlan) -> np.ndarray:
+    """Increment covariances of every probe of a plan, shape (P, 3, S + 1).
+
+    C[p, j, k] is the covariance of the increments over [h_k, x + h_k] and
+    [h_k, y + h_k], where (x, y) is (u1, u1), (u1, u2), (u2, u2) for
+    j = 0, 1, 2 with (u1, u2) = plan.u_pairs[p], h_0 = 0 and
+    h_k = plan.shifts[k - 1].  So C[:, :2, 0] are the references of the
+    var and cross probes, C[:, :2, 1:] their shifted values, and C[:, 0]
+    and C[:, 2] the variances of the two boxes.  The pairs go to the kernel
+    in blocks of at most ``PLAN_BLOCK`` corner pairs (at least one probe
+    pair per block).
+    """
+    u = np.asarray(plan.u_pairs, dtype=float)                     # (P, 2, N)
+    h = np.concatenate([np.zeros((1, u.shape[-1])),
+                        np.asarray(plan.shifts, dtype=float)])    # (S + 1, N)
+    x = u[:, [0, 0, 1], None, :] + h
+    y = u[:, [0, 1, 1], None, :] + h
+    step = max(1, PLAN_BLOCK // (3 * len(h) * 4 ** u.shape[-1]))
+    return np.concatenate([_increment_covs(kernel, h, x[i:i + step],
+                                           h, y[i:i + step])
+                           for i in range(0, len(u), step)])
+
+
 class InconclusiveClassification(RuntimeError):
     """Residuals fall between the invariance and violation thresholds."""
 
@@ -240,14 +251,10 @@ def classify_stationarity(kernel, plan: ProbePlan | None = None,
                              "do not carry a dimension")
         plan = ProbePlan.default(n)
 
-    a, b, h = _plan_boxes(plan)
-    origin = np.zeros_like(a)
-    ref = _increment_covs(kernel, origin, a, origin, b)          # (P, 2)
-    var = np.maximum(_increment_covs(kernel, origin, b, origin, b), 0.0)
+    C = probe_covariances(kernel, plan)
+    ref, val = C[:, :2, 0], C[:, :2, 1:]                         # (P, 2, S)
+    var = np.maximum(C[:, [0, 2], 0], 0.0)
     scale = np.maximum(np.sqrt(var[:, [0, 0]] * var), 1e-300)    # (P, 2)
-    lo = h[None, None]
-    val = _increment_covs(kernel, lo, a[:, :, None] + lo,
-                          lo, b[:, :, None] + lo)                # (P, 2, S)
     resid = np.abs(val - ref[..., None]) / scale[..., None]
     max_var = float(resid[:, 0].max())
     max_cross = float(resid[:, 1].max())

@@ -660,8 +660,9 @@ class CovKernel:
 
     ``evaluate(s, t)`` takes two points and returns a float; ``batch(S, T)``
     takes point arrays of shape (..., N) that broadcast against each other
-    and returns the covariances, shape (...).  A kernel built without
-    ``batch`` gets one that loops over ``evaluate``.
+    and returns the covariances, shape (...).  ``make_kernel`` passes the
+    array evaluator; a kernel built by hand from ``evaluate`` alone (a
+    perturbed copy of a family kernel, say) gets one that loops over it.
     """
 
     spec: FieldSpec

@@ -31,9 +31,8 @@ import numpy as np
 from .increments import (
     ProbePlan,
     Rectangle,
-    _increment_covs,
-    _plan_boxes,
     corner_expansion,
+    probe_covariances,
 )
 from .kernels import CovKernel, FieldSpec, make_kernel
 
@@ -268,29 +267,23 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     kernel = make_kernel(spec)
     if plan is None:
         plan = ProbePlan.default(len(spec.hurst), n_pairs=4, n_shifts=3)
-    a, b, h = _plan_boxes(plan)
-    origin = np.zeros_like(a)
-    lo = h[None, None]
-    boxes = np.stack([a, b])[:, :, :, None] + lo                 # (2, P, 2, S)
-    reference = _increment_covs(kernel, origin, a, origin, b).tolist()
-    v1, v2 = _increment_covs(kernel, lo, boxes, lo, boxes).tolist()
-    analytic = _increment_covs(kernel, lo, boxes[0], lo, boxes[1]).tolist()
+    C = probe_covariances(kernel, plan).tolist()
     rows = []
     stream = 0
     zero = tuple(0.0 for _ in spec.hurst)
     for p, (u1, u2) in enumerate(plan.u_pairs):
         for v, (kind, (u, w)) in enumerate((("var", (u1, u1)),
                                              ("cross", (u1, u2)))):
-            ref = reference[p][v]
-            for k, shift in enumerate(plan.shifts):
+            ref = C[p][v][0]
+            for k, shift in enumerate(plan.shifts, start=1):
                 r1 = Rectangle(zero, u).shifted(shift)
                 r2 = Rectangle(zero, w).shifted(shift)
                 est = _mc_increment_pair(kernel, r1, r2, seed, stream,
                                          n_samples, n_workers)
                 stream += 1
-                c = analytic[p][v][k]
-                se = math.sqrt(max(v1[p][v][k] * v2[p][v][k] + c * c, 0.0)
-                               / n_samples)
+                c = C[p][v][k]
+                v1, v2 = C[p][0][k], C[p][2 * v][k]
+                se = math.sqrt(max(v1 * v2 + c * c, 0.0) / n_samples)
                 rows.append({
                     "probe": p, "kind": kind, "h": shift,
                     "estimate": est, "se": se, "reference": ref,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rectfield import increments
 from rectfield.increments import (
     InconclusiveClassification,
     ProbePlan,
@@ -13,6 +14,7 @@ from rectfield.increments import (
     classify_stationarity,
     corner_expansion,
     increment_cov,
+    probe_covariances,
     y_half_increment_cov_closed,
 )
 from rectfield.kernels import (
@@ -330,3 +332,21 @@ def test_classify_matches_scalar_corner_loop(case):
         assert abs(got["residual"] - want["residual"]) <= (
             1e-14 * (want["value_scale"] + want["ref_scale"]) / want["scale"]
             + 1e-12 * want["residual"])
+
+
+def test_probe_covariances_layout_and_blocks(monkeypatch):
+    # one probe pair per kernel call must give the same bits as one call
+    kernel = make_kernel(FBS((0.3, 0.6, 0.8)))
+    plan = ProbePlan.default(3, n_pairs=5, n_shifts=3, seed=4)
+    C = probe_covariances(kernel, plan)
+    assert C.shape == (5, 3, 4)
+    monkeypatch.setattr(increments, "PLAN_BLOCK", 1)
+    assert np.array_equal(probe_covariances(kernel, plan), C)
+    zero = (0.0, 0.0, 0.0)
+    for p, (u1, u2) in enumerate(plan.u_pairs):
+        for j, (x, y) in enumerate(((u1, u1), (u1, u2), (u2, u2))):
+            for k, h in enumerate((zero,) + plan.shifts):
+                want, scale = _corner_loop(
+                    kernel.evaluate, kernel.hurst,
+                    Rectangle(zero, x).shifted(h), Rectangle(zero, y).shifted(h))
+                assert abs(C[p, j, k] - want) <= 1e-14 * scale

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rectfield.kernels import (
     FBS,
+    CovKernel,
     MildTheta,
     MovingPair,
     StationarityClass,
@@ -496,3 +497,15 @@ def test_batch_rejects_bad_points(spec):
             kernel.batch(bad, good[:1])
         with pytest.raises(ValueError):
             kernel.batch(good[:1], bad)
+
+
+def test_kernel_without_batch_loops_over_evaluate():
+    base = make_kernel(MildTheta(0.3, 0.7, 0.5))
+    shifted = CovKernel(base.spec, base.claimed_class,
+                        lambda s, t: base(s, t) + 0.01)
+    S = np.array([[0.5, 1.0], [2.0, 0.0], [1.5, 1.5]])
+    T = np.array([[1.0, 1.0], [0.3, 0.7], [1.5, 1.5]])
+    got = shifted.batch(S[:, None], T[None])
+    assert got.shape == (3, 3)
+    for i, j in np.ndindex(3, 3):
+        assert got[i, j] == base(S[i], T[j]) + 0.01
