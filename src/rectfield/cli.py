@@ -3,16 +3,21 @@
 Configuration is a single strict JSON object (unknown keys are fatal) that
 can also be assembled from command-line flags; all randomness flows from
 the config seed.  Every run echoes its parsed configuration to
-``config_echo.json`` in the output directory, writes CSV artifacts with a
-header row and 17-significant-digit floats, and prints one summary line per
-check.  Exit codes: 0 success, 1 failed check (reports still written),
-2 configuration error.
+``config_echo.json`` in the output directory, writes CSV artifacts and
+prints one summary line per check.  Exit codes: 0 success, 1 failed check
+(reports still written), 2 configuration error.
+
+Each CSV table is a header row and one line per row, ended by CRLF.  A
+table's row line is one ``%``-template: labels and separators are fixed
+text in it, floats are formatted with ``%.17g`` (17 significant digits, so
+they read back exactly) and rows are tuples taken from arrays.  Booleans
+are ``true``/``false``, points are ``[a b]`` and the only quoted field is
+the check suites' JSON ``params``, quoted as ``csv.writer`` would.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import numbers
@@ -28,6 +33,7 @@ from .increments import ProbePlan, classify_stationarity
 from .kernels import FieldSpec, MovingPair, StrictWeights, make_kernel
 from .lamperti import c_theta, mild_criterion_residual, StationaryCov
 from .simulate import (
+    MAX_WORKERS,
     Grid,
     empirical_cov,
     grid_from_axes,
@@ -333,7 +339,7 @@ def validate_config(cfg: dict) -> RunConfig:
         params["n_samples"] = _number(cfg.get("n_samples", _DEFAULT_N[command]),
                                       "n_samples", int, lo=_MIN_N_SAMPLES)
         params["n_workers"] = _number(cfg.get("n_workers", 1), "n_workers",
-                                      int, lo=1)
+                                      int, lo=1, hi=MAX_WORKERS)
 
     return RunConfig(command=command, spec=spec, params=params)
 
@@ -487,22 +493,36 @@ _SUITES = {"densities": _suite_densities, "criteria": _suite_criteria,
 # Command execution
 # --------------------------------------------------------------------------
 
-def _write_csv(path: Path, rows, columns):
+def _quoted(text: str) -> str:
+    """A text cell as ``csv.writer`` quotes it (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: Path, rows, columns, template: str):
+    """A CSV table: the ``columns`` header, then ``template % row`` per row.
+
+    ``template`` is one whole row line, CRLF included: fixed text as is,
+    ``%.17g`` per float cell, ``%d`` per integer and ``%s`` per cell that
+    ``_fmt`` or ``_quoted`` has rendered.  ``rows`` is a sequence of tuples.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(template % row for row in rows)
 
 
 def _write_samples(path: Path, values: np.ndarray):
-    """samples.csv, one (rep, point, value) row per draw, in the bytes
-    ``_write_csv`` would write: 17 significant digits and CRLF line ends."""
-    n = values.shape[1]
+    """samples.csv, one (rep, point, value) line per draw, a rep at a time.
+
+    A rep's lines share one template in which the rep and point labels are
+    fixed text, so only the values are formatted.
+    """
+    template = "".join(f"\0,{p},%.17g\r\n" for p in range(values.shape[1]))
     with open(path, "w", newline="") as fh:
         fh.write("rep,point,value\r\n")
-        fh.writelines(f"{i // n},{i % n},{v:.17g}\r\n"
-                      for i, v in enumerate(values.ravel().tolist()))
+        for rep, row in enumerate(values):
+            fh.write(template.replace("\0", str(rep)) % tuple(row.tolist()))
 
 
 def run(config: RunConfig) -> int:
@@ -518,19 +538,17 @@ def _run_cov(cfg, out_dir):
     kernel = make_kernel(cfg.spec)
     value = kernel.evaluate(cfg.params["s"], cfg.params["t"])
     _write_csv(out_dir / "cov.csv",
-               [{"family": cfg.spec.family, "s": cfg.params["s"],
-                 "t": cfg.params["t"], "value": value}],
-               ["family", "s", "t", "value"])
+               [(cfg.spec.family, _fmt(cfg.params["s"]), _fmt(cfg.params["t"]),
+                 value)],
+               ["family", "s", "t", "value"], "%s,%s,%s,%.17g\r\n")
     print(f"cov[{cfg.spec.family}] K(s,t) = {value:.17g}")
     return 0
 
 
 def _run_density(cfg, out_dir):
     H = cfg.spec.hurst
-    rows = []
-    for pt in cfg.params["x"]:
-        rows.append({"x": pt, "value": spectral.g_product(H, pt)})
-    _write_csv(out_dir / "density.csv", rows, ["x", "value"])
+    rows = [(_fmt(pt), spectral.g_product(H, pt)) for pt in cfg.params["x"]]
+    _write_csv(out_dir / "density.csv", rows, ["x", "value"], "%s,%.17g\r\n")
     print(f"density[{cfg.spec.family}] wrote {len(rows)} values")
     return 0
 
@@ -541,7 +559,10 @@ def _run_check(cfg, out_dir):
             else _SUITES[suite]())
     cols = ["identity", "params", "numeric_re", "numeric_im", "closed_re",
             "closed_im", "abs_err", "tol", "pass"]
-    _write_csv(out_dir / f"check_{suite}.csv", rows, cols)
+    _write_csv(out_dir / f"check_{suite}.csv",
+               [(r["identity"], _quoted(r["params"]),
+                 *(r[c] for c in cols[2:-1]), _fmt(r["pass"])) for r in rows],
+               cols, "%s,%s" + ",%.17g" * 6 + ",%s\r\n")
     n_fail = sum(not r["pass"] for r in rows)
     for r in rows:
         status = "PASS" if r["pass"] else "FAIL"
@@ -562,16 +583,16 @@ def _run_classify(cfg, out_dir):
     report = classify_stationarity(kernel, plan=_probe_plan(cfg))
     label = report.label.value if report.label is not None else "inconclusive"
     _write_csv(out_dir / "classify.csv",
-               [{"family": cfg.spec.family, "label": label,
-                 "max_var_residual": report.max_var_residual,
-                 "max_cross_residual": report.max_cross_residual}],
-               ["family", "label", "max_var_residual", "max_cross_residual"])
-    probe_rows = [{"kind": r["kind"], "u1": r["u1"], "u2": r["u2"],
-                   "h": r["h"], "value": r["value"],
-                   "reference": r["reference"], "residual": r["residual"]}
-                  for r in report.rows]
-    _write_csv(out_dir / "classify_probes.csv", probe_rows,
-               ["kind", "u1", "u2", "h", "value", "reference", "residual"])
+               [(cfg.spec.family, label, report.max_var_residual,
+                 report.max_cross_residual)],
+               ["family", "label", "max_var_residual", "max_cross_residual"],
+               "%s,%s,%.17g,%.17g\r\n")
+    _write_csv(out_dir / "classify_probes.csv",
+               [(r["kind"], _fmt(r["u1"]), _fmt(r["u2"]), _fmt(r["h"]),
+                 r["value"], r["reference"], r["residual"])
+                for r in report.rows],
+               ["kind", "u1", "u2", "h", "value", "reference", "residual"],
+               "%s,%s,%s,%s,%.17g,%.17g,%.17g\r\n")
     print(f"classify[{cfg.spec.family}] -> {label} "
           f"(var {report.max_var_residual:.2e}, cross {report.max_cross_residual:.2e})")
     return 0 if report.label is not None else 1
@@ -585,24 +606,22 @@ def _run_simulate(cfg, out_dir):
     analytic = batch.cov
     emp, se = empirical_cov(batch, analytic)
 
-    t_cols = [f"t{k + 1}" for k in range(grid.dim)]
-    grid_rows = [dict({"index": i},
-                      **{c: grid.points[i, k] for k, c in enumerate(t_cols)})
-                 for i in range(grid.n_points)]
-    _write_csv(out_dir / "grid.csv", grid_rows, ["index"] + t_cols)
+    _write_csv(out_dir / "grid.csv",
+               list(zip(range(grid.n_points), *grid.points.T.tolist())),
+               ["index"] + [f"t{k + 1}" for k in range(grid.dim)],
+               "%d" + ",%.17g" * grid.dim + "\r\n")
     _write_samples(out_dir / "samples.csv", batch.values)
 
-    report_rows, within = [], 0
-    for i in range(grid.n_points):
-        for j in range(i, grid.n_points):
-            z = (emp[i, j] - analytic[i, j]) / se[i, j]
-            within += abs(z) <= 4.0
-            report_rows.append({"probe": f"{i}-{j}", "statistic": "cov",
-                                "estimate": emp[i, j], "se": se[i, j],
-                                "reference": analytic[i, j], "z": z})
-    _write_csv(out_dir / "report.csv", report_rows,
-               ["probe", "statistic", "estimate", "se", "reference", "z"])
-    total = len(report_rows)
+    i, j = np.triu_indices(grid.n_points)
+    est, sd, ref = emp[i, j], se[i, j], analytic[i, j]
+    z = (est - ref) / sd
+    within = int(np.count_nonzero(np.abs(z) <= 4.0))
+    _write_csv(out_dir / "report.csv",
+               list(zip(i.tolist(), j.tolist(), est.tolist(), sd.tolist(),
+                        ref.tolist(), z.tolist())),
+               ["probe", "statistic", "estimate", "se", "reference", "z"],
+               "%d-%d,cov,%.17g,%.17g,%.17g,%.17g\r\n")
+    total = len(z)
     frac = within / total
     print(f"simulate[{cfg.spec.family}] n={batch.n_samples} "
           f"{within}/{total} covariance entries within 4 SE")
@@ -614,14 +633,12 @@ def _run_mc(cfg, out_dir):
         cfg.spec, plan=_probe_plan(cfg), seed=cfg.params["seed"],
         n_samples=cfg.params["n_samples"],
         n_workers=cfg.params["n_workers"])
-    out_rows = [{"probe": r["probe"], "kind": r["kind"], "h": r["h"],
-                 "estimate": r["estimate"], "se": r["se"],
-                 "reference": r["reference"], "analytic": r["analytic"],
-                 "z_reference": r["z_reference"],
-                 "z_analytic": r["z_analytic"]} for r in rows]
-    _write_csv(out_dir / "mc.csv", out_rows,
-               ["probe", "kind", "h", "estimate", "se", "reference",
-                "analytic", "z_reference", "z_analytic"])
+    cols = ["probe", "kind", "h", "estimate", "se", "reference", "analytic",
+            "z_reference", "z_analytic"]
+    _write_csv(out_dir / "mc.csv",
+               [(r["probe"], r["kind"], _fmt(r["h"]), *(r[c] for c in cols[3:]))
+                for r in rows],
+               cols, "%d,%s,%s" + ",%.17g" * 6 + "\r\n")
     bad = sum(abs(r["z_analytic"]) > 4.0 for r in rows)
     print(f"mc[{cfg.spec.family}] {len(rows) - bad}/{len(rows)} probes "
           f"within 4 SE of analytic increment covariance")
@@ -637,21 +654,20 @@ def _run_limit_demo(cfg, out_dir):
     demo = limit_partial_sums(cfg.params["r1"], cfg.params["r2"], t_points,
                               seed=cfg.params["seed"],
                               n_reps=cfg.params["n_reps"])
-    rows, ok = [], 0
-    m = len(t_points)
-    for i in range(m):
-        for j in range(i, m):
-            bound = 0.05 * abs(demo.limit_cov[i, j]) + 4.0 * demo.se[i, j]
-            passed = abs(demo.emp_cov[i, j] - demo.limit_cov[i, j]) <= bound
-            ok += passed
-            rows.append({"t_i": t_points[i], "t_j": t_points[j],
-                         "estimate": demo.emp_cov[i, j], "se": demo.se[i, j],
-                         "exact_prelimit": demo.exact_cov[i, j],
-                         "limit": demo.limit_cov[i, j], "pass": passed})
-    _write_csv(out_dir / "limit_demo.csv", rows,
+    i, j = np.triu_indices(len(t_points))
+    est, se = demo.emp_cov[i, j], demo.se[i, j]
+    limit = demo.limit_cov[i, j]
+    passed = np.abs(est - limit) <= 0.05 * np.abs(limit) + 4.0 * se
+    ok = int(np.count_nonzero(passed))
+    labels = np.array([_fmt(t) for t in t_points])
+    _write_csv(out_dir / "limit_demo.csv",
+               list(zip(labels[i].tolist(), labels[j].tolist(), est.tolist(),
+                        se.tolist(), demo.exact_cov[i, j].tolist(),
+                        limit.tolist(),
+                        np.where(passed, "true", "false").tolist())),
                ["t_i", "t_j", "estimate", "se", "exact_prelimit", "limit",
-                "pass"])
-    total = len(rows)
+                "pass"], "%s,%s,%.17g,%.17g,%.17g,%.17g,%s\r\n")
+    total = len(passed)
     print(f"limit-demo r=({cfg.params['r1']},{cfg.params['r2']}) "
           f"n_reps={demo.n_reps}: {ok}/{total} entries within 5% + 4 SE "
           f"of the limit covariance")

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 256          # replications per RNG stream; fixed for determinism
+MAX_WORKERS = 64          # sampler threads a run may ask for
 MAX_LATTICE = 4_194_304   # lattice-size guard for the partial-sum demo
 ROW_BLOCK = 128           # covariance-matrix rows per kernel call
 
@@ -185,8 +186,8 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
 
     values = np.empty((n_samples, dim))
     tasks = list(enumerate(bounds))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if n_workers > 1:   # no more threads than chunks
+        with ThreadPoolExecutor(min(n_workers, len(tasks))) as pool:
             for lo, block in pool.map(draw, tasks):
                 values[lo:lo + block.shape[0]] = block
     else:

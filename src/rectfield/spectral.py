@@ -183,14 +183,20 @@ def _transform_2d(f, v, budget, tol):
     """Nested transform for non-product densities on R^2.
 
     Every inner slice is a fresh one-dimensional integral with its own
-    evaluation budget; the shared budget meters the outer levels only.
+    evaluation budget; the shared budget meters the outer levels only.  The
+    four outer integrals (cos/sin, real/imag) visit the same x1 nodes, so
+    each slice is computed once per x1 and kept.
     """
     inner_tol = max(tol * 0.1, 1e-9)
+    slices = {}
 
     def inner(x1):
-        re, im, _ = _transform_1d(lambda x2: f.evaluate((x1, x2)), float(v[1]),
-                                  _Budget(budget.limit), inner_tol)
-        return complex(re, im)
+        if x1 not in slices:
+            re, im, _ = _transform_1d(lambda x2: f.evaluate((x1, x2)),
+                                      float(v[1]), _Budget(budget.limit),
+                                      inner_tol)
+            slices[x1] = complex(re, im)
+        return slices[x1]
 
     def outer_part(part):
         geven = lambda x1: part(inner(x1) + inner(-x1))

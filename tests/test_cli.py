@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, exit codes."""
 
 import csv
+import io
 import json
 import math
 
@@ -295,6 +296,23 @@ def test_n_samples_floor_makes_the_gates_meaningful(tmp_path, capsys):
         assert cfg.params["n_samples"] == 100
 
 
+def test_n_workers_is_bounded(capsys):
+    from rectfield.simulate import MAX_WORKERS
+
+    spec = {"family": "fbs", "H": [0.5, 0.5]}
+    for command in ("simulate", "mc"):
+        cfg = validate_config({"command": command, "spec": spec,
+                               "n_workers": MAX_WORKERS})
+        assert cfg.params["n_workers"] == MAX_WORKERS
+        with pytest.raises(ConfigError, match="n_workers"):
+            validate_config({"command": command, "spec": spec,
+                             "n_workers": MAX_WORKERS + 1})
+    # validation fails before any work, so no thread is started
+    assert main(["simulate", "--spec", "fbs", "--H", "0.5", "0.5",
+                 "--n-workers", "1000000"]) == 2
+    assert "n_workers" in capsys.readouterr().err
+
+
 def test_only_the_lemmas_suite_takes_a_tolerance(tmp_path):
     cfg = validate_config({"command": "check", "suite": "lemmas",
                            "tol": 1e-300, "out": str(tmp_path)})
@@ -361,3 +379,75 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path):
     _samples_csv_per_row(tmp_path / "edge_oracle.csv", edge)
     assert (tmp_path / "edge.csv").read_bytes() == \
         (tmp_path / "edge_oracle.csv").read_bytes()
+
+
+def _reemitted(path):
+    """The bytes the pre-template writer (``csv.writer``, ``_fmt`` per cell)
+    gives for the table at ``path`` once its numeric cells are read back.
+
+    A 17-significant-digit float reads back to the same double, so any drift
+    in digits, quoting or line ends makes the two differ."""
+    def cell(text):
+        if text.startswith("[") and text.endswith("]"):
+            return [float(v) for v in text[1:-1].split()]
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell(c)) for c in row])
+    return buf.getvalue().encode()
+
+
+_FBS = {"family": "fbs", "H": [0.3, 0.7]}
+_ARTIFACT_RUNS = [
+    pytest.param({"command": "cov", "spec": {"family": "strict2d",
+                                             "H": [0.3, 0.7], "gamma": 0.4},
+                  "s": [1.0, 2.0], "t": [0.5, 3.0]}, ["cov.csv"], id="cov"),
+    pytest.param({"command": "density", "spec": _FBS,
+                  "x": [[0.0, 0.0], [0.1, -2.5], [1e-3, 7.0]]},
+                 ["density.csv"], id="density"),
+    pytest.param({"command": "check", "suite": "lemmas"},
+                 ["check_lemmas.csv"], id="check-lemmas"),
+    pytest.param({"command": "check", "suite": "lemmas", "tol": 1e-300},
+                 ["check_lemmas.csv"], id="check-lemmas-all-fail"),
+    pytest.param({"command": "check", "suite": "densities"},
+                 ["check_densities.csv"], id="check-densities"),
+    pytest.param({"command": "check", "suite": "criteria"},
+                 ["check_criteria.csv"], id="check-criteria"),
+    pytest.param({"command": "check", "suite": "ma"}, ["check_ma.csv"],
+                 id="check-ma"),
+    pytest.param({"command": "classify",
+                  "spec": {"family": "mildtheta", "H": [0.3, 0.7],
+                           "theta": 0.8},
+                  "probes": {"n_pairs": 2, "n_shifts": 2, "seed": 4}},
+                 ["classify.csv", "classify_probes.csv"], id="classify"),
+    pytest.param({"command": "simulate",
+                  "spec": {"family": "fbs", "H": [0.3, 0.7, 0.5]},
+                  "grid": {"points": [[0.5, 1.0, 2.0], [0.3, 1.1, 2.5],
+                                      [1, 1, 1]]},
+                  "n_samples": 300, "seed": 10},
+                 ["grid.csv", "samples.csv", "report.csv"], id="simulate"),
+    pytest.param({"command": "mc", "spec": {"family": "yhalf", "theta": 0.7},
+                  "probes": {"n_pairs": 1, "n_shifts": 2, "seed": 3},
+                  "n_samples": 200, "seed": 5}, ["mc.csv"], id="mc"),
+    pytest.param({"command": "limit-demo", "r1": 3, "r2": 2,
+                  "t_points": [[0.1, 0.2], [1.0, 2.0], [0.0, 1.5]],
+                  "n_reps": 50, "seed": 4},   # biased: some entries fail
+                 ["limit_demo.csv"], id="limit-demo"),
+]
+
+
+@pytest.mark.parametrize("cfg, files", _ARTIFACT_RUNS)
+def test_every_artifact_matches_the_csv_writer(tmp_path, cfg, files):
+    run(validate_config(dict(cfg, out=str(tmp_path))))
+    for name in files:
+        data = (tmp_path / name).read_bytes()
+        assert data.count(b"\n") > 1 and data.endswith(b"\r\n")
+        assert data == _reemitted(tmp_path / name), name

@@ -89,6 +89,21 @@ def test_cholesky_sample_deterministic():
     assert not np.array_equal(a, d)
 
 
+def test_cholesky_pool_has_no_more_threads_than_chunks(monkeypatch):
+    import rectfield.simulate as sim
+
+    sizes = []
+    real = sim.ThreadPoolExecutor
+    monkeypatch.setattr(sim, "ThreadPoolExecutor",
+                        lambda n: sizes.append(n) or real(n))
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
+    n = CHUNK_SIZE + 1   # two chunks
+    a, _ = cholesky_sample(M, seed=9, n_samples=n, n_workers=8)
+    b, _ = cholesky_sample(M, seed=9, n_samples=n)
+    assert sizes == [2]
+    assert np.array_equal(a, b)
+
+
 def test_cholesky_jitter_retry():
     # exactly singular but PSD: one jitter retry must succeed
     M = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -101,6 +101,58 @@ def test_transform_2d_nonproduct_path():
     assert res.imag_residual <= 1e-4
 
 
+def _transform_2d_uncached(f, v, budget, tol, seen):
+    """The nested transform as it was before its inner slices were kept:
+    every outer evaluation recomputes inner(x1) and inner(-x1)."""
+    from rectfield import spectral
+
+    inner_tol = max(tol * 0.1, 1e-9)
+
+    def inner(x1):
+        seen.append(x1)
+        re, im, _ = spectral._transform_1d(
+            lambda x2: f.evaluate((x1, x2)), float(v[1]),
+            spectral._Budget(budget.limit), inner_tol)
+        return complex(re, im)
+
+    def outer_part(part):
+        geven = lambda x1: part(inner(x1) + inner(-x1))
+        godd = lambda x1: part(inner(x1) - inner(-x1))
+        re, e1 = spectral._quad_panel(geven, 0.0, np.inf, budget,
+                                      epsabs=tol * 0.25, weight="cos",
+                                      wvar=abs(float(v[0])))
+        im, e2 = spectral._quad_panel(godd, 0.0, np.inf, budget,
+                                      epsabs=tol * 0.25, weight="sin",
+                                      wvar=abs(float(v[0])))
+        return re, math.copysign(1.0, float(v[0])) * im, e1 + e2
+
+    re_a, im_a, err_a = outer_part(lambda z: z.real)
+    re_b, im_b, err_b = outer_part(lambda z: z.imag)
+    return spectral.TransformResult(re_a - im_b, abs(im_a + re_b),
+                                    err_a + err_b)
+
+
+def test_transform_2d_computes_each_inner_slice_once(monkeypatch):
+    from rectfield import spectral
+
+    # a smooth density that is not a product, nor even in x1 alone
+    dens = SpectralDensity(2, lambda x: math.exp(
+        -x[0] ** 2 - 0.5 * x[0] * x[1] - x[1] ** 2 + 0.3 * x[0]))
+    v = np.array([0.7, -0.4])
+    seen = []
+    want = _transform_2d_uncached(dens, v, spectral._Budget(
+        spectral.DEFAULT_BUDGET), 1e-6, seen)
+
+    calls = []
+    real = spectral._transform_1d
+    monkeypatch.setattr(spectral, "_transform_1d",
+                        lambda *a: calls.append(1) or real(*a))
+    got = cov_from_density(dens, v, tol=1e-6)
+    assert len(calls) == len(set(seen)) < len(seen)
+    assert (got.value, got.imag_residual, got.err_estimate) == \
+        (want.value, want.imag_residual, want.err_estimate)
+
+
 def test_transform_dimension_checks():
     with pytest.raises(ValueError):
         cov_from_density(fbm_density(0.3), (1.0, 2.0))
