@@ -35,6 +35,7 @@ from .lamperti import c_theta, mild_criterion_residual, StationaryCov
 from .simulate import (
     MAX_WORKERS,
     Grid,
+    PSDError,
     empirical_cov,
     grid_from_axes,
     limit_partial_sums,
@@ -157,6 +158,18 @@ _DEFAULT_N = {"simulate": 5000, "mc": 20000}
 # The simulate and mc gates allow 4 analytic SE, about 4/sqrt(n) of the
 # variance scale, so a handful of samples passes any covariance.
 _MIN_N_SAMPLES = 100
+# Ceilings on the work a config may ask for, checked before any of it is
+# allocated.  A grid of MAX_GRID_POINTS points has a 128 MiB covariance
+# matrix; simulate holds n_samples x grid points draws, at most
+# MAX_SAMPLE_VALUES (128 MiB).  The limit demo's t points share the grid's
+# ceiling: it keeps three matrices of their pairs.
+MAX_N_SAMPLES = 1_000_000
+MAX_GRID_POINTS = 4096
+MAX_SAMPLE_VALUES = 1 << 24
+MAX_N_REPS = 1_000_000
+MAX_PROBE_PAIRS = 1000
+MAX_PROBE_SHIFTS = 100
+_PROBE_MAX = {"n_pairs": MAX_PROBE_PAIRS, "n_shifts": MAX_PROBE_SHIFTS}
 
 
 def _number(value, name, kind, lo=None, hi=None):
@@ -293,7 +306,8 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"probes: unknown keys {sorted(extra)}")
         params["probes"] = {
             k: (_number(v, f"probes.{k}", float) if k in ("box", "shift_box")
-                else _number(v, f"probes.{k}", int, lo=0 if k == "seed" else 1))
+                else _number(v, f"probes.{k}", int, lo=0 if k == "seed" else 1,
+                             hi=_PROBE_MAX.get(k)))
             for k, v in probes.items()}
         try:   # ProbePlan.default names the box or shift_box it rejects
             ProbePlan.default(len(spec.hurst), **params["probes"])
@@ -314,6 +328,10 @@ def validate_config(cfg: dict) -> RunConfig:
                           for a in grid["axes"]]} if "axes" in grid else
                 {"points": np.atleast_2d(
                     np.asarray(grid["points"], dtype=float)).tolist()})
+            n_points = (math.prod(np.size(a) for a in params["grid"]["axes"])
+                        if "axes" in grid else len(params["grid"]["points"]))
+            if n_points > MAX_GRID_POINTS:   # checked before the grid is built
+                raise ValueError(f"{n_points} points exceed {MAX_GRID_POINTS}")
             n_dim = _make_grid(params["grid"]).dim
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from None
@@ -333,11 +351,22 @@ def validate_config(cfg: dict) -> RunConfig:
         if np.any(pts < 0.0) or (key == "t_points" and pts.shape[1] != 2):
             raise ConfigError(f"{key}: expected nonnegative values"
                               + (" in 2-D points" if key == "t_points" else ""))
+        n_points = len(pts) if key == "t_points" else len(pts) ** 2
+        if n_points > MAX_GRID_POINTS:
+            raise ConfigError(f"{key}: {n_points} points exceed "
+                              f"{MAX_GRID_POINTS}")
         params[key] = pts.tolist()
-        params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int, lo=2)
+        params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int,
+                                   lo=2, hi=MAX_N_REPS)
     if command in _DEFAULT_N:
         params["n_samples"] = _number(cfg.get("n_samples", _DEFAULT_N[command]),
-                                      "n_samples", int, lo=_MIN_N_SAMPLES)
+                                      "n_samples", int, lo=_MIN_N_SAMPLES,
+                                      hi=MAX_N_SAMPLES)
+        if (command == "simulate"
+                and params["n_samples"] * n_points > MAX_SAMPLE_VALUES):
+            raise ConfigError(
+                f"n_samples: {params['n_samples']} samples of {n_points} "
+                f"grid points exceed {MAX_SAMPLE_VALUES} values")
         params["n_workers"] = _number(cfg.get("n_workers", 1), "n_workers",
                                       int, lo=1, hi=MAX_WORKERS)
 
@@ -536,7 +565,7 @@ def run(config: RunConfig) -> int:
 
 def _run_cov(cfg, out_dir):
     kernel = make_kernel(cfg.spec)
-    value = kernel.evaluate(cfg.params["s"], cfg.params["t"])
+    value = kernel(cfg.params["s"], cfg.params["t"])
     _write_csv(out_dir / "cov.csv",
                [(cfg.spec.family, _fmt(cfg.params["s"]), _fmt(cfg.params["t"]),
                  value)],
@@ -795,7 +824,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    try:
+        return run(config)
+    except PSDError as exc:   # e.g. a mild theta far outside [-1, 1]
+        print(f"config error: spec: the covariance is not positive "
+              f"semidefinite on this grid: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ the two normalization constants
     c2(H) = sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H + 1/2)
 
 that calibrate the harmonizable and moving-average representations of a
-fractional Brownian sheet, and overflow-safe hyperbolic helpers used by
-the stationary covariances and spectral densities.
+fractional Brownian sheet, and an overflow-safe log cosh for the spectral
+densities.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "c1",
     "c2",
     "log_cosh",
-    "abs_sinh_pow",
     "pow_plus",
 ]
 
@@ -86,29 +85,6 @@ def log_cosh(x: float) -> float:
     ax = abs(x)
     # cosh(x) = e^|x| (1 + e^{-2|x|}) / 2
     return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def abs_sinh_pow(v: float, p: float) -> float:
-    """|sinh(v/2)|**p without overflow, with a series branch near v = 0.
-
-    For p < 1 the direct power of a tiny sinh underflows to 0 and loses the
-    leading-order behaviour; log-space evaluation with |sinh(v/2)| ~ |v|/2
-    for |v| < 1e-8 keeps full relative accuracy.
-    """
-    av = abs(v)
-    if av == 0.0:
-        return 0.0
-    if av < 1e-8:
-        # sinh(u) = u (1 + u^2/6 + ...), relative error below 1e-17 here
-        log_s = math.log(av / 2.0)
-    else:
-        # log sinh(u) = u + log1p(-e^{-2u}) - log 2
-        u = av / 2.0
-        log_s = u + math.log1p(-math.exp(-2.0 * u)) - math.log(2.0)
-    out = p * log_s
-    if out > _LOG_OVERFLOW:
-        raise OverflowError(f"|sinh({v}/2)|**{p} overflows double precision")
-    return math.exp(out)
 
 
 def pow_plus(u: float, a: float) -> float:

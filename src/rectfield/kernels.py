@@ -37,13 +37,13 @@ Brownian sheet.  Every family is one of two canonical specifications: this
 strict mixture (``StrictGeneral``) or the sheet with a separable mild
 correction (``MildTheta``).
 
-Each of the two evaluators has a scalar form (``cov_strict_general``,
-``cov_mild_theta``), which takes two points, and an array form
-(``cov_strict_general_array``, ``cov_mild_theta_array``), which takes point
-arrays of shape (..., N) that broadcast against each other and returns the
-covariances, shape (...).  Both forms use the same brackets and the same
-conventions; the scalar form serves the quadrature callbacks and is the
-oracle of the array form in the tests.  A ``CovKernel`` carries both.
+Each of the two evaluators (``cov_strict_general_array``,
+``cov_mild_theta_array``) takes point arrays of shape (..., N) that
+broadcast against each other and returns the covariances, shape (...).
+They are the only code here that computes a covariance: a ``CovKernel``
+carries one of them as its ``batch``, and the functions of one pair of
+points (``cov_fbs``, ``cov_strict_general``, ``cov_mild_theta`` and the
+2-D families) return ``float`` of an evaluator at that pair.
 """
 
 from __future__ import annotations
@@ -109,23 +109,13 @@ def validate_hurst(values) -> tuple[float, ...]:
     return out
 
 
-def _as_point(p, n=None) -> tuple[float, ...]:
-    pt = _float_tuple(p)
-    if n is not None and len(pt) != n:
-        raise ValueError(f"point has dimension {len(pt)}, expected {n}")
-    if not all(0.0 <= v < math.inf for v in pt):
-        raise ValueError(
-            f"points must be finite and in the positive orthant, got {pt}")
-    return pt
-
-
 def _as_points(p, n) -> np.ndarray:
-    """Float array of points (..., n), checked like ``_as_point`` at once."""
+    """Float array of points (..., n), each finite and in the positive orthant."""
     pts = np.asarray(p, dtype=float)
     if pts.shape[-1:] != (n,):
         raise ValueError(f"points of shape {pts.shape} do not have dimension "
                          f"{n} on their last axis")
-    if not np.all((pts >= 0.0) & (pts < math.inf)):
+    if not ((pts >= 0.0) & (pts < math.inf)).all():
         raise ValueError("points must be finite and in the positive orthant")
     return pts
 
@@ -184,6 +174,7 @@ class StrictWeights:
         return len(next(iter(self.gamma_by_sign)))
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def uniform(cls, n: int) -> "StrictWeights":
         return cls({e: 2.0**-n for e in _sign_vectors(n)})
 
@@ -247,42 +238,8 @@ def strict2d_weights(gamma: float) -> StrictWeights:
 
 
 # --------------------------------------------------------------------------
-# Scalar building blocks
-# --------------------------------------------------------------------------
-
-def _tlogt(x: float) -> float:
-    """x log x with the boundary convention 0 log 0 := 0."""
-    return x * math.log(x) if x > 0.0 else 0.0
-
-
-def _log_bracket(t: float, s: float) -> float:
-    """t log t - s log s - (t-s) log|t-s|, each term with 0 log 0 := 0."""
-    d = t - s
-    tail = d * math.log(abs(d)) if d != 0.0 else 0.0
-    return _tlogt(t) - _tlogt(s) - tail
-
-
-def _sym_bracket(h: float, t: float, s: float) -> float:
-    """t^{2H} + s^{2H} - |t-s|^{2H}."""
-    e = 2.0 * h
-    return t**e + s**e - abs(t - s)**e
-
-
-def _a_bracket(h: float, t: float, s: float) -> float:
-    """The symmetric bracket, in its exact form 2 min(t, s) at H = 1/2."""
-    return 2.0 * min(t, s) if h == 0.5 else _sym_bracket(h, t, s)
-
-
-def _skew_bracket(h: float, t: float, s: float) -> float:
-    """-t^{2H} + s^{2H} + sgn(t-s)|t-s|^{2H} with sgn(0) := 0."""
-    e = 2.0 * h
-    d = t - s
-    tail = math.copysign(abs(d)**e, d) if d != 0.0 else 0.0
-    return -(t**e) + s**e + tail
-
-
-# --------------------------------------------------------------------------
-# Array building blocks: the brackets above, elementwise
+# The two evaluators, the strict mixture and the mild family, and the
+# brackets of the module docstring that they share
 # --------------------------------------------------------------------------
 
 def _xlogx_array(x: np.ndarray) -> np.ndarray:
@@ -293,8 +250,10 @@ def _xlogx_array(x: np.ndarray) -> np.ndarray:
 def _brackets_array(h: float, t: np.ndarray, s: np.ndarray, need_b: bool):
     """The a and b brackets of one coordinate (b is None unless needed).
 
+    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket,
+    or a = 2 min(t, s) and b = (2/pi) times the log bracket at H = 1/2.
     Each power is taken once and shared by both brackets; sgn(0) := 0 comes
-    from ``np.sign``.  The arithmetic is that of the scalar brackets.
+    from ``np.sign``.
     """
     if h == 0.5:
         a = 2.0 * np.minimum(t, s)
@@ -309,62 +268,13 @@ def _brackets_array(h: float, t: np.ndarray, s: np.ndarray, need_b: bool):
     return a, b
 
 
-# --------------------------------------------------------------------------
-# The two evaluators: the strict mixture and the mild family
-# --------------------------------------------------------------------------
-
-def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
+def cov_strict_general_array(H, weights: StrictWeights, s, t) -> np.ndarray:
     """Mixture covariance Re sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j).
 
-    Evaluated from the sign-moment terms of the weights, P = (a + i e b)/2:
-    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket,
-    or a = 2 min(t, s) and b = (2/pi) times the log bracket at H = 1/2.
-    A single term is S = {} (the sheet), which needs no b.
-    """
-    H = validate_hurst(H)
-    if weights.n != len(H):
-        raise ValueError(f"weights are {weights.n}-dimensional, H is {len(H)}")
-    terms = weights.sign_moment_terms
-    s = _as_point(s, len(H))
-    t = _as_point(t, len(H))
-    a = [_a_bracket(h, tk, sk) for h, tk, sk in zip(H, t, s)]
-    b = a if len(terms) == 1 else [
-        2.0 / math.pi * _log_bracket(tk, sk) if h == 0.5
-        else math.tan(math.pi * h) * _skew_bracket(h, tk, sk)
-        for h, tk, sk in zip(H, t, s)]
-    total = 0.0
-    for coef, in_s in terms:
-        for aj, bj, j_in_s in zip(a, b, in_s):
-            coef *= bj if j_in_s else aj
-        total += coef
-    return total
-
-
-def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
-    """Sheet covariance modulated by a separable mild-stationary correction.
-
-    (1/4) prod_i (t^{2H}+s^{2H}-|t-s|^{2H}) times
-    1 + (theta/4) prod_i (t_i^{2H}-s_i^{2H}) / max(s_i,t_i)^{2H}.
-    """
-    (h1, h2) = validate_hurst((h1, h2))
-    _warn_theta(theta)
-    s = _as_point(s, 2)
-    t = _as_point(t, 2)
-    base, corr = 0.25, 1.0
-    for h, sk, tk in zip((h1, h2), s, t):
-        m = max(sk, tk)**(2 * h)
-        if m == 0.0:   # also where the power underflows: both brackets are 0
-            return 0.0
-        base *= _a_bracket(h, tk, sk)
-        corr *= (tk**(2 * h) - sk**(2 * h)) / m
-    return base * (1.0 + 0.25 * theta * corr)
-
-
-def cov_strict_general_array(H, weights: StrictWeights, s, t) -> np.ndarray:
-    """``cov_strict_general`` over broadcast point arrays (..., N) -> (...).
-
-    Overflow and the NaNs that follow it are left to the caller, which
-    checks finiteness; numpy is told not to warn about them.
+    Over point arrays (..., N) -> (...), from the sign-moment terms of the
+    weights, P = (a + i e b)/2; a single term is S = {} (the sheet), which
+    needs no b.  Overflow and its NaNs are left to the caller, which checks
+    finiteness; numpy is told not to warn about them.
     """
     H = validate_hurst(H)
     if weights.n != len(H):
@@ -384,10 +294,11 @@ def cov_strict_general_array(H, weights: StrictWeights, s, t) -> np.ndarray:
 
 
 def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray:
-    """``cov_mild_theta`` over broadcast point arrays (..., 2) -> (...).
+    """Sheet covariance modulated by a separable mild-stationary correction.
 
-    Where max(s_k, t_k) = 0 the correction ratio is taken as 0; the base
-    factor vanishes there, so the covariance is 0 as in the scalar form.
+    (1/4) prod_i a_i (1 + (theta/4) prod_i (t_i^{2H}-s_i^{2H}) / max(s_i,t_i)^{2H})
+    over point arrays (..., 2) -> (...).  Where the max power is 0 (or
+    underflows) the ratio is taken as 0, and the base factor is 0 there.
     """
     (h1, h2) = validate_hurst((h1, h2))
     _warn_theta(theta)
@@ -408,34 +319,43 @@ def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray
 
 
 # --------------------------------------------------------------------------
-# Covariance functions
+# Covariance functions: one pair of points through an evaluator; a bare
+# number is a 1-D point
 # --------------------------------------------------------------------------
+
+def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
+    """``cov_strict_general_array`` at one pair of points."""
+    return float(cov_strict_general_array(H, weights, *np.atleast_1d(s, t)))
+
+
+def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
+    """``cov_mild_theta_array`` at one pair of points."""
+    return float(cov_mild_theta_array(h1, h2, theta, *np.atleast_1d(s, t)))
+
 
 def cov_fbs(H, s, t) -> float:
     """Fractional Brownian sheet: 2^{-N} prod_k (t^{2H}+s^{2H}-|t-s|^{2H})."""
     H = validate_hurst(H)
-    s = _as_point(s, len(H))
-    t = _as_point(t, len(H))
-    out = 2.0 ** -len(H)
-    for h, sk, tk in zip(H, s, t):
-        out *= _sym_bracket(h, tk, sk)
-    return out
+    return float(cov_strict_general_array(H, StrictWeights.uniform(len(H)),
+                                          *np.atleast_1d(s, t)))
 
 
 def cov_strict_2d(h1: float, h2: float, gamma: float, s, t) -> float:
     """Two-dimensional strict covariance (a1 a2 + gamma b1 b2) / 4."""
-    return cov_strict_general((h1, h2), strict2d_weights(gamma), s, t)
+    return float(cov_strict_general_array((h1, h2), strict2d_weights(gamma),
+                                          *np.atleast_1d(s, t)))
 
 
 def cov_y_half(theta: float, s, t) -> float:
     """Brownian-sheet covariance with the mild correction at H = (1/2, 1/2)."""
-    return cov_mild_theta(0.5, 0.5, theta, s, t)
+    return float(cov_mild_theta_array(0.5, 0.5, theta, *np.atleast_1d(s, t)))
 
 
 def cov_z_half(gamma: float, s, t) -> float:
     """Brownian-sheet covariance plus the log-bracket coupling at H = (1/2, 1/2)."""
     _warn_gamma(gamma, stacklevel=3)
-    return cov_strict_2d(0.5, 0.5, gamma, s, t)
+    return float(cov_strict_general_array((0.5, 0.5), strict2d_weights(gamma),
+                                          *np.atleast_1d(s, t)))
 
 
 def _warn_theta(theta: float):
@@ -656,26 +576,21 @@ FieldSpec = Union[FBS, StrictGeneral, Strict2D, MildTheta, YHalf, ZHalf, MovingP
 
 @dataclass(frozen=True)
 class CovKernel:
-    """An evaluable covariance with its family metadata.
+    """A covariance with its family metadata.
 
-    ``evaluate(s, t)`` takes two points and returns a float; ``batch(S, T)``
-    takes point arrays of shape (..., N) that broadcast against each other
-    and returns the covariances, shape (...).  ``make_kernel`` passes the
-    array evaluator; a kernel built by hand from ``evaluate`` alone (a
-    perturbed copy of a family kernel, say) gets one that loops over it.
+    ``batch(S, T)`` takes point arrays of shape (..., N) that broadcast
+    against each other and returns the covariances, shape (...).  Called
+    on two points (a bare number is a 1-D point), the kernel returns
+    ``float(batch(s, t))``.  ``make_kernel`` passes one of the two array
+    evaluators.
     """
 
     spec: FieldSpec
     claimed_class: StationarityClass
-    evaluate: Callable[..., float]
-    batch: Callable[..., np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.batch is None:
-            object.__setattr__(self, "batch", lift_scalar(self.evaluate))
+    batch: Callable[..., np.ndarray]
 
     def __call__(self, s, t) -> float:
-        return self.evaluate(s, t)
+        return float(self.batch(*np.atleast_1d(s, t)))
 
     @property
     def hurst(self):
@@ -706,12 +621,8 @@ def make_kernel(spec: FieldSpec) -> CovKernel:
     canon = spec.canonical()
     if isinstance(canon, StrictGeneral):
         canon.weights.sign_moment_terms   # computed and checked once, here
-        ev = lambda s, t: cov_strict_general(canon.H, canon.weights, s, t)
-        batch = lambda s, t: cov_strict_general_array(canon.H, canon.weights,
-                                                      s, t)
+        batch = lambda s, t: cov_strict_general_array(canon.H, canon.weights, s, t)
     else:
-        ev = lambda s, t: cov_mild_theta(canon.h1, canon.h2, canon.theta, s, t)
         batch = lambda s, t: cov_mild_theta_array(canon.h1, canon.h2,
                                                   canon.theta, s, t)
-    return CovKernel(spec=spec, claimed_class=spec.claimed_class, evaluate=ev,
-                     batch=batch)
+    return CovKernel(spec=spec, claimed_class=spec.claimed_class, batch=batch)

@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from rectfield import cli
 from rectfield.cli import (
     ConfigError,
     _fmt,
@@ -311,6 +313,110 @@ def test_n_workers_is_bounded(capsys):
     assert main(["simulate", "--spec", "fbs", "--H", "0.5", "0.5",
                  "--n-workers", "1000000"]) == 2
     assert "n_workers" in capsys.readouterr().err
+
+
+def test_a_covariance_that_is_not_psd_is_a_config_error(tmp_path, capsys):
+    # theta outside [-1, 1] only warns; on these points the mild covariance
+    # has a negative eigenvalue, which used to end in a PSDError traceback
+    text = json.dumps({"spec": {"family": "mildtheta", "H": [0.3, 0.7],
+                                "theta": 8}, "n_samples": 100})
+    for command in ("simulate", "mc"):
+        with pytest.warns(UserWarning, match="semidefinite"):
+            assert _main_with_config(tmp_path, text, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spec:")
+        assert "not positive semidefinite on this grid" in err
+        assert "Traceback" not in err
+
+
+_CEILINGS = [
+    ("simulate", "n_samples", cli.MAX_N_SAMPLES),
+    ("mc", "n_samples", cli.MAX_N_SAMPLES),
+    ("limit-demo", "n_reps", cli.MAX_N_REPS),
+    ("classify", "probes.n_pairs", cli.MAX_PROBE_PAIRS),
+    ("mc", "probes.n_shifts", cli.MAX_PROBE_SHIFTS),
+]
+
+
+@pytest.mark.parametrize("command, key, ceiling", _CEILINGS,
+                         ids=[f"{c}-{k}" for c, k, _ in _CEILINGS])
+def test_config_work_is_bounded(command, key, ceiling):
+    def config(value):
+        cfg = ({"command": command, "r1": 8, "r2": 8} if command == "limit-demo"
+               else {"command": command, "spec": {"family": "fbs",
+                                                  "H": [0.5, 0.5]}})
+        if command == "simulate":   # one point, inside the draws' budget
+            cfg["grid"] = {"points": [[1.0, 1.0]]}
+        if key.startswith("probes."):
+            cfg["probes"] = {key.split(".")[1]: value}
+        else:
+            cfg[key] = value
+        return cfg
+
+    validate_config(config(ceiling))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        validate_config(config(ceiling + 1))
+
+
+def test_oversized_grids_and_plans_fail_before_they_are_built(monkeypatch):
+    def not_built(*args, **kwargs):
+        raise AssertionError("built before the ceiling was checked")
+
+    monkeypatch.setattr(cli, "_make_grid", not_built)
+    monkeypatch.setattr(cli, "ProbePlan", not_built)
+    spec = {"family": "fbs", "H": [0.5, 0.5]}
+    axis = np.linspace(0.1, 3.0, 65).tolist()    # 65^2 = 4225 points
+    assert 65 ** 2 > cli.MAX_GRID_POINTS
+    cases = [
+        ({"command": "simulate", "spec": spec, "grid": {"axes": [axis, axis]}},
+         "grid"),
+        ({"command": "simulate", "spec": spec,
+          "grid": {"points": [[x, 1.0] for x in axis * 65]}}, "grid"),
+        ({"command": "classify", "spec": spec,
+          "probes": {"n_pairs": cli.MAX_PROBE_PAIRS + 1}}, "probes.n_pairs"),
+        ({"command": "mc", "spec": spec,
+          "probes": {"n_shifts": cli.MAX_PROBE_SHIFTS + 1}}, "probes.n_shifts"),
+        ({"command": "limit-demo", "r1": 8, "r2": 8, "t_axes": axis}, "t_axes"),
+        ({"command": "limit-demo", "r1": 8, "r2": 8,
+          "t_points": [[x, 1.0] for x in axis * 65]}, "t_points"),
+    ]
+    for cfg, key in cases:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            validate_config(cfg)
+
+
+def test_simulate_bounds_its_draws():
+    # n_samples times the grid's points, the size of the sample matrix
+    spec = {"family": "fbs", "H": [0.5, 0.5]}
+    axis = np.linspace(0.5, 4.0, 8).tolist()
+    grid = {"axes": [axis, axis]}
+    n = cli.MAX_SAMPLE_VALUES // 64
+    validate_config({"command": "simulate", "spec": spec, "grid": grid,
+                     "n_samples": n})
+    with pytest.raises(ConfigError, match="n_samples"):
+        validate_config({"command": "simulate", "spec": spec, "grid": grid,
+                         "n_samples": n + 1})
+
+
+def test_defaults_and_benchmark_configs_are_inside_the_ceilings():
+    import importlib.util
+    from pathlib import Path
+
+    for command in ("simulate", "mc", "classify", "limit-demo"):
+        cfg = {"command": command}
+        if command == "limit-demo":
+            cfg.update(r1=512, r2=512)
+        else:
+            cfg["spec"] = {"family": "fbs", "H": [0.3, 0.6, 0.8]}
+        validate_config(cfg)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for _, cfg in workloads.build(name, seed, "full"):
+                validate_config(cfg)
 
 
 def test_only_the_lemmas_suite_takes_a_tolerance(tmp_path):

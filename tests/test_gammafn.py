@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from rectfield.gammafn import (
     GammaPoleError,
     abs_gamma,
-    abs_sinh_pow,
     c1,
     c2,
     log_cosh,
@@ -111,15 +110,6 @@ def test_log_cosh_matches_direct():
         assert log_cosh(x) == pytest.approx(math.log(math.cosh(x)), abs=1e-14)
     # far beyond cosh's overflow point
     assert log_cosh(1000.0) == pytest.approx(1000.0 - math.log(2.0), rel=1e-15)
-
-
-def test_abs_sinh_pow():
-    assert abs_sinh_pow(0.0, 0.6) == 0.0
-    for v, p in ((2.0, 0.6), (-2.0, 1.4), (0.3, 1.0)):
-        want = abs(math.sinh(v / 2.0)) ** p
-        assert abs_sinh_pow(v, p) == pytest.approx(want, rel=1e-13)
-    # tiny arguments keep the leading-order |v/2|^p behaviour
-    assert abs_sinh_pow(1e-12, 0.5) == pytest.approx((0.5e-12) ** 0.5, rel=1e-9)
 
 
 def test_pow_plus_convention():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from rectfield import increments
 from rectfield.increments import (
     InconclusiveClassification,
@@ -314,7 +315,7 @@ def test_classify_matches_scalar_corner_loop(case):
         kernel, ev, H = _warped, _warped, (0.5, 0.5)
     else:
         kernel = make_kernel(case)
-        ev, H = kernel.evaluate, case.hurst
+        ev, H = oracle.evaluator(case), case.hurst
     plan = ProbePlan.default(len(H), n_pairs=4, n_shifts=3, seed=21)
     report = classify_stationarity(kernel, plan=plan)
     want_rows, want_label = _classify_reference(ev, H, plan)
@@ -347,6 +348,6 @@ def test_probe_covariances_layout_and_blocks(monkeypatch):
         for j, (x, y) in enumerate(((u1, u1), (u1, u2), (u2, u2))):
             for k, h in enumerate((zero,) + plan.shifts):
                 want, scale = _corner_loop(
-                    kernel.evaluate, kernel.hurst,
+                    oracle.evaluator(kernel.spec), kernel.hurst,
                     Rectangle(zero, x).shifted(h), Rectangle(zero, y).shifted(h))
                 assert abs(C[p, j, k] - want) <= 1e-14 * scale

@@ -1,5 +1,6 @@
 """Covariance kernels: closed forms, weights, invariants."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from rectfield.kernels import (
     FBS,
     CovKernel,
@@ -25,6 +27,7 @@ from rectfield.kernels import (
     cov_strict_general,
     cov_y_half,
     cov_z_half,
+    lift_scalar,
     make_kernel,
     strict2d_weights,
     validate_weights,
@@ -69,7 +72,7 @@ def test_strict_2d_examples():
         for _ in range(5):
             s, t = rng.uniform(0.1, 3.0, 2), rng.uniform(0.1, 3.0, 2)
             assert cov_strict_2d(h1, h2, 0.0, s, t) == pytest.approx(
-                cov_fbs((h1, h2), s, t), rel=1e-12, abs=1e-14)
+                oracle.cov_fbs((h1, h2), s, t), rel=1e-12, abs=1e-14)
 
 
 def _complex_mixture(H, weights, s, t):
@@ -138,7 +141,7 @@ def test_strict_general_uniform_weights_is_fbs():
     for _ in range(100):
         s, t = rng.uniform(0.0, 3.0, 2), rng.uniform(0.0, 3.0, 2)
         assert cov_strict_general(H, w, s, t) == pytest.approx(
-            cov_fbs(H, s, t), rel=1e-10, abs=1e-12)
+            oracle.cov_fbs(H, s, t), rel=1e-10, abs=1e-12)
 
 
 def _spectral_weight_scale(H):
@@ -433,11 +436,11 @@ def test_three_dimensional_fbs():
     s, t = (1.0, 2.0, 0.5), (1.5, 1.0, 2.0)
     w = StrictWeights.uniform(3)
     assert cov_strict_general(H, w, s, t) == pytest.approx(
-        cov_fbs(H, s, t), rel=1e-10)
+        oracle.cov_fbs(H, s, t), rel=1e-10)
 
 
 # --------------------------------------------------------------------------
-# Array forms against the scalar evaluators
+# Array forms against the scalar oracle, and the scalar calls as array calls
 # --------------------------------------------------------------------------
 
 _coordinate = st.one_of(st.just(0.0), st.just(1.0),
@@ -472,15 +475,16 @@ def _specs_and_points(draw):
 @settings(max_examples=120, deadline=None)
 def test_batch_matches_scalar_hypothesis(case):
     # every pair (s_i, t_j) through one broadcast call, against the scalar
-    # evaluator, relative to max(|K|, prod_k max(s_k, t_k)^{2 H_k})
+    # oracle, relative to max(|K|, prod_k max(s_k, t_k)^{2 H_k})
     spec, s, t = case
     kernel = make_kernel(spec)
+    ev = oracle.evaluator(spec)
     H = np.array(spec.hurst)
     got = kernel.batch(s[:, None, :], t[None, :, :])
     assert got.shape == (len(s), len(t))
     for i, p in enumerate(s):
         for j, q in enumerate(t):
-            want = kernel.evaluate(p, q)
+            want = ev(p, q)
             scale = max(abs(want), float(np.prod(np.maximum(p, q) ** (2 * H))))
             assert abs(got[i, j] - want) <= 1e-14 * scale
 
@@ -499,13 +503,44 @@ def test_batch_rejects_bad_points(spec):
             kernel.batch(good[:1], bad)
 
 
-def test_kernel_without_batch_loops_over_evaluate():
+def test_lift_scalar_loops_over_a_scalar_covariance():
     base = make_kernel(MildTheta(0.3, 0.7, 0.5))
-    shifted = CovKernel(base.spec, base.claimed_class,
-                        lambda s, t: base(s, t) + 0.01)
+    shifted = lift_scalar(lambda s, t: base(s, t) + 0.01)
     S = np.array([[0.5, 1.0], [2.0, 0.0], [1.5, 1.5]])
     T = np.array([[1.0, 1.0], [0.3, 0.7], [1.5, 1.5]])
-    got = shifted.batch(S[:, None], T[None])
+    got = shifted(S[:, None], T[None])
     assert got.shape == (3, 3)
     for i, j in np.ndindex(3, 3):
         assert got[i, j] == base(S[i], T[j]) + 0.01
+
+
+def test_scalar_calls_are_the_batch_form_bit_for_bit():
+    # one evaluation path: a kernel called on two points and each function
+    # of one pair return float(batch(s, t)) with the same bits
+    assert [f.name for f in dataclasses.fields(CovKernel)] == \
+        ["spec", "claimed_class", "batch"]
+    rng = np.random.default_rng(10)
+    pairs = rng.uniform(0.0, 3.0, size=(100, 2, 2))
+    pairs[::10, 1] = pairs[::10, 0]                    # some s = t
+    for spec in DEFAULT_SPECS:
+        kernel = make_kernel(spec)
+        for s, t in pairs:
+            assert kernel(s, t) == float(kernel.batch(s, t))
+    w = DEFAULT_SPECS[-1].weights
+    for f, spec in (
+            (lambda s, t: cov_fbs((0.3, 0.7), s, t), FBS((0.3, 0.7))),
+            (lambda s, t: cov_strict_2d(0.3, 0.7, 0.5, s, t),
+             Strict2D(0.3, 0.7, 0.5)),
+            (lambda s, t: cov_y_half(0.6, s, t), YHalf(0.6)),
+            (lambda s, t: cov_z_half(0.8, s, t), ZHalf(0.8)),
+            (lambda s, t: cov_strict_general((0.3, 0.7), w, s, t),
+             StrictGeneral((0.3, 0.7), w)),
+            (lambda s, t: cov_mild_theta(0.3, 0.7, 0.5, s, t),
+             MildTheta(0.3, 0.7, 0.5))):
+        batch = make_kernel(spec).batch
+        for s, t in pairs:
+            assert f(s, t) == float(batch(s, t))
+    # a bare number is a 1-D point
+    one = make_kernel(FBS((0.4,)))
+    assert cov_fbs((0.4,), 1.0, 2.0) == float(one.batch([1.0], [2.0]))
+    assert one(1.0, 2.0) == cov_fbs((0.4,), [1.0], [2.0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from rectfield.increments import classify_stationarity
 from rectfield.kernels import (
     FBS,
@@ -58,10 +59,37 @@ def test_forward_rejects_non_self_similar():
     base = make_kernel(FBS((0.5, 0.5)))
     broken = type(base)(
         spec=base.spec, claimed_class=base.claimed_class,
-        evaluate=lambda s, t: base(s, t) + 0.01)
+        batch=lambda s, t: base.batch(s, t) + 0.01)
     with pytest.raises(SelfSimilarityError):
         lamperti_forward(broken)
     assert self_similarity_residual(base) < 1e-12
+
+
+def test_self_similarity_residual_keeps_the_trial_by_trial_draws():
+    # one batch call per side; the draws are those of a loop that takes s, t
+    # and a in turn for each trial, here evaluated by the scalar oracle
+    spec = MildTheta(0.3, 0.7, 0.5)
+    base = make_kernel(spec)
+    broken = type(base)(spec=spec, claimed_class=base.claimed_class,
+                        batch=lambda s, t: base.batch(s, t) + 0.01)
+    ev = oracle.evaluator(spec)
+    rng = np.random.default_rng(7041)
+    worst = 0.0
+    for _ in range(10):
+        s, t, a = (rng.uniform(0.2, 2.0, 2) for _ in range(3))
+        lhs = ev(a * s, a * t) + 0.01
+        rhs = math.prod(float(ak) ** (2 * h) for ak, h in zip(a, spec.hurst)) \
+            * (ev(s, t) + 0.01)
+        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
+    assert self_similarity_residual(broken) == pytest.approx(worst, rel=1e-12)
+
+
+def test_forward_rejects_a_nan_residual():
+    base = make_kernel(FBS((0.3, 0.7)))
+    nan = type(base)(spec=base.spec, claimed_class=base.claimed_class,
+                     batch=lambda s, t: base.batch(s, t) * np.nan)
+    with pytest.raises(SelfSimilarityError):
+        lamperti_forward(nan)
 
 
 def test_inverse_examples():
