@@ -32,7 +32,9 @@ from . import movingavg, quadrature, spectral
 from .increments import ProbePlan, classify_stationarity
 from .kernels import FieldSpec, MovingPair, StrictWeights, make_kernel
 from .lamperti import c_theta, mild_criterion_residual, StationaryCov
+from .quadrature import OracleCheck
 from .simulate import (
+    MAX_LIMIT_INDEX,
     MAX_WORKERS,
     Grid,
     PSDError,
@@ -355,6 +357,12 @@ def validate_config(cfg: dict) -> RunConfig:
         if n_points > MAX_GRID_POINTS:
             raise ConfigError(f"{key}: {n_points} points exceed "
                               f"{MAX_GRID_POINTS}")
+        # a t_axes value is a coordinate on both axes
+        k = np.floor((pts if key == "t_points" else pts[:, None])
+                     * (params["r1"], params["r2"]))
+        if not np.all(k < MAX_LIMIT_INDEX):
+            raise ConfigError(f"{key}: floor(t_k r_k) must stay below "
+                              f"{MAX_LIMIT_INDEX}, got {k.max():.6g}")
         params[key] = pts.tolist()
         params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int,
                                    lo=2, hi=MAX_N_REPS)
@@ -373,15 +381,18 @@ def validate_config(cfg: dict) -> RunConfig:
     return RunConfig(command=command, spec=spec, params=params)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config; errors cite the offending location."""
+def _load_json(text: str):
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    return validate_config(raw)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a JSON config; errors cite the offending location."""
+    return validate_config(_load_json(text))
 
 
 # --------------------------------------------------------------------------
@@ -389,74 +400,51 @@ def parse_config(text: str) -> RunConfig:
 # --------------------------------------------------------------------------
 
 def _suite_lemmas(tol):
-    rows = []
-    for chk in quadrature.identity_sweep():
-        rows.append({
-            "identity": chk.identity,
-            "params": json.dumps(chk.params, sort_keys=True),
-            "numeric_re": chk.numeric.real, "numeric_im": chk.numeric.imag,
-            "closed_re": chk.closed.real, "closed_im": chk.closed.imag,
-            "abs_err": chk.abs_error, "tol": tol,
-            "pass": chk.passed(tol),
-        })
-    return rows
-
-
-def _zero_row(name, params, value, tol):
-    return {"identity": name, "params": json.dumps(params, sort_keys=True),
-            "numeric_re": value, "numeric_im": 0.0,
-            "closed_re": 0.0, "closed_im": 0.0,
-            "abs_err": abs(value), "tol": tol, "pass": abs(value) <= tol}
-
-
-def _pair_row(name, params, got, want, tol):
-    return {"identity": name, "params": json.dumps(params, sort_keys=True),
-            "numeric_re": got, "numeric_im": 0.0,
-            "closed_re": want, "closed_im": 0.0,
-            "abs_err": abs(got - want), "tol": tol,
-            "pass": abs(got - want) <= tol}
+    return [(chk, tol) for chk in quadrature.identity_sweep()]
 
 
 def _suite_densities():
-    rows = []
+    checks = []
     xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
     rel = max(abs(spectral.g_fbm(0.5, x) - spectral.g_w(x)) / spectral.g_w(x)
               for x in xs)
-    rows.append(_zero_row("half_reduces_to_cauchy", {"grid": "[-10,10]/0.1"},
-                          rel, 1e-10))
+    checks.append((OracleCheck("half_reduces_to_cauchy",
+                               {"grid": "[-10,10]/0.1"}, rel, 0.0), 1e-10))
     for H in (0.1, 0.3, 0.5, 0.7, 0.9):
         mass = spectral.cov_from_density(spectral.fbm_density(H), (0.0,)).value
-        rows.append(_pair_row("unit_mass", {"H": H}, mass, 1.0, 1e-6))
+        checks.append((OracleCheck("unit_mass", {"H": H}, mass, 1.0), 1e-6))
     from .lamperti import c_fbs_stationary
     for H in (0.3, 0.7):
         for v in (-2.0, 0.7, 2.5):
             got = spectral.cov_from_density(spectral.fbm_density(H), (v,)).value
             want = c_fbs_stationary((H,), (v,))
-            rows.append(_pair_row("fourier_reconstruction", {"H": H, "v": v},
-                                  got, want, 1e-4))
+            checks.append((OracleCheck("fourier_reconstruction",
+                                       {"H": H, "v": v}, got, want), 1e-4))
     for H, s, t in ((0.3, 1.0, 2.0), (0.7, 0.5, 3.0), (0.5, 1.0, math.e)):
         spec_v, closed_v = spectral.fbm_spectral_cov_check(H, s, t)
-        rows.append(_pair_row("fbm_spectral_representation",
-                              {"H": H, "s": s, "t": t}, spec_v, closed_v, 1e-4))
-    return rows
+        checks.append((OracleCheck("fbm_spectral_representation",
+                                   {"H": H, "s": s, "t": t}, spec_v,
+                                   closed_v), 1e-4))
+    return checks
 
 
 def _suite_criteria():
-    rows = []
+    checks = []
     vgrid = np.linspace(-3.0, 3.0, 7)
     for h1, h2 in ((0.3, 0.7), (0.5, 0.5)):
         for theta in (-1.0, 1.0):
             C = StationaryCov(2, lambda v, a=h1, b=h2, th=theta: c_theta(a, b, th, v))
             worst = max(abs(mild_criterion_residual(C, (h1, h2), (v1, v2)))
                         for v1 in vgrid for v2 in vgrid)
-            rows.append(_zero_row("mild_criterion", {"H": [h1, h2],
-                                                     "theta": theta},
-                                  worst, 1e-12))
+            checks.append((OracleCheck("mild_criterion",
+                                       {"H": [h1, h2], "theta": theta},
+                                       worst, 0.0), 1e-12))
     H = (0.3, 0.7)
     dens = spectral.product_density(H)
     worst = max(abs(spectral.density_criterion_residual(dens, H, (x1, x2)))
                 for x1 in (-2.0, 0.5, 1.5) for x2 in (-1.0, 0.4, 2.0))
-    rows.append(_zero_row("density_criterion_even", {"H": list(H)}, worst, 1e-12))
+    checks.append((OracleCheck("density_criterion_even", {"H": list(H)},
+                               worst, 0.0), 1e-12))
 
     def perturbed(x):
         x = np.atleast_1d(x)
@@ -466,29 +454,32 @@ def _suite_criteria():
     fdens = spectral.SpectralDensity(2, perturbed)
     worst = max(abs(spectral.density_criterion_residual(fdens, H, (x1, x2)))
                 for x1 in (-2.0, 0.5, 1.5) for x2 in (-1.0, 0.4, 2.0))
-    rows.append(_zero_row("density_criterion_odd_perturbation",
-                          {"H": list(H), "delta": 0.5}, worst, 1e-12))
+    checks.append((OracleCheck("density_criterion_odd_perturbation",
+                               {"H": list(H), "delta": 0.5}, worst, 0.0),
+                   1e-12))
     scaled = spectral.SpectralDensity(
         2, lambda x: 1.1 * spectral.g_product(H, x))
     resid = spectral.density_criterion_residual(scaled, H, (0.5, 0.4))
     expect = 0.1 * 4 * spectral.g_product(H, (0.5, 0.4))
-    rows.append(_pair_row("density_criterion_detects_scaling",
-                          {"H": list(H)}, resid, expect, 1e-12))
-    return rows
+    checks.append((OracleCheck("density_criterion_detects_scaling",
+                               {"H": list(H)}, resid, expect), 1e-12))
+    return checks
 
 
 def _suite_ma():
     from .kernels import cov_fbs
-    rows = []
+    checks = []
     for h1, h2, d0, d1 in ((0.3, 0.7, 1.0, 0.0), (0.5, 0.5, 1.0, 0.0),
                            (0.5, 0.5, 0.0, 1.0)):
         chk = movingavg.validate_dd(h1, h2, d0, d1)
-        rows.append(_zero_row("dd_constraint", {"H": [h1, h2], "d0": d0,
-                                                "d1": d1}, chk.residual, 1e-12))
+        checks.append((OracleCheck("dd_constraint", {"H": [h1, h2], "d0": d0,
+                                                     "d1": d1},
+                                   chk.residual, 0.0), 1e-12))
     d0 = d1 = 1.0 / math.sqrt(3.0)
     chk = movingavg.validate_dd(0.25, 0.25, d0, d1)
-    rows.append(_zero_row("dd_constraint", {"H": [0.25, 0.25], "d0": d0,
-                                            "d1": d1}, chk.residual, 1e-12))
+    checks.append((OracleCheck("dd_constraint", {"H": [0.25, 0.25], "d0": d0,
+                                                 "d1": d1},
+                               chk.residual, 0.0), 1e-12))
 
     spec = MovingPair(0.3, 0.7, 1.0, 0.0)
     rng = np.random.default_rng(5)
@@ -497,20 +488,21 @@ def _suite_ma():
         t = rng.uniform(0.3, 2.0, 2)
         got = movingavg.cov_moving_pair(spec, s, t)
         want = cov_fbs((0.3, 0.7), s, t)
-        rows.append(_pair_row("ma_reproduces_fbs",
-                              {"s": list(s), "t": list(t)}, got, want, 1e-3))
+        checks.append((OracleCheck("ma_reproduces_fbs",
+                                   {"s": list(s), "t": list(t)}, got, want),
+                       1e-3))
     sin2 = math.sin(math.pi * 0.3) * math.sin(math.pi * 0.7)
     for d0 in (1.0, 0.4, -0.6):
         d1 = -d0 * sin2 + math.sqrt(max(d0 * d0 * (sin2 * sin2 - 1.0) + 1.0, 0.0))
         sp = MovingPair(0.3, 0.7, d0, d1)
         got = movingavg.cov_moving_pair(sp, (1.0, 1.0), (1.0, 1.0))
-        rows.append(_pair_row("unit_variance_on_constraint",
-                              {"d0": d0, "d1": d1}, got, 1.0, 1e-3))
+        checks.append((OracleCheck("unit_variance_on_constraint",
+                                   {"d0": d0, "d1": d1}, got, 1.0), 1e-3))
     sp = MovingPair(0.5, 0.5, 0.0, 1.0)
     got = movingavg.cov_moving_pair(sp, (1.0, 1.0), (1.0, 1.0))
-    rows.append(_pair_row("unit_variance_half_pair", {"d0": 0.0, "d1": 1.0},
-                          got, 1.0, 1e-3))
-    return rows
+    checks.append((OracleCheck("unit_variance_half_pair",
+                               {"d0": 0.0, "d1": 1.0}, got, 1.0), 1e-3))
+    return checks
 
 
 # the suites with fixed tolerances; "lemmas" takes the config's ``tol``
@@ -584,19 +576,22 @@ def _run_density(cfg, out_dir):
 
 def _run_check(cfg, out_dir):
     suite = cfg.params["suite"]
-    rows = (_suite_lemmas(cfg.params["tol"]) if suite == "lemmas"
-            else _SUITES[suite]())
-    cols = ["identity", "params", "numeric_re", "numeric_im", "closed_re",
-            "closed_im", "abs_err", "tol", "pass"]
+    checks = (_suite_lemmas(cfg.params["tol"]) if suite == "lemmas"
+              else _SUITES[suite]())
+    params = [json.dumps(c.params, sort_keys=True) for c, _ in checks]
+    passed = [c.passed(tol) for c, tol in checks]
     _write_csv(out_dir / f"check_{suite}.csv",
-               [(r["identity"], _quoted(r["params"]),
-                 *(r[c] for c in cols[2:-1]), _fmt(r["pass"])) for r in rows],
-               cols, "%s,%s" + ",%.17g" * 6 + ",%s\r\n")
-    n_fail = sum(not r["pass"] for r in rows)
-    for r in rows:
-        status = "PASS" if r["pass"] else "FAIL"
-        print(f"{status} {r['identity']} {r['params']} abs_err={r['abs_err']:.3e}")
-    print(f"suite {suite}: {len(rows) - n_fail}/{len(rows)} passed")
+               [(c.identity, _quoted(text), c.numeric.real, c.numeric.imag,
+                 c.closed.real, c.closed.imag, c.abs_error, tol, _fmt(ok))
+                for (c, tol), text, ok in zip(checks, params, passed)],
+               ["identity", "params", "numeric_re", "numeric_im", "closed_re",
+                "closed_im", "abs_err", "tol", "pass"],
+               "%s,%s" + ",%.17g" * 6 + ",%s\r\n")
+    for (c, _), text, ok in zip(checks, params, passed):
+        print(f"{'PASS' if ok else 'FAIL'} {c.identity} {text} "
+              f"abs_err={c.abs_error:.3e}")
+    n_fail = passed.count(False)
+    print(f"suite {suite}: {len(checks) - n_fail}/{len(checks)} passed")
     return 0 if n_fail == 0 else 1
 
 
@@ -787,7 +782,7 @@ def _spec_dict_from_flags(args) -> dict | None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg: dict = {}
+    text = "{}"
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
@@ -795,18 +790,7 @@ def main(argv=None) -> int:
             print(f"config error: cannot read {args.config}: {exc}",
                   file=sys.stderr)
             return 2
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"config error: JSON parse error at line {exc.lineno}, "
-                  f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-            return 2
-        if not isinstance(raw, dict):
-            print("config error: top level: expected a JSON object",
-                  file=sys.stderr)
-            return 2
-        cfg.update(raw)
-    cfg["command"] = args.command
+    cfg: dict = {"command": args.command}
     spec_d = _spec_dict_from_flags(args)
     if spec_d is not None:
         cfg["spec"] = spec_d
@@ -820,7 +804,10 @@ def main(argv=None) -> int:
         if v is not None:
             cfg[key] = list(v)
     try:
-        config = validate_config(cfg)
+        raw = _load_json(text)
+        # flags override the file; validate_config rejects a non-object
+        config = validate_config({**raw, **cfg} if isinstance(raw, dict)
+                                 else raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,8 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
+from .kernels import validate_hurst
+
 __all__ = [
     "GammaPoleError",
     "abs_gamma",
@@ -61,22 +63,15 @@ def abs_gamma(z) -> float:
     return math.exp(log_mag)
 
 
-def _check_hurst_scalar(H: float) -> float:
-    H = float(H)
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst index must lie in (0,1), got {H!r}")
-    return H
-
-
 def c1(H: float) -> float:
     """Spectral normalization sqrt(H Gamma(2H) sin(pi H) / pi), H in (0,1)."""
-    H = _check_hurst_scalar(H)
+    H, = validate_hurst((H,))
     return math.sqrt(H * math.gamma(2 * H) * math.sin(math.pi * H) / math.pi)
 
 
 def c2(H: float) -> float:
     """Moving-average normalization sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H+1/2)."""
-    H = _check_hurst_scalar(H)
+    H, = validate_hurst((H,))
     return math.sqrt(math.gamma(1 + 2 * H) * math.sin(math.pi * H)) / math.gamma(H + 0.5)
 
 

@@ -10,7 +10,9 @@ same seed reproduces the same bits regardless of how many workers generate
 the chunks.
 
 The Monte Carlo side estimates increment covariances from simulated fields
-(for comparison with the batched closed-form increment algebra) and runs the
+(for comparison with the batched closed-form increment algebra): one draw
+per probe pair and shift, from stream p S + k, at the corners of both boxes
+as the batched corner expansion lays them out.  It also runs the
 partial-sum demonstration: normalized rectangular sums of an iid lattice
 field converge to the Brownian sheet, and the empirical covariance of the
 normalized sums is compared against both the pre-limit lattice covariance
@@ -28,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import (
-    ProbePlan,
-    Rectangle,
-    corner_expansion,
-    probe_covariances,
-)
+from .increments import ProbePlan, _corners, probe_covariances
 from .kernels import CovKernel, FieldSpec, make_kernel
 
 __all__ = [
@@ -52,7 +49,7 @@ __all__ = [
 
 CHUNK_SIZE = 256          # replications per RNG stream; fixed for determinism
 MAX_WORKERS = 64          # sampler threads a run may ask for
-MAX_LATTICE = 4_194_304   # lattice-size guard for the partial-sum demo
+MAX_LIMIT_INDEX = 1 << 31  # bound on floor(t_k r_k) in the partial-sum demo
 ROW_BLOCK = 128           # covariance-matrix rows per kernel call
 
 
@@ -227,70 +224,55 @@ def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):
 # Monte Carlo increment probes
 # --------------------------------------------------------------------------
 
-def _mc_increment_pair(kernel, r1: Rectangle, r2: Rectangle, seed: int,
-                       stream: int, n_samples: int, n_workers: int) -> float:
-    """Empirical E[inc(r1) inc(r2)] from draws at the nonzero corners."""
-    corners1 = corner_expansion(r1)
-    corners2 = corner_expansion(r2)
-    live = {}
-    for pt, _ in corners1 + corners2:
-        if all(c > 0.0 for c in pt) and pt not in live:
-            live[pt] = len(live)
-    if live:
-        grid = Grid(np.asarray(list(live), dtype=float))
-        M = cov_matrix(kernel, grid)
-        values, _ = cholesky_sample(M, seed, n_samples, n_workers=n_workers,
-                                    stream=stream, context=kernel.spec.family)
-    else:
-        values = np.zeros((n_samples, 0))
-
-    def weighted(corners):
-        inc = np.zeros(n_samples)
-        for pt, sg in corners:
-            if pt in live:
-                inc += sg * values[:, live[pt]]
-        return inc
-
-    return float(weighted(corners1) @ weighted(corners2)) / n_samples
-
-
 def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
                               seed: int = 0, n_samples: int = 20000,
                               n_workers: int = 1) -> list:
     """Monte Carlo probe of increment-covariance shift invariance.
 
-    For each probe pair and shift, samples the field at the (nonzero)
-    corner points, estimates the covariance of the two shifted increments,
-    and reports it with its standard error against the h = 0 reference and
-    the analytic value at h.  Rows feed the CSV report; the ``z_reference``
-    column is the detector for stationarity violations.
+    For probe pair p and shift k (of S), one draw of the field at the
+    distinct corners of both boxes [h_k, u1 + h_k] and [h_k, u2 + h_k],
+    from stream p S + k, gives both increments; the var row estimates
+    E[inc1^2] and the cross row E[inc1 inc2] from it.  Corners with a zero
+    coordinate are left out of the draw: the field is 0 there almost
+    surely.  Each estimate is reported with its standard error against the
+    h = 0 reference and the analytic value at h.  Rows feed the CSV
+    report; the ``z_reference`` column is the detector for stationarity
+    violations.
     """
     kernel = make_kernel(spec)
     if plan is None:
         plan = ProbePlan.default(len(spec.hurst), n_pairs=4, n_shifts=3)
     C = probe_covariances(kernel, plan).tolist()
+    u = np.asarray(plan.u_pairs, dtype=float)                     # (P, 2, N)
+    shifts = np.asarray(plan.shifts, dtype=float)                 # (S, N)
     rows = []
-    stream = 0
-    zero = tuple(0.0 for _ in spec.hurst)
-    for p, (u1, u2) in enumerate(plan.u_pairs):
-        for v, (kind, (u, w)) in enumerate((("var", (u1, u1)),
-                                             ("cross", (u1, u2)))):
+    for p, pair in enumerate(u):
+        est = []
+        for k, h in enumerate(shifts):
+            corners, signs = _corners(h, h + pair)              # (2, 2^N, N)
+            pts, inverse = np.unique(corners.reshape(-1, len(h)), axis=0,
+                                     return_inverse=True)
+            live = np.all(pts > 0.0, axis=1)
+            values = np.zeros((n_samples, len(pts)))
+            if live.any():
+                M = cov_matrix(kernel, Grid(pts[live]))
+                values[:, live], _ = cholesky_sample(
+                    M, seed, n_samples, n_workers=n_workers,
+                    stream=p * len(shifts) + k, context=spec.family)
+            inc = values[:, inverse.reshape(2, -1)] @ signs          # (n, 2)
+            est.append((inc[:, 0] @ inc / n_samples).tolist())   # var, cross
+        for v, kind in enumerate(("var", "cross")):
             ref = C[p][v][0]
             for k, shift in enumerate(plan.shifts, start=1):
-                r1 = Rectangle(zero, u).shifted(shift)
-                r2 = Rectangle(zero, w).shifted(shift)
-                est = _mc_increment_pair(kernel, r1, r2, seed, stream,
-                                         n_samples, n_workers)
-                stream += 1
-                c = C[p][v][k]
+                e, c = est[k - 1][v], C[p][v][k]
                 v1, v2 = C[p][0][k], C[p][2 * v][k]
                 se = math.sqrt(max(v1 * v2 + c * c, 0.0) / n_samples)
                 rows.append({
                     "probe": p, "kind": kind, "h": shift,
-                    "estimate": est, "se": se, "reference": ref,
+                    "estimate": e, "se": se, "reference": ref,
                     "analytic": c,
-                    "z_reference": (est - ref) / se if se > 0 else 0.0,
-                    "z_analytic": (est - c) / se if se > 0 else 0.0,
+                    "z_reference": (e - ref) / se if se > 0 else 0.0,
+                    "z_analytic": (e - c) / se if se > 0 else 0.0,
                 })
     return rows
 
@@ -346,19 +328,19 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
     so each replication draws m1 m2 normals, whatever r1 and r2 are, and
     the sums have the same joint law as the lattice sums.  Replication
     chunks of ``CHUNK_SIZE`` use Philox streams keyed (seed, 0, chunk).
+    Each floor(t_k r_k) must lie below ``MAX_LIMIT_INDEX`` (2^31), so that
+    products of block sizes fit in int64; larger t raise ValueError.
     """
     if not (1 <= r1 <= 512 and 1 <= r2 <= 512):
         raise ValueError("scaling factors must lie in [1, 512]")
     t_points = np.atleast_2d(np.asarray(t_points, dtype=float))
     if t_points.shape[1] != 2 or np.any(t_points < 0.0):
         raise ValueError("t_points must be nonnegative and two-dimensional")
-    k1 = np.floor(t_points[:, 0] * r1).astype(int)
-    k2 = np.floor(t_points[:, 1] * r2).astype(int)
-    K1, K2 = int(k1.max()), int(k2.max())
-    if (K1 + 1) * (K2 + 1) > MAX_LATTICE:
-        raise MemoryError(
-            f"lattice of {(K1 + 1) * (K2 + 1)} cells exceeds the "
-            f"{MAX_LATTICE} guard")
+    k = np.floor(t_points * (r1, r2))
+    if not np.all(k < MAX_LIMIT_INDEX):   # so block-size products fit int64
+        raise ValueError(f"floor(t_k r_k) must stay below {MAX_LIMIT_INDEX}, "
+                         f"got {k.max():.6g}")
+    k1, k2 = k.astype(np.int64).T
 
     (n1, b1), (n2, b2) = _blocks(k1), _blocks(k2)
     scale = np.sqrt(np.outer(n1, n2) / (r1 * r2))

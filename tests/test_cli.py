@@ -428,18 +428,24 @@ def test_only_the_lemmas_suite_takes_a_tolerance(tmp_path):
                                          "suite": "ma"}).params
 
 
-def test_simulate_builds_the_covariance_matrix_once(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, real):
+    """Calls of ``real`` through every rectfield reference to it."""
     import sys
 
-    import rectfield.simulate as sim
-
     calls = []
-    real = sim.cov_matrix
     for mod in [m for n, m in sys.modules.items() if n.startswith("rectfield")]:
         for name, value in list(vars(mod).items()):
             if value is real:   # every reference, as a tracer would count
-                monkeypatch.setattr(mod, name,
-                                    lambda *a: calls.append(1) or real(*a))
+                monkeypatch.setattr(
+                    mod, name,
+                    lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_simulate_builds_the_covariance_matrix_once(tmp_path, monkeypatch):
+    import rectfield.simulate as sim
+
+    calls = _count_calls(monkeypatch, sim.cov_matrix)
     cfg = {"command": "simulate",
            "spec": {"family": "strict2d", "H": [0.3, 0.7], "gamma": 0.5},
            "grid": {"axes": [[0.5, 1.5], [1.0, 2.0]]}, "n_samples": 300,
@@ -452,6 +458,29 @@ def test_simulate_builds_the_covariance_matrix_once(tmp_path, monkeypatch):
     with open(tmp_path / "samples.csv") as fh:
         values = [float(r["value"]) for r in csv.DictReader(fh)]
     assert values == batch.values.ravel().tolist()
+
+
+def test_mc_samples_once_per_pair_and_shift(tmp_path, monkeypatch):
+    import rectfield.simulate as sim
+
+    calls = _count_calls(monkeypatch, sim.cholesky_sample)
+    cfg = {"command": "mc",
+           "spec": {"family": "fbs", "H": [0.3, 0.6, 0.8]},
+           "probes": {"n_pairs": 3, "n_shifts": 2}, "n_samples": 200,
+           "seed": 16, "out": str(tmp_path)}
+    assert run(validate_config(cfg)) == 0
+    assert len(calls) == 3 * 2
+
+
+def test_limit_demo_t_axes_are_bounded_by_the_floor_index(tmp_path, capsys):
+    # far t values cost no lattice; only floor(t r) past 2^31 is refused
+    cfg = {"r1": 512, "r2": 512, "t_axes": [1.0, 10.0], "n_reps": 200}
+    assert _main_with_config(tmp_path, json.dumps(cfg), "limit-demo") == 0
+    assert "10/10 entries" in capsys.readouterr().out
+    cfg["t_axes"] = [1.0, 1e7]
+    assert _main_with_config(tmp_path, json.dumps(cfg), "limit-demo") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_axes") and "Traceback" not in err
 
 
 def _samples_csv_per_row(path, values):

@@ -238,8 +238,14 @@ def test_limit_partial_sums_deterministic():
 def test_limit_partial_sums_guards():
     with pytest.raises(ValueError):
         limit_partial_sums(1024, 64, [(1.0, 1.0)])
-    with pytest.raises(MemoryError):
-        limit_partial_sums(512, 512, [(5000.0, 5000.0)])
+    # a far point is one cell of 2,560,001^2 sites: no lattice is built
+    demo = limit_partial_sums(512, 512, [(5000.0, 5000.0)])
+    assert demo.exact_cov[0, 0] == pytest.approx(((2_560_000 + 1) / 512) ** 2,
+                                                 rel=1e-15)
+    assert abs(demo.emp_cov[0, 0] - demo.exact_cov[0, 0]) <= 4 * demo.se[0, 0]
+    # floor(1e17 * 512) would wrap in int64 and give a wrong exact_cov
+    with pytest.raises(ValueError, match="floor"):
+        limit_partial_sums(512, 512, [(1, 1), (1e17, 1e17)], n_reps=4)
 
 
 def _lattice_partial_sums(Y, k1, k2):
@@ -371,3 +377,56 @@ def test_mc_analytic_values_match_the_corner_loop():
         assert r["reference"] == pytest.approx(ref, rel=1e-12)
         assert r["analytic"] == pytest.approx(c, rel=1e-12)
         assert r["se"] == pytest.approx(se, rel=1e-12)
+
+
+def test_mc_draws_both_increments_from_one_stream_per_pair_and_shift():
+    # pair p and shift k draw once, from stream p S + k, at the sorted
+    # distinct nonzero corners of both boxes; var and cross share the draw
+    spec = MildTheta(0.3, 0.7, 0.8)
+    kernel = make_kernel(spec)
+    plan = ProbePlan.default(2, n_pairs=2, n_shifts=3, seed=5)
+    n = 300
+    rows = mc_increment_stationarity(spec, plan=plan, seed=4, n_samples=n)
+    zero = (0.0, 0.0)
+    want = []
+    for p, (u1, u2) in enumerate(plan.u_pairs):
+        est = {"var": [], "cross": []}
+        for k, h in enumerate(plan.shifts):
+            r1 = Rectangle(zero, u1).shifted(h)
+            r2 = Rectangle(zero, u2).shifted(h)
+            live = sorted({pt for pt, _ in corner_expansion(r1)
+                           + corner_expansion(r2) if min(pt) > 0.0})
+            M = cov_matrix(kernel, Grid(np.array(live)))
+            values, _ = cholesky_sample(M, 4, n, stream=p * 3 + k)
+
+            def inc(rect):
+                return sum(sg * values[:, live.index(pt)]
+                           for pt, sg in corner_expansion(rect))
+
+            est["var"].append(float(inc(r1) @ inc(r1)) / n)
+            est["cross"].append(float(inc(r1) @ inc(r2)) / n)
+        want += est["var"] + est["cross"]
+    assert [r["estimate"] for r in rows] == pytest.approx(want, rel=1e-12)
+
+
+def test_mc_rows_do_not_depend_on_the_worker_count():
+    spec = Strict2D(0.3, 0.7, 0.5)
+    plan = ProbePlan.default(2, n_pairs=2, n_shifts=2, seed=8)
+    one = mc_increment_stationarity(spec, plan=plan, seed=9, n_samples=600)
+    three = mc_increment_stationarity(spec, plan=plan, seed=9, n_samples=600,
+                                      n_workers=3)
+    assert one == three
+
+
+def test_mc_leaves_corners_with_a_zero_coordinate_out_of_the_draw():
+    # anchors on the axes put corners at zero, where the field is 0 a.s.
+    spec = MildTheta(0.3, 0.7, 0.8)
+    plan = ProbePlan(u_pairs=(((0.6, 1.1), (1.4, 0.5)),
+                              ((1.0, 0.3), (0.4, 1.2))),
+                     shifts=((0.0, 0.0), (0.0, 0.8), (1.3, 0.0)))
+    rows = mc_increment_stationarity(spec, plan=plan, seed=10, n_samples=4000)
+    assert len(rows) == 12
+    for r in rows:
+        assert all(math.isfinite(r[c]) for c in ("estimate", "se",
+                                                  "z_analytic"))
+        assert abs(r["z_analytic"]) <= 4.0
