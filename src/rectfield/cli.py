@@ -31,7 +31,8 @@ import numpy as np
 from . import movingavg, quadrature, spectral
 from .increments import ProbePlan, classify_stationarity
 from .kernels import FieldSpec, MovingPair, StrictWeights, make_kernel
-from .lamperti import c_theta, mild_criterion_residual, StationaryCov
+from .lamperti import (StationaryCov, c_fbs_stationary, c_theta,
+                       mild_criterion_residual)
 from .quadrature import OracleCheck
 from .simulate import (
     MAX_LIMIT_INDEX,
@@ -171,6 +172,9 @@ MAX_SAMPLE_VALUES = 1 << 24
 MAX_N_REPS = 1_000_000
 MAX_PROBE_PAIRS = 1000
 MAX_PROBE_SHIFTS = 100
+# mc draws n_samples rows per probe pair and shift of its plan, at most the
+# default 20 x 10 plan at MAX_N_SAMPLES (mc's own 4 x 3 plan stays below).
+MAX_MC_DRAWS = 20 * 10 * MAX_N_SAMPLES
 _PROBE_MAX = {"n_pairs": MAX_PROBE_PAIRS, "n_shifts": MAX_PROBE_SHIFTS}
 
 
@@ -312,7 +316,7 @@ def validate_config(cfg: dict) -> RunConfig:
                              hi=_PROBE_MAX.get(k)))
             for k, v in probes.items()}
         try:   # ProbePlan.default names the box or shift_box it rejects
-            ProbePlan.default(len(spec.hurst), **params["probes"])
+            plan = ProbePlan.default(len(spec.hurst), **params["probes"])
         except ValueError as exc:
             raise ConfigError(f"probes.{exc}") from None
     elif command == "simulate":
@@ -375,6 +379,13 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(
                 f"n_samples: {params['n_samples']} samples of {n_points} "
                 f"grid points exceed {MAX_SAMPLE_VALUES} values")
+        n_probes = (len(plan.u_pairs) * len(plan.shifts)
+                    if command == "mc" and params["probes"] else 0)
+        if params["n_samples"] * n_probes > MAX_MC_DRAWS:
+            raise ConfigError(
+                f"n_samples: {params['n_samples']} samples for each of "
+                f"{len(plan.u_pairs)} x {len(plan.shifts)} probe pairs and "
+                f"shifts exceed {MAX_MC_DRAWS} draws")
         params["n_workers"] = _number(cfg.get("n_workers", 1), "n_workers",
                                       int, lo=1, hi=MAX_WORKERS)
 
@@ -406,18 +417,18 @@ def _suite_lemmas(tol):
 def _suite_densities():
     checks = []
     xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
-    rel = max(abs(spectral.g_fbm(0.5, x) - spectral.g_w(x)) / spectral.g_w(x)
-              for x in xs)
+    rel = np.max(np.abs(spectral.g_fbm(0.5, xs) - spectral.g_w(xs))
+                 / spectral.g_w(xs))
     checks.append((OracleCheck("half_reduces_to_cauchy",
                                {"grid": "[-10,10]/0.1"}, rel, 0.0), 1e-10))
     for H in (0.1, 0.3, 0.5, 0.7, 0.9):
         mass = spectral.cov_from_density(spectral.fbm_density(H), (0.0,)).value
         checks.append((OracleCheck("unit_mass", {"H": H}, mass, 1.0), 1e-6))
-    from .lamperti import c_fbs_stationary
+    lags = (-2.0, 0.7, 2.5)
     for H in (0.3, 0.7):
-        for v in (-2.0, 0.7, 2.5):
+        wants = c_fbs_stationary((H,), np.array(lags)[:, None])
+        for v, want in zip(lags, wants):
             got = spectral.cov_from_density(spectral.fbm_density(H), (v,)).value
-            want = c_fbs_stationary((H,), (v,))
             checks.append((OracleCheck("fourier_reconstruction",
                                        {"H": H, "v": v}, got, want), 1e-4))
     for H, s, t in ((0.3, 1.0, 2.0), (0.7, 0.5, 3.0), (0.5, 1.0, math.e)):
@@ -430,30 +441,29 @@ def _suite_densities():
 
 def _suite_criteria():
     checks = []
-    vgrid = np.linspace(-3.0, 3.0, 7)
+    lags = np.stack(np.meshgrid(np.linspace(-3.0, 3.0, 7),
+                                np.linspace(-3.0, 3.0, 7), indexing="ij"), -1)
     for h1, h2 in ((0.3, 0.7), (0.5, 0.5)):
         for theta in (-1.0, 1.0):
             C = StationaryCov(2, lambda v, a=h1, b=h2, th=theta: c_theta(a, b, th, v))
-            worst = max(abs(mild_criterion_residual(C, (h1, h2), (v1, v2)))
-                        for v1 in vgrid for v2 in vgrid)
+            worst = np.max(np.abs(mild_criterion_residual(C, (h1, h2), lags)))
             checks.append((OracleCheck("mild_criterion",
                                        {"H": [h1, h2], "theta": theta},
                                        worst, 0.0), 1e-12))
     H = (0.3, 0.7)
+    freqs = np.stack(np.meshgrid((-2.0, 0.5, 1.5), (-1.0, 0.4, 2.0),
+                                 indexing="ij"), -1)
     dens = spectral.product_density(H)
-    worst = max(abs(spectral.density_criterion_residual(dens, H, (x1, x2)))
-                for x1 in (-2.0, 0.5, 1.5) for x2 in (-1.0, 0.4, 2.0))
+    worst = np.max(np.abs(spectral.density_criterion_residual(dens, H, freqs)))
     checks.append((OracleCheck("density_criterion_even", {"H": list(H)},
                                worst, 0.0), 1e-12))
 
     def perturbed(x):
-        x = np.atleast_1d(x)
         return (spectral.g_product(H, x)
-                * (1.0 + 0.5 * math.tanh(x[0]) * math.tanh(x[1])))
+                * (1.0 + 0.5 * np.tanh(x[..., 0]) * np.tanh(x[..., 1])))
 
     fdens = spectral.SpectralDensity(2, perturbed)
-    worst = max(abs(spectral.density_criterion_residual(fdens, H, (x1, x2)))
-                for x1 in (-2.0, 0.5, 1.5) for x2 in (-1.0, 0.4, 2.0))
+    worst = np.max(np.abs(spectral.density_criterion_residual(fdens, H, freqs)))
     checks.append((OracleCheck("density_criterion_odd_perturbation",
                                {"H": list(H), "delta": 0.5}, worst, 0.0),
                    1e-12))
@@ -567,8 +577,8 @@ def _run_cov(cfg, out_dir):
 
 
 def _run_density(cfg, out_dir):
-    H = cfg.spec.hurst
-    rows = [(_fmt(pt), spectral.g_product(H, pt)) for pt in cfg.params["x"]]
+    values = spectral.g_product(cfg.spec.hurst, cfg.params["x"])
+    rows = list(zip(map(_fmt, cfg.params["x"]), values.tolist()))
     _write_csv(out_dir / "density.csv", rows, ["x", "value"], "%s,%.17g\r\n")
     print(f"density[{cfg.spec.family}] wrote {len(rows)} values")
     return 0

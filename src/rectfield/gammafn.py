@@ -75,11 +75,11 @@ def c2(H: float) -> float:
     return math.sqrt(math.gamma(1 + 2 * H) * math.sin(math.pi * H)) / math.gamma(H + 0.5)
 
 
-def log_cosh(x: float) -> float:
-    """log(cosh(x)), accurate for all x without overflow."""
+def log_cosh(x):
+    """log(cosh(x)), accurate for all x without overflow; x a number or an array."""
     ax = abs(x)
     # cosh(x) = e^|x| (1 + e^{-2|x|}) / 2
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
 def pow_plus(u: float, a: float) -> float:

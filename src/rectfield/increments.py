@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CovKernel, StationarityClass, lift_scalar
+from .kernels import CovKernel, StationarityClass
 
 PLAN_BLOCK = 1 << 16      # corner pairs per kernel call in probe_covariances
 
@@ -99,11 +99,11 @@ def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
 
     The box corners broadcast against each other over their leading axes;
     the result has the broadcast leading shape.  All corner pairs go to the
-    kernel in one call.
+    kernel's array form in one call; a bare callable is that array form.
     """
     c1, signs = _corners(lo1, hi1)
     c2, _ = _corners(lo2, hi2)
-    batch = kernel.batch if isinstance(kernel, CovKernel) else lift_scalar(kernel)
+    batch = kernel.batch if isinstance(kernel, CovKernel) else kernel
     K = batch(c1[..., :, None, :], c2[..., None, :, :])
     return signs @ K @ signs
 

@@ -52,6 +52,7 @@ import enum
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -73,7 +74,6 @@ __all__ = [
     "MovingPair",
     "FieldSpec",
     "CovKernel",
-    "lift_scalar",
     "make_kernel",
     "cov_fbs",
     "cov_strict_general",
@@ -109,12 +109,18 @@ def validate_hurst(values) -> tuple[float, ...]:
     return out
 
 
-def _as_points(p, n) -> np.ndarray:
-    """Float array of points (..., n), each finite and in the positive orthant."""
-    pts = np.asarray(p, dtype=float)
-    if pts.shape[-1:] != (n,):
+def _points(p, n) -> np.ndarray:
+    """Float array of points (..., n); a bare number is a 1-D point."""
+    pts = np.atleast_1d(np.asarray(p, dtype=float))
+    if pts.shape[-1] != n:
         raise ValueError(f"points of shape {pts.shape} do not have dimension "
                          f"{n} on their last axis")
+    return pts
+
+
+def _as_points(p, n) -> np.ndarray:
+    """``_points``, each finite and in the positive orthant."""
+    pts = _points(p, n)
     if not ((pts >= 0.0) & (pts < math.inf)).all():
         raise ValueError("points must be finite and in the positive orthant")
     return pts
@@ -299,9 +305,10 @@ def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray
     (1/4) prod_i a_i (1 + (theta/4) prod_i (t_i^{2H}-s_i^{2H}) / max(s_i,t_i)^{2H})
     over point arrays (..., 2) -> (...).  Where the max power is 0 (or
     underflows) the ratio is taken as 0, and the base factor is 0 there.
+    Silent on a theta outside [-1, 1]: that warns where theta enters
+    (``MildTheta``, ``YHalf``, ``cov_mild_theta``, ``cov_y_half``).
     """
     (h1, h2) = validate_hurst((h1, h2))
-    _warn_theta(theta)
     s = _as_points(s, 2)
     t = _as_points(t, 2)
     base, corr = 0.25, 1.0
@@ -325,51 +332,62 @@ def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray
 
 def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
     """``cov_strict_general_array`` at one pair of points."""
-    return float(cov_strict_general_array(H, weights, *np.atleast_1d(s, t)))
+    return float(cov_strict_general_array(H, weights, s, t))
 
 
 def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
     """``cov_mild_theta_array`` at one pair of points."""
-    return float(cov_mild_theta_array(h1, h2, theta, *np.atleast_1d(s, t)))
+    _warn_theta(theta)
+    return float(cov_mild_theta_array(h1, h2, theta, s, t))
 
 
 def cov_fbs(H, s, t) -> float:
     """Fractional Brownian sheet: 2^{-N} prod_k (t^{2H}+s^{2H}-|t-s|^{2H})."""
     H = validate_hurst(H)
     return float(cov_strict_general_array(H, StrictWeights.uniform(len(H)),
-                                          *np.atleast_1d(s, t)))
+                                          s, t))
 
 
 def cov_strict_2d(h1: float, h2: float, gamma: float, s, t) -> float:
     """Two-dimensional strict covariance (a1 a2 + gamma b1 b2) / 4."""
     return float(cov_strict_general_array((h1, h2), strict2d_weights(gamma),
-                                          *np.atleast_1d(s, t)))
+                                          s, t))
 
 
 def cov_y_half(theta: float, s, t) -> float:
     """Brownian-sheet covariance with the mild correction at H = (1/2, 1/2)."""
-    return float(cov_mild_theta_array(0.5, 0.5, theta, *np.atleast_1d(s, t)))
+    _warn_theta(theta)
+    return float(cov_mild_theta_array(0.5, 0.5, theta, s, t))
 
 
 def cov_z_half(gamma: float, s, t) -> float:
     """Brownian-sheet covariance plus the log-bracket coupling at H = (1/2, 1/2)."""
-    _warn_gamma(gamma, stacklevel=3)
+    _warn_gamma(gamma)
     return float(cov_strict_general_array((0.5, 0.5), strict2d_weights(gamma),
-                                          *np.atleast_1d(s, t)))
+                                          s, t))
+
+
+def _warn_from_caller(message: str):
+    """Warn at the nearest caller outside this module (and its dataclass
+    ``__init__``s), where the value entered, whatever path carried it."""
+    level, frame = 2, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
 
 
 def _warn_theta(theta: float):
     if not -1.0 <= theta <= 1.0:
-        warnings.warn(
+        _warn_from_caller(
             f"theta={theta:g} outside [-1,1]: positive semidefiniteness is not "
-            "guaranteed, run the numerical eigenvalue check", stacklevel=3)
+            "guaranteed, run the numerical eigenvalue check")
 
 
-def _warn_gamma(gamma: float, stacklevel: int):
+def _warn_gamma(gamma: float):
     if -1.0 <= gamma <= 0.0:
-        warnings.warn(
+        _warn_from_caller(
             f"gamma={gamma:g} is outside (0,1], where dependence of disjoint "
-            "increments is guaranteed positive", stacklevel=stacklevel)
+            "increments is guaranteed positive")
 
 
 # --------------------------------------------------------------------------
@@ -464,6 +482,7 @@ class MildTheta(_Family):
         validate_hurst((self.h1, self.h2))
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
+        _warn_theta(self.theta)
 
     @property
     def claimed_class(self):
@@ -500,7 +519,7 @@ class ZHalf(_Family):
 
     def __post_init__(self):
         self.canonical()   # validates gamma
-        _warn_gamma(self.gamma, stacklevel=4)
+        _warn_gamma(self.gamma)
 
     def canonical(self):
         return Strict2D(0.5, 0.5, self.gamma).canonical()
@@ -599,19 +618,6 @@ class CovKernel:
     @property
     def n(self) -> int:
         return len(self.spec.hurst)
-
-
-def lift_scalar(ev: Callable[..., float]) -> Callable[..., np.ndarray]:
-    """The array form of a scalar covariance ``ev(s, t)``: one call per pair."""
-    def batch(s, t):
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                   np.asarray(t, dtype=float))
-        out = np.empty(s.shape[:-1])
-        for idx in np.ndindex(out.shape):
-            out[idx] = ev(s[idx], t[idx])
-        return out
-
-    return batch
 
 
 def make_kernel(spec: FieldSpec) -> CovKernel:

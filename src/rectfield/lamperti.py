@@ -18,18 +18,24 @@ when its stationary covariance C satisfies the sign-symmetrization identity
     sum over eps in {-1,+1}^N of C(eps o v)  =  2^N C_fbs(v)   for all v,
 
 whose residual is exposed here for numerical verification.
+
+``c_fbs_stationary``, ``c_theta``, ``lamperti_inverse`` and the criterion
+map lag (or point) arrays of shape (..., N) to shape (...); a single lag
+gives a ``np.float64`` and a bare number is a one-dimensional lag.  A
+stationary covariance C, a ``StationaryCov`` or a bare callable, follows
+the same contract, so the criterion evaluates the 2^N sign flips of a
+whole lag grid in one call of C.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .kernels import CovKernel, validate_hurst
+from .kernels import CovKernel, _points, _sign_vectors, validate_hurst
 
 __all__ = [
     "StationaryCov",
@@ -45,13 +51,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationaryCov:
-    """A stationary covariance function v -> C(v) on R^N."""
+    """A stationary covariance v -> C(v) on R^N, lags (..., N) -> (...)."""
 
     n: int
-    evaluate: Callable[..., float]
+    evaluate: Callable[..., np.ndarray]
 
-    def __call__(self, v) -> float:
-        return self.evaluate(v)
+    def __call__(self, v) -> np.ndarray:
+        return self.evaluate(np.asarray(v, dtype=float))
 
 
 class SelfSimilarityError(ValueError):
@@ -85,93 +91,78 @@ def lamperti_forward(kernel: CovKernel, check: bool = True,
                 f"self-similarity residual {resid:.3e} exceeds {check_tol:.1e}")
 
     def evaluate(v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        lo = np.exp(-v / 2.0)
-        hi = np.exp(v / 2.0)
-        return kernel(lo, hi)
+        v = np.asarray(v, dtype=float)
+        return kernel.batch(np.exp(-v / 2.0), np.exp(v / 2.0))
 
     return StationaryCov(n=kernel.n, evaluate=evaluate)
 
 
-def lamperti_inverse(C: StationaryCov, H, s, t) -> float:
+def lamperti_inverse(C: StationaryCov, H, s, t) -> np.ndarray:
     """Self-similar kernel induced by a stationary covariance.
 
     prod_k (t_k s_k)^{H_k} C(log(t_k/s_k)) for strictly positive
-    coordinates, zero if any coordinate of s or t lies on the boundary.
+    coordinates, zero where any coordinate of s or t lies on the boundary;
+    over point arrays (..., N) that broadcast against each other.
     """
     H = validate_hurst(H)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(s) != len(H) or len(t) != len(H):
-        raise ValueError("point dimension does not match Hurst vector")
-    if np.any(s < 0.0) or np.any(t < 0.0):
+    s = _points(s, len(H))
+    t = _points(t, len(H))
+    if (s < 0.0).any() or (t < 0.0).any():
         raise ValueError("points must lie in the positive orthant")
-    if np.any(s == 0.0) or np.any(t == 0.0):
-        return 0.0
-    pref = math.prod(float(tk * sk)**h for h, sk, tk in zip(H, s, t))
-    return pref * C.evaluate(np.log(t / s))
+    # boundary points are evaluated at s = t = 1 and then set to zero
+    edge = ((s == 0.0) | (t == 0.0)).any(axis=-1, keepdims=True)
+    s, t = np.where(edge, 1.0, s), np.where(edge, 1.0, t)
+    pref = np.prod((t * s) ** np.asarray(H), axis=-1)
+    return np.where(edge[..., 0], 0.0, pref * C.evaluate(np.log(t / s)))[()]
 
 
-def _log1mexp(av: float) -> float:
-    """log(1 - e^{-av}) for av > 0, accurate on both sides of av = log 2."""
-    if av < math.log(2.0):
-        return math.log(-math.expm1(-av))
-    return math.log1p(-math.exp(-av))
-
-
-def _c_fbs_factor(h: float, av: float) -> float:
+def _c_fbs_factor(h, av):
     """cosh(h v) - 2^{2h-1} |sinh(v/2)|^{2h} at av = |v|, cancellation-free.
 
     Factoring out e^{h av}/2 leaves the bracket
     e^{-2 h av} + (1 - (1 - e^{-av})^{2h}), a sum of positive terms, while
     the direct difference loses all digits once av exceeds about 36.
+    log(1 - e^{-av}) is taken on the side of av = log 2 where it is
+    accurate.
     """
-    if av == 0.0:
-        return 1.0
-    bracket = math.exp(-2.0 * h * av) - math.expm1(2.0 * h * _log1mexp(av))
-    if bracket <= 0.0:
-        return 0.0
-    return math.exp(h * av + math.log(bracket) - math.log(2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log1mexp = np.where(av < math.log(2.0), np.log(-np.expm1(-av)),
+                            np.log1p(-np.exp(-av)))
+        bracket = np.exp(-2.0 * h * av) - np.expm1(2.0 * h * log1mexp)
+        out = np.exp(h * av + np.log(bracket) - math.log(2.0))
+    return np.where(av == 0.0, 1.0, np.where(bracket <= 0.0, 0.0, out))
 
 
-def c_fbs_stationary(H, v) -> float:
+def c_fbs_stationary(H, v) -> np.ndarray:
     """Stationary sheet covariance prod_i (cosh(H v) - 2^{2H-1}|sinh(v/2)|^{2H})."""
     H = validate_hurst(H)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if len(v) != len(H):
-        raise ValueError("argument dimension does not match Hurst vector")
-    out = 1.0
-    for h, vk in zip(H, v):
-        out *= _c_fbs_factor(h, abs(float(vk)))
-    return out
+    v = _points(v, len(H))
+    return np.prod(_c_fbs_factor(np.asarray(H), np.abs(v)), axis=-1)
 
 
-def c_theta(h1: float, h2: float, theta: float, v) -> float:
+def c_theta(h1: float, h2: float, theta: float, v) -> np.ndarray:
     """Stationary covariance of the mild family:
 
     C_fbs(v) (1 + theta e^{-H1|v1|-H2|v2|} sinh(H1 v1) sinh(H2 v2)).
     """
     validate_hurst((h1, h2))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if len(v) != 2:
-        raise ValueError("expected a two-dimensional argument")
+    v = _points(v, 2)
+    v1, v2 = v[..., 0], v[..., 1]
     base = c_fbs_stationary((h1, h2), v)
-    damp = math.exp(-h1 * abs(v[0]) - h2 * abs(v[1]))
-    return base * (1.0 + theta * damp * math.sinh(h1 * v[0]) * math.sinh(h2 * v[1]))
+    damp = np.exp(-h1 * np.abs(v1) - h2 * np.abs(v2))
+    return base * (1.0 + theta * damp * np.sinh(h1 * v1) * np.sinh(h2 * v2))
 
 
-def mild_criterion_residual(C, H, v) -> float:
-    """Residual of the sign-symmetrization identity at v.
+def mild_criterion_residual(C, H, v) -> np.ndarray:
+    """Residual of the sign-symmetrization identity at the lags v (..., N).
 
     sum_{eps in {-1,+1}^N} C(eps o v) - 2^N C_fbs(v); identically zero over
     v exactly when the inverse-Lamperti field of C has mild stationary
-    rectangular increments.
+    rectangular increments.  C is called once, on the flipped lags
+    (..., 2^N, N).
     """
     H = validate_hurst(H)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if len(v) != len(H):
-        raise ValueError("argument dimension does not match Hurst vector")
-    acc = 0.0
-    for eps in itertools.product((1.0, -1.0), repeat=len(H)):
-        acc += C(np.asarray(eps) * v)
-    return acc - 2.0**len(H) * c_fbs_stationary(H, v)
+    v = _points(v, len(H))
+    flips = np.asarray(_sign_vectors(len(H)), dtype=float)
+    return (C(flips * v[..., None, :]).sum(axis=-1)
+            - 2.0**len(H) * c_fbs_stationary(H, v))

@@ -44,8 +44,9 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .gammafn import c2, pow_plus
-from .kernels import MovingPair, moving_constraint_residual, validate_hurst
-from .quadrature import DEFAULT_BUDGET, QuadratureError, _Budget, _quad_panel
+from .kernels import (MovingPair, _points, moving_constraint_residual,
+                      validate_hurst)
+from .quadrature import QuadratureError, integrate_1d
 
 __all__ = [
     "MAKernel",
@@ -188,17 +189,6 @@ def make_ma_kernel(H, weights: Mapping) -> MAKernel:
 # Coordinate inner products (one-dimensional quadratures)
 # --------------------------------------------------------------------------
 
-def _panel_integral(f, lo, hi, cuts, budget, tol):
-    """Integrate f over (lo, hi) with singular abscissae as panel edges."""
-    edges = [lo] + sorted(c for c in set(cuts) if lo < c < hi) + [hi]
-    total, err = 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _quad_panel(f, a, b, budget, epsabs=tol)
-        total += v
-        err += e
-    return total, err
-
-
 @lru_cache(maxsize=4096)
 def _power_inner(h: float, kind: str, t: float, s: float) -> float:
     """int k1(t, x) k2(s, x) dx for k1, k2 in {p, f} coded as 'pp', 'pf', ...."""
@@ -210,36 +200,34 @@ def _power_inner(h: float, kind: str, t: float, s: float) -> float:
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if lo >= hi:
         return 0.0
-    bud = _Budget(DEFAULT_BUDGET)
 
     def f(x):
         return k1(h, t, x) * k2(h, s, x)
 
     # cuts at +-1 beyond {0, s, t} keep the power singularities on finite
     # panels; the slow tails (|x|^{2H-3}, H near 1) are certified only to
-    # ~1e-9, so 1e-8 here still leaves the 1e-3 covariance contract intact
+    # ~1e-9, so 1e-8 per panel still leaves the 1e-3 covariance contract
+    # intact (integrate_1d asks each panel for a quarter of its tol)
     cuts = (0.0, s, t, -1.0, max(s, t) + 1.0)
-    val, _ = _panel_integral(f, lo, hi, cuts, bud, tol=1e-8)
-    return val
+    return integrate_1d(f, lo, hi, tol=4 * 1e-8, singular_points=cuts).value
 
 
 @lru_cache(maxsize=4096)
 def _log_inner_il(t: float, s: float) -> float:
-    """int_0^t log(|s-x|/|x|) dx."""
-    bud = _Budget(DEFAULT_BUDGET)
-    val, _ = _panel_integral(lambda x: log_ratio(s, x), 0.0, t, (s,), bud,
-                             tol=1e-10)
-    return val
+    """int_0^t log(|s-x|/|x|) dx; 0 on the empty range t = 0."""
+    if t == 0.0:
+        return 0.0
+    return integrate_1d(lambda x: log_ratio(s, x), 0.0, t, tol=4 * 1e-10,
+                        singular_points=(s,)).value
 
 
 @lru_cache(maxsize=4096)
 def _log_inner_ll(t: float, s: float) -> float:
     """int_R log(|t-x|/|x|) log(|s-x|/|x|) dx."""
-    bud = _Budget(DEFAULT_BUDGET)
     cuts = (0.0, s, t, -1.0, max(s, t) + 1.0)
-    val, _ = _panel_integral(lambda x: log_ratio(t, x) * log_ratio(s, x),
-                             -math.inf, math.inf, cuts, bud, tol=1e-9)
-    return val
+    return integrate_1d(lambda x: log_ratio(t, x) * log_ratio(s, x),
+                        -math.inf, math.inf, tol=4 * 1e-9,
+                        singular_points=cuts).value
 
 
 def _coord_factor_power(h, t, s, e1, e2) -> complex:
@@ -273,10 +261,7 @@ def cov_from_ma(kernel: MAKernel, s, t, imag_tol: float = 1e-6) -> float:
     product of one-dimensional quadratures per pair.  The imaginary part
     must cancel by weight symmetry; a residual beyond ``imag_tol`` raises.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(s) != kernel.n or len(t) != kernel.n:
-        raise ValueError("point dimension does not match kernel")
+    s, t = _points(s, kernel.n), _points(t, kernel.n)
     total = 0.0 + 0.0j
     for e, (ke, phe) in kernel.weights.items():
         if ke == 0.0:
@@ -311,10 +296,7 @@ def cov_moving_pair(spec: MovingPair, s, t) -> float:
     with I_* the coordinate inner products at (t_j, s_j); the H = 1/2
     variant replaces the power parts by indicator and log blocks.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(s) != 2 or len(t) != 2:
-        raise ValueError("moving pair is two-dimensional")
+    s, t = _points(s, 2), _points(t, 2)
     d0, d1 = spec.d0, spec.d1
     if spec.h1 == 0.5:
         pp = min(t[0], s[0]) * min(t[1], s[1])

@@ -21,11 +21,15 @@ reproduce the stationary sheet covariance (total mass one).
 (Fourier-weight rules with cycle acceleration on the oscillatory tails) and
 reports the imaginary residual; ``density_criterion_residual`` evaluates
 the density-level membership identity for the mild class.
+
+``g_w`` and ``g_fbm`` map frequencies elementwise; ``g_product``, the
+``evaluate`` of a ``SpectralDensity`` and the criterion map frequencies
+(..., N) to (...), one call of the density for all 2^N sign flips of a
+grid.  A single frequency gives a ``np.float64``, as quadrature needs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -34,7 +38,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .gammafn import log_cosh
-from .kernels import validate_hurst
+from .kernels import _points, _sign_vectors, validate_hurst
 from .quadrature import DEFAULT_BUDGET, QuadratureError, _Budget, _quad_panel
 
 __all__ = [
@@ -51,63 +55,61 @@ __all__ = [
 ]
 
 
-def g_w(x: float) -> float:
-    """Cauchy spectral density of the time-changed Brownian motion."""
-    x = float(x)
+def g_w(x):
+    """Cauchy density of the time-changed Brownian motion, elementwise in x."""
     return 1.0 / (2.0 * math.pi * (0.25 + x * x))
 
 
-def g_fbm(H: float, x: float) -> float:
+def g_fbm(H: float, x):
     """Spectral density g_H(x) of the time-changed fractional Brownian motion.
 
-    Evaluated in log space: the exponential growth of 1/|Gamma(H+ix)|^2 and
-    the exponential decay of cosh(pi x)/(cosh^2(pi x) - cos^2(pi H)) cancel
-    analytically, leaving the power-law tail ~ c_H |x|^{-1-2H} that a naive
-    evaluation loses to overflow beyond |x| of about 200.
+    x is a number or an array, mapped elementwise.  Evaluated in log space:
+    the exponential growth of 1/|Gamma(H+ix)|^2 and the exponential decay of
+    cosh(pi x)/(cosh^2(pi x) - cos^2(pi H)) cancel analytically, leaving the
+    power-law tail ~ c_H |x|^{-1-2H} that a naive evaluation loses to
+    overflow beyond |x| of about 200.
     """
     (H,) = validate_hurst(H)
-    x = float(x)
     ax = abs(x)
-    log_gamma2 = 2.0 * float(np.real(loggamma(complex(H, ax))))
+    log_gamma2 = 2.0 * loggamma(H + 1j * ax).real
     lc = log_cosh(math.pi * ax)
     cos_h = math.cos(math.pi * H)
     # log(cosh^2 - cos^2) = 2 log cosh + log1p(-(cos/cosh)^2)
-    log_den = 2.0 * lc + math.log1p(-(cos_h * cos_h) * math.exp(-2.0 * lc))
-    log_val = (math.log(2.0 * H / (H * H + x * x))
+    log_den = 2.0 * lc + np.log1p(-(cos_h * cos_h) * np.exp(-2.0 * lc))
+    log_val = (np.log(2.0 * H / (H * H + x * x))
                + math.log(math.pi) + math.lgamma(2.0 * H) - log_gamma2
                + math.log(math.sin(math.pi * H)) + lc - log_den
                - math.log(2.0 * math.pi))
-    return math.exp(log_val)
+    return np.exp(log_val)
 
 
-def g_product(H, x) -> float:
-    """Product density prod_k g_{H_k}(x_k) for the stationary sheet covariance."""
+def g_product(H, x) -> np.ndarray:
+    """The sheet's density prod_k g_{H_k}(x_k), frequencies (..., N) -> (...)."""
     H = validate_hurst(H)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(x) != len(H):
-        raise ValueError("argument dimension does not match Hurst vector")
-    return math.prod(g_fbm(h, xk) for h, xk in zip(H, x))
+    x = _points(x, len(H))
+    return math.prod(g_fbm(h, x[..., k]) for k, h in enumerate(H))
 
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Nonnegative integrable density on R^N.
+    """Nonnegative integrable density on R^N, frequencies (..., N) -> (...).
 
-    ``factors`` optionally lists one-dimensional densities whose product is
-    ``evaluate``; the Fourier inversion then factorizes coordinate-wise.
+    ``factors`` optionally lists one-dimensional densities, each mapping
+    frequencies elementwise, whose product is ``evaluate``; the Fourier
+    inversion then factorizes coordinate-wise.
     """
 
     n: int
-    evaluate: Callable[..., float]
+    evaluate: Callable[..., np.ndarray]
     factors: tuple | None = None
 
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
+    def __call__(self, x) -> np.ndarray:
+        return self.evaluate(np.asarray(x, dtype=float))
 
 
 def fbm_density(H: float) -> SpectralDensity:
     (H,) = validate_hurst(H)
-    return SpectralDensity(1, lambda x: g_fbm(H, np.atleast_1d(x)[0]),
+    return SpectralDensity(1, lambda x: g_fbm(H, x[..., 0]),
                            factors=((lambda x, h=H: g_fbm(h, x)),))
 
 
@@ -155,9 +157,7 @@ def cov_from_density(f: SpectralDensity, v, tol: float = 1e-6,
     The imaginary part of the transform is returned as a residual: it
     vanishes (up to quadrature error) for densities even under x -> -x.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if len(v) != f.n:
-        raise ValueError(f"lag has dimension {len(v)}, density is {f.n}-dimensional")
+    v = _points(v, f.n)
     bud = _Budget(budget)
     if f.factors is not None:
         if len(f.factors) != f.n:
@@ -170,8 +170,8 @@ def cov_from_density(f: SpectralDensity, v, tol: float = 1e-6,
             err += e
         return TransformResult(total.real, abs(total.imag), err)
     if f.n == 1:
-        re, im, err = _transform_1d(lambda x: f.evaluate((x,)), float(v[0]),
-                                    bud, tol)
+        re, im, err = _transform_1d(lambda x: f.evaluate(np.array((x,))),
+                                    float(v[0]), bud, tol)
         return TransformResult(re, abs(im), err)
     if f.n == 2:
         return _transform_2d(f, v, bud, tol)
@@ -192,23 +192,16 @@ def _transform_2d(f, v, budget, tol):
 
     def inner(x1):
         if x1 not in slices:
-            re, im, _ = _transform_1d(lambda x2: f.evaluate((x1, x2)),
+            re, im, _ = _transform_1d(lambda x2: f.evaluate(np.array((x1, x2))),
                                       float(v[1]), _Budget(budget.limit),
                                       inner_tol)
             slices[x1] = complex(re, im)
         return slices[x1]
 
     def outer_part(part):
-        geven = lambda x1: part(inner(x1) + inner(-x1))
-        godd = lambda x1: part(inner(x1) - inner(-x1))
-        if v[0] == 0.0:
-            re, err = _half_line(geven, budget, tol)
-            return re, 0.0, err
-        re, e1 = _quad_panel(geven, 0.0, np.inf, budget, epsabs=tol * 0.25,
-                             weight="cos", wvar=abs(float(v[0])))
-        im, e2 = _quad_panel(godd, 0.0, np.inf, budget, epsabs=tol * 0.25,
-                             weight="sin", wvar=abs(float(v[0])))
-        return re, math.copysign(1.0, float(v[0])) * im, e1 + e2
+        # each part of inner(x1) + inner(-x1) is the sum of the parts
+        return _transform_1d(lambda x1: part(inner(x1)), float(v[0]), budget,
+                             tol)
 
     # e^{i x1 v1} (a + ib): real = a cos - b sin, imag = a sin + b cos
     re_a, im_a, err_a = outer_part(lambda z: z.real)
@@ -216,19 +209,21 @@ def _transform_2d(f, v, budget, tol):
     return TransformResult(re_a - im_b, abs(im_a + re_b), err_a + err_b)
 
 
-def density_criterion_residual(f: SpectralDensity, H, x) -> float:
-    """Residual of the density-level mild-class identity at frequency x.
+def density_criterion_residual(f: SpectralDensity, H, x) -> np.ndarray:
+    """Residual of the density-level mild-class identity at frequencies x.
 
-    sum_{eps in {-1,+1}^N} f(eps o x) - 2^N prod_k g_{H_k}(x_k).
+    sum_{eps in {-1,+1}^N} f(eps o x) - 2^N prod_k g_{H_k}(x_k) over
+    frequency arrays (..., N) -> (...); f is evaluated once, on the flipped
+    frequencies (..., 2^N, N).
     """
     H = validate_hurst(H)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(x) != f.n or len(H) != f.n:
-        raise ValueError("dimension mismatch between density, H, and x")
-    acc = 0.0
-    for eps in itertools.product((1.0, -1.0), repeat=f.n):
-        acc += f.evaluate(np.asarray(eps) * x)
-    return acc - 2.0**f.n * g_product(H, x)
+    if len(H) != f.n:
+        raise ValueError(f"H has {len(H)} components, the density is "
+                         f"{f.n}-dimensional")
+    x = _points(x, f.n)
+    flips = np.asarray(_sign_vectors(f.n), dtype=float)
+    return (f.evaluate(flips * x[..., None, :]).sum(axis=-1)
+            - 2.0**f.n * g_product(H, x))
 
 
 def fbm_spectral_cov_check(H: float, s: float, t: float,

@@ -385,6 +385,30 @@ def test_oversized_grids_and_plans_fail_before_they_are_built(monkeypatch):
             validate_config(cfg)
 
 
+def test_mc_bounds_its_draws(tmp_path, capsys, monkeypatch):
+    # n_samples rows for each probe pair and shift of the plan mc will use;
+    # at the pair and shift ceilings, 2000 samples reach MAX_MC_DRAWS
+    cfg = {"command": "mc", "spec": {"family": "fbs", "H": [0.5, 0.5]},
+           "probes": {"n_pairs": cli.MAX_PROBE_PAIRS,
+                      "n_shifts": cli.MAX_PROBE_SHIFTS}}
+    n = cli.MAX_MC_DRAWS // (cli.MAX_PROBE_PAIRS * cli.MAX_PROBE_SHIFTS)
+    assert n * cli.MAX_PROBE_PAIRS * cli.MAX_PROBE_SHIFTS == cli.MAX_MC_DRAWS
+    validate_config({**cfg, "n_samples": n})
+    with pytest.raises(ConfigError, match="n_samples"):
+        validate_config({**cfg, "n_samples": n + 1})
+
+    def not_drawn(*args, **kwargs):
+        raise AssertionError("drew before the ceiling was checked")
+
+    monkeypatch.setattr(cli, "mc_increment_stationarity", not_drawn)
+    text = json.dumps({**cfg, "n_samples": n + 1})
+    assert _main_with_config(tmp_path, text, "mc") == 2
+    assert capsys.readouterr().err.startswith("config error: n_samples:")
+    # the default plan at the n_samples ceiling is the bound itself
+    validate_config({**cfg, "probes": {"n_pairs": 20, "n_shifts": 10},
+                     "n_samples": cli.MAX_N_SAMPLES})
+
+
 def test_simulate_bounds_its_draws():
     # n_samples times the grid's points, the size of the sample matrix
     spec = {"family": "fbs", "H": [0.5, 0.5]}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from rectfield.gammafn import (
     GammaPoleError,
     abs_gamma,
@@ -110,6 +111,16 @@ def test_log_cosh_matches_direct():
         assert log_cosh(x) == pytest.approx(math.log(math.cosh(x)), abs=1e-14)
     # far beyond cosh's overflow point
     assert log_cosh(1000.0) == pytest.approx(1000.0 - math.log(2.0), rel=1e-15)
+
+
+def test_log_cosh_array_matches_the_scalar_oracle():
+    xs = np.concatenate([np.linspace(-300.0, 300.0, 601),
+                         [0.0, 1e-9, -1e-9, 1000.0, -1000.0]])
+    want = np.array([oracle.log_cosh(x) for x in xs])
+    got = log_cosh(xs)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert isinstance(log_cosh(0.3), np.float64)
 
 
 def test_pow_plus_convention():

@@ -28,7 +28,6 @@ from rectfield.kernels import (
     StrictWeights,
     YHalf,
     ZHalf,
-    cov_fbs,
     make_kernel,
 )
 
@@ -185,9 +184,7 @@ def test_classify_synthetic_nonstationary():
     base = make_kernel(FBS((0.5, 0.5)))
 
     def warped(s, t):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return base(s, t) * math.sqrt((1 + s[0]) * (1 + t[0]))
+        return base.batch(s, t) * np.sqrt((1 + s[..., 0]) * (1 + t[..., 0]))
 
     plan = ProbePlan.default(2)
     report = classify_stationarity(warped, plan=plan)
@@ -203,9 +200,7 @@ def test_classify_inconclusive_band():
     base = make_kernel(FBS((0.5, 0.5)))
 
     def slightly_off(s, t):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return base(s, t) * (1 + 1e-6 * (s[0] + t[0]))
+        return base.batch(s, t) * (1 + 1e-6 * (s[..., 0] + t[..., 0]))
 
     plan = ProbePlan.default(2, n_pairs=5, n_shifts=4)
     report = classify_stationarity(slightly_off, plan=plan)
@@ -291,9 +286,15 @@ def _classify_reference(ev, H, plan):
 
 
 def _warped(s, t):
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return cov_fbs((0.5, 0.5), s, t) * math.sqrt((1 + s[0]) * (1 + t[0]))
+    """A bare array-native covariance, points (..., 2) -> (...)."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    return (make_kernel(FBS((0.5, 0.5))).batch(s, t)
+            * np.sqrt((1 + s[..., 0]) * (1 + t[..., 0])))
+
+
+def _warped_scalar(s, t):
+    """``_warped`` at one pair of points, through the scalar oracle."""
+    return oracle.cov_fbs((0.5, 0.5), s, t) * math.sqrt((1 + s[0]) * (1 + t[0]))
 
 
 _CLASSIFY_CASES = [
@@ -312,7 +313,7 @@ _CLASSIFY_CASES = [
 @pytest.mark.parametrize("case", _CLASSIFY_CASES, ids=repr)
 def test_classify_matches_scalar_corner_loop(case):
     if case == "bare callable":
-        kernel, ev, H = _warped, _warped, (0.5, 0.5)
+        kernel, ev, H = _warped, _warped_scalar, (0.5, 0.5)
     else:
         kernel = make_kernel(case)
         ev, H = oracle.evaluator(case), case.hurst

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from rectfield.kernels import (
     cov_strict_general,
     cov_y_half,
     cov_z_half,
-    lift_scalar,
     make_kernel,
     strict2d_weights,
     validate_weights,
@@ -285,6 +285,29 @@ def test_theta_outside_unit_interval_warns():
         cov_y_half(1.5, (1, 1), (2, 2))
 
 
+def test_theta_warning_points_at_the_caller_once():
+    # a theta outside [-1, 1] is reported where it enters, at the caller's
+    # line, never from inside kernels.py; make_kernel(YHalf) builds its
+    # canonical MildTheta and reports it at the make_kernel line
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        mild = MildTheta(0.3, 0.7, 8.0)
+        half = YHalf(1.5)
+        cov_y_half(1.5, (1, 1), (2, 2))
+        cov_mild_theta(0.3, 0.7, -2.0, (1, 1), (2, 2))
+        kernels = [make_kernel(mild), make_kernel(half)]
+    assert len(rec) == 5
+    assert all("semidefinite" in str(w.message) for w in rec)
+    assert [w.filename for w in rec] == [__file__] * 5
+    # evaluating the kernels warns no more, on single pairs or batches
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        for kernel in kernels:
+            kernel((1.0, 1.0), (2.0, 2.0))
+            kernel.batch(np.ones((3, 2)), np.full((3, 2), 2.0))
+    assert rec == []
+
+
 @pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=lambda s: repr(s))
 def test_self_similarity(spec):
     kernel = make_kernel(spec)
@@ -501,17 +524,6 @@ def test_batch_rejects_bad_points(spec):
             kernel.batch(bad, good[:1])
         with pytest.raises(ValueError):
             kernel.batch(good[:1], bad)
-
-
-def test_lift_scalar_loops_over_a_scalar_covariance():
-    base = make_kernel(MildTheta(0.3, 0.7, 0.5))
-    shifted = lift_scalar(lambda s, t: base(s, t) + 0.01)
-    S = np.array([[0.5, 1.0], [2.0, 0.0], [1.5, 1.5]])
-    T = np.array([[1.0, 1.0], [0.3, 0.7], [1.5, 1.5]])
-    got = shifted(S[:, None], T[None])
-    assert got.shape == (3, 3)
-    for i, j in np.ndindex(3, 3):
-        assert got[i, j] == base(S[i], T[j]) + 0.01
 
 
 def test_scalar_calls_are_the_batch_form_bit_for_bit():

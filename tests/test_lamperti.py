@@ -162,18 +162,16 @@ def test_mild_criterion_fbs_vanishes():
 def test_mild_criterion_c_theta_grid(H, theta):
     C = StationaryCov(2, lambda v: c_theta(H[0], H[1], theta, v))
     grid = np.linspace(-3.0, 3.0, 21)
-    worst = max(abs(mild_criterion_residual(C, H, (v1, v2)))
-                for v1 in grid for v2 in grid)
-    assert worst <= 1e-12
+    lags = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    assert np.max(np.abs(mild_criterion_residual(C, H, lags))) <= 1e-12
 
 
 def test_mild_criterion_detects_even_perturbation():
     H = (0.5, 0.5)
 
     def bumped(v):
-        v = np.atleast_1d(v)
         return (c_fbs_stationary(H, v)
-                + 0.1 * math.exp(-abs(v[0]) - abs(v[1])))
+                + 0.1 * np.exp(-np.abs(v[..., 0]) - np.abs(v[..., 1])))
 
     C = StationaryCov(2, bumped)
     v = (0.7, -1.1)
@@ -200,3 +198,89 @@ def test_mild_criterion_consistent_with_classifier():
     # and the closed-form kernel of the same family agrees
     kernel = make_kernel(MildTheta(h1, h2, theta))
     assert classify_stationarity(kernel, plan=plan).require_label() is label
+
+
+# --------------------------------------------------------------------------
+# The array forms against the scalar oracle, and one call per criterion
+# --------------------------------------------------------------------------
+
+# v = 0, both sides of log 2, and the cancellation-free branch (|v| >= 36)
+_LAGS = np.array([0.0, 1e-8, 0.3, -0.69, 0.7, -2.5, 10.0, 36.0, -36.0,
+                  100.0, 700.0, -700.0])
+_LAG_GRID = np.stack(np.meshgrid(_LAGS, _LAGS, indexing="ij"), axis=-1)
+
+
+def _assert_matches_oracle(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_c_fbs_stationary_array_matches_the_scalar_oracle(H):
+    want = np.array([oracle.c_fbs_stationary((H,), (v,)) for v in _LAGS])
+    _assert_matches_oracle(c_fbs_stationary((H,), _LAGS[:, None]), want)
+    for v, w in zip(_LAGS, want):   # one lag is one number
+        got = c_fbs_stationary((H,), (v,))
+        assert isinstance(got, np.float64)
+        assert abs(got - w) <= 1e-14 * abs(w)
+
+
+@pytest.mark.parametrize("H", [(0.3, 0.7), (0.5, 0.5), (0.1, 0.9)])
+def test_c_fbs_stationary_and_c_theta_grids_match_the_scalar_oracle(H):
+    want = np.array([[oracle.c_fbs_stationary(H, v) for v in row]
+                     for row in _LAG_GRID])
+    _assert_matches_oracle(c_fbs_stationary(H, _LAG_GRID), want)
+    for theta in (-1.0, 0.5, 1.0):
+        want = np.array([[oracle.c_theta(H[0], H[1], theta, v) for v in row]
+                         for row in _LAG_GRID])
+        _assert_matches_oracle(c_theta(H[0], H[1], theta, _LAG_GRID), want)
+        assert isinstance(c_theta(H[0], H[1], theta, (0.3, -0.7)), np.float64)
+
+
+@pytest.mark.parametrize("spec", [FBS((0.3, 0.7)), MildTheta(0.5, 0.5, 0.8),
+                                  MildTheta(0.25, 0.6, -0.7)], ids=repr)
+def test_lamperti_inverse_array_matches_the_scalar_oracle(spec):
+    H = spec.hurst
+    C = lamperti_forward(make_kernel(spec))
+    rng = np.random.default_rng(8)
+    S = rng.uniform(0.0, 3.0, (40, 2))
+    T = rng.uniform(0.0, 3.0, (40, 2))
+    T[::5] = S[::5]                                  # s = t
+    S[::7, 0] = 0.0                                  # boundary points
+    T[3::9, 1] = 0.0
+    got = lamperti_inverse(C, H, S[:, None], T[None])
+    want = np.array([[oracle.lamperti_inverse(C, H, s, t) for t in T]
+                     for s in S])
+    assert got.shape == want.shape == (40, 40)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert np.all(got[::7] == 0.0) and np.all(got[:, 3::9] == 0.0)
+    assert isinstance(lamperti_inverse(C, H, S[1], T[1]), np.float64)
+    with pytest.raises(ValueError):
+        lamperti_inverse(C, H, (1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        lamperti_inverse(C, H, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+
+
+_GRID_21 = np.stack(np.meshgrid(np.linspace(-3.0, 3.0, 21),
+                               np.linspace(-3.0, 3.0, 21), indexing="ij"),
+                   axis=-1)
+
+
+@pytest.mark.parametrize("lags", [np.array([0.7, -1.1]), _GRID_21],
+                         ids=["one lag", "21x21 grid"])
+def test_mild_criterion_calls_C_once(lags):
+    H, theta = (0.3, 0.7), 0.8
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return c_theta(H[0], H[1], theta, v)
+
+    C = StationaryCov(2, counted)
+    got = mild_criterion_residual(C, H, lags)
+    assert calls == [lags.shape[:-1] + (4, 2)]
+    assert got.shape == lags.shape[:-1]
+    # the flips and the sum are those of the scalar loop
+    flat = lags.reshape(-1, 2)
+    want = [oracle.mild_criterion_residual(C, H, v) for v in flat]
+    assert np.all(np.abs(got.reshape(-1) - want) <= 1e-14)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from rectfield.lamperti import c_fbs_stationary
 from rectfield.quadrature import QuadratureError, integrate_1d
 from rectfield.spectral import (
@@ -66,7 +67,7 @@ def test_mass_is_one():
 
 
 def test_transform_of_cauchy_density():
-    dens = SpectralDensity(1, lambda x: g_w(np.atleast_1d(x)[0]))
+    dens = SpectralDensity(1, lambda x: g_w(x[..., 0]))
     for v in (-2.0, 0.5, 3.0):
         res = cov_from_density(dens, (v,))
         assert res.value == pytest.approx(math.exp(-abs(v) / 2), abs=1e-8)
@@ -148,7 +149,9 @@ def test_transform_2d_computes_each_inner_slice_once(monkeypatch):
     monkeypatch.setattr(spectral, "_transform_1d",
                         lambda *a: calls.append(1) or real(*a))
     got = cov_from_density(dens, v, tol=1e-6)
-    assert len(calls) == len(set(seen)) < len(seen)
+    # one inner transform per distinct x1, and the two outer transforms
+    assert len(calls) == len(set(seen)) + 2
+    assert len(set(seen)) < len(seen)
     assert (got.value, got.imag_residual, got.err_estimate) == \
         (want.value, want.imag_residual, want.err_estimate)
 
@@ -174,8 +177,9 @@ def test_density_criterion_odd_perturbation_vanishes():
     H = (0.3, 0.7)
 
     def f(x):
-        x = np.atleast_1d(x)
-        return g_product(H, x) * (1 + 0.5 * math.tanh(x[0]) * math.tanh(x[1]))
+        x = np.asarray(x, dtype=float)
+        return g_product(H, x) * (1 + 0.5 * np.tanh(x[..., 0])
+                                  * np.tanh(x[..., 1]))
 
     dens = SpectralDensity(2, f)
     for x in ((0.5, 0.4), (-1.0, 2.0), (1.5, -0.7)):
@@ -218,3 +222,62 @@ def test_fbm_spectral_cov_check_random_sweep():
         s, t = rng.uniform(0.5, 4.0, 2)
         sp, cl = fbm_spectral_cov_check(H, s, t)
         assert abs(sp - cl) <= 1e-4, (H, s, t)
+
+
+# --------------------------------------------------------------------------
+# The array forms against the scalar oracle, and one call per criterion
+# --------------------------------------------------------------------------
+
+_FREQS = np.concatenate([np.linspace(-300.0, 300.0, 601),
+                         [0.0, 1e-9, -0.05, 0.05, 199.7]])
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_g_fbm_array_matches_the_scalar_oracle(H):
+    want = np.array([oracle.g_fbm(H, x) for x in _FREQS])
+    got = g_fbm(H, _FREQS)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert isinstance(g_fbm(H, 1.7), np.float64)
+    assert abs(g_fbm(H, 1.7) - oracle.g_fbm(H, 1.7)) <= 1e-14 * g_fbm(H, 1.7)
+
+
+def test_g_w_and_g_product_arrays_match_the_scalar_oracle():
+    want = np.array([oracle.g_w(x) for x in _FREQS])
+    assert np.all(np.abs(g_w(_FREQS) - want) <= 1e-14 * want)
+    X = np.stack(np.meshgrid(_FREQS[::10], _FREQS[::10], indexing="ij"),
+                 axis=-1)
+    for H in ((0.3, 0.7), (0.5, 0.5), (0.1, 0.9)):
+        want = np.array([[oracle.g_product(H, x) for x in row] for row in X])
+        got = g_product(H, X)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        assert isinstance(g_product(H, (0.5, -0.4)), np.float64)
+    with pytest.raises(ValueError):
+        g_product((0.3, 0.7), (0.5, 0.4, 0.1))
+
+
+_GRID_21 = np.stack(np.meshgrid(np.linspace(-3.0, 3.0, 21),
+                               np.linspace(-3.0, 3.0, 21), indexing="ij"),
+                   axis=-1)
+
+
+@pytest.mark.parametrize("freqs", [np.array([0.5, 0.4]), _GRID_21],
+                         ids=["one frequency", "21x21 grid"])
+def test_density_criterion_calls_f_once(freqs):
+    H = (0.3, 0.7)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return g_product(H, x) * (1 + 0.5 * np.tanh(x[..., 0])
+                                  * np.tanh(x[..., 1]))
+
+    dens = SpectralDensity(2, f)
+    got = density_criterion_residual(dens, H, freqs)
+    assert calls == [freqs.shape[:-1] + (4, 2)]
+    assert got.shape == freqs.shape[:-1]
+    # the flips and the sum are those of the scalar loop
+    want = [oracle.density_criterion_residual(dens, H, x)
+            for x in freqs.reshape(-1, 2)]
+    assert np.all(np.abs(got.reshape(-1) - want) <= 1e-14)
