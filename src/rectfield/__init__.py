@@ -57,7 +57,6 @@ from .movingavg import (
     ma_kernel_general,
     ma_kernel_half,
     make_ma_kernel,
-    validate_dd,
 )
 from .quadrature import (
     OracleCheck,

@@ -30,15 +30,17 @@ import numpy as np
 
 from . import movingavg, quadrature, spectral
 from .increments import ProbePlan, classify_stationarity
-from .kernels import FieldSpec, MovingPair, StrictWeights, make_kernel
+from .kernels import (FieldSpec, MovingPair, StrictWeights, make_kernel,
+                      moving_constraint_residual)
 from .lamperti import (StationaryCov, c_fbs_stationary, c_theta,
                        mild_criterion_residual)
 from .quadrature import OracleCheck
 from .simulate import (
-    MAX_LIMIT_INDEX,
     MAX_WORKERS,
+    MC_PLAN,
     Grid,
     PSDError,
+    _limit_indices,
     empirical_cov,
     grid_from_axes,
     limit_partial_sums,
@@ -173,7 +175,7 @@ MAX_N_REPS = 1_000_000
 MAX_PROBE_PAIRS = 1000
 MAX_PROBE_SHIFTS = 100
 # mc draws n_samples rows per probe pair and shift of its plan, at most the
-# default 20 x 10 plan at MAX_N_SAMPLES (mc's own 4 x 3 plan stays below).
+# classifier's default 20 x 10 plan at MAX_N_SAMPLES (MC_PLAN stays below).
 MAX_MC_DRAWS = 20 * 10 * MAX_N_SAMPLES
 _PROBE_MAX = {"n_pairs": MAX_PROBE_PAIRS, "n_shifts": MAX_PROBE_SHIFTS}
 
@@ -316,7 +318,7 @@ def validate_config(cfg: dict) -> RunConfig:
                              hi=_PROBE_MAX.get(k)))
             for k, v in probes.items()}
         try:   # ProbePlan.default names the box or shift_box it rejects
-            plan = ProbePlan.default(len(spec.hurst), **params["probes"])
+            plan = _probe_plan(command, len(spec.hurst), params["probes"])
         except ValueError as exc:
             raise ConfigError(f"probes.{exc}") from None
     elif command == "simulate":
@@ -348,25 +350,21 @@ def validate_config(cfg: dict) -> RunConfig:
         for key in ("r1", "r2"):
             if key not in cfg:
                 raise ConfigError(f"{key}: required for command 'limit-demo'")
-            params[key] = _number(cfg[key], key, int, lo=1, hi=512)
+            params[key] = _number(cfg[key], key, int)
         if "t_points" in cfg and "t_axes" in cfg:
             raise ConfigError("limit-demo: give either t_axes or t_points")
         key = "t_points" if "t_points" in cfg else "t_axes"
         pts = _floats(cfg.get(key, [0.5, 1.0, 1.5, 2.0]), key,
                       2 if key == "t_points" else 1)
-        if np.any(pts < 0.0) or (key == "t_points" and pts.shape[1] != 2):
-            raise ConfigError(f"{key}: expected nonnegative values"
-                              + (" in 2-D points" if key == "t_points" else ""))
         n_points = len(pts) if key == "t_points" else len(pts) ** 2
         if n_points > MAX_GRID_POINTS:
             raise ConfigError(f"{key}: {n_points} points exceed "
                               f"{MAX_GRID_POINTS}")
-        # a t_axes value is a coordinate on both axes
-        k = np.floor((pts if key == "t_points" else pts[:, None])
-                     * (params["r1"], params["r2"]))
-        if not np.all(k < MAX_LIMIT_INDEX):
-            raise ConfigError(f"{key}: floor(t_k r_k) must stay below "
-                              f"{MAX_LIMIT_INDEX}, got {k.max():.6g}")
+        try:   # a t_axes value is a coordinate on both axes
+            _limit_indices(params["r1"], params["r2"],
+                           pts if key == "t_points" else np.stack([pts, pts], -1))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         params[key] = pts.tolist()
         params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int,
                                    lo=2, hi=MAX_N_REPS)
@@ -380,7 +378,7 @@ def validate_config(cfg: dict) -> RunConfig:
                 f"n_samples: {params['n_samples']} samples of {n_points} "
                 f"grid points exceed {MAX_SAMPLE_VALUES} values")
         n_probes = (len(plan.u_pairs) * len(plan.shifts)
-                    if command == "mc" and params["probes"] else 0)
+                    if command == "mc" else 0)
         if params["n_samples"] * n_probes > MAX_MC_DRAWS:
             raise ConfigError(
                 f"n_samples: {params['n_samples']} samples for each of "
@@ -479,17 +477,13 @@ def _suite_criteria():
 def _suite_ma():
     from .kernels import cov_fbs
     checks = []
+    d = 1.0 / math.sqrt(3.0)
     for h1, h2, d0, d1 in ((0.3, 0.7, 1.0, 0.0), (0.5, 0.5, 1.0, 0.0),
-                           (0.5, 0.5, 0.0, 1.0)):
-        chk = movingavg.validate_dd(h1, h2, d0, d1)
+                           (0.5, 0.5, 0.0, 1.0), (0.25, 0.25, d, d)):
+        res = moving_constraint_residual(h1, h2, d0, d1)
         checks.append((OracleCheck("dd_constraint", {"H": [h1, h2], "d0": d0,
-                                                     "d1": d1},
-                                   chk.residual, 0.0), 1e-12))
-    d0 = d1 = 1.0 / math.sqrt(3.0)
-    chk = movingavg.validate_dd(0.25, 0.25, d0, d1)
-    checks.append((OracleCheck("dd_constraint", {"H": [0.25, 0.25], "d0": d0,
-                                                 "d1": d1},
-                               chk.residual, 0.0), 1e-12))
+                                                     "d1": d1}, res, 0.0),
+                       1e-12))
 
     spec = MovingPair(0.3, 0.7, 1.0, 0.0)
     rng = np.random.default_rng(5)
@@ -605,16 +599,17 @@ def _run_check(cfg, out_dir):
     return 0 if n_fail == 0 else 1
 
 
-def _probe_plan(cfg):
-    opts = cfg.params.get("probes", {})
-    if not opts:
-        return None
-    return ProbePlan.default(len(cfg.spec.hurst), **opts)
+def _probe_plan(command: str, n: int, opts: dict) -> ProbePlan:
+    """``opts`` over the default plan size: ``MC_PLAN`` for mc,
+    ``ProbePlan.default``'s for classify."""
+    size = MC_PLAN if command == "mc" else {}
+    return ProbePlan.default(n, **{**size, **opts})
 
 
 def _run_classify(cfg, out_dir):
     kernel = make_kernel(cfg.spec)
-    report = classify_stationarity(kernel, plan=_probe_plan(cfg))
+    plan = _probe_plan(cfg.command, len(cfg.spec.hurst), cfg.params["probes"])
+    report = classify_stationarity(kernel, plan=plan)
     label = report.label.value if report.label is not None else "inconclusive"
     _write_csv(out_dir / "classify.csv",
                [(cfg.spec.family, label, report.max_var_residual,
@@ -663,8 +658,9 @@ def _run_simulate(cfg, out_dir):
 
 
 def _run_mc(cfg, out_dir):
+    plan = _probe_plan(cfg.command, len(cfg.spec.hurst), cfg.params["probes"])
     rows = mc_increment_stationarity(
-        cfg.spec, plan=_probe_plan(cfg), seed=cfg.params["seed"],
+        cfg.spec, plan=plan, seed=cfg.params["seed"],
         n_samples=cfg.params["n_samples"],
         n_workers=cfg.params["n_workers"])
     cols = ["probe", "kind", "h", "estimate", "se", "reference", "analytic",
@@ -777,17 +773,8 @@ def _build_parser():
     return parser
 
 
-def _spec_dict_from_flags(args) -> dict | None:
-    if getattr(args, "spec", None) is None:
-        return None
-    d = {"family": args.spec}
-    if args.H is not None:
-        d["H"] = list(args.H)
-    for key in ("theta", "gamma", "d0", "d1"):
-        v = getattr(args, key, None)
-        if v is not None:
-            d[key] = v
-    return d
+# the flags that build ``spec``; the others are config keys of their dest
+_SPEC_FLAGS = ("spec", "H", "theta", "gamma", "d0", "d1")
 
 
 def main(argv=None) -> int:
@@ -800,19 +787,13 @@ def main(argv=None) -> int:
             print(f"config error: cannot read {args.config}: {exc}",
                   file=sys.stderr)
             return 2
-    cfg: dict = {"command": args.command}
-    spec_d = _spec_dict_from_flags(args)
-    if spec_d is not None:
-        cfg["spec"] = spec_d
-    for key in ("out", "seed", "tol", "n_samples", "n_workers", "suite",
-                "r1", "r2", "n_reps"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    for key in ("s", "t", "x"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = list(v)
+    cfg: dict = {}
+    spec: dict = {}
+    for key, v in vars(args).items():
+        if v is not None and key != "config":
+            (spec if key in _SPEC_FLAGS else cfg)[key] = v
+    if "spec" in spec:   # the other spec flags count only with --spec
+        cfg["spec"] = {"family": spec.pop("spec"), **spec}
     try:
         raw = _load_json(text)
         # flags override the file; validate_config rejects a non-object

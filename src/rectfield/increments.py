@@ -19,13 +19,16 @@ values of the Monte Carlo probes read that table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CovKernel, StationarityClass
+from .kernels import CovKernel, StationarityClass, _as_points
 
 PLAN_BLOCK = 1 << 16      # corner pairs per kernel call in probe_covariances
+TOL_INVARIANT = 1e-8      # classifier residuals up to this are invariant,
+TOL_VIOLATION = 1e-4      # from this on a violation; between, inconclusive
 
 __all__ = [
     "Rectangle",
@@ -53,8 +56,8 @@ class Rectangle:
         if len(s) != len(t):
             raise ValueError(f"corner dimensions differ: {len(s)} vs {len(t)}")
         for sk, tk in zip(s, t):
-            if not (0.0 <= sk <= tk):
-                raise ValueError(f"need 0 <= s_k <= t_k, got s={s}, t={t}")
+            if not (0.0 <= sk <= tk < math.inf):
+                raise ValueError(f"need 0 <= s_k <= t_k < inf, got s={s}, t={t}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
@@ -126,15 +129,10 @@ def y_half_increment_cov_closed(theta: float, h, s, t) -> float:
     The h-dependence of this cross covariance (while the variances are
     h-free) is what separates the mild class from the wide-sense one.
     """
-    h = tuple(float(v) for v in np.atleast_1d(h))
-    s = tuple(float(v) for v in np.atleast_1d(s))
-    t = tuple(float(v) for v in np.atleast_1d(t))
-    if not (len(h) == len(s) == len(t) == 2):
-        raise ValueError("expected two-dimensional h, s, t")
+    h, s, t = (_as_points(p, 2).tolist() for p in (h, s, t))
     for k in range(2):
-        if not (0.0 < s[k] < t[k]) or h[k] < 0.0:
-            raise ValueError(f"need 0 < s_k < t_k and h_k >= 0, got "
-                             f"h={h}, s={s}, t={t}")
+        if not 0.0 < s[k] < t[k]:
+            raise ValueError(f"need 0 < s_k < t_k, got s={s}, t={t}")
     num = (2 * h[0] + s[0]) * (2 * h[1] + s[1]) * (t[0] - s[0]) * (t[1] - s[1])
     den = (h[0] + s[0]) * (h[1] + s[1]) * (h[0] + t[0]) * (h[1] + t[1])
     return s[0] * s[1] * (1.0 + 0.25 * theta * num / den)
@@ -232,16 +230,15 @@ class ClassificationReport:
         return self.label
 
 
-def classify_stationarity(kernel, plan: ProbePlan | None = None,
-                          tol_invariant: float = 1e-8,
-                          tol_violation: float = 1e-4) -> ClassificationReport:
+def classify_stationarity(kernel,
+                          plan: ProbePlan | None = None) -> ClassificationReport:
     """Probe shift-invariance of increment covariances and classify the kernel.
 
     For every probe pair (u1, u2) and every shift h, the covariance of the
     increments over [h, u1+h] and [h, u2+h] is compared against its h = 0
     value, relative to the geometric mean of the two increment variances.
-    Residuals below ``tol_invariant`` count as invariant, above
-    ``tol_violation`` as a detected violation; anything in between leaves
+    Residuals below ``TOL_INVARIANT`` count as invariant, above
+    ``TOL_VIOLATION`` as a detected violation; anything in between leaves
     the verdict inconclusive (label None) rather than guessing.
     """
     if plan is None:
@@ -269,15 +266,15 @@ def classify_stationarity(kernel, plan: ProbePlan | None = None,
                              "residual": resid[p][v][k]})
 
     label: StationarityClass | None
-    if max_var <= tol_invariant and max_cross <= tol_invariant:
+    if max_var <= TOL_INVARIANT and max_cross <= TOL_INVARIANT:
         label = StationarityClass.STRICT_WIDE
-    elif max_var <= tol_invariant and max_cross >= tol_violation:
+    elif max_var <= TOL_INVARIANT and max_cross >= TOL_VIOLATION:
         label = StationarityClass.MILD_ONLY
-    elif max_var >= tol_violation:
+    elif max_var >= TOL_VIOLATION:
         label = StationarityClass.NONE
     else:
         label = None
     return ClassificationReport(label=label, max_var_residual=max_var,
                                 max_cross_residual=max_cross,
-                                tol_invariant=tol_invariant,
-                                tol_violation=tol_violation, rows=rows)
+                                tol_invariant=TOL_INVARIANT,
+                                tol_violation=TOL_VIOLATION, rows=rows)

@@ -110,18 +110,20 @@ def validate_hurst(values) -> tuple[float, ...]:
 
 
 def _points(p, n) -> np.ndarray:
-    """Float array of points (..., n); a bare number is a 1-D point."""
+    """Finite float array of lags (..., n); a bare number is a 1-D lag."""
     pts = np.atleast_1d(np.asarray(p, dtype=float))
     if pts.shape[-1] != n:
         raise ValueError(f"points of shape {pts.shape} do not have dimension "
                          f"{n} on their last axis")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return pts
 
 
 def _as_points(p, n) -> np.ndarray:
-    """``_points``, each finite and in the positive orthant."""
+    """``_points`` in the positive orthant: the one check of orthant points."""
     pts = _points(p, n)
-    if not ((pts >= 0.0) & (pts < math.inf)).all():
+    if (pts < 0.0).any():
         raise ValueError("points must be finite and in the positive orthant")
     return pts
 

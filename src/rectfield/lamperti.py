@@ -21,10 +21,12 @@ whose residual is exposed here for numerical verification.
 
 ``c_fbs_stationary``, ``c_theta``, ``lamperti_inverse`` and the criterion
 map lag (or point) arrays of shape (..., N) to shape (...); a single lag
-gives a ``np.float64`` and a bare number is a one-dimensional lag.  A
-stationary covariance C, a ``StationaryCov`` or a bare callable, follows
-the same contract, so the criterion evaluates the 2^N sign flips of a
-whole lag grid in one call of C.
+gives a ``np.float64`` and a bare number is a one-dimensional lag.  Lags
+must be finite and points of ``lamperti_inverse`` finite and in the
+positive orthant; anything else raises ``ValueError``.  A stationary
+covariance C, a ``StationaryCov`` or a bare callable, follows the same
+contract, so the criterion evaluates the 2^N sign flips of a whole lag
+grid in one call of C.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import CovKernel, _points, _sign_vectors, validate_hurst
+from .kernels import (CovKernel, _as_points, _points, _sign_vectors,
+                      validate_hurst)
 
 __all__ = [
     "StationaryCov",
@@ -47,6 +50,10 @@ __all__ = [
     "c_theta",
     "mild_criterion_residual",
 ]
+
+SELF_SIMILARITY_TRIALS = 10
+SELF_SIMILARITY_SEED = 7041
+SELF_SIMILARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,31 +71,28 @@ class SelfSimilarityError(ValueError):
     """Kernel failed the numerical self-similarity check for its Hurst vector."""
 
 
-def self_similarity_residual(kernel: CovKernel, n_trials: int = 10,
-                             seed: int = 7041) -> float:
+def self_similarity_residual(kernel: CovKernel) -> float:
     """Max relative error of K(a o s, a o t) = prod a^{2H} K(s, t) over random triples."""
     H = np.asarray(kernel.hurst)
     # trial by trial, s, t and a: the draws of one trial are consecutive
-    s, t, a = np.random.default_rng(seed).uniform(
-        0.2, 2.0, (n_trials, 3, len(H))).transpose(1, 0, 2)
+    s, t, a = np.random.default_rng(SELF_SIMILARITY_SEED).uniform(
+        0.2, 2.0, (SELF_SIMILARITY_TRIALS, 3, len(H))).transpose(1, 0, 2)
     lhs = kernel.batch(a * s, a * t)
     rhs = np.prod(a ** (2 * H), axis=-1) * kernel.batch(s, t)
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-12),
                         initial=0.0))
 
 
-def lamperti_forward(kernel: CovKernel, check: bool = True,
-                     check_tol: float = 1e-10) -> StationaryCov:
+def lamperti_forward(kernel: CovKernel) -> StationaryCov:
     """Stationary covariance of the exponentially time-changed kernel.
 
-    Verifies the kernel's self-similarity numerically before trusting the
-    Hurst vector attached to it (disable with ``check=False``).
+    Verifies the kernel's self-similarity numerically, to
+    ``SELF_SIMILARITY_TOL``, before trusting the Hurst vector attached to it.
     """
-    if check:
-        resid = self_similarity_residual(kernel)
-        if not resid <= check_tol:   # a NaN residual fails too
-            raise SelfSimilarityError(
-                f"self-similarity residual {resid:.3e} exceeds {check_tol:.1e}")
+    resid = self_similarity_residual(kernel)
+    if not resid <= SELF_SIMILARITY_TOL:   # a NaN residual fails too
+        raise SelfSimilarityError(f"self-similarity residual {resid:.3e} "
+                                  f"exceeds {SELF_SIMILARITY_TOL:.1e}")
 
     def evaluate(v):
         v = np.asarray(v, dtype=float)
@@ -105,10 +109,8 @@ def lamperti_inverse(C: StationaryCov, H, s, t) -> np.ndarray:
     over point arrays (..., N) that broadcast against each other.
     """
     H = validate_hurst(H)
-    s = _points(s, len(H))
-    t = _points(t, len(H))
-    if (s < 0.0).any() or (t < 0.0).any():
-        raise ValueError("points must lie in the positive orthant")
+    s = _as_points(s, len(H))
+    t = _as_points(t, len(H))
     # boundary points are evaluated at s = t = 1 and then set to zero
     edge = ((s == 0.0) | (t == 0.0)).any(axis=-1, keepdims=True)
     s, t = np.where(edge, 1.0, s), np.where(edge, 1.0, t)

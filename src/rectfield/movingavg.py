@@ -22,7 +22,9 @@ t = (1,1) by
 
 — the cross term is the product over coordinates of the inner products
 c2(H)^2 int p_H(1,x) f_H(1,x) dx = -sin(pi H), which the quadrature here
-verifies rather than assumes.
+verifies rather than assumes.  The constraint's residual is
+:func:`rectfield.kernels.moving_constraint_residual`, which ``MovingPair``
+checks when it is built.
 
 Every covariance in this module is computed by one-dimensional quadrature
 of the coordinate factors (the integrands are products over coordinates, so
@@ -31,7 +33,10 @@ are declared panel edges and the infinite tails use the same engine as the
 rest of the package.  The pair itself has a closed form,
 ``make_kernel(MovingPair(...))`` (see :class:`rectfield.kernels.MovingPair`);
 the quadrature here is its independent oracle, used by the tests and by
-``rectfield check --suite ma``, never by kernel evaluation.
+``rectfield check --suite ma``, never by kernel evaluation.  The points
+s and t of a covariance must be finite and in the positive orthant, and
+the imaginary part left by the weight table must stay within ``IMAG_TOL``
+of the covariance's scale.
 """
 
 from __future__ import annotations
@@ -39,13 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .gammafn import c2, pow_plus
-from .kernels import (MovingPair, _points, moving_constraint_residual,
-                      validate_hurst)
+from .kernels import MovingPair, _as_points, validate_hurst
 from .quadrature import QuadratureError, integrate_1d
 
 __all__ = [
@@ -55,9 +59,9 @@ __all__ = [
     "ma_kernel_half",
     "cov_from_ma",
     "cov_moving_pair",
-    "DDCheck",
-    "validate_dd",
 ]
+
+IMAG_TOL = 1e-6           # relative imaginary residual cov_from_ma accepts
 
 
 def p_kernel(h: float, t: float, x: float) -> float:
@@ -253,15 +257,15 @@ def _coord_factor_half(t, s, e1, e2) -> complex:
             / (2 * math.pi))
 
 
-def cov_from_ma(kernel: MAKernel, s, t, imag_tol: float = 1e-6) -> float:
+def cov_from_ma(kernel: MAKernel, s, t) -> float:
     """Covariance int g(t, x) conj(g(s, x)) dx of a moving-average kernel.
 
     The integrand is a sum over sign-vector pairs of coordinate-wise
     products, so the N-dimensional integral is evaluated exactly as a
     product of one-dimensional quadratures per pair.  The imaginary part
-    must cancel by weight symmetry; a residual beyond ``imag_tol`` raises.
+    must cancel by weight symmetry; a residual beyond ``IMAG_TOL`` raises.
     """
-    s, t = _points(s, kernel.n), _points(t, kernel.n)
+    s, t = _as_points(s, kernel.n), _as_points(t, kernel.n)
     total = 0.0 + 0.0j
     for e, (ke, phe) in kernel.weights.items():
         if ke == 0.0:
@@ -279,7 +283,7 @@ def cov_from_ma(kernel: MAKernel, s, t, imag_tol: float = 1e-6) -> float:
                                               e[j], ep[j])
             total += acc
     scale = max(abs(total), 1.0)
-    if abs(total.imag) > imag_tol * scale:
+    if abs(total.imag) > IMAG_TOL * scale:
         raise QuadratureError(
             f"imaginary residual {total.imag:g} exceeds tolerance; "
             "weight table is inconsistent")
@@ -296,7 +300,7 @@ def cov_moving_pair(spec: MovingPair, s, t) -> float:
     with I_* the coordinate inner products at (t_j, s_j); the H = 1/2
     variant replaces the power parts by indicator and log blocks.
     """
-    s, t = _points(s, 2), _points(t, 2)
+    s, t = _as_points(s, 2), _as_points(t, 2)
     d0, d1 = spec.d0, spec.d1
     if spec.h1 == 0.5:
         pp = min(t[0], s[0]) * min(t[1], s[1])
@@ -314,18 +318,3 @@ def cov_moving_pair(spec: MovingPair, s, t) -> float:
     return c * (d0 * d0 * prods["pp"] + d0 * d1 * (prods["pf"] + prods["fp"])
                 + d1 * d1 * prods["ff"])
 
-
-class DDCheck(NamedTuple):
-    passed: bool
-    residual: float
-
-
-def validate_dd(h1: float, h2: float, d0: float, d1: float,
-                tol: float = 1e-12) -> DDCheck:
-    """Check the unit-variance constraint on (d0, d1).
-
-    See :func:`rectfield.kernels.moving_constraint_residual`; mixed Hurst
-    vectors with exactly one component at 1/2 are rejected.
-    """
-    residual = moving_constraint_residual(h1, h2, d0, d1)
-    return DDCheck(abs(residual) <= tol, residual)

@@ -74,6 +74,8 @@ class _Budget:
 
 def _quad_panel(f, a, b, budget, epsabs, epsrel=1e-10, weight=None, wvar=None):
     """One QUADPACK call with budget accounting; returns (value, err_estimate)."""
+    if weight in ("cos", "sin") and not math.isfinite(wvar):   # QAWF crashes
+        raise ValueError(f"{weight} weight needs a finite frequency, got {wvar!r}")
     kwargs = {"full_output": 1, "epsabs": epsabs, "epsrel": epsrel, "limit": 300}
     if weight is not None:
         kwargs["weight"] = weight
@@ -97,8 +99,8 @@ def integrate_1d(f, a, b, tol=1e-10, singular_points=(), oscillation=None,
     ``singular_points`` lists abscissae (endpoints or interior) where the
     integrand is singular; panels are split there so QUADPACK's
     extrapolation sees each singularity at a panel edge.  With
-    ``oscillation=("cos"|"sin", omega)`` the integrand is ``f(x)`` times
-    that oscillatory factor and infinite tails are integrated with the
+    ``oscillation=("cos"|"sin", omega)``, omega finite, the integrand is
+    ``f(x)`` times that factor and infinite tails are integrated with the
     Fourier rule (cycle summation plus epsilon-algorithm acceleration).
 
     Returns a :class:`QuadResult`; raises :class:`QuadratureError` on
@@ -111,8 +113,9 @@ def integrate_1d(f, a, b, tol=1e-10, singular_points=(), oscillation=None,
     edges = [a] + cuts + [b]
     if oscillation is not None:
         kind, omega = oscillation
-        if kind not in ("cos", "sin"):
-            raise ValueError(f"oscillation kind must be 'cos' or 'sin', got {kind!r}")
+        if kind not in ("cos", "sin") or not math.isfinite(omega):
+            raise ValueError(f"oscillation must be ('cos' or 'sin', a finite "
+                             f"frequency), got {oscillation!r}")
         osc = np.cos if kind == "cos" else np.sin
         if np.isinf(b) and not cuts:
             # keep the Fourier tail away from the lower endpoint, where the

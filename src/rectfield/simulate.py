@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .increments import ProbePlan, _corners, probe_covariances
-from .kernels import CovKernel, FieldSpec, make_kernel
+from .kernels import CovKernel, FieldSpec, _as_points, make_kernel
 
 __all__ = [
     "PSDError",
@@ -49,8 +49,10 @@ __all__ = [
 
 CHUNK_SIZE = 256          # replications per RNG stream; fixed for determinism
 MAX_WORKERS = 64          # sampler threads a run may ask for
+MAX_LIMIT_SCALE = 512     # bound on the scaling factors r1, r2 of the demo
 MAX_LIMIT_INDEX = 1 << 31  # bound on floor(t_k r_k) in the partial-sum demo
 ROW_BLOCK = 128           # covariance-matrix rows per kernel call
+MC_PLAN = {"n_pairs": 4, "n_shifts": 3}   # mc's probe plan size by default
 
 
 class PSDError(RuntimeError):
@@ -241,7 +243,7 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     """
     kernel = make_kernel(spec)
     if plan is None:
-        plan = ProbePlan.default(len(spec.hurst), n_pairs=4, n_shifts=3)
+        plan = ProbePlan.default(len(spec.hurst), **MC_PLAN)
     C = probe_covariances(kernel, plan).tolist()
     u = np.asarray(plan.u_pairs, dtype=float)                     # (P, 2, N)
     shifts = np.asarray(plan.shifts, dtype=float)                 # (S, N)
@@ -312,6 +314,20 @@ def _rect_sums(cells: np.ndarray, b1: np.ndarray, b2: np.ndarray):
     return cells.cumsum(axis=-2).cumsum(axis=-1)[..., b1, b2]
 
 
+def _limit_indices(r1, r2, t_points) -> np.ndarray:
+    """floor(t_k r_k) as int64 (m, 2), after the one check of the demo's
+    arguments; each index stays below ``MAX_LIMIT_INDEX`` so that products
+    of block sizes fit in int64."""
+    if not (1 <= r1 <= MAX_LIMIT_SCALE and 1 <= r2 <= MAX_LIMIT_SCALE):
+        raise ValueError(f"scaling factors must lie in [1, {MAX_LIMIT_SCALE}],"
+                         f" got r1={r1}, r2={r2}")
+    k = np.floor(_as_points(t_points, 2) * (r1, r2))
+    if not np.all(k < MAX_LIMIT_INDEX):
+        raise ValueError(f"floor(t_k r_k) must stay below {MAX_LIMIT_INDEX}, "
+                         f"got {k.max():.6g}")
+    return np.atleast_2d(k.astype(np.int64))
+
+
 def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
                        n_reps: int = 2000) -> LimitDemo:
     """Empirical covariance of normalized rectangular sums of an iid lattice.
@@ -328,19 +344,11 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
     so each replication draws m1 m2 normals, whatever r1 and r2 are, and
     the sums have the same joint law as the lattice sums.  Replication
     chunks of ``CHUNK_SIZE`` use Philox streams keyed (seed, 0, chunk).
-    Each floor(t_k r_k) must lie below ``MAX_LIMIT_INDEX`` (2^31), so that
-    products of block sizes fit in int64; larger t raise ValueError.
+    Arguments that ``_limit_indices`` rejects raise ValueError; each
+    floor(t_k r_k) must lie below ``MAX_LIMIT_INDEX`` (2^31).
     """
-    if not (1 <= r1 <= 512 and 1 <= r2 <= 512):
-        raise ValueError("scaling factors must lie in [1, 512]")
+    k1, k2 = _limit_indices(r1, r2, t_points).T
     t_points = np.atleast_2d(np.asarray(t_points, dtype=float))
-    if t_points.shape[1] != 2 or np.any(t_points < 0.0):
-        raise ValueError("t_points must be nonnegative and two-dimensional")
-    k = np.floor(t_points * (r1, r2))
-    if not np.all(k < MAX_LIMIT_INDEX):   # so block-size products fit int64
-        raise ValueError(f"floor(t_k r_k) must stay below {MAX_LIMIT_INDEX}, "
-                         f"got {k.max():.6g}")
-    k1, k2 = k.astype(np.int64).T
 
     (n1, b1), (n2, b2) = _blocks(k1), _blocks(k2)
     scale = np.sqrt(np.outer(n1, n2) / (r1 * r2))

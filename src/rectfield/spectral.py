@@ -18,8 +18,8 @@ down by requiring that the Fourier transform of the product density
 reproduce the stationary sheet covariance (total mass one).
 
 ``cov_from_density`` inverts densities to covariances by quadrature
-(Fourier-weight rules with cycle acceleration on the oscillatory tails) and
-reports the imaginary residual; ``density_criterion_residual`` evaluates
+(Fourier-weight rules with cycle acceleration on the oscillatory tails) at
+finite lags and reports the imaginary residual; ``density_criterion_residual`` evaluates
 the density-level membership identity for the mild class.
 
 ``g_w`` and ``g_fbm`` map frequencies elementwise; ``g_product``, the
@@ -226,19 +226,19 @@ def density_criterion_residual(f: SpectralDensity, H, x) -> np.ndarray:
             - 2.0**f.n * g_product(H, x))
 
 
-def fbm_spectral_cov_check(H: float, s: float, t: float,
-                           tol: float = 1e-6) -> tuple:
+def fbm_spectral_cov_check(H: float, s: float, t: float) -> tuple:
     """Covariance of fractional Brownian motion by two routes.
 
     Spectral route: (t s)^H int e^{i x log(t/s)} g_H(x) dx, the second
-    moment of the harmonizable representation built on g_H.  Closed route:
+    moment of the harmonizable representation built on g_H, inverted at
+    ``cov_from_density``'s default tolerance.  Closed route:
     (t^{2H} + s^{2H} - |t-s|^{2H}) / 2.  Returns (spectral, closed).
     """
     (H,) = validate_hurst(H)
     s, t = float(s), float(t)
     if s <= 0.0 or t <= 0.0:
         raise ValueError("s and t must be strictly positive")
-    res = cov_from_density(fbm_density(H), (math.log(t / s),), tol=tol)
+    res = cov_from_density(fbm_density(H), (math.log(t / s),))
     spectral = (t * s)**H * res.value
     closed = 0.5 * (t**(2 * H) + s**(2 * H) - abs(t - s)**(2 * H))
     return spectral, closed

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rectfield.cli import (
     validate_config,
 )
 from rectfield.kernels import FBS, MovingPair, StrictGeneral
+from rectfield.simulate import limit_partial_sums
 
 
 def test_parse_minimal_cov_config():
@@ -610,3 +612,68 @@ def test_every_artifact_matches_the_csv_writer(tmp_path, cfg, files):
         data = (tmp_path / name).read_bytes()
         assert data.count(b"\n") > 1 and data.endswith(b"\r\n")
         assert data == _reemitted(tmp_path / name), name
+
+
+@pytest.mark.parametrize("r, t", [
+    (0, [[1.0, 1.0]]),
+    (513, [[1.0, 1.0]]),
+    (8, [[1.0, 1.0], [-0.5, 1.0]]),
+    (8, [[1.0, 1.0, 1.0]]),
+    (512, [[1.0, 2.0**31 / 512]]),
+], ids=["r = 0", "r = 513", "negative t", "3-D t", "floor(t r) = 2^31"])
+def test_limit_demo_arguments_have_one_check(r, t):
+    # limit_partial_sums and the config reject the same cases, in the same
+    # words; the config names the key
+    with pytest.raises(ValueError) as api:
+        limit_partial_sums(r, r, t, n_reps=2)
+    with pytest.raises(ConfigError) as config:
+        validate_config({"command": "limit-demo", "r1": r, "r2": r,
+                         "t_points": t})
+    assert str(config.value) == f"t_points: {api.value}"
+
+
+def test_mc_plan_keeps_its_size_when_probes_set_other_keys(tmp_path):
+    # keys other than n_pairs and n_shifts leave mc's 4 x 3 plan size alone
+    spec = {"family": "fbs", "H": [0.3, 0.7]}
+    for i, probes in enumerate(({}, {"seed": 5}, {"box": 1.5})):
+        out = tmp_path / str(i)
+        assert run(validate_config({"command": "mc", "spec": spec,
+                                    "probes": probes, "n_samples": 100,
+                                    "out": str(out)})) in (0, 1)
+        with open(out / "mc.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 24   # 4 x 3, var and cross
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_README_RUNS = [
+    ("cov --spec fbs --H 0.5 0.5 --s 1 1 --t 2 2",
+     {"command": "cov", "spec": {"family": "fbs", "H": [0.5, 0.5]},
+      "s": [1, 1], "t": [2, 2]}),
+    ("check --suite lemmas", {"command": "check", "suite": "lemmas"}),
+    ("classify --spec yhalf --theta 1",
+     {"command": "classify", "spec": {"family": "yhalf", "theta": 1}}),
+    ("simulate --spec zhalf --gamma 1 --n-samples 5000 --seed 7",
+     {"command": "simulate", "spec": {"family": "zhalf", "gamma": 1},
+      "n_samples": 5000, "seed": 7}),
+    ("mc --spec yhalf --theta 1 --n-samples 20000",
+     {"command": "mc", "spec": {"family": "yhalf", "theta": 1},
+      "n_samples": 20000}),
+    ("limit-demo --r1 256 --r2 256 --n-reps 2000",
+     {"command": "limit-demo", "r1": 256, "r2": 256, "n_reps": 2000}),
+]
+
+
+@pytest.mark.parametrize("line, cfg", _README_RUNS,
+                         ids=[cfg["command"] for _, cfg in _README_RUNS])
+def test_readme_command_lines_echo_their_json_configs(tmp_path, monkeypatch,
+                                                      line, cfg):
+    assert f"rectfield {line} --out out/" in _README.read_text()
+    # only the echo is compared: the commands themselves do no work here
+    monkeypatch.setattr(cli, "_HANDLERS",
+                        dict.fromkeys(cli._HANDLERS, lambda cfg, out: 0))
+    assert main([*line.split(), "--out", str(tmp_path)]) == 0
+    from_flags = (tmp_path / "config_echo.json").read_text()
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main([cfg["command"], "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "config_echo.json").read_text() == from_flags

@@ -40,6 +40,8 @@ def test_rectangle_validation():
         Rectangle((0.0,), (1.0, 1.0))
     with pytest.raises(ValueError):
         Rectangle((-0.5, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        Rectangle((0.0, 0.0), (1.0, math.inf))
 
 
 def test_corner_expansion_1d():
@@ -352,3 +354,15 @@ def test_probe_covariances_layout_and_blocks(monkeypatch):
                     oracle.evaluator(kernel.spec), kernel.hurst,
                     Rectangle(zero, x).shifted(h), Rectangle(zero, y).shifted(h))
                 assert abs(C[p, j, k] - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("h, s, t", [
+    ((math.inf, 0.0), (1.0, 1.0), (2.0, 2.0)),
+    ((0.0, math.nan), (1.0, 1.0), (2.0, 2.0)),
+    ((0.0, 0.0), (1.0, 1.0), (2.0, math.inf)),
+    ((-1.0, 0.0), (1.0, 1.0), (2.0, 2.0)),
+    ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0, 2.0)),
+], ids=["inf h", "nan h", "inf t", "negative h", "3-D t"])
+def test_y_half_closed_rejects_bad_points(h, s, t):
+    with pytest.raises(ValueError):
+        y_half_increment_cov_closed(1.0, h, s, t)

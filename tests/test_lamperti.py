@@ -284,3 +284,28 @@ def test_mild_criterion_calls_C_once(lags):
     flat = lags.reshape(-1, 2)
     want = [oracle.mild_criterion_residual(C, H, v) for v in flat]
     assert np.all(np.abs(got.reshape(-1) - want) <= 1e-14)
+
+
+_H = (0.3, 0.7)
+# a covariance that does not check its lags itself
+_EXP_C = StationaryCov(2, lambda v: np.exp(-np.abs(v).sum(axis=-1)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda x: c_fbs_stationary(_H, (x, 1.0)),
+    lambda x: c_theta(0.3, 0.7, 0.5, (1.0, x)),
+    lambda x: mild_criterion_residual(_EXP_C, _H, (x, 0.5)),
+    lambda x: lamperti_inverse(_EXP_C, _H, (x, 1.0), (1.0, 2.0)),
+    lambda x: lamperti_inverse(_EXP_C, _H, (1.0, 1.0), (1.0, x)),
+], ids=["c_fbs_stationary", "c_theta", "mild_criterion_residual",
+        "lamperti_inverse s", "lamperti_inverse t"])
+def test_non_finite_lags_and_points_raise(call, bad):
+    # without the check, an infinite coordinate gives NaN, not an error
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
+
+
+def test_lamperti_inverse_rejects_points_outside_the_orthant():
+    with pytest.raises(ValueError, match="orthant"):
+        lamperti_inverse(_EXP_C, _H, (-1.0, 1.0), (1.0, 2.0))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rectfield.increments import Rectangle, increment_cov
-from rectfield.kernels import MovingPair, cov_fbs, make_kernel
+from rectfield.kernels import (MovingPair, cov_fbs, make_kernel,
+                               moving_constraint_residual)
 from rectfield import movingavg
 from rectfield.movingavg import (
     cov_from_ma,
@@ -17,7 +18,6 @@ from rectfield.movingavg import (
     ma_kernel_half,
     make_ma_kernel,
     p_kernel,
-    validate_dd,
 )
 from rectfield.quadrature import check_ma_transform
 
@@ -240,16 +240,33 @@ def test_moving_pair_kernel_runs_no_quadrature():
     assert [f.cache_info().misses for f in caches] == before
 
 
-def test_validate_dd():
-    assert validate_dd(0.3, 0.7, 1.0, 0.0).passed
-    assert validate_dd(0.3, 0.7, 0.0, 1.0).passed
-    chk = validate_dd(0.25, 0.25, 1 / math.sqrt(3), 1 / math.sqrt(3))
-    assert chk.passed and abs(chk.residual) <= 1e-12
-    assert validate_dd(0.5, 0.5, 0.6, 0.8).passed
-    assert not validate_dd(0.5, 0.5, 0.6, 0.9).passed
-    bad = validate_dd(0.3, 0.7, 1.0, 1.0)
-    assert not bad.passed
-    assert bad.residual == pytest.approx(
+def test_moving_constraint_residual():
+    def passed(*args):
+        return abs(moving_constraint_residual(*args)) <= 1e-12
+
+    assert passed(0.3, 0.7, 1.0, 0.0)
+    assert passed(0.3, 0.7, 0.0, 1.0)
+    assert passed(0.25, 0.25, 1 / math.sqrt(3), 1 / math.sqrt(3))
+    assert passed(0.5, 0.5, 0.6, 0.8)
+    assert not passed(0.5, 0.5, 0.6, 0.9)
+    assert not passed(0.3, 0.7, 1.0, 1.0)
+    assert moving_constraint_residual(0.3, 0.7, 1.0, 1.0) == pytest.approx(
         1 + 2 * math.sin(math.pi * 0.3) * math.sin(math.pi * 0.7), rel=1e-12)
     with pytest.raises(ValueError):
-        validate_dd(0.5, 0.7, 1.0, 0.0)
+        moving_constraint_residual(0.5, 0.7, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("s, t", [((math.inf, 1.0), (1.0, 1.0)),
+                                  ((1.0, 1.0), (1.0, math.nan)),
+                                  ((1.0, -0.5), (1.0, 1.0))],
+                         ids=["inf s", "nan t", "negative s"])
+@pytest.mark.parametrize("cov", [
+    lambda s, t: cov_moving_pair(MovingPair(0.3, 0.7, 1.0, 0.0), s, t),
+    lambda s, t: cov_from_ma(make_ma_kernel((0.3, 0.7),
+                                            _uniform_weights((0.3, 0.7))),
+                             s, t),
+], ids=["cov_moving_pair", "cov_from_ma"])
+def test_quadrature_covariances_reject_points_outside_the_orthant(cov, s, t):
+    # without the check, the quadrature gives a number at s = (inf, 1)
+    with pytest.raises(ValueError, match="finite"):
+        cov(s, t)

@@ -1,11 +1,16 @@
 """Spectral densities, Fourier inversion, density-level criterion."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+import rectfield
 from rectfield.lamperti import c_fbs_stationary
 from rectfield.quadrature import QuadratureError, integrate_1d
 from rectfield.spectral import (
@@ -281,3 +286,48 @@ def test_density_criterion_calls_f_once(freqs):
     want = [oracle.density_criterion_residual(dens, H, x)
             for x in freqs.reshape(-1, 2)]
     assert np.all(np.abs(got.reshape(-1) - want) <= 1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda x: g_product((0.3, 0.7), (x, 0.5)),
+    lambda x: density_criterion_residual(product_density((0.3, 0.7)),
+                                         (0.3, 0.7), (0.5, x)),
+], ids=["g_product", "density_criterion_residual"])
+def test_non_finite_frequencies_raise(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
+
+
+# Each call crashed the interpreter inside QUADPACK's QAWF (exit 139), so
+# they run in an interpreter of their own: a regression fails this test, not
+# the whole run, and the last line printed names the call that crashed.
+_QAWF_CRASHES = {
+    "integrate_1d": "integrate_1d(lambda x: 1 / (1 + x * x), 0.0, inf, "
+                    "oscillation=('cos', inf))",
+    "_quad_panel": "_quad_panel(lambda x: 1 / (1 + x * x), 1.0, inf, "
+                   "_Budget(10_000), 1e-8, weight='sin', wvar=nan)",
+    "cov_from_density inf": "cov_from_density(fbm_density(0.3), (inf,))",
+    "cov_from_density nan": "cov_from_density(fbm_density(0.3), (nan,))",
+    "fbm_spectral_cov_check": "fbm_spectral_cov_check(0.3, 1.0, inf)",
+    "check_increment_integral": "check_increment_integral(0.3, nan, 1.0)",
+}
+
+
+def test_non_finite_frequency_raises_instead_of_crashing():
+    script = ("from math import inf, nan\n"
+              "from rectfield.quadrature import (_Budget, _quad_panel, "
+              "check_increment_integral, integrate_1d)\n"
+              "from rectfield.spectral import (cov_from_density, fbm_density,"
+              " fbm_spectral_cov_check)\n")
+    for name, call in _QAWF_CRASHES.items():
+        script += (f"print({name!r}, end=' ', flush=True)\n"
+                   f"try:\n    {call}\n    print('returned')\n"
+                   "except ValueError:\n    print('ValueError')\n")
+    src = str(Path(rectfield.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"{name} ValueError"
+                                        for name in _QAWF_CRASHES]
