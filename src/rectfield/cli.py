@@ -22,7 +22,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args
 
@@ -71,16 +71,12 @@ def _fmt(x) -> str:
 # Field-spec (de)serialization
 # --------------------------------------------------------------------------
 
-_SPEC_FIELDS = {
-    "fbs": {"H"},
-    "strict": {"H", "weights"},
-    "strict2d": {"H", "gamma"},
-    "mildtheta": {"H", "theta"},
-    "yhalf": {"theta"},
-    "zhalf": {"gamma"},
-    "movingpair": {"H", "d0", "d1"},
-}
 _SPEC_CLASSES = {c.family: c for c in get_args(FieldSpec)}
+# each family's keys are its dataclass fields, with (h1, h2) written as "H"
+_SPEC_FIELDS = {
+    family: {"H" if f.name in ("h1", "h2") else f.name for f in fields(cls)}
+    for family, cls in _SPEC_CLASSES.items()}
+_SPEC_KEYS = set().union(*_SPEC_FIELDS.values())
 
 
 def _signs_from_key(key: str) -> tuple:
@@ -108,8 +104,8 @@ def spec_from_dict(d) -> FieldSpec:
     missing = _SPEC_FIELDS[family] - keys
     if missing:
         raise ConfigError(f"spec: missing keys {sorted(missing)} for {family!r}")
-    try:
-        args = {k: float(d[k]) for k in ("gamma", "theta", "d0", "d1") if k in d}
+    try:   # every key but H and weights is one number
+        args = {k: float(d[k]) for k in sorted(keys - {"H", "weights"})}
         if "weights" in d:
             if not isinstance(d["weights"], dict):
                 raise ConfigError("spec.weights: expected an object mapping "
@@ -117,7 +113,7 @@ def spec_from_dict(d) -> FieldSpec:
             args["weights"] = StrictWeights(
                 {_signs_from_key(k): float(v) for k, v in d["weights"].items()})
         H = tuple(float(h) for h in d.get("H", ()))
-        if family in ("fbs", "strict"):
+        if "H" in _SPEC_CLASSES[family].__dataclass_fields__:
             args["H"] = H
         elif "H" in d:
             if len(H) != 2:
@@ -144,9 +140,6 @@ def spec_to_dict(spec: FieldSpec) -> dict:
 # Config validation
 # --------------------------------------------------------------------------
 
-_COMMANDS = ("cov", "density", "check", "classify", "simulate", "mc",
-             "limit-demo")
-
 _COMMON_KEYS = {"command", "seed", "out"}
 _COMMAND_KEYS = {
     "cov": {"spec", "s", "t"},
@@ -157,6 +150,7 @@ _COMMAND_KEYS = {
     "mc": {"spec", "probes", "n_samples", "n_workers"},
     "limit-demo": {"r1", "r2", "t_axes", "t_points", "n_reps"},
 }
+_COMMANDS = tuple(_COMMAND_KEYS)
 _PROBE_KEYS = {"n_pairs", "n_shifts", "box", "shift_box", "seed"}
 _DEFAULT_TOL = 1e-6
 _DEFAULT_N = {"simulate": 5000, "mc": 20000}
@@ -274,7 +268,7 @@ def validate_config(cfg: dict) -> RunConfig:
     if command == "cov":
         for key in ("s", "t"):
             if key not in cfg:
-                raise ConfigError(f"{key}: required for command 'cov'")
+                raise ConfigError(f"{key}: required for command {command!r}")
             pt = _floats(cfg[key], key)
             if pt.shape != (1, len(spec.hurst)):
                 raise ConfigError(
@@ -287,24 +281,24 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"spec.family: density is only available for "
                               f"'fbs', not {spec.family!r}")
         if "x" not in cfg:
-            raise ConfigError("x: required for command 'density'")
+            raise ConfigError(f"x: required for command {command!r}")
         pts = _floats(cfg["x"], "x")
         if pts.shape[1] != len(spec.hurst):
             raise ConfigError(f"x: points must have dimension {len(spec.hurst)}")
         params["x"] = pts.tolist()
     elif command == "check":
         suite = cfg.get("suite")
-        if suite not in ("lemmas", "densities", "criteria", "ma"):
-            raise ConfigError(f"suite: expected one of lemmas/densities/"
-                              f"criteria/ma, got {suite!r}")
+        if suite not in _SUITES:
+            raise ConfigError(f"suite: expected one of {'/'.join(_SUITES)}, "
+                              f"got {suite!r}")
         params["suite"] = suite
-        if suite == "lemmas":
+        if suite == _TOL_SUITE:
             params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
             if params["tol"] <= 0.0:
                 raise ConfigError(f"tol: must be positive, got {params['tol']}")
         elif "tol" in cfg:
-            raise ConfigError(f"tol: only suite 'lemmas' takes a tolerance; "
-                              f"suite {suite!r} has fixed tolerances")
+            raise ConfigError(f"tol: only suite {_TOL_SUITE!r} takes a "
+                              f"tolerance; suite {suite!r} has fixed tolerances")
     elif command in ("classify", "mc"):
         probes = cfg.get("probes", {})
         if not isinstance(probes, dict):
@@ -349,7 +343,7 @@ def validate_config(cfg: dict) -> RunConfig:
     elif command == "limit-demo":
         for key in ("r1", "r2"):
             if key not in cfg:
-                raise ConfigError(f"{key}: required for command 'limit-demo'")
+                raise ConfigError(f"{key}: required for command {command!r}")
             params[key] = _number(cfg[key], key, int)
         if "t_points" in cfg and "t_axes" in cfg:
             raise ConfigError("limit-demo: give either t_axes or t_points")
@@ -509,9 +503,10 @@ def _suite_ma():
     return checks
 
 
-# the suites with fixed tolerances; "lemmas" takes the config's ``tol``
-_SUITES = {"densities": _suite_densities, "criteria": _suite_criteria,
-           "ma": _suite_ma}
+# the suite that takes the config's ``tol``; the others have fixed tolerances
+_TOL_SUITE = "lemmas"
+_SUITES = {_TOL_SUITE: _suite_lemmas, "densities": _suite_densities,
+           "criteria": _suite_criteria, "ma": _suite_ma}
 
 
 # --------------------------------------------------------------------------
@@ -560,6 +555,7 @@ def run(config: RunConfig) -> int:
 
 
 def _run_cov(cfg, out_dir):
+    """Evaluate a covariance kernel at (s, t)."""
     kernel = make_kernel(cfg.spec)
     value = kernel(cfg.params["s"], cfg.params["t"])
     _write_csv(out_dir / "cov.csv",
@@ -571,6 +567,7 @@ def _run_cov(cfg, out_dir):
 
 
 def _run_density(cfg, out_dir):
+    """Evaluate a spectral density."""
     values = spectral.g_product(cfg.spec.hurst, cfg.params["x"])
     rows = list(zip(map(_fmt, cfg.params["x"]), values.tolist()))
     _write_csv(out_dir / "density.csv", rows, ["x", "value"], "%s,%.17g\r\n")
@@ -579,8 +576,9 @@ def _run_density(cfg, out_dir):
 
 
 def _run_check(cfg, out_dir):
+    """Run a verification suite."""
     suite = cfg.params["suite"]
-    checks = (_suite_lemmas(cfg.params["tol"]) if suite == "lemmas"
+    checks = (_SUITES[suite](cfg.params["tol"]) if suite == _TOL_SUITE
               else _SUITES[suite]())
     params = [json.dumps(c.params, sort_keys=True) for c, _ in checks]
     passed = [c.passed(tol) for c, tol in checks]
@@ -607,6 +605,7 @@ def _probe_plan(command: str, n: int, opts: dict) -> ProbePlan:
 
 
 def _run_classify(cfg, out_dir):
+    """Classify increment stationarity."""
     kernel = make_kernel(cfg.spec)
     plan = _probe_plan(cfg.command, len(cfg.spec.hurst), cfg.params["probes"])
     report = classify_stationarity(kernel, plan=plan)
@@ -628,6 +627,7 @@ def _run_classify(cfg, out_dir):
 
 
 def _run_simulate(cfg, out_dir):
+    """Sample a field and verify covariance."""
     grid = _make_grid(cfg.params["grid"])
     batch = sample_field(cfg.spec, grid, cfg.params["seed"],
                          cfg.params["n_samples"],
@@ -658,6 +658,7 @@ def _run_simulate(cfg, out_dir):
 
 
 def _run_mc(cfg, out_dir):
+    """Monte Carlo increment-stationarity probes."""
     plan = _probe_plan(cfg.command, len(cfg.spec.hurst), cfg.params["probes"])
     rows = mc_increment_stationarity(
         cfg.spec, plan=plan, seed=cfg.params["seed"],
@@ -676,6 +677,7 @@ def _run_mc(cfg, out_dir):
 
 
 def _run_limit_demo(cfg, out_dir):
+    """Partial-sum convergence demo."""
     if "t_points" in cfg.params:
         t_points = np.asarray(cfg.params["t_points"], dtype=float)
     else:
@@ -704,20 +706,33 @@ def _run_limit_demo(cfg, out_dir):
     return 0 if ok == total else 1
 
 
-_HANDLERS = {
-    "cov": _run_cov,
-    "density": _run_density,
-    "check": _run_check,
-    "classify": _run_classify,
-    "simulate": _run_simulate,
-    "mc": _run_mc,
-    "limit-demo": _run_limit_demo,
-}
+# the handler of each command is its ``_run_`` function
+_HANDLERS = {c: globals()["_run_" + c.replace("-", "_")] for c in _COMMANDS}
 
 
 # --------------------------------------------------------------------------
 # Argument parsing
 # --------------------------------------------------------------------------
+
+# the argparse options of each config key that has a flag, spelled as the
+# key with "-" for "_"; grid, probes, t_axes, t_points and the strict
+# weights need --config
+_FLAGS = {
+    "out": {"help": "output directory for CSV artifacts"},
+    "seed": {"type": int},
+    "spec": {"help": f"family name ({', '.join(_SPEC_FIELDS)})"},
+    "H": {"type": float, "nargs": "+", "help": "Hurst components"},
+    **dict.fromkeys(("theta", "gamma", "d0", "d1", "tol"), {"type": float}),
+    **dict.fromkeys(("s", "t", "x"), {"type": float, "nargs": "+"}),
+    "suite": {"choices": tuple(_SUITES)},
+    **dict.fromkeys(("n_samples", "n_workers", "r1", "r2", "n_reps"),
+                    {"type": int}),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -725,56 +740,16 @@ def _build_parser():
         description="Self-similar Gaussian random fields: kernels, spectral "
                     "densities, oracle checks, and exact simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command in _COMMANDS:
+        keys = _COMMON_KEYS | _COMMAND_KEYS[command]
+        if "spec" in keys:
+            keys |= _SPEC_KEYS
+        p = sub.add_parser(command, help=_HANDLERS[command].__doc__)
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--out", help="output directory for CSV artifacts")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--n-samples", type=int, dest="n_samples")
-
-    def spec_flags(p):
-        p.add_argument("--spec", help="family name (fbs, strict2d, ...)")
-        p.add_argument("--H", type=float, nargs="+", help="Hurst components")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--d0", type=float)
-        p.add_argument("--d1", type=float)
-
-    p = sub.add_parser("cov", help="evaluate a covariance kernel at (s, t)")
-    common(p); spec_flags(p)
-    p.add_argument("--s", type=float, nargs="+")
-    p.add_argument("--t", type=float, nargs="+")
-
-    p = sub.add_parser("density", help="evaluate a spectral density")
-    common(p); spec_flags(p)
-    p.add_argument("--x", type=float, nargs="+")
-
-    p = sub.add_parser("check", help="run a verification suite")
-    common(p)
-    p.add_argument("--suite", choices=("lemmas", "densities", "criteria", "ma"))
-
-    p = sub.add_parser("classify", help="classify increment stationarity")
-    common(p); spec_flags(p)
-
-    p = sub.add_parser("simulate", help="sample a field and verify covariance")
-    common(p); spec_flags(p)
-    p.add_argument("--n-workers", type=int, dest="n_workers")
-
-    p = sub.add_parser("mc", help="Monte Carlo increment-stationarity probes")
-    common(p); spec_flags(p)
-    p.add_argument("--n-workers", type=int, dest="n_workers")
-
-    p = sub.add_parser("limit-demo", help="partial-sum convergence demo")
-    common(p)
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2", type=int)
-    p.add_argument("--n-reps", type=int, dest="n_reps")
+        for key, opts in _FLAGS.items():
+            if key in keys:
+                p.add_argument(_flag(key), **opts)
     return parser
-
-
-# the flags that build ``spec``; the others are config keys of their dest
-_SPEC_FLAGS = ("spec", "H", "theta", "gamma", "d0", "d1")
 
 
 def main(argv=None) -> int:
@@ -791,10 +766,12 @@ def main(argv=None) -> int:
     spec: dict = {}
     for key, v in vars(args).items():
         if v is not None and key != "config":
-            (spec if key in _SPEC_FLAGS else cfg)[key] = v
-    if "spec" in spec:   # the other spec flags count only with --spec
-        cfg["spec"] = {"family": spec.pop("spec"), **spec}
+            (spec if key in _SPEC_KEYS else cfg)[key] = v
     try:
+        if "spec" in cfg:   # --spec names the family of the other spec flags
+            cfg["spec"] = {"family": cfg["spec"], **spec}
+        elif spec:
+            raise ConfigError(f"{', '.join(map(_flag, spec))} need --spec")
         raw = _load_json(text)
         # flags override the file; validate_config rejects a non-object
         config = validate_config({**raw, **cfg} if isinstance(raw, dict)

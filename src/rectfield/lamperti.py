@@ -115,7 +115,7 @@ def lamperti_inverse(C: StationaryCov, H, s, t) -> np.ndarray:
     edge = ((s == 0.0) | (t == 0.0)).any(axis=-1, keepdims=True)
     s, t = np.where(edge, 1.0, s), np.where(edge, 1.0, t)
     pref = np.prod((t * s) ** np.asarray(H), axis=-1)
-    return np.where(edge[..., 0], 0.0, pref * C.evaluate(np.log(t / s)))[()]
+    return np.where(edge[..., 0], 0.0, pref * C(np.log(t / s)))[()]
 
 
 def _c_fbs_factor(h, av):

@@ -89,6 +89,8 @@ def _check_weights(weights: Mapping, n: int) -> dict:
     if len(W) != 2**n or any(len(e) != n for e in W):
         raise ValueError(f"need all {2**n} sign vectors of length {n}")
     for e, (k, phi) in W.items():
+        if not (math.isfinite(k) and math.isfinite(phi)):
+            raise ValueError(f"K{e} = {k:g} and phi{e} = {phi:g} must be finite")
         neg = tuple(-v for v in e)
         if neg not in W:
             raise ValueError(f"missing mirrored sign vector {neg}")

@@ -182,11 +182,18 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
     factoring the cancellation order out of the trigonometric bracket; the
     tail pairs the exact integral of the constant part with one QAWF call
     per distinct frequency.  Raises if the requested combination diverges
-    (e.g. a non-cancelling constant with p >= 1).
+    (e.g. a non-cancelling constant with p >= 1), and ``ValueError`` naming
+    the term if p, const or a coefficient or frequency is not finite.
     """
     cos_terms = [(float(c), float(a)) for c, a in cos_terms]
     sin_terms = [(float(d), float(b)) for d, b in sin_terms]
     const = float(const)
+    named = {"p": p, "const": const,
+             **{f"cos_terms[{k}]": v for k, v in enumerate(cos_terms)},
+             **{f"sin_terms[{k}]": v for k, v in enumerate(sin_terms)}}
+    for name, value in named.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
     bud = _Budget(budget)
     scale = sum(abs(c) for c, _ in cos_terms) + abs(const) + 1.0
 

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -22,7 +23,8 @@ from rectfield.cli import (
     spec_to_dict,
     validate_config,
 )
-from rectfield.kernels import FBS, MovingPair, StrictGeneral
+from rectfield.kernels import (FBS, MildTheta, MovingPair, Strict2D,
+                               StrictGeneral, YHalf, ZHalf)
 from rectfield.simulate import limit_partial_sums
 
 
@@ -677,3 +679,54 @@ def test_readme_command_lines_echo_their_json_configs(tmp_path, monkeypatch,
     assert main([cfg["command"], "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "config_echo.json").read_text() == from_flags
+
+
+def test_spec_flags_without_spec_are_a_config_error(tmp_path, capsys):
+    # they were dropped: the run exited 0 and echoed the file's theta and H
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"family": "mildtheta", "H": [0.3, 0.7],
+                                "theta": 0.5}))
+    assert main(["cov", "--config", str(path), "--theta", "-0.9",
+                 "--H", "0.6", "0.6", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: --H, --theta need --spec\n"
+    path.write_text(json.dumps({"spec": {"family": "mildtheta", "H": [0.3, 0.7],
+                                         "theta": 0.5},
+                                "s": [1, 1], "t": [2, 2]}))
+    assert main(["cov", "--config", str(path), "--d0", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: --d0 need --spec\n"
+    assert not (tmp_path / "config_echo.json").exists()
+
+
+# config keys that only a --config file can set; "command" is the subcommand
+_CONFIG_ONLY = {"command", "grid", "probes", "t_axes", "t_points", "weights"}
+
+
+def test_the_parser_offers_the_flags_of_the_validated_keys():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS) == list(cli._HANDLERS)
+    n_flags = 0
+    for command, p in sub.choices.items():
+        keys = cli._COMMON_KEYS | cli._COMMAND_KEYS[command]
+        if "spec" in keys:
+            keys |= {"H", "weights", "theta", "gamma", "d0", "d1"}
+        want = {"--" + k.replace("_", "-") for k in keys - _CONFIG_ONLY}
+        got = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        assert got == want | {"--config"}, command
+        n_flags += len(got)
+    assert n_flags == 63
+    # each family's keys are its dataclass fields, (h1, h2) read as H
+    assert cli._SPEC_FIELDS == {
+        "fbs": {"H"}, "strict": {"H", "weights"}, "strict2d": {"H", "gamma"},
+        "mildtheta": {"H", "theta"}, "yhalf": {"theta"}, "zhalf": {"gamma"},
+        "movingpair": {"H", "d0", "d1"}}
+    for c in (FBS, StrictGeneral, Strict2D, MildTheta, YHalf, ZHalf,
+              MovingPair):
+        assert cli._SPEC_FIELDS[c.family] == {
+            "H" if f in ("h1", "h2") else f for f in c.__dataclass_fields__}
+    suite = next(a for a in sub.choices["check"]._actions
+                 if a.dest == "suite")
+    assert list(suite.choices) == list(cli._SUITES) == [
+        "lemmas", "densities", "criteria", "ma"]

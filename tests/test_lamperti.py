@@ -309,3 +309,14 @@ def test_non_finite_lags_and_points_raise(call, bad):
 def test_lamperti_inverse_rejects_points_outside_the_orthant():
     with pytest.raises(ValueError, match="orthant"):
         lamperti_inverse(_EXP_C, _H, (-1.0, 1.0), (1.0, 2.0))
+
+
+def test_lamperti_inverse_takes_a_bare_callable():
+    # the module's contract accepts a bare callable for C; calling
+    # C.evaluate raised AttributeError on one
+    bare = lambda v: c_theta(0.3, 0.7, 0.5, v)   # noqa: E731
+    s = np.array([[0.5, 1.0], [1.0, 2.0], [0.0, 1.0]])
+    t = np.array([[1.0, 1.5], [2.0, 0.5], [1.0, 1.0]])
+    want = lamperti_inverse(StationaryCov(2, bare), (0.3, 0.7), s, t)
+    np.testing.assert_array_equal(lamperti_inverse(bare, (0.3, 0.7), s, t),
+                                  want)

@@ -1,6 +1,7 @@
 """Moving-average kernels and their quadrature covariances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,3 +271,19 @@ def test_quadrature_covariances_reject_points_outside_the_orthant(cov, s, t):
     # without the check, the quadrature gives a number at s = (inf, 1)
     with pytest.raises(ValueError, match="finite"):
         cov(s, t)
+
+
+@pytest.mark.parametrize("bad", [(math.inf, 0.0), (math.nan, 0.0),
+                                 (0.1, math.inf), (0.1, math.nan)],
+                         ids=["K_inf", "K_nan", "phi_inf", "phi_nan"])
+def test_weight_table_rejects_non_finite_entries(bad):
+    # an infinite K_e made cov_from_ma return nan, and a NaN phase was
+    # reported as "phase antisymmetry violated"
+    k, phi = bad
+    W = {(1, 1): (k, phi), (-1, -1): (k, -phi),
+         (1, -1): (0.1, 0.0), (-1, 1): (0.1, 0.0)}
+    for call in (lambda: make_ma_kernel((0.3, 0.7), W),
+                 lambda: ma_kernel_general((0.3, 0.7), W, (1.0, 1.0),
+                                           (0.5, 0.5))):
+        with pytest.raises(ValueError, match=re.escape("(1, 1)") + ".*finite"):
+            call()

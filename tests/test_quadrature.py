@@ -1,6 +1,7 @@
 """Quadrature engine and the integral-identity oracles."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -182,3 +183,27 @@ def test_identity_sweep_size_and_accuracy():
     assert worst <= 1e-6
     assert elapsed < 60.0
     assert all(isinstance(chk, OracleCheck) for chk in checks)
+
+
+@pytest.mark.parametrize("call, term", [
+    (lambda: check_increment_integral(0.3, 1.0, math.inf), "cos_terms[0]"),
+    (lambda: check_increment_integral_half(1.0, math.inf), "cos_terms[0]"),
+    (lambda: check_ma_transform(0.3, 1, math.inf, 0.5), "cos_terms[0]"),
+    (lambda: check_ma_transform_half(1, 1.0, math.inf), "cos_terms[0]"),
+    (lambda: oscillatory_power_integral(0.5, cos_terms=[(1.0, math.inf)]),
+     "cos_terms[0]"),
+    (lambda: oscillatory_power_integral(0.5, cos_terms=[(math.inf, 1.0)]),
+     "cos_terms[0]"),
+    (lambda: check_increment_integral(0.3, math.nan, 1.0), "cos_terms[0]"),
+    (lambda: oscillatory_power_integral(
+        1.5, cos_terms=[(1.0, 1.0)], sin_terms=[(1.0, 2.0), (1.0, math.nan)],
+        const=-1.0), "sin_terms[1]"),
+    (lambda: oscillatory_power_integral(0.5, const=math.inf), "const"),
+], ids=["increment", "increment_half", "ma_transform", "ma_transform_half",
+        "inf_frequency", "inf_coefficient", "nan_point", "nan_sin_frequency",
+        "inf_const"])
+def test_non_finite_terms_are_rejected_by_name(call, term):
+    # an infinite frequency raised "math domain error" inside a QUADPACK
+    # callback, and an infinite coefficient returned nan+0j
+    with pytest.raises(ValueError, match=re.escape(f"{term} must be finite")):
+        call()
