@@ -18,6 +18,7 @@ the check suites' JSON ``params``, quoted as ``csv.writer`` would.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -30,7 +31,8 @@ import numpy as np
 
 from . import movingavg, quadrature, spectral
 from .increments import ProbePlan, classify_stationarity
-from .kernels import (FieldSpec, MovingPair, StrictWeights, make_kernel,
+from .kernels import (FieldSpec, MovingPair, NonFiniteError, StrictWeights,
+                      _as_points, _points, cov_fbs, make_kernel,
                       moving_constraint_residual)
 from .lamperti import (StationaryCov, c_fbs_stationary, c_theta,
                        mild_criterion_residual)
@@ -80,9 +82,8 @@ _SPEC_KEYS = set().union(*_SPEC_FIELDS.values())
 
 
 def _signs_from_key(key: str) -> tuple:
-    table = {"+": 1, "-": -1}
     try:
-        return tuple(table[c] for c in key)
+        return tuple({"+": 1, "-": -1}[c] for c in key)
     except (KeyError, TypeError):
         raise ConfigError(
             f"spec.weights: keys must be strings of '+'/'-', got {key!r}") from None
@@ -151,6 +152,8 @@ _COMMAND_KEYS = {
     "limit-demo": {"r1", "r2", "t_axes", "t_points", "n_reps"},
 }
 _COMMANDS = tuple(_COMMAND_KEYS)
+# the keys without a default, required wherever a command takes them
+_REQUIRED = ("spec", "s", "t", "x", "r1", "r2")
 _PROBE_KEYS = {"n_pairs", "n_shifts", "box", "shift_box", "seed"}
 _DEFAULT_TOL = 1e-6
 _DEFAULT_N = {"simulate": 5000, "mc": 20000}
@@ -190,44 +193,29 @@ def _number(value, name, kind, lo=None, hi=None):
     return value
 
 
-def _floats(value, name, ndim=2):
-    """Finite float array of rank ``ndim``; a single point counts as a list."""
+def _checked(where: str, check, *args, **kwargs):
+    """Return ``check(*args, **kwargs)``; its ValueError or TypeError is
+    raised as a ConfigError led by ``where`` (a key and ": ", or "probes.")."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected numbers") from None
-    if arr.ndim == 1 and ndim == 2:
-        arr = arr[None, :]
-    if arr.ndim != ndim or arr.size == 0:
-        raise ConfigError(f"{name}: expected a " + ("list of numbers" if ndim == 1
-                                                    else "point or list of points"))
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name}: values must be finite")
-    return arr
-
-
-def _make_grid(grid: dict) -> Grid:
-    if "axes" in grid:
-        return grid_from_axes(grid["axes"])
-    return Grid(np.asarray(grid["points"], dtype=float))
+        return check(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 @dataclass
 class RunConfig:
+    """A validated run: the echoed ``params`` and the inputs built from them."""
+
     command: str
     spec: FieldSpec | None
     params: dict
+    grid: Grid | None = None
+    plan: ProbePlan | None = None
+    t_points: np.ndarray | None = None
 
     def canonical(self) -> dict:
-        out = {"command": self.command}
-        if self.spec is not None:
-            out["spec"] = spec_to_dict(self.spec)
-        for k in sorted(self.params):
-            v = self.params[k]
-            if isinstance(v, np.ndarray):
-                v = v.tolist()
-            out[k] = v
-        return out
+        spec = {} if self.spec is None else {"spec": spec_to_dict(self.spec)}
+        return {"command": self.command, **spec, **self.params}
 
     def to_json(self) -> str:
         return json.dumps(self.canonical(), indent=2, sort_keys=True)
@@ -251,6 +239,9 @@ def validate_config(cfg: dict) -> RunConfig:
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} for command "
                           f"{command!r} (strict mode)")
+    missing = [k for k in _REQUIRED if k in allowed and k not in cfg]
+    if missing:
+        raise ConfigError(f"{missing[0]}: required for command {command!r}")
 
     params: dict = {}
     params["seed"] = _number(cfg.get("seed", 0), "seed", int)
@@ -259,33 +250,20 @@ def validate_config(cfg: dict) -> RunConfig:
                           f"got {params['seed']}")
     params["out"] = str(cfg.get("out", "."))
 
-    spec = None
-    if "spec" in _COMMAND_KEYS[command]:
-        if "spec" not in cfg:
-            raise ConfigError(f"spec: required for command {command!r}")
+    spec = grid = plan = t_points = None
+    if "spec" in allowed:
         spec = spec_from_dict(cfg["spec"])
+        n = len(spec.hurst)
 
     if command == "cov":
         for key in ("s", "t"):
-            if key not in cfg:
-                raise ConfigError(f"{key}: required for command {command!r}")
-            pt = _floats(cfg[key], key)
-            if pt.shape != (1, len(spec.hurst)):
-                raise ConfigError(
-                    f"{key}: expected one point of dimension {len(spec.hurst)}")
-            if np.any(pt < 0.0):
-                raise ConfigError(f"{key}: coordinates must be nonnegative")
-            params[key] = pt[0].tolist()
+            pt = _checked(f"{key}: ", lambda: _as_points(cfg[key], n).reshape(n))
+            params[key] = pt.tolist()
     elif command == "density":
         if spec.family != "fbs":
             raise ConfigError(f"spec.family: density is only available for "
                               f"'fbs', not {spec.family!r}")
-        if "x" not in cfg:
-            raise ConfigError(f"x: required for command {command!r}")
-        pts = _floats(cfg["x"], "x")
-        if pts.shape[1] != len(spec.hurst):
-            raise ConfigError(f"x: points must have dimension {len(spec.hurst)}")
-        params["x"] = pts.tolist()
+        params["x"] = _checked("x: ", _points, cfg["x"], n).reshape(-1, n).tolist()
     elif command == "check":
         suite = cfg.get("suite")
         if suite not in _SUITES:
@@ -311,55 +289,47 @@ def validate_config(cfg: dict) -> RunConfig:
                 else _number(v, f"probes.{k}", int, lo=0 if k == "seed" else 1,
                              hi=_PROBE_MAX.get(k)))
             for k, v in probes.items()}
-        try:   # ProbePlan.default names the box or shift_box it rejects
-            plan = _probe_plan(command, len(spec.hurst), params["probes"])
-        except ValueError as exc:
-            raise ConfigError(f"probes.{exc}") from None
+        plan = _checked("probes.", ProbePlan.default, n,   # mc: MC_PLAN size
+                        **{**(MC_PLAN if command == "mc" else {}),
+                           **params["probes"]})
     elif command == "simulate":
-        grid = cfg.get("grid", {"axes": [[0.5, 1.0, 1.5, 2.0, 2.5]]
-                                * len(spec.hurst)})
-        if not isinstance(grid, dict) or not ({"axes", "points"} & set(grid)):
+        raw = cfg.get("grid", {"axes": [[0.5, 1.0, 1.5, 2.0, 2.5]] * n})
+        if (not isinstance(raw, dict) or len(raw) != 1
+                or not set(raw) <= {"axes", "points"}):
             raise ConfigError("grid: expected {'axes': [...]} or {'points': [...]}")
-        if set(grid) - {"axes", "points"}:
-            raise ConfigError(f"grid: unknown keys {sorted(set(grid) - {'axes', 'points'})}")
-        if "axes" in grid and "points" in grid:
-            raise ConfigError("grid: give either axes or points, not both")
-        try:   # the Grid checks finiteness, positivity and duplicates
-            params["grid"] = (
-                {"axes": [np.asarray(a, dtype=float).tolist()
-                          for a in grid["axes"]]} if "axes" in grid else
-                {"points": np.atleast_2d(
-                    np.asarray(grid["points"], dtype=float)).tolist()})
-            n_points = (math.prod(np.size(a) for a in params["grid"]["axes"])
-                        if "axes" in grid else len(params["grid"]["points"]))
-            if n_points > MAX_GRID_POINTS:   # checked before the grid is built
-                raise ValueError(f"{n_points} points exceed {MAX_GRID_POINTS}")
-            n_dim = _make_grid(params["grid"]).dim
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid: {exc}") from None
-        if n_dim != len(spec.hurst):
-            raise ConfigError(f"grid: points must have dimension "
-                              f"{len(spec.hurst)}")
+        if "axes" in raw:   # the ceiling is checked before the grid is built
+            value = _checked("grid: ", lambda: [np.asarray(a, dtype=float)
+                                                for a in raw["axes"]])
+            build, n_points = grid_from_axes, math.prod(a.size for a in value)
+            params["grid"] = {"axes": [a.tolist() for a in value]}
+        else:
+            value = np.atleast_2d(_checked("grid: ", np.asarray, raw["points"],
+                                           float))
+            build, n_points = Grid, len(value)
+            params["grid"] = {"points": value.tolist()}
+        if n_points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid: {n_points} points exceed {MAX_GRID_POINTS}")
+        grid = _checked("grid: ", build, value)
+        _checked("grid: ", _as_points, grid.points, n)   # the spec's dimension
     elif command == "limit-demo":
         for key in ("r1", "r2"):
-            if key not in cfg:
-                raise ConfigError(f"{key}: required for command {command!r}")
             params[key] = _number(cfg[key], key, int)
         if "t_points" in cfg and "t_axes" in cfg:
             raise ConfigError("limit-demo: give either t_axes or t_points")
         key = "t_points" if "t_points" in cfg else "t_axes"
-        pts = _floats(cfg.get(key, [0.5, 1.0, 1.5, 2.0]), key,
-                      2 if key == "t_points" else 1)
-        n_points = len(pts) if key == "t_points" else len(pts) ** 2
+        pts = _checked(f"{key}: ", np.asarray,
+                       cfg.get(key, [0.5, 1.0, 1.5, 2.0]), float)
+        if key == "t_axes" and pts.ndim > 1:
+            raise ConfigError("t_axes: expected a number or a list of numbers")
+        n_points = pts.size ** 2 if key == "t_axes" else len(np.atleast_2d(pts))
         if n_points > MAX_GRID_POINTS:
             raise ConfigError(f"{key}: {n_points} points exceed "
                               f"{MAX_GRID_POINTS}")
-        try:   # a t_axes value is a coordinate on both axes
-            _limit_indices(params["r1"], params["r2"],
-                           pts if key == "t_points" else np.stack([pts, pts], -1))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-        params[key] = pts.tolist()
+        t_points = (np.stack(np.meshgrid(pts, pts, indexing="ij"), -1)
+                    .reshape(-1, 2) if key == "t_axes" else np.atleast_2d(pts))
+        _checked(f"{key}: ", _limit_indices, params["r1"], params["r2"],
+                 t_points)
+        params[key] = (pts.ravel() if key == "t_axes" else t_points).tolist()
         params["n_reps"] = _number(cfg.get("n_reps", 2000), "n_reps", int,
                                    lo=2, hi=MAX_N_REPS)
     if command in _DEFAULT_N:
@@ -371,9 +341,8 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(
                 f"n_samples: {params['n_samples']} samples of {n_points} "
                 f"grid points exceed {MAX_SAMPLE_VALUES} values")
-        n_probes = (len(plan.u_pairs) * len(plan.shifts)
-                    if command == "mc" else 0)
-        if params["n_samples"] * n_probes > MAX_MC_DRAWS:
+        if command == "mc" and (params["n_samples"] * len(plan.u_pairs)
+                                * len(plan.shifts) > MAX_MC_DRAWS):
             raise ConfigError(
                 f"n_samples: {params['n_samples']} samples for each of "
                 f"{len(plan.u_pairs)} x {len(plan.shifts)} probe pairs and "
@@ -381,7 +350,8 @@ def validate_config(cfg: dict) -> RunConfig:
         params["n_workers"] = _number(cfg.get("n_workers", 1), "n_workers",
                                       int, lo=1, hi=MAX_WORKERS)
 
-    return RunConfig(command=command, spec=spec, params=params)
+    return RunConfig(command=command, spec=spec, params=params, grid=grid,
+                     plan=plan, t_points=t_points)
 
 
 def _load_json(text: str):
@@ -407,12 +377,11 @@ def _suite_lemmas(tol):
 
 
 def _suite_densities():
-    checks = []
     xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
     rel = np.max(np.abs(spectral.g_fbm(0.5, xs) - spectral.g_w(xs))
                  / spectral.g_w(xs))
-    checks.append((OracleCheck("half_reduces_to_cauchy",
-                               {"grid": "[-10,10]/0.1"}, rel, 0.0), 1e-10))
+    checks = [(OracleCheck("half_reduces_to_cauchy",
+                           {"grid": "[-10,10]/0.1"}, rel, 0.0), 1e-10)]
     for H in (0.1, 0.3, 0.5, 0.7, 0.9):
         mass = spectral.cov_from_density(spectral.fbm_density(H), (0.0,)).value
         checks.append((OracleCheck("unit_mass", {"H": H}, mass, 1.0), 1e-6))
@@ -469,7 +438,6 @@ def _suite_criteria():
 
 
 def _suite_ma():
-    from .kernels import cov_fbs
     checks = []
     d = 1.0 / math.sqrt(3.0)
     for h1, h2, d0, d1 in ((0.3, 0.7, 1.0, 0.0), (0.5, 0.5, 1.0, 0.0),
@@ -520,6 +488,17 @@ def _quoted(text: str) -> str:
     return text
 
 
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """``path`` open for writing; an OSError there is a ConfigError on out."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:   # e.g. out names a file, or the disk is full
+        raise ConfigError(f"out: {exc}") from None
+
+
 def _write_csv(path: Path, rows, columns, template: str):
     """A CSV table: the ``columns`` header, then ``template % row`` per row.
 
@@ -527,7 +506,7 @@ def _write_csv(path: Path, rows, columns, template: str):
     ``%.17g`` per float cell, ``%d`` per integer and ``%s`` per cell that
     ``_fmt`` or ``_quoted`` has rendered.  ``rows`` is a sequence of tuples.
     """
-    with open(path, "w", newline="") as fh:
+    with _artifact(path) as fh:
         fh.write(",".join(columns) + "\r\n")
         fh.writelines(template % row for row in rows)
 
@@ -539,7 +518,7 @@ def _write_samples(path: Path, values: np.ndarray):
     fixed text, so only the values are formatted.
     """
     template = "".join(f"\0,{p},%.17g\r\n" for p in range(values.shape[1]))
-    with open(path, "w", newline="") as fh:
+    with _artifact(path) as fh:
         fh.write("rep,point,value\r\n")
         for rep, row in enumerate(values):
             fh.write(template.replace("\0", str(rep)) % tuple(row.tolist()))
@@ -547,17 +526,21 @@ def _write_samples(path: Path, values: np.ndarray):
 
 def run(config: RunConfig) -> int:
     """Execute a validated config; write CSV artifacts and echo the config."""
+    need = {"simulate": "grid", "classify": "plan", "mc": "plan",
+            "limit-demo": "t_points"}.get(config.command)
+    if need and getattr(config, need) is None:   # a RunConfig built by hand
+        raise ConfigError(f"{need}: missing; build the RunConfig with validate_config")
     out_dir = Path(config.params["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_echo.json").write_text(config.to_json() + "\n")
-    handler = _HANDLERS[config.command]
-    return handler(config, out_dir)
+    with _artifact(out_dir / "config_echo.json") as fh:
+        fh.write(config.to_json() + "\n")
+    return _HANDLERS[config.command](config, out_dir)
 
 
 def _run_cov(cfg, out_dir):
     """Evaluate a covariance kernel at (s, t)."""
-    kernel = make_kernel(cfg.spec)
-    value = kernel(cfg.params["s"], cfg.params["t"])
+    value = make_kernel(cfg.spec)(cfg.params["s"], cfg.params["t"])
+    if not math.isfinite(value):   # main names s and t
+        raise NonFiniteError(f"kernel returned non-finite value {value}")
     _write_csv(out_dir / "cov.csv",
                [(cfg.spec.family, _fmt(cfg.params["s"]), _fmt(cfg.params["t"]),
                  value)],
@@ -597,18 +580,9 @@ def _run_check(cfg, out_dir):
     return 0 if n_fail == 0 else 1
 
 
-def _probe_plan(command: str, n: int, opts: dict) -> ProbePlan:
-    """``opts`` over the default plan size: ``MC_PLAN`` for mc,
-    ``ProbePlan.default``'s for classify."""
-    size = MC_PLAN if command == "mc" else {}
-    return ProbePlan.default(n, **{**size, **opts})
-
-
 def _run_classify(cfg, out_dir):
     """Classify increment stationarity."""
-    kernel = make_kernel(cfg.spec)
-    plan = _probe_plan(cfg.command, len(cfg.spec.hurst), cfg.params["probes"])
-    report = classify_stationarity(kernel, plan=plan)
+    report = classify_stationarity(make_kernel(cfg.spec), plan=cfg.plan)
     label = report.label.value if report.label is not None else "inconclusive"
     _write_csv(out_dir / "classify.csv",
                [(cfg.spec.family, label, report.max_var_residual,
@@ -628,12 +602,11 @@ def _run_classify(cfg, out_dir):
 
 def _run_simulate(cfg, out_dir):
     """Sample a field and verify covariance."""
-    grid = _make_grid(cfg.params["grid"])
+    grid = cfg.grid
     batch = sample_field(cfg.spec, grid, cfg.params["seed"],
                          cfg.params["n_samples"],
                          n_workers=cfg.params["n_workers"])
-    analytic = batch.cov
-    emp, se = empirical_cov(batch, analytic)
+    emp, se = empirical_cov(batch, batch.cov)
 
     _write_csv(out_dir / "grid.csv",
                list(zip(range(grid.n_points), *grid.points.T.tolist())),
@@ -642,7 +615,7 @@ def _run_simulate(cfg, out_dir):
     _write_samples(out_dir / "samples.csv", batch.values)
 
     i, j = np.triu_indices(grid.n_points)
-    est, sd, ref = emp[i, j], se[i, j], analytic[i, j]
+    est, sd, ref = emp[i, j], se[i, j], batch.cov[i, j]
     z = (est - ref) / sd
     within = int(np.count_nonzero(np.abs(z) <= 4.0))
     _write_csv(out_dir / "report.csv",
@@ -650,18 +623,15 @@ def _run_simulate(cfg, out_dir):
                         ref.tolist(), z.tolist())),
                ["probe", "statistic", "estimate", "se", "reference", "z"],
                "%d-%d,cov,%.17g,%.17g,%.17g,%.17g\r\n")
-    total = len(z)
-    frac = within / total
     print(f"simulate[{cfg.spec.family}] n={batch.n_samples} "
-          f"{within}/{total} covariance entries within 4 SE")
-    return 0 if frac >= 0.95 else 1
+          f"{within}/{len(z)} covariance entries within 4 SE")
+    return 0 if within / len(z) >= 0.95 else 1
 
 
 def _run_mc(cfg, out_dir):
     """Monte Carlo increment-stationarity probes."""
-    plan = _probe_plan(cfg.command, len(cfg.spec.hurst), cfg.params["probes"])
     rows = mc_increment_stationarity(
-        cfg.spec, plan=plan, seed=cfg.params["seed"],
+        cfg.spec, plan=cfg.plan, seed=cfg.params["seed"],
         n_samples=cfg.params["n_samples"],
         n_workers=cfg.params["n_workers"])
     cols = ["probe", "kind", "h", "estimate", "se", "reference", "analytic",
@@ -678,20 +648,15 @@ def _run_mc(cfg, out_dir):
 
 def _run_limit_demo(cfg, out_dir):
     """Partial-sum convergence demo."""
-    if "t_points" in cfg.params:
-        t_points = np.asarray(cfg.params["t_points"], dtype=float)
-    else:
-        axes = cfg.params["t_axes"]
-        t_points = np.asarray([(a, b) for a in axes for b in axes])
-    demo = limit_partial_sums(cfg.params["r1"], cfg.params["r2"], t_points,
-                              seed=cfg.params["seed"],
+    demo = limit_partial_sums(cfg.params["r1"], cfg.params["r2"],
+                              cfg.t_points, seed=cfg.params["seed"],
                               n_reps=cfg.params["n_reps"])
-    i, j = np.triu_indices(len(t_points))
+    i, j = np.triu_indices(len(cfg.t_points))
     est, se = demo.emp_cov[i, j], demo.se[i, j]
     limit = demo.limit_cov[i, j]
     passed = np.abs(est - limit) <= 0.05 * np.abs(limit) + 4.0 * se
     ok = int(np.count_nonzero(passed))
-    labels = np.array([_fmt(t) for t in t_points])
+    labels = np.array([_fmt(t) for t in cfg.t_points])
     _write_csv(out_dir / "limit_demo.csv",
                list(zip(labels[i].tolist(), labels[j].tolist(), est.tolist(),
                         se.tolist(), demo.exact_cov[i, j].tolist(),
@@ -734,13 +699,15 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _build_parser():
+def _build_parser(commands=_COMMANDS):
+    """The parser of ``commands``; its usage names all, as the full one's."""
     parser = argparse.ArgumentParser(
         prog="rectfield",
         description="Self-similar Gaussian random fields: kernels, spectral "
                     "densities, oracle checks, and exact simulation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if tuple(commands) == _COMMANDS else "{%s}" % ",".join(_COMMANDS)))
+    for command in commands:
         keys = _COMMON_KEYS | _COMMAND_KEYS[command]
         if "spec" in keys:
             keys |= _SPEC_KEYS
@@ -753,15 +720,15 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    text = "{}"
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            print(f"config error: cannot read {args.config}: {exc}",
-                  file=sys.stderr)
-            return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = [c for c in _COMMANDS if [c] == argv[:1]]   # build its flags only
+    args = _build_parser(named or _COMMANDS).parse_args(argv)
+    try:   # args.config is a Path
+        text = "{}" if args.config is None else args.config.read_text()
+    except OSError as exc:
+        print(f"config error: cannot read {args.config}: {exc}",
+              file=sys.stderr)
+        return 2
     cfg: dict = {}
     spec: dict = {}
     for key, v in vars(args).items():
@@ -776,15 +743,18 @@ def main(argv=None) -> int:
         # flags override the file; validate_config rejects a non-object
         config = validate_config({**raw, **cfg} if isinstance(raw, dict)
                                  else raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return run(config)
+    except ConfigError as exc:
+        message = str(exc)
     except PSDError as exc:   # e.g. a mild theta far outside [-1, 1]
-        print(f"config error: spec: the covariance is not positive "
-              f"semidefinite on this grid: {exc}", file=sys.stderr)
-        return 2
+        message = (f"spec: the covariance is not positive semidefinite on "
+                   f"this grid: {exc}")
+    except NonFiniteError as exc:   # e.g. points too far out for the kernel
+        keys = _COMMAND_KEYS[config.command] & {"s", "t", "grid", "probes"}
+        message = (f"{', '.join(sorted(keys))}: the covariance is not "
+                   f"finite: {exc}")
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

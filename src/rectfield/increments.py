@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CovKernel, StationarityClass, _as_points
+from .kernels import CovKernel, NonFiniteError, StationarityClass, _as_points
 
 PLAN_BLOCK = 1 << 16      # corner pairs per kernel call in probe_covariances
 TOL_INVARIANT = 1e-8      # classifier residuals up to this are invariant,
@@ -103,12 +103,22 @@ def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
     The box corners broadcast against each other over their leading axes;
     the result has the broadcast leading shape.  All corner pairs go to the
     kernel's array form in one call; a bare callable is that array form.
+    A non-finite covariance raises ``NonFiniteError``, naming the first
+    pair of boxes where it occurs.
     """
     c1, signs = _corners(lo1, hi1)
     c2, _ = _corners(lo2, hi2)
     batch = kernel.batch if isinstance(kernel, CovKernel) else kernel
     K = batch(c1[..., :, None, :], c2[..., None, :, :])
-    return signs @ K @ signs
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        C = signs @ K @ signs
+    bad = np.argwhere(~np.isfinite(C))
+    if len(bad):
+        box = [np.broadcast_to(a, C.shape + np.shape(a)[-1:])[tuple(bad[0])]
+               for a in (lo1, hi1, lo2, hi2)]
+        raise NonFiniteError("kernel returned a non-finite increment covariance"
+                             " for the boxes [{}, {}] and [{}, {}]".format(*box))
+    return C
 
 
 def increment_cov(kernel, r1: Rectangle, r2: Rectangle) -> float:
@@ -172,6 +182,9 @@ class ProbePlan:
             raise ValueError(f"box must exceed 0.05, got {box!r}")
         if not shift_box > 0.0:
             raise ValueError(f"shift_box must be positive, got {shift_box!r}")
+        if not math.isfinite(box + shift_box):   # the farthest corner
+            raise ValueError(f"box + shift_box must be finite, got {box!r} + "
+                             f"{shift_box!r}")
         rng = np.random.default_rng(seed)
         pairs = tuple(
             (tuple(rng.uniform(0.05, box, n)), tuple(rng.uniform(0.05, box, n)))

@@ -61,6 +61,7 @@ import numpy as np
 
 __all__ = [
     "StationarityClass",
+    "NonFiniteError",
     "WeightValidationError",
     "StrictWeights",
     "validate_weights",
@@ -126,6 +127,10 @@ def _as_points(p, n) -> np.ndarray:
     if (pts < 0.0).any():
         raise ValueError("points must be finite and in the positive orthant")
     return pts
+
+
+class NonFiniteError(ValueError):
+    """A covariance evaluated to inf or NaN at finite points."""
 
 
 # --------------------------------------------------------------------------

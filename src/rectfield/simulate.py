@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .increments import ProbePlan, _corners, probe_covariances
-from .kernels import CovKernel, FieldSpec, _as_points, make_kernel
+from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
+                      make_kernel)
 
 __all__ = [
     "PSDError",
@@ -67,6 +68,9 @@ class Grid:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.ndim != 2:
+            raise ValueError(f"grid points must form a list of points, got "
+                             f"shape {pts.shape}")
         if pts.size == 0:
             raise ValueError("grid needs at least one point")
         if not np.all(np.isfinite(pts)):
@@ -100,8 +104,8 @@ def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
 
     Each block of ``ROW_BLOCK`` rows is one call of ``kernel.batch`` over
     the columns j >= the block's first row; the entries with i <= j are
-    kept and mirrored.  A non-finite value raises, naming the first pair
-    (i <= j, in row order) where it occurs.
+    kept and mirrored.  A non-finite value raises ``NonFiniteError``, naming
+    the first pair (i <= j, in row order) where it occurs.
     """
     pts = grid.points
     n = grid.n_points
@@ -115,8 +119,8 @@ def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
         bad = np.argwhere(~np.isfinite(block))
         if len(bad):
             i, j = lo + bad[0]
-            raise ValueError(f"kernel returned non-finite value at points "
-                             f"{pts[i]}, {pts[j]}")
+            raise NonFiniteError(f"kernel returned non-finite value at "
+                                 f"points {pts[i]}, {pts[j]}")
         M[lo:hi, lo:] = block
         M[lo:, lo:hi] = block.T
     return M
@@ -206,6 +210,14 @@ def sample_field(spec: FieldSpec, grid: Grid, seed: int, n_samples: int,
                        jitter=jitter, cov=M)
 
 
+def _wick_se(var_x, var_y, cov_xy, n):
+    """Standard error of the mean of n products x y of centred Gaussians,
+    sqrt((var_x var_y + cov_xy^2) / n), with no product that can overflow;
+    a variance rounded below zero counts as zero."""
+    sd_xy = np.sqrt(np.maximum(var_x, 0.0)) * np.sqrt(np.maximum(var_y, 0.0))
+    return np.hypot(sd_xy, cov_xy) / math.sqrt(n)
+
+
 def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):
     """Raw-second-moment covariance estimate and per-entry standard errors.
 
@@ -218,8 +230,8 @@ def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):
         raise ValueError(f"need at least 2 samples, got {n}")
     emp = batch.values.T @ batch.values / n
     K = emp if analytic is None else np.asarray(analytic, dtype=float)
-    se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / n)
-    return emp, se
+    var = np.diag(K)
+    return emp, _wick_se(var[:, None], var[None, :], K, n)
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +279,7 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
             ref = C[p][v][0]
             for k, shift in enumerate(plan.shifts, start=1):
                 e, c = est[k - 1][v], C[p][v][k]
-                v1, v2 = C[p][0][k], C[p][2 * v][k]
-                se = math.sqrt(max(v1 * v2 + c * c, 0.0) / n_samples)
+                se = float(_wick_se(C[p][0][k], C[p][2 * v][k], c, n_samples))
                 rows.append({
                     "probe": p, "kind": kind, "h": shift,
                     "estimate": e, "se": se, "reference": ref,
@@ -321,11 +332,14 @@ def _limit_indices(r1, r2, t_points) -> np.ndarray:
     if not (1 <= r1 <= MAX_LIMIT_SCALE and 1 <= r2 <= MAX_LIMIT_SCALE):
         raise ValueError(f"scaling factors must lie in [1, {MAX_LIMIT_SCALE}],"
                          f" got r1={r1}, r2={r2}")
-    k = np.floor(_as_points(t_points, 2) * (r1, r2))
+    k = np.atleast_2d(np.floor(_as_points(t_points, 2) * (r1, r2)))
+    if k.ndim != 2 or not len(k):
+        raise ValueError(f"expected one point or a list of points, got shape "
+                         f"{k.shape}")
     if not np.all(k < MAX_LIMIT_INDEX):
         raise ValueError(f"floor(t_k r_k) must stay below {MAX_LIMIT_INDEX}, "
                          f"got {k.max():.6g}")
-    return np.atleast_2d(k.astype(np.int64))
+    return k.astype(np.int64)
 
 
 def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
@@ -369,7 +383,7 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
              * (np.minimum.outer(k2, k2) + 1.0) / (r1 * r2))
     limit = (np.minimum.outer(t_points[:, 0], t_points[:, 0])
              * np.minimum.outer(t_points[:, 1], t_points[:, 1]))
-    se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2)
-                 / n_reps)
+    var = np.diag(exact)
+    se = _wick_se(var[:, None], var[None, :], exact, n_reps)
     return LimitDemo(t_points=t_points, emp_cov=emp, se=se, exact_cov=exact,
                      limit_cov=limit, n_reps=n_reps)

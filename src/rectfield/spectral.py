@@ -60,6 +60,39 @@ def g_w(x):
     return 1.0 / (2.0 * math.pi * (0.25 + x * x))
 
 
+_STIRLING_X = 20.0   # g_fbm's tail form holds beyond this |x|
+
+
+def _log_g_near(ax, H):
+    """log g_H at |x| = ax <= _STIRLING_X, from log Gamma and log cosh."""
+    log_gamma2 = 2.0 * loggamma(H + 1j * ax).real
+    lc = log_cosh(math.pi * ax)
+    cos_h = math.cos(math.pi * H)
+    # log(cosh^2 - cos^2) = 2 log cosh + log1p(-(cos/cosh)^2)
+    log_den = 2.0 * lc + np.log1p(-(cos_h * cos_h) * np.exp(-2.0 * lc))
+    return (np.log(2.0 * H / (H * H + ax * ax))
+            + math.log(math.pi) + math.lgamma(2.0 * H) - log_gamma2
+            + math.log(math.sin(math.pi * H)) + lc - log_den
+            - math.log(2.0 * math.pi))
+
+
+def _log_g_far(y, H):
+    """log g_H at |x| = y > _STIRLING_X.  With z = H + iy, Stirling's series
+    gives Re log Gamma(z) + pi y/2 = (H - 1/2) log|z| + y atan(H/y) - H
+    + log(2 pi)/2 + sum_k B_2k/(2k(2k-1)) Re z^{1-2k}, to 2e-17 at y = 20
+    with k <= 5, and log cosh(pi y) = pi y - log 2 + O(e^{-2 pi y}): the pi y
+    terms cancel unrounded and neither y^2 nor |z|^2 is formed."""
+    r = H / y
+    log_z = np.log(y) + 0.5 * np.log1p(r * r)
+    w = (r - 1j) / (y * (1.0 + r * r))                              # 1 / z
+    w2 = w * w
+    series = w * (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 * (
+        1 / 1680 - w2 / 1188))))
+    return (math.log(2.0 * H * math.gamma(2.0 * H) * math.sin(math.pi * H))
+            - (2.0 * H + 1.0) * log_z - 2.0 * y * np.arctan(r) + 2.0 * H
+            - math.log(2.0 * math.pi) - 2.0 * series.real)
+
+
 def g_fbm(H: float, x):
     """Spectral density g_H(x) of the time-changed fractional Brownian motion.
 
@@ -67,20 +100,15 @@ def g_fbm(H: float, x):
     the exponential growth of 1/|Gamma(H+ix)|^2 and the exponential decay of
     cosh(pi x)/(cosh^2(pi x) - cos^2(pi H)) cancel analytically, leaving the
     power-law tail ~ c_H |x|^{-1-2H} that a naive evaluation loses to
-    overflow beyond |x| of about 200.
+    overflow beyond |x| of about 200; beyond |x| = 20 they cancel in
+    Stirling's series, exact to rounding at every finite x.
     """
     (H,) = validate_hurst(H)
     ax = abs(x)
-    log_gamma2 = 2.0 * loggamma(H + 1j * ax).real
-    lc = log_cosh(math.pi * ax)
-    cos_h = math.cos(math.pi * H)
-    # log(cosh^2 - cos^2) = 2 log cosh + log1p(-(cos/cosh)^2)
-    log_den = 2.0 * lc + np.log1p(-(cos_h * cos_h) * np.exp(-2.0 * lc))
-    log_val = (np.log(2.0 * H / (H * H + x * x))
-               + math.log(math.pi) + math.lgamma(2.0 * H) - log_gamma2
-               + math.log(math.sin(math.pi * H)) + lc - log_den
-               - math.log(2.0 * math.pi))
-    return np.exp(log_val)
+    if isinstance(ax, np.ndarray):   # each form on its own frequencies
+        return np.exp(np.piecewise(ax.astype(float), [ax > _STIRLING_X],
+                                   [_log_g_far, _log_g_near], H))
+    return np.exp((_log_g_far if ax > _STIRLING_X else _log_g_near)(ax, H))
 
 
 def g_product(H, x) -> np.ndarray:

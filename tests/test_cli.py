@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from rectfield import cli
 from rectfield.cli import (
     ConfigError,
+    RunConfig,
     _fmt,
     _write_samples,
     main,
@@ -25,7 +27,7 @@ from rectfield.cli import (
 )
 from rectfield.kernels import (FBS, MildTheta, MovingPair, Strict2D,
                                StrictGeneral, YHalf, ZHalf)
-from rectfield.simulate import limit_partial_sums
+from rectfield.simulate import _limit_indices, limit_partial_sums
 
 
 def test_parse_minimal_cov_config():
@@ -277,12 +279,89 @@ def test_density_rejects_non_sheet_families(tmp_path, capsys):
      "classify", "probes.box"),
     ('{"spec": {"family": "yhalf", "theta": 1.0}, "probes": {"box": -1}}',
      "mc", "probes.box"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [[1, 1], [2, 2]], "t": [2, 2]}', "cov", "s:"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": 100,'
+     ' "grid": {"points": [[[1, 2], [3, 4]]]}}', "simulate", "grid:"),
+    ('{"r1": 8, "r2": 8, "t_axes": []}', "limit-demo", "t_axes:"),
+    ('{"r1": 8, "r2": 8, "t_axes": [[1, 2], [3, 4]]}', "limit-demo", "t_axes:"),
+    ('{"spec": {"family": "fbs", "H": [0.3, 0.7]},'
+     ' "probes": {"box": 1.7e308, "shift_box": 1.7e308}}',
+     "classify", "probes.box + shift_box"),
+    # covariances that overflow: a NaN verdict, a traceback and an inf value
+    ('{"spec": {"family": "fbs", "H": [0.3, 0.7]},'
+     ' "probes": {"n_pairs": 1, "n_shifts": 1, "shift_box": 1e300}}',
+     "classify", "probes: the covariance is not finite"),
+    ('{"spec": {"family": "fbs", "H": [0.3, 0.7]},'
+     ' "probes": {"n_pairs": 1, "n_shifts": 1, "shift_box": 1e300}}',
+     "mc", "probes: the covariance is not finite"),
+    ('{"spec": {"family": "fbs", "H": [0.9, 0.9]},'
+     ' "s": [1e300, 1e300], "t": [1e300, 1e300]}',
+     "cov", "s, t: the covariance is not finite"),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, command, where):
     assert _main_with_config(tmp_path, text, command) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
     assert "Traceback" not in err
+
+
+def test_an_unusable_out_is_a_config_error(tmp_path, capsys):
+    # FileExistsError, NotADirectoryError and an IsADirectoryError on an
+    # artifact used to end in a traceback
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "cov.csv").mkdir(parents=True)
+    flags = ["--spec", "fbs", "--H", "0.5", "0.5", "--s", "1", "1",
+             "--t", "2", "2"]
+    for out in (tmp_path / "file", tmp_path / "file" / "sub", tmp_path / "dir"):
+        assert main(["cov", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and str(out) in err
+
+
+def test_only_artifact_writes_map_an_os_error_to_out(tmp_path, monkeypatch):
+    # an OSError raised by the computation is not a fault of out
+    def broken(*args, **kwargs):
+        raise OSError("not a file error")
+
+    monkeypatch.setattr(cli, "make_kernel", broken)
+    cfg = validate_config({"command": "cov", "out": str(tmp_path),
+                           "spec": {"family": "fbs", "H": [0.5, 0.5]},
+                           "s": [1, 1], "t": [2, 2]})
+    with pytest.raises(OSError, match="not a file error"):
+        run(cfg)
+    assert (tmp_path / "config_echo.json").exists()
+
+
+def test_a_hand_built_run_config_needs_its_built_input(tmp_path):
+    # without its grid, plan or t points a run used to fall back to the
+    # default plan while echoing the given probes, or end in a traceback
+    spec = FBS((0.3, 0.7))
+    for command, params in (
+            ("classify", {"probes": {"n_pairs": 1}}),
+            ("mc", {"probes": {"n_pairs": 1}, "n_samples": 100,
+                    "n_workers": 1}),
+            ("simulate", {"grid": {"points": [[1.0, 1.0]]}, "n_samples": 100,
+                          "n_workers": 1}),
+            ("limit-demo", {"r1": 2, "r2": 2, "t_points": [[1.0, 1.0]],
+                            "n_reps": 10})):
+        cfg = RunConfig(command, None if command == "limit-demo" else spec,
+                        {"seed": 0, "out": str(tmp_path / command), **params})
+        with pytest.raises(ConfigError, match="validate_config"):
+            run(cfg)
+        assert not (tmp_path / command).exists()
+
+
+def test_a_bare_number_is_a_one_dimensional_point(tmp_path):
+    cfg = validate_config({"command": "cov", "spec": {"family": "fbs",
+                                                      "H": [0.3]},
+                           "s": 1, "t": [2.0]})
+    assert (cfg.params["s"], cfg.params["t"]) == ([1.0], [2.0])
+    cfg = validate_config({"command": "density",
+                           "spec": {"family": "fbs", "H": [0.3]}, "x": 0.5,
+                           "out": str(tmp_path)})
+    assert cfg.params["x"] == [[0.5]]
+    assert run(cfg) == 0
 
 
 def test_n_samples_floor_makes_the_gates_meaningful(tmp_path, capsys):
@@ -366,8 +445,8 @@ def test_oversized_grids_and_plans_fail_before_they_are_built(monkeypatch):
     def not_built(*args, **kwargs):
         raise AssertionError("built before the ceiling was checked")
 
-    monkeypatch.setattr(cli, "_make_grid", not_built)
-    monkeypatch.setattr(cli, "ProbePlan", not_built)
+    for builder in ("Grid", "grid_from_axes", "ProbePlan"):
+        monkeypatch.setattr(cli, builder, not_built)
     spec = {"family": "fbs", "H": [0.5, 0.5]}
     axis = np.linspace(0.1, 3.0, 65).tolist()    # 65^2 = 4225 points
     assert 65 ** 2 > cli.MAX_GRID_POINTS
@@ -498,6 +577,50 @@ def test_mc_samples_once_per_pair_and_shift(tmp_path, monkeypatch):
            "seed": 16, "out": str(tmp_path)}
     assert run(validate_config(cfg)) == 0
     assert len(calls) == 3 * 2
+
+
+def test_each_run_input_is_built_once(tmp_path, monkeypatch):
+    import rectfield.simulate as sim
+    from rectfield.increments import ProbePlan
+
+    plans = []
+    default = ProbePlan.default.__func__
+    monkeypatch.setattr(ProbePlan, "default", classmethod(
+        lambda cls, *a, **k: plans.append(1) or default(cls, *a, **k)))
+    spec = {"family": "fbs", "H": [0.3, 0.7]}
+    for command, extra in (("classify", {}), ("mc", {"n_samples": 100})):
+        plans.clear()
+        assert run(validate_config({
+            "command": command, "spec": spec, **extra,
+            "probes": {"n_pairs": 2, "n_shifts": 2},
+            "out": str(tmp_path / command)})) in (0, 1)
+        assert len(plans) == 1, command
+
+    grids = []
+    post_init = sim.Grid.__post_init__
+    monkeypatch.setattr(sim.Grid, "__post_init__",
+                        lambda self: grids.append(1) or post_init(self))
+    for grid in ({"axes": [[0.5, 1.5], [1.0, 2.0]]},
+                 {"points": [[0.5, 1.0], [1.5, 2.0]]}):
+        grids.clear()
+        assert run(validate_config({
+            "command": "simulate", "spec": spec, "grid": grid,
+            "n_samples": 100, "out": str(tmp_path / "sim")})) in (0, 1)
+        assert len(grids) == 1, grid
+
+    # the check of the demo's arguments sees the points it samples, the
+    # t_axes mesh, not its diagonal
+    seen = []
+    monkeypatch.setattr(sim, "_limit_indices",
+                        lambda *a: seen.append(a[2]) or _limit_indices(*a))
+    monkeypatch.setattr(cli, "_limit_indices", sim._limit_indices)
+    cfg = validate_config({"command": "limit-demo", "r1": 4, "r2": 4,
+                           "t_axes": [0.5, 1.0, 2.0], "n_reps": 10,
+                           "out": str(tmp_path / "demo")})
+    run(cfg)
+    assert len(seen) == 2 and seen[0] is seen[1] is cfg.t_points
+    assert cfg.t_points.tolist() == [[a, b] for a in (0.5, 1.0, 2.0)
+                                     for b in (0.5, 1.0, 2.0)]
 
 
 def test_limit_demo_t_axes_are_bounded_by_the_floor_index(tmp_path, capsys):
@@ -730,3 +853,33 @@ def test_the_parser_offers_the_flags_of_the_validated_keys():
                  if a.dest == "suite")
     assert list(suite.choices) == list(cli._SUITES) == [
         "lemmas", "densities", "criteria", "ma"]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_parses_with_the_named_subcommand_only(monkeypatch, capsys):
+    # a parser of one subcommand prints the same help and errors as the
+    # full parser, whose usage names every command
+    for command in cli._COMMANDS:
+        for argv in ([command, "--help"], [command, "--bogus"],
+                     [command, "--config"]):
+            assert (_parse(cli._build_parser([command]), argv)
+                    == _parse(cli._build_parser(), argv)), argv
+    real, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda commands=cli._COMMANDS: (
+        built.append(list(commands)) or real(commands)))
+    for argv in (["cov", "--bogus"], ["--help"], ["bogus"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == [["cov"]] + [list(cli._COMMANDS)] * 3

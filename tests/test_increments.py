@@ -22,6 +22,7 @@ from rectfield.kernels import (
     FBS,
     MildTheta,
     MovingPair,
+    NonFiniteError,
     StationarityClass,
     Strict2D,
     StrictGeneral,
@@ -214,15 +215,31 @@ def test_classify_inconclusive_band():
 def test_probe_plan_rejects_empty_ranges_and_plans():
     # box <= 0.05 leaves uniform(0.05, box) empty or a point; shift_box <= 0
     # puts every anchor at h = 0, where every probe compares a value with
-    # itself and a mild field passes as strict
+    # itself and a mild field passes as strict; corners past the float range
+    # made the kernel's point check fail mid-run
     for kw in ({"box": 0.01}, {"box": 0.05}, {"box": -1.0},
-               {"shift_box": 0.0}, {"shift_box": -1.0}, {"box": math.nan}):
+               {"shift_box": 0.0}, {"shift_box": -1.0}, {"box": math.nan},
+               {"box": math.inf}, {"box": 1.7e308, "shift_box": 1.7e308}):
         with pytest.raises(ValueError, match="box"):
             ProbePlan.default(2, **kw)
     with pytest.raises(ValueError, match="at least one"):
         ProbePlan(u_pairs=(), shifts=((0.0, 0.0),))
     with pytest.raises(ValueError, match="at least one"):
         ProbePlan.default(2, n_shifts=0)
+
+
+def test_non_finite_increment_covariances_raise():
+    # 1e300^1.8 overflows: increment_cov returned inf with a RuntimeWarning
+    # and the probes reached the classifier as NaN residuals
+    kernel = make_kernel(FBS((0.9, 0.9)))
+    far = Rectangle((0.0, 0.0), (1e300, 1e300))
+    with pytest.raises(NonFiniteError, match=r"boxes \[\[0\. 0\.\], "):
+        increment_cov(kernel, far, far)
+    plan = ProbePlan.default(2, n_pairs=1, n_shifts=1, shift_box=1e300)
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        probe_covariances(make_kernel(FBS((0.3, 0.7))), plan)
+    with pytest.raises(NonFiniteError):
+        classify_stationarity(make_kernel(FBS((0.3, 0.7))), plan=plan)
 
 
 def test_probe_plan_reproducible():

@@ -20,6 +20,7 @@ from rectfield.simulate import (
     CHUNK_SIZE,
     Grid,
     PSDError,
+    SampleBatch,
     cholesky_sample,
     cov_matrix,
     empirical_cov,
@@ -40,6 +41,33 @@ def test_grid_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             Grid(np.array([[1.0, 2.0], [bad, 1.0]]))
+
+
+def test_grid_and_demo_points_are_lists_of_points():
+    # a 3-D point array and an empty one reached cov_matrix and the demo's
+    # cell sums, which failed there with an unrelated numpy error
+    with pytest.raises(ValueError, match="list of points"):
+        Grid(np.ones((1, 2, 2)))
+    for t in (np.ones((1, 1, 2)), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="list of points"):
+            limit_partial_sums(8, 8, t, n_reps=2)
+
+
+def test_standard_errors_do_not_overflow():
+    # var_i var_j overflowed to inf for variances near 1e180, which made
+    # every z = 0 and the simulate gate pass whatever the draws
+    batch = sample_field(FBS((0.3, 0.7)), grid_from_axes([[1.0, 2.0], [1.0, 2.0]]),
+                         seed=3, n_samples=100)
+    emp, se = empirical_cov(batch, batch.cov)
+    scale = 1e180
+    _, se_big = empirical_cov(
+        SampleBatch(batch.seed, batch.grid, batch.values * math.sqrt(scale),
+                    batch.spec), batch.cov * scale)
+    assert np.all(np.isfinite(se_big))
+    assert np.allclose(se_big / scale, se, rtol=1e-14, atol=0)
+    K = batch.cov
+    assert np.allclose(se, np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2)
+                                   / 100), rtol=1e-14, atol=0)
 
 
 def test_grid_from_axes():
