@@ -34,8 +34,7 @@ from .increments import ProbePlan, classify_stationarity
 from .kernels import (FieldSpec, MovingPair, NonFiniteError, StrictWeights,
                       _as_points, _points, cov_fbs, make_kernel,
                       moving_constraint_residual)
-from .lamperti import (StationaryCov, c_fbs_stationary, c_theta,
-                       mild_criterion_residual)
+from .lamperti import c_fbs_stationary, c_theta, mild_criterion_residual
 from .quadrature import OracleCheck
 from .simulate import (
     MAX_WORKERS,
@@ -406,8 +405,8 @@ def _suite_criteria():
                                 np.linspace(-3.0, 3.0, 7), indexing="ij"), -1)
     for h1, h2 in ((0.3, 0.7), (0.5, 0.5)):
         for theta in (-1.0, 1.0):
-            C = StationaryCov(2, lambda v, a=h1, b=h2, th=theta: c_theta(a, b, th, v))
-            worst = np.max(np.abs(mild_criterion_residual(C, (h1, h2), lags)))
+            worst = np.max(np.abs(mild_criterion_residual(
+                lambda v: c_theta(h1, h2, theta, v), (h1, h2), lags)))
             checks.append((OracleCheck("mild_criterion",
                                        {"H": [h1, h2], "theta": theta},
                                        worst, 0.0), 1e-12))
@@ -418,18 +417,16 @@ def _suite_criteria():
     worst = np.max(np.abs(spectral.density_criterion_residual(dens, H, freqs)))
     checks.append((OracleCheck("density_criterion_even", {"H": list(H)},
                                worst, 0.0), 1e-12))
-
-    def perturbed(x):
-        return (spectral.g_product(H, x)
-                * (1.0 + 0.5 * np.tanh(x[..., 0]) * np.tanh(x[..., 1])))
-
-    fdens = spectral.SpectralDensity(2, perturbed)
+    ((_, g),) = dens.terms
+    # g (1 + 0.5 tanh(x1) tanh(x2)): an odd perturbation of the sheet's density
+    fdens = spectral.SpectralDensity(
+        ((1.0, g), (0.5, tuple((lambda x, gk=gk: gk(x) * np.tanh(x))
+                               for gk in g))))
     worst = np.max(np.abs(spectral.density_criterion_residual(fdens, H, freqs)))
     checks.append((OracleCheck("density_criterion_odd_perturbation",
                                {"H": list(H), "delta": 0.5}, worst, 0.0),
                    1e-12))
-    scaled = spectral.SpectralDensity(
-        2, lambda x: 1.1 * spectral.g_product(H, x))
+    scaled = spectral.SpectralDensity(((1.1, g),))
     resid = spectral.density_criterion_residual(scaled, H, (0.5, 0.4))
     expect = 0.1 * 4 * spectral.g_product(H, (0.5, 0.4))
     checks.append((OracleCheck("density_criterion_detects_scaling",

@@ -24,15 +24,14 @@ map lag (or point) arrays of shape (..., N) to shape (...); a single lag
 gives a ``np.float64`` and a bare number is a one-dimensional lag.  Lags
 must be finite and points of ``lamperti_inverse`` finite and in the
 positive orthant; anything else raises ``ValueError``.  A stationary
-covariance C, a ``StationaryCov`` or a bare callable, follows the same
-contract, so the criterion evaluates the 2^N sign flips of a whole lag
-grid in one call of C.
+covariance C is any callable with the same contract, such as the one
+``lamperti_forward`` returns, so the criterion evaluates the 2^N sign flips
+of a whole lag grid in one call of C.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +40,6 @@ from .kernels import (CovKernel, _as_points, _points, _sign_vectors,
                       validate_hurst)
 
 __all__ = [
-    "StationaryCov",
     "SelfSimilarityError",
     "self_similarity_residual",
     "lamperti_forward",
@@ -54,17 +52,6 @@ __all__ = [
 SELF_SIMILARITY_TRIALS = 10
 SELF_SIMILARITY_SEED = 7041
 SELF_SIMILARITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class StationaryCov:
-    """A stationary covariance v -> C(v) on R^N, lags (..., N) -> (...)."""
-
-    n: int
-    evaluate: Callable[..., np.ndarray]
-
-    def __call__(self, v) -> np.ndarray:
-        return self.evaluate(np.asarray(v, dtype=float))
 
 
 class SelfSimilarityError(ValueError):
@@ -83,8 +70,8 @@ def self_similarity_residual(kernel: CovKernel) -> float:
                         initial=0.0))
 
 
-def lamperti_forward(kernel: CovKernel) -> StationaryCov:
-    """Stationary covariance of the exponentially time-changed kernel.
+def lamperti_forward(kernel: CovKernel) -> Callable[..., np.ndarray]:
+    """Stationary covariance C of the exponentially time-changed kernel.
 
     Verifies the kernel's self-similarity numerically, to
     ``SELF_SIMILARITY_TOL``, before trusting the Hurst vector attached to it.
@@ -98,10 +85,10 @@ def lamperti_forward(kernel: CovKernel) -> StationaryCov:
         v = np.asarray(v, dtype=float)
         return kernel.batch(np.exp(-v / 2.0), np.exp(v / 2.0))
 
-    return StationaryCov(n=kernel.n, evaluate=evaluate)
+    return evaluate
 
 
-def lamperti_inverse(C: StationaryCov, H, s, t) -> np.ndarray:
+def lamperti_inverse(C: Callable[..., np.ndarray], H, s, t) -> np.ndarray:
     """Self-similar kernel induced by a stationary covariance.
 
     prod_k (t_k s_k)^{H_k} C(log(t_k/s_k)) for strictly positive

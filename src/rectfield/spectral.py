@@ -17,29 +17,32 @@ densities, one 1/(2 pi) factor per coordinate; this normalization is pinned
 down by requiring that the Fourier transform of the product density
 reproduce the stationary sheet covariance (total mass one).
 
-``cov_from_density`` inverts densities to covariances by quadrature
-(Fourier-weight rules with cycle acceleration on the oscillatory tails) at
-finite lags and reports the imaginary residual; ``density_criterion_residual`` evaluates
-the density-level membership identity for the mild class.
+A ``SpectralDensity`` is a sum of separable terms c_k prod_j f_kj(x_j),
+the shape of the paper's spectral representations: the sheet's density is
+one term, and a mild-class density g(x1) g(x2) - theta mu(x1) mu(x2) is
+two.  ``cov_from_density`` inverts it to a covariance at a finite lag,
+factor by factor, by one-dimensional quadrature (Fourier-weight rules with
+cycle acceleration on the oscillatory tails) in any dimension, and reports
+the imaginary residual; ``density_criterion_residual`` evaluates the
+density-level membership identity for the mild class.
 
-``g_w`` and ``g_fbm`` map frequencies elementwise; ``g_product``, the
-``evaluate`` of a ``SpectralDensity`` and the criterion map frequencies
-(..., N) to (...), one call of the density for all 2^N sign flips of a
-grid.  A single frequency gives a ``np.float64``, as quadrature needs.
+``g_w``, ``g_fbm`` and the factors of a density map frequencies
+elementwise; ``g_product``, a ``SpectralDensity`` and the criterion map
+frequencies (..., N) to (...), one call of each factor for all 2^N sign
+flips of a grid.  A single frequency gives a ``np.float64``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import loggamma
 
 from .gammafn import log_cosh
 from .kernels import _points, _sign_vectors, validate_hurst
-from .quadrature import DEFAULT_BUDGET, QuadratureError, _Budget, _quad_panel
+from .quadrature import DEFAULT_BUDGET, _Budget, _quad_panel
 
 __all__ = [
     "SpectralDensity",
@@ -105,46 +108,59 @@ def g_fbm(H: float, x):
     """
     (H,) = validate_hurst(H)
     ax = abs(x)
-    if isinstance(ax, np.ndarray):   # each form on its own frequencies
-        return np.exp(np.piecewise(ax.astype(float), [ax > _STIRLING_X],
-                                   [_log_g_far, _log_g_near], H))
+    # each form on its own frequencies; at |x| = inf the far form is inf * 0
+    # and g_H is its limit 0
+    if isinstance(ax, np.ndarray):
+        ax = ax.astype(float)
+        return np.exp(np.piecewise(
+            ax, [(ax > _STIRLING_X) & (ax < math.inf), ax == math.inf],
+            [_log_g_far, -math.inf, _log_g_near], H))
+    if ax == math.inf:
+        return np.float64(0.0)
     return np.exp((_log_g_far if ax > _STIRLING_X else _log_g_near)(ax, H))
 
 
 def g_product(H, x) -> np.ndarray:
     """The sheet's density prod_k g_{H_k}(x_k), frequencies (..., N) -> (...)."""
-    H = validate_hurst(H)
-    x = _points(x, len(H))
-    return math.prod(g_fbm(h, x[..., k]) for k, h in enumerate(H))
+    return product_density(H)(x)
 
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Nonnegative integrable density on R^N, frequencies (..., N) -> (...).
+    """Density sum_k c_k prod_j f_kj(x_j) on R^N, frequencies (..., N) -> (...).
 
-    ``factors`` optionally lists one-dimensional densities, each mapping
-    frequencies elementwise, whose product is ``evaluate``; the Fourier
-    inversion then factorizes coordinate-wise.
+    ``terms`` is ((c_1, (f_11, ..., f_1N)), ...): finite real coefficients,
+    each with N one-dimensional factors that map frequencies elementwise.
+    Every term's Fourier transform factorizes coordinate-wise.
     """
 
-    n: int
-    evaluate: Callable[..., np.ndarray]
-    factors: tuple | None = None
+    terms: tuple
+
+    def __post_init__(self):
+        counts = {len(factors) for _, factors in self.terms}
+        if len(counts) != 1 or counts == {0}:
+            raise ValueError("a density needs terms with the same number of "
+                             "factors, at least one")
+        if not all(math.isfinite(c) for c, _ in self.terms):
+            raise ValueError("term coefficients must be finite")
+
+    @property
+    def n(self) -> int:
+        return len(self.terms[0][1])
 
     def __call__(self, x) -> np.ndarray:
-        return self.evaluate(np.asarray(x, dtype=float))
+        x = _points(x, self.n)
+        return sum(c * math.prod(f(x[..., j]) for j, f in enumerate(factors))
+                   for c, factors in self.terms)
 
 
 def fbm_density(H: float) -> SpectralDensity:
-    (H,) = validate_hurst(H)
-    return SpectralDensity(1, lambda x: g_fbm(H, x[..., 0]),
-                           factors=((lambda x, h=H: g_fbm(h, x)),))
+    return product_density((H,))
 
 
 def product_density(H) -> SpectralDensity:
-    H = validate_hurst(H)
-    facs = tuple((lambda x, h=h: g_fbm(h, x)) for h in H)
-    return SpectralDensity(len(H), lambda x: g_product(H, x), factors=facs)
+    return SpectralDensity(((1.0, tuple((lambda x, h=h: g_fbm(h, x))
+                                        for h in validate_hurst(H))),))
 
 
 @dataclass(frozen=True)
@@ -180,61 +196,23 @@ def cov_from_density(f: SpectralDensity, v, tol: float = 1e-6,
                      budget: int = DEFAULT_BUDGET) -> TransformResult:
     """Fourier transform int e^{i<x,v>} f(x) dx of a spectral density at lag v.
 
-    Product densities transform coordinate-wise; other densities are
-    supported directly in one dimension and by nested quadrature in two.
+    sum_k c_k prod_j of the one-dimensional transforms of f_kj at v_j, on
+    one evaluation budget; the error estimate is sum_k |c_k| sum_j e_kj.
     The imaginary part of the transform is returned as a residual: it
     vanishes (up to quadrature error) for densities even under x -> -x.
     """
     v = _points(v, f.n)
     bud = _Budget(budget)
-    if f.factors is not None:
-        if len(f.factors) != f.n:
-            raise ValueError("factor count does not match dimension")
-        total = complex(1.0)
-        err = 0.0
-        for gk, vk in zip(f.factors, v):
-            re, im, e = _transform_1d(gk, float(vk), bud, tol)
-            total *= complex(re, im)
-            err += e
-        return TransformResult(total.real, abs(total.imag), err)
-    if f.n == 1:
-        re, im, err = _transform_1d(lambda x: f.evaluate(np.array((x,))),
-                                    float(v[0]), bud, tol)
-        return TransformResult(re, abs(im), err)
-    if f.n == 2:
-        return _transform_2d(f, v, bud, tol)
-    raise QuadratureError(
-        "non-product densities are supported only in dimensions 1 and 2")
-
-
-def _transform_2d(f, v, budget, tol):
-    """Nested transform for non-product densities on R^2.
-
-    Every inner slice is a fresh one-dimensional integral with its own
-    evaluation budget; the shared budget meters the outer levels only.  The
-    four outer integrals (cos/sin, real/imag) visit the same x1 nodes, so
-    each slice is computed once per x1 and kept.
-    """
-    inner_tol = max(tol * 0.1, 1e-9)
-    slices = {}
-
-    def inner(x1):
-        if x1 not in slices:
-            re, im, _ = _transform_1d(lambda x2: f.evaluate(np.array((x1, x2))),
-                                      float(v[1]), _Budget(budget.limit),
-                                      inner_tol)
-            slices[x1] = complex(re, im)
-        return slices[x1]
-
-    def outer_part(part):
-        # each part of inner(x1) + inner(-x1) is the sum of the parts
-        return _transform_1d(lambda x1: part(inner(x1)), float(v[0]), budget,
-                             tol)
-
-    # e^{i x1 v1} (a + ib): real = a cos - b sin, imag = a sin + b cos
-    re_a, im_a, err_a = outer_part(lambda z: z.real)
-    re_b, im_b, err_b = outer_part(lambda z: z.imag)
-    return TransformResult(re_a - im_b, abs(im_a + re_b), err_a + err_b)
+    total, err = 0j, 0.0
+    for c, factors in f.terms:
+        term, term_err = complex(1.0), 0.0
+        for g, vj in zip(factors, v):
+            re, im, e = _transform_1d(g, float(vj), bud, tol)
+            term *= complex(re, im)
+            term_err += e
+        total += c * term
+        err += abs(c) * term_err
+    return TransformResult(total.real, abs(total.imag), err)
 
 
 def density_criterion_residual(f: SpectralDensity, H, x) -> np.ndarray:
@@ -250,7 +228,7 @@ def density_criterion_residual(f: SpectralDensity, H, x) -> np.ndarray:
                          f"{f.n}-dimensional")
     x = _points(x, f.n)
     flips = np.asarray(_sign_vectors(f.n), dtype=float)
-    return (f.evaluate(flips * x[..., None, :]).sum(axis=-1)
+    return (f(flips * x[..., None, :]).sum(axis=-1)
             - 2.0**f.n * g_product(H, x))
 
 

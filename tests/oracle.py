@@ -157,7 +157,7 @@ def lamperti_inverse(C, H, s, t) -> float:
     if np.any(s == 0.0) or np.any(t == 0.0):
         return 0.0
     pref = math.prod(float(tk * sk)**h for h, sk, tk in zip(H, s, t))
-    return pref * C.evaluate(np.log(t / s))
+    return pref * C(np.log(t / s))
 
 
 def _log1mexp(av: float) -> float:
@@ -281,5 +281,5 @@ def density_criterion_residual(f, H, x) -> float:
         raise ValueError("dimension mismatch between density, H, and x")
     acc = 0.0
     for eps in itertools.product((1.0, -1.0), repeat=f.n):
-        acc += f.evaluate(np.asarray(eps) * x)
+        acc += f(np.asarray(eps) * x)
     return acc - 2.0**f.n * g_product(H, x)

@@ -13,7 +13,7 @@ import pytest
 import oracle
 import rectfield
 from rectfield.lamperti import c_fbs_stationary
-from rectfield.quadrature import QuadratureError, integrate_1d
+from rectfield.quadrature import integrate_1d
 from rectfield.spectral import (
     SpectralDensity,
     cov_from_density,
@@ -79,7 +79,7 @@ def test_mass_is_one():
 
 
 def test_transform_of_cauchy_density():
-    dens = SpectralDensity(1, lambda x: g_w(x[..., 0]))
+    dens = SpectralDensity(((1.0, (g_w,)),))
     for v in (-2.0, 0.5, 3.0):
         res = cov_from_density(dens, (v,))
         assert res.value == pytest.approx(math.exp(-abs(v) / 2), abs=1e-8)
@@ -105,75 +105,59 @@ def test_transform_2d_product():
         assert abs(res.value - want) <= 1e-4
 
 
-def test_transform_2d_nonproduct_path():
-    H = (0.4, 0.6)
-    dens = SpectralDensity(2, lambda x: g_product(H, x))
-    res = cov_from_density(dens, (0.8, -0.5), tol=1e-5)
-    want = c_fbs_stationary(H, (0.8, -0.5))
+@pytest.mark.parametrize("H, v", [((0.4, 0.6), (0.8, -0.5)),
+                                  ((0.3, 0.5, 0.7), (0.8, -1.2, 2.0))],
+                         ids=["2-D", "3-D"])
+def test_transform_of_a_product_in_two_and_three_dimensions(H, v):
+    res = cov_from_density(product_density(H), v, tol=1e-5)
+    want = c_fbs_stationary(H, v)
     assert abs(res.value - want) <= 1e-4
     assert res.imag_residual <= 1e-4
 
 
-def _transform_2d_uncached(f, v, budget, tol, seen):
-    """The nested transform as it was before its inner slices were kept:
-    every outer evaluation recomputes inner(x1) and inner(-x1)."""
-    from rectfield import spectral
-
-    inner_tol = max(tol * 0.1, 1e-9)
-
-    def inner(x1):
-        seen.append(x1)
-        re, im, _ = spectral._transform_1d(
-            lambda x2: f.evaluate((x1, x2)), float(v[1]),
-            spectral._Budget(budget.limit), inner_tol)
-        return complex(re, im)
-
-    def outer_part(part):
-        geven = lambda x1: part(inner(x1) + inner(-x1))
-        godd = lambda x1: part(inner(x1) - inner(-x1))
-        re, e1 = spectral._quad_panel(geven, 0.0, np.inf, budget,
-                                      epsabs=tol * 0.25, weight="cos",
-                                      wvar=abs(float(v[0])))
-        im, e2 = spectral._quad_panel(godd, 0.0, np.inf, budget,
-                                      epsabs=tol * 0.25, weight="sin",
-                                      wvar=abs(float(v[0])))
-        return re, math.copysign(1.0, float(v[0])) * im, e1 + e2
-
-    re_a, im_a, err_a = outer_part(lambda z: z.real)
-    re_b, im_b, err_b = outer_part(lambda z: z.imag)
-    return spectral.TransformResult(re_a - im_b, abs(im_a + re_b),
-                                    err_a + err_b)
+def _skewed(x):
+    """A positive one-dimensional density that is not even."""
+    return g_w(x) * (1.0 + 0.5 * np.tanh(x))
 
 
-def test_transform_2d_computes_each_inner_slice_once(monkeypatch):
-    from rectfield import spectral
+def test_transform_of_a_sum_is_the_weighted_sum_of_its_terms():
+    H = (0.3, 0.7)
+    (_, g), = product_density(H).terms
+    terms = ((1.0, g), (-0.4, (_skewed, g_w)), (0.25, (g_w, _skewed)))
+    v = (0.9, -1.3)
+    got = cov_from_density(SpectralDensity(terms), v)
+    parts = [cov_from_density(SpectralDensity(((1.0, fs),)), v)
+             for _, fs in terms]
+    assert got.value == sum(c * p.value for (c, _), p in zip(terms, parts))
+    assert got.err_estimate == sum(abs(c) * p.err_estimate
+                                   for (c, _), p in zip(terms, parts))
+    assert got.imag_residual <= sum(abs(c) * p.imag_residual
+                                    for (c, _), p in zip(terms, parts))
+    assert got.imag_residual > 1e-3          # the skewed terms are not even
+    # and the terms add up pointwise as well
+    x = np.array([[0.5, -0.2], [-3.0, 1.5]])
+    assert np.all(SpectralDensity(terms)(x) == sum(
+        c * fs[0](x[:, 0]) * fs[1](x[:, 1]) for c, fs in terms))
 
-    # a smooth density that is not a product, nor even in x1 alone
-    dens = SpectralDensity(2, lambda x: math.exp(
-        -x[0] ** 2 - 0.5 * x[0] * x[1] - x[1] ** 2 + 0.3 * x[0]))
-    v = np.array([0.7, -0.4])
-    seen = []
-    want = _transform_2d_uncached(dens, v, spectral._Budget(
-        spectral.DEFAULT_BUDGET), 1e-6, seen)
 
-    calls = []
-    real = spectral._transform_1d
-    monkeypatch.setattr(spectral, "_transform_1d",
-                        lambda *a: calls.append(1) or real(*a))
-    got = cov_from_density(dens, v, tol=1e-6)
-    # one inner transform per distinct x1, and the two outer transforms
-    assert len(calls) == len(set(seen)) + 2
-    assert len(set(seen)) < len(seen)
-    assert (got.value, got.imag_residual, got.err_estimate) == \
-        (want.value, want.imag_residual, want.err_estimate)
+@pytest.mark.parametrize("terms", [
+    (),
+    ((1.0, ()),),
+    ((1.0, (g_w,)), (1.0, (g_w, g_w))),
+    ((math.inf, (g_w,)),),
+    ((math.nan, (g_w, g_w)),),
+], ids=["no terms", "no factors", "factor counts differ", "inf coefficient",
+        "nan coefficient"])
+def test_spectral_density_rejects_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        SpectralDensity(terms)
 
 
 def test_transform_dimension_checks():
     with pytest.raises(ValueError):
         cov_from_density(fbm_density(0.3), (1.0, 2.0))
-    dens3 = SpectralDensity(3, lambda x: 0.0)
-    with pytest.raises(QuadratureError):
-        cov_from_density(dens3, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        cov_from_density(product_density((0.3, 0.5, 0.7)), (1.0, 2.0))
 
 
 def test_density_criterion_even_density_vanishes():
@@ -188,21 +172,19 @@ def test_density_criterion_odd_perturbation_vanishes():
     # f = g (1 + delta odd(x1) odd(x2)) satisfies the membership identity
     H = (0.3, 0.7)
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return g_product(H, x) * (1 + 0.5 * np.tanh(x[..., 0])
-                                  * np.tanh(x[..., 1]))
-
-    dens = SpectralDensity(2, f)
+    (_, g), = product_density(H).terms
+    dens = SpectralDensity(
+        ((1.0, g), (0.5, tuple(lambda x, gk=gk: gk(x) * np.tanh(x)
+                               for gk in g))))
     for x in ((0.5, 0.4), (-1.0, 2.0), (1.5, -0.7)):
         assert density_criterion_residual(dens, H, x) == pytest.approx(
             0.0, abs=1e-14)
-        assert f(x) >= 0.0
+        assert dens(x) >= 0.0
 
 
 def test_density_criterion_detects_scaling():
     H = (0.3, 0.7)
-    dens = SpectralDensity(2, lambda x: 1.1 * g_product(H, x))
+    dens = SpectralDensity(((1.1, product_density(H).terms[0][1]),))
     x = (0.5, 0.4)
     want = 0.1 * 4 * g_product(H, x)
     assert density_criterion_residual(dens, H, x) == pytest.approx(
@@ -305,6 +287,20 @@ def test_g_fbm_tail_is_its_power_law_and_finite():
             assert all(np.isfinite(g_fbm(H, x)) for x in xs)
 
 
+def test_g_fbm_is_zero_at_infinity():
+    # the far form is inf * 0 there; g_H tends to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in _TAIL_H:
+            for x in (math.inf, -math.inf, np.float64(math.inf)):
+                got = g_fbm(H, x)
+                assert got == 0.0 and isinstance(got, np.float64)
+            got = g_fbm(H, np.array([math.inf, 1.0, -math.inf, 30.0]))
+            assert np.array_equal(got, [0.0, g_fbm(H, 1.0), 0.0,
+                                        g_fbm(H, 30.0)])
+            assert g_fbm(H, np.array(-math.inf)) == 0.0
+
+
 def test_g_w_and_g_product_arrays_match_the_scalar_oracle():
     want = np.array([oracle.g_w(x) for x in _FREQS])
     assert np.all(np.abs(g_w(_FREQS) - want) <= 1e-14 * want)
@@ -331,14 +327,18 @@ def test_density_criterion_calls_f_once(freqs):
     H = (0.3, 0.7)
     calls = []
 
-    def f(x):
-        calls.append(x.shape)
-        return g_product(H, x) * (1 + 0.5 * np.tanh(x[..., 0])
-                                  * np.tanh(x[..., 1]))
+    def counted(name, f):
+        return lambda x: calls.append((name, x.shape)) or f(x)
 
-    dens = SpectralDensity(2, f)
+    g1, g2 = (lambda x: g_fbm(H[0], x)), (lambda x: g_fbm(H[1], x))
+    dens = SpectralDensity((
+        (1.0, (counted("g1", g1), counted("g2", g2))),
+        (0.5, (counted("g1 tanh", lambda x: g1(x) * np.tanh(x)),
+               counted("g2 tanh", lambda x: g2(x) * np.tanh(x))))))
     got = density_criterion_residual(dens, H, freqs)
-    assert calls == [freqs.shape[:-1] + (4, 2)]
+    # each factor of each term once, on the flipped frequencies (..., 4)
+    assert calls == [(name, freqs.shape[:-1] + (4,))
+                     for name in ("g1", "g2", "g1 tanh", "g2 tanh")]
     assert got.shape == freqs.shape[:-1]
     # the flips and the sum are those of the scalar loop
     want = [oracle.density_criterion_residual(dens, H, x)
@@ -349,9 +349,10 @@ def test_density_criterion_calls_f_once(freqs):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("call", [
     lambda x: g_product((0.3, 0.7), (x, 0.5)),
+    lambda x: product_density((0.3, 0.7))((x, 0.5)),
     lambda x: density_criterion_residual(product_density((0.3, 0.7)),
                                          (0.3, 0.7), (0.5, x)),
-], ids=["g_product", "density_criterion_residual"])
+], ids=["g_product", "SpectralDensity", "density_criterion_residual"])
 def test_non_finite_frequencies_raise(call, bad):
     with pytest.raises(ValueError, match="finite"):
         call(bad)
