@@ -2,18 +2,24 @@
 
 A field with strictly stationary rectangular increments can be written as an
 integral of a deterministic kernel g(t, x) against white noise; its
-covariance is then the L2 inner product int g(t, x) conj(g(s, x)) dx.  Two
-kernel shapes occur.  Away from H = 1/2 the per-coordinate building blocks
-are the one-sided power parts
+covariance is then the L2 inner product int g(t, x) conj(g(s, x)) dx.  Each
+coordinate has two basis functions, numbered b = 0 and b = 1.  Away from
+H = 1/2 they are the one-sided power parts
 
-    p_H(t, x) = (t-x)_+^{H-1/2} - (-x)_+^{H-1/2}      ("past" part)
-    f_H(t, x) = (x-t)_+^{H-1/2} - x_+^{H-1/2}         ("future" part)
+    p_H(t, x) = (t-x)_+^{H-1/2} - (-x)_+^{H-1/2}      ("past" part, b = 0)
+    f_H(t, x) = (x-t)_+^{H-1/2} - x_+^{H-1/2}         ("future" part, b = 1)
 
-combined per sign vector e with phases exp(-+ i pi e (H+1/2)/2) and weights
-sqrt(K_e) e^{i phi_e}, phi_{-e} = -phi_e.  At H = 1/2 the blocks become
-pi 1_[0,t](x) and the logarithm log(|t-x|/|x|).
+and at H = 1/2 they are the indicator 1_[0,t](x) and the logarithm
+log(|t-x|/|x|).  A kernel is a sum of separable terms
 
-The two-parameter family used throughout the tests takes a real combination
+    g(t, x) = sum_k c_k prod_j basis_{b_kj}(t_j, x_j)
+
+with complex coefficients c_k; ``make_ma_kernel`` expands the paper's
+weight table (sqrt(K_e) e^{i phi_e} per sign vector e, phi_{-e} = -phi_e,
+with per-coordinate phases exp(-+ i pi e_j (H_j+1/2)/2)) into these terms,
+so any Hurst component may sit at 1/2.
+
+The two-parameter family used throughout the tests takes the two real terms
 d0 * (past product) + d1 * (future product), normalized to unit variance at
 t = (1,1) by
 
@@ -26,37 +32,35 @@ verifies rather than assumes.  The constraint's residual is
 :func:`rectfield.kernels.moving_constraint_residual`, which ``MovingPair``
 checks when it is built.
 
-Every covariance in this module is computed by one-dimensional quadrature
-of the coordinate factors (the integrands are products over coordinates, so
-the N-dimensional integral factorizes exactly); singular abscissae {0, s, t}
-are declared panel edges and the infinite tails use the same engine as the
-rest of the package.  The pair itself has a closed form,
-``make_kernel(MovingPair(...))`` (see :class:`rectfield.kernels.MovingPair`);
-the quadrature here is its independent oracle, used by the tests and by
-``rectfield check --suite ma``, never by kernel evaluation.  The points
-s and t of a covariance must be finite and in the positive orthant, and
-the imaginary part left by the weight table must stay within ``IMAG_TOL``
-of the covariance's scale.
+Every covariance in this module is computed by ``cov_from_ma`` from
+one-dimensional quadratures of the basis functions (the integrands are
+products over coordinates, so the N-dimensional integral factorizes
+exactly); singular abscissae {0, s, t} are declared panel edges and the
+infinite tails use the same engine as the rest of the package.  The pair
+itself has a closed form, ``make_kernel(MovingPair(...))`` (see
+:class:`rectfield.kernels.MovingPair`); the quadrature here is its
+independent oracle, used by the tests and by ``rectfield check --suite
+ma``, never by kernel evaluation.  The points s and t of a covariance must
+be finite and in the positive orthant, and the imaginary part left by the
+coefficients must stay within ``IMAG_TOL`` of the covariance's scale.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .gammafn import c2, pow_plus
-from .kernels import MovingPair, _as_points, validate_hurst
+from .kernels import MovingPair, _as_points, _points, validate_hurst
 from .quadrature import QuadratureError, integrate_1d
 
 __all__ = [
     "MAKernel",
     "make_ma_kernel",
-    "ma_kernel_general",
-    "ma_kernel_half",
     "cov_from_ma",
     "cov_moving_pair",
 ]
@@ -83,6 +87,27 @@ def log_ratio(t: float, x: float) -> float:
     return math.log(abs(t - x)) - math.log(abs(x))
 
 
+def _basis(h: float, t: float, x: float) -> tuple:
+    """Both basis functions of one coordinate at (t, x)."""
+    if h == 0.5:
+        return (1.0 if 0.0 <= x <= t else 0.0), log_ratio(t, x)
+    return p_kernel(h, t, x), f_kernel(h, t, x)
+
+
+def _basis_coefs(h: float, e: int) -> tuple:
+    """Coefficients of one coordinate's two basis functions for sign e.
+
+    Gamma(1/2-H)/sqrt(2 pi) (e^{-i beta e}, -e^{i beta e}) with
+    beta = pi (H+1/2)/2, and (pi, i e)/sqrt(2 pi) at H = 1/2.
+    """
+    root = math.sqrt(2 * math.pi)
+    if h == 0.5:
+        return math.pi / root, 1j * e / root
+    beta = math.pi / 2 * (h + 0.5)
+    gam = math.gamma(0.5 - h) / root
+    return gam * cmath.exp(-1j * beta * e), -gam * cmath.exp(1j * beta * e)
+
+
 def _check_weights(weights: Mapping, n: int) -> dict:
     W = {tuple(int(v) for v in e): (float(k), float(phi))
          for e, (k, phi) in weights.items()}
@@ -103,92 +128,54 @@ def _check_weights(weights: Mapping, n: int) -> dict:
     return W
 
 
-def ma_kernel_general(H, weights: Mapping, t, x) -> complex:
-    """Moving-average kernel value for Hurst components away from 1/2.
-
-    sum_e sqrt(K_e) e^{i phi_e} prod_j (Gamma(1/2-H_j)/sqrt(2 pi))
-        [ p e^{-i beta_j e_j} - f e^{+i beta_j e_j} ],
-    beta_j = pi (H_j + 1/2)/2.  On the singular hyperplanes x_j in {0, t_j}
-    (H_j < 1/2) the magnitude is an explicit inf marker.
-    """
-    H = validate_hurst(H)
-    if any(h == 0.5 for h in H):
-        raise ValueError("all Hurst components must differ from 1/2")
-    W = _check_weights(weights, len(H))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if any(h < 0.5 and (xj == 0.0 or xj == tj)
-           for h, tj, xj in zip(H, t, x)):
-        # integrable power singularity; complex arithmetic would turn the
-        # infinity into NaN, so return the marker directly
-        return complex(math.inf, math.inf)
-    total = 0.0 + 0.0j
-    for e, (k, phi) in W.items():
-        if k == 0.0:
-            continue
-        acc = math.sqrt(k) * np.exp(1j * phi)
-        for j, ej in enumerate(e):
-            beta = math.pi / 2 * (H[j] + 0.5)
-            pj = p_kernel(H[j], t[j], x[j])
-            fj = f_kernel(H[j], t[j], x[j])
-            acc *= (math.gamma(0.5 - H[j]) / math.sqrt(2 * math.pi)
-                    * (pj * np.exp(-1j * ej * beta) - fj * np.exp(1j * ej * beta)))
-        total += acc
-    return complex(total)
-
-
-def ma_kernel_half(weights: Mapping, t, x) -> complex:
-    """Moving-average kernel value at H = (1/2, ..., 1/2).
-
-    sum_e sqrt(K_e) e^{i phi_e} (2 pi)^{-N/2}
-        prod_j [ pi 1_[0,t_j](x_j) + i e_j log(|t_j-x_j|/|x_j|) ].
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = len(t)
-    W = _check_weights(weights, n)
-    if any(xj == 0.0 or xj == tj for tj, xj in zip(t, x)):
-        return complex(math.inf, math.inf)  # logarithmic singularity marker
-    total = 0.0 + 0.0j
-    for e, (k, phi) in W.items():
-        if k == 0.0:
-            continue
-        acc = math.sqrt(k) * np.exp(1j * phi) / (2 * math.pi)**(n / 2)
-        for j, ej in enumerate(e):
-            ind = math.pi if 0.0 <= x[j] <= t[j] else 0.0
-            acc *= complex(ind, ej * log_ratio(t[j], x[j]))
-        total += acc
-    return complex(total)
-
-
 @dataclass(frozen=True)
 class MAKernel:
-    """A moving-average kernel with its weight table.
+    """Moving-average kernel sum_k c_k prod_j basis_{b_kj}(t_j, x_j).
 
-    ``kind`` is "power" (all H_j != 1/2) or "half" (all H_j = 1/2);
-    ``weights`` maps sign vectors to (K_e, phi_e).
+    ``terms`` is ((c_1, (b_11, ..., b_1N)), ...): complex coefficients, each
+    with one basis number b in {0, 1} per coordinate.  Calling the kernel at
+    finite (t, x) of its dimension gives its complex value; on the singular
+    hyperplanes where a basis function is infinite (x_j in {0, t_j} for
+    H_j <= 1/2) it gives the explicit marker complex(inf, inf).
     """
 
     H: tuple
-    weights: dict
-    kind: str
-    evaluate: Callable[..., complex]
+    terms: tuple
 
     @property
     def n(self) -> int:
         return len(self.H)
 
+    def __call__(self, t, x) -> complex:
+        t, x = _points(t, self.n), _points(x, self.n)
+        vals = [_basis(h, float(tj), float(xj))
+                for h, tj, xj in zip(self.H, t, x)]
+        if not all(math.isfinite(v) for pair in vals for v in pair):
+            # integrable singularity; complex arithmetic would turn the
+            # infinity into NaN, so return the marker directly
+            return complex(math.inf, math.inf)
+        return complex(sum(c * math.prod(v[b] for v, b in zip(vals, bs))
+                           for c, bs in self.terms))
+
 
 def make_ma_kernel(H, weights: Mapping) -> MAKernel:
+    """Kernel of the weight table {e: (K_e, phi_e)} over sign vectors e.
+
+    sum_e sqrt(K_e) e^{i phi_e} prod_j (factor of coordinate j for sign
+    e_j), each factor a combination of the coordinate's two basis functions
+    (``_basis_coefs``), expanded into one coefficient per basis choice b in
+    {0, 1}^N.
+    """
     H = validate_hurst(H)
     W = _check_weights(weights, len(H))
-    if all(h == 0.5 for h in H):
-        return MAKernel(H, W, "half", lambda t, x: ma_kernel_half(W, t, x))
-    if any(h == 0.5 for h in H):
-        raise ValueError(
-            "mixed Hurst vectors with some components at 1/2 have no "
-            "moving-average kernel here; use all-1/2 or none")
-    return MAKernel(H, W, "power", lambda t, x: ma_kernel_general(H, W, t, x))
+    terms = []
+    for bs in itertools.product((0, 1), repeat=len(H)):
+        c = sum(math.sqrt(k) * cmath.exp(1j * phi)
+                * math.prod(_basis_coefs(h, ej)[bj]
+                            for h, ej, bj in zip(H, e, bs))
+                for e, (k, phi) in W.items())
+        terms.append((c, bs))
+    return MAKernel(H, tuple(terms))
 
 
 # --------------------------------------------------------------------------
@@ -236,54 +223,35 @@ def _log_inner_ll(t: float, s: float) -> float:
                         singular_points=cuts).value
 
 
-def _coord_factor_power(h, t, s, e1, e2) -> complex:
-    """int factor(t, x, e1) conj(factor(s, x, e2)) dx for one coordinate."""
-    beta = math.pi / 2 * (h + 0.5)
-    gsq = math.gamma(0.5 - h)**2 / (2 * math.pi)
-    ipp = _power_inner(h, "pp", t, s)
-    ipf = _power_inner(h, "pf", t, s)
-    ifp = _power_inner(h, "fp", t, s)
-    iff = _power_inner(h, "ff", t, s)
-    return gsq * (ipp * np.exp(-1j * beta * (e1 - e2))
-                  - ipf * np.exp(-1j * beta * (e1 + e2))
-                  - ifp * np.exp(1j * beta * (e1 + e2))
-                  + iff * np.exp(1j * beta * (e1 - e2)))
-
-
-def _coord_factor_half(t, s, e1, e2) -> complex:
-    ill = _log_inner_ll(t, s)
-    i_il = _log_inner_il(t, s)   # int_0^t L(s, x) dx
-    i_li = _log_inner_il(s, t)   # int_0^s L(t, x) dx
-    return (complex(math.pi**2 * min(t, s) + e1 * e2 * ill,
-                    math.pi * (e1 * i_li - e2 * i_il))
-            / (2 * math.pi))
+def _inner(h: float, a: int, b: int, t: float, s: float) -> float:
+    """int basis_a(t, x) basis_b(s, x) dx for one coordinate."""
+    if h != 0.5:
+        return _power_inner(h, "pf"[a] + "pf"[b], t, s)
+    if a == b:
+        return min(t, s) if a == 0 else _log_inner_ll(t, s)
+    return _log_inner_il(t, s) if a == 0 else _log_inner_il(s, t)
 
 
 def cov_from_ma(kernel: MAKernel, s, t) -> float:
     """Covariance int g(t, x) conj(g(s, x)) dx of a moving-average kernel.
 
-    The integrand is a sum over sign-vector pairs of coordinate-wise
-    products, so the N-dimensional integral is evaluated exactly as a
-    product of one-dimensional quadratures per pair.  The imaginary part
-    must cancel by weight symmetry; a residual beyond ``IMAG_TOL`` raises.
+    sum_{k,l} c_k conj(c_l) prod_j int basis_{b_kj}(t_j, x) basis_{b_lj}(s_j,
+    x) dx: the N-dimensional integral is evaluated exactly as a product of
+    one-dimensional quadratures per pair of terms, and pairs with a zero
+    coefficient are skipped.  The imaginary part must cancel by weight
+    symmetry; a residual beyond ``IMAG_TOL`` raises.
     """
     s, t = _as_points(s, kernel.n), _as_points(t, kernel.n)
     total = 0.0 + 0.0j
-    for e, (ke, phe) in kernel.weights.items():
-        if ke == 0.0:
+    for ck, bk in kernel.terms:
+        if ck == 0.0:
             continue
-        for ep, (kep, phep) in kernel.weights.items():
-            if kep == 0.0:
+        for cl, bl in kernel.terms:
+            if cl == 0.0:
                 continue
-            acc = math.sqrt(ke * kep) * np.exp(1j * (phe - phep))
-            for j in range(kernel.n):
-                if kernel.kind == "power":
-                    acc *= _coord_factor_power(kernel.H[j], float(t[j]),
-                                               float(s[j]), e[j], ep[j])
-                else:
-                    acc *= _coord_factor_half(float(t[j]), float(s[j]),
-                                              e[j], ep[j])
-            total += acc
+            total += ck * cl.conjugate() * math.prod(
+                _inner(h, a, b, float(tj), float(sj))
+                for h, a, b, tj, sj in zip(kernel.H, bk, bl, t, s))
     scale = max(abs(total), 1.0)
     if abs(total.imag) > IMAG_TOL * scale:
         raise QuadratureError(
@@ -295,28 +263,14 @@ def cov_from_ma(kernel: MAKernel, s, t) -> float:
 def cov_moving_pair(spec: MovingPair, s, t) -> float:
     """Quadrature covariance of the two-parameter past/future moving average.
 
-    The oracle for the closed form ``make_kernel(spec)``:
-
-    K(s, t) = c2(H1)^2 c2(H2)^2 [ d0^2 prod_j I_pp + d0 d1 (prod_j I_pf
-              + prod_j I_fp) + d1^2 prod_j I_ff ]
-    with I_* the coordinate inner products at (t_j, s_j); the H = 1/2
-    variant replaces the power parts by indicator and log blocks.
+    The oracle for the closed form ``make_kernel(spec)``: ``cov_from_ma`` of
+    the terms d0 c2(H1) c2(H2) (p p) + d1 c2(H1) c2(H2) (f f), or at
+    H = (1/2, 1/2) of d0 (1 1) + d1/pi^2 (log log).
     """
-    s, t = _as_points(s, 2), _as_points(t, 2)
-    d0, d1 = spec.d0, spec.d1
     if spec.h1 == 0.5:
-        pp = min(t[0], s[0]) * min(t[1], s[1])
-        pf = math.prod(_log_inner_il(float(t[j]), float(s[j])) for j in range(2))
-        fp = math.prod(_log_inner_il(float(s[j]), float(t[j])) for j in range(2))
-        ff = math.prod(_log_inner_ll(float(t[j]), float(s[j])) for j in range(2))
-        return (d0 * d0 * pp + d0 * d1 * (pf + fp) / math.pi**2
-                + d1 * d1 * ff / math.pi**4)
-    c = c2(spec.h1)**2 * c2(spec.h2)**2
-    H = (spec.h1, spec.h2)
-    prods = {}
-    for kind in ("pp", "pf", "fp", "ff"):
-        prods[kind] = math.prod(
-            _power_inner(H[j], kind, float(t[j]), float(s[j])) for j in range(2))
-    return c * (d0 * d0 * prods["pp"] + d0 * d1 * (prods["pf"] + prods["fp"])
-                + d1 * d1 * prods["ff"])
-
+        c0, c1 = spec.d0, spec.d1 / math.pi**2
+    else:
+        c = c2(spec.h1) * c2(spec.h2)
+        c0, c1 = spec.d0 * c, spec.d1 * c
+    return cov_from_ma(MAKernel((spec.h1, spec.h2),
+                                ((c0, (0, 0)), (c1, (1, 1)))), s, t)

@@ -196,22 +196,27 @@ def cov_from_density(f: SpectralDensity, v, tol: float = 1e-6,
                      budget: int = DEFAULT_BUDGET) -> TransformResult:
     """Fourier transform int e^{i<x,v>} f(x) dx of a spectral density at lag v.
 
-    sum_k c_k prod_j of the one-dimensional transforms of f_kj at v_j, on
-    one evaluation budget; the error estimate is sum_k |c_k| sum_j e_kj.
-    The imaginary part of the transform is returned as a residual: it
-    vanishes (up to quadrature error) for densities even under x -> -x.
+    sum_k c_k prod_j of the one-dimensional transforms T_kj of f_kj at v_j,
+    on one evaluation budget.  With e_kj the error estimate of T_kj, the
+    error estimate is sum_k |c_k| sum_j e_kj prod_{i != j} (|T_ki| + e_ki),
+    a bound on the error of each product that has no cancellation; for one
+    factor it is e.  The imaginary part of the transform is returned as a
+    residual: it vanishes (up to quadrature error) for densities even under
+    x -> -x.
     """
     v = _points(v, f.n)
     bud = _Budget(budget)
     total, err = 0j, 0.0
     for c, factors in f.terms:
-        term, term_err = complex(1.0), 0.0
+        term, errs, bounds = complex(1.0), [], []
         for g, vj in zip(factors, v):
             re, im, e = _transform_1d(g, float(vj), bud, tol)
             term *= complex(re, im)
-            term_err += e
+            errs.append(e)
+            bounds.append(abs(complex(re, im)) + e)
         total += c * term
-        err += abs(c) * term_err
+        err += abs(c) * sum(e * math.prod(bounds[:j] + bounds[j + 1:])
+                            for j, e in enumerate(errs))
     return TransformResult(total.real, abs(total.imag), err)
 
 

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from rectfield.increments import Rectangle, increment_cov
-from rectfield.kernels import (MovingPair, cov_fbs, make_kernel,
-                               moving_constraint_residual)
+from rectfield.kernels import (MovingPair, cov_fbs, cov_strict_general,
+                               make_kernel, moving_constraint_residual,
+                               validate_weights)
 from rectfield import movingavg
 from rectfield.movingavg import (
     cov_from_ma,
     cov_moving_pair,
     f_kernel,
     log_ratio,
-    ma_kernel_general,
-    ma_kernel_half,
     make_ma_kernel,
     p_kernel,
 )
@@ -42,7 +41,7 @@ def test_general_kernel_future_support():
     # x beyond t in every coordinate: only the future parts contribute
     H = (0.7, 0.9)
     W = _uniform_weights(H)
-    val = ma_kernel_general(H, W, (1.0, 1.0), (2.0, 3.0))
+    val = make_ma_kernel(H, W)((1.0, 1.0), (2.0, 3.0))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     projected = math.prod(p_kernel(h, 1.0, x) for h, x in zip(H, (2.0, 3.0)))
     assert projected == 0.0
@@ -54,7 +53,7 @@ def test_general_kernel_one_dimensional_reduction():
     mass = math.gamma(1 + 2 * H) * math.sin(math.pi * H) / math.pi
     W = {(1,): (mass / 2, 0.4), (-1,): (mass / 2, -0.4)}
     for t, x in ((1.0, -0.5), (1.0, 0.3), (2.0, 2.5)):
-        got = ma_kernel_general((H,), W, (t,), (x,))
+        got = make_ma_kernel((H,), W)((t,), (x,))
         want = 0.0 + 0.0j
         for e, (k, phi) in W.items():
             closed = check_ma_transform(H, e[0], t, x).closed
@@ -66,25 +65,40 @@ def test_general_kernel_symmetric_weights_real():
     # zero phases and mirrored weights leave a real kernel
     H = (0.7, 0.9)
     W = _uniform_weights(H)
+    kernel = make_ma_kernel(H, W)
     rng = np.random.default_rng(41)
     for _ in range(10):
         t = rng.uniform(0.5, 2.0, 2)
         x = rng.uniform(-2.0, 3.0, 2)
-        val = ma_kernel_general(H, W, t, x)
+        val = kernel(t, x)
         assert abs(val.imag) <= 1e-12 * max(abs(val), 1.0)
 
 
-def test_general_kernel_singular_marker():
-    H = (0.3, 0.4)  # both below 1/2: power singularities on {0, t}
-    W = _uniform_weights(H)
-    val = ma_kernel_general(H, W, (1.0, 1.0), (0.0, 0.5))
-    assert math.isinf(abs(val))
+@pytest.mark.parametrize("H", [(0.3, 0.4), (0.5, 0.5), (0.3, 0.5)],
+                         ids=["power", "half", "mixed"])
+def test_kernel_singular_marker(H):
+    # below 1/2 the power parts, and at 1/2 the logarithm, are infinite on
+    # the hyperplanes x_j in {0, t_j}: the kernel returns complex(inf, inf)
+    kernel = make_ma_kernel(H, _uniform_weights(H))
+    for x in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 2.0), (0.0, 2.0)):
+        val = kernel((1.0, 2.0), x)
+        assert val.real == math.inf and val.imag == math.inf
+    assert math.isfinite(abs(kernel((1.0, 2.0), (0.5, 0.5))))
+    # above 1/2 the power parts vanish there instead
+    assert math.isfinite(abs(make_ma_kernel((0.7, 0.9), _uniform_weights(
+        (0.7, 0.9)))((1.0, 2.0), (0.0, 2.0))))
 
 
-def test_general_kernel_rejects_half():
-    with pytest.raises(ValueError):
-        ma_kernel_general((0.5, 0.7), _uniform_weights((0.5, 0.7)), (1, 1),
-                          (0.5, 0.5))
+@pytest.mark.parametrize("t, x", [((1.0,), (0.5,)),
+                                  ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)),
+                                  ((1.0, 1.0), (0.5, math.inf)),
+                                  ((math.nan, 1.0), (0.5, 0.5))],
+                         ids=["short", "long", "inf x", "nan t"])
+def test_kernel_rejects_points_of_another_dimension_or_non_finite(t, x):
+    # a 3-D point used to be cut to the kernel's two coordinates
+    kernel = make_ma_kernel((0.3, 0.7), _uniform_weights((0.3, 0.7)))
+    with pytest.raises(ValueError, match="dimension|finite"):
+        kernel(t, x)
 
 
 def test_half_kernel_examples():
@@ -93,18 +107,19 @@ def test_half_kernel_examples():
     # inside the box the mirrored sign vectors cancel every log term:
     # sum_e (pi + i e1 L1)(pi + i e2 L2) = 4 pi^2, so the kernel value is
     # sqrt(K) * 4 pi^2 / (2 pi) = 1 exactly
-    val = ma_kernel_half(W, (1.0, 1.0), (0.3, 0.4))
+    kernel = make_ma_kernel((0.5, 0.5), W)
+    val = kernel((1.0, 1.0), (0.3, 0.4))
     assert val == pytest.approx(complex(1.0, 0.0), rel=1e-12)
     # |t - x| = |x| kills the log factor of that coordinate
     assert log_ratio(1.0, 0.5) == 0.0
     # singular markers on the log hyperplanes
-    assert math.isinf(abs(ma_kernel_half(W, (1.0, 1.0), (0.0, 0.4))))
+    assert math.isinf(abs(kernel((1.0, 1.0), (0.0, 0.4))))
 
 
 def test_half_kernel_brownian_indicator():
     # single sign pair, one dimension: pi * indicator + i log ratio
     W = {(1,): (1 / math.pi, 0.0), (-1,): (1 / math.pi, 0.0)}
-    val = ma_kernel_half(W, (1.0,), (0.5,))
+    val = make_ma_kernel((0.5,), W)((1.0,), (0.5,))
     # both sign vectors contribute pi * indicator; imaginary parts cancel
     want = 2 * math.sqrt(1 / math.pi) * math.pi / math.sqrt(2 * math.pi)
     assert val == pytest.approx(complex(want, 0.0), rel=1e-12)
@@ -119,8 +134,6 @@ def test_weight_table_validation():
         make_ma_kernel((0.3, 0.7), {
             (1, 1): (-0.1, 0.0), (-1, -1): (-0.1, 0.0),
             (1, -1): (0.1, 0.0), (-1, 1): (0.1, 0.0)})
-    with pytest.raises(ValueError, match="mixed"):
-        make_ma_kernel((0.5, 0.7), _uniform_weights((0.5, 0.7)))
 
 
 def test_cov_from_ma_uniform_weights_is_fbs():
@@ -141,6 +154,45 @@ def test_cov_from_ma_half_weights_is_brownian_sheet():
     kernel = make_ma_kernel((0.5, 0.5), W)
     got = cov_from_ma(kernel, (1.0, 2.0), (2.0, 1.0))
     assert got == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("H", [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5),
+                               (0.5, 0.5)])
+def test_cov_from_ma_is_the_strict_mixture(H):
+    # zero phases: the representation reproduces the closed-form mixture
+    # with gamma_e = K_e / mass, also with only some components at 1/2
+    mass = math.prod(math.gamma(1 + 2 * h) * math.sin(math.pi * h) / math.pi
+                     for h in H)
+    K = {(1, 1): 0.35 * mass, (-1, -1): 0.35 * mass,
+         (1, -1): 0.15 * mass, (-1, 1): 0.15 * mass}
+    kernel = make_ma_kernel(H, {e: (k, 0.0) for e, k in K.items()})
+    weights = validate_weights(K, H)
+    rng = np.random.default_rng(46)
+    points = [(rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 2.0, 2))
+              for _ in range(3)] + [((1.0, 1.0), (1.0, 1.0))]
+    for s, t in points:
+        assert abs(cov_from_ma(kernel, s, t)
+                   - cov_strict_general(H, weights, s, t)) <= 1e-8
+
+
+def test_moving_pair_quadrature_skips_zero_terms():
+    # with d1 = 0 the future parts never enter: each fresh pair of points
+    # adds one "pp" inner product per coordinate to the caches and nothing
+    # else
+    caches = (movingavg._power_inner, movingavg._log_inner_il,
+              movingavg._log_inner_ll)
+    spec = MovingPair(0.3, 0.7, 1.0, 0.0)
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        s, t = rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 2.0, 2)
+        before = [f.cache_info().misses for f in caches]
+        cov_moving_pair(spec, s, t)
+        after = [f.cache_info().misses for f in caches]
+        assert after == [before[0] + 2] + before[1:]
+        hits = movingavg._power_inner.cache_info().hits
+        for h, tj, sj in zip((0.3, 0.7), t, s):
+            movingavg._power_inner(h, "pp", float(tj), float(sj))
+        assert movingavg._power_inner.cache_info().hits == hits + 2
 
 
 @pytest.mark.parametrize("H", [0.05, 0.95])
@@ -282,8 +334,5 @@ def test_weight_table_rejects_non_finite_entries(bad):
     k, phi = bad
     W = {(1, 1): (k, phi), (-1, -1): (k, -phi),
          (1, -1): (0.1, 0.0), (-1, 1): (0.1, 0.0)}
-    for call in (lambda: make_ma_kernel((0.3, 0.7), W),
-                 lambda: ma_kernel_general((0.3, 0.7), W, (1.0, 1.0),
-                                           (0.5, 0.5))):
-        with pytest.raises(ValueError, match=re.escape("(1, 1)") + ".*finite"):
-            call()
+    with pytest.raises(ValueError, match=re.escape("(1, 1)") + ".*finite"):
+        make_ma_kernel((0.3, 0.7), W)

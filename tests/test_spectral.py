@@ -140,6 +140,17 @@ def test_transform_of_a_sum_is_the_weighted_sum_of_its_terms():
         c * fs[0](x[:, 0]) * fs[1](x[:, 1]) for c, fs in terms))
 
 
+@pytest.mark.parametrize("a", [1.0, 100.0, 1e4])
+def test_error_estimate_bounds_the_error_of_a_product(a):
+    # the transform of a g_w at v is a e^{-|v|/2}; a sum of the factors'
+    # estimates alone, without the other factors' magnitudes, read 2.5e-7
+    # against an actual error of 3.5e-6 at a = 1e4
+    ag = lambda x: a * g_w(x)
+    res = cov_from_density(SpectralDensity(((1.0, (ag, ag)),)), (0.7, -1.3),
+                           tol=1e-6)
+    assert abs(res.value - a * a * math.exp(-1.0)) <= res.err_estimate
+
+
 @pytest.mark.parametrize("terms", [
     (),
     ((1.0, ()),),
