@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import locale  # noqa: F401  (argparse's first parser loads it; load it here)
 import math
 import numbers
 import sys
@@ -42,6 +43,7 @@ from .simulate import (
     Grid,
     PSDError,
     _limit_indices,
+    _limit_scale,
     empirical_cov,
     grid_from_axes,
     limit_partial_sums,
@@ -233,6 +235,8 @@ def validate_config(cfg: dict) -> RunConfig:
     if command not in _COMMANDS:
         raise ConfigError(f"command: unknown command {command!r} "
                           f"(known: {list(_COMMANDS)})")
+    if command in ("check", "density"):   # they use SciPy: load it before the run
+        __import__("scipy.integrate" if command == "check" else "scipy.special")
     allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
     extra = set(cfg) - allowed
     if extra:
@@ -311,8 +315,8 @@ def validate_config(cfg: dict) -> RunConfig:
         grid = _checked("grid: ", build, value)
         _checked("grid: ", _as_points, grid.points, n)   # the spec's dimension
     elif command == "limit-demo":
-        for key in ("r1", "r2"):
-            params[key] = _number(cfg[key], key, int)
+        for k in ("r1", "r2"):   # _limit_scale's message names the factor
+            params[k] = _checked("", _limit_scale, k, _number(cfg[k], k, int))
         if "t_points" in cfg and "t_axes" in cfg:
             raise ConfigError("limit-demo: give either t_axes or t_points")
         key = "t_points" if "t_points" in cfg else "t_axes"

@@ -1,15 +1,15 @@
 """Special-function primitives shared by the covariance and density formulas.
 
-Everything here is a thin, numerically hardened layer over the complex
-log-gamma function: the magnitude |Gamma(z)| evaluated without overflow,
-the two normalization constants
+The magnitude |Gamma(z)| for complex z, without overflow, from SciPy's
+complex log-gamma (imported on the first call); the two normalization
+constants, from ``math.gamma``,
 
     c1(H) = sqrt(H Gamma(2H) sin(pi H) / pi)
     c2(H) = sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H + 1/2)
 
 that calibrate the harmonizable and moving-average representations of a
-fractional Brownian sheet, and an overflow-safe log cosh for the spectral
-densities.
+fractional Brownian sheet; an overflow-safe log cosh for the spectral
+densities; and the one-sided power (u)_+^a.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import loggamma
 
 from .kernels import validate_hurst
 
@@ -32,6 +31,7 @@ __all__ = [
 
 # exp() overflows above this; |Gamma| results beyond it are reported as errors
 _LOG_OVERFLOW = math.log(np.finfo(float).max)
+_loggamma = None   # scipy.special.loggamma, bound on first use
 
 
 class GammaPoleError(ValueError):
@@ -57,7 +57,10 @@ def abs_gamma(z) -> float:
         raise ValueError(f"abs_gamma requires finite components, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise GammaPoleError(f"Gamma pole at z = {z.real:g}")
-    log_mag = float(np.real(loggamma(z)))
+    global _loggamma
+    if _loggamma is None:
+        from scipy.special import loggamma as _loggamma
+    log_mag = float(np.real(_loggamma(z)))
     if log_mag > _LOG_OVERFLOW:
         raise OverflowError(f"|Gamma({z})| overflows double precision")
     return math.exp(log_mag)

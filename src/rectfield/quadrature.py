@@ -5,6 +5,7 @@ Two kinds of surface live here. ``integrate_1d`` and
 panels for finite/half-infinite ranges with declared singular points,
 algebraic-weight rules (QAWS) for power singularities at the origin, and
 Fourier-weight rules with cycle acceleration (QAWF) for oscillatory tails.
+Each panel is one call of ``quad``; SciPy is imported at the first one.
 
 On top of them sit the identity checks: each ``check_*`` function evaluates
 one of the closed-form integrals
@@ -15,9 +16,8 @@ one of the closed-form integrals
     int_0^inf (e^{i(t-x)e y} - e^{-i x e y}) / (i e y) dy
 
 by independent quadrature *and* by its closed form, returning both so that
-callers can confirm agreement without trusting either route.  These
-integrals are the analytic backbone of the covariance and moving-average
-formulas in the rest of the package.
+callers can confirm agreement without trusting either route; the
+covariance and moving-average formulas of the package rest on them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gammafn import pow_plus
 
@@ -44,6 +43,12 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 100_000
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``; SciPy is imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 class QuadratureError(RuntimeError):

@@ -29,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma, numpy.random  # noqa: E401, F401  (np.unique, the draws)
 
 from .increments import ProbePlan, _corners, probe_covariances
 from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
@@ -325,14 +326,18 @@ def _rect_sums(cells: np.ndarray, b1: np.ndarray, b2: np.ndarray):
     return cells.cumsum(axis=-2).cumsum(axis=-1)[..., b1, b2]
 
 
+def _limit_scale(name: str, r):   # the one check of r1 or r2
+    if not 1 <= r <= MAX_LIMIT_SCALE:
+        raise ValueError(f"{name}: must lie in [1, {MAX_LIMIT_SCALE}], got {r}")
+    return r
+
+
 def _limit_indices(r1, r2, t_points) -> np.ndarray:
     """floor(t_k r_k) as int64 (m, 2), after the one check of the demo's
     arguments; each index stays below ``MAX_LIMIT_INDEX`` so that products
     of block sizes fit in int64."""
-    if not (1 <= r1 <= MAX_LIMIT_SCALE and 1 <= r2 <= MAX_LIMIT_SCALE):
-        raise ValueError(f"scaling factors must lie in [1, {MAX_LIMIT_SCALE}],"
-                         f" got r1={r1}, r2={r2}")
-    k = np.atleast_2d(np.floor(_as_points(t_points, 2) * (r1, r2)))
+    r = _limit_scale("r1", r1), _limit_scale("r2", r2)
+    k = np.atleast_2d(np.floor(_as_points(t_points, 2) * r))
     if k.ndim != 2 or not len(k):
         raise ValueError(f"expected one point or a list of points, got shape "
                          f"{k.shape}")

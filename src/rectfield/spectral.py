@@ -9,8 +9,8 @@ Brownian motion has an explicit spectral density
 
 reducing at H = 1/2 to the Cauchy density 1/(2 pi ((1/2)^2 + x^2)).  The
 denominator simplifies to cosh^2(pi x) - cos^2(pi H), which this module
-exploits for a log-space evaluation that stays finite far into the tails
-(the density itself decays like |x|^{-1-2H}, not exponentially).
+evaluates in log space, with SciPy's log-gamma (imported on first use), to
+stay finite far into the tails, where the density decays like |x|^{-1-2H}.
 
 For a product field the density is the product of the one-dimensional
 densities, one 1/(2 pi) factor per coordinate; this normalization is pinned
@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .gammafn import log_cosh
 from .kernels import _points, _sign_vectors, validate_hurst
@@ -64,11 +63,15 @@ def g_w(x):
 
 
 _STIRLING_X = 20.0   # g_fbm's tail form holds beyond this |x|
+_loggamma = None     # scipy.special.loggamma, bound on first use
 
 
 def _log_g_near(ax, H):
     """log g_H at |x| = ax <= _STIRLING_X, from log Gamma and log cosh."""
-    log_gamma2 = 2.0 * loggamma(H + 1j * ax).real
+    global _loggamma
+    if _loggamma is None:
+        from scipy.special import loggamma as _loggamma
+    log_gamma2 = 2.0 * _loggamma(H + 1j * ax).real
     lc = log_cosh(math.pi * ax)
     cos_h = math.cos(math.pi * H)
     # log(cosh^2 - cos^2) = 2 log cosh + log1p(-(cos/cosh)^2)

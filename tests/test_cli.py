@@ -634,6 +634,28 @@ def test_limit_demo_t_axes_are_bounded_by_the_floor_index(tmp_path, capsys):
     assert err.startswith("config error: t_axes") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("r1, r2, key", [(0, 4, "r1"), (600, 4, "r1"),
+                                         (513, 4, "r1"), (4, 0, "r2"),
+                                         (4, 513, "r2"), (0, 0, "r1")])
+def test_limit_demo_scale_error_names_the_factor(tmp_path, capsys, r1, r2, key):
+    # a scaling factor out of [1, 512] was reported under t_axes
+    argv = ["limit-demo", "--r1", str(r1), "--r2", str(r2), "--n-reps", "10",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key}: must lie in [1, 512], got " \
+        f"{r1 if key == 'r1' else r2}\n"
+    with pytest.raises(ValueError, match=f"^{key}: must lie in"):
+        limit_partial_sums(r1, r2, [(1.0, 1.0)], n_reps=2)
+
+
+def test_limit_demo_scale_bounds_are_valid():
+    for r in (1, 512):
+        cfg = validate_config({"command": "limit-demo", "r1": r, "r2": r,
+                               "t_axes": [1.0, 2.0]})
+        assert (cfg.params["r1"], cfg.params["r2"]) == (r, r)
+
+
 def _samples_csv_per_row(path, values):
     """The per-row writer samples.csv had: a dict per draw, ``_fmt`` per value."""
     rows = [{"rep": r, "point": p, "value": values[r, p]}
@@ -739,22 +761,25 @@ def test_every_artifact_matches_the_csv_writer(tmp_path, cfg, files):
         assert data == _reemitted(tmp_path / name), name
 
 
-@pytest.mark.parametrize("r, t", [
-    (0, [[1.0, 1.0]]),
-    (513, [[1.0, 1.0]]),
-    (8, [[1.0, 1.0], [-0.5, 1.0]]),
-    (8, [[1.0, 1.0, 1.0]]),
-    (512, [[1.0, 2.0**31 / 512]]),
+@pytest.mark.parametrize("r, t, key", [
+    (0, [[1.0, 1.0]], "r1"),
+    (513, [[1.0, 1.0]], "r1"),
+    (8, [[1.0, 1.0], [-0.5, 1.0]], "t_points"),
+    (8, [[1.0, 1.0, 1.0]], "t_points"),
+    (512, [[1.0, 2.0**31 / 512]], "t_points"),
 ], ids=["r = 0", "r = 513", "negative t", "3-D t", "floor(t r) = 2^31"])
-def test_limit_demo_arguments_have_one_check(r, t):
+def test_limit_demo_arguments_have_one_check(r, t, key):
     # limit_partial_sums and the config reject the same cases, in the same
-    # words; the config names the key
+    # words; the config names the key, which a scale error names itself
     with pytest.raises(ValueError) as api:
         limit_partial_sums(r, r, t, n_reps=2)
     with pytest.raises(ConfigError) as config:
         validate_config({"command": "limit-demo", "r1": r, "r2": r,
                          "t_points": t})
-    assert str(config.value) == f"t_points: {api.value}"
+    message = str(api.value)
+    assert str(config.value) == (message if key.startswith("r")
+                                 else f"{key}: {message}")
+    assert str(config.value).startswith(f"{key}: ")
 
 
 def test_mc_plan_keeps_its_size_when_probes_set_other_keys(tmp_path):
