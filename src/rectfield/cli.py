@@ -65,8 +65,9 @@ def _fmt(x) -> str:
         return f"{float(x):.17g}"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (tuple, list, np.ndarray)):
-        return "[" + " ".join(f"{float(v):.17g}" for v in np.atleast_1d(x)) + "]"
+    if isinstance(x, (tuple, list, np.ndarray)):   # a point, row-major
+        v = np.ravel(x).tolist()
+        return "[" + " ".join(["%.17g"] * len(v)) % tuple(v) + "]"
     return str(x)
 
 
@@ -235,8 +236,6 @@ def validate_config(cfg: dict) -> RunConfig:
     if command not in _COMMANDS:
         raise ConfigError(f"command: unknown command {command!r} "
                           f"(known: {list(_COMMANDS)})")
-    if command in ("check", "density"):   # they use SciPy: load it before the run
-        __import__("scipy.integrate" if command == "check" else "scipy.special")
     allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
     extra = set(cfg) - allowed
     if extra:
@@ -267,12 +266,16 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"spec.family: density is only available for "
                               f"'fbs', not {spec.family!r}")
         params["x"] = _checked("x: ", _points, cfg["x"], n).reshape(-1, n).tolist()
+        __import__("scipy.special")   # g_H's log-gamma: load it before the run
     elif command == "check":
         suite = cfg.get("suite")
         if suite not in _SUITES:
             raise ConfigError(f"suite: expected one of {'/'.join(_SUITES)}, "
                               f"got {suite!r}")
         params["suite"] = suite
+        # every suite but criteria integrates; criteria needs only log-gamma
+        __import__("scipy.special" if suite == "criteria"
+                   else "scipy.integrate")
         if suite == _TOL_SUITE:
             params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
             if params["tol"] <= 0.0:

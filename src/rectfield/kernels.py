@@ -25,9 +25,14 @@ and, at H = 1/2,
 
     min(t, s) + (i e / pi) (t log t - s log s - (t-s) log|t-s|),
 
-with the conventions 0 log 0 := 0 and sgn(0) := 0.  Writing P = (a + i e b)/2
-and expanding the product, the covariance is evaluated in real arithmetic
-through the sign moments m_S = sum_e gamma_e prod_{j in S} e_j:
+with the conventions 0 log 0 := 0 and sgn(0) := 0.  Within ``SEAM_DELTA``
+of H = 1/2, where tan(pi H) diverges and the skew bracket cancels, both
+brackets expand x^{2H} = x + x expm1((2H-1) log x) about their H = 1/2
+forms, so the covariance stays exact across the seam.
+
+Writing P = (a + i e b)/2 and expanding the product, the covariance is
+evaluated in real arithmetic through the sign moments
+m_S = sum_e gamma_e prod_{j in S} e_j:
 
     K = 2^{-N} sum_{even S} (-1)^{|S|/2} m_S prod_{j in S} b_j prod_{j not in S} a_j.
 
@@ -260,19 +265,53 @@ def _xlogx_array(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x != 0.0, np.abs(x), 1.0))
 
 
+# below this |H - 1/2| the brackets are taken in their seam form; every H
+# with |H - 1/2| >= 0.1 keeps the plain form's bits
+SEAM_DELTA = 0.05
+
+
+def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
+                         need_b: bool):
+    """The a and b brackets at H = 1/2 + delta, |delta| < ``SEAM_DELTA``.
+
+    With x^{2H} = x + x E(x), E(x) = expm1(2 delta log x), and d = t - s,
+    the linear parts are 2 min(t, s) in a and cancel exactly in the skew
+    bracket, and tan(pi H) = -1/tan(pi delta):
+
+        a = 2 min(t, s) + t E(t) + s E(s) - |d| E(|d|)
+        b = -(s E(s) - t E(t) + d E(|d|)) / tan(pi delta)
+
+    with 0 E(0) := 0.  The E terms are O(delta) and nothing cancels
+    catastrophically, so both brackets tend to their H = 1/2 forms.
+    """
+    def expm1_power(x):
+        return np.expm1(2.0 * delta
+                        * np.log(np.where(x != 0.0, np.abs(x), 1.0)))
+
+    d = t - s
+    te, se, de = t * expm1_power(t), s * expm1_power(s), expm1_power(d)
+    a = 2.0 * np.minimum(t, s) + (te + se - np.abs(d) * de)
+    b = -(se - te + d * de) / math.tan(math.pi * delta) if need_b else None
+    return a, b
+
+
 def _brackets_array(h: float, t: np.ndarray, s: np.ndarray, need_b: bool):
     """The a and b brackets of one coordinate (b is None unless needed).
 
     a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket,
     or a = 2 min(t, s) and b = (2/pi) times the log bracket at H = 1/2.
     Each power is taken once and shared by both brackets; sgn(0) := 0 comes
-    from ``np.sign``.
+    from ``np.sign``.  Within ``SEAM_DELTA`` of 1/2, where tan(pi H) grows
+    like 1/|H - 1/2| and the skew bracket cancels to O(|H - 1/2|), both are
+    taken by ``_seam_brackets_array`` (H - 1/2 is exact there).
     """
     if h == 0.5:
         a = 2.0 * np.minimum(t, s)
         b = (2.0 / math.pi * (_xlogx_array(t) - _xlogx_array(s)
                               - _xlogx_array(t - s)) if need_b else None)
         return a, b
+    if abs(h - 0.5) < SEAM_DELTA:
+        return _seam_brackets_array(h - 0.5, t, s, need_b)
     e = 2.0 * h
     d = t - s
     te, se, de = t**e, s**e, np.abs(d)**e
@@ -324,7 +363,8 @@ def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray
             sk, tk = s[..., k], t[..., k]
             e = 2.0 * h
             te, se = tk**e, sk**e
-            a = (2.0 * np.minimum(tk, sk) if h == 0.5
+            a = (_brackets_array(h, tk, sk, False)[0]   # 1/2 and its seam
+                 if abs(h - 0.5) < SEAM_DELTA
                  else te + se - np.abs(tk - sk)**e)
             m = np.where(tk >= sk, te, se)   # max(s, t)^{2H}, the same power
             base = base * a

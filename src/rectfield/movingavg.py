@@ -36,8 +36,10 @@ Every covariance in this module is computed by ``cov_from_ma`` from
 one-dimensional quadratures of the basis functions (the integrands are
 products over coordinates, so the N-dimensional integral factorizes
 exactly); singular abscissae {0, s, t} are declared panel edges and the
-infinite tails use the same engine as the rest of the package.  The pair
-itself has a closed form, ``make_kernel(MovingPair(...))`` (see
+infinite tails use the same engine as the rest of the package; each
+power integrand is bound once per (H, kind, t, s), its exponent H - 1/2
+taken once.  The pair itself has a closed form,
+``make_kernel(MovingPair(...))`` (see
 :class:`rectfield.kernels.MovingPair`); the quadrature here is its
 independent oracle, used by the tests and by ``rectfield check --suite
 ma``, never by kernel evaluation.  The points s and t of a covariance must
@@ -182,27 +184,55 @@ def make_ma_kernel(H, weights: Mapping) -> MAKernel:
 # Coordinate inner products (one-dimensional quadratures)
 # --------------------------------------------------------------------------
 
+def _power_integrand(h: float, kind: str, t: float, s: float):
+    """x -> k1(t, x) k2(s, x) for k1, k2 in {p, f} coded as 'pp', 'pf', ....
+
+    The exponent h - 1/2 is taken once; each factor is ``p_kernel`` or
+    ``f_kernel`` written out over a local ``pow_plus``, the same operations
+    in the same order, +inf marker included.
+    """
+    a = h - 0.5
+
+    def pw(u):
+        if u > 0.0:
+            return u**a
+        if u == 0.0 and a < 0.0:
+            return math.inf
+        return 0.0
+
+    if kind == "pp":
+        def f(x):
+            q = pw(-x)
+            return (pw(t - x) - q) * (pw(s - x) - q)
+    elif kind == "pf":
+        def f(x):
+            return (pw(t - x) - pw(-x)) * (pw(x - s) - pw(x))
+    elif kind == "fp":
+        def f(x):
+            return (pw(x - t) - pw(x)) * (pw(s - x) - pw(-x))
+    else:
+        def f(x):
+            q = pw(x)
+            return (pw(x - t) - q) * (pw(x - s) - q)
+    return f
+
+
 @lru_cache(maxsize=4096)
 def _power_inner(h: float, kind: str, t: float, s: float) -> float:
     """int k1(t, x) k2(s, x) dx for k1, k2 in {p, f} coded as 'pp', 'pf', ...."""
-    k1 = p_kernel if kind[0] == "p" else f_kernel
-    k2 = p_kernel if kind[1] == "p" else f_kernel
     # supports: p(t, .) lives on (-inf, t), f(t, .) on (0, inf)
     lo1, hi1 = (-math.inf, t) if kind[0] == "p" else (0.0, math.inf)
     lo2, hi2 = (-math.inf, s) if kind[1] == "p" else (0.0, math.inf)
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if lo >= hi:
         return 0.0
-
-    def f(x):
-        return k1(h, t, x) * k2(h, s, x)
-
     # cuts at +-1 beyond {0, s, t} keep the power singularities on finite
     # panels; the slow tails (|x|^{2H-3}, H near 1) are certified only to
     # ~1e-9, so 1e-8 per panel still leaves the 1e-3 covariance contract
     # intact (integrate_1d asks each panel for a quarter of its tol)
     cuts = (0.0, s, t, -1.0, max(s, t) + 1.0)
-    return integrate_1d(f, lo, hi, tol=4 * 1e-8, singular_points=cuts).value
+    return integrate_1d(_power_integrand(h, kind, t, s), lo, hi, tol=4 * 1e-8,
+                        singular_points=cuts).value
 
 
 @lru_cache(maxsize=4096)

@@ -6,6 +6,10 @@ panels for finite/half-infinite ranges with declared singular points,
 algebraic-weight rules (QAWS) for power singularities at the origin, and
 Fourier-weight rules with cycle acceleration (QAWF) for oscillatory tails.
 Each panel is one call of ``quad``; SciPy is imported at the first one.
+A power tail int_1^inf y^{-p} cos|sin(omega y) dy depends only on
+(p, kind, omega, epsabs), so each one is integrated once per process and
+memoized; a repeated tail charges the caller's budget the evaluations of
+its first computation, so a budget error never depends on call order.
 
 On top of them sit the identity checks: each ``check_*`` function evaluates
 one of the closed-form integrals
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +153,25 @@ def integrate_1d(f, a, b, tol=1e-10, singular_points=(), oscillation=None,
 # Oscillatory power-weighted integrals on [0, inf)
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
+def _power_tail(p, kind, omega, epsabs):
+    """(value, err_estimate, neval) of int_1^inf y^{-p} kind(omega y) dy.
+
+    One QAWF panel on an unlimited budget; callers charge their own.
+    """
+    bud = _Budget(math.inf)
+    v, e = _quad_panel(lambda y: y**-p, 1.0, np.inf, bud, epsabs=epsabs,
+                       weight=kind, wvar=omega)
+    return v, e, bud.used
+
+
+def _tail_panel(p, kind, omega, budget, epsabs):
+    """The memoized power tail, charged to ``budget`` as if integrated here."""
+    v, e, neval = _power_tail(p, kind, omega, epsabs)
+    budget.charge(neval)
+    return v, e
+
+
 def _series_guarded(terms, fn_even, order):
     """Bracket(y)/y^order with a Taylor branch below y=1e-4.
 
@@ -185,10 +209,11 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
 
     The origin panel [0, 1] absorbs the power weight with QAWS after
     factoring the cancellation order out of the trigonometric bracket; the
-    tail pairs the exact integral of the constant part with one QAWF call
-    per distinct frequency.  Raises if the requested combination diverges
-    (e.g. a non-cancelling constant with p >= 1), and ``ValueError`` naming
-    the term if p, const or a coefficient or frequency is not finite.
+    tail pairs the exact integral of the constant part with one memoized
+    QAWF call per distinct frequency (``_power_tail``).  Raises if the
+    requested combination diverges (e.g. a non-cancelling constant with
+    p >= 1), and ``ValueError`` naming the term if p, const or a
+    coefficient or frequency is not finite.
     """
     cos_terms = [(float(c), float(a)) for c, a in cos_terms]
     sin_terms = [(float(d), float(b)) for d, b in sin_terms]
@@ -234,8 +259,7 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
             raise QuadratureError(f"divergent tail: constant part with p={p} <= 1")
         re_total += const_all / (p - 1.0)
     for c, a in cos_live:
-        v, e = _quad_panel(lambda y: y**-p, 1.0, np.inf, bud, epsabs=tol * 0.25,
-                           weight="cos", wvar=abs(a))
+        v, e = _tail_panel(p, "cos", abs(a), bud, tol * 0.25)
         re_total += c * v
         err += e
 
@@ -259,8 +283,7 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
         im_total += v
         err += e
         for d, b in sin_live:
-            v, e = _quad_panel(lambda y: y**-p, 1.0, np.inf, bud,
-                               epsabs=tol * 0.25, weight="sin", wvar=abs(b))
+            v, e = _tail_panel(p, "sin", abs(b), bud, tol * 0.25)
             im_total += d * math.copysign(1.0, b) * v
             err += e
 

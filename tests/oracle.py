@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from rectfield.kernels import (
+    SEAM_DELTA,
     StrictGeneral,
     StrictWeights,
     _float_tuple,
@@ -58,9 +59,37 @@ def _sym_bracket(h: float, t: float, s: float) -> float:
     return t**e + s**e - abs(t - s)**e
 
 
+def _seam_brackets(delta: float, t: float, s: float) -> tuple:
+    """(a, b) at H = 1/2 + delta with x^{2H} = x + x E(x),
+    E(x) = expm1(2 delta log x): a = 2 min(t, s) + t E(t) + s E(s) - |d| E(|d|)
+    and b = -(s E(s) - t E(t) + d E(|d|)) / tan(pi delta), d = t - s."""
+    def expm1_power(x):
+        return math.expm1(2.0 * delta * math.log(abs(x))) if x != 0.0 else 0.0
+
+    d = t - s
+    te, se, de = t * expm1_power(t), s * expm1_power(s), expm1_power(d)
+    return (2.0 * min(t, s) + (te + se - abs(d) * de),
+            -(se - te + d * de) / math.tan(math.pi * delta))
+
+
 def _a_bracket(h: float, t: float, s: float) -> float:
-    """The symmetric bracket, in its exact form 2 min(t, s) at H = 1/2."""
-    return 2.0 * min(t, s) if h == 0.5 else _sym_bracket(h, t, s)
+    """The symmetric bracket, in its exact form 2 min(t, s) at H = 1/2 and
+    its seam form within ``SEAM_DELTA`` of it."""
+    if h == 0.5:
+        return 2.0 * min(t, s)
+    if abs(h - 0.5) < SEAM_DELTA:
+        return _seam_brackets(h - 0.5, t, s)[0]
+    return _sym_bracket(h, t, s)
+
+
+def _b_bracket(h: float, t: float, s: float) -> float:
+    """The b bracket: (2/pi) log bracket at H = 1/2, the seam form within
+    ``SEAM_DELTA`` of it, tan(pi H) times the skew bracket elsewhere."""
+    if h == 0.5:
+        return 2.0 / math.pi * _log_bracket(t, s)
+    if abs(h - 0.5) < SEAM_DELTA:
+        return _seam_brackets(h - 0.5, t, s)[1]
+    return math.tan(math.pi * h) * _skew_bracket(h, t, s)
 
 
 def _skew_bracket(h: float, t: float, s: float) -> float:
@@ -75,9 +104,9 @@ def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
     """Mixture covariance Re sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j).
 
     Evaluated from the sign-moment terms of the weights, P = (a + i e b)/2:
-    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket,
-    or a = 2 min(t, s) and b = (2/pi) times the log bracket at H = 1/2.
-    A single term is S = {} (the sheet), which needs no b.
+    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket
+    (``_b_bracket``), or a = 2 min(t, s) and b = (2/pi) times the log
+    bracket at H = 1/2.  A single term is S = {} (the sheet), which needs no b.
     """
     H = validate_hurst(H)
     if weights.n != len(H):
@@ -86,10 +115,8 @@ def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
     s = _as_point(s, len(H))
     t = _as_point(t, len(H))
     a = [_a_bracket(h, tk, sk) for h, tk, sk in zip(H, t, s)]
-    b = a if len(terms) == 1 else [
-        2.0 / math.pi * _log_bracket(tk, sk) if h == 0.5
-        else math.tan(math.pi * h) * _skew_bracket(h, tk, sk)
-        for h, tk, sk in zip(H, t, s)]
+    b = a if len(terms) == 1 else [_b_bracket(h, tk, sk)
+                                   for h, tk, sk in zip(H, t, s)]
     total = 0.0
     for coef, in_s in terms:
         for aj, bj, j_in_s in zip(a, b, in_s):

@@ -908,3 +908,27 @@ def test_main_parses_with_the_named_subcommand_only(monkeypatch, capsys):
             main(argv)
     capsys.readouterr()
     assert built == [["cov"]] + [list(cli._COMMANDS)] * 3
+
+
+def _fmt_one_value_at_a_time(x):
+    """The point form ``_fmt`` had before its template: one value at a time."""
+    return "[" + " ".join(f"{float(v):.17g}" for v in np.atleast_1d(x)) + "]"
+
+
+@pytest.mark.parametrize("point", [
+    [1, 2], [0.1, 2.5e-300, 1e300, -0.0], (3, 0.7),
+    (np.float64(0.1), np.int64(3)),
+    [2**60 + 1, 7], [], np.array(0.3), np.array([1.0, math.inf, math.nan]),
+    np.array([1, 2])],
+    ids=["int list", "float list", "tuple", "numpy scalars", "big int", "empty",
+         "0-d", "1-d", "1-d int"])
+def test_point_cells_keep_their_bytes(point):
+    assert _fmt(point) == _fmt_one_value_at_a_time(point)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 1), (1, 3)])
+def test_a_2d_point_renders_row_major(shape):
+    # the value-at-a-time form converted each row to a float, which numpy
+    # refuses (or deprecates) for a row of any length
+    point = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 3.0
+    assert _fmt(point) == _fmt_one_value_at_a_time(point.ravel())

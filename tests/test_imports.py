@@ -1,7 +1,9 @@
 """What each command imports, and when, each in a fresh interpreter.
 
 Importing the package loads no SciPy: only ``check`` and ``density``
-integrate, and they load it while their config is validated.  A validated
+use it, and they load it while their config is validated.  ``density``
+and the ``criteria`` suite evaluate g_H and load ``scipy.special`` alone;
+the other suites integrate and load ``scipy.integrate``.  A validated
 config then runs without importing any module, and the closed-form and
 sampling commands run, with the same bytes, where SciPy cannot be imported.
 """
@@ -42,7 +44,8 @@ _CONFIGS = {
     "limit-demo": {"command": "limit-demo", "r1": 16, "r2": 16,
                    "t_axes": [1.0, 2.0], "n_reps": 50, "seed": 4},
 }
-_INTEGRATING = {"check", "density"}
+_USES_SCIPY = {"check", "density"}
+_INTEGRATING = {f"check-{suite}" for suite in cli._SUITES} - {"check-criteria"}
 _SCIPY_FREE = ("cov", "classify", "simulate", "mc", "limit-demo")
 
 
@@ -96,9 +99,10 @@ path, command = sys.argv[1:]
 with open(path) as fh:
     cli.parse_config(fh.read())
 scipy = "scipy" in sys.modules
+integrate = "scipy.integrate" in sys.modules
 before = set(sys.modules)
 rc = cli.main([command, "--config", path])
-print(json.dumps({"rc": rc, "scipy": scipy,
+print(json.dumps({"rc": rc, "scipy": scipy, "integrate": integrate,
                   "added": sorted(set(sys.modules) - before)}))
 """
 
@@ -106,11 +110,13 @@ print(json.dumps({"rc": rc, "scipy": scipy,
 @pytest.mark.parametrize("label", list(_CONFIGS))
 def test_validated_config_runs_without_importing(tmp_path, label):
     # numpy.random (the first draw), numpy.ma (np.unique), locale (the
-    # first argparse parser) and SciPy (check, density) load before the run
+    # first argparse parser) and SciPy (check, density) load before the
+    # run, scipy.integrate only for the suites that integrate
     command = _CONFIGS[label]["command"]
     path = _write_config(tmp_path, label, tmp_path / "out")
     got = _python(_RUN_PHASE, str(path), command)
-    assert got == {"rc": 0, "scipy": command in _INTEGRATING, "added": []}
+    assert got == {"rc": 0, "scipy": command in _USES_SCIPY,
+                   "integrate": label in _INTEGRATING, "added": []}
 
 
 _NO_SCIPY = """

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from rectfield.kernels import (
     FBS,
+    SEAM_DELTA,
     CovKernel,
     MildTheta,
     MovingPair,
@@ -22,6 +23,7 @@ from rectfield.kernels import (
     WeightValidationError,
     YHalf,
     ZHalf,
+    _brackets_array,
     cov_fbs,
     cov_mild_theta,
     cov_strict_2d,
@@ -556,3 +558,106 @@ def test_scalar_calls_are_the_batch_form_bit_for_bit():
     one = make_kernel(FBS((0.4,)))
     assert cov_fbs((0.4,), 1.0, 2.0) == float(one.batch([1.0], [2.0]))
     assert one(1.0, 2.0) == cov_fbs((0.4,), [1.0], [2.0])
+
+
+# --------------------------------------------------------------------------
+# The H = 1/2 seam of the strict brackets
+# --------------------------------------------------------------------------
+
+_ULP_UP, _ULP_DOWN = math.ulp(0.5), math.ulp(0.5) / 2   # spacing above, below
+_SEAM_H = sorted(
+    [0.5 + k * _ULP_UP for k in (1, 2, 10)]
+    + [0.5 - k * _ULP_DOWN for k in (1, 2, 10)]
+    + [0.5 + sign * 10.0**-j for j in range(2, 16) for sign in (1, -1)])
+_SEAM_AXIS = (1e-3, 0.03, 0.7, 1.0, 2.5, 40.0, 1e3)
+_SEAM_POINTS = [(t, s) for t in _SEAM_AXIS for s in _SEAM_AXIS]
+
+
+def _mp_brackets(mp, h, t, s):
+    """(a, b, a_scale, b_scale) at 40 digits.  Each scale is the magnitude of
+    the seam form's terms, with E(x) = expm1(2 delta log x): 2 min(t, s) +
+    |t E(t)| + |s E(s)| + |d E(|d|)| for a, and (|s E(s)| + |t E(t)|
+    + |d E(|d|)|) / |tan(pi delta)| for b."""
+    h, t, s = mp.mpf(h), mp.mpf(t), mp.mpf(s)
+    d, delta = t - s, h - mp.mpf(0.5)
+    a = t**(2 * h) + s**(2 * h) - abs(d)**(2 * h)
+    b = mp.tan(mp.pi * h) * (-t**(2 * h) + s**(2 * h)
+                             + mp.sign(d) * abs(d)**(2 * h))
+    lin = sum(abs(x * mp.expm1(2 * delta * mp.log(abs(x)))) if x else 0
+              for x in (s, t, d))
+    return a, b, 2 * min(t, s) + lin, lin / abs(mp.tan(mp.pi * delta))
+
+
+@pytest.mark.parametrize("h", _SEAM_H)
+def test_seam_brackets_match_mpmath(h):
+    # tan(pi H) times a bracket that cancels to O(H - 1/2) lost up to all
+    # of b near the seam: K was 32% low at 1/2 - 1 ulp
+    mp = pytest.importorskip("mpmath")
+    t, s = (np.array(v) for v in zip(*_SEAM_POINTS))
+    a, b = _brackets_array(h, t, s, True)
+    with mp.workdps(40):
+        want = [_mp_brackets(mp, h, *p) for p in _SEAM_POINTS]
+    for k, (wa, wb, a_scale, b_scale) in enumerate(want):
+        assert abs(a[k] - float(wa)) <= 1e-13 * float(a_scale), _SEAM_POINTS[k]
+        assert abs(b[k] - float(wb)) <= 1e-13 * float(b_scale), _SEAM_POINTS[k]
+        assert abs(a[k] - oracle._a_bracket(h, *_SEAM_POINTS[k])) <= \
+            1e-15 * float(a_scale)
+        assert abs(b[k] - oracle._b_bracket(h, *_SEAM_POINTS[k])) <= \
+            1e-15 * float(b_scale)
+
+
+@pytest.mark.parametrize("h", _SEAM_H)
+def test_seam_strict_kernel_matches_mpmath(h):
+    mp = pytest.importorskip("mpmath")
+    weights = strict2d_weights(0.8)
+    pts = _SEAM_POINTS[::5]
+    S = np.array([[s, 0.3 * t + 0.1] for t, s in pts])
+    T = np.array([[t, 2.0 * s] for t, s in pts])
+    got = make_kernel(Strict2D(h, h, 0.8)).batch(S, T)
+    with mp.workdps(40):
+        for k in range(len(pts)):
+            br = [_mp_brackets(mp, h, T[k, j], S[k, j]) for j in range(2)]
+            want = scale = 0
+            for coef, in_s in weights.sign_moment_terms:
+                term, size = mp.mpf(coef), abs(mp.mpf(coef))
+                for (a, b, a_scale, b_scale), j_in_s in zip(br, in_s):
+                    term *= b if j_in_s else a
+                    size *= b_scale if j_in_s else a_scale
+                want += term
+                scale += size
+            assert abs(got[k] - float(want)) <= 1e-13 * float(scale), (S[k], T[k])
+
+
+@pytest.mark.parametrize("spec", [lambda h: Strict2D(h, h, 1.0),
+                                  lambda h: MildTheta(h, h, 0.5)],
+                         ids=["strict2d", "mildtheta"])
+def test_kernels_are_continuous_at_the_seam(spec):
+    # the far-apart pair (1e-3, 1e3) cancelled in the plain a bracket too:
+    # 2.4e-11 off for the mild family at 1/2 +- 1 ulp
+    S = np.array([[0.7, 2.0], [1e-3, 40.0], [1.0, 1.0], [2.5, 0.03]])
+    T = np.array([[2.5, 0.3], [1e3, 0.7], [1.0, 2.5], [0.7, 0.03]])
+    half = make_kernel(spec(0.5)).batch(S, T)
+    for h in (0.5 - _ULP_DOWN, 0.5 + _ULP_UP):
+        got = make_kernel(spec(h)).batch(S, T)
+        assert np.all(np.abs(got - half) <= 1e-14 * np.abs(half)), h
+
+
+@pytest.mark.parametrize("h", [0.5 - _ULP_DOWN, 0.5 + _ULP_UP])
+def test_classify_labels_strict2d_strictly_stationary_at_the_seam(h):
+    from rectfield.increments import classify_stationarity
+
+    report = classify_stationarity(make_kernel(Strict2D(h, h, 1.0)))
+    assert report.require_label() is StationarityClass.STRICT_WIDE
+
+
+def test_seam_form_leaves_the_plain_form_where_h_is_away_from_half():
+    # every benchmark and test H is at least 0.1 from 1/2; the plain form's
+    # bits stay there
+    assert SEAM_DELTA <= 0.1 - 1e-15
+    t, s = np.array([2.5, 0.7, 1e3]), np.array([0.7, 2.5, 1e-3])
+    for h in (0.4, 0.6, 0.3, 0.7):
+        _, b = _brackets_array(h, t, s, True)
+        e = 2.0 * h
+        plain = math.tan(math.pi * h) * (-t**e + s**e
+                                         + np.sign(t - s) * np.abs(t - s)**e)
+        assert np.array_equal(b, plain), h

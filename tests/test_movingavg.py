@@ -336,3 +336,20 @@ def test_weight_table_rejects_non_finite_entries(bad):
          (1, -1): (0.1, 0.0), (-1, 1): (0.1, 0.0)}
     with pytest.raises(ValueError, match=re.escape("(1, 1)") + ".*finite"):
         make_ma_kernel((0.3, 0.7), W)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.7])
+@pytest.mark.parametrize("kind", ["pp", "pf", "fp", "ff"])
+def test_bound_integrand_is_the_kernel_product(h, kind):
+    # the same operations as the p_kernel / f_kernel product, so the same
+    # bits, and below 1/2 the +inf marker (or its products) on {0, s, t}
+    t, s = 1.3, 0.6
+    k1 = p_kernel if kind[0] == "p" else f_kernel
+    k2 = p_kernel if kind[1] == "p" else f_kernel
+    f = movingavg._power_integrand(h, kind, t, s)
+    for x in (-2.5, -1.0, -1e-9, 0.0, 1e-9, 0.3, s, 0.9, t, 2.0, 40.0):
+        want, got = k1(h, t, x) * k2(h, s, x), f(x)
+        assert got == want or (math.isnan(got) and math.isnan(want)), x
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), x
+    if h < 0.5:
+        assert math.inf in (f(0.0), f(s), f(t))

@@ -1,12 +1,19 @@
 """Quadrature engine and the integral-identity oracles."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rectfield
+from rectfield import quadrature
 from rectfield.quadrature import (
     OracleCheck,
     QuadratureError,
@@ -207,3 +214,94 @@ def test_non_finite_terms_are_rejected_by_name(call, term):
     # callback, and an infinite coefficient returned nan+0j
     with pytest.raises(ValueError, match=re.escape(f"{term} must be finite")):
         call()
+
+
+# --------------------------------------------------------------------------
+# Memoized power tails
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, kind, omega", [
+    (1.6, "cos", 1.0), (1.6, "sin", 3.0), (2.0, "cos", 0.5), (0.8, "sin", 2.0)])
+def test_cached_tail_is_the_uncached_panel(p, kind, omega):
+    quadrature._power_tail.cache_clear()
+    budget = quadrature._Budget(10**9)
+    want = quadrature._quad_panel(lambda y: y**-p, 1.0, np.inf, budget,
+                                  epsabs=2.5e-10, weight=kind, wvar=omega)
+    for _ in range(2):   # the computing call, then a hit
+        assert quadrature._power_tail(p, kind, omega, 2.5e-10) == \
+            (*want, budget.used)
+
+
+def test_second_sweep_gives_the_same_checks_and_charges(monkeypatch):
+    quadrature._power_tail.cache_clear()
+    used = []
+    inner = quadrature.oscillatory_power_integral
+
+    def recording(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        used.append(res.panels_used)
+        return res
+
+    monkeypatch.setattr(quadrature, "oscillatory_power_integral", recording)
+    first = identity_sweep()
+    first_used, used[:] = list(used), []
+    assert quadrature._power_tail.cache_info().hits > 0
+    assert identity_sweep() == first
+    assert used == first_used
+
+
+def test_a_cached_tail_charges_the_budget_as_if_integrated(monkeypatch):
+    # the budget counts QUADPACK's evaluations whether or not the tails are
+    # in the cache; the origin panel fits the budget and the tails do not
+    quadrature._power_tail.cache_clear()
+    scipy_quad, neval = quadrature.quad, []
+
+    def counting(*args, **kwargs):
+        out = scipy_quad(*args, **kwargs)
+        neval.append(out[2]["neval"])
+        return out
+
+    monkeypatch.setattr(quadrature, "quad", counting)
+    call = dict(p=1.37, cos_terms=[(1.0, 1.2345), (-1.0, 2.3456)])
+    cold = oscillatory_power_integral(**call)
+    assert len(neval) == 3 and cold.panels_used == sum(neval)
+    warm = oscillatory_power_integral(**call)
+    assert len(neval) == 4 and warm == cold
+    messages = []
+    for _ in range(2):
+        quadrature._power_tail.cache_clear()
+        for _ in range(2):   # the first call computes the tails, the next hits
+            with pytest.raises(QuadratureError, match="budget") as err:
+                oscillatory_power_integral(**call, budget=cold.panels_used - 1)
+            messages.append(str(err.value))
+    assert len(set(messages)) == 1
+
+
+_SWEEP_TAILS = """
+import json, math
+from rectfield import quadrature
+scipy_quad = quadrature.quad
+tails = []
+
+
+def counting(f, a, b, **kwargs):
+    if kwargs.get("weight") in ("cos", "sin") and b == math.inf:
+        tails.append((kwargs["weight"], kwargs["wvar"]))
+    return scipy_quad(f, a, b, **kwargs)
+
+
+quadrature.quad = counting
+quadrature.identity_sweep()
+print(json.dumps(len(tails)))
+"""
+
+
+def test_sweep_integrates_each_distinct_tail_once():
+    # 230 tails in the sweep, 74 distinct (p, kind, |omega|, epsabs)
+    src = str(Path(rectfield.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_TAILS],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == 74

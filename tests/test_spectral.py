@@ -12,6 +12,7 @@ import pytest
 
 import oracle
 import rectfield
+from rectfield import spectral
 from rectfield.lamperti import c_fbs_stationary
 from rectfield.quadrature import integrate_1d
 from rectfield.spectral import (
@@ -401,3 +402,22 @@ def test_non_finite_frequency_raises_instead_of_crashing():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [f"{name} ValueError"
                                         for name in _QAWF_CRASHES]
+
+
+_LETTER_X = (0.0, 1e-3, 1.0, 19.999999, 20.0, 20.000001, 36.0, 100.0, 700.0,
+             1e6, 1e17)
+
+
+@pytest.mark.parametrize("H", _TAIL_H)
+def test_bound_letter_matches_the_array_path(H):
+    # QUADPACK's abscissae are floats and take the letter's math path
+    letter = spectral._fbm_letter(H)
+    xs = np.array([sign * x for x in _LETTER_X for sign in (1.0, -1.0)])
+    want = g_fbm(H, xs)
+    got = [letter(float(x)) for x in xs]
+    assert all(type(v) is float for v in got)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-13 * want)
+    assert letter(math.inf) == letter(-math.inf) == 0.0
+    assert spectral._fbm_letter(H) is letter
+    (_, (factor,)), = fbm_density(H).terms
+    assert factor is letter
