@@ -31,6 +31,7 @@ from typing import get_args
 import numpy as np
 
 from . import movingavg, quadrature, spectral
+from .gammafn import _LOGGAMMA, _QUADPACK, _scipy_extension
 from .increments import ProbePlan, classify_stationarity
 from .kernels import (FieldSpec, MovingPair, NonFiniteError, StrictWeights,
                       _as_points, _points, cov_fbs, make_kernel,
@@ -266,16 +267,15 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"spec.family: density is only available for "
                               f"'fbs', not {spec.family!r}")
         params["x"] = _checked("x: ", _points, cfg["x"], n).reshape(-1, n).tolist()
-        __import__("scipy.special")   # g_H's log-gamma: load it before the run
+        _scipy_extension(_LOGGAMMA)   # g_H's log-gamma: load it before the run
     elif command == "check":
         suite = cfg.get("suite")
         if suite not in _SUITES:
             raise ConfigError(f"suite: expected one of {'/'.join(_SUITES)}, "
                               f"got {suite!r}")
         params["suite"] = suite
-        # every suite but criteria integrates; criteria needs only log-gamma
-        __import__("scipy.special" if suite == "criteria"
-                   else "scipy.integrate")
+        for name in _SUITE_SCIPY[suite]:   # load them before the run
+            _scipy_extension(name)
         if suite == _TOL_SUITE:
             params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
             if params["tol"] <= 0.0:
@@ -479,6 +479,10 @@ def _suite_ma():
 _TOL_SUITE = "lemmas"
 _SUITES = {_TOL_SUITE: _suite_lemmas, "densities": _suite_densities,
            "criteria": _suite_criteria, "ma": _suite_ma}
+# the compiled SciPy modules each suite calls: QUADPACK where it integrates,
+# log-gamma where it evaluates g_H
+_SUITE_SCIPY = {_TOL_SUITE: (_QUADPACK,), "densities": (_QUADPACK, _LOGGAMMA),
+                "criteria": (_LOGGAMMA,), "ma": (_QUADPACK,)}
 
 
 # --------------------------------------------------------------------------

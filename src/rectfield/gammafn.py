@@ -1,20 +1,30 @@
 """Special-function primitives shared by the covariance and density formulas.
 
-The magnitude |Gamma(z)| for complex z, without overflow, from SciPy's
-complex log-gamma (imported on the first call); the two normalization
-constants, from ``math.gamma``,
+``_scipy_extension`` loads one of SciPy's compiled modules from its file:
+the package calls two, QUADPACK (``scipy.integrate._quadpack``) and the
+ufunc module that holds ``scipy.special.loggamma``
+(``scipy.special._special_ufuncs``), and importing either subpackage would
+first run hundreds of Python modules.  Each is loaded once, at first use.
+
+The magnitude |Gamma(z)| for complex z, without overflow, from that
+complex log-gamma; the two normalization constants, from ``math.gamma``,
 
     c1(H) = sqrt(H Gamma(2H) sin(pi H) / pi)
     c2(H) = sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H + 1/2)
 
 that calibrate the harmonizable and moving-average representations of a
-fractional Brownian sheet; an overflow-safe log cosh for the spectral
-densities; and the one-sided power (u)_+^a.
+fractional Brownian sheet; an overflow-safe log cosh; and the one-sided
+power (u)_+^a.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +41,43 @@ __all__ = [
 
 # exp() overflows above this; |Gamma| results beyond it are reported as errors
 _LOG_OVERFLOW = math.log(np.finfo(float).max)
-_loggamma = None   # scipy.special.loggamma, bound on first use
+# the two compiled SciPy modules the package calls, for _scipy_extension
+_QUADPACK = "integrate._quadpack"
+_LOGGAMMA = "special._special_ufuncs"     # holds scipy.special.loggamma
+
+
+@cache
+def _scipy_extension(name: str):
+    """SciPy's compiled module ``scipy.<name>``, loaded from its own file.
+
+    Only the top-level ``scipy`` package is imported first (about ten light
+    modules, among them the ``scipy._lib._ccallback`` that QUADPACK's
+    callbacks import); the subpackage's ``__init__`` never runs.  The module
+    is registered under its full name, so a later ``import scipy.special``
+    or ``scipy.integrate`` shares it.  A SciPy without the file raises
+    ``ImportError`` naming the file and the SciPy version.
+    """
+    import scipy
+    full = f"scipy.{name}"
+    if full in sys.modules:          # its subpackage was imported already
+        return sys.modules[full]
+    package, _, stem = name.rpartition(".")
+    folder = Path(scipy.__file__).parent.joinpath(*package.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / (stem + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            f"SciPy {scipy.__version__} has no compiled module {full} "
+            f"({folder / stem}{importlib.machinery.EXTENSION_SUFFIXES[0]})",
+            name=full)
+    loader = importlib.machinery.ExtensionFileLoader(full, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(full, loader))
+    loader.exec_module(module)
+    sys.modules[full] = module
+    return module
 
 
 class GammaPoleError(ValueError):
@@ -57,10 +103,8 @@ def abs_gamma(z) -> float:
         raise ValueError(f"abs_gamma requires finite components, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise GammaPoleError(f"Gamma pole at z = {z.real:g}")
-    global _loggamma
-    if _loggamma is None:
-        from scipy.special import loggamma as _loggamma
-    log_mag = float(np.real(_loggamma(z)))
+    loggamma = _scipy_extension(_LOGGAMMA).loggamma
+    log_mag = float(np.real(loggamma(z)))
     if log_mag > _LOG_OVERFLOW:
         raise OverflowError(f"|Gamma({z})| overflows double precision")
     return math.exp(log_mag)

@@ -5,7 +5,10 @@ Two kinds of surface live here. ``integrate_1d`` and
 panels for finite/half-infinite ranges with declared singular points,
 algebraic-weight rules (QAWS) for power singularities at the origin, and
 Fourier-weight rules with cycle acceleration (QAWF) for oscillatory tails.
-Each panel is one call of ``quad``; SciPy is imported at the first one.
+Each panel is one call of ``quad``, which calls SciPy's compiled QUADPACK
+routines directly: the extension is loaded from its file at the first
+call (``gammafn._scipy_extension``), and ``scipy.integrate`` is never
+imported.
 A power tail int_1^inf y^{-p} cos|sin(omega y) dy depends only on
 (p, kind, omega, epsabs), so each one is integrated once per process and
 memoized; a repeated tail charges the caller's budget the evaluations of
@@ -27,12 +30,13 @@ covariance and moving-average formulas of the package rest on them.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import pow_plus
+from .gammafn import _QUADPACK, _scipy_extension, pow_plus
 
 __all__ = [
     "QuadratureError",
@@ -50,10 +54,59 @@ __all__ = [
 DEFAULT_BUDGET = 100_000
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``; SciPy is imported on the first call."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+_FOURIER = {"cos": 1, "sin": 2}
+_IER = {1: "the subdivision limit (on a Fourier tail, the cycle limit) "
+           "was reached",
+        2: "roundoff error prevents the requested tolerance",
+        3: "the integrand behaves extremely badly",
+        4: "the extrapolation does not converge",
+        5: "the integral is probably divergent or converges slowly",
+        7: "the routine terminated abnormally"}
+
+
+def quad(func, a, b, args=(), full_output=0, epsabs=1.49e-8, epsrel=1.49e-8,
+         limit=50, weight=None, wvar=None, limlst=50, maxp1=50):
+    """``scipy.integrate.quad`` on the routes this package takes, a < b.
+
+    The same keywords and defaults, the same QUADPACK call and the same
+    result: ``(value, err)``, or ``(value, err, infodict)`` with
+    ``full_output``, to which a message is appended when QUADPACK reports
+    a failure (without ``full_output`` it is a warning).  Routes: QAGS
+    on a finite range, QAGI with either end or both infinite, QAWS for
+    ``weight="alg"``, and for ``"cos"``/``"sin"`` QAWO on a finite range
+    and QAWF on [a, inf).  Any other weight or range, and input QUADPACK
+    rejects, raise ``ValueError``.
+    """
+    qp = _scipy_extension(_QUADPACK)
+    if weight is None and (a == -math.inf or b == math.inf):
+        # QAGI's range: [bound, inf) (1), (-inf, bound] (-1) or the line (2)
+        bound, inf = ((a, 1) if a > -math.inf else (b, -1) if b < math.inf
+                      else (0.0, 2))
+        out = qp._qagie(func, bound, inf, args, full_output, epsabs, epsrel,
+                        limit)
+    elif weight is None:
+        out = qp._qagse(func, a, b, args, full_output, epsabs, epsrel, limit)
+    elif weight == "alg" and math.isfinite(a) and math.isfinite(b):
+        out = qp._qawse(func, a, b, wvar, 1, args, full_output, epsabs, epsrel,
+                        limit)
+    elif weight in _FOURIER and math.isfinite(a) and b == math.inf:
+        out = qp._qawfe(func, a, wvar, _FOURIER[weight], args, full_output,
+                        epsabs, limlst, limit, maxp1)
+    elif weight in _FOURIER and math.isfinite(a) and math.isfinite(b):
+        out = qp._qawoe(func, a, b, wvar, _FOURIER[weight], args, full_output,
+                        epsabs, epsrel, limit, maxp1, 1)
+    else:   # QUADPACK would return nan
+        raise ValueError(f"weight {weight!r} on [{a}, {b}]: expected None, "
+                         f"'alg' on a finite range or 'cos'/'sin' from a "
+                         f"finite a")
+    *result, ier = out
+    if ier in _IER and full_output:
+        result.append(f"QUADPACK ier={ier}: {_IER[ier]}")
+    elif ier in _IER:
+        warnings.warn(f"QUADPACK ier={ier}: {_IER[ier]}", stacklevel=2)
+    elif ier:
+        raise ValueError(f"QUADPACK rejected its input (ier={ier})")
+    return tuple(result)
 
 
 class QuadratureError(RuntimeError):

@@ -8,9 +8,12 @@ Brownian motion has an explicit spectral density
                / (sin^2(pi H) cosh^2(pi x) + cos^2(pi H) sinh^2(pi x)),
 
 reducing at H = 1/2 to the Cauchy density 1/(2 pi ((1/2)^2 + x^2)).  The
-denominator simplifies to cosh^2(pi x) - cos^2(pi H), which this module
-evaluates in log space, with SciPy's log-gamma (imported on first use), to
-stay finite far into the tails, where the density decays like |x|^{-1-2H}.
+denominator equals sinh^2(pi x) + sin^2(pi H), a sum of positive terms that
+keeps its digits as H nears 0 or 1 (cosh^2(pi x) - cos^2(pi H), its other
+form, cancels there).  This module evaluates g_H in log space, with SciPy's
+compiled complex log-gamma (loaded from its file at first use, see
+``gammafn._scipy_extension``), to stay finite far into the tails, where the
+density decays like |x|^{-1-2H}.
 
 For a product field the density is the product of the one-dimensional
 densities, one 1/(2 pi) factor per coordinate; this normalization is pinned
@@ -44,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import log_cosh
+from .gammafn import _LOGGAMMA, _scipy_extension
 from .kernels import _points, _sign_vectors, validate_hurst
 from .quadrature import DEFAULT_BUDGET, _Budget, _quad_panel
 
@@ -68,20 +71,29 @@ def g_w(x):
 
 
 _STIRLING_X = 20.0   # g_fbm's tail form holds beyond this |x|
-_loggamma = None     # scipy.special.loggamma, bound on first use
+
+
+def _sin_pi(H):
+    """sin(pi H) to rounding for H in (0, 1): above 1/2, 1 - H is exact."""
+    return math.sin(math.pi * min(H, 1.0 - H))
 
 
 def _log_g_near(ax, H):
-    """log g_H at |x| = ax <= _STIRLING_X, from log Gamma and log cosh."""
-    log_gamma2 = 2.0 * _loggamma(H + 1j * ax).real
-    lc = log_cosh(math.pi * ax)
-    cos_h = math.cos(math.pi * H)
-    # log(cosh^2 - cos^2) = 2 log cosh + log1p(-(cos/cosh)^2)
-    log_den = 2.0 * lc + np.log1p(-(cos_h * cos_h) * np.exp(-2.0 * lc))
-    return (np.log(2.0 * H / (H * H + ax * ax))
-            + math.log(math.pi) + math.lgamma(2.0 * H) - log_gamma2
-            + math.log(math.sin(math.pi * H)) + lc - log_den
-            - math.log(2.0 * math.pi))
+    """log g_H at |x| = ax <= _STIRLING_X, from log Gamma.
+
+    With y = pi ax and t = e^{-2y} <= 1, the factor cosh(y) / (sinh^2(y) +
+    sin^2(pi H)) is 2 e^{-y} (1 + t) / ((1 - t)^2 + 4 sin^2(pi H) t): no
+    term overflows or cancels, and its e^{-y} is taken with the growth
+    -2 Re log Gamma(H + i ax) before either is rounded into the sum.
+    """
+    loggamma = _scipy_extension(_LOGGAMMA).loggamma
+    s = _sin_pi(H)
+    y = math.pi * ax
+    t = np.exp(-2.0 * y)
+    return (math.log(2.0 * H) + math.log(s) + math.lgamma(2.0 * H)
+            - np.log(H * H + ax * ax) + np.log1p(t)
+            - np.log(np.expm1(-2.0 * y) ** 2 + 4.0 * s * s * t)
+            + (-2.0 * loggamma(H + 1j * ax).real - y))
 
 
 def _log_g_far(y, H):
@@ -96,7 +108,7 @@ def _log_g_far(y, H):
     w2 = w * w
     series = w * (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 * (
         1 / 1680 - w2 / 1188))))
-    return (math.log(2.0 * H * math.gamma(2.0 * H) * math.sin(math.pi * H))
+    return (math.log(2.0 * H * math.gamma(2.0 * H) * _sin_pi(H))
             - (2.0 * H + 1.0) * log_z - 2.0 * y * np.arctan(r) + 2.0 * H
             - math.log(2.0 * math.pi) - 2.0 * series.real)
 
@@ -112,17 +124,14 @@ def _fbm_letter(H: float):
     about 1e-14 relative.  A ``float``, such as each abscissa QUADPACK asks
     for, gives a ``float``; any other number a ``np.float64``.
     """
-    global _loggamma
-    if _loggamma is None:
-        from scipy.special import loggamma as _loggamma
-    loggamma = _loggamma
-    cos_h = math.cos(math.pi * H)
-    cos2, hh, two_h = cos_h * cos_h, H * H, 2.0 * H
-    log_pi, lgamma_2h = math.log(math.pi), math.lgamma(2.0 * H)
-    log_sin, log_2pi = math.log(math.sin(math.pi * H)), math.log(2.0 * math.pi)
-    log_far = math.log(2.0 * H * math.gamma(2.0 * H) * math.sin(math.pi * H))
-    pi, log2 = math.pi, math.log(2.0)
-    exp, log, log1p = math.exp, math.log, math.log1p
+    loggamma = _scipy_extension(_LOGGAMMA).loggamma
+    s = _sin_pi(H)
+    hh, two_h, four_s2 = H * H, 2.0 * H, 4.0 * s * s
+    log_near = math.log(2.0 * H) + math.log(s) + math.lgamma(2.0 * H)
+    log_2pi = math.log(2.0 * math.pi)
+    log_far = math.log(2.0 * H * math.gamma(2.0 * H) * s)
+    pi = math.pi
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
 
     def scalar(ax):
         if ax > _STIRLING_X:             # _log_g_far, operation for operation
@@ -138,11 +147,10 @@ def _fbm_letter(H: float):
                        - 2.0 * ax * math.atan(r) + two_h - log_2pi
                        - 2.0 * series.real)
         y = pi * ax                      # _log_g_near, operation for operation
-        lc = y + log1p(exp(-2.0 * y)) - log2
-        log_den = 2.0 * lc + log1p(-cos2 * exp(-2.0 * lc))
-        return exp(log(two_h / (hh + ax * ax)) + log_pi + lgamma_2h
-                   - 2.0 * float(loggamma(complex(H, ax)).real)
-                   + log_sin + lc - log_den - log_2pi)
+        t = exp(-2.0 * y)
+        return exp(log_near - log(hh + ax * ax) + log1p(t)
+                   - log(expm1(-2.0 * y) ** 2 + four_s2 * t)
+                   + (-2.0 * float(loggamma(complex(H, ax)).real) - y))
 
     def letter(x):
         if type(x) is float:             # a QUADPACK abscissa

@@ -245,22 +245,24 @@ def g_fbm(H: float, x: float) -> float:
     """Spectral density g_H(x) of the time-changed fractional Brownian motion.
 
     Evaluated in log space: the exponential growth of 1/|Gamma(H+ix)|^2 and
-    the exponential decay of cosh(pi x)/(cosh^2(pi x) - cos^2(pi H)) cancel
+    the exponential decay of cosh(pi x)/(sinh^2(pi x) + sin^2(pi H)) cancel
     analytically, leaving the power-law tail ~ c_H |x|^{-1-2H} that a naive
-    evaluation loses to overflow beyond |x| of about 200.
+    evaluation loses to overflow beyond |x| of about 200.  With y = pi |x|
+    and t = e^{-2y}, that factor is 2 e^{-y} (1 + t) / ((1 - t)^2 +
+    4 sin^2(pi H) t), whose terms neither overflow nor cancel as H nears 0
+    or 1; sin(pi H) is taken at min(H, 1 - H), where pi H is exact enough.
     """
     (H,) = validate_hurst(H)
     x = float(x)
     ax = abs(x)
-    log_gamma2 = 2.0 * float(np.real(loggamma(complex(H, ax))))
-    lc = log_cosh(math.pi * ax)
-    cos_h = math.cos(math.pi * H)
-    # log(cosh^2 - cos^2) = 2 log cosh + log1p(-(cos/cosh)^2)
-    log_den = 2.0 * lc + math.log1p(-(cos_h * cos_h) * math.exp(-2.0 * lc))
-    log_val = (math.log(2.0 * H / (H * H + x * x))
-               + math.log(math.pi) + math.lgamma(2.0 * H) - log_gamma2
-               + math.log(math.sin(math.pi * H)) + lc - log_den
-               - math.log(2.0 * math.pi))
+    neg_log_gamma2 = -2.0 * float(np.real(loggamma(complex(H, ax))))
+    s = math.sin(math.pi * min(H, 1.0 - H))
+    y = math.pi * ax
+    t = math.exp(-2.0 * y)
+    log_ratio = (math.log(2.0) + math.log1p(t)
+                 - math.log(math.expm1(-2.0 * y) ** 2 + 4.0 * s * s * t))
+    log_val = (math.log(H * s) + math.lgamma(2.0 * H) - math.log(H * H + x * x)
+               + log_ratio + (neg_log_gamma2 - y))
     return math.exp(log_val)
 
 

@@ -1,6 +1,8 @@
 """Special-function primitives: magnitudes, constants, safe helpers."""
 
+import importlib.machinery
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from rectfield.gammafn import (
+    _LOGGAMMA,
     GammaPoleError,
+    _scipy_extension,
     abs_gamma,
     c1,
     c2,
@@ -129,3 +133,34 @@ def test_pow_plus_convention():
     assert pow_plus(-1.0, 0.3) == 0.0
     assert pow_plus(0.0, 0.3) == 0.0
     assert pow_plus(0.0, -0.3) == math.inf
+
+
+# --------------------------------------------------------------------------
+# SciPy's compiled modules, loaded from their files
+# --------------------------------------------------------------------------
+
+def test_loggamma_is_scipy_special_loggamma_on_a_complex_grid():
+    # the package may not import scipy.special; its tests may
+    import scipy.special
+
+    loggamma = _scipy_extension(_LOGGAMMA).loggamma
+    assert loggamma is scipy.special.loggamma
+    imag = np.geomspace(1e-3, 1e3, 25)
+    real, imag = np.meshgrid(np.linspace(-4.75, 6.0, 44),
+                             np.concatenate([-imag, [0.0], imag]))
+    z = real + 1j * imag
+    assert np.array_equal(loggamma(z), scipy.special.loggamma(z),
+                          equal_nan=True)
+    assert abs_gamma(complex(0.3, 0.7)) == math.exp(
+        scipy.special.loggamma(complex(0.3, 0.7)).real)
+
+
+def test_a_missing_extension_names_its_file_and_the_scipy_version():
+    import scipy
+
+    with pytest.raises(ImportError, match=re.escape(
+            f"SciPy {scipy.__version__} has no compiled module "
+            f"scipy.special._no_such_module")) as err:
+        _scipy_extension("special._no_such_module")
+    assert "_no_such_module" + importlib.machinery.EXTENSION_SUFFIXES[0] in \
+        str(err.value)

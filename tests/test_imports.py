@@ -1,11 +1,13 @@
 """What each command imports, and when, each in a fresh interpreter.
 
 Importing the package loads no SciPy: only ``check`` and ``density``
-use it, and they load it while their config is validated.  ``density``
-and the ``criteria`` suite evaluate g_H and load ``scipy.special`` alone;
-the other suites integrate and load ``scipy.integrate``.  A validated
-config then runs without importing any module, and the closed-form and
-sampling commands run, with the same bytes, where SciPy cannot be imported.
+use it, and they load it while their config is validated.  They load the
+top-level ``scipy`` package and, from its file, each compiled module they
+call: QUADPACK for the suites that integrate (``lemmas``, ``densities``,
+``ma``), the log-gamma ufuncs where g_H is evaluated.  No command loads
+the ``scipy.integrate`` or ``scipy.special`` package.  A validated config
+then runs without importing any module, and the closed-form and sampling
+commands run, with the same bytes, where SciPy cannot be imported.
 """
 
 import json
@@ -45,7 +47,7 @@ _CONFIGS = {
                    "t_axes": [1.0, 2.0], "n_reps": 50, "seed": 4},
 }
 _USES_SCIPY = {"check", "density"}
-_INTEGRATING = {f"check-{suite}" for suite in cli._SUITES} - {"check-criteria"}
+_INTEGRATING = {"check-lemmas", "check-densities", "check-ma"}
 _SCIPY_FREE = ("cov", "classify", "simulate", "mc", "limit-demo")
 
 
@@ -99,24 +101,28 @@ path, command = sys.argv[1:]
 with open(path) as fh:
     cli.parse_config(fh.read())
 scipy = "scipy" in sys.modules
-integrate = "scipy.integrate" in sys.modules
+quadpack = "scipy.integrate._quadpack" in sys.modules
 before = set(sys.modules)
 rc = cli.main([command, "--config", path])
-print(json.dumps({"rc": rc, "scipy": scipy, "integrate": integrate,
-                  "added": sorted(set(sys.modules) - before)}))
+print(json.dumps({"rc": rc, "scipy": scipy, "quadpack": quadpack,
+                  "added": sorted(set(sys.modules) - before),
+                  "subpackages": sorted({"scipy.integrate", "scipy.special"}
+                                        & set(sys.modules))}))
 """
 
 
 @pytest.mark.parametrize("label", list(_CONFIGS))
 def test_validated_config_runs_without_importing(tmp_path, label):
     # numpy.random (the first draw), numpy.ma (np.unique), locale (the
-    # first argparse parser) and SciPy (check, density) load before the
-    # run, scipy.integrate only for the suites that integrate
+    # first argparse parser) and SciPy's compiled modules (check, density)
+    # load before the run, QUADPACK only for the suites that integrate;
+    # neither SciPy subpackage loads at all
     command = _CONFIGS[label]["command"]
     path = _write_config(tmp_path, label, tmp_path / "out")
     got = _python(_RUN_PHASE, str(path), command)
     assert got == {"rc": 0, "scipy": command in _USES_SCIPY,
-                   "integrate": label in _INTEGRATING, "added": []}
+                   "quadpack": label in _INTEGRATING, "added": [],
+                   "subpackages": []}
 
 
 _NO_SCIPY = """

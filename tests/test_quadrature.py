@@ -305,3 +305,72 @@ def test_sweep_integrates_each_distinct_tail_once():
                                "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == 74
+
+
+# --------------------------------------------------------------------------
+# quad: QUADPACK called directly, pinned to scipy.integrate.quad
+# --------------------------------------------------------------------------
+
+def _smooth(x):
+    return math.exp(-x * x) * math.cos(3.0 * x)
+
+
+_ROUTES = {   # name -> (integrand, a, b, keywords); one per route of quad
+    "QAGS": (lambda x: math.sqrt(x) * math.log(x) if x > 0.0 else 0.0,
+             0.0, 1.0, {}),
+    "QAGI below": (_smooth, -math.inf, 0.5, {}),
+    "QAGI above": (_smooth, -0.5, math.inf, {}),
+    "QAGI both": (_smooth, -math.inf, math.inf, {}),
+    "QAWS": (lambda x: math.cos(x), 0.0, 1.0,
+             {"weight": "alg", "wvar": (-0.4, 0.0)}),
+    "QAWF cos": (lambda x: x**-1.3, 1.0, math.inf,
+                 {"weight": "cos", "wvar": 2.5, "limlst": 100}),
+    "QAWF sin": (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf,
+                 {"weight": "sin", "wvar": 0.7, "limlst": 100}),
+    "QAWO": (lambda x: math.exp(-x), 0.0, 7.0,
+             {"weight": "sin", "wvar": 12.0}),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_quad_is_scipy_quad_bit_for_bit(route):
+    from scipy.integrate import quad as scipy_quad
+
+    f, a, b, kwargs = _ROUTES[route]
+    kwargs = dict(kwargs, full_output=1, epsabs=1e-12, epsrel=1e-10,
+                  limit=300)
+    got, want = quadrature.quad(f, a, b, **kwargs), scipy_quad(f, a, b,
+                                                               **kwargs)
+    assert len(got) == len(want) == 3
+    assert got[:2] == want[:2]
+    assert got[2]["neval"] == want[2]["neval"] > 0
+    assert quadrature.quad(f, a, b, epsabs=1e-12) == scipy_quad(f, a, b,
+                                                                epsabs=1e-12)
+
+
+def test_quad_reports_a_failure_as_scipy_quad_does():
+    # 1/sqrt|x - 0.3| on five subintervals: QUADPACK stops with ier = 1
+    from scipy.integrate import quad as scipy_quad
+
+    def f(x):
+        return 1.0 / math.sqrt(abs(x - 0.3)) if x != 0.3 else 0.0
+
+    kwargs = dict(full_output=1, epsabs=1e-14, epsrel=1e-14, limit=5)
+    got, want = quadrature.quad(f, 0.0, 1.0, **kwargs), scipy_quad(
+        f, 0.0, 1.0, **kwargs)
+    assert len(got) == len(want) == 4
+    assert got[:2] == want[:2]
+    assert got[2]["neval"] == want[2]["neval"]
+    assert got[3].startswith("QUADPACK ier=1: ")
+    with pytest.warns(UserWarning, match="ier=1"):
+        assert quadrature.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14,
+                               limit=5) == got[:2]
+    with pytest.raises(ValueError, match="ier=6"):   # QUADPACK's invalid input
+        quadrature.quad(f, 0.0, 1.0, limit=0)
+    # scipy.integrate.quad raises for these too; QUADPACK returns nan
+    for weight, a, b, wvar in [("cauchy", 0.0, 1.0, 0.5),
+                               ("alg", 0.0, math.inf, (0.0, 0.0)),
+                               ("cos", -math.inf, math.inf, 1.0),
+                               ("sin", -math.inf, 0.0, 1.0)]:
+        with pytest.raises(ValueError, match="weight"):
+            quadrature.quad(f, a, b, weight=weight, wvar=wvar)

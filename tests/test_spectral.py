@@ -283,6 +283,33 @@ def test_g_fbm_far_tail_matches_mpmath():
             assert abs(g_fbm(H, np.array([x]))[0] - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("H", [1e-4, 1e-3, 0.5, 0.999, 0.9999])
+def test_g_fbm_near_h_0_and_1_matches_mpmath(H):
+    # the denominator cosh^2(pi x) - cos^2(pi H) cancelled to sin^2(pi H):
+    # 9.2e-10 off at H = 0.9999, x = 0.  g_H carries twice the error of
+    # SciPy's Re log Gamma(H + ix), 1.3e-14 at H = 1e-4, x = 20; the bound
+    # is 1e-14 beyond that
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import loggamma
+
+    letter = spectral._fbm_letter(H)
+    for x in (0.0, 1e-3, 1.0, 20.0):
+        with mp.workdps(40):
+            h, y = mp.mpf(H), mp.mpf(x)
+            sin2, cos2 = mp.sin(mp.pi * h) ** 2, mp.cos(mp.pi * h) ** 2
+            want = float(
+                (2 * h / (h * h + y * y)) * mp.gamma(2 * h) * mp.sin(mp.pi * h)
+                / (2 * abs(mp.gamma(h + 1j * y)) ** 2) * mp.cosh(mp.pi * y)
+                / (sin2 * mp.cosh(mp.pi * y) ** 2
+                   + cos2 * mp.sinh(mp.pi * y) ** 2))
+            input_err = 2 * abs(float(
+                loggamma(complex(H, x)).real
+                - mp.re(mp.loggamma(mp.mpc(H, x)))))
+        rtol = 1e-14 + input_err
+        assert abs(g_fbm(H, np.array([x]))[0] - want) <= rtol * want, (H, x)
+        assert abs(letter(x) - want) <= rtol * want, (H, x)
+
+
 def test_g_fbm_tail_is_its_power_law_and_finite():
     # g_H(x) ~ c1(H)^2 |x|^{-1-2H}; the corrections are below 1e-15 here
     from rectfield.gammafn import c1
