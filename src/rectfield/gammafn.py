@@ -7,14 +7,16 @@ ufunc module that holds ``scipy.special.loggamma``
 first run hundreds of Python modules.  Each is loaded once, at first use.
 
 The magnitude |Gamma(z)| for complex z, without overflow, from that
-complex log-gamma; the two normalization constants, from ``math.gamma``,
+complex log-gamma; sin(pi H) to rounding; the two normalization constants,
+from ``math.gamma``,
 
     c1(H) = sqrt(H Gamma(2H) sin(pi H) / pi)
     c2(H) = sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H + 1/2)
 
 that calibrate the harmonizable and moving-average representations of a
-fractional Brownian sheet; an overflow-safe log cosh; and the one-sided
-power (u)_+^a.
+fractional Brownian sheet; and the one-sided power (u)_+^a.  The check of
+a Hurst vector is here too: this module imports nothing from the package,
+so every other module can take it from here.
 """
 
 from __future__ import annotations
@@ -28,14 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import validate_hurst
-
 __all__ = [
     "GammaPoleError",
     "abs_gamma",
     "c1",
     "c2",
-    "log_cosh",
     "pow_plus",
 ]
 
@@ -80,6 +79,28 @@ def _scipy_extension(name: str):
     return module
 
 
+def _float_tuple(values) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except TypeError:   # a scalar
+        return (float(values),)
+
+
+def validate_hurst(values) -> tuple[float, ...]:
+    out = _float_tuple(values)
+    if len(out) < 1:
+        raise ValueError("Hurst vector must have at least one component")
+    for v in out:
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"Hurst index must lie in (0,1), got {v!r}")
+    return out
+
+
+def _sin_pi(H: float) -> float:
+    """sin(pi H) to rounding for H in (0, 1): above 1/2, 1 - H is exact."""
+    return math.sin(math.pi * min(H, 1.0 - H))
+
+
 class GammaPoleError(ValueError):
     """Gamma evaluated at a pole (zero or a negative integer)."""
 
@@ -113,20 +134,13 @@ def abs_gamma(z) -> float:
 def c1(H: float) -> float:
     """Spectral normalization sqrt(H Gamma(2H) sin(pi H) / pi), H in (0,1)."""
     H, = validate_hurst((H,))
-    return math.sqrt(H * math.gamma(2 * H) * math.sin(math.pi * H) / math.pi)
+    return math.sqrt(H * math.gamma(2 * H) * _sin_pi(H) / math.pi)
 
 
 def c2(H: float) -> float:
     """Moving-average normalization sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H+1/2)."""
     H, = validate_hurst((H,))
-    return math.sqrt(math.gamma(1 + 2 * H) * math.sin(math.pi * H)) / math.gamma(H + 0.5)
-
-
-def log_cosh(x):
-    """log(cosh(x)), accurate for all x without overflow; x a number or an array."""
-    ax = abs(x)
-    # cosh(x) = e^|x| (1 + e^{-2|x|}) / 2
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+    return math.sqrt(math.gamma(1 + 2 * H) * _sin_pi(H)) / math.gamma(H + 0.5)
 
 
 def pow_plus(u: float, a: float) -> float:

@@ -38,17 +38,28 @@ m_S = sum_e gamma_e prod_{j in S} e_j:
 
 The odd moments vanish by the weight symmetry.  Uniform weights
 gamma_e = 2^{-N} leave only S = {} and collapse the mixture to the fractional
-Brownian sheet.  Every family is one of two canonical specifications: this
-strict mixture (``StrictGeneral``) or the sheet with a separable mild
-correction (``MildTheta``).
+Brownian sheet.  The mild family modulates the two-dimensional sheet by a
+separable correction,
 
-Each of the two evaluators (``cov_strict_general_array``,
-``cov_mild_theta_array``) takes point arrays of shape (..., N) that
-broadcast against each other and returns the covariances, shape (...).
-They are the only code here that computes a covariance: a ``CovKernel``
-carries one of them as its ``batch``, and the functions of one pair of
-points (``cov_fbs``, ``cov_strict_general``, ``cov_mild_theta`` and the
-2-D families) return ``float`` of an evaluator at that pair.
+    K = (1/4) a_1 a_2 + (theta/16) (a rho)_1 (a rho)_2,
+    rho = (t^{2H} - s^{2H}) / max(s, t)^{2H}   (rho := 0 where that power is 0).
+
+Both are sums of separable terms c_k prod_j phi_kj(t_j, s_j) over three
+letters: a, b and a rho.  A term table ((c_1, (phi_11, ..., phi_1N)), ...)
+names each letter "a", "b" or "arho".  Every family is one of two canonical
+specifications, the strict mixture (``StrictGeneral``: b on S, a elsewhere)
+or the mild family (``MildTheta``), and ``terms`` of either is its table.
+
+``cov_terms_array`` is the one evaluator and the only code here that
+computes a covariance.  It takes point arrays of shape (..., N) that
+broadcast against each other, forms each coordinate's letters once, and
+returns the covariances, shape (...).  A ``CovKernel`` carries it as its
+``batch``, and the functions of one pair of points (``cov_fbs``,
+``cov_strict_general``, ``cov_mild_theta``) return ``float`` of it at that
+pair.  A kernel claims mild-only stationarity exactly when its table has an
+a rho letter: a and b are sums of a function of t, one of s and one of
+t - s, so their double differences over a rectangular increment depend on
+its lags alone, and a rho is not.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 import numpy as np
+
+from .gammafn import _sin_pi, validate_hurst
 
 __all__ = [
     "StationarityClass",
@@ -81,14 +94,10 @@ __all__ = [
     "FieldSpec",
     "CovKernel",
     "make_kernel",
+    "cov_terms_array",
     "cov_fbs",
     "cov_strict_general",
-    "cov_strict_general_array",
-    "cov_strict_2d",
     "cov_mild_theta",
-    "cov_mild_theta_array",
-    "cov_y_half",
-    "cov_z_half",
 ]
 
 
@@ -96,23 +105,6 @@ class StationarityClass(enum.Enum):
     STRICT_WIDE = "strict_wide"
     MILD_ONLY = "mild_only"
     NONE = "none"
-
-
-def _float_tuple(values) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, values))
-    except TypeError:   # a scalar
-        return (float(values),)
-
-
-def validate_hurst(values) -> tuple[float, ...]:
-    out = _float_tuple(values)
-    if len(out) < 1:
-        raise ValueError("Hurst vector must have at least one component")
-    for v in out:
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"Hurst index must lie in (0,1), got {v!r}")
-    return out
 
 
 def _points(p, n) -> np.ndarray:
@@ -200,8 +192,9 @@ class StrictWeights:
         return self.gamma_by_sign.items()
 
     @functools.cached_property
-    def sign_moment_terms(self) -> list:
-        """(2^{-N} (-1)^{|S|/2} m_S, [j in S]) per even S with m_S != 0.
+    def sign_moment_terms(self) -> tuple:
+        """The term table: (2^{-N} (-1)^{|S|/2} m_S, row) per even S with
+        m_S != 0, the row's letter "b" on S and "a" elsewhere.
 
         An odd moment beyond what the per-pair symmetry tolerance allows
         would leave the covariance an imaginary part and raises.
@@ -213,19 +206,19 @@ class StrictWeights:
                 m = sum(g * math.prod(e[j] for j in S) for e, g in self.items())
                 if size % 2 == 0 and m != 0.0:
                     terms.append((2.0**-n * (-1)**(size // 2) * m,
-                                  tuple(j in S for j in range(n))))
+                                  tuple("b" if j in S else "a"
+                                        for j in range(n))))
                 elif size % 2 and abs(m) > 2**(n - 1) * 1e-12:
                     odd.append(f"odd sign moment m{S} = {m:g} leaves the "
                                "covariance an imaginary part")
         if odd:
             raise WeightValidationError(odd)
-        return terms
+        return tuple(terms)
 
 
 def _spectral_mass(H) -> float:
     """prod_j Gamma(1+2H_j) sin(pi H_j) / pi, the required raw-weight total."""
-    return math.prod(math.gamma(1 + 2 * h) * math.sin(math.pi * h) / math.pi
-                     for h in H)
+    return math.prod(math.gamma(1 + 2 * h) * _sin_pi(h) / math.pi for h in H)
 
 
 def validate_weights(raw_K: Mapping, H) -> StrictWeights:
@@ -256,8 +249,7 @@ def strict2d_weights(gamma: float) -> StrictWeights:
 
 
 # --------------------------------------------------------------------------
-# The two evaluators, the strict mixture and the mild family, and the
-# brackets of the module docstring that they share
+# The evaluator: a term table over the letters a, b and a rho
 # --------------------------------------------------------------------------
 
 def _xlogx_array(x: np.ndarray) -> np.ndarray:
@@ -274,9 +266,10 @@ def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
                          need_b: bool):
     """The a and b brackets at H = 1/2 + delta, |delta| < ``SEAM_DELTA``.
 
-    With x^{2H} = x + x E(x), E(x) = expm1(2 delta log x), and d = t - s,
-    the linear parts are 2 min(t, s) in a and cancel exactly in the skew
-    bracket, and tan(pi H) = -1/tan(pi delta):
+    At delta = 0 they are a = 2 min(t, s) and b = (2/pi) times the log
+    bracket.  Otherwise, with x^{2H} = x + x E(x), E(x) = expm1(2 delta
+    log x), and d = t - s, the linear parts are 2 min(t, s) in a and cancel
+    exactly in the skew bracket, and tan(pi H) = -1/tan(pi delta):
 
         a = 2 min(t, s) + t E(t) + s E(s) - |d| E(|d|)
         b = -(s E(s) - t E(t) + d E(|d|)) / tan(pi delta)
@@ -284,6 +277,12 @@ def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
     with 0 E(0) := 0.  The E terms are O(delta) and nothing cancels
     catastrophically, so both brackets tend to their H = 1/2 forms.
     """
+    if delta == 0.0:
+        a = 2.0 * np.minimum(t, s)
+        b = (2.0 / math.pi * (_xlogx_array(t) - _xlogx_array(s)
+                              - _xlogx_array(t - s)) if need_b else None)
+        return a, b
+
     def expm1_power(x):
         return np.expm1(2.0 * delta
                         * np.log(np.where(x != 0.0, np.abs(x), 1.0)))
@@ -295,123 +294,84 @@ def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
     return a, b
 
 
-def _brackets_array(h: float, t: np.ndarray, s: np.ndarray, need_b: bool):
-    """The a and b brackets of one coordinate (b is None unless needed).
+def _letters_array(h: float, t: np.ndarray, s: np.ndarray, names) -> dict:
+    """The letters of one coordinate that ``names`` lists, by name.
 
-    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket,
-    or a = 2 min(t, s) and b = (2/pi) times the log bracket at H = 1/2.
-    Each power is taken once and shared by both brackets; sgn(0) := 0 comes
-    from ``np.sign``.  Within ``SEAM_DELTA`` of 1/2, where tan(pi H) grows
-    like 1/|H - 1/2| and the skew bracket cancels to O(|H - 1/2|), both are
-    taken by ``_seam_brackets_array`` (H - 1/2 is exact there).
+    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket;
+    within ``SEAM_DELTA`` of 1/2, where tan(pi H) grows like 1/|H - 1/2|
+    and the skew bracket cancels to O(|H - 1/2|), both are taken by
+    ``_seam_brackets_array`` (H - 1/2 is exact there).  "arho" is a times
+    rho = (t^{2H}-s^{2H}) / max(s, t)^{2H}, with rho := 0 where that power
+    is 0 (or underflows; a is 0 there too).  Each power is taken once and
+    shared by the letters; sgn(0) := 0 comes from ``np.sign``.
     """
-    if h == 0.5:
-        a = 2.0 * np.minimum(t, s)
-        b = (2.0 / math.pi * (_xlogx_array(t) - _xlogx_array(s)
-                              - _xlogx_array(t - s)) if need_b else None)
-        return a, b
+    need_b, e = "b" in names, 2.0 * h
     if abs(h - 0.5) < SEAM_DELTA:
-        return _seam_brackets_array(h - 0.5, t, s, need_b)
-    e = 2.0 * h
-    d = t - s
-    te, se, de = t**e, s**e, np.abs(d)**e
-    a = te + se - de
-    b = math.tan(math.pi * h) * (-te + se + np.sign(d) * de) if need_b else None
-    return a, b
+        a, b = _seam_brackets_array(h - 0.5, t, s, need_b)
+        te = se = None
+    else:
+        d = t - s
+        te, se, de = t**e, s**e, np.abs(d)**e
+        a = te + se - de
+        b = (math.tan(math.pi * h) * (-te + se + np.sign(d) * de)
+             if need_b else None)
+    letters = {"a": a, "b": b}
+    if "arho" in names:
+        if te is None:      # the seam forms take no power
+            te, se = t**e, s**e
+        m = np.where(t >= s, te, se)   # max(s, t)^{2H}, the same power
+        letters["arho"] = a * ((te - se) / np.where(m > 0.0, m, 1.0))
+    return letters
 
 
-def cov_strict_general_array(H, weights: StrictWeights, s, t) -> np.ndarray:
-    """Mixture covariance Re sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j).
+def cov_terms_array(H, terms, s, t) -> np.ndarray:
+    """The covariance sum_k c_k prod_j phi_kj(t_j, s_j) of a term table.
 
-    Over point arrays (..., N) -> (...), from the sign-moment terms of the
-    weights, P = (a + i e b)/2; a single term is S = {} (the sheet), which
-    needs no b.  Overflow and its NaNs are left to the caller, which checks
-    finiteness; numpy is told not to warn about them.
+    ``terms`` is ((c_1, (phi_11, ..., phi_1N)), ...), each letter "a", "b"
+    or "arho" (``_letters_array``), over point arrays (..., N) -> (...).
+    Each coordinate's letters are taken once for every term.  Overflow and
+    its NaNs are left to the caller, which checks finiteness; numpy is told
+    not to warn about them.
     """
     H = validate_hurst(H)
-    if weights.n != len(H):
-        raise ValueError(f"weights are {weights.n}-dimensional, H is {len(H)}")
-    terms = weights.sign_moment_terms
+    if any(len(row) != len(H) for _, row in terms):
+        raise ValueError(f"every term needs one letter per coordinate of "
+                         f"the {len(H)}-dimensional H")
     s = _as_points(s, len(H))
     t = _as_points(t, len(H))
     with np.errstate(over="ignore", invalid="ignore"):
-        ab = [_brackets_array(h, t[..., k], s[..., k], len(terms) > 1)
-              for k, h in enumerate(H)]
+        letters = [_letters_array(h, t[..., j], s[..., j],
+                                  {row[j] for _, row in terms})
+                   for j, h in enumerate(H)]
         total = 0.0
-        for coef, in_s in terms:
-            for (aj, bj), j_in_s in zip(ab, in_s):
-                coef = coef * (bj if j_in_s else aj)
+        for coef, row in terms:
+            for lj, name in zip(letters, row):
+                coef = coef * lj[name]
             total = total + coef
     return total
 
 
-def cov_mild_theta_array(h1: float, h2: float, theta: float, s, t) -> np.ndarray:
-    """Sheet covariance modulated by a separable mild-stationary correction.
-
-    (1/4) prod_i a_i (1 + (theta/4) prod_i (t_i^{2H}-s_i^{2H}) / max(s_i,t_i)^{2H})
-    over point arrays (..., 2) -> (...).  Where the max power is 0 (or
-    underflows) the ratio is taken as 0, and the base factor is 0 there.
-    Silent on a theta outside [-1, 1]: that warns where theta enters
-    (``MildTheta``, ``YHalf``, ``cov_mild_theta``, ``cov_y_half``).
-    """
-    (h1, h2) = validate_hurst((h1, h2))
-    s = _as_points(s, 2)
-    t = _as_points(t, 2)
-    base, corr = 0.25, 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in enumerate((h1, h2)):
-            sk, tk = s[..., k], t[..., k]
-            e = 2.0 * h
-            te, se = tk**e, sk**e
-            a = (_brackets_array(h, tk, sk, False)[0]   # 1/2 and its seam
-                 if abs(h - 0.5) < SEAM_DELTA
-                 else te + se - np.abs(tk - sk)**e)
-            m = np.where(tk >= sk, te, se)   # max(s, t)^{2H}, the same power
-            base = base * a
-            corr = corr * ((te - se) / np.where(m > 0.0, m, 1.0))
-        return base * (1.0 + 0.25 * theta * corr)
-
-
 # --------------------------------------------------------------------------
-# Covariance functions: one pair of points through an evaluator; a bare
+# Covariance functions: one pair of points through the evaluator; a bare
 # number is a 1-D point
 # --------------------------------------------------------------------------
 
 def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
-    """``cov_strict_general_array`` at one pair of points."""
-    return float(cov_strict_general_array(H, weights, s, t))
+    """The mixture covariance of the weights at one pair of points."""
+    return float(cov_terms_array(H, weights.sign_moment_terms, s, t))
 
 
 def cov_mild_theta(h1: float, h2: float, theta: float, s, t) -> float:
-    """``cov_mild_theta_array`` at one pair of points."""
-    _warn_theta(theta)
-    return float(cov_mild_theta_array(h1, h2, theta, s, t))
+    """The covariance of ``MildTheta(h1, h2, theta)`` at one pair of points."""
+    return float(cov_terms_array((h1, h2), MildTheta(h1, h2, theta).terms,
+                                 s, t))
 
 
 def cov_fbs(H, s, t) -> float:
     """Fractional Brownian sheet: 2^{-N} prod_k (t^{2H}+s^{2H}-|t-s|^{2H})."""
     H = validate_hurst(H)
-    return float(cov_strict_general_array(H, StrictWeights.uniform(len(H)),
-                                          s, t))
-
-
-def cov_strict_2d(h1: float, h2: float, gamma: float, s, t) -> float:
-    """Two-dimensional strict covariance (a1 a2 + gamma b1 b2) / 4."""
-    return float(cov_strict_general_array((h1, h2), strict2d_weights(gamma),
-                                          s, t))
-
-
-def cov_y_half(theta: float, s, t) -> float:
-    """Brownian-sheet covariance with the mild correction at H = (1/2, 1/2)."""
-    _warn_theta(theta)
-    return float(cov_mild_theta_array(0.5, 0.5, theta, s, t))
-
-
-def cov_z_half(gamma: float, s, t) -> float:
-    """Brownian-sheet covariance plus the log-bracket coupling at H = (1/2, 1/2)."""
-    _warn_gamma(gamma)
-    return float(cov_strict_general_array((0.5, 0.5), strict2d_weights(gamma),
-                                          s, t))
+    return float(cov_terms_array(
+        H, StrictWeights.uniform(len(H)).sign_moment_terms, s, t))
 
 
 def _warn_from_caller(message: str):
@@ -445,16 +405,13 @@ class _Family:
     """Metadata shared by the specifications; two-dimensional by default.
 
     ``canonical()`` names the equal ``StrictGeneral`` or ``MildTheta``
-    specification, the only two that :func:`make_kernel` evaluates.
+    specification, the only two with a term table (``terms``), which
+    :func:`make_kernel` evaluates.
     """
 
     @property
     def hurst(self):
         return (self.h1, self.h2)
-
-    @property
-    def claimed_class(self):
-        return StationarityClass.STRICT_WIDE
 
     def canonical(self):
         return self
@@ -497,6 +454,10 @@ class StrictGeneral(_Family):
     def hurst(self):
         return self.H
 
+    @property
+    def terms(self):
+        return self.weights.sign_moment_terms
+
 
 @dataclass(frozen=True)
 class Strict2D(_Family):
@@ -532,10 +493,11 @@ class MildTheta(_Family):
         _warn_theta(self.theta)
 
     @property
-    def claimed_class(self):
-        if self.theta == 0.0:
-            return StationarityClass.STRICT_WIDE
-        return StationarityClass.MILD_ONLY
+    def terms(self):
+        """((1/4, (a, a)), (theta/16, (a rho, a rho))); theta = 0 drops the
+        second term, as zero sign moments drop theirs."""
+        terms = ((0.25, ("a", "a")), (self.theta / 16.0, ("arho", "arho")))
+        return terms if self.theta != 0.0 else terms[:1]
 
 
 @dataclass(frozen=True)
@@ -546,7 +508,6 @@ class YHalf(_Family):
 
     family = "yhalf"
     h1 = h2 = 0.5
-    claimed_class = MildTheta.claimed_class
 
     def __post_init__(self):
         self.canonical()   # validates theta
@@ -586,8 +547,8 @@ def moving_constraint_residual(h1, h2, d0, d1) -> float:
                          "or neither")
     if all(half):
         return d0 * d0 + d1 * d1 - 1.0
-    return (d0 * d0 + 2.0 * d0 * d1 * math.sin(math.pi * h1)
-            * math.sin(math.pi * h2) + d1 * d1 - 1.0)
+    return (d0 * d0 + 2.0 * d0 * d1 * _sin_pi(h1) * _sin_pi(h2)
+            + d1 * d1 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -647,8 +608,8 @@ class CovKernel:
     ``batch(S, T)`` takes point arrays of shape (..., N) that broadcast
     against each other and returns the covariances, shape (...).  Called
     on two points (a bare number is a 1-D point), the kernel returns
-    ``float(batch(s, t))``.  ``make_kernel`` passes one of the two array
-    evaluators.
+    ``float(batch(s, t))``.  ``make_kernel`` passes ``cov_terms_array``
+    over the spec's term table.
     """
 
     spec: FieldSpec
@@ -668,14 +629,18 @@ class CovKernel:
 
 
 def make_kernel(spec: FieldSpec) -> CovKernel:
-    """Build the evaluable covariance kernel for a field specification."""
+    """Build the evaluable covariance kernel for a field specification.
+
+    The kernel sums the term table of the spec's canonical form, computed
+    and checked once, here.  It claims mild-only stationarity exactly when
+    a term has an "arho" letter (see the module docstring).
+    """
     if not isinstance(spec, _Family):
         raise TypeError(f"unknown field specification {type(spec).__name__}")
     canon = spec.canonical()
-    if isinstance(canon, StrictGeneral):
-        canon.weights.sign_moment_terms   # computed and checked once, here
-        batch = lambda s, t: cov_strict_general_array(canon.H, canon.weights, s, t)
-    else:
-        batch = lambda s, t: cov_mild_theta_array(canon.h1, canon.h2,
-                                                  canon.theta, s, t)
-    return CovKernel(spec=spec, claimed_class=spec.claimed_class, batch=batch)
+    H, terms = canon.hurst, canon.terms
+    mild = any("arho" in row for _, row in terms)
+    return CovKernel(spec=spec,
+                     claimed_class=(StationarityClass.MILD_ONLY if mild
+                                    else StationarityClass.STRICT_WIDE),
+                     batch=lambda s, t: cov_terms_array(H, terms, s, t))

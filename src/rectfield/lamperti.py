@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import (CovKernel, _as_points, _points, _sign_vectors,
-                      validate_hurst)
+from .gammafn import validate_hurst
+from .kernels import CovKernel, _as_points, _points, _sign_vectors
 
 __all__ = [
     "SelfSimilarityError",

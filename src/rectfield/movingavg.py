@@ -56,8 +56,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .gammafn import c2, pow_plus
-from .kernels import MovingPair, _as_points, _points, validate_hurst
+from .gammafn import c2, pow_plus, validate_hurst
+from .kernels import MovingPair, _as_points, _points
 from .quadrature import QuadratureError, integrate_1d
 
 __all__ = [

@@ -47,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import _LOGGAMMA, _scipy_extension
-from .kernels import _points, _sign_vectors, validate_hurst
+from .gammafn import _LOGGAMMA, _scipy_extension, _sin_pi, validate_hurst
+from .kernels import _points, _sign_vectors
 from .quadrature import DEFAULT_BUDGET, _Budget, _quad_panel
 
 __all__ = [
@@ -71,11 +71,6 @@ def g_w(x):
 
 
 _STIRLING_X = 20.0   # g_fbm's tail form holds beyond this |x|
-
-
-def _sin_pi(H):
-    """sin(pi H) to rounding for H in (0, 1): above 1/2, 1 - H is exact."""
-    return math.sin(math.pi * min(H, 1.0 - H))
 
 
 def _log_g_near(ax, H):

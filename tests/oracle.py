@@ -1,18 +1,19 @@
 """Scalar closed forms of the kernels, densities and criteria: the tests' reference.
 
 These are the pointwise evaluators of the strict mixture and of the mild
-family, written with ``math`` on one pair of points at a time.  The library
-evaluates every covariance through its array forms
-(``rectfield.kernels.cov_strict_general_array`` and
-``cov_mild_theta_array``); the tests check those forms, and everything
-built on them (``cov_matrix``, the increment algebra, the classifier, the
-Monte Carlo analytic values), against the scalar code here.  Each bracket
-is the one named in the ``rectfield.kernels`` module docstring.
+family, written with ``math`` on one pair of points at a time and each in
+its own form, the mild one without letter tables.  The library evaluates
+every covariance through its one array evaluator
+(``rectfield.kernels.cov_terms_array``) over a spec's term table; the
+tests check it, and everything built on it (``cov_matrix``, the increment
+algebra, the classifier, the Monte Carlo analytic values), against the
+scalar code here.  Each bracket is the one named in the
+``rectfield.kernels`` module docstring.
 
 The second half holds the same for ``rectfield.lamperti`` and
 ``rectfield.spectral``: the stationary covariances, the inverse Lamperti
-transform, the spectral densities and ``log_cosh`` at one lag or frequency
-at a time, and the two sign-flip criteria as a loop over the flips.
+transform and the spectral densities at one lag or frequency at a time,
+and the two sign-flip criteria as a loop over the flips.
 """
 
 import itertools
@@ -21,14 +22,8 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from rectfield.kernels import (
-    SEAM_DELTA,
-    StrictGeneral,
-    StrictWeights,
-    _float_tuple,
-    _warn_theta,
-    validate_hurst,
-)
+from rectfield.gammafn import _float_tuple, validate_hurst
+from rectfield.kernels import SEAM_DELTA, StrictGeneral, StrictWeights, _warn_theta
 
 
 def _as_point(p, n=None) -> tuple[float, ...]:
@@ -103,10 +98,11 @@ def _skew_bracket(h: float, t: float, s: float) -> float:
 def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
     """Mixture covariance Re sum_e gamma_e prod_j P(H_j, t_j, s_j, e_j).
 
-    Evaluated from the sign-moment terms of the weights, P = (a + i e b)/2:
-    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket
-    (``_b_bracket``), or a = 2 min(t, s) and b = (2/pi) times the log
-    bracket at H = 1/2.  A single term is S = {} (the sheet), which needs no b.
+    Evaluated from the sign-moment terms of the weights, P = (a + i e b)/2,
+    each a row of letters "a" and "b": a = t^{2H}+s^{2H}-|t-s|^{2H} and
+    b = tan(pi H) times the skew bracket (``_b_bracket``), or a = 2 min(t, s)
+    and b = (2/pi) times the log bracket at H = 1/2.  A single term is
+    S = {} (the sheet), which needs no b.
     """
     H = validate_hurst(H)
     if weights.n != len(H):
@@ -118,9 +114,9 @@ def cov_strict_general(H, weights: StrictWeights, s, t) -> float:
     b = a if len(terms) == 1 else [_b_bracket(h, tk, sk)
                                    for h, tk, sk in zip(H, t, s)]
     total = 0.0
-    for coef, in_s in terms:
-        for aj, bj, j_in_s in zip(a, b, in_s):
-            coef *= bj if j_in_s else aj
+    for coef, row in terms:
+        for aj, bj, letter in zip(a, b, row):
+            coef *= bj if letter == "b" else aj
         total += coef
     return total
 
@@ -273,13 +269,6 @@ def g_product(H, x) -> float:
     if len(x) != len(H):
         raise ValueError("argument dimension does not match Hurst vector")
     return math.prod(g_fbm(h, xk) for h, xk in zip(H, x))
-
-
-def log_cosh(x: float) -> float:
-    """log(cosh(x)), accurate for all x without overflow."""
-    ax = abs(x)
-    # cosh(x) = e^|x| (1 + e^{-2|x|}) / 2
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
 def mild_criterion_residual(C, H, v) -> float:

@@ -23,13 +23,10 @@ from rectfield.kernels import (
     WeightValidationError,
     YHalf,
     ZHalf,
-    _brackets_array,
+    _letters_array,
     cov_fbs,
     cov_mild_theta,
-    cov_strict_2d,
     cov_strict_general,
-    cov_y_half,
-    cov_z_half,
     make_kernel,
     strict2d_weights,
     validate_weights,
@@ -63,17 +60,22 @@ def test_cov_fbs_examples():
 def test_cov_fbs_dimension_mismatch():
     with pytest.raises(ValueError):
         cov_fbs((0.5, 0.5), (1, 1, 1), (1, 1))
+    with pytest.raises(ValueError, match="one letter per coordinate"):
+        cov_strict_general((0.3, 0.7, 0.5), StrictWeights.uniform(2),
+                           (1, 1, 1), (1, 1, 1))
 
 
 def test_strict_2d_examples():
-    assert cov_strict_2d(0.5, 0.5, 0.7, (1, 1), (1, 1)) == pytest.approx(1.0)
-    assert cov_strict_2d(0.5, 0.5, 1.0, (1, 1), (2, 2)) == pytest.approx(
-        ONE_PLUS_LOG, rel=1e-14)
+    assert make_kernel(Strict2D(0.5, 0.5, 0.7))((1, 1), (1, 1)) == \
+        pytest.approx(1.0)
+    assert make_kernel(Strict2D(0.5, 0.5, 1.0))((1, 1), (2, 2)) == \
+        pytest.approx(ONE_PLUS_LOG, rel=1e-14)
     rng = np.random.default_rng(1)
     for h1, h2 in ((0.3, 0.7), (0.5, 0.9), (0.25, 0.5), (0.5, 0.5)):
+        kernel = make_kernel(Strict2D(h1, h2, 0.0))
         for _ in range(5):
             s, t = rng.uniform(0.1, 3.0, 2), rng.uniform(0.1, 3.0, 2)
-            assert cov_strict_2d(h1, h2, 0.0, s, t) == pytest.approx(
+            assert kernel(s, t) == pytest.approx(
                 oracle.cov_fbs((h1, h2), s, t), rel=1e-12, abs=1e-14)
 
 
@@ -108,9 +110,10 @@ def test_strict_2d_matches_general_mixture():
     for h1, h2 in ((0.3, 0.7), (0.5, 0.7), (0.25, 0.5), (0.5, 0.5)):
         for gamma in (-1.0, -0.4, 0.6, 1.0):
             w = strict2d_weights(gamma)
+            kernel = make_kernel(Strict2D(h1, h2, gamma))
             for _ in range(5):
                 s, t = rng.uniform(0.05, 3.0, 2), rng.uniform(0.05, 3.0, 2)
-                direct = cov_strict_2d(h1, h2, gamma, s, t)
+                direct = kernel(s, t)
                 mixture = _complex_mixture((h1, h2), w, s, t)
                 assert direct == pytest.approx(mixture, rel=1e-11, abs=1e-12)
 
@@ -258,22 +261,24 @@ def test_mild_theta_half_equals_y_half():
     for _ in range(25):
         s, t = rng.uniform(0.0, 3.0, 2), rng.uniform(0.05, 3.0, 2)
         theta = rng.uniform(-1.0, 1.0)
-        assert cov_mild_theta(0.5, 0.5, theta, s, t) == pytest.approx(
-            cov_y_half(theta, s, t), rel=1e-12, abs=1e-14)
+        assert make_kernel(MildTheta(0.5, 0.5, theta))(s, t) == pytest.approx(
+            make_kernel(YHalf(theta))(s, t), rel=1e-12, abs=1e-14)
 
 
 def test_y_half_examples():
-    assert cov_y_half(0.37, (0.8, 1.9), (0.8, 1.9)) == pytest.approx(0.8 * 1.9)
-    assert cov_y_half(0.0, (1, 3), (2, 2)) == pytest.approx(2.0)
-    assert cov_y_half(1.0, (1, 1), (2, 2)) == pytest.approx(17.0 / 16.0)
+    assert make_kernel(YHalf(0.37))((0.8, 1.9), (0.8, 1.9)) == \
+        pytest.approx(0.8 * 1.9)
+    assert make_kernel(YHalf(0.0))((1, 3), (2, 2)) == pytest.approx(2.0)
+    assert make_kernel(YHalf(1.0))((1, 1), (2, 2)) == \
+        pytest.approx(17.0 / 16.0)
 
 
 def test_z_half_examples():
-    assert cov_z_half(1.0, (1, 1), (1, 1)) == pytest.approx(1.0)
+    assert make_kernel(ZHalf(1.0))((1, 1), (1, 1)) == pytest.approx(1.0)
     with pytest.warns(UserWarning):
-        assert cov_z_half(0.0, (1, 3), (2, 2)) == pytest.approx(2.0)
-    assert cov_z_half(1.0, (1, 1), (2, 2)) == pytest.approx(ONE_PLUS_LOG,
-                                                            rel=1e-14)
+        assert make_kernel(ZHalf(0.0))((1, 3), (2, 2)) == pytest.approx(2.0)
+    assert make_kernel(ZHalf(1.0))((1, 1), (2, 2)) == \
+        pytest.approx(ONE_PLUS_LOG, rel=1e-14)
 
 
 def test_mild_theta_underflowing_power_is_zero():
@@ -284,7 +289,7 @@ def test_mild_theta_underflowing_power_is_zero():
 
 def test_theta_outside_unit_interval_warns():
     with pytest.warns(UserWarning, match="semidefinite"):
-        cov_y_half(1.5, (1, 1), (2, 2))
+        make_kernel(YHalf(1.5))((1, 1), (2, 2))
 
 
 def test_theta_warning_points_at_the_caller_once():
@@ -295,8 +300,8 @@ def test_theta_warning_points_at_the_caller_once():
         warnings.simplefilter("always")
         mild = MildTheta(0.3, 0.7, 8.0)
         half = YHalf(1.5)
-        cov_y_half(1.5, (1, 1), (2, 2))
-        cov_mild_theta(0.3, 0.7, -2.0, (1, 1), (2, 2))
+        make_kernel(half)((1, 1), (2, 2))
+        make_kernel(MildTheta(0.3, 0.7, -2.0))((1, 1), (2, 2))
         kernels = [make_kernel(mild), make_kernel(half)]
     assert len(rec) == 5
     assert all("semidefinite" in str(w.message) for w in rec)
@@ -387,11 +392,13 @@ def test_spec_validation():
 
 
 def test_claimed_classes():
-    assert FBS((0.3, 0.7)).claimed_class is StationarityClass.STRICT_WIDE
-    assert YHalf(1.0).claimed_class is StationarityClass.MILD_ONLY
-    assert YHalf(0.0).claimed_class is StationarityClass.STRICT_WIDE
-    assert MildTheta(0.3, 0.7, 0.5).claimed_class is StationarityClass.MILD_ONLY
-    assert ZHalf(0.5).claimed_class is StationarityClass.STRICT_WIDE
+    # mild-only exactly where the term table has an "arho" letter
+    for spec, want in ((FBS((0.3, 0.7)), StationarityClass.STRICT_WIDE),
+                       (YHalf(1.0), StationarityClass.MILD_ONLY),
+                       (YHalf(0.0), StationarityClass.STRICT_WIDE),
+                       (MildTheta(0.3, 0.7, 0.5), StationarityClass.MILD_ONLY),
+                       (ZHalf(0.5), StationarityClass.STRICT_WIDE)):
+        assert make_kernel(spec).claimed_class is want, spec
 
 
 @pytest.mark.parametrize("spec, canonical", [
@@ -404,7 +411,7 @@ def test_claimed_classes():
 def test_families_evaluate_as_their_canonical_spec(spec, canonical):
     kernel, ref = make_kernel(spec), make_kernel(canonical)
     assert kernel.spec is spec
-    assert kernel.claimed_class is spec.claimed_class
+    assert kernel.claimed_class is ref.claimed_class
     rng = np.random.default_rng(9)
     for _ in range(10):
         s, t = rng.uniform(0.0, 3.0, 2), rng.uniform(0.0, 3.0, 2)
@@ -536,17 +543,13 @@ def test_scalar_calls_are_the_batch_form_bit_for_bit():
     rng = np.random.default_rng(10)
     pairs = rng.uniform(0.0, 3.0, size=(100, 2, 2))
     pairs[::10, 1] = pairs[::10, 0]                    # some s = t
-    for spec in DEFAULT_SPECS:
+    for spec in DEFAULT_SPECS + [YHalf(0.6), ZHalf(0.8)]:
         kernel = make_kernel(spec)
         for s, t in pairs:
             assert kernel(s, t) == float(kernel.batch(s, t))
     w = DEFAULT_SPECS[-1].weights
     for f, spec in (
             (lambda s, t: cov_fbs((0.3, 0.7), s, t), FBS((0.3, 0.7))),
-            (lambda s, t: cov_strict_2d(0.3, 0.7, 0.5, s, t),
-             Strict2D(0.3, 0.7, 0.5)),
-            (lambda s, t: cov_y_half(0.6, s, t), YHalf(0.6)),
-            (lambda s, t: cov_z_half(0.8, s, t), ZHalf(0.8)),
             (lambda s, t: cov_strict_general((0.3, 0.7), w, s, t),
              StrictGeneral((0.3, 0.7), w)),
             (lambda s, t: cov_mild_theta(0.3, 0.7, 0.5, s, t),
@@ -594,7 +597,8 @@ def test_seam_brackets_match_mpmath(h):
     # of b near the seam: K was 32% low at 1/2 - 1 ulp
     mp = pytest.importorskip("mpmath")
     t, s = (np.array(v) for v in zip(*_SEAM_POINTS))
-    a, b = _brackets_array(h, t, s, True)
+    letters = _letters_array(h, t, s, ("a", "b"))
+    a, b = letters["a"], letters["b"]
     with mp.workdps(40):
         want = [_mp_brackets(mp, h, *p) for p in _SEAM_POINTS]
     for k, (wa, wb, a_scale, b_scale) in enumerate(want):
@@ -606,26 +610,39 @@ def test_seam_brackets_match_mpmath(h):
             1e-15 * float(b_scale)
 
 
+def _mp_letters(mp, h, t, s):
+    """{letter: (value, scale)} at 40 digits, the scales of ``_mp_brackets``.
+    a rho takes a's scale: |rho| <= 1, and rho is rounded to a few ulp of 1."""
+    a, b, a_scale, b_scale = _mp_brackets(mp, h, t, s)
+    h, t, s = mp.mpf(h), mp.mpf(t), mp.mpf(s)
+    rho = (t**(2 * h) - s**(2 * h)) / max(s, t)**(2 * h)
+    return {"a": (a, a_scale), "b": (b, b_scale), "arho": (a * rho, a_scale)}
+
+
 @pytest.mark.parametrize("h", _SEAM_H)
 def test_seam_strict_kernel_matches_mpmath(h):
+    # each spec's letter table summed at 40 digits: the strict one and the
+    # mild one, whose a rho letter takes its powers outside the seam form
     mp = pytest.importorskip("mpmath")
-    weights = strict2d_weights(0.8)
     pts = _SEAM_POINTS[::5]
     S = np.array([[s, 0.3 * t + 0.1] for t, s in pts])
     T = np.array([[t, 2.0 * s] for t, s in pts])
-    got = make_kernel(Strict2D(h, h, 0.8)).batch(S, T)
-    with mp.workdps(40):
-        for k in range(len(pts)):
-            br = [_mp_brackets(mp, h, T[k, j], S[k, j]) for j in range(2)]
-            want = scale = 0
-            for coef, in_s in weights.sign_moment_terms:
-                term, size = mp.mpf(coef), abs(mp.mpf(coef))
-                for (a, b, a_scale, b_scale), j_in_s in zip(br, in_s):
-                    term *= b if j_in_s else a
-                    size *= b_scale if j_in_s else a_scale
-                want += term
-                scale += size
-            assert abs(got[k] - float(want)) <= 1e-13 * float(scale), (S[k], T[k])
+    for spec in (Strict2D(h, h, 0.8), MildTheta(h, h, 0.5)):
+        got = make_kernel(spec).batch(S, T)
+        with mp.workdps(40):
+            for k in range(len(pts)):
+                letters = [_mp_letters(mp, h, T[k, j], S[k, j])
+                           for j in range(2)]
+                want = scale = 0
+                for coef, row in spec.canonical().terms:
+                    term, size = mp.mpf(coef), abs(mp.mpf(coef))
+                    for lj, name in zip(letters, row):
+                        term *= lj[name][0]
+                        size *= lj[name][1]
+                    want += term
+                    scale += size
+                assert abs(got[k] - float(want)) <= 1e-13 * float(scale), \
+                    (spec, S[k], T[k])
 
 
 @pytest.mark.parametrize("spec", [lambda h: Strict2D(h, h, 1.0),
@@ -656,7 +673,7 @@ def test_seam_form_leaves_the_plain_form_where_h_is_away_from_half():
     assert SEAM_DELTA <= 0.1 - 1e-15
     t, s = np.array([2.5, 0.7, 1e3]), np.array([0.7, 2.5, 1e-3])
     for h in (0.4, 0.6, 0.3, 0.7):
-        _, b = _brackets_array(h, t, s, True)
+        b = _letters_array(h, t, s, ("b",))["b"]
         e = 2.0 * h
         plain = math.tan(math.pi * h) * (-t**e + s**e
                                          + np.sign(t - s) * np.abs(t - s)**e)
