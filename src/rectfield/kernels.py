@@ -581,12 +581,14 @@ class MovingPair(_Family):
 
         On the constraint curve it lies in [-1, 1]: with a = pi H1 and
         b = pi H2, |cos a cos b| <= 1 - sin a sin b, so
-        |gamma| <= d0^2 + d1^2 + 2 d0 d1 sin a sin b = 1.
+        |gamma| <= d0^2 + d1^2 + 2 d0 d1 sin a sin b = 1.  Each cos(pi H)
+        is taken as -sin(pi (H - 1/2)): H - 1/2 is exact near the seam,
+        where pi H rounds to an error as large as cos(pi H) itself.
         """
         if self.h1 == 0.5:
             return 2.0 * self.d0 * self.d1
-        return (2.0 * self.d0 * self.d1 * math.cos(math.pi * self.h1)
-                * math.cos(math.pi * self.h2))
+        return (2.0 * self.d0 * self.d1 * math.sin(math.pi * (self.h1 - 0.5))
+                * math.sin(math.pi * (self.h2 - 0.5)))
 
     def canonical(self):
         # the constraint holds to 1e-12, so gamma may pass +-1 by as much

@@ -1,14 +1,17 @@
 """Adaptive quadrature engine and integral-identity oracles.
 
 Two kinds of surface live here. ``integrate_1d`` and
-``oscillatory_power_integral`` are the generic engines: QUADPACK adaptive
-panels for finite/half-infinite ranges with declared singular points,
-algebraic-weight rules (QAWS) for power singularities at the origin, and
-Fourier-weight rules with cycle acceleration (QAWF) for oscillatory tails.
-Each panel is one call of ``quad``, which calls SciPy's compiled QUADPACK
-routines directly: the extension is loaded from its file at the first
-call (``gammafn._scipy_extension``), and ``scipy.integrate`` is never
-imported.
+``oscillatory_power_integral`` are the generic engines.  Each panel is one
+call of ``quad``, which calls SciPy's compiled QUADPACK routines directly
+on four routes: QAGS on a finite range, QAGI with either end or both
+infinite, QAWS for power singularities at the ends of a finite range, and
+QAWF (Fourier weight, cycle summation with epsilon-algorithm
+acceleration) on [a, inf) for oscillatory tails.  The extension is loaded
+from its file at the first call (``gammafn._scipy_extension``), and
+``scipy.integrate`` is never imported.  QUADPACK's limits are module
+constants: relative tolerance ``EPSREL``, ``LIMIT`` subintervals, and on
+a Fourier tail ``LIMLST`` cycles and ``MAXP1`` Chebyshev moments.
+
 A power tail int_1^inf y^{-p} cos|sin(omega y) dy depends only on
 (p, kind, omega, epsabs), so each one is integrated once per process and
 memoized; a repeated tail charges the caller's budget the evaluations of
@@ -30,7 +33,6 @@ covariance and moving-average formulas of the package rest on them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +56,11 @@ __all__ = [
 DEFAULT_BUDGET = 100_000
 
 
+EPSREL = 1e-10    # QUADPACK's relative tolerance (QAWF has none)
+LIMIT = 300       # subintervals per call, per cycle on a Fourier tail
+LIMLST = 100      # cycles of a Fourier tail
+MAXP1 = 50        # Chebyshev moments per Fourier cycle
+
 _FOURIER = {"cos": 1, "sin": 2}
 _IER = {1: "the subdivision limit (on a Fourier tail, the cycle limit) "
            "was reached",
@@ -64,49 +71,37 @@ _IER = {1: "the subdivision limit (on a Fourier tail, the cycle limit) "
         7: "the routine terminated abnormally"}
 
 
-def quad(func, a, b, args=(), full_output=0, epsabs=1.49e-8, epsrel=1.49e-8,
-         limit=50, weight=None, wvar=None, limlst=50, maxp1=50):
-    """``scipy.integrate.quad`` on the routes this package takes, a < b.
+def quad(func, a, b, epsabs, weight=None, wvar=None):
+    """One QUADPACK call on [a, b], a < b: (value, err, infodict, ier).
 
-    The same keywords and defaults, the same QUADPACK call and the same
-    result: ``(value, err)``, or ``(value, err, infodict)`` with
-    ``full_output``, to which a message is appended when QUADPACK reports
-    a failure (without ``full_output`` it is a warning).  Routes: QAGS
-    on a finite range, QAGI with either end or both infinite, QAWS for
-    ``weight="alg"``, and for ``"cos"``/``"sin"`` QAWO on a finite range
-    and QAWF on [a, inf).  Any other weight or range, and input QUADPACK
-    rejects, raise ``ValueError``.
+    QAGS on a finite range, QAGI with either end or both infinite, QAWS
+    for ``weight="alg"`` on a finite range, and QAWF for ``"cos"``/``"sin"``
+    on [a, inf), at the module's constants; the result is
+    ``scipy.integrate.quad``'s full output with QUADPACK's ``ier`` appended.
+    Any other weight or range raises ``ValueError``, and so does an ``ier``
+    outside ``_IER``: 6 is QUADPACK rejecting its input.
     """
     qp = _scipy_extension(_QUADPACK)
     if weight is None and (a == -math.inf or b == math.inf):
         # QAGI's range: [bound, inf) (1), (-inf, bound] (-1) or the line (2)
         bound, inf = ((a, 1) if a > -math.inf else (b, -1) if b < math.inf
                       else (0.0, 2))
-        out = qp._qagie(func, bound, inf, args, full_output, epsabs, epsrel,
-                        limit)
+        out = qp._qagie(func, bound, inf, (), 1, epsabs, EPSREL, LIMIT)
     elif weight is None:
-        out = qp._qagse(func, a, b, args, full_output, epsabs, epsrel, limit)
+        out = qp._qagse(func, a, b, (), 1, epsabs, EPSREL, LIMIT)
     elif weight == "alg" and math.isfinite(a) and math.isfinite(b):
-        out = qp._qawse(func, a, b, wvar, 1, args, full_output, epsabs, epsrel,
-                        limit)
+        out = qp._qawse(func, a, b, wvar, 1, (), 1, epsabs, EPSREL, LIMIT)
     elif weight in _FOURIER and math.isfinite(a) and b == math.inf:
-        out = qp._qawfe(func, a, wvar, _FOURIER[weight], args, full_output,
-                        epsabs, limlst, limit, maxp1)
-    elif weight in _FOURIER and math.isfinite(a) and math.isfinite(b):
-        out = qp._qawoe(func, a, b, wvar, _FOURIER[weight], args, full_output,
-                        epsabs, epsrel, limit, maxp1, 1)
+        out = qp._qawfe(func, a, wvar, _FOURIER[weight], (), 1, epsabs,
+                        LIMLST, LIMIT, MAXP1)
     else:   # QUADPACK would return nan
         raise ValueError(f"weight {weight!r} on [{a}, {b}]: expected None, "
-                         f"'alg' on a finite range or 'cos'/'sin' from a "
-                         f"finite a")
-    *result, ier = out
-    if ier in _IER and full_output:
-        result.append(f"QUADPACK ier={ier}: {_IER[ier]}")
-    elif ier in _IER:
-        warnings.warn(f"QUADPACK ier={ier}: {_IER[ier]}", stacklevel=2)
-    elif ier:
+                         f"'alg' on a finite range or 'cos'/'sin' on "
+                         f"[a, inf)")
+    ier = out[3]
+    if ier and ier not in _IER:
         raise ValueError(f"QUADPACK rejected its input (ier={ier})")
-    return tuple(result)
+    return out
 
 
 class QuadratureError(RuntimeError):
@@ -115,10 +110,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class QuadResult:
+    """An integral, its error estimate, and the integrand evaluations it
+    cost (``panels_used``, QUADPACK's ``neval`` summed over the panels)."""
+
     value: complex
     abs_error_estimate: float
     panels_used: int
-    converged: bool
 
 
 class _Budget:
@@ -135,36 +132,25 @@ class _Budget:
                 f"evaluation budget exceeded ({self.used} > {self.limit})")
 
 
-def _quad_panel(f, a, b, budget, epsabs, epsrel=1e-10, weight=None, wvar=None):
+def _quad_panel(f, a, b, budget, epsabs, weight=None, wvar=None):
     """One QUADPACK call with budget accounting; returns (value, err_estimate)."""
-    if weight in ("cos", "sin") and not math.isfinite(wvar):   # QAWF crashes
+    if weight in _FOURIER and not math.isfinite(wvar):   # QAWF crashes
         raise ValueError(f"{weight} weight needs a finite frequency, got {wvar!r}")
-    kwargs = {"full_output": 1, "epsabs": epsabs, "epsrel": epsrel, "limit": 300}
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-        if np.isinf(b):
-            kwargs["limlst"] = 100
-    out = quad(f, a, b, **kwargs)
-    val, err, info = out[0], out[1], out[2]
-    budget.charge(info.get("neval", 0))
-    ier = 0 if len(out) == 3 else 1
-    if ier and err > 10 * max(epsabs, abs(val) * epsrel):
-        msg = out[3] if len(out) > 3 else "no detail"
-        raise QuadratureError(f"panel [{a}, {b}] did not converge: {msg}")
+    val, err, info, ier = quad(f, a, b, epsabs, weight, wvar)
+    budget.charge(info["neval"])
+    if ier and err > 10 * max(epsabs, abs(val) * EPSREL):
+        raise QuadratureError(f"panel [{a}, {b}] did not converge: "
+                              f"QUADPACK ier={ier}: {_IER[ier]}")
     return val, err
 
 
-def integrate_1d(f, a, b, tol=1e-10, singular_points=(), oscillation=None,
+def integrate_1d(f, a, b, tol=1e-10, singular_points=(),
                  budget=DEFAULT_BUDGET):
-    """Adaptive integral of ``f`` over [a, b], b possibly infinite.
+    """Adaptive integral of ``f`` over [a, b]; either end may be infinite.
 
     ``singular_points`` lists abscissae (endpoints or interior) where the
     integrand is singular; panels are split there so QUADPACK's
-    extrapolation sees each singularity at a panel edge.  With
-    ``oscillation=("cos"|"sin", omega)``, omega finite, the integrand is
-    ``f(x)`` times that factor and infinite tails are integrated with the
-    Fourier rule (cycle summation plus epsilon-algorithm acceleration).
+    extrapolation sees each singularity at a panel edge.
 
     Returns a :class:`QuadResult`; raises :class:`QuadratureError` on
     budget exhaustion or non-convergence.
@@ -174,32 +160,12 @@ def integrate_1d(f, a, b, tol=1e-10, singular_points=(), oscillation=None,
     bud = _Budget(budget)
     cuts = sorted(p for p in set(float(x) for x in singular_points) if a < p < b)
     edges = [a] + cuts + [b]
-    if oscillation is not None:
-        kind, omega = oscillation
-        if kind not in ("cos", "sin") or not math.isfinite(omega):
-            raise ValueError(f"oscillation must be ('cos' or 'sin', a finite "
-                             f"frequency), got {oscillation!r}")
-        osc = np.cos if kind == "cos" else np.sin
-        if np.isinf(b) and not cuts:
-            # keep the Fourier tail away from the lower endpoint, where the
-            # smooth factor may be singular; the finite panel sees the full
-            # integrand at interior nodes only
-            cuts = [a + 1.0]
-            edges = [a] + cuts + [b]
-
     total, err_total = 0.0, 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if oscillation is None:
-            v, e = _quad_panel(f, lo, hi, bud, epsabs=tol * 0.25)
-        elif np.isinf(hi):
-            v, e = _quad_panel(f, lo, hi, bud, epsabs=tol * 0.25,
-                               weight=kind, wvar=omega)
-        else:
-            v, e = _quad_panel(lambda x: f(x) * osc(omega * x), lo, hi, bud,
-                               epsabs=tol * 0.25)
+        v, e = _quad_panel(f, lo, hi, bud, epsabs=tol * 0.25)
         total += v
         err_total += e
-    return QuadResult(total, err_total, bud.used, converged=err_total <= max(tol, 1e-15))
+    return QuadResult(total, err_total, bud.used)
 
 
 # --------------------------------------------------------------------------
@@ -340,8 +306,7 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
             im_total += d * math.copysign(1.0, b) * v
             err += e
 
-    return QuadResult(complex(re_total, im_total), err, bud.used,
-                      converged=err <= max(tol, 1e-15))
+    return QuadResult(complex(re_total, im_total), err, bud.used)
 
 
 # --------------------------------------------------------------------------

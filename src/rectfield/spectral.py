@@ -228,21 +228,16 @@ class TransformResult:
     err_estimate: float
 
 
-def _half_line(g, budget, tol):
-    """int_0^inf g dx, power tails absorbed by the reciprocal substitution."""
-    v1, e1 = _quad_panel(g, 0.0, 1.0, budget, epsabs=tol * 0.25)
-    v2, e2 = _quad_panel(lambda w: g(1.0 / w) / (w * w), 0.0, 1.0, budget,
-                         epsabs=tol * 0.25)
-    return v1 + v2, e1 + e2
-
-
 def _transform_1d(g, v, budget, tol):
-    """int_R e^{i x v} g(x) dx as (real, imag, err)."""
+    """int_R e^{i x v} g(x) dx as (real, imag, err).
+
+    Two QAWF runs on [0, inf): the even part g(x) + g(-x) against cos(|v| x)
+    and the odd part g(x) - g(-x) against sin(|v| x).  At v = 0 QUADPACK's
+    QAWF integrates the even part by QAGI and returns 0 for the odd part
+    without evaluating it.
+    """
     even = lambda x: g(x) + g(-x)
     odd = lambda x: g(x) - g(-x)
-    if v == 0.0:
-        re, err = _half_line(even, budget, tol)
-        return re, 0.0, err
     re, e1 = _quad_panel(even, 0.0, np.inf, budget, epsabs=tol * 0.25,
                          weight="cos", wvar=abs(v))
     im, e2 = _quad_panel(odd, 0.0, np.inf, budget, epsabs=tol * 0.25,

@@ -645,6 +645,21 @@ def test_seam_strict_kernel_matches_mpmath(h):
                     (spec, S[k], T[k])
 
 
+@pytest.mark.parametrize("h", [0.5 + 1e-9, 0.5 - 1e-9, 0.5 + 2.0**-30,
+                               0.5 - 1e-7, 0.45])
+def test_moving_pair_gamma_matches_mpmath_at_the_seam(h):
+    # cos(pi H) near 1/2 lost the digits that pi H rounded away: gamma was
+    # 2.7e-8 relative off at 1/2 + 1e-9
+    mp = pytest.importorskip("mpmath")
+    for h2 in (h, 0.3):
+        d = 1.0 / math.sqrt(2.0 * (1.0 + math.sin(math.pi * h)
+                                   * math.sin(math.pi * h2)))
+        with mp.workdps(40):
+            want = float(2 * mp.mpf(d)**2 * mp.cos(mp.pi * mp.mpf(h))
+                         * mp.cos(mp.pi * mp.mpf(h2)))
+        assert abs(MovingPair(h, h2, d, d).gamma - want) <= 1e-15 * abs(want)
+
+
 @pytest.mark.parametrize("spec", [lambda h: Strict2D(h, h, 1.0),
                                   lambda h: MildTheta(h, h, 0.5)],
                          ids=["strict2d", "mildtheta"])
