@@ -118,6 +118,14 @@ def _points(p, n) -> np.ndarray:
     return pts
 
 
+def _one_point(pts: np.ndarray) -> np.ndarray:
+    """``pts`` from ``_points`` if it is one point, else ValueError."""
+    if pts.ndim != 1:
+        raise ValueError(f"expected one point, got points of shape "
+                         f"{pts.shape}")
+    return pts
+
+
 def _as_points(p, n) -> np.ndarray:
     """``_points`` in the positive orthant: the one check of orthant points."""
     pts = _points(p, n)

@@ -57,7 +57,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .gammafn import c2, pow_plus, validate_hurst
-from .kernels import MovingPair, _as_points, _points
+from .kernels import MovingPair, _as_points, _one_point, _points
 from .quadrature import QuadratureError, integrate_1d
 
 __all__ = [
@@ -149,7 +149,7 @@ class MAKernel:
         return len(self.H)
 
     def __call__(self, t, x) -> complex:
-        t, x = _points(t, self.n), _points(x, self.n)
+        t, x = (_one_point(_points(p, self.n)) for p in (t, x))
         vals = [_basis(h, float(tj), float(xj))
                 for h, tj, xj in zip(self.H, t, x)]
         if not all(math.isfinite(v) for pair in vals for v in pair):
@@ -271,7 +271,7 @@ def cov_from_ma(kernel: MAKernel, s, t) -> float:
     coefficient are skipped.  The imaginary part must cancel by weight
     symmetry; a residual beyond ``IMAG_TOL`` raises.
     """
-    s, t = _as_points(s, kernel.n), _as_points(t, kernel.n)
+    s, t = (_one_point(_as_points(p, kernel.n)) for p in (s, t))
     total = 0.0 + 0.0j
     for ck, bk in kernel.terms:
         if ck == 0.0:

@@ -29,14 +29,13 @@ cycle acceleration on the oscillatory tails) in any dimension, and reports
 the imaginary residual; ``density_criterion_residual`` evaluates the
 density-level membership identity for the mild class.
 
-g_H is bound once per H (``product_density``'s factors are these bound
-letters): H's constants are computed then, and a Python float, which is
-what QUADPACK passes, takes a ``math`` path that repeats the array path
-operation for operation and returns a float.  ``g_w``, ``g_fbm`` and the
-factors of a density map frequencies elementwise; ``g_product``, a
-``SpectralDensity`` and the criterion map frequencies (..., N) to (...),
-one call of each factor for all 2^N sign flips of a grid.  A single
-frequency gives a ``np.float64``.
+g_H is one formula in ``math`` arithmetic, bound once per H
+(``product_density``'s factors are these bound letters): a Python float,
+which is what QUADPACK passes, gives a float with the same bits it has
+inside an array.  ``g_w``, ``g_fbm`` and the factors of a density map
+frequencies elementwise; ``g_product``, a ``SpectralDensity`` and the
+criterion map frequencies (..., N) to (...), one call of each factor for
+all 2^N sign flips of a grid.  A single frequency gives a ``np.float64``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gammafn import _LOGGAMMA, _scipy_extension, _sin_pi, validate_hurst
-from .kernels import _points, _sign_vectors
+from .kernels import _one_point, _points, _sign_vectors
 from .quadrature import DEFAULT_BUDGET, _Budget, _quad_panel
 
 __all__ = [
@@ -73,51 +72,30 @@ def g_w(x):
 _STIRLING_X = 20.0   # g_fbm's tail form holds beyond this |x|
 
 
-def _log_g_near(ax, H):
-    """log g_H at |x| = ax <= _STIRLING_X, from log Gamma.
-
-    With y = pi ax and t = e^{-2y} <= 1, the factor cosh(y) / (sinh^2(y) +
-    sin^2(pi H)) is 2 e^{-y} (1 + t) / ((1 - t)^2 + 4 sin^2(pi H) t): no
-    term overflows or cancels, and its e^{-y} is taken with the growth
-    -2 Re log Gamma(H + i ax) before either is rounded into the sum.
-    """
-    loggamma = _scipy_extension(_LOGGAMMA).loggamma
-    s = _sin_pi(H)
-    y = math.pi * ax
-    t = np.exp(-2.0 * y)
-    return (math.log(2.0 * H) + math.log(s) + math.lgamma(2.0 * H)
-            - np.log(H * H + ax * ax) + np.log1p(t)
-            - np.log(np.expm1(-2.0 * y) ** 2 + 4.0 * s * s * t)
-            + (-2.0 * loggamma(H + 1j * ax).real - y))
-
-
-def _log_g_far(y, H):
-    """log g_H at |x| = y > _STIRLING_X.  With z = H + iy, Stirling's series
-    gives Re log Gamma(z) + pi y/2 = (H - 1/2) log|z| + y atan(H/y) - H
-    + log(2 pi)/2 + sum_k B_2k/(2k(2k-1)) Re z^{1-2k}, to 2e-17 at y = 20
-    with k <= 5, and log cosh(pi y) = pi y - log 2 + O(e^{-2 pi y}): the pi y
-    terms cancel unrounded and neither y^2 nor |z|^2 is formed."""
-    r = H / y
-    log_z = np.log(y) + 0.5 * np.log1p(r * r)
-    w = (r - 1j) / (y * (1.0 + r * r))                              # 1 / z
-    w2 = w * w
-    series = w * (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 * (
-        1 / 1680 - w2 / 1188))))
-    return (math.log(2.0 * H * math.gamma(2.0 * H) * _sin_pi(H))
-            - (2.0 * H + 1.0) * log_z - 2.0 * y * np.arctan(r) + 2.0 * H
-            - math.log(2.0 * math.pi) - 2.0 * series.real)
+def _map_floats(scalar, x) -> np.ndarray:
+    """scalar(|x_i|) at each element of x as Python floats, shaped as x."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    return np.array(list(map(scalar, ax.ravel().tolist())),
+                    dtype=float).reshape(ax.shape)[()]
 
 
 @lru_cache(maxsize=256)
 def _fbm_letter(H: float):
     """g_H as a function of x alone, for a validated H.
 
-    An array goes through ``_log_g_near`` and ``_log_g_far``.  A number
-    takes the same two forms in ``math`` and ``complex`` arithmetic, on
-    constants of H computed here once; it differs from the array path only
-    where ``math`` and numpy round an elementary function differently, by
-    about 1e-14 relative.  A ``float``, such as each abscissa QUADPACK asks
-    for, gives a ``float``; any other number a ``np.float64``.
+    ``scalar`` takes |x| in ``math`` and ``complex`` arithmetic on constants
+    of H computed here once.  A ``float`` gives a ``float``; anything else is
+    mapped over as Python floats by ``_map_floats``.
+
+    At ax = |x| <= _STIRLING_X, with y = pi ax and t = e^{-2y} <= 1, the
+    factor cosh(y) / (sinh^2(y) + sin^2(pi H)) is 2 e^{-y} (1 + t) / ((1 -
+    t)^2 + 4 sin^2(pi H) t): no term overflows or cancels, and its e^{-y} is
+    taken with the growth -2 Re log Gamma(H + i ax) before either is rounded.
+    Beyond, with z = H + i ax, Stirling's series gives Re log Gamma(z) +
+    pi ax/2 = (H - 1/2) log|z| + ax atan(H/ax) - H + log(2 pi)/2 + sum_k
+    B_2k/(2k(2k-1)) Re z^{1-2k}, to 2e-17 at ax = 20 with k <= 5, and
+    log cosh(pi ax) = pi ax - log 2 + O(e^{-2 pi ax}): the pi ax terms
+    cancel unrounded and neither ax^2 nor |z|^2 is formed.
     """
     loggamma = _scipy_extension(_LOGGAMMA).loggamma
     s = _sin_pi(H)
@@ -129,8 +107,8 @@ def _fbm_letter(H: float):
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
 
     def scalar(ax):
-        if ax > _STIRLING_X:             # _log_g_far, operation for operation
-            if ax == math.inf:
+        if ax > _STIRLING_X:
+            if ax == math.inf:           # 2 ax atan(H/ax) is inf * 0
                 return 0.0
             r = H / ax
             scale = 1.0 / (ax * (1.0 + r * r))
@@ -141,7 +119,7 @@ def _fbm_letter(H: float):
             return exp(log_far - (two_h + 1.0) * (log(ax) + 0.5 * log1p(r * r))
                        - 2.0 * ax * math.atan(r) + two_h - log_2pi
                        - 2.0 * series.real)
-        y = pi * ax                      # _log_g_near, operation for operation
+        y = pi * ax
         t = exp(-2.0 * y)
         return exp(log_near - log(hh + ax * ax) + log1p(t)
                    - log(expm1(-2.0 * y) ** 2 + four_s2 * t)
@@ -150,15 +128,7 @@ def _fbm_letter(H: float):
     def letter(x):
         if type(x) is float:             # a QUADPACK abscissa
             return scalar(abs(x))
-        ax = abs(x)
-        if not isinstance(ax, np.ndarray):
-            return np.float64(scalar(ax))
-        # each form on its own frequencies; at |x| = inf the far form is
-        # inf * 0 and g_H is its limit 0
-        ax = ax.astype(float)
-        return np.exp(np.piecewise(
-            ax, [(ax > _STIRLING_X) & (ax < math.inf), ax == math.inf],
-            [_log_g_far, -math.inf, _log_g_near], H))
+        return _map_floats(scalar, x)
 
     return letter
 
@@ -257,7 +227,7 @@ def cov_from_density(f: SpectralDensity, v, tol: float = 1e-6,
     residual: it vanishes (up to quadrature error) for densities even under
     x -> -x.
     """
-    v = _points(v, f.n)
+    v = _one_point(_points(v, f.n))
     bud = _Budget(budget)
     total, err = 0j, 0.0
     for c, factors in f.terms:

@@ -325,6 +325,24 @@ def test_quadrature_covariances_reject_points_outside_the_orthant(cov, s, t):
         cov(s, t)
 
 
+@pytest.mark.parametrize("s, t", [([[1.0, 1.0]], (2.0, 1.5)),
+                                  ((1.0, 1.0), [[2.0, 1.5], [1.0, 2.0]])],
+                         ids=["(1, 2) s", "(2, 2) t"])
+@pytest.mark.parametrize("cov", [
+    lambda s, t: cov_moving_pair(MovingPair(0.3, 0.7, 1.0, 0.0), s, t),
+    lambda s, t: cov_from_ma(make_ma_kernel((0.3, 0.7),
+                                            _uniform_weights((0.3, 0.7))),
+                             s, t),
+    lambda s, t: make_ma_kernel((0.3, 0.7), _uniform_weights((0.3, 0.7)))(
+        s, t),
+], ids=["cov_moving_pair", "cov_from_ma", "MAKernel"])
+def test_quadrature_covariances_take_one_point_each(cov, s, t):
+    # a stack of points failed inside the quadrature with numpy's TypeError
+    shape = re.escape(str(np.shape(s if np.ndim(s) > 1 else t)))
+    with pytest.raises(ValueError, match=f"one point.*{shape}"):
+        cov(s, t)
+
+
 @pytest.mark.parametrize("bad", [(math.inf, 0.0), (math.nan, 0.0),
                                  (0.1, math.inf), (0.1, math.nan)],
                          ids=["K_inf", "K_nan", "phi_inf", "phi_nan"])

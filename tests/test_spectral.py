@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -431,19 +432,48 @@ def test_non_finite_frequency_raises_instead_of_crashing():
 
 
 _LETTER_X = (0.0, 1e-3, 1.0, 19.999999, 20.0, 20.000001, 36.0, 100.0, 700.0,
-             1e6, 1e17)
+             1e6, 1e17, 1e308)
 
 
-@pytest.mark.parametrize("H", _TAIL_H)
-def test_bound_letter_matches_the_array_path(H):
-    # QUADPACK's abscissae are floats and take the letter's math path
+@pytest.mark.parametrize("H", (0.05,) + _TAIL_H + (0.95,))
+def test_letter_gives_the_same_bits_for_a_float_and_in_an_array(H):
+    # QUADPACK's abscissae are floats; arrays map the same formula over them
     letter = spectral._fbm_letter(H)
-    xs = np.array([sign * x for x in _LETTER_X for sign in (1.0, -1.0)])
-    want = g_fbm(H, xs)
-    got = [letter(float(x)) for x in xs]
+    xs = [sign * x for x in _LETTER_X for sign in (1.0, -1.0)]
+    got = [letter(x) for x in xs]
     assert all(type(v) is float for v in got)
-    assert np.all(np.abs(np.array(got) - want) <= 1e-13 * want)
+    want = np.array(got)
+    assert np.array_equal(letter(np.array(xs)), want)
+    assert np.array_equal(g_fbm(H, np.array(xs).reshape(4, -1)),
+                          want.reshape(4, -1))
+    for i, x in enumerate(xs):
+        for other in (np.float64(x), np.array(x)):
+            value = letter(other)
+            assert type(value) is np.float64 and value == want[i]
+    for k in (0, 1, -36):
+        value = letter(k)
+        assert type(value) is np.float64 and value == letter(float(k))
+    assert math.isnan(letter(math.nan))
+    assert np.isnan(letter(np.array([math.nan, -math.nan]))).all()
     assert letter(math.inf) == letter(-math.inf) == 0.0
+    assert np.array_equal(letter(np.array([math.inf, -math.inf])), [0.0, 0.0])
     assert spectral._fbm_letter(H) is letter
     (_, (factor,)), = fbm_density(H).terms
     assert factor is letter
+
+
+def test_density_far_in_the_tail_is_zero_without_overflow():
+    # the deleted array form overflowed in its 2 y atan(H/y) at |x| >= 9e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g_fbm(0.3, np.array([9e307, 1e308, -1e308]))
+    assert np.array_equal(got, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("lag", [[[1.0]], [[1.0], [2.0]], np.ones((1, 1, 1))],
+                         ids=["(1, 1)", "(2, 1)", "(1, 1, 1)"])
+def test_cov_from_density_takes_one_lag(lag):
+    # a stack of lags failed inside the quadrature with numpy's TypeError
+    shape = re.escape(str(np.shape(lag)))
+    with pytest.raises(ValueError, match=f"one point.*{shape}"):
+        cov_from_density(fbm_density(0.3), lag)
