@@ -59,6 +59,12 @@ class ConfigError(ValueError):
     pass
 
 
+def _point_field(n: int) -> str:
+    """The row-template field of an n-point: ``_fmt``'s ``[a b]`` with one
+    ``%.17g`` per coordinate, so the row tuple carries the coordinates."""
+    return "[" + " ".join(["%.17g"] * n) + "]"
+
+
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -68,7 +74,7 @@ def _fmt(x) -> str:
         return str(int(x))
     if isinstance(x, (tuple, list, np.ndarray)):   # a point, row-major
         v = np.ravel(x).tolist()
-        return "[" + " ".join(["%.17g"] * len(v)) % tuple(v) + "]"
+        return _point_field(len(v)) % tuple(v)
     return str(x)
 
 
@@ -511,8 +517,9 @@ def _write_csv(path: Path, rows, columns, template: str):
     """A CSV table: the ``columns`` header, then ``template % row`` per row.
 
     ``template`` is one whole row line, CRLF included: fixed text as is,
-    ``%.17g`` per float cell, ``%d`` per integer and ``%s`` per cell that
-    ``_fmt`` or ``_quoted`` has rendered.  ``rows`` is a sequence of tuples.
+    ``%.17g`` per float cell (a point's coordinates too, in a
+    ``_point_field``), ``%d`` per integer and ``%s`` per cell that ``_fmt``
+    or ``_quoted`` has rendered.  ``rows`` is a sequence of tuples.
     """
     with _artifact(path) as fh:
         fh.write(",".join(columns) + "\r\n")
@@ -597,12 +604,12 @@ def _run_classify(cfg, out_dir):
                  report.max_cross_residual)],
                ["family", "label", "max_var_residual", "max_cross_residual"],
                "%s,%s,%.17g,%.17g\r\n")
+    point = _point_field(len(cfg.plan.shifts[0]))
     _write_csv(out_dir / "classify_probes.csv",
-               [(r["kind"], _fmt(r["u1"]), _fmt(r["u2"]), _fmt(r["h"]),
-                 r["value"], r["reference"], r["residual"])
-                for r in report.rows],
+               [(r["kind"], *r["u1"], *r["u2"], *r["h"], r["value"],
+                 r["reference"], r["residual"]) for r in report.rows],
                ["kind", "u1", "u2", "h", "value", "reference", "residual"],
-               "%s,%s,%s,%s,%.17g,%.17g,%.17g\r\n")
+               f"%s,{point},{point},{point},%.17g,%.17g,%.17g\r\n")
     print(f"classify[{cfg.spec.family}] -> {label} "
           f"(var {report.max_var_residual:.2e}, cross {report.max_cross_residual:.2e})")
     return 0 if report.label is not None else 1
@@ -645,9 +652,10 @@ def _run_mc(cfg, out_dir):
     cols = ["probe", "kind", "h", "estimate", "se", "reference", "analytic",
             "z_reference", "z_analytic"]
     _write_csv(out_dir / "mc.csv",
-               [(r["probe"], r["kind"], _fmt(r["h"]), *(r[c] for c in cols[3:]))
+               [(r["probe"], r["kind"], *r["h"], *(r[c] for c in cols[3:]))
                 for r in rows],
-               cols, "%d,%s,%s" + ",%.17g" * 6 + "\r\n")
+               cols, "%d,%s," + _point_field(len(cfg.plan.shifts[0]))
+               + ",%.17g" * 6 + "\r\n")
     bad = sum(abs(r["z_analytic"]) > 4.0 for r in rows)
     print(f"mc[{cfg.spec.family}] {len(rows) - bad}/{len(rows)} probes "
           f"within 4 SE of analytic increment covariance")

@@ -6,17 +6,15 @@ ufunc module that holds ``scipy.special.loggamma``
 (``scipy.special._special_ufuncs``), and importing either subpackage would
 first run hundreds of Python modules.  Each is loaded once, at first use.
 
-The magnitude |Gamma(z)| for complex z, without overflow, from that
-complex log-gamma; sin(pi H) to rounding; the two normalization constants,
-from ``math.gamma``,
+Also here: sin(pi H) to rounding; the normalization constant, from
+``math.gamma``,
 
-    c1(H) = sqrt(H Gamma(2H) sin(pi H) / pi)
     c2(H) = sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H + 1/2)
 
-that calibrate the harmonizable and moving-average representations of a
-fractional Brownian sheet; and the one-sided power (u)_+^a.  The check of
-a Hurst vector is here too: this module imports nothing from the package,
-so every other module can take it from here.
+that calibrates the moving-average representation of a fractional
+Brownian sheet; and the one-sided power (u)_+^a.  The check of a Hurst
+vector is here too: this module imports nothing from the package, so
+every other module can take it from here.
 """
 
 from __future__ import annotations
@@ -28,18 +26,11 @@ import sys
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
-    "GammaPoleError",
-    "abs_gamma",
-    "c1",
     "c2",
     "pow_plus",
 ]
 
-# exp() overflows above this; |Gamma| results beyond it are reported as errors
-_LOG_OVERFLOW = math.log(np.finfo(float).max)
 # the two compiled SciPy modules the package calls, for _scipy_extension
 _QUADPACK = "integrate._quadpack"
 _LOGGAMMA = "special._special_ufuncs"     # holds scipy.special.loggamma
@@ -99,42 +90,6 @@ def validate_hurst(values) -> tuple[float, ...]:
 def _sin_pi(H: float) -> float:
     """sin(pi H) to rounding for H in (0, 1): above 1/2, 1 - H is exact."""
     return math.sin(math.pi * min(H, 1.0 - H))
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a pole (zero or a negative integer)."""
-
-
-def abs_gamma(z) -> float:
-    """|Gamma(z)| for complex z, via exp(Re log Gamma(z)).
-
-    Working through the log keeps the result finite for large |Im z|,
-    where Gamma itself underflows, and lets overflow be detected instead
-    of silently returning inf.
-
-    Raises
-    ------
-    GammaPoleError
-        If z is zero or a negative real integer.
-    OverflowError
-        If |Gamma(z)| exceeds the double range.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"abs_gamma requires finite components, got {z}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise GammaPoleError(f"Gamma pole at z = {z.real:g}")
-    loggamma = _scipy_extension(_LOGGAMMA).loggamma
-    log_mag = float(np.real(loggamma(z)))
-    if log_mag > _LOG_OVERFLOW:
-        raise OverflowError(f"|Gamma({z})| overflows double precision")
-    return math.exp(log_mag)
-
-
-def c1(H: float) -> float:
-    """Spectral normalization sqrt(H Gamma(2H) sin(pi H) / pi), H in (0,1)."""
-    H, = validate_hurst((H,))
-    return math.sqrt(H * math.gamma(2 * H) * _sin_pi(H) / math.pi)
 
 
 def c2(H: float) -> float:

@@ -11,8 +11,10 @@ the chunks.
 
 The Monte Carlo side estimates increment covariances from simulated fields
 (for comparison with the batched closed-form increment algebra): one draw
-per probe pair and shift, from stream p S + k, at the corners of both boxes
-as the batched corner expansion lays them out.  It also runs the
+per probe pair and shift, from stream p S + k, at the distinct corners of
+both boxes.  One corner table serves the whole plan, and the corner
+covariance matrices of a block of probes come from one kernel call, with
+the same code that mirrors ``cov_matrix``'s blocks.  It also runs the
 partial-sum demonstration: normalized rectangular sums of an iid lattice
 field converge to the Brownian sheet, and the empirical covariance of the
 normalized sums is compared against both the pre-limit lattice covariance
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.ma, numpy.random  # noqa: E401, F401  (np.unique, the draws)
 
-from .increments import ProbePlan, _corners, probe_covariances
+from .increments import PLAN_BLOCK, ProbePlan, _corners, probe_covariances
 from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
                       make_kernel)
 
@@ -100,11 +102,37 @@ def grid_from_axes(axes) -> Grid:
     return Grid(pts)
 
 
+def _symmetric_blocks(kernel: CovKernel, rows: np.ndarray, cols: np.ndarray,
+                      live: np.ndarray | None = None) -> np.ndarray:
+    """K(rows_i, cols_j) over stacks of points rows (..., r, N) and cols
+    (..., c, N) whose first r points are the rows, in one call of
+    ``kernel.batch``.
+
+    Only the entries with i <= j are kept: the strictly lower triangle of
+    each leading r x r square is mirrored from the upper one, so the squares
+    are exactly symmetric.  A non-finite value raises ``NonFiniteError``,
+    naming the first pair (in stack order, then i <= j in row order) where
+    it occurs; ``live`` (..., c) marks the points that count, so padding is
+    never named.
+    """
+    block = kernel.batch(rows[..., :, None, :], cols[..., None, :, :])
+    i, j = np.tril_indices(rows.shape[-2], -1)
+    block[..., i, j] = block[..., j, i]
+    bad = ~np.isfinite(block)
+    if live is not None:
+        bad &= live[..., :rows.shape[-2], None] & live[..., None, :]
+    if bad.any():
+        *stack, i, j = np.argwhere(bad)[0]
+        raise NonFiniteError(f"kernel returned non-finite value at points "
+                             f"{rows[(*stack, i)]}, {cols[(*stack, j)]}")
+    return block
+
+
 def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
     """Dense covariance matrix M[i, j] = K(p_i, p_j), exactly symmetric.
 
-    Each block of ``ROW_BLOCK`` rows is one call of ``kernel.batch`` over
-    the columns j >= the block's first row; the entries with i <= j are
+    Each block of ``ROW_BLOCK`` rows is one ``_symmetric_blocks`` call over
+    the columns j >= the block's first row; its entries with i <= j are
     kept and mirrored.  A non-finite value raises ``NonFiniteError``, naming
     the first pair (i <= j, in row order) where it occurs.
     """
@@ -113,15 +141,7 @@ def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
     M = np.empty((n, n))
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
-        block = kernel.batch(pts[lo:hi, None, :], pts[None, lo:, :])
-        square = block[:, :hi - lo]
-        below = np.tril_indices(hi - lo, -1)
-        square[below] = square.T[below]
-        bad = np.argwhere(~np.isfinite(block))
-        if len(bad):
-            i, j = lo + bad[0]
-            raise NonFiniteError(f"kernel returned non-finite value at "
-                                 f"points {pts[i]}, {pts[j]}")
+        block = _symmetric_blocks(kernel, pts[lo:hi], pts[lo:])
         M[lo:hi, lo:] = block
         M[lo:, lo:hi] = block.T
     return M
@@ -239,6 +259,38 @@ def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):
 # Monte Carlo increment probes
 # --------------------------------------------------------------------------
 
+def _probe_corners(plan: ProbePlan):
+    """One corner table for every probe of a plan.
+
+    Probe q = p S + k has the boxes [h_k, u1 + h_k] and [h_k, u2 + h_k] of
+    pair p = (u1, u2) and shift h_k.  Returns (pts, count, index, signs):
+    pts[q, :count[q]] are the probe's distinct corners with no zero
+    coordinate, in the lexicographic order of ``np.unique``, and the rest
+    of pts (Q, m >= 1, N) is padding, all ones; index (Q, 2, 2^N)
+    is the column of each box corner in pts[q], and -1 for a corner with a
+    zero coordinate; signs (2^N,) are the corner signs.
+    """
+    u = np.asarray(plan.u_pairs, dtype=float)                     # (P, 2, N)
+    h = np.asarray(plan.shifts, dtype=float)[:, None, :]          # (S, 1, N)
+    hi = h + u[:, None]                                        # (P, S, 2, N)
+    corners, signs = _corners(h, hi)                  # (P, S, 2, 2^N, N)
+    n_probes = hi.shape[0] * hi.shape[1]
+    flat = corners.reshape(-1, hi.shape[-1])
+    # the probe number leads each row, so no two probes share a point and
+    # each probe's points keep the order np.unique gives them alone
+    probe = np.arange(len(flat)) // (len(flat) // n_probes)
+    uniq, inverse = np.unique(np.column_stack([probe, flat]), axis=0,
+                              return_inverse=True)
+    owner, uniq = uniq[:, 0].astype(int), uniq[:, 1:]
+    live = np.all(uniq > 0.0, axis=1)
+    count = np.bincount(owner[live], minlength=n_probes)
+    col = np.cumsum(live) - 1 - (np.cumsum(count) - count)[owner]
+    pts = np.ones((n_probes, max(int(count.max()), 1), uniq.shape[1]))
+    pts[owner[live], col[live]] = uniq[live]
+    index = np.where(live, col, -1)[inverse.ravel()]
+    return pts, count, index.reshape(n_probes, 2, -1), signs
+
+
 def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
                               seed: int = 0, n_samples: int = 20000,
                               n_workers: int = 1) -> list:
@@ -249,37 +301,43 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     from stream p S + k, gives both increments; the var row estimates
     E[inc1^2] and the cross row E[inc1 inc2] from it.  Corners with a zero
     coordinate are left out of the draw: the field is 0 there almost
-    surely.  Each estimate is reported with its standard error against the
-    h = 0 reference and the analytic value at h.  Rows feed the CSV
-    report; the ``z_reference`` column is the detector for stationarity
-    violations.
+    surely.  The corners of every probe come from one table
+    (``_probe_corners``), and their covariance matrices from one kernel
+    call per block of probes (at most ``PLAN_BLOCK`` corner pairs).  Each
+    estimate is reported with its standard error against the h = 0
+    reference and the analytic value at h.  Rows feed the CSV report; the
+    ``z_reference`` column is the detector for stationarity violations.
     """
     kernel = make_kernel(spec)
     if plan is None:
         plan = ProbePlan.default(len(spec.hurst), **MC_PLAN)
     C = probe_covariances(kernel, plan).tolist()
-    u = np.asarray(plan.u_pairs, dtype=float)                     # (P, 2, N)
-    shifts = np.asarray(plan.shifts, dtype=float)                 # (S, N)
+    pts, count, index, signs = _probe_corners(plan)
+    live = np.arange(pts.shape[1]) < count[:, None]
+    step = max(1, PLAN_BLOCK // pts.shape[1] ** 2)
+    M = np.concatenate([_symmetric_blocks(kernel, pts[i:i + step],
+                                          pts[i:i + step], live[i:i + step])
+                        for i in range(0, len(pts), step)])
+    signs = signs.tolist()
+    est = []
+    for q, m in enumerate(count.tolist()):
+        inc = np.zeros((n_samples, 2))
+        if m:
+            values, _ = cholesky_sample(
+                M[q, :m, :m], seed, n_samples, n_workers=n_workers,
+                stream=q, context=spec.family)
+            for box, cols in zip(inc.T, index[q].tolist()):
+                for col, sign in zip(cols, signs):   # in corner order
+                    if col >= 0:     # a corner with a zero coordinate is 0
+                        box += values[:, col] * sign
+        est.append((inc[:, 0] @ inc / n_samples).tolist())      # var, cross
+    S = len(plan.shifts)
     rows = []
-    for p, pair in enumerate(u):
-        est = []
-        for k, h in enumerate(shifts):
-            corners, signs = _corners(h, h + pair)              # (2, 2^N, N)
-            pts, inverse = np.unique(corners.reshape(-1, len(h)), axis=0,
-                                     return_inverse=True)
-            live = np.all(pts > 0.0, axis=1)
-            values = np.zeros((n_samples, len(pts)))
-            if live.any():
-                M = cov_matrix(kernel, Grid(pts[live]))
-                values[:, live], _ = cholesky_sample(
-                    M, seed, n_samples, n_workers=n_workers,
-                    stream=p * len(shifts) + k, context=spec.family)
-            inc = values[:, inverse.reshape(2, -1)] @ signs          # (n, 2)
-            est.append((inc[:, 0] @ inc / n_samples).tolist())   # var, cross
+    for p in range(len(plan.u_pairs)):
         for v, kind in enumerate(("var", "cross")):
             ref = C[p][v][0]
             for k, shift in enumerate(plan.shifts, start=1):
-                e, c = est[k - 1][v], C[p][v][k]
+                e, c = est[p * S + k - 1][v], C[p][v][k]
                 se = float(_wick_se(C[p][0][k], C[p][2 * v][k], c, n_samples))
                 rows.append({
                     "probe": p, "kind": kind, "h": shift,

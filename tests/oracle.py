@@ -11,9 +11,11 @@ scalar code here.  Each bracket is the one named in the
 ``rectfield.kernels`` module docstring.
 
 The second half holds the same for ``rectfield.lamperti`` and
-``rectfield.spectral``: the stationary covariances, the inverse Lamperti
-transform and the spectral densities at one lag or frequency at a time,
-and the two sign-flip criteria as a loop over the flips.
+``rectfield.spectral``: |Gamma(z)| and the spectral constant c1, the
+stationary covariances, the inverse Lamperti transform and the spectral
+densities at one lag or frequency at a time, and the two sign-flip
+criteria as a loop over the flips.  The last part draws the Monte Carlo
+increment probes one probe at a time.
 """
 
 import itertools
@@ -164,6 +166,39 @@ def evaluator(spec):
 # Stationary covariances, densities and criteria
 # --------------------------------------------------------------------------
 
+# |Gamma(z)| and c1(H), which the package no longer calls: log-gamma enters
+# g_H directly, and c1^2 is the tail constant of g_H
+_LOG_OVERFLOW = math.log(np.finfo(float).max)   # exp() overflows above this
+
+
+class GammaPoleError(ValueError):
+    """Gamma evaluated at a pole (zero or a negative integer)."""
+
+
+def abs_gamma(z) -> float:
+    """|Gamma(z)| for complex z, as exp(Re log Gamma(z)), so it stays finite
+    where Gamma itself underflows for large |Im z|.  A pole raises
+    ``GammaPoleError`` and a result beyond the double range
+    ``OverflowError``."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"abs_gamma requires finite components, got {z}")
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+        raise GammaPoleError(f"Gamma pole at z = {z.real:g}")
+    log_mag = float(np.real(loggamma(z)))
+    if log_mag > _LOG_OVERFLOW:
+        raise OverflowError(f"|Gamma({z})| overflows double precision")
+    return math.exp(log_mag)
+
+
+def c1(H: float) -> float:
+    """Spectral normalization sqrt(H Gamma(2H) sin(pi H) / pi), H in (0,1);
+    sin(pi H) is taken at min(H, 1 - H), as in ``g_fbm``."""
+    (H,) = validate_hurst((H,))
+    s = math.sin(math.pi * min(H, 1.0 - H))
+    return math.sqrt(H * math.gamma(2 * H) * s / math.pi)
+
+
 def lamperti_inverse(C, H, s, t) -> float:
     """Self-similar kernel induced by a stationary covariance.
 
@@ -301,3 +336,46 @@ def density_criterion_residual(f, H, x) -> float:
     for eps in itertools.product((1.0, -1.0), repeat=f.n):
         acc += f(np.asarray(eps) * x)
     return acc - 2.0**f.n * g_product(H, x)
+
+
+# --------------------------------------------------------------------------
+# Monte Carlo probes, one probe at a time
+# --------------------------------------------------------------------------
+
+def mc_estimates(spec, plan, seed: int, n_samples: int) -> list:
+    """The ``estimate`` column of ``mc_increment_stationarity``, per probe.
+
+    Pair p and shift k draw once, from stream p S + k, at the sorted
+    distinct corners of both boxes that have no zero coordinate; a corner
+    with a zero coordinate reads 0.  Each increment is the sum of the
+    corner values times the corner signs, added in ``corner_expansion``
+    order; the var and cross estimates of a probe share its draw.  Returned in row order: a
+    pair's var rows over the shifts, then its cross rows.
+    """
+    from rectfield.increments import Rectangle, corner_expansion
+    from rectfield.kernels import make_kernel
+    from rectfield.simulate import Grid, cholesky_sample, cov_matrix
+
+    kernel = make_kernel(spec)
+    zero = (0.0,) * len(plan.shifts[0])
+    out = []
+    for p, (u1, u2) in enumerate(plan.u_pairs):
+        est = {"var": [], "cross": []}
+        for k, h in enumerate(plan.shifts):
+            boxes = [corner_expansion(Rectangle(zero, u).shifted(h))
+                     for u in (u1, u2)]
+            live = sorted({pt for box in boxes for pt, _ in box
+                           if min(pt) > 0.0})
+            values = np.zeros((n_samples, len(live) + 1))   # last column: 0
+            if live:
+                values[:, :-1], _ = cholesky_sample(
+                    cov_matrix(kernel, Grid(np.array(live))), seed, n_samples,
+                    stream=p * len(plan.shifts) + k)
+            inc = np.column_stack([   # each summed in corner order
+                sum(sg * values[:, live.index(pt) if pt in live else -1]
+                    for pt, sg in box) for box in boxes])
+            var, cross = (inc[:, 0] @ inc / n_samples).tolist()
+            est["var"].append(var)
+            est["cross"].append(cross)
+        out += est["var"] + est["cross"]
+    return out

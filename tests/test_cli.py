@@ -25,6 +25,7 @@ from rectfield.cli import (
     spec_to_dict,
     validate_config,
 )
+from rectfield.increments import ProbePlan
 from rectfield.kernels import (FBS, MildTheta, MovingPair, Strict2D,
                                StrictGeneral, YHalf, ZHalf)
 from rectfield.simulate import _limit_indices, limit_partial_sums
@@ -932,3 +933,32 @@ def test_a_2d_point_renders_row_major(shape):
     # refuses (or deprecates) for a row of any length
     point = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 3.0
     assert _fmt(point) == _fmt_one_value_at_a_time(point.ravel())
+
+
+_ALL_DIGITS = 0.30000000000000004   # reads back only from 17 digits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_probe_point_cells_are_fmt_of_the_point(tmp_path, n):
+    # classify_probes.csv and mc.csv format their points in the row
+    # template; each u1, u2 and h cell is _fmt of the plan's point
+    assert f"{_ALL_DIGITS:.16g}" != f"{_ALL_DIGITS:.17g}"
+    u = (((_ALL_DIGITS,) + (1.5,) * (n - 1), (2 / 3,) * n),
+         ((1,) * n, (0.7,) + (_ALL_DIGITS,) * (n - 1)))
+    plan = ProbePlan(u_pairs=u, shifts=((_ALL_DIGITS,) + (0.1,) * (n - 1),
+                                        (np.float64(1 / 7),) * n))
+    spec = {"family": "fbs", "H": [0.3, 0.7, 0.6][:n]}
+    var_cross = [(p, u1, b) for p, (u1, u2) in enumerate(u) for b in (u1, u2)]
+    for command, extra, name, cells, want in (
+            ("classify", {}, "classify_probes.csv", ("u1", "u2", "h"),
+             [(a, b, h) for _, a, b in var_cross for h in plan.shifts]),
+            ("mc", {"n_samples": 100}, "mc.csv", ("probe", "h"),
+             [(p, h) for p, _, _ in var_cross for h in plan.shifts])):
+        cfg = validate_config({"command": command, "spec": spec, **extra,
+                               "out": str(tmp_path)})
+        cfg.plan = plan
+        run(cfg)
+        with open(tmp_path / name, newline="") as fh:
+            got = [tuple(r[c] for c in cells) for r in csv.DictReader(fh)]
+        assert got == [tuple(map(_fmt, w)) for w in want], command
+        assert repr(_ALL_DIGITS) in (tmp_path / name).read_text(), command

@@ -1,16 +1,20 @@
 """Exact sampling, Monte Carlo estimators, partial-sum demonstration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracle
-from rectfield.increments import ProbePlan, Rectangle, corner_expansion
+from rectfield import kernels, simulate
+from rectfield.increments import ProbePlan, Rectangle, _corners, corner_expansion
 from rectfield.kernels import (
     FBS,
+    SEAM_DELTA,
     CovKernel,
     MildTheta,
+    NonFiniteError,
     Strict2D,
     YHalf,
     ZHalf,
@@ -29,7 +33,7 @@ from rectfield.simulate import (
     mc_increment_stationarity,
     sample_field,
 )
-from rectfield.simulate import _blocks, _rect_sums, _stream
+from rectfield.simulate import _blocks, _probe_corners, _rect_sums, _stream
 
 
 def test_grid_validation():
@@ -407,34 +411,121 @@ def test_mc_analytic_values_match_the_corner_loop():
         assert r["se"] == pytest.approx(se, rel=1e-12)
 
 
-def test_mc_draws_both_increments_from_one_stream_per_pair_and_shift():
+_PLAN_ON_AXES = ProbePlan(u_pairs=(((0.6, 1.1), (1.4, 0.5)),
+                                   ((1.0, 0.3), (0.4, 1.2))),
+                          shifts=((0.0, 0.0), (0.0, 0.8), (1.3, 0.0)))
+# equal boxes, boxes that share an edge length, and anchors on the axes:
+# the probes draw at 1, 2, 3, 4 or 6 distinct corners
+_PLAN_COINCIDENT = ProbePlan(u_pairs=(((0.6, 1.1), (0.6, 1.1)),
+                                      ((1.0, 0.3), (1.0, 0.9)),
+                                      ((0.4, 1.2), (1.5, 1.2))),
+                             shifts=((0.0, 0.0), (0.5, 0.0), (0.2, 0.3)))
+
+
+@pytest.mark.parametrize("spec, plan, n_workers", [
+    (MildTheta(0.3, 0.7, 0.8), ProbePlan.default(2, 2, 3, seed=5), 1),
+    (FBS((0.3, 0.6, 0.8)), ProbePlan.default(3, 2, 2, seed=6), 1),
+    (Strict2D(0.5, 0.5 - SEAM_DELTA / 2, 0.5), ProbePlan.default(2, 2, 2,
+                                                                 seed=7), 1),
+    (MildTheta(0.3, 0.7, 0.8), _PLAN_ON_AXES, 1),
+    (MildTheta(0.3, 0.7, 0.8), _PLAN_COINCIDENT, 1),
+    (MildTheta(0.3, 0.7, 0.8), ProbePlan.default(2, 2, 3, seed=5), 3),
+], ids=["2-D", "3-D", "H = 1/2 and within SEAM_DELTA", "corners on the axes",
+        "coincident corners", "3 workers"])
+def test_mc_draws_both_increments_from_one_stream_per_pair_and_shift(
+        spec, plan, n_workers):
     # pair p and shift k draw once, from stream p S + k, at the sorted
-    # distinct nonzero corners of both boxes; var and cross share the draw
+    # distinct nonzero corners of both boxes; var and cross share the draw;
+    # the probe-at-a-time reference draws with one worker
+    rows = mc_increment_stationarity(spec, plan=plan, seed=4, n_samples=600,
+                                     n_workers=n_workers)
+    assert [r["estimate"] for r in rows] == oracle.mc_estimates(spec, plan,
+                                                                4, 600)
+
+
+@pytest.mark.parametrize("plan", [ProbePlan.default(3, 2, 2, seed=6),
+                                  _PLAN_ON_AXES, _PLAN_COINCIDENT],
+                         ids=["3-D", "corners on the axes",
+                              "coincident corners"])
+def test_the_corner_table_holds_each_probes_unique_live_corners(plan):
+    pts, count, index, signs = _probe_corners(plan)
+    n = len(plan.shifts[0])
+    for q, (pair, h) in enumerate(itertools.product(plan.u_pairs,
+                                                    plan.shifts)):
+        corners, want_signs = _corners(h, np.add(h, pair))
+        u, inverse = np.unique(corners.reshape(-1, n), axis=0,
+                               return_inverse=True)
+        live = np.all(u > 0.0, axis=1)
+        assert count[q] == live.sum()
+        assert np.array_equal(pts[q, :count[q]], u[live])
+        assert np.all(pts[q, count[q]:] == 1.0)
+        col = np.where(live, np.cumsum(live) - 1, -1)[inverse.ravel()]
+        assert np.array_equal(index[q].ravel(), col)
+        assert np.array_equal(signs, want_signs)
+    if plan is _PLAN_COINCIDENT:
+        assert sorted(set(count.tolist())) == [1, 2, 3, 4, 6]
+
+
+def _replace_kernel(monkeypatch, batch):
+    """Make ``make_kernel``, in ``simulate`` and for the oracle, return a
+    kernel of the spec whose array form is ``batch(the spec's kernel)``."""
+    real = make_kernel
+
+    def fake(spec):
+        base = real(spec)
+        return CovKernel(base.spec, base.claimed_class, batch(base))
+
+    monkeypatch.setattr(simulate, "make_kernel", fake)
+    monkeypatch.setattr(kernels, "make_kernel", fake)
+
+
+def test_mc_names_the_first_non_finite_corner_covariance(monkeypatch):
+    # K(s, t) is NaN for s a corner of the second box only and t one of the
+    # first box only: the increment covariances never take it, the sorted
+    # corner matrix does (s < t), at row 3 and column 5 of the one probe
+    u1, u2, h = (1.0, 1.0), (0.5, 2.0), (0.2, 0.3)
+    s = np.array([h[0] + u2[0], h[1]])
+    t = np.array([h[0] + u1[0], h[1]])
+
+    def poisoned(base):
+        def batch(a, b):
+            hit = np.all(a == s, axis=-1) & np.all(b == t, axis=-1)
+            return np.where(hit, np.nan, base.batch(a, b))
+        return batch
+
+    _replace_kernel(monkeypatch, poisoned)
     spec = MildTheta(0.3, 0.7, 0.8)
-    kernel = make_kernel(spec)
-    plan = ProbePlan.default(2, n_pairs=2, n_shifts=3, seed=5)
-    n = 300
-    rows = mc_increment_stationarity(spec, plan=plan, seed=4, n_samples=n)
-    zero = (0.0, 0.0)
-    want = []
-    for p, (u1, u2) in enumerate(plan.u_pairs):
-        est = {"var": [], "cross": []}
-        for k, h in enumerate(plan.shifts):
-            r1 = Rectangle(zero, u1).shifted(h)
-            r2 = Rectangle(zero, u2).shifted(h)
-            live = sorted({pt for pt, _ in corner_expansion(r1)
-                           + corner_expansion(r2) if min(pt) > 0.0})
-            M = cov_matrix(kernel, Grid(np.array(live)))
-            values, _ = cholesky_sample(M, 4, n, stream=p * 3 + k)
+    plan = ProbePlan(u_pairs=((u1, u2),), shifts=(h,))
+    with pytest.raises(NonFiniteError) as err:
+        mc_increment_stationarity(spec, plan=plan, seed=1, n_samples=50)
+    assert str(err.value).endswith(f"{s}, {t}")
+    with pytest.raises(NonFiniteError) as want:
+        oracle.mc_estimates(spec, plan, 1, 50)
+    assert str(err.value) == str(want.value)
 
-            def inc(rect):
-                return sum(sg * values[:, live.index(pt)]
-                           for pt, sg in corner_expansion(rect))
 
-            est["var"].append(float(inc(r1) @ inc(r1)) / n)
-            est["cross"].append(float(inc(r1) @ inc(r2)) / n)
-        want += est["var"] + est["cross"]
-    assert [r["estimate"] for r in rows] == pytest.approx(want, rel=1e-12)
+def test_mc_corner_padding_is_never_named(monkeypatch):
+    # the corner table pads with (1, 1), which no corner of this plan is;
+    # a kernel that is NaN there draws as the spec's own kernel does
+    def nan_at_ones(base):
+        def batch(a, b):
+            hit = np.all(a == 1.0, axis=-1) | np.all(b == 1.0, axis=-1)
+            return np.where(hit, np.nan, base.batch(a, b))
+        return batch
+
+    spec = MildTheta(0.3, 0.7, 0.8)
+    want = oracle.mc_estimates(spec, _PLAN_COINCIDENT, 2, 50)
+    _replace_kernel(monkeypatch, nan_at_ones)
+    rows = mc_increment_stationarity(spec, plan=_PLAN_COINCIDENT, seed=2,
+                                     n_samples=50)
+    assert [r["estimate"] for r in rows] == want
+
+
+def test_mc_names_the_family_of_a_matrix_that_is_not_psd(monkeypatch):
+    _replace_kernel(monkeypatch, lambda base: lambda a, b: -base.batch(a, b))
+    with pytest.raises(PSDError, match="covariance of mildtheta has min"):
+        mc_increment_stationarity(MildTheta(0.3, 0.7, 0.8), plan=_PLAN_ON_AXES,
+                                  seed=1, n_samples=50)
 
 
 def test_mc_rows_do_not_depend_on_the_worker_count():
@@ -449,10 +540,7 @@ def test_mc_rows_do_not_depend_on_the_worker_count():
 def test_mc_leaves_corners_with_a_zero_coordinate_out_of_the_draw():
     # anchors on the axes put corners at zero, where the field is 0 a.s.
     spec = MildTheta(0.3, 0.7, 0.8)
-    plan = ProbePlan(u_pairs=(((0.6, 1.1), (1.4, 0.5)),
-                              ((1.0, 0.3), (0.4, 1.2))),
-                     shifts=((0.0, 0.0), (0.0, 0.8), (1.3, 0.0)))
-    rows = mc_increment_stationarity(spec, plan=plan, seed=10, n_samples=4000)
+    rows = mc_increment_stationarity(spec, plan=_PLAN_ON_AXES, seed=10, n_samples=4000)
     assert len(rows) == 12
     for r in rows:
         assert all(math.isfinite(r[c]) for c in ("estimate", "se",
