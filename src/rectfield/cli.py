@@ -8,11 +8,12 @@ prints one summary line per check.  Exit codes: 0 success, 1 failed check
 (reports still written), 2 configuration error.
 
 Each CSV table is a header row and one line per row, ended by CRLF.  A
-table's row line is one ``%``-template: labels and separators are fixed
-text in it, floats are formatted with ``%.17g`` (17 significant digits, so
-they read back exactly) and rows are tuples taken from arrays.  Booleans
-are ``true``/``false``, points are ``[a b]`` and the only quoted field is
-the check suites' JSON ``params``, quoted as ``csv.writer`` would.
+table's row line is one ``%``-template, and each cell is a field of it:
+labels and separators are fixed text, floats are ``%.17g`` (17 significant
+digits, so they read back exactly), a point is ``[a b]`` with one
+``%.17g`` per coordinate, and rows are tuples taken from arrays.  Booleans
+are the text ``true``/``false``, and the only quoted field is the check
+suites' JSON ``params``, quoted as ``csv.writer`` would.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import locale  # noqa: F401  (argparse's first parser loads it; load it here)
 import math
 import numbers
 import sys
@@ -60,22 +60,9 @@ class ConfigError(ValueError):
 
 
 def _point_field(n: int) -> str:
-    """The row-template field of an n-point: ``_fmt``'s ``[a b]`` with one
-    ``%.17g`` per coordinate, so the row tuple carries the coordinates."""
+    """The row-template field of an n-point, ``[a b]`` with one ``%.17g``
+    per coordinate: the row tuple carries the coordinates."""
     return "[" + " ".join(["%.17g"] * n) + "]"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (tuple, list, np.ndarray)):   # a point, row-major
-        v = np.ravel(x).tolist()
-        return _point_field(len(v)) % tuple(v)
-    return str(x)
 
 
 # --------------------------------------------------------------------------
@@ -115,6 +102,9 @@ def spec_from_dict(d) -> FieldSpec:
     if missing:
         raise ConfigError(f"spec: missing keys {sorted(missing)} for {family!r}")
     try:   # every key but H and weights is one number
+        H = tuple(float(h) for h in d.get("H", ()))
+        if len(H) > MAX_DIM:   # before the weights and the spec are built
+            raise ConfigError(f"spec.H: {len(H)} components exceed {MAX_DIM}")
         args = {k: float(d[k]) for k in sorted(keys - {"H", "weights"})}
         if "weights" in d:
             if not isinstance(d["weights"], dict):
@@ -122,7 +112,6 @@ def spec_from_dict(d) -> FieldSpec:
                                   "sign strings to weights")
             args["weights"] = StrictWeights(
                 {_signs_from_key(k): float(v) for k, v in d["weights"].items()})
-        H = tuple(float(h) for h in d.get("H", ()))
         if "H" in _SPEC_CLASSES[family].__dataclass_fields__:
             args["H"] = H
         elif "H" in d:
@@ -173,7 +162,10 @@ _MIN_N_SAMPLES = 100
 # allocated.  A grid of MAX_GRID_POINTS points has a 128 MiB covariance
 # matrix; simulate holds n_samples x grid points draws, at most
 # MAX_SAMPLE_VALUES (128 MiB).  The limit demo's t points share the grid's
-# ceiling: it keeps three matrices of their pairs.
+# ceiling: it keeps three matrices of their pairs.  A spec's work grows
+# like 4^N in its dimension N (classify's default plan at N = 7 peaks near
+# 80 MB), so H has at most MAX_DIM components.
+MAX_DIM = 7
 MAX_N_SAMPLES = 1_000_000
 MAX_GRID_POINTS = 4096
 MAX_SAMPLE_VALUES = 1 << 24
@@ -518,8 +510,8 @@ def _write_csv(path: Path, rows, columns, template: str):
 
     ``template`` is one whole row line, CRLF included: fixed text as is,
     ``%.17g`` per float cell (a point's coordinates too, in a
-    ``_point_field``), ``%d`` per integer and ``%s`` per cell that ``_fmt``
-    or ``_quoted`` has rendered.  ``rows`` is a sequence of tuples.
+    ``_point_field``), ``%d`` per integer and ``%s`` per text cell, quoted
+    by ``_quoted`` where needed.  ``rows`` is a sequence of tuples.
     """
     with _artifact(path) as fh:
         fh.write(",".join(columns) + "\r\n")
@@ -556,10 +548,10 @@ def _run_cov(cfg, out_dir):
     value = make_kernel(cfg.spec)(cfg.params["s"], cfg.params["t"])
     if not math.isfinite(value):   # main names s and t
         raise NonFiniteError(f"kernel returned non-finite value {value}")
+    point = _point_field(len(cfg.spec.hurst))
     _write_csv(out_dir / "cov.csv",
-               [(cfg.spec.family, _fmt(cfg.params["s"]), _fmt(cfg.params["t"]),
-                 value)],
-               ["family", "s", "t", "value"], "%s,%s,%s,%.17g\r\n")
+               [(cfg.spec.family, *cfg.params["s"], *cfg.params["t"], value)],
+               ["family", "s", "t", "value"], f"%s,{point},{point},%.17g\r\n")
     print(f"cov[{cfg.spec.family}] K(s,t) = {value:.17g}")
     return 0
 
@@ -567,8 +559,9 @@ def _run_cov(cfg, out_dir):
 def _run_density(cfg, out_dir):
     """Evaluate a spectral density."""
     values = spectral.g_product(cfg.spec.hurst, cfg.params["x"])
-    rows = list(zip(map(_fmt, cfg.params["x"]), values.tolist()))
-    _write_csv(out_dir / "density.csv", rows, ["x", "value"], "%s,%.17g\r\n")
+    rows = [(*x, v) for x, v in zip(cfg.params["x"], values.tolist())]
+    _write_csv(out_dir / "density.csv", rows, ["x", "value"],
+               _point_field(len(cfg.spec.hurst)) + ",%.17g\r\n")
     print(f"density[{cfg.spec.family}] wrote {len(rows)} values")
     return 0
 
@@ -582,7 +575,8 @@ def _run_check(cfg, out_dir):
     passed = [c.passed(tol) for c, tol in checks]
     _write_csv(out_dir / f"check_{suite}.csv",
                [(c.identity, _quoted(text), c.numeric.real, c.numeric.imag,
-                 c.closed.real, c.closed.imag, c.abs_error, tol, _fmt(ok))
+                 c.closed.real, c.closed.imag, c.abs_error, tol,
+                 "true" if ok else "false")
                 for (c, tol), text, ok in zip(checks, params, passed)],
                ["identity", "params", "numeric_re", "numeric_im", "closed_re",
                 "closed_im", "abs_err", "tol", "pass"],
@@ -672,14 +666,14 @@ def _run_limit_demo(cfg, out_dir):
     limit = demo.limit_cov[i, j]
     passed = np.abs(est - limit) <= 0.05 * np.abs(limit) + 4.0 * se
     ok = int(np.count_nonzero(passed))
-    labels = np.array([_fmt(t) for t in cfg.t_points])
+    t = cfg.t_points
+    cells = np.column_stack([t[i], t[j], est, se, demo.exact_cov[i, j], limit])
+    point = _point_field(t.shape[1])
     _write_csv(out_dir / "limit_demo.csv",
-               list(zip(labels[i].tolist(), labels[j].tolist(), est.tolist(),
-                        se.tolist(), demo.exact_cov[i, j].tolist(),
-                        limit.tolist(),
-                        np.where(passed, "true", "false").tolist())),
+               [(*row, flag) for row, flag in zip(
+                   cells.tolist(), np.where(passed, "true", "false").tolist())],
                ["t_i", "t_j", "estimate", "se", "exact_prelimit", "limit",
-                "pass"], "%s,%s,%.17g,%.17g,%.17g,%.17g,%s\r\n")
+                "pass"], f"{point},{point},%.17g,%.17g,%.17g,%.17g,%s\r\n")
     total = len(passed)
     print(f"limit-demo r=({cfg.params['r1']},{cfg.params['r2']}) "
           f"n_reps={demo.n_reps}: {ok}/{total} entries within 5% + 4 SE "
@@ -715,15 +709,14 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _build_parser(commands=_COMMANDS):
-    """The parser of ``commands``; its usage names all, as the full one's."""
+def _build_parser():
+    """The parser of every command, with the flags of its config keys."""
     parser = argparse.ArgumentParser(
         prog="rectfield",
         description="Self-similar Gaussian random fields: kernels, spectral "
                     "densities, oracle checks, and exact simulation.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        None if tuple(commands) == _COMMANDS else "{%s}" % ",".join(_COMMANDS)))
-    for command in commands:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
         keys = _COMMON_KEYS | _COMMAND_KEYS[command]
         if "spec" in keys:
             keys |= _SPEC_KEYS
@@ -735,10 +728,12 @@ def _build_parser(commands=_COMMANDS):
     return parser
 
 
+# built once, at import, so that no call of main pays for it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    named = [c for c in _COMMANDS if [c] == argv[:1]]   # build its flags only
-    args = _build_parser(named or _COMMANDS).parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:   # args.config is a Path
         text = "{}" if args.config is None else args.config.read_text()
     except OSError as exc:

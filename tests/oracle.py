@@ -14,8 +14,9 @@ The second half holds the same for ``rectfield.lamperti`` and
 ``rectfield.spectral``: |Gamma(z)| and the spectral constant c1, the
 stationary covariances, the inverse Lamperti transform and the spectral
 densities at one lag or frequency at a time, and the two sign-flip
-criteria as a loop over the flips.  The last part draws the Monte Carlo
-increment probes one probe at a time.
+criteria as a loop over the flips.  The last parts draw the Monte Carlo
+increment probes one probe at a time and write a point's CSV cell one
+coordinate at a time.
 """
 
 import itertools
@@ -379,3 +380,13 @@ def mc_estimates(spec, plan, seed: int, n_samples: int) -> list:
             est["cross"].append(cross)
         out += est["var"] + est["cross"]
     return out
+
+
+# --------------------------------------------------------------------------
+# CSV cells, one value at a time
+# --------------------------------------------------------------------------
+
+def point_cell(point) -> str:
+    """A point's CSV cell, ``[a b]``, each coordinate written on its own
+    with 17 significant digits (so it reads back as the same double)."""
+    return "[" + " ".join(f"{float(v):.17g}" for v in point) + "]"

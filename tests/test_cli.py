@@ -4,19 +4,22 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import re
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
 from rectfield import cli
 from rectfield.cli import (
     ConfigError,
     RunConfig,
-    _fmt,
     _write_samples,
     main,
     parse_config,
@@ -658,14 +661,15 @@ def test_limit_demo_scale_bounds_are_valid():
 
 
 def _samples_csv_per_row(path, values):
-    """The per-row writer samples.csv had: a dict per draw, ``_fmt`` per value."""
+    """The per-row writer samples.csv had: a dict per draw, each cell
+    formatted on its own."""
     rows = [{"rep": r, "point": p, "value": values[r, p]}
             for r in range(values.shape[0]) for p in range(values.shape[1])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rep", "point", "value"])
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in ("rep", "point", "value")])
+            writer.writerow([row["rep"], row["point"], f"{row['value']:.17g}"])
 
 
 def test_samples_csv_matches_the_per_row_writer(tmp_path):
@@ -691,16 +695,17 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path):
 
 
 def _reemitted(path):
-    """The bytes the pre-template writer (``csv.writer``, ``_fmt`` per cell)
-    gives for the table at ``path`` once its numeric cells are read back.
+    """The bytes the pre-template writer (``csv.writer``, each cell
+    formatted on its own) gives for the table at ``path`` once its numeric
+    cells are read back.
 
     A 17-significant-digit float reads back to the same double, so any drift
     in digits, quoting or line ends makes the two differ."""
     def cell(text):
         if text.startswith("[") and text.endswith("]"):
-            return [float(v) for v in text[1:-1].split()]
+            return oracle.point_cell(float(v) for v in text[1:-1].split())
         try:
-            return float(text)
+            return f"{float(text):.17g}"
         except ValueError:
             return text
 
@@ -710,7 +715,7 @@ def _reemitted(path):
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(cell(c)) for c in row])
+        writer.writerow([cell(c) for c in row])
     return buf.getvalue().encode()
 
 
@@ -852,7 +857,7 @@ _CONFIG_ONLY = {"command", "grid", "probes", "t_axes", "t_points", "weights"}
 
 
 def test_the_parser_offers_the_flags_of_the_validated_keys():
-    parser = cli._build_parser()
+    parser = cli._PARSER
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == list(cli._COMMANDS) == list(cli._HANDLERS)
@@ -881,84 +886,139 @@ def test_the_parser_offers_the_flags_of_the_validated_keys():
         "lemmas", "densities", "criteria", "ma"]
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+def _exit(parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)`` when it exits."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parser.parse_args(argv)
+            parse(argv)
             code = None
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return [code, out.getvalue(), err.getvalue()]
 
 
-def test_main_parses_with_the_named_subcommand_only(monkeypatch, capsys):
-    # a parser of one subcommand prints the same help and errors as the
-    # full parser, whose usage names every command
-    for command in cli._COMMANDS:
-        for argv in ([command, "--help"], [command, "--bogus"],
-                     [command, "--config"]):
-            assert (_parse(cli._build_parser([command]), argv)
-                    == _parse(cli._build_parser(), argv)), argv
-    real, built = cli._build_parser, []
-    monkeypatch.setattr(cli, "_build_parser", lambda commands=cli._COMMANDS: (
-        built.append(list(commands)) or real(commands)))
-    for argv in (["cov", "--bogus"], ["--help"], ["bogus"], []):
-        with pytest.raises(SystemExit):
-            main(argv)
-    capsys.readouterr()
-    assert built == [["cov"]] + [list(cli._COMMANDS)] * 3
+# main's help and argument errors at an 80-column terminal, as printed when
+# it built a parser per call
+_PARSER_BYTES = json.loads(
+    (Path(__file__).with_name("cli_parser_bytes.json")).read_text())
+_PARSER_LINES = ["--help", "--bogus", "bogus", ""] + [
+    f"{c} {flag}" for c in cli._COMMANDS
+    for flag in ("--help", "--bogus", "--config")]
 
 
-def _fmt_one_value_at_a_time(x):
-    """The point form ``_fmt`` had before its template: one value at a time."""
-    return "[" + " ".join(f"{float(v):.17g}" for v in np.atleast_1d(x)) + "]"
+def _not_built():
+    raise AssertionError("main built a parser")
 
 
-@pytest.mark.parametrize("point", [
-    [1, 2], [0.1, 2.5e-300, 1e300, -0.0], (3, 0.7),
-    (np.float64(0.1), np.int64(3)),
-    [2**60 + 1, 7], [], np.array(0.3), np.array([1.0, math.inf, math.nan]),
-    np.array([1, 2])],
-    ids=["int list", "float list", "tuple", "numpy scalars", "big int", "empty",
-         "0-d", "1-d", "1-d int"])
-def test_point_cells_keep_their_bytes(point):
-    assert _fmt(point) == _fmt_one_value_at_a_time(point)
+def test_main_runs_without_building_a_parser(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", _not_built)
+    assert main(["cov", "--spec", "fbs", "--H", "0.5", "0.5", "--s", "1", "1",
+                 "--t", "2", "2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cov.csv").exists()
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 1), (1, 3)])
-def test_a_2d_point_renders_row_major(shape):
-    # the value-at-a-time form converted each row to a float, which numpy
-    # refuses (or deprecates) for a row of any length
-    point = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / 3.0
-    assert _fmt(point) == _fmt_one_value_at_a_time(point.ravel())
+@pytest.mark.parametrize("line", _PARSER_LINES,
+                         ids=[line or "no-command" for line in _PARSER_LINES])
+def test_main_prints_the_help_and_errors_of_the_full_parser(monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", str(_PARSER_BYTES["columns"]))
+    want = _PARSER_BYTES["runs"][line]
+    # argparse words its help and errors differently across Python
+    # versions; the bytes were captured on the version named in the file,
+    # and elsewhere main prints what a newly built parser prints
+    if _PARSER_BYTES["python"] != "%d.%d" % sys.version_info[:2]:
+        want = _exit(cli._build_parser().parse_args, line.split())
+    monkeypatch.setattr(cli, "_build_parser", _not_built)
+    assert _exit(main, line.split()) == want
+
+
+def test_a_spec_has_at_most_max_dim_components(tmp_path, capsys, monkeypatch):
+    # the work of a spec grows like 4^N: classify's default plan took 10 s
+    # and 206 MB at N = 8, and cov of an fbs spec 18 s at N = 12
+    def spec(n, family="fbs"):
+        d = {"family": family, "H": [0.3, 0.7, 0.4, 0.6, 0.35, 0.65, 0.45,
+                                     0.55][:n]}
+        if family == "strict":   # equal weights on every sign vector
+            d["weights"] = {"".join(e): 0.5 ** n
+                            for e in itertools.product("+-", repeat=n)}
+        return d
+
+    n = cli.MAX_DIM
+    configs = [
+        lambda n: {"command": "cov", "spec": spec(n), "s": [1] * n,
+                   "t": [2] * n},
+        lambda n: {"command": "classify", "spec": spec(n)},
+        lambda n: {"command": "cov", "spec": spec(n, "strict"),
+                   "s": [1] * n, "t": [2] * n},
+    ]
+    for config in configs:   # MAX_DIM components pass validation
+        assert len(validate_config(config(n)).spec.hurst) == n
+
+    def not_built(*args, **kwargs):
+        raise AssertionError("built before the ceiling was checked")
+
+    for name in ("StrictWeights", "make_kernel", "ProbePlan"):
+        monkeypatch.setattr(cli, name, not_built)
+    monkeypatch.setattr(cli, "_SPEC_CLASSES",
+                        dict.fromkeys(cli._SPEC_CLASSES, not_built))
+    for config in configs:
+        start = time.perf_counter()
+        assert _main_with_config(tmp_path, json.dumps(config(n + 1)),
+                                 config(n + 1)["command"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"config error: spec.H: {n + 1} components exceed {n}\n")
 
 
 _ALL_DIGITS = 0.30000000000000004   # reads back only from 17 digits
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_probe_point_cells_are_fmt_of_the_point(tmp_path, n):
-    # classify_probes.csv and mc.csv format their points in the row
-    # template; each u1, u2 and h cell is _fmt of the plan's point
-    assert f"{_ALL_DIGITS:.16g}" != f"{_ALL_DIGITS:.17g}"
+def _point_run(command, n):
+    """The config keys, table, point columns and expected points of a
+    ``command`` run whose points have a coordinate that needs 17 digits."""
+    a, b = (_ALL_DIGITS,) + (1.5,) * (n - 1), (2 / 3,) + (_ALL_DIGITS,) * (n - 1)
+    spec = {"family": "fbs", "H": [0.3, 0.7, 0.6][:n]}
+    if command == "cov":
+        return {"spec": spec, "s": a, "t": b}, "cov.csv", ("s", "t"), [(a, b)]
+    if command == "density":
+        return {"spec": spec, "x": [a, b]}, "density.csv", ("x",), [(a,), (b,)]
+    if command == "limit-demo":   # 2-D
+        t = [[_ALL_DIGITS, 1.0], [2 / 3, _ALL_DIGITS], [1.5, 0.5]]
+        return ({"r1": 8, "r2": 8, "t_points": t, "n_reps": 10},
+                "limit_demo.csv", ("t_i", "t_j"),
+                [(t[i], t[j]) for i in range(3) for j in range(i, 3)])
+    plan = _point_plan(n)   # classify and mc: var rows, then cross rows
+    var_cross = [(u1, v) for u1, u2 in plan.u_pairs for v in (u1, u2)]
+    if command == "classify":
+        return ({"spec": spec}, "classify_probes.csv", ("u1", "u2", "h"),
+                [(u1, v, h) for u1, v in var_cross for h in plan.shifts])
+    return ({"spec": spec, "n_samples": 100}, "mc.csv", ("h",),
+            [(h,) for _ in var_cross for h in plan.shifts])
+
+
+def _point_plan(n):
     u = (((_ALL_DIGITS,) + (1.5,) * (n - 1), (2 / 3,) * n),
          ((1,) * n, (0.7,) + (_ALL_DIGITS,) * (n - 1)))
-    plan = ProbePlan(u_pairs=u, shifts=((_ALL_DIGITS,) + (0.1,) * (n - 1),
+    return ProbePlan(u_pairs=u, shifts=((_ALL_DIGITS,) + (0.1,) * (n - 1),
                                         (np.float64(1 / 7),) * n))
-    spec = {"family": "fbs", "H": [0.3, 0.7, 0.6][:n]}
-    var_cross = [(p, u1, b) for p, (u1, u2) in enumerate(u) for b in (u1, u2)]
-    for command, extra, name, cells, want in (
-            ("classify", {}, "classify_probes.csv", ("u1", "u2", "h"),
-             [(a, b, h) for _, a, b in var_cross for h in plan.shifts]),
-            ("mc", {"n_samples": 100}, "mc.csv", ("probe", "h"),
-             [(p, h) for p, _, _ in var_cross for h in plan.shifts])):
-        cfg = validate_config({"command": command, "spec": spec, **extra,
-                               "out": str(tmp_path)})
-        cfg.plan = plan
-        run(cfg)
-        with open(tmp_path / name, newline="") as fh:
-            got = [tuple(r[c] for c in cells) for r in csv.DictReader(fh)]
-        assert got == [tuple(map(_fmt, w)) for w in want], command
-        assert repr(_ALL_DIGITS) in (tmp_path / name).read_text(), command
+
+
+_POINT_RUNS = [(c, n) for c in ("cov", "density", "classify", "mc")
+               for n in (1, 2, 3)] + [("limit-demo", 2)]
+
+
+@pytest.mark.parametrize("command, n", _POINT_RUNS,
+                         ids=[f"{c}-{n}d" for c, n in _POINT_RUNS])
+def test_point_cells_are_their_coordinates_at_17_digits(tmp_path, command, n):
+    # every table writes its points in its row template; each point cell is
+    # the point written one coordinate at a time
+    assert f"{_ALL_DIGITS:.16g}" != f"{_ALL_DIGITS:.17g}"
+    extra, name, cells, want = _point_run(command, n)
+    cfg = validate_config({"command": command, **extra, "out": str(tmp_path)})
+    if cfg.plan is not None:
+        cfg.plan = _point_plan(n)
+    run(cfg)
+    with open(tmp_path / name, newline="") as fh:
+        got = [tuple(r[c] for c in cells) for r in csv.DictReader(fh)]
+    assert got == [tuple(map(oracle.point_cell, w)) for w in want]
+    assert repr(_ALL_DIGITS) in (tmp_path / name).read_text()

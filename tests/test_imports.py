@@ -114,9 +114,9 @@ print(json.dumps({"rc": rc, "scipy": scipy, "quadpack": quadpack,
 @pytest.mark.parametrize("label", list(_CONFIGS))
 def test_validated_config_runs_without_importing(tmp_path, label):
     # numpy.random (the first draw), numpy.ma (np.unique), locale (the
-    # first argparse parser) and SciPy's compiled modules (check, density)
-    # load before the run, QUADPACK only for the suites that integrate;
-    # neither SciPy subpackage loads at all
+    # argparse parser, built when rectfield.cli is imported) and SciPy's
+    # compiled modules (check, density) load before the run, QUADPACK only
+    # for the suites that integrate; neither SciPy subpackage loads at all
     command = _CONFIGS[label]["command"]
     path = _write_config(tmp_path, label, tmp_path / "out")
     got = _python(_RUN_PHASE, str(path), command)
