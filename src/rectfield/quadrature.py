@@ -17,17 +17,18 @@ A power tail int_1^inf y^{-p} cos|sin(omega y) dy depends only on
 memoized; a repeated tail charges the caller's budget the evaluations of
 its first computation, so a budget error never depends on call order.
 
-On top of them sit the identity checks: each ``check_*`` function evaluates
-one of the closed-form integrals
+On top of them sit the identity checks: ``check_increment_integral`` and
+``check_ma_transform`` each evaluate one of the closed-form integrals
 
-    int_0^inf (e^{ity}-1)(e^{-isy}-1) / y^{2H+1} dy          (power case)
-    int_0^inf (e^{ity}-1)(e^{-isy}-1) / y^2 dy               (H = 1/2 case)
+    int_0^inf (e^{ity}-1)(e^{-isy}-1) / y^{2H+1} dy
     int_0^inf (e^{i(t-x)e y} - e^{-i x e y}) / (i e y^{H+1/2}) dy
-    int_0^inf (e^{i(t-x)e y} - e^{-i x e y}) / (i e y) dy
 
-by independent quadrature *and* by its closed form, returning both so that
+for H in (0, 1), H = 1/2 (the square and 1/y weights) included, by
+independent quadrature *and* by its closed form, returning both so that
 callers can confirm agreement without trusting either route; the
-covariance and moving-average formulas of the package rest on them.
+covariance and moving-average formulas of the package rest on them.  The
+checks integrate to ``ORACLE_TOL``, and every integral stops with
+``QuadratureError`` past ``BUDGET`` integrand evaluations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import _QUADPACK, _scipy_extension, pow_plus
+from .gammafn import _QUADPACK, _scipy_extension, pow_plus, validate_hurst
 
 __all__ = [
     "QuadratureError",
@@ -47,14 +48,12 @@ __all__ = [
     "integrate_1d",
     "oscillatory_power_integral",
     "check_increment_integral",
-    "check_increment_integral_half",
     "check_ma_transform",
-    "check_ma_transform_half",
     "identity_sweep",
 ]
 
-DEFAULT_BUDGET = 100_000
-
+BUDGET = 100_000      # integrand evaluations per integral, read at each call
+ORACLE_TOL = 1e-9     # absolute tolerance of the identity checks' quadrature
 
 EPSREL = 1e-10    # QUADPACK's relative tolerance (QAWF has none)
 LIMIT = 300       # subintervals per call, per cycle on a Fourier tail
@@ -119,10 +118,13 @@ class QuadResult:
 
 
 class _Budget:
-    """Shared evaluation counter; overruns are hard errors, never best-effort."""
+    """Shared evaluation counter; overruns are hard errors, never best-effort.
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    The limit is ``BUDGET`` as it reads when the counter is made.
+    """
+
+    def __init__(self, limit=None):
+        self.limit = BUDGET if limit is None else limit
         self.used = 0
 
     def charge(self, n: int):
@@ -144,20 +146,19 @@ def _quad_panel(f, a, b, budget, epsabs, weight=None, wvar=None):
     return val, err
 
 
-def integrate_1d(f, a, b, tol=1e-10, singular_points=(),
-                 budget=DEFAULT_BUDGET):
+def integrate_1d(f, a, b, tol=1e-10, singular_points=()):
     """Adaptive integral of ``f`` over [a, b]; either end may be infinite.
 
     ``singular_points`` lists abscissae (endpoints or interior) where the
     integrand is singular; panels are split there so QUADPACK's
     extrapolation sees each singularity at a panel edge.
 
-    Returns a :class:`QuadResult`; raises :class:`QuadratureError` on
-    budget exhaustion or non-convergence.
+    Returns a :class:`QuadResult`; raises :class:`QuadratureError` past
+    ``BUDGET`` evaluations or on non-convergence.
     """
     if not a < b:
         raise ValueError(f"empty integration range [{a}, {b}]")
-    bud = _Budget(budget)
+    bud = _Budget()
     cuts = sorted(p for p in set(float(x) for x in singular_points) if a < p < b)
     edges = [a] + cuts + [b]
     total, err_total = 0.0, 0.0
@@ -223,7 +224,7 @@ def _series_guarded(terms, fn_even, order):
 
 
 def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
-                               tol=1e-10, budget=DEFAULT_BUDGET):
+                               tol=1e-10):
     """int_0^inf [sum_k c_k cos(a_k y) + const + i sum_k d_k sin(b_k y)] / y^p dy.
 
     The origin panel [0, 1] absorbs the power weight with QAWS after
@@ -243,7 +244,7 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
     for name, value in named.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
-    bud = _Budget(budget)
+    bud = _Budget()
     scale = sum(abs(c) for c, _ in cos_terms) + abs(const) + 1.0
 
     # constants: zero-frequency cosines behave exactly like `const`
@@ -333,21 +334,29 @@ def _sgn(x: float) -> float:
     return math.copysign(1.0, x) if x != 0.0 else 0.0
 
 
-def check_increment_integral(H, s, t, tol=1e-9) -> OracleCheck:
-    """int_0^inf (e^{ity}-1)(e^{-isy}-1)/y^{2H+1} dy vs its closed form, H != 1/2.
+def _xlogx(x: float) -> float:
+    return x * math.log(abs(x)) if x != 0.0 else 0.0
+
+
+def check_increment_integral(H, s, t) -> OracleCheck:
+    """int_0^inf (e^{ity}-1)(e^{-isy}-1)/y^{2H+1} dy vs its closed form.
 
     Closed form: pi / (Gamma(1+2H) sin(2 pi H)) times
     e^{-i pi H sgn t}|t|^{2H} + e^{+i pi H sgn s}|s|^{2H}
-    - e^{-i pi H sgn(t-s)}|t-s|^{2H}.
+    - e^{-i pi H sgn(t-s)}|t-s|^{2H}, and at H = 1/2 its limit
+    pi/2 (|t| + |s| - |t-s|) + i (t log|t| - s log|s| - (t-s) log|t-s|).
     """
-    H, s, t = float(H), float(s), float(t)
-    if not (0.0 < H < 1.0) or H == 0.5:
-        raise ValueError(f"H must lie in (0,1) \\ {{1/2}}, got {H}")
+    (H,), s, t = validate_hurst((H,)), float(s), float(t)
     res = oscillatory_power_integral(
         2 * H + 1,
         cos_terms=[(1.0, t - s), (-1.0, t), (-1.0, s)],
         sin_terms=[(1.0, t - s), (1.0, s), (-1.0, t)],
-        const=1.0, tol=tol)
+        const=1.0, tol=ORACLE_TOL)
+    if H == 0.5:
+        closed = complex(math.pi / 2 * (abs(t) + abs(s) - abs(t - s)),
+                         _xlogx(t) - _xlogx(s) - _xlogx(t - s))
+        return OracleCheck("increment_half", {"s": s, "t": t},
+                           res.value, closed, res.abs_error_estimate)
     pref = math.pi / (math.gamma(1 + 2 * H) * math.sin(2 * math.pi * H))
 
     def term(x):
@@ -358,46 +367,38 @@ def check_increment_integral(H, s, t, tol=1e-9) -> OracleCheck:
                        res.value, complex(closed), res.abs_error_estimate)
 
 
-def check_increment_integral_half(s, t, tol=1e-9) -> OracleCheck:
-    """The same cross integral at the square-weight specialization (H = 1/2)."""
-    s, t = float(s), float(t)
-    res = oscillatory_power_integral(
-        2.0,
-        cos_terms=[(1.0, t - s), (-1.0, t), (-1.0, s)],
-        sin_terms=[(1.0, t - s), (1.0, s), (-1.0, t)],
-        const=1.0, tol=tol)
-
-    def xlogx(x):
-        return x * math.log(abs(x)) if x != 0.0 else 0.0
-
-    closed = complex(math.pi / 2 * (abs(t) + abs(s) - abs(t - s)),
-                     xlogx(t) - xlogx(s) - xlogx(t - s))
-    return OracleCheck("increment_half", {"s": s, "t": t},
-                       res.value, closed, res.abs_error_estimate)
-
-
-def check_ma_transform(H, eps, t, x, tol=1e-9) -> OracleCheck:
+def check_ma_transform(H, eps, t, x) -> OracleCheck:
     """Half-line Fourier transform of the fractional moving-average kernel.
 
     int_0^inf (e^{i(t-x) eps y} - e^{-i x eps y})/(i eps y^{H+1/2}) dy
     against Gamma(1/2-H) [ p e^{-i eps beta} - f e^{+i eps beta} ] with
     beta = pi (H + 1/2)/2 and p, f the one-sided power parts at (t, x).
+    At H = 1/2 it is pi/2 (sgn(t-x) + sgn x) + i eps log(|t-x|/|x|), with
+    x off its logarithmic singularities {0, t}; the real part is
+    pi 1_[0,t](x) for t > 0 and -pi 1_[t,0](x) for t < 0, the imaginary
+    part's sign follows the
+    Frullani integral int_0^inf (cos(a y) - cos(b y))/y dy = log(b/a),
+    confirmed here by the quadrature route.
     """
-    H, t, x = float(H), float(t), float(x)
-    eps = int(eps)
     if eps not in (-1, 1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    if not (0.0 < H < 1.0) or H == 0.5:
-        raise ValueError(f"H must lie in (0,1) \\ {{1/2}}, got {H}")
+    (H,), eps, t, x = validate_hurst((H,)), int(eps), float(t), float(x)
+    if H == 0.5 and (x == 0.0 or x == t):
+        raise ValueError("x must avoid the logarithmic singularities {0, t}")
     a1, a2 = t - x, x
     res = oscillatory_power_integral(
         H + 0.5,
         cos_terms=[(-eps, a1), (eps, a2)],
         sin_terms=[(1.0, a1), (1.0, a2)],
-        tol=tol)
+        tol=ORACLE_TOL)
     # the i*eps division swaps roles: the sin bracket is the real part of the
     # target and the cos bracket its imaginary part
     numeric = complex(res.value.imag, res.value.real)
+    if H == 0.5:
+        closed = complex(math.pi / 2 * (_sgn(t - x) + _sgn(x)),
+                         eps * (math.log(abs(t - x)) - math.log(abs(x))))
+        return OracleCheck("ma_transform_half", {"eps": eps, "t": t, "x": x},
+                           numeric, closed, res.abs_error_estimate)
     g = math.gamma(0.5 - H)
     beta = math.pi / 2 * (H + 0.5)
     p_part = pow_plus(t - x, H - 0.5) - pow_plus(-x, H - 0.5)
@@ -405,32 +406,6 @@ def check_ma_transform(H, eps, t, x, tol=1e-9) -> OracleCheck:
     closed = g * (p_part * np.exp(-1j * eps * beta) - f_part * np.exp(1j * eps * beta))
     return OracleCheck("ma_transform", {"H": H, "eps": eps, "t": t, "x": x},
                        numeric, complex(closed), res.abs_error_estimate)
-
-
-def check_ma_transform_half(eps, t, x, tol=1e-9) -> OracleCheck:
-    """The H = 1/2 transform: pi 1_[0,t](x) + i eps log(|t-x|/|x|).
-
-    The imaginary part's sign follows the Frullani integral
-    int_0^inf (cos(a y) - cos(b y))/y dy = log(b/a), confirmed here by the
-    quadrature route.
-    """
-    t, x = float(t), float(x)
-    eps = int(eps)
-    if eps not in (-1, 1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
-    if x == 0.0 or x == t:
-        raise ValueError("x must avoid the logarithmic singularities {0, t}")
-    a1, a2 = t - x, x
-    res = oscillatory_power_integral(
-        1.0,
-        cos_terms=[(-eps, a1), (eps, a2)],
-        sin_terms=[(1.0, a1), (1.0, a2)],
-        tol=tol)
-    numeric = complex(res.value.imag, res.value.real)
-    closed = complex(math.pi if 0.0 < x < t else 0.0,
-                     eps * (math.log(abs(t - x)) - math.log(abs(x))))
-    return OracleCheck("ma_transform_half", {"eps": eps, "t": t, "x": x},
-                       numeric, closed, res.abs_error_estimate)
 
 
 # --------------------------------------------------------------------------
@@ -442,20 +417,12 @@ SWEEP_ST = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (0.5, 3.0))
 
 
 def identity_sweep() -> list[OracleCheck]:
-    """Full oracle sweep: every identity over the documented parameter grid."""
-    checks = []
-    for H in SWEEP_H:
-        for s, t in SWEEP_ST:
-            checks.append(check_increment_integral(H, s, t))
-    for s, t in SWEEP_ST:
-        checks.append(check_increment_integral_half(s, t))
-    for H in SWEEP_H:
-        t = 1.0
-        for x in (-1.0, t / 2, t + 1.0):  # one per support bracket
-            for eps in (1, -1):
-                checks.append(check_ma_transform(H, eps, t, x))
+    """Full oracle sweep: each identity over the documented parameter grid,
+    at every H of ``SWEEP_H`` and then at H = 1/2."""
+    checks = [check_increment_integral(H, s, t)
+              for H in SWEEP_H + (0.5,) for s, t in SWEEP_ST]
     t = 1.0
-    for x in (-1.0, t / 2, t + 1.0):
-        for eps in (1, -1):
-            checks.append(check_ma_transform_half(eps, t, x))
-    return checks
+    return checks + [check_ma_transform(H, eps, t, x)
+                     for H in SWEEP_H + (0.5,)
+                     for x in (-1.0, t / 2, t + 1.0)  # one per support bracket
+                     for eps in (1, -1)]

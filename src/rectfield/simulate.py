@@ -308,6 +308,8 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     reference and the analytic value at h.  Rows feed the CSV report; the
     ``z_reference`` column is the detector for stationarity violations.
     """
+    if n_samples < 1:   # no draws would give 0/0 estimates
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     kernel = make_kernel(spec)
     if plan is None:
         plan = ProbePlan.default(len(spec.hurst), **MC_PLAN)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .gammafn import _LOGGAMMA, _scipy_extension, _sin_pi, validate_hurst
 from .kernels import _one_point, _points, _sign_vectors
-from .quadrature import DEFAULT_BUDGET, _Budget, _quad_panel
+from .quadrature import _Budget, _quad_panel
 
 __all__ = [
     "SpectralDensity",
@@ -215,20 +215,20 @@ def _transform_1d(g, v, budget, tol):
     return re, math.copysign(1.0, v) * im, e1 + e2
 
 
-def cov_from_density(f: SpectralDensity, v, tol: float = 1e-6,
-                     budget: int = DEFAULT_BUDGET) -> TransformResult:
+def cov_from_density(f: SpectralDensity, v,
+                     tol: float = 1e-6) -> TransformResult:
     """Fourier transform int e^{i<x,v>} f(x) dx of a spectral density at lag v.
 
     sum_k c_k prod_j of the one-dimensional transforms T_kj of f_kj at v_j,
-    on one evaluation budget.  With e_kj the error estimate of T_kj, the
-    error estimate is sum_k |c_k| sum_j e_kj prod_{i != j} (|T_ki| + e_ki),
-    a bound on the error of each product that has no cancellation; for one
-    factor it is e.  The imaginary part of the transform is returned as a
-    residual: it vanishes (up to quadrature error) for densities even under
-    x -> -x.
+    on one budget of ``quadrature.BUDGET`` evaluations.  With e_kj the
+    error estimate of T_kj, the error estimate is sum_k |c_k| sum_j e_kj
+    prod_{i != j} (|T_ki| + e_ki), a bound on the error of each product
+    that has no cancellation; for one factor it is e.  The imaginary part
+    of the transform is returned as a residual: it vanishes (up to
+    quadrature error) for densities even under x -> -x.
     """
     v = _one_point(_points(v, f.n))
-    bud = _Budget(budget)
+    bud = _Budget()
     total, err = 0j, 0.0
     for c, factors in f.terms:
         term, errs, bounds = complex(1.0), [], []

@@ -14,7 +14,8 @@ The second half holds the same for ``rectfield.lamperti`` and
 ``rectfield.spectral``: |Gamma(z)| and the spectral constant c1, the
 stationary covariances, the inverse Lamperti transform and the spectral
 densities at one lag or frequency at a time, and the two sign-flip
-criteria as a loop over the flips.  The last parts draw the Monte Carlo
+criteria as a loop over the flips.  The last parts give the H = 1/2
+closed forms of the two quadrature identities, draw the Monte Carlo
 increment probes one probe at a time and write a point's CSV cell one
 coordinate at a time.
 """
@@ -380,6 +381,27 @@ def mc_estimates(spec, plan, seed: int, n_samples: int) -> list:
             est["cross"].append(cross)
         out += est["var"] + est["cross"]
     return out
+
+
+# --------------------------------------------------------------------------
+# The quadrature identities at H = 1/2
+# --------------------------------------------------------------------------
+
+def increment_half_closed(s: float, t: float) -> complex:
+    """int_0^inf (e^{ity}-1)(e^{-isy}-1)/y^2 dy in closed form."""
+    def xlogx(x):
+        return x * math.log(abs(x)) if x != 0.0 else 0.0
+
+    return complex(math.pi / 2 * (abs(t) + abs(s) - abs(t - s)),
+                   xlogx(t) - xlogx(s) - xlogx(t - s))
+
+
+def ma_transform_half_closed(eps: int, t: float, x: float) -> complex:
+    """int_0^inf (e^{i(t-x) eps y} - e^{-i x eps y})/(i eps y) dy in closed
+    form, for x off {0, t}: pi times the H = 1/2 kernel
+    1{x < t} - 1{x < 0}, plus i eps log(|t-x|/|x|)."""
+    return complex(math.pi * ((x < t) - (x < 0.0)),
+                   eps * (math.log(abs(t - x)) - math.log(abs(x))))
 
 
 # --------------------------------------------------------------------------

@@ -12,15 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 import rectfield
 from rectfield import quadrature
 from rectfield.quadrature import (
     OracleCheck,
     QuadratureError,
     check_increment_integral,
-    check_increment_integral_half,
     check_ma_transform,
-    check_ma_transform_half,
     identity_sweep,
     integrate_1d,
     oscillatory_power_integral,
@@ -32,10 +31,11 @@ def test_integrate_polynomial():
     assert res.value == pytest.approx(0.5, abs=1e-13)
 
 
-def test_integrate_budget_exhaustion():
+def test_integrate_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "BUDGET", 40)
     with pytest.raises(QuadratureError, match="budget"):
         integrate_1d(lambda x: math.sin(50.0 / (x + 1e-3)), 0.0, 1.0,
-                     tol=1e-13, budget=40)
+                     tol=1e-13)
 
 
 def test_integrate_bad_range():
@@ -102,13 +102,13 @@ def test_increment_integral_unit_point():
 
 
 def test_increment_integral_half_unit_point():
-    chk = check_increment_integral_half(1.0, 1.0)
+    chk = check_increment_integral(0.5, 1.0, 1.0)
     assert chk.closed == pytest.approx(complex(math.pi, 0.0), abs=1e-13)
     assert chk.abs_error <= 1e-8
 
 
 def test_increment_integral_half_log_part():
-    chk = check_increment_integral_half(1.0, 2.0)
+    chk = check_increment_integral(0.5, 1.0, 2.0)
     assert chk.closed.real == pytest.approx(math.pi, abs=1e-13)
     assert chk.closed.imag == pytest.approx(2 * math.log(2.0), abs=1e-13)
     assert chk.abs_error <= 1e-8
@@ -126,13 +126,16 @@ def test_increment_integral_negative_arguments():
         for s, t in ((-1.0, 2.0), (1.5, -0.5)):
             chk = check_increment_integral(H, s, t)
             assert chk.abs_error <= 1e-8, (H, s, t)
-    chk = check_increment_integral_half(-1.0, 2.0)
+    chk = check_increment_integral(0.5, -1.0, 2.0)
     assert chk.abs_error <= 1e-8
 
 
-def test_increment_integral_rejects_half():
-    with pytest.raises(ValueError):
-        check_increment_integral(0.5, 1.0, 1.0)
+@pytest.mark.parametrize("H", [0.0, 1.0, -0.2, 1.5, math.nan])
+def test_oracles_reject_h_outside_the_unit_interval(H):
+    with pytest.raises(ValueError, match="Hurst index must lie in"):
+        check_increment_integral(H, 1.0, 1.0)
+    with pytest.raises(ValueError, match="Hurst index must lie in"):
+        check_ma_transform(H, 1, 1.0, 0.5)
 
 
 def test_ma_transform_brackets():
@@ -153,25 +156,41 @@ def test_ma_transform_eps_conjugation():
 
 def test_ma_transform_half_midpoint():
     # |t - x| = |x| kills the log part
-    chk = check_ma_transform_half(1, 1.0, 0.5)
+    chk = check_ma_transform(0.5, 1, 1.0, 0.5)
     assert chk.closed == pytest.approx(complex(math.pi, 0.0), abs=1e-13)
     assert chk.abs_error <= 1e-8
 
 
 def test_ma_transform_half_outside():
     # x < 0: purely imaginary; quadrature fixes the sign of the log part
-    chk = check_ma_transform_half(1, 1.0, -1.0)
+    chk = check_ma_transform(0.5, 1, 1.0, -1.0)
     assert chk.closed == pytest.approx(complex(0.0, math.log(2.0)), abs=1e-13)
     assert chk.abs_error <= 1e-8
-    flipped = check_ma_transform_half(-1, 1.0, -1.0)
+    flipped = check_ma_transform(0.5, -1, 1.0, -1.0)
     assert flipped.numeric == pytest.approx(np.conj(chk.numeric), abs=1e-8)
+
+
+@pytest.mark.parametrize("H, eps", [(0.3, 1.7), (0.5, -1.2), (0.3, 0),
+                                    (0.7, 2), (0.5, 0.5), (0.3, math.nan)])
+def test_ma_transform_rejects_eps_off_plus_or_minus_one(H, eps):
+    # int(eps) used to run before the check: 1.7 ran as 1, -1.2 as -1
+    with pytest.raises(ValueError, match="eps must be"):
+        check_ma_transform(H, eps, 1.0, 0.5)
+
+
+def test_ma_transform_takes_a_float_eps_as_its_int():
+    for H in (0.3, 0.5):
+        for eps in (1, -1):
+            chk = check_ma_transform(H, float(eps), 1.0, 0.5)
+            assert chk == check_ma_transform(H, eps, 1.0, 0.5)
+            assert type(chk.params["eps"]) is int
 
 
 def test_ma_transform_half_rejects_singular_points():
     with pytest.raises(ValueError):
-        check_ma_transform_half(1, 1.0, 0.0)
+        check_ma_transform(0.5, 1, 1.0, 0.0)
     with pytest.raises(ValueError):
-        check_ma_transform_half(1, 1.0, 1.0)
+        check_ma_transform(0.5, 1, 1.0, 1.0)
 
 
 def test_identity_sweep_size_and_accuracy():
@@ -185,11 +204,58 @@ def test_identity_sweep_size_and_accuracy():
     assert all(isinstance(chk, OracleCheck) for chk in checks)
 
 
+@pytest.mark.parametrize("s, t", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0),
+                                  (0.5, 3.0), (-1.0, 2.0), (1.5, -0.5),
+                                  (-2.0, -0.5)])
+def test_increment_integral_at_half_is_the_square_weight_identity(s, t):
+    res = oscillatory_power_integral(
+        2.0, cos_terms=[(1.0, t - s), (-1.0, t), (-1.0, s)],
+        sin_terms=[(1.0, t - s), (1.0, s), (-1.0, t)], const=1.0, tol=1e-9)
+    want = OracleCheck("increment_half", {"s": s, "t": t}, res.value,
+                       oracle.increment_half_closed(s, t),
+                       res.abs_error_estimate)
+    assert check_increment_integral(0.5, s, t) == want
+    assert want.abs_error <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("t, x", [(1.0, -1.0), (1.0, 0.5), (1.0, 2.0),
+                                  (-1.0, -2.0), (-1.0, -0.5), (-1.0, 0.5),
+                                  (2.0, 0.7)])
+def test_ma_transform_at_half_is_the_one_over_y_identity(t, x, eps):
+    # at t < x < 0 the real part is -pi, where pi 1{0 < x < t} reads 0
+    res = oscillatory_power_integral(
+        1.0, cos_terms=[(-eps, t - x), (eps, x)],
+        sin_terms=[(1.0, t - x), (1.0, x)], tol=1e-9)
+    want = OracleCheck("ma_transform_half", {"eps": eps, "t": t, "x": x},
+                       complex(res.value.imag, res.value.real),
+                       oracle.ma_transform_half_closed(eps, t, x),
+                       res.abs_error_estimate)
+    assert check_ma_transform(0.5, eps, t, x) == want
+    assert want.abs_error <= 1e-8
+
+
+def test_identity_sweep_order_names_and_params():
+    hs, sts = (0.1, 0.3, 0.7, 0.9), ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0),
+                                     (0.5, 3.0))
+    xs = (-1.0, 0.5, 2.0)
+    want = [("increment_power", {"H": H, "s": s, "t": t})
+            for H in hs for s, t in sts]
+    want += [("increment_half", {"s": s, "t": t}) for s, t in sts]
+    want += [("ma_transform", {"H": H, "eps": eps, "t": 1.0, "x": x})
+             for H in hs for x in xs for eps in (1, -1)]
+    want += [("ma_transform_half", {"eps": eps, "t": 1.0, "x": x})
+             for x in xs for eps in (1, -1)]
+    got = [(chk.identity, chk.params) for chk in identity_sweep()]
+    assert len(got) == 50
+    assert repr(got) == repr(want)   # eps an int, the rest floats
+
+
 @pytest.mark.parametrize("call, term", [
     (lambda: check_increment_integral(0.3, 1.0, math.inf), "cos_terms[0]"),
-    (lambda: check_increment_integral_half(1.0, math.inf), "cos_terms[0]"),
+    (lambda: check_increment_integral(0.5, 1.0, math.inf), "cos_terms[0]"),
     (lambda: check_ma_transform(0.3, 1, math.inf, 0.5), "cos_terms[0]"),
-    (lambda: check_ma_transform_half(1, 1.0, math.inf), "cos_terms[0]"),
+    (lambda: check_ma_transform(0.5, 1, 1.0, math.inf), "cos_terms[0]"),
     (lambda: oscillatory_power_integral(0.5, cos_terms=[(1.0, math.inf)]),
      "cos_terms[0]"),
     (lambda: oscillatory_power_integral(0.5, cos_terms=[(math.inf, 1.0)]),
@@ -261,11 +327,12 @@ def test_a_cached_tail_charges_the_budget_as_if_integrated(monkeypatch):
     warm = oscillatory_power_integral(**call)
     assert len(neval) == 4 and warm == cold
     messages = []
+    monkeypatch.setattr(quadrature, "BUDGET", cold.panels_used - 1)
     for _ in range(2):
         quadrature._power_tail.cache_clear()
         for _ in range(2):   # the first call computes the tails, the next hits
             with pytest.raises(QuadratureError, match="budget") as err:
-                oscillatory_power_integral(**call, budget=cold.panels_used - 1)
+                oscillatory_power_integral(**call)
             messages.append(str(err.value))
     assert len(set(messages)) == 1
 

@@ -521,6 +521,19 @@ def test_mc_corner_padding_is_never_named(monkeypatch):
     assert [r["estimate"] for r in rows] == want
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_mc_rejects_fewer_than_one_sample_before_any_work(monkeypatch, n):
+    # n_samples = 0 returned rows of NaN, with a RuntimeWarning from 0/0
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached a kernel or a draw")
+
+    monkeypatch.setattr(simulate, "make_kernel", no_work)
+    monkeypatch.setattr(simulate, "cholesky_sample", no_work)
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, "
+                                         f"got {n}"):
+        mc_increment_stationarity(FBS((0.3, 0.7)), n_samples=n)
+
+
 def test_mc_names_the_family_of_a_matrix_that_is_not_psd(monkeypatch):
     _replace_kernel(monkeypatch, lambda base: lambda a, b: -base.batch(a, b))
     with pytest.raises(PSDError, match="covariance of mildtheta has min"):

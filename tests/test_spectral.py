@@ -13,7 +13,7 @@ import pytest
 
 import oracle
 import rectfield
-from rectfield import spectral
+from rectfield import quadrature, spectral
 from rectfield.lamperti import c_fbs_stationary
 from rectfield.spectral import (
     SpectralDensity,
@@ -172,6 +172,17 @@ def test_transform_dimension_checks():
         cov_from_density(fbm_density(0.3), (1.0, 2.0))
     with pytest.raises(ValueError):
         cov_from_density(product_density((0.3, 0.5, 0.7)), (1.0, 2.0))
+
+
+def test_transform_stops_at_the_quadrature_budget(monkeypatch):
+    # quadrature.BUDGET is read at each call, by the transform too
+    dens, v = product_density((0.3, 0.7)), (0.7, -1.3)
+    used = cov_from_density(dens, v)
+    monkeypatch.setattr(quadrature, "BUDGET", 10)
+    with pytest.raises(quadrature.QuadratureError, match="budget"):
+        cov_from_density(dens, v)
+    monkeypatch.undo()
+    assert cov_from_density(dens, v) == used
 
 
 def test_density_criterion_even_density_vanishes():
