@@ -12,9 +12,11 @@ Also here: sin(pi H) to rounding; the normalization constant, from
     c2(H) = sqrt(Gamma(1+2H) sin(pi H)) / Gamma(H + 1/2)
 
 that calibrates the moving-average representation of a fractional
-Brownian sheet; and the one-sided power (u)_+^a.  The check of a Hurst
-vector is here too: this module imports nothing from the package, so
-every other module can take it from here.
+Brownian sheet; and ``ma_basis``, one coordinate's two basis functions,
+from which the moving-average kernels, their inner products and the
+transform oracle are all built.  The check of a Hurst vector is here
+too: this module imports nothing from the package, so every other module
+can take it from here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 __all__ = [
     "c2",
-    "pow_plus",
+    "ma_basis",
 ]
 
 # the two compiled SciPy modules the package calls, for _scipy_extension
@@ -98,15 +100,40 @@ def c2(H: float) -> float:
     return math.sqrt(math.gamma(1 + 2 * H) * _sin_pi(H)) / math.gamma(H + 0.5)
 
 
-def pow_plus(u: float, a: float) -> float:
-    """One-sided power (u)_+^a: u**a on u > 0, zero on u < 0.
+def ma_basis(h: float) -> tuple:
+    """One coordinate's two moving-average basis functions of (t, x).
 
-    At u == 0 with a < 0 the limit from the right is +inf; that value is
-    returned as an explicit marker so quadrature code can recognize the
-    singular hyperplane instead of receiving a spurious zero.
+    Away from H = 1/2 the past and future power parts p_H(t, x) =
+    (t-x)_+^a - (-x)_+^a and f_H(t, x) = (x-t)_+^a - x_+^a, a = H - 1/2,
+    with (0)_+^a = +inf for a < 0: below 1/2 they are +-inf at x in
+    {0, t}, a marker that quadrature code recognizes.  At H = 1/2 the
+    indicator 1_[0,t](x) and log(|t-x|/|x|), +inf at x = 0 and -inf at
+    x = t.  a and the marker are bound once per call, and each power is
+    written inside its function: a helper call per power slows the
+    quadrature integrands measurably.
     """
-    if u > 0.0:
-        return u**a
-    if u == 0.0 and a < 0.0:
-        return math.inf
-    return 0.0
+    a = h - 0.5
+    if a == 0.0:
+        def inside(t, x):
+            return 1.0 if 0.0 <= x <= t else 0.0
+
+        def log(t, x):
+            if x == 0.0:
+                return math.inf
+            if x == t:
+                return -math.inf
+            return math.log(abs(t - x)) - math.log(abs(x))
+        return inside, log
+
+    edge = math.inf if a < 0.0 else 0.0      # (0)_+^a
+
+    def past(t, x):
+        u = t - x
+        return ((u**a if u > 0.0 else edge if u == 0.0 else 0.0)
+                - ((-x)**a if x < 0.0 else edge if x == 0.0 else 0.0))
+
+    def future(t, x):
+        u = x - t
+        return ((u**a if u > 0.0 else edge if u == 0.0 else 0.0)
+                - (x**a if x > 0.0 else edge if x == 0.0 else 0.0))
+    return past, future

@@ -67,6 +67,8 @@ class Rectangle:
 
     def shifted(self, h) -> "Rectangle":
         h = tuple(float(v) for v in np.atleast_1d(h))
+        if len(h) != self.n:   # zip would cut the longer one to fit
+            raise ValueError(f"shift has dimension {len(h)}, the box {self.n}")
         return Rectangle(tuple(a + b for a, b in zip(self.s, h)),
                          tuple(a + b for a, b in zip(self.t, h)))
 

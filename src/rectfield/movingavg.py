@@ -3,8 +3,9 @@
 A field with strictly stationary rectangular increments can be written as an
 integral of a deterministic kernel g(t, x) against white noise; its
 covariance is then the L2 inner product int g(t, x) conj(g(s, x)) dx.  Each
-coordinate has two basis functions, numbered b = 0 and b = 1.  Away from
-H = 1/2 they are the one-sided power parts
+coordinate has two basis functions, numbered b = 0 and b = 1 and defined
+once, by ``gammafn.ma_basis``.  Away from H = 1/2 they are the one-sided
+power parts
 
     p_H(t, x) = (t-x)_+^{H-1/2} - (-x)_+^{H-1/2}      ("past" part, b = 0)
     f_H(t, x) = (x-t)_+^{H-1/2} - x_+^{H-1/2}         ("future" part, b = 1)
@@ -37,8 +38,8 @@ one-dimensional quadratures of the basis functions (the integrands are
 products over coordinates, so the N-dimensional integral factorizes
 exactly); singular abscissae {0, s, t} are declared panel edges and the
 infinite tails use the same engine as the rest of the package; each
-power integrand is bound once per (H, kind, t, s), its exponent H - 1/2
-taken once.  The pair itself has a closed form,
+integrand is a product of the basis functions, built once per integral.
+The pair itself has a closed form,
 ``make_kernel(MovingPair(...))`` (see
 :class:`rectfield.kernels.MovingPair`); the quadrature here is its
 independent oracle, used by the tests and by ``rectfield check --suite
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .gammafn import c2, pow_plus, validate_hurst
+from .gammafn import c2, ma_basis, validate_hurst
 from .kernels import MovingPair, _as_points, _one_point, _points
 from .quadrature import QuadratureError, integrate_1d
 
@@ -68,32 +69,6 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-6           # relative imaginary residual cov_from_ma accepts
-
-
-def p_kernel(h: float, t: float, x: float) -> float:
-    """Past power part (t-x)_+^{H-1/2} - (-x)_+^{H-1/2}."""
-    return pow_plus(t - x, h - 0.5) - pow_plus(-x, h - 0.5)
-
-
-def f_kernel(h: float, t: float, x: float) -> float:
-    """Future power part (x-t)_+^{H-1/2} - x_+^{H-1/2}."""
-    return pow_plus(x - t, h - 0.5) - pow_plus(x, h - 0.5)
-
-
-def log_ratio(t: float, x: float) -> float:
-    """log(|t-x|/|x|), with +-inf markers on the singular abscissae {0, t}."""
-    if x == 0.0:
-        return math.inf
-    if x == t:
-        return -math.inf
-    return math.log(abs(t - x)) - math.log(abs(x))
-
-
-def _basis(h: float, t: float, x: float) -> tuple:
-    """Both basis functions of one coordinate at (t, x)."""
-    if h == 0.5:
-        return (1.0 if 0.0 <= x <= t else 0.0), log_ratio(t, x)
-    return p_kernel(h, t, x), f_kernel(h, t, x)
 
 
 def _basis_coefs(h: float, e: int) -> tuple:
@@ -150,7 +125,7 @@ class MAKernel:
 
     def __call__(self, t, x) -> complex:
         t, x = (_one_point(_points(p, self.n)) for p in (t, x))
-        vals = [_basis(h, float(tj), float(xj))
+        vals = [tuple(b(float(tj), float(xj)) for b in ma_basis(h))
                 for h, tj, xj in zip(self.H, t, x)]
         if not all(math.isfinite(v) for pair in vals for v in pair):
             # integrable singularity; complex arithmetic would turn the
@@ -184,39 +159,6 @@ def make_ma_kernel(H, weights: Mapping) -> MAKernel:
 # Coordinate inner products (one-dimensional quadratures)
 # --------------------------------------------------------------------------
 
-def _power_integrand(h: float, kind: str, t: float, s: float):
-    """x -> k1(t, x) k2(s, x) for k1, k2 in {p, f} coded as 'pp', 'pf', ....
-
-    The exponent h - 1/2 is taken once; each factor is ``p_kernel`` or
-    ``f_kernel`` written out over a local ``pow_plus``, the same operations
-    in the same order, +inf marker included.
-    """
-    a = h - 0.5
-
-    def pw(u):
-        if u > 0.0:
-            return u**a
-        if u == 0.0 and a < 0.0:
-            return math.inf
-        return 0.0
-
-    if kind == "pp":
-        def f(x):
-            q = pw(-x)
-            return (pw(t - x) - q) * (pw(s - x) - q)
-    elif kind == "pf":
-        def f(x):
-            return (pw(t - x) - pw(-x)) * (pw(x - s) - pw(x))
-    elif kind == "fp":
-        def f(x):
-            return (pw(x - t) - pw(x)) * (pw(s - x) - pw(-x))
-    else:
-        def f(x):
-            q = pw(x)
-            return (pw(x - t) - q) * (pw(x - s) - q)
-    return f
-
-
 @lru_cache(maxsize=4096)
 def _power_inner(h: float, kind: str, t: float, s: float) -> float:
     """int k1(t, x) k2(s, x) dx for k1, k2 in {p, f} coded as 'pp', 'pf', ...."""
@@ -226,12 +168,14 @@ def _power_inner(h: float, kind: str, t: float, s: float) -> float:
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if lo >= hi:
         return 0.0
+    basis = dict(zip("pf", ma_basis(h)))
+    k1, k2 = basis[kind[0]], basis[kind[1]]
     # cuts at +-1 beyond {0, s, t} keep the power singularities on finite
     # panels; the slow tails (|x|^{2H-3}, H near 1) are certified only to
     # ~1e-9, so 1e-8 per panel still leaves the 1e-3 covariance contract
     # intact (integrate_1d asks each panel for a quarter of its tol)
     cuts = (0.0, s, t, -1.0, max(s, t) + 1.0)
-    return integrate_1d(_power_integrand(h, kind, t, s), lo, hi, tol=4 * 1e-8,
+    return integrate_1d(lambda x: k1(t, x) * k2(s, x), lo, hi, tol=4 * 1e-8,
                         singular_points=cuts).value
 
 
@@ -240,7 +184,8 @@ def _log_inner_il(t: float, s: float) -> float:
     """int_0^t log(|s-x|/|x|) dx; 0 on the empty range t = 0."""
     if t == 0.0:
         return 0.0
-    return integrate_1d(lambda x: log_ratio(s, x), 0.0, t, tol=4 * 1e-10,
+    log = ma_basis(0.5)[1]
+    return integrate_1d(lambda x: log(s, x), 0.0, t, tol=4 * 1e-10,
                         singular_points=(s,)).value
 
 
@@ -248,7 +193,8 @@ def _log_inner_il(t: float, s: float) -> float:
 def _log_inner_ll(t: float, s: float) -> float:
     """int_R log(|t-x|/|x|) log(|s-x|/|x|) dx."""
     cuts = (0.0, s, t, -1.0, max(s, t) + 1.0)
-    return integrate_1d(lambda x: log_ratio(t, x) * log_ratio(s, x),
+    log = ma_basis(0.5)[1]
+    return integrate_1d(lambda x: log(t, x) * log(s, x),
                         -math.inf, math.inf, tol=4 * 1e-9,
                         singular_points=cuts).value
 

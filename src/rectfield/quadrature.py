@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import _QUADPACK, _scipy_extension, pow_plus, validate_hurst
+from .gammafn import _QUADPACK, _scipy_extension, ma_basis, validate_hurst
 
 __all__ = [
     "QuadratureError",
@@ -372,9 +372,11 @@ def check_ma_transform(H, eps, t, x) -> OracleCheck:
 
     int_0^inf (e^{i(t-x) eps y} - e^{-i x eps y})/(i eps y^{H+1/2}) dy
     against Gamma(1/2-H) [ p e^{-i eps beta} - f e^{+i eps beta} ] with
-    beta = pi (H + 1/2)/2 and p, f the one-sided power parts at (t, x).
-    At H = 1/2 it is pi/2 (sgn(t-x) + sgn x) + i eps log(|t-x|/|x|), with
-    x off its logarithmic singularities {0, t}; the real part is
+    beta = pi (H + 1/2)/2 and p, f the one-sided power parts at (t, x),
+    the two functions of ``gammafn.ma_basis(H)``.  At H = 1/2 it is
+    pi/2 (sgn(t-x) + sgn x) + i eps log(|t-x|/|x|), the log ratio being the
+    basis's second function, with x off its logarithmic singularities
+    {0, t}; the real part is
     pi 1_[0,t](x) for t > 0 and -pi 1_[t,0](x) for t < 0, the imaginary
     part's sign follows the
     Frullani integral int_0^inf (cos(a y) - cos(b y))/y dy = log(b/a),
@@ -394,15 +396,13 @@ def check_ma_transform(H, eps, t, x) -> OracleCheck:
     # the i*eps division swaps roles: the sin bracket is the real part of the
     # target and the cos bracket its imaginary part
     numeric = complex(res.value.imag, res.value.real)
-    if H == 0.5:
-        closed = complex(math.pi / 2 * (_sgn(t - x) + _sgn(x)),
-                         eps * (math.log(abs(t - x)) - math.log(abs(x))))
+    p_part, f_part = (b(t, x) for b in ma_basis(H))
+    if H == 0.5:   # f_part is the log ratio; the indicator covers t > 0 only
+        closed = complex(math.pi / 2 * (_sgn(t - x) + _sgn(x)), eps * f_part)
         return OracleCheck("ma_transform_half", {"eps": eps, "t": t, "x": x},
                            numeric, closed, res.abs_error_estimate)
     g = math.gamma(0.5 - H)
     beta = math.pi / 2 * (H + 0.5)
-    p_part = pow_plus(t - x, H - 0.5) - pow_plus(-x, H - 0.5)
-    f_part = pow_plus(x - t, H - 0.5) - pow_plus(x, H - 0.5)
     closed = g * (p_part * np.exp(-1j * eps * beta) - f_part * np.exp(1j * eps * beta))
     return OracleCheck("ma_transform", {"H": H, "eps": eps, "t": t, "x": x},
                        numeric, complex(closed), res.abs_error_estimate)

@@ -424,8 +424,11 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
     the sums have the same joint law as the lattice sums.  Replication
     chunks of ``CHUNK_SIZE`` use Philox streams keyed (seed, 0, chunk).
     Arguments that ``_limit_indices`` rejects raise ValueError; each
-    floor(t_k r_k) must lie below ``MAX_LIMIT_INDEX`` (2^31).
+    floor(t_k r_k) must lie below ``MAX_LIMIT_INDEX`` (2^31), and
+    ``n_reps`` must be at least 1.
     """
+    if n_reps < 1:   # no replications would give 0/0 estimates
+        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
     k1, k2 = _limit_indices(r1, r2, t_points).T
     t_points = np.atleast_2d(np.asarray(t_points, dtype=float))
 

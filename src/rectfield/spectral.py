@@ -70,6 +70,7 @@ def g_w(x):
 
 
 _STIRLING_X = 20.0   # g_fbm's tail form holds beyond this |x|
+INVERSION_TOL = 1e-6  # absolute tolerance of each 1-D transform's quadrature
 
 
 def _map_floats(scalar, x) -> np.ndarray:
@@ -198,7 +199,7 @@ class TransformResult:
     err_estimate: float
 
 
-def _transform_1d(g, v, budget, tol):
+def _transform_1d(g, v, budget):
     """int_R e^{i x v} g(x) dx as (real, imag, err).
 
     Two QAWF runs on [0, inf): the even part g(x) + g(-x) against cos(|v| x)
@@ -208,19 +209,20 @@ def _transform_1d(g, v, budget, tol):
     """
     even = lambda x: g(x) + g(-x)
     odd = lambda x: g(x) - g(-x)
-    re, e1 = _quad_panel(even, 0.0, np.inf, budget, epsabs=tol * 0.25,
+    epsabs = INVERSION_TOL * 0.25
+    re, e1 = _quad_panel(even, 0.0, np.inf, budget, epsabs=epsabs,
                          weight="cos", wvar=abs(v))
-    im, e2 = _quad_panel(odd, 0.0, np.inf, budget, epsabs=tol * 0.25,
+    im, e2 = _quad_panel(odd, 0.0, np.inf, budget, epsabs=epsabs,
                          weight="sin", wvar=abs(v))
     return re, math.copysign(1.0, v) * im, e1 + e2
 
 
-def cov_from_density(f: SpectralDensity, v,
-                     tol: float = 1e-6) -> TransformResult:
+def cov_from_density(f: SpectralDensity, v) -> TransformResult:
     """Fourier transform int e^{i<x,v>} f(x) dx of a spectral density at lag v.
 
     sum_k c_k prod_j of the one-dimensional transforms T_kj of f_kj at v_j,
-    on one budget of ``quadrature.BUDGET`` evaluations.  With e_kj the
+    each integrated to ``INVERSION_TOL``, on one budget of
+    ``quadrature.BUDGET`` evaluations.  With e_kj the
     error estimate of T_kj, the error estimate is sum_k |c_k| sum_j e_kj
     prod_{i != j} (|T_ki| + e_ki), a bound on the error of each product
     that has no cancellation; for one factor it is e.  The imaginary part
@@ -233,7 +235,7 @@ def cov_from_density(f: SpectralDensity, v,
     for c, factors in f.terms:
         term, errs, bounds = complex(1.0), [], []
         for g, vj in zip(factors, v):
-            re, im, e = _transform_1d(g, float(vj), bud, tol)
+            re, im, e = _transform_1d(g, float(vj), bud)
             term *= complex(re, im)
             errs.append(e)
             bounds.append(abs(complex(re, im)) + e)
@@ -264,8 +266,8 @@ def fbm_spectral_cov_check(H: float, s: float, t: float) -> tuple:
     """Covariance of fractional Brownian motion by two routes.
 
     Spectral route: (t s)^H int e^{i x log(t/s)} g_H(x) dx, the second
-    moment of the harmonizable representation built on g_H, inverted at
-    ``cov_from_density``'s default tolerance.  Closed route:
+    moment of the harmonizable representation built on g_H, inverted to
+    ``INVERSION_TOL``.  Closed route:
     (t^{2H} + s^{2H} - |t-s|^{2H}) / 2.  Returns (spectral, closed).
     """
     (H,) = validate_hurst(H)

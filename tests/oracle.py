@@ -15,7 +15,8 @@ The second half holds the same for ``rectfield.lamperti`` and
 stationary covariances, the inverse Lamperti transform and the spectral
 densities at one lag or frequency at a time, and the two sign-flip
 criteria as a loop over the flips.  The last parts give the H = 1/2
-closed forms of the two quadrature identities, draw the Monte Carlo
+closed forms of the two quadrature identities, the moving-average basis
+built on the one-sided power (u)_+^a, draw the Monte Carlo
 increment probes one probe at a time and write a point's CSV cell one
 coordinate at a time.
 """
@@ -402,6 +403,43 @@ def ma_transform_half_closed(eps: int, t: float, x: float) -> complex:
     1{x < t} - 1{x < 0}, plus i eps log(|t-x|/|x|)."""
     return complex(math.pi * ((x < t) - (x < 0.0)),
                    eps * (math.log(abs(t - x)) - math.log(abs(x))))
+
+
+# --------------------------------------------------------------------------
+# The moving-average basis, from the one-sided power
+# --------------------------------------------------------------------------
+
+def pow_plus(u: float, a: float) -> float:
+    """One-sided power (u)_+^a: u**a on u > 0, zero on u < 0.
+
+    At u == 0 with a < 0 the limit from the right is +inf; that value is
+    returned as an explicit marker of the singular hyperplane.
+    """
+    if u > 0.0:
+        return u**a
+    if u == 0.0 and a < 0.0:
+        return math.inf
+    return 0.0
+
+
+def log_ratio(t: float, x: float) -> float:
+    """log(|t-x|/|x|), with +-inf markers on the singular abscissae {0, t}."""
+    if x == 0.0:
+        return math.inf
+    if x == t:
+        return -math.inf
+    return math.log(abs(t - x)) - math.log(abs(x))
+
+
+def ma_basis(h: float) -> tuple:
+    """One coordinate's two basis functions of (t, x): the past and future
+    power parts (t-x)_+^{H-1/2} - (-x)_+^{H-1/2} and
+    (x-t)_+^{H-1/2} - x_+^{H-1/2}, or at H = 1/2 the indicator of [0, t]
+    and the log ratio."""
+    if h == 0.5:
+        return (lambda t, x: 1.0 if 0.0 <= x <= t else 0.0), log_ratio
+    return (lambda t, x: pow_plus(t - x, h - 0.5) - pow_plus(-x, h - 0.5),
+            lambda t, x: pow_plus(x - t, h - 0.5) - pow_plus(x, h - 0.5))
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from oracle import GammaPoleError, abs_gamma, c1
-from rectfield.gammafn import _LOGGAMMA, _scipy_extension, c2, pow_plus
+from rectfield.gammafn import _LOGGAMMA, _scipy_extension, c2, ma_basis
 from rectfield.kernels import _spectral_mass, moving_constraint_residual
 
 # reference values from a 50-digit evaluation
@@ -125,12 +126,25 @@ def test_constants_continuity(fn):
         assert abs(left - right) < 1e-4
 
 
-def test_pow_plus_convention():
-    assert pow_plus(2.0, -0.2) == pytest.approx(2.0 ** -0.2)
-    assert pow_plus(-1.0, -0.2) == 0.0
-    assert pow_plus(-1.0, 0.3) == 0.0
-    assert pow_plus(0.0, 0.3) == 0.0
-    assert pow_plus(0.0, -0.3) == math.inf
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_ma_basis_is_the_one_sided_power_reference(h):
+    # the bits of the basis built on oracle.pow_plus (repr tells the sign
+    # of a zero apart), on each side of the supports and at {0, s, t}
+    t, s = 1.3, 0.6
+    xs = (-2.5, -1.0, -1e-9, 0.0, 1e-9, 0.3, s, 0.9, t, 2.0, 40.0)
+    for got, want in zip(ma_basis(h), oracle.ma_basis(h)):
+        for u in (t, s):
+            for x in xs:
+                assert repr(got(u, x)) == repr(want(u, x)), (u, x)
+    # the markers at x in {0, u}: the powers below 1/2, the log at 1/2
+    edges = [[b(u, x) for u in (t, s) for x in (0.0, u)] for b in ma_basis(h)]
+    inf = math.inf
+    if h < 0.5:
+        assert edges == [[-inf, inf, -inf, inf]] * 2
+    elif h == 0.5:
+        assert edges == [[1.0] * 4, [inf, -inf, inf, -inf]]
+    else:
+        assert all(map(math.isfinite, edges[0] + edges[1]))
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,17 @@ def test_rectangle_validation():
         Rectangle((0.0, 0.0), (1.0, math.inf))
 
 
+@pytest.mark.parametrize("h", [(1.0,), (1.0, 1.0, 1.0)], ids=["1-D", "3-D"])
+def test_shift_of_another_dimension_is_rejected(h):
+    # zip cut the longer of box and shift: a 1-D shift of a 2-D box gave
+    # the 1-D box s=(1.5,), t=(2.0,)
+    r = Rectangle((0.5, 0.5), (1.0, 1.0))
+    with pytest.raises(ValueError, match=f"shift has dimension {len(h)}, "
+                                         f"the box 2"):
+        r.shifted(h)
+    assert r.shifted((1.0, 2.0)) == Rectangle((1.5, 2.5), (2.0, 3.0))
+
+
 def test_corner_expansion_1d():
     corners = corner_expansion(Rectangle((0.25,), (1.5,)))
     assert corners == [((1.5,), 1), ((0.25,), -1)]

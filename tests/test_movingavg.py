@@ -11,14 +11,8 @@ from rectfield.kernels import (MovingPair, cov_fbs, cov_strict_general,
                                make_kernel, moving_constraint_residual,
                                validate_weights)
 from rectfield import movingavg
-from rectfield.movingavg import (
-    cov_from_ma,
-    cov_moving_pair,
-    f_kernel,
-    log_ratio,
-    make_ma_kernel,
-    p_kernel,
-)
+from rectfield.gammafn import ma_basis
+from rectfield.movingavg import cov_from_ma, cov_moving_pair, make_ma_kernel
 from rectfield.quadrature import check_ma_transform
 
 
@@ -31,10 +25,11 @@ def _uniform_weights(H, n=2):
 
 def test_kernel_parts_support():
     # p lives on x < t, f on x > 0
-    assert p_kernel(0.7, 1.0, 2.0) == 0.0
-    assert p_kernel(0.7, 1.0, -1.0) == pytest.approx(2.0 ** 0.2 - 1.0)
-    assert f_kernel(0.7, 1.0, -0.5) == 0.0
-    assert f_kernel(0.7, 1.0, 2.0) == pytest.approx(1.0 - 2.0 ** 0.2)
+    p, f = ma_basis(0.7)
+    assert p(1.0, 2.0) == 0.0
+    assert p(1.0, -1.0) == pytest.approx(2.0 ** 0.2 - 1.0)
+    assert f(1.0, -0.5) == 0.0
+    assert f(1.0, 2.0) == pytest.approx(1.0 - 2.0 ** 0.2)
 
 
 def test_general_kernel_future_support():
@@ -43,7 +38,7 @@ def test_general_kernel_future_support():
     W = _uniform_weights(H)
     val = make_ma_kernel(H, W)((1.0, 1.0), (2.0, 3.0))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
-    projected = math.prod(p_kernel(h, 1.0, x) for h, x in zip(H, (2.0, 3.0)))
+    projected = math.prod(ma_basis(h)[0](1.0, x) for h, x in zip(H, (2.0, 3.0)))
     assert projected == 0.0
 
 
@@ -111,7 +106,7 @@ def test_half_kernel_examples():
     val = kernel((1.0, 1.0), (0.3, 0.4))
     assert val == pytest.approx(complex(1.0, 0.0), rel=1e-12)
     # |t - x| = |x| kills the log factor of that coordinate
-    assert log_ratio(1.0, 0.5) == 0.0
+    assert ma_basis(0.5)[1](1.0, 0.5) == 0.0
     # singular markers on the log hyperplanes
     assert math.isinf(abs(kernel((1.0, 1.0), (0.0, 0.4))))
 
@@ -356,18 +351,3 @@ def test_weight_table_rejects_non_finite_entries(bad):
         make_ma_kernel((0.3, 0.7), W)
 
 
-@pytest.mark.parametrize("h", [0.3, 0.7])
-@pytest.mark.parametrize("kind", ["pp", "pf", "fp", "ff"])
-def test_bound_integrand_is_the_kernel_product(h, kind):
-    # the same operations as the p_kernel / f_kernel product, so the same
-    # bits, and below 1/2 the +inf marker (or its products) on {0, s, t}
-    t, s = 1.3, 0.6
-    k1 = p_kernel if kind[0] == "p" else f_kernel
-    k2 = p_kernel if kind[1] == "p" else f_kernel
-    f = movingavg._power_integrand(h, kind, t, s)
-    for x in (-2.5, -1.0, -1e-9, 0.0, 1e-9, 0.3, s, 0.9, t, 2.0, 40.0):
-        want, got = k1(h, t, x) * k2(h, s, x), f(x)
-        assert got == want or (math.isnan(got) and math.isnan(want)), x
-        assert math.copysign(1.0, got) == math.copysign(1.0, want), x
-    if h < 0.5:
-        assert math.inf in (f(0.0), f(s), f(t))

@@ -280,6 +280,19 @@ def test_limit_partial_sums_guards():
         limit_partial_sums(512, 512, [(1, 1), (1e17, 1e17)], n_reps=4)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_limit_rejects_fewer_than_one_replication_before_drawing(
+        monkeypatch, n):
+    # n_reps = 0 returned NaN covariances, with a RuntimeWarning from 0/0
+    def no_draw(*args, **kwargs):
+        raise AssertionError("reached a draw")
+
+    monkeypatch.setattr(simulate, "_stream", no_draw)
+    with pytest.raises(ValueError, match=f"n_reps must be at least 1, "
+                                         f"got {n}"):
+        limit_partial_sums(4, 4, [(1, 1)], n_reps=n)
+
+
 def _lattice_partial_sums(Y, k1, k2):
     """Oracle: sums of the lattice Y[..., 0..k1, 0..k2], site by site."""
     return Y.cumsum(axis=-2).cumsum(axis=-1)[..., k1, k2]

@@ -112,7 +112,7 @@ def test_transform_2d_product():
                                   ((0.3, 0.5, 0.7), (0.8, -1.2, 2.0))],
                          ids=["2-D", "3-D"])
 def test_transform_of_a_product_in_two_and_three_dimensions(H, v):
-    res = cov_from_density(product_density(H), v, tol=1e-5)
+    res = cov_from_density(product_density(H), v)
     want = c_fbs_stationary(H, v)
     assert abs(res.value - want) <= 1e-4
     assert res.imag_residual <= 1e-4
@@ -149,8 +149,7 @@ def test_error_estimate_bounds_the_error_of_a_product(a):
     # estimates alone, without the other factors' magnitudes, read 2.5e-7
     # against an actual error of 3.5e-6 at a = 1e4
     ag = lambda x: a * g_w(x)
-    res = cov_from_density(SpectralDensity(((1.0, (ag, ag)),)), (0.7, -1.3),
-                           tol=1e-6)
+    res = cov_from_density(SpectralDensity(((1.0, (ag, ag)),)), (0.7, -1.3))
     assert abs(res.value - a * a * math.exp(-1.0)) <= res.err_estimate
 
 
