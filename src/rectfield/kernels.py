@@ -154,6 +154,15 @@ def _sign_vectors(n):
     return list(itertools.product((1, -1), repeat=n))
 
 
+def _sign_key(key) -> tuple:
+    """A weight table's key as a sign vector of ints; each entry must be
+    +1 or -1, which ``int`` alone would not check (-1.7 -> -1)."""
+    if not all(x in (1, -1) for x in key):
+        raise WeightValidationError(
+            [f"sign vector {key!r} has an entry other than +1 or -1"])
+    return tuple(int(x) for x in key)
+
+
 def _weight_violations(w: dict, n: int, name: str, total_want: float) -> list:
     """Sign-vector coverage, nonnegativity, e -> -e symmetry and the total."""
     if set(w) != set(_sign_vectors(n)):
@@ -178,8 +187,7 @@ class StrictWeights:
     gamma_by_sign: Mapping[tuple, float]
 
     def __post_init__(self):
-        gam = {tuple(int(x) for x in k): float(v)
-               for k, v in self.gamma_by_sign.items()}
+        gam = {_sign_key(k): float(v) for k, v in self.gamma_by_sign.items()}
         if not gam:
             raise WeightValidationError(["no weights given"])
         violations = _weight_violations(gam, len(next(iter(gam))), "gamma", 1.0)
@@ -238,7 +246,7 @@ def validate_weights(raw_K: Mapping, H) -> StrictWeights:
     constraints are reported together.
     """
     H = validate_hurst(H)
-    K = {tuple(int(x) for x in k): float(v) for k, v in raw_K.items()}
+    K = {_sign_key(k): float(v) for k, v in raw_K.items()}
     mass = _spectral_mass(H)
     violations = _weight_violations(K, len(H), "K", mass)
     if violations:

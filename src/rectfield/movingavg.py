@@ -58,7 +58,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from .gammafn import c2, ma_basis, validate_hurst
-from .kernels import MovingPair, _as_points, _one_point, _points
+from .kernels import (MovingPair, _as_points, _one_point, _points,
+                      _sign_key, _sign_vectors)
 from .quadrature import QuadratureError, integrate_1d
 
 __all__ = [
@@ -86,16 +87,13 @@ def _basis_coefs(h: float, e: int) -> tuple:
 
 
 def _check_weights(weights: Mapping, n: int) -> dict:
-    W = {tuple(int(v) for v in e): (float(k), float(phi))
-         for e, (k, phi) in weights.items()}
-    if len(W) != 2**n or any(len(e) != n for e in W):
+    W = {_sign_key(e): (float(k), float(phi)) for e, (k, phi) in weights.items()}
+    if set(W) != set(_sign_vectors(n)):
         raise ValueError(f"need all {2**n} sign vectors of length {n}")
     for e, (k, phi) in W.items():
         if not (math.isfinite(k) and math.isfinite(phi)):
             raise ValueError(f"K{e} = {k:g} and phi{e} = {phi:g} must be finite")
         neg = tuple(-v for v in e)
-        if neg not in W:
-            raise ValueError(f"missing mirrored sign vector {neg}")
         if k < 0.0:
             raise ValueError(f"K{e} = {k:g} is negative")
         if W[neg][0] != k:

@@ -12,10 +12,16 @@ from its file at the first call (``gammafn._scipy_extension``), and
 constants: relative tolerance ``EPSREL``, ``LIMIT`` subintervals, and on
 a Fourier tail ``LIMLST`` cycles and ``MAXP1`` Chebyshev moments.
 
-A power tail int_1^inf y^{-p} cos|sin(omega y) dy depends only on
-(p, kind, omega, epsabs), so each one is integrated once per process and
-memoized; a repeated tail charges the caller's budget the evaluations of
-its first computation, so a budget error never depends on call order.
+``oscillatory_power_integral`` takes its cosine part and its sine part
+by one rule.  The origin panel [0, 1] divides the bracket
+sum_k c_k cos|sin(a_k y) + const by y^n, n its first Taylor order that
+does not cancel, and integrates it by QAWS, which needs p < n + 1.  On
+the tail each term's int_1^inf y^{-p} cos|sin(omega y) dy needs p > 0,
+and the constant's exact const / (p - 1) needs p > 1.  A power tail
+depends only on (p, kind, omega, epsabs), so each one is integrated once
+per process and memoized; a repeated tail charges the caller's budget
+the evaluations of its first computation, so a budget error never
+depends on call order.
 
 On top of them sit the identity checks: ``check_increment_integral`` and
 ``check_ma_transform`` each evaluate one of the closed-form integrals
@@ -185,55 +191,77 @@ def _power_tail(p, kind, omega, epsabs):
     return v, e, bud.used
 
 
-def _tail_panel(p, kind, omega, budget, epsabs):
-    """The memoized power tail, charged to ``budget`` as if integrated here."""
-    v, e, neval = _power_tail(p, kind, omega, epsabs)
-    budget.charge(neval)
-    return v, e
+def _power(x, n):
+    """x^n with the square as a product, which pow does not always match."""
+    return x * x if n == 2 else x**n
 
 
-def _series_guarded(terms, fn_even, order):
-    """Bracket(y)/y^order with a Taylor branch below y=1e-4.
+def _bracket(trig, terms, order, const=0.0):
+    """y -> [sum_k c_k trig(a_k y) + const] / y^order on the origin panel.
 
-    ``terms`` is [(coeff, freq), ...]; fn_even selects cos (order-2 bracket,
-    coefficients summing to zero with the constant) or sin brackets.
+    At order > 0 the constant is -sum_k c_k trig(0), which cancels the sum
+    at y = 0, and below y = 1e-4 the bracket is its Taylor series
+    T_order + y^2 T_{order+2}, T_j = (-1)^(j//2) sum_k c_k a_k^j / j!.
     """
-    if fn_even:
-        def bracket(y):
-            if y < 1e-4:
-                s2 = sum(c * a * a for c, a in terms)
-                s4 = sum(c * a**4 for c, a in terms)
-                return -s2 / 2 + y * y * s4 / 24
-            acc = sum(c * math.cos(a * y) for c, a in terms)
-            return (acc - sum(c for c, _ in terms)) / (y * y)
-    elif order == 1:
-        def bracket(y):
-            if y < 1e-4:
-                s1 = sum(d * b for d, b in terms)
-                s3 = sum(d * b**3 for d, b in terms)
-                return s1 - y * y * s3 / 6
-            return sum(d * math.sin(b * y) for d, b in terms) / y
-    else:
-        def bracket(y):
-            if y < 1e-4:
-                s3 = sum(d * b**3 for d, b in terms)
-                s5 = sum(d * b**5 for d, b in terms)
-                return -s3 / 6 + y * y * s5 / 120
-            return sum(d * math.sin(b * y) for d, b in terms) / (y**3)
+    if not order:
+        return lambda y: sum(c * trig(a * y) for c, a in terms) + const
+    const = -sum(c * trig(0.0) for c, _ in terms)
+    lead, nxt = ((-1) ** (j // 2) * sum(c * _power(a, j) for c, a in terms)
+                 for j in (order, order + 2))
+    lead /= math.factorial(order)
+    fact = math.factorial(order + 2)
+
+    def bracket(y):
+        if y < 1e-4:
+            return lead + y * y * nxt / fact
+        return (sum(c * trig(a * y) for c, a in terms) + const) / _power(y, order)
     return bracket
+
+
+def _part(trig, terms, const, p, budget, epsabs):
+    """(value, [err_estimate, ...]) of int_0^inf [sum_k c_k trig(a_k y) +
+    const] / y^p dy, trig cos or sin, by the module's origin-and-tail rule.
+
+    Zero frequencies join the constant, and the bracket's order is its
+    first Taylor order that does not cancel: 0 or 2 for cos, 1 or 3 for sin.
+    """
+    kind = trig.__name__          # the Fourier weight of the tails
+    order = int(kind == "sin")
+    live = [(c, a) for c, a in terms if a != 0.0]
+    if order and not live:        # sin(0 y) = 0
+        return 0.0, []
+    scale = sum(abs(c * _power(a, order)) for c, a in terms) + abs(const) + 1.0
+    const += sum(c * trig(0.0) for c, a in terms if a == 0.0)
+    # the first Taylor term, const + sum_k c_k a_k^order, as 0! = 1! = 1
+    if abs(const + sum(c * _power(a, order) for c, a in live)) <= 1e-12 * scale:
+        order += 2
+    if not p < order + 1:
+        raise QuadratureError(f"divergent at origin: the {kind} bracket is "
+                              f"O(y^{order}) and p={p} >= {order + 1}")
+    if live and not p > 0:
+        raise QuadratureError(f"divergent tail: {kind} terms with p={p} <= 0")
+    if const != 0.0 and not p > 1:
+        raise QuadratureError(f"divergent tail: constant part with p={p} <= 1")
+    value, e = _quad_panel(_bracket(trig, live, order, const), 0.0, 1.0,
+                           budget, epsabs, weight="alg", wvar=(order - p, 0.0))
+    errs = [e]
+    if const != 0.0:
+        value += const / (p - 1.0)
+    for c, a in live:
+        v, e, neval = _power_tail(p, kind, abs(a), epsabs)
+        budget.charge(neval)      # as if integrated here
+        value += c * (math.copysign(1.0, a) if kind == "sin" else 1.0) * v
+        errs.append(e)
+    return value, errs
 
 
 def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
                                tol=1e-10):
     """int_0^inf [sum_k c_k cos(a_k y) + const + i sum_k d_k sin(b_k y)] / y^p dy.
 
-    The origin panel [0, 1] absorbs the power weight with QAWS after
-    factoring the cancellation order out of the trigonometric bracket; the
-    tail pairs the exact integral of the constant part with one memoized
-    QAWF call per distinct frequency (``_power_tail``).  Raises if the
-    requested combination diverges (e.g. a non-cancelling constant with
-    p >= 1), and ``ValueError`` naming the term if p, const or a
-    coefficient or frequency is not finite.
+    Both parts take the module's one origin-and-tail rule (``_part``).
+    Raises ``QuadratureError`` if a part diverges, and ``ValueError``
+    naming the term if p, const or a coefficient or frequency is not finite.
     """
     cos_terms = [(float(c), float(a)) for c, a in cos_terms]
     sin_terms = [(float(d), float(b)) for d, b in sin_terms]
@@ -245,69 +273,12 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
     bud = _Budget()
-    scale = sum(abs(c) for c, _ in cos_terms) + abs(const) + 1.0
-
-    # constants: zero-frequency cosines behave exactly like `const`
-    const_all = const + sum(c for c, a in cos_terms if a == 0.0)
-    cos_live = [(c, a) for c, a in cos_terms if a != 0.0]
-    sin_live = [(d, b) for d, b in sin_terms if b != 0.0]
-    k0 = const_all + sum(c for c, _ in cos_live)
-
-    re_total, im_total, err = 0.0, 0.0, 0.0
-
-    # real part, origin panel
-    if abs(k0) <= 1e-12 * scale:
-        if not p < 3:
-            raise QuadratureError(f"power p={p} out of range for cos bracket")
-        f = _series_guarded(cos_live, fn_even=True, order=2)
-        v, e = _quad_panel(f, 0.0, 1.0, bud, epsabs=tol * 0.25,
-                           weight="alg", wvar=(2.0 - p, 0.0))
-    elif p < 1:
-        def f(y):
-            return sum(c * math.cos(a * y) for c, a in cos_live) + const_all
-        v, e = _quad_panel(f, 0.0, 1.0, bud, epsabs=tol * 0.25,
-                           weight="alg", wvar=(-p, 0.0))
-    else:
-        raise QuadratureError(
-            f"divergent at origin: constant part {k0:g} with p={p} >= 1")
-    re_total += v
-    err += e
-
-    # real part, tail
-    if const_all != 0.0:
-        if not p > 1:
-            raise QuadratureError(f"divergent tail: constant part with p={p} <= 1")
-        re_total += const_all / (p - 1.0)
-    for c, a in cos_live:
-        v, e = _tail_panel(p, "cos", abs(a), bud, tol * 0.25)
-        re_total += c * v
+    re, re_errs = _part(math.cos, cos_terms, const, p, bud, tol * 0.25)
+    im, im_errs = _part(math.sin, sin_terms, 0.0, p, bud, tol * 0.25)
+    err = 0.0
+    for e in re_errs + im_errs:   # left to right: sum() compensates from 3.12
         err += e
-
-    # imaginary part
-    if sin_live:
-        s1 = sum(d * b for d, b in sin_live)
-        s_scale = sum(abs(d * b) for d, b in sin_live) + 1.0
-        if abs(s1) <= 1e-12 * s_scale:
-            if not p < 4:
-                raise QuadratureError(f"power p={p} out of range for sin bracket")
-            f = _series_guarded(sin_live, fn_even=False, order=3)
-            alpha = 3.0 - p
-        else:
-            if not p < 2:
-                raise QuadratureError(
-                    f"divergent at origin: sin bracket O(y) with p={p} >= 2")
-            f = _series_guarded(sin_live, fn_even=False, order=1)
-            alpha = 1.0 - p
-        v, e = _quad_panel(f, 0.0, 1.0, bud, epsabs=tol * 0.25,
-                           weight="alg", wvar=(alpha, 0.0))
-        im_total += v
-        err += e
-        for d, b in sin_live:
-            v, e = _tail_panel(p, "sin", abs(b), bud, tol * 0.25)
-            im_total += d * math.copysign(1.0, b) * v
-            err += e
-
-    return QuadResult(complex(re_total, im_total), err, bud.used)
+    return QuadResult(complex(re, im), err, bud.used)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,9 @@ The second half holds the same for ``rectfield.lamperti`` and
 stationary covariances, the inverse Lamperti transform and the spectral
 densities at one lag or frequency at a time, and the two sign-flip
 criteria as a loop over the flips.  The last parts give the H = 1/2
-closed forms of the two quadrature identities, the moving-average basis
+closed forms of the two quadrature identities, the quadrature engine's
+three origin-panel brackets as they were written out one by one
+(``_series_guarded``), the moving-average basis
 built on the one-sided power (u)_+^a, draw the Monte Carlo
 increment probes one probe at a time and write a point's CSV cell one
 coordinate at a time.
@@ -403,6 +405,41 @@ def ma_transform_half_closed(eps: int, t: float, x: float) -> complex:
     1{x < t} - 1{x < 0}, plus i eps log(|t-x|/|x|)."""
     return complex(math.pi * ((x < t) - (x < 0.0)),
                    eps * (math.log(abs(t - x)) - math.log(abs(x))))
+
+
+# --------------------------------------------------------------------------
+# The origin-panel brackets of the oscillatory power integral, three ways
+# --------------------------------------------------------------------------
+
+def _series_guarded(terms, fn_even, order):
+    """Bracket(y)/y^order with a Taylor branch below y=1e-4.
+
+    ``terms`` is [(coeff, freq), ...]; fn_even selects cos (order-2 bracket,
+    coefficients summing to zero with the constant) or sin brackets.
+    """
+    if fn_even:
+        def bracket(y):
+            if y < 1e-4:
+                s2 = sum(c * a * a for c, a in terms)
+                s4 = sum(c * a**4 for c, a in terms)
+                return -s2 / 2 + y * y * s4 / 24
+            acc = sum(c * math.cos(a * y) for c, a in terms)
+            return (acc - sum(c for c, _ in terms)) / (y * y)
+    elif order == 1:
+        def bracket(y):
+            if y < 1e-4:
+                s1 = sum(d * b for d, b in terms)
+                s3 = sum(d * b**3 for d, b in terms)
+                return s1 - y * y * s3 / 6
+            return sum(d * math.sin(b * y) for d, b in terms) / y
+    else:
+        def bracket(y):
+            if y < 1e-4:
+                s3 = sum(d * b**3 for d, b in terms)
+                s5 = sum(d * b**5 for d, b in terms)
+                return -s3 / 6 + y * y * s5 / 120
+            return sum(d * math.sin(b * y) for d, b in terms) / (y**3)
+    return bracket
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from rectfield.kernels import (
     YHalf,
     ZHalf,
     _letters_array,
+    _spectral_mass,
     cov_fbs,
     cov_mild_theta,
     cov_strict_general,
@@ -242,6 +243,17 @@ def test_strict_weights_validation():
     with pytest.raises(WeightValidationError):
         StrictWeights({(1, 1): 0.75, (-1, -1): 0.75,
                        (1, -1): -0.25, (-1, 1): -0.25})
+
+
+@pytest.mark.parametrize("key", [(-1.7, 1), (-1, 0.5), (1, math.nan)])
+def test_weight_keys_must_have_entries_plus_or_minus_one(key):
+    # int() truncated (-1.7, 1) to (-1, 1), so the table below was accepted
+    gam = {(1, 1): 0.25, (-1, -1): 0.25, (1, -1): 0.25, key: 0.25}
+    with pytest.raises(WeightValidationError, match="other than"):
+        StrictWeights(gam)
+    mass = _spectral_mass((0.3, 0.7))
+    with pytest.raises(WeightValidationError, match="other than"):
+        validate_weights({e: v * mass for e, v in gam.items()}, (0.3, 0.7))
 
 
 def test_mild_theta_examples():

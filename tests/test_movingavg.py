@@ -131,6 +131,17 @@ def test_weight_table_validation():
             (1, -1): (0.1, 0.0), (-1, 1): (0.1, 0.0)})
 
 
+@pytest.mark.parametrize("keys", [
+    [(2, 2), (-2, -2), (1, -1), (-1, 1)],
+    [(1, 1), (-1, -1), (1, -1), (-1.7, 1)]], ids=["twos", "truncated"])
+def test_weight_table_keys_must_be_sign_vectors(keys):
+    # both tables built a kernel: four mirrored keys of length 2 passed the
+    # count check, and int() read -1.7 as -1
+    W = {e: (0.1, 0.0) for e in keys}
+    with pytest.raises(ValueError, match="other than"):
+        make_ma_kernel((0.3, 0.7), W)
+
+
 def test_cov_from_ma_uniform_weights_is_fbs():
     H = (0.3, 0.7)
     kernel = make_ma_kernel(H, _uniform_weights(H))

@@ -89,6 +89,59 @@ def test_divergent_combinations_raise():
         oscillatory_power_integral(0.5, const=1.0)
 
 
+@pytest.mark.parametrize("part", ["cos_terms", "sin_terms"])
+@pytest.mark.parametrize("p", [0.0, -0.5])
+def test_divergent_tail_raises_at_a_nonpositive_power(p, part):
+    # y^{-p} cos|sin(y) on [1, inf) diverges for p <= 0; the engine returned
+    # -0.841 for cos at p = 0 and 0.627j for sin at p = -0.5
+    with pytest.raises(QuadratureError, match=re.escape(f"p={p} <= 0")):
+        oscillatory_power_integral(p, **{part: [(1.0, 1.0)]})
+
+
+def _squares_round_apart(rng, lo, hi, n):
+    """n draws from [lo, hi) whose square pow rounds apart from x * x."""
+    out = []
+    while len(out) < n:
+        x = float(rng.uniform(lo, hi))
+        if x**2 != x * x:
+            out.append(x)
+    return out
+
+
+def test_bracket_is_the_written_out_reference_on_unit_coefficients():
+    # the identities' terms: cos at order 2 with (1, t-s), (-1, t), (-1, s)
+    # or (-e, t-x), (e, x); sin at order 3 with (1, t-s), (1, s), (-1, t)
+    # and at order 1 with (1, t-x), (1, x).  The abscissae are the sweep's
+    # and draws whose squares pow and the product round apart; y runs over
+    # the switch to the Taylor series at 1e-4, a log-spaced sweep of the
+    # panel and such draws above the switch
+    rng = np.random.default_rng(25)
+    draws = _squares_round_apart(rng, -3.0, 3.0, 40)
+    pairs = [*quadrature.SWEEP_ST, *zip(draws[::2], draws[1::2])]
+    ys = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+          *np.geomspace(1e-8, 1.0, 41).tolist(),
+          *_squares_round_apart(rng, 1e-4, 1.0, 20)]
+    for s, t in pairs:
+        cases = [(math.cos, [(1.0, t - s), (-1.0, t), (-1.0, s)], 2),
+                 (math.cos, [(-1.0, t - s), (1.0, s)], 2),
+                 (math.sin, [(1.0, t - s), (1.0, s), (-1.0, t)], 3),
+                 (math.sin, [(1.0, t - s), (1.0, s)], 1)]
+        for trig, terms, order in cases:
+            got = quadrature._bracket(trig, terms, order)
+            want = oracle._series_guarded(terms, trig is math.cos, order)
+            assert [got(y) for y in ys] == [want(y) for y in ys]
+
+
+@pytest.mark.parametrize("trig,terms,order", [
+    (math.cos, [(0.7, 1.3), (-2.1, 0.4), (0.25, -2.9)], 2),
+    (math.sin, [(0.7, 1.3), (-2.1, 0.4), (0.25, -2.9)], 1),
+    (math.sin, [(0.7, 2.0), (-1.4, 1.0), (0.3, 0.0)], 3),
+], ids=["cos2", "sin1", "sin3"])
+def test_bracket_is_continuous_across_its_taylor_switch(trig, terms, order):
+    f = quadrature._bracket(trig, terms, order)
+    assert f(math.nextafter(1e-4, 0.0)) == pytest.approx(f(1e-4), rel=1e-7)
+
+
 # ---------------------------------------------------------------- identities
 
 def test_increment_integral_unit_point():
