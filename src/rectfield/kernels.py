@@ -134,6 +134,24 @@ def _as_points(p, n) -> np.ndarray:
     return pts
 
 
+def _unique(a: np.ndarray):
+    """``np.unique(a, axis=0, return_inverse=True)`` by one stable sort.
+
+    For an array (n,) or (n, m): its distinct entries or rows in
+    lexicographic order (first column first), and the index of each of its
+    n elements among them.  np.unique loads ``numpy.ma`` when it is asked
+    for the distinct values alone.
+    """
+    rows = a[:, None] if a.ndim == 1 else a
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return a[order[new]], inverse
+
+
 class NonFiniteError(ValueError):
     """A covariance evaluated to inf or NaN at finite points."""
 

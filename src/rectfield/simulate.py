@@ -27,15 +27,14 @@ not on the scaling factors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma, numpy.random  # noqa: E401, F401  (np.unique, the draws)
+import numpy.random  # noqa: F401  (loaded here, not at the first draw)
 
 from .increments import PLAN_BLOCK, ProbePlan, _corners, probe_covariances
 from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
-                      make_kernel)
+                      _unique, make_kernel)
 
 __all__ = [
     "PSDError",
@@ -81,7 +80,7 @@ class Grid:
         if np.any(pts <= 0.0):
             raise ValueError("grid points must have strictly positive "
                              "coordinates (the axes are degenerate)")
-        if len(np.unique(pts, axis=0)) != len(pts):
+        if len(_unique(pts)[0]) != len(pts):
             raise ValueError("grid contains duplicate points")
         object.__setattr__(self, "points", pts)
 
@@ -211,6 +210,7 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
     values = np.empty((n_samples, dim))
     tasks = list(enumerate(bounds))
     if n_workers > 1:   # no more threads than chunks
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(min(n_workers, len(tasks))) as pool:
             for lo, block in pool.map(draw, tasks):
                 values[lo:lo + block.shape[0]] = block
@@ -265,7 +265,7 @@ def _probe_corners(plan: ProbePlan):
     Probe q = p S + k has the boxes [h_k, u1 + h_k] and [h_k, u2 + h_k] of
     pair p = (u1, u2) and shift h_k.  Returns (pts, count, index, signs):
     pts[q, :count[q]] are the probe's distinct corners with no zero
-    coordinate, in the lexicographic order of ``np.unique``, and the rest
+    coordinate, in lexicographic order (first coordinate first), and the rest
     of pts (Q, m >= 1, N) is padding, all ones; index (Q, 2, 2^N)
     is the column of each box corner in pts[q], and -1 for a corner with a
     zero coordinate; signs (2^N,) are the corner signs.
@@ -277,17 +277,16 @@ def _probe_corners(plan: ProbePlan):
     n_probes = hi.shape[0] * hi.shape[1]
     flat = corners.reshape(-1, hi.shape[-1])
     # the probe number leads each row, so no two probes share a point and
-    # each probe's points keep the order np.unique gives them alone
+    # each probe's points keep the lexicographic order they have alone
     probe = np.arange(len(flat)) // (len(flat) // n_probes)
-    uniq, inverse = np.unique(np.column_stack([probe, flat]), axis=0,
-                              return_inverse=True)
+    uniq, inverse = _unique(np.column_stack([probe, flat]))
     owner, uniq = uniq[:, 0].astype(int), uniq[:, 1:]
     live = np.all(uniq > 0.0, axis=1)
     count = np.bincount(owner[live], minlength=n_probes)
     col = np.cumsum(live) - 1 - (np.cumsum(count) - count)[owner]
     pts = np.ones((n_probes, max(int(count.max()), 1), uniq.shape[1]))
     pts[owner[live], col[live]] = uniq[live]
-    index = np.where(live, col, -1)[inverse.ravel()]
+    index = np.where(live, col, -1)[inverse]
     return pts, count, index.reshape(n_probes, 2, -1), signs
 
 
@@ -372,8 +371,8 @@ def _blocks(k: np.ndarray):
     into consecutive blocks (e[j-1], e[j]] with sizes diff([-1, e]); each
     entry of ``k`` is the right end of its block.
     """
-    edges = np.unique(k)
-    return np.diff(edges, prepend=-1), np.searchsorted(edges, k)
+    edges, block = _unique(k)
+    return np.diff(edges, prepend=-1), block
 
 
 def _rect_sums(cells: np.ndarray, b1: np.ndarray, b2: np.ndarray):

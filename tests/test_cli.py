@@ -148,6 +148,23 @@ def test_run_classify(tmp_path):
     assert (tmp_path / "classify_probes.csv").exists()
 
 
+def test_classify_label_that_contradicts_the_claim_is_inconclusive(
+        tmp_path, capsys):
+    # far shifts cancel fBs's corner sums to a `none` label (var 8.05e-3):
+    # the spec claims strict_wide, so the run reports both and exits 1
+    # instead of printing `-> none` with exit 0
+    cfg = validate_config({
+        "command": "classify", "spec": {"family": "fbs", "H": [0.3, 0.7]},
+        "probes": {"shift_box": 1e6}, "out": str(tmp_path)})
+    assert run(cfg) == 1
+    with open(tmp_path / "classify.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["label"] == "inconclusive"
+    out = capsys.readouterr().out
+    assert ("-> inconclusive: the residuals say none, the spec claims "
+            "strict_wide") in out
+
+
 def test_run_simulate_and_byte_identical_reruns(tmp_path):
     base = {
         "command": "simulate", "spec": {"family": "fbs", "H": [0.4, 0.6]},

@@ -7,7 +7,9 @@ call: QUADPACK for the suites that integrate (``lemmas``, ``densities``,
 ``ma``), the log-gamma ufuncs where g_H is evaluated.  No command loads
 the ``scipy.integrate`` or ``scipy.special`` package.  A validated config
 then runs without importing any module, and the closed-form and sampling
-commands run, with the same bytes, where SciPy cannot be imported.
+commands run, with the same bytes, where SciPy cannot be imported.  No
+command loads ``numpy.ma``, and only a sampler run with more than one
+worker loads ``concurrent.futures``, while its config is validated.
 """
 
 import json
@@ -41,6 +43,9 @@ _CONFIGS = {
                  "spec": {"family": "fbs", "H": [0.3, 0.7]},
                  "grid": {"axes": [[0.5, 1.0], [1.0, 2.0]]},
                  "n_samples": 200, "seed": 3},
+    "simulate-pool": {"command": "simulate",   # two chunks, two threads
+                      "spec": {"family": "fbs", "H": [0.3, 0.7]},
+                      "n_samples": 300, "seed": 3, "n_workers": 2},
     "mc": {"command": "mc", "spec": _MILD, "n_samples": 200, "seed": 5,
            "probes": {"n_pairs": 1, "n_shifts": 2, "seed": 2}},
     "limit-demo": {"command": "limit-demo", "r1": 16, "r2": 16,
@@ -71,11 +76,13 @@ _IMPORT = """
 import inspect, json, sys
 import rectfield, rectfield.cli
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+unused = sorted({"numpy.ma", "concurrent.futures"} & set(sys.modules))
 sys.path.insert(0, sys.argv[1])
 from tracing import LAYERS
 q = rectfield.quadrature
 print(json.dumps({
     "scipy": scipy,
+    "unused": unused,
     "missing": [n for n in LAYERS if n != "cli.csv"
                 and not inspect.ismodule(sys.modules.get("rectfield." + n))],
     "quad": [inspect.isfunction(vars(q).get("quad")),
@@ -89,7 +96,7 @@ def test_import_loads_no_scipy_and_every_traced_layer():
     # the tracer finds its layers in sys.modules and wraps the module
     # attribute quadrature.quad, which _quad_panel calls through its global
     got = _python(_IMPORT, str(_BENCH))
-    assert got == {"scipy": [], "missing": [],
+    assert got == {"scipy": [], "unused": [], "missing": [],
                    "quad": [True, "rectfield.quadrature"],
                    "panel_calls_global": True}
 
@@ -106,6 +113,8 @@ before = set(sys.modules)
 rc = cli.main([command, "--config", path])
 print(json.dumps({"rc": rc, "scipy": scipy, "quadpack": quadpack,
                   "added": sorted(set(sys.modules) - before),
+                  "unused": sorted({"numpy.ma", "concurrent.futures"}
+                                   & set(sys.modules)),
                   "subpackages": sorted({"scipy.integrate", "scipy.special"}
                                         & set(sys.modules))}))
 """
@@ -113,15 +122,18 @@ print(json.dumps({"rc": rc, "scipy": scipy, "quadpack": quadpack,
 
 @pytest.mark.parametrize("label", list(_CONFIGS))
 def test_validated_config_runs_without_importing(tmp_path, label):
-    # numpy.random (the first draw), numpy.ma (np.unique), locale (the
-    # argparse parser, built when rectfield.cli is imported) and SciPy's
-    # compiled modules (check, density) load before the run, QUADPACK only
-    # for the suites that integrate; neither SciPy subpackage loads at all
+    # numpy.random (the first draw), locale (the argparse parser, built
+    # when rectfield.cli is imported), SciPy's compiled modules (check,
+    # density) and the thread pool (n_workers > 1) load before the run,
+    # QUADPACK only for the suites that integrate; neither SciPy
+    # subpackage loads at all, nor numpy.ma, which np.unique would load
     command = _CONFIGS[label]["command"]
     path = _write_config(tmp_path, label, tmp_path / "out")
     got = _python(_RUN_PHASE, str(path), command)
     assert got == {"rc": 0, "scipy": command in _USES_SCIPY,
                    "quadpack": label in _INTEGRATING, "added": [],
+                   "unused": (["concurrent.futures"]
+                              if label == "simulate-pool" else []),
                    "subpackages": []}
 
 

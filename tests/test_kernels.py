@@ -24,6 +24,7 @@ from rectfield.kernels import (
     YHalf,
     ZHalf,
     _letters_array,
+    _unique,
     _spectral_mass,
     cov_fbs,
     cov_mild_theta,
@@ -705,3 +706,24 @@ def test_seam_form_leaves_the_plain_form_where_h_is_away_from_half():
         plain = math.tan(math.pi * h) * (-t**e + s**e
                                          + np.sign(t - s) * np.abs(t - s)**e)
         assert np.array_equal(b, plain), h
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unique_is_np_unique_in_order_and_inverse(seed):
+    # one stable sort replaces np.unique, which loads numpy.ma; the tables
+    # have duplicate rows, zero coordinates and ties in leading columns
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, 0.5, 1.0, 1e-300, 2.0, 7.25])
+    for shape in ((60, 3), (60, 1), (1, 2), (5, 4), (0, 2)):
+        table = rng.choice(values, size=shape)
+        rows, inverse = _unique(table)
+        want, want_inverse = np.unique(table, axis=0, return_inverse=True)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(inverse, want_inverse.ravel())
+        assert np.array_equal(rows[inverse], table)
+    for k in (rng.integers(0, 12, size=40), np.array([5]),
+              np.zeros(0, dtype=np.int64)):
+        edges, inverse = _unique(k)
+        want, want_inverse = np.unique(k, return_inverse=True)
+        assert edges.dtype == want.dtype and np.array_equal(edges, want)
+        assert np.array_equal(inverse, want_inverse)

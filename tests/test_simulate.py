@@ -123,11 +123,11 @@ def test_cholesky_sample_deterministic():
 
 
 def test_cholesky_pool_has_no_more_threads_than_chunks(monkeypatch):
-    import rectfield.simulate as sim
+    import concurrent.futures   # the sampler imports its pool at first use
 
     sizes = []
-    real = sim.ThreadPoolExecutor
-    monkeypatch.setattr(sim, "ThreadPoolExecutor",
+    real = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda n: sizes.append(n) or real(n))
     M = np.array([[2.0, 0.5], [0.5, 1.0]])
     n = CHUNK_SIZE + 1   # two chunks

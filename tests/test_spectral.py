@@ -1,5 +1,6 @@
 """Spectral densities, Fourier inversion, density-level criterion."""
 
+import dataclasses
 import math
 import os
 import re
@@ -141,6 +142,53 @@ def test_transform_of_a_sum_is_the_weighted_sum_of_its_terms():
     x = np.array([[0.5, -0.2], [-3.0, 1.5]])
     assert np.all(SpectralDensity(terms)(x) == sum(
         c * fs[0](x[:, 0]) * fs[1](x[:, 1]) for c, fs in terms))
+
+
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_even_letter_takes_one_qawf_run_with_the_same_bits(monkeypatch, H):
+    # a plain lambda declares nothing, so it takes the two-run route: the
+    # even part g(x) + g(-x) is 2 g(x) and the odd part is 0.0 exactly
+    (_, (letter,)), = fbm_density(H).terms
+    plain = SpectralDensity(((1.0, (lambda x: letter(x),)),))
+    weights = []
+    real = quadrature.quad
+    monkeypatch.setattr(quadrature, "quad", lambda f, a, b, epsabs, weight,
+                        wvar: weights.append(weight)
+                        or real(f, a, b, epsabs, weight, wvar))
+    for v in (-2.0, 0.0, 0.7, 2.5):
+        got = dataclasses.astuple(cov_from_density(fbm_density(H), (v,)))
+        assert weights == ["cos"]
+        want = dataclasses.astuple(cov_from_density(plain, (v,)))
+        assert weights == ["cos", "cos", "sin"]
+        assert [x.hex() for x in got] == [x.hex() for x in want], v
+        weights.clear()
+
+
+def test_factor_that_declares_nothing_keeps_its_imaginary_part():
+    for v in (-0.7, 0.7):
+        res = cov_from_density(SpectralDensity(((1.0, (_skewed,)),)), (v,))
+        assert res.imag_residual > 1e-3, v
+
+
+def test_letter_maps_each_distinct_magnitude_once():
+    calls = []
+
+    def scalar(ax):
+        calls.append(ax)
+        return 2.0 * ax + 1.0
+
+    x = np.array([[1.5, -1.5, 0.0], [-0.0, 2.0, 1.5]])
+    got = spectral._map_floats(scalar, x)
+    assert calls == [0.0, 1.5, 2.0]
+    assert np.array_equal(got, [[4.0, 4.0, 1.0], [1.0, 5.0, 4.0]])
+    # a 21 x 21 grid has 11 distinct |x| per axis; each value keeps the
+    # bits of its own float call
+    H = (0.3, 0.7)
+    xs = np.linspace(-5.0, 5.0, 21)
+    x = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
+    g1, g2 = spectral._fbm_letter(H[0]), spectral._fbm_letter(H[1])
+    assert np.array_equal(g_product(H, x),
+                          [g1(a) * g2(b) for a, b in x.tolist()])
 
 
 @pytest.mark.parametrize("a", [1.0, 100.0, 1e4])
