@@ -8,13 +8,19 @@ anchor: invariance of all cross covariances means wide-sense (for Gaussian
 fields, strictly) stationary rectangular increments, invariance of the
 variances alone means the mild property, and neither means none.
 
-The algebra is batched: for a stack of box pairs, the corners (..., 2^N, N)
-of both boxes go to the kernel's array form in one call, and the corner
-covariances K (..., 2^N, 2^N) are contracted with the corner signs,
-signs @ K @ signs.  ``increment_cov`` goes through this contraction, and
-``probe_covariances`` fills the table of every probe covariance of a plan
-with it, a block of probe pairs per call; the classifier and the analytic
-values of the Monte Carlo probes read that table.
+The algebra is batched over stacks of box pairs.  A kernel that carries its
+term table (every ``make_kernel`` kernel) gives the increment covariances
+one coordinate at a time, from the lags between the boxes' corners
+(``kernels.increment_cov_terms_array``), so they keep their digits however
+far out the boxes are anchored.  For any other kernel, or a bare callable,
+the corners (..., 2^N, N) of both boxes go to its array form in one call,
+and the corner covariances K (..., 2^N, 2^N) are contracted with the
+corner signs, signs @ K @ signs; that corner sum loses digits like
+(anchor / extent)^{2H}.  ``increment_cov`` goes through one of the two
+routes, and ``probe_covariances`` fills the table of every probe
+covariance of a plan with it, a block of probe pairs per call; the
+classifier and the analytic values of the Monte Carlo probes read that
+table.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CovKernel, NonFiniteError, StationarityClass, _as_points
+from .kernels import (CovKernel, NonFiniteError, StationarityClass, TermTable,
+                      _as_points, increment_cov_terms_array)
 
 PLAN_BLOCK = 1 << 16      # corner pairs per kernel call in probe_covariances
 TOL_INVARIANT = 1e-8      # classifier residuals up to this are invariant,
@@ -103,17 +110,23 @@ def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
     """Covariances of the increments over [lo1, hi1] and [lo2, hi2].
 
     The box corners broadcast against each other over their leading axes;
-    the result has the broadcast leading shape.  All corner pairs go to the
-    kernel's array form in one call; a bare callable is that array form.
-    A non-finite covariance raises ``NonFiniteError``, naming the first
-    pair of boxes where it occurs.
+    the result has the broadcast leading shape.  A kernel that carries its
+    term table (``TermTable``, as every ``make_kernel`` kernel does) takes
+    them one coordinate at a time, from the lags; any other array form (a
+    bare callable is one) gets all corner pairs in one call, contracted
+    with the corner signs.  A non-finite covariance raises
+    ``NonFiniteError``, naming the first pair of boxes where it occurs.
     """
-    c1, signs = _corners(lo1, hi1)
-    c2, _ = _corners(lo2, hi2)
     batch = kernel.batch if isinstance(kernel, CovKernel) else kernel
-    K = batch(c1[..., :, None, :], c2[..., None, :, :])
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        C = signs @ K @ signs
+    if isinstance(batch, TermTable):
+        C = increment_cov_terms_array(batch.H, batch.terms, lo1, hi1, lo2,
+                                      hi2)
+    else:
+        c1, signs = _corners(lo1, hi1)
+        c2, _ = _corners(lo2, hi2)
+        K = batch(c1[..., :, None, :], c2[..., None, :, :])
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            C = signs @ K @ signs
     bad = np.argwhere(~np.isfinite(C))
     if len(bad):
         box = [np.broadcast_to(a, C.shape + np.shape(a)[-1:])[tuple(bad[0])]
@@ -124,7 +137,8 @@ def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
 
 
 def increment_cov(kernel, r1: Rectangle, r2: Rectangle) -> float:
-    """E[increment over r1 * increment over r2] by bilinear corner expansion."""
+    """E[increment over r1 * increment over r2], from the lags for a kernel
+    with its term table, by bilinear corner expansion otherwise."""
     if r1.n != r2.n:
         raise ValueError(f"rectangle dimensions differ: {r1.n} vs {r2.n}")
     return float(_increment_covs(kernel, r1.s, r1.t, r2.s, r2.t))

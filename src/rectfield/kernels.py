@@ -50,16 +50,24 @@ names each letter "a", "b" or "arho".  Every family is one of two canonical
 specifications, the strict mixture (``StrictGeneral``: b on S, a elsewhere)
 or the mild family (``MildTheta``), and ``terms`` of either is its table.
 
-``cov_terms_array`` is the one evaluator and the only code here that
-computes a covariance.  It takes point arrays of shape (..., N) that
-broadcast against each other, forms each coordinate's letters once, and
-returns the covariances, shape (...).  A ``CovKernel`` carries it as its
-``batch``, and the functions of one pair of points (``cov_fbs``,
-``cov_strict_general``, ``cov_mild_theta``) return ``float`` of it at that
-pair.  A kernel claims mild-only stationarity exactly when its table has an
-a rho letter: a and b are sums of a function of t, one of s and one of
-t - s, so their double differences over a rectangular increment depend on
-its lags alone, and a rho is not.
+``cov_terms_array`` is the one evaluator of a covariance at points.  It
+takes point arrays of shape (..., N) that broadcast against each other,
+forms each coordinate's letters once, and returns the covariances, shape
+(...).  ``make_kernel`` hands a ``CovKernel`` its table as a ``TermTable``,
+whose call is that evaluator, and the functions of one pair of points
+(``cov_fbs``, ``cov_strict_general``, ``cov_mild_theta``) return ``float``
+of it at that pair.  A kernel claims mild-only stationarity exactly when
+its table has an a rho letter: a and b are sums of a function of t, one of
+s and one of t - s, so their double differences over a rectangular
+increment depend on its lags alone, and a rho is not.
+
+``increment_cov_terms_array`` is the table's other evaluator: the
+covariance of two rectangle increments, sum_k c_k prod_j Delta phi_kj,
+with one double difference per coordinate and letter.  For a and b the
+double difference is taken over the four lags between the boxes' corners
+(``_double_differences``), so its terms have the size of the boxes, not of
+their anchors, and a far anchor costs no digits; a rho is taken over its
+own four corners, so that only one coordinate's part cancels.
 """
 
 from __future__ import annotations
@@ -95,6 +103,8 @@ __all__ = [
     "CovKernel",
     "make_kernel",
     "cov_terms_array",
+    "increment_cov_terms_array",
+    "TermTable",
     "cov_fbs",
     "cov_strict_general",
     "cov_mild_theta",
@@ -296,6 +306,12 @@ def _xlogx_array(x: np.ndarray) -> np.ndarray:
 SEAM_DELTA = 0.05
 
 
+def _expm1_power(delta: float, x: np.ndarray) -> np.ndarray:
+    """E(x) = expm1(2 delta log|x|), so that |x|^{1 + 2 delta} = |x| + |x| E(x);
+    0 E(0) := 0 (log is taken of 1 there)."""
+    return np.expm1(2.0 * delta * np.log(np.where(x != 0.0, np.abs(x), 1.0)))
+
+
 def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
                          need_b: bool):
     """The a and b brackets at H = 1/2 + delta, |delta| < ``SEAM_DELTA``.
@@ -316,13 +332,9 @@ def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
         b = (2.0 / math.pi * (_xlogx_array(t) - _xlogx_array(s)
                               - _xlogx_array(t - s)) if need_b else None)
         return a, b
-
-    def expm1_power(x):
-        return np.expm1(2.0 * delta
-                        * np.log(np.where(x != 0.0, np.abs(x), 1.0)))
-
     d = t - s
-    te, se, de = t * expm1_power(t), s * expm1_power(s), expm1_power(d)
+    te, se = t * _expm1_power(delta, t), s * _expm1_power(delta, s)
+    de = _expm1_power(delta, d)
     a = 2.0 * np.minimum(t, s) + (te + se - np.abs(d) * de)
     b = -(se - te + d * de) / math.tan(math.pi * delta) if need_b else None
     return a, b
@@ -358,6 +370,25 @@ def _letters_array(h: float, t: np.ndarray, s: np.ndarray, names) -> dict:
     return letters
 
 
+def _table_hurst(H, terms) -> tuple:
+    """H checked, with one letter per coordinate in every term."""
+    H = validate_hurst(H)
+    if any(len(row) != len(H) for _, row in terms):
+        raise ValueError(f"every term needs one letter per coordinate of "
+                         f"the {len(H)}-dimensional H")
+    return H
+
+
+def _sum_terms(terms, letters) -> np.ndarray:
+    """sum_k c_k prod_j letters[j][phi_kj] over the rows of a term table."""
+    total = 0.0
+    for coef, row in terms:
+        for lj, name in zip(letters, row):
+            coef = coef * lj[name]
+        total = total + coef
+    return total
+
+
 def cov_terms_array(H, terms, s, t) -> np.ndarray:
     """The covariance sum_k c_k prod_j phi_kj(t_j, s_j) of a term table.
 
@@ -367,22 +398,99 @@ def cov_terms_array(H, terms, s, t) -> np.ndarray:
     its NaNs are left to the caller, which checks finiteness; numpy is told
     not to warn about them.
     """
-    H = validate_hurst(H)
-    if any(len(row) != len(H) for _, row in terms):
-        raise ValueError(f"every term needs one letter per coordinate of "
-                         f"the {len(H)}-dimensional H")
+    H = _table_hurst(H, terms)
     s = _as_points(s, len(H))
     t = _as_points(t, len(H))
     with np.errstate(over="ignore", invalid="ignore"):
-        letters = [_letters_array(h, t[..., j], s[..., j],
-                                  {row[j] for _, row in terms})
-                   for j, h in enumerate(H)]
-        total = 0.0
-        for coef, row in terms:
-            for lj, name in zip(letters, row):
-                coef = coef * lj[name]
-            total = total + coef
-    return total
+        return _sum_terms(terms, [
+            _letters_array(h, t[..., j], s[..., j],
+                           {row[j] for _, row in terms})
+            for j, h in enumerate(H)])
+
+
+# the signs of one coordinate's four corner pairs (t, s), t a corner of the
+# second box and s one of the first: (hi2, hi1), (lo2, hi1), (hi2, lo1),
+# (lo2, lo1)
+_PAIR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _double_differences(h: float, lo1, hi1, lo2, hi2, names) -> dict:
+    """Double differences sum_pairs +-phi(t, s) of one coordinate's letters.
+
+    The letters that ``names`` lists, by name, over the corner pairs of
+    [lo1, hi1] (s) and [lo2, hi2] (t), signed by ``_PAIR_SIGNS``.  a and b
+    are sums of a function of t, one of s and one of t - s, and the first
+    two cancel exactly, so both are taken over the four lags alone,
+
+        d = (lo2 - lo1) + (w - u, -u, w, 0),   u = hi1 - lo1, w = hi2 - lo2,
+
+        Delta a = -sum +-|d|^{2H},   Delta b = tan(pi H) sum +-sgn(d)|d|^{2H},
+
+    whose size is that of the boxes, not of their anchors.  Within
+    ``SEAM_DELTA`` of 1/2 these take the d-parts of
+    ``_seam_brackets_array``'s forms: at H = 1/2 + delta,
+    Delta a = -sum +-|d| (1 + E(|d|)) and
+    Delta b = -sum +-d E(|d|) / tan(pi delta) (``_expm1_power``; the linear
+    part sum +-d is 0), and at H = 1/2, where E = 0,
+    Delta b = -(2/pi) sum +-d log|d|.  a rho has no lag form: it is taken
+    at its four corner pairs, so that what cancels is this coordinate's
+    part alone.
+    """
+    u, w, c = np.broadcast_arrays(hi1 - lo1, hi2 - lo2, lo2 - lo1)
+    d = np.stack([c + (w - u), c - u, c + w, c], axis=-1)
+    delta, out = h - 0.5, {}
+    if abs(delta) < SEAM_DELTA:
+        ad = np.abs(d)
+        e = _expm1_power(delta, ad)     # 0 at H = 1/2
+        out["a"] = -(ad + ad * e) @ _PAIR_SIGNS
+        if "b" in names:
+            out["b"] = (-2.0 / math.pi * (_xlogx_array(d) @ _PAIR_SIGNS)
+                        if delta == 0.0 else
+                        -((d * e) @ _PAIR_SIGNS) / math.tan(math.pi * delta))
+    else:
+        p = np.abs(d) ** (2.0 * h)
+        out["a"] = -p @ _PAIR_SIGNS
+        if "b" in names:
+            out["b"] = math.tan(math.pi * h) * ((np.sign(d) * p) @ _PAIR_SIGNS)
+    if "arho" in names:
+        lo1, hi1, lo2, hi2 = np.broadcast_arrays(lo1, hi1, lo2, hi2)
+        t = np.stack([hi2, lo2, hi2, lo2], axis=-1)
+        s = np.stack([hi1, hi1, lo1, lo1], axis=-1)
+        out["arho"] = _letters_array(h, t, s, {"arho"})["arho"] @ _PAIR_SIGNS
+    return out
+
+
+def increment_cov_terms_array(H, terms, lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Covariances of the increments over [lo1, hi1] and [lo2, hi2].
+
+    The box corners are point arrays (..., N) that broadcast against each
+    other; the result has their broadcast leading shape.  For a term table
+    the covariance is sum_k c_k prod_j Delta phi_kj, one double difference
+    per coordinate and letter (``_double_differences``), 4 evaluations per
+    coordinate where the corner expansion takes 4^N kernel values.  Overflow
+    is left to the caller, as in ``cov_terms_array``.
+    """
+    H = _table_hurst(H, terms)
+    boxes = [_as_points(p, len(H)) for p in (lo1, hi1, lo2, hi2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sum_terms(terms, [
+            _double_differences(h, *(b[..., j] for b in boxes),
+                                {row[j] for _, row in terms})
+            for j, h in enumerate(H)])
+
+
+class TermTable:
+    """A term table over its Hurst vector, called as its array form:
+    ``TermTable(H, terms)(s, t)`` is ``cov_terms_array(H, terms, s, t)``.
+    A plain class: a dataclass would cost half a millisecond at import."""
+
+    __slots__ = ("H", "terms")
+
+    def __init__(self, H: tuple, terms: tuple):
+        self.H, self.terms = H, terms
+
+    def __call__(self, s, t) -> np.ndarray:
+        return cov_terms_array(self.H, self.terms, s, t)
 
 
 # --------------------------------------------------------------------------
@@ -644,8 +752,10 @@ class CovKernel:
     ``batch(S, T)`` takes point arrays of shape (..., N) that broadcast
     against each other and returns the covariances, shape (...).  Called
     on two points (a bare number is a 1-D point), the kernel returns
-    ``float(batch(s, t))``.  ``make_kernel`` passes ``cov_terms_array``
-    over the spec's term table.
+    ``float(batch(s, t))``.  ``make_kernel`` passes the spec's
+    ``TermTable``, from which :mod:`rectfield.increments` also takes
+    increment covariances by their lags; any other callable is evaluated
+    at the box corners.
     """
 
     spec: FieldSpec
@@ -679,4 +789,4 @@ def make_kernel(spec: FieldSpec) -> CovKernel:
     return CovKernel(spec=spec,
                      claimed_class=(StationarityClass.MILD_ONLY if mild
                                     else StationarityClass.STRICT_WIDE),
-                     batch=lambda s, t: cov_terms_array(H, terms, s, t))
+                     batch=TermTable(H, terms))

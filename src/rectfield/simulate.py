@@ -5,9 +5,13 @@ kernel over the grid, factor it (Cholesky, with one diagonal-jitter retry),
 and multiply standard normals through the factor.  The matrix is assembled
 by the kernel's array form, one call per block of rows, so the temporaries
 stay O(block * n) next to the n x n result.  Normals come from
-counter-based Philox streams keyed by (seed, stream, chunk index), so the
+counter-based Philox streams keyed by (seed, stream, chunk index) as
+numpy's ``SeedSequence(seed, spawn_key=(stream, chunk))`` keys them, so the
 same seed reproduces the same bits regardless of how many workers generate
-the chunks.
+the chunks.  The keys of every chunk of a draw come from one pass
+(``_chunk_keys``): numpy builds the entropy pool of (seed, stream) once,
+and the chunk words are mixed into it as arrays; each ``Philox`` takes its
+key through a seed sequence that holds it, drawing no entropy.
 
 The Monte Carlo side estimates increment covariances from simulated fields
 (for comparison with the batched closed-form increment algebra): one draw
@@ -27,10 +31,11 @@ not on the scaling factors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  (loaded here, not at the first draw)
+from numpy.random.bit_generator import ISeedSequence
 
 from .increments import PLAN_BLOCK, ProbePlan, _corners, probe_covariances
 from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
@@ -146,9 +151,77 @@ def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
     return M
 
 
-def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream, chunk))
-    return np.random.Generator(np.random.Philox(seed=ss))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
+# multipliers of its entropy hash (A) and of its output hash (B), and its
+# two mixing multipliers
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_multipliers(init: int, mult: int, start: int) -> np.ndarray:
+    """init mult^k mod 2^32 for k = start, ..., start + 4, as a column."""
+    first = init * pow(mult, start, 1 << 32)
+    return np.array([first * pow(mult, k, 1 << 32) % (1 << 32)
+                     for k in range(5)], dtype=np.uint32)[:, None]
+
+
+def _words(n: int) -> int:
+    """How many uint32 words SeedSequence splits the int n >= 0 into."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _chunk_keys(seed, stream, n_chunks: int) -> np.ndarray:
+    """The Philox keys (n_chunks, 2) of the chunks of (seed, stream).
+
+    Chunk c's key is what ``Philox(SeedSequence(seed, spawn_key=(stream,
+    c)))`` takes, two uint64 words of ``generate_state``; numpy builds
+    the pool of (seed, stream) once, and every chunk word, the last of the
+    entropy, is mixed into it here in uint32 arithmetic.  Before that word
+    the pool has used 4 L multipliers of the entropy hash, one per pool
+    word and entropy word (L words: the seed's, padded to 4, and the
+    stream's).  A chunk index fits one word, since a draw of 2^32 chunks
+    of ``CHUNK_SIZE`` rows is far past memory.  A seed or stream that is
+    not an integer raises TypeError; a float is not truncated.
+    """
+    seed, stream = operator.index(seed), operator.index(stream)
+    pool = np.random.SeedSequence(seed, spawn_key=(stream,)).pool[:, None]
+    a = _hash_multipliers(_INIT_A, _MULT_A,
+                          4 * (max(4, _words(seed)) + _words(stream)))
+    b = _hash_multipliers(_INIT_B, _MULT_B, 0)
+    v = (np.arange(n_chunks, dtype=np.uint32) ^ a[:4]) * a[1:]
+    v ^= v >> 16
+    v = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * v
+    v ^= v >> 16
+    v = (v ^ b[:4]) * b[1:]
+    v ^= v >> 16
+    # words 0, 1 and 2, 3 are the two little-endian uint64 key words
+    return np.ascontiguousarray(v.T, dtype="<u4").view("<u8")
+
+
+class _ChunkKey(ISeedSequence):
+    """A seed sequence that hands ``Philox`` a key from ``_chunk_keys``;
+    ``Philox(key=...)`` would draw operating-system entropy first."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a chunk key is two uint64 words")
+        return self.key
+
+
+def _chunk_generator(key: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_ChunkKey(key)))
+
+
+def _check_finite(M: np.ndarray, context: str):
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        i, j = bad[0]
+        raise NonFiniteError(f"covariance of {context} has the non-finite "
+                             f"entry {M[i, j]} at ({i}, {j})")
 
 
 def _factor_with_jitter(M: np.ndarray, context: str):
@@ -190,25 +263,31 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
                     context: str = "matrix"):
     """Draw n_samples rows of N(0, M) deterministically.
 
-    Chunked Philox streams keyed by (seed, stream, chunk) make the output
-    bitwise independent of ``n_workers``.  Returns (values, jitter_used).
+    Chunk c of ``CHUNK_SIZE`` rows draws from the Philox stream keyed by
+    (seed, stream, c) as ``SeedSequence(seed, spawn_key=(stream, c))``
+    keys it; all keys of a call come from one pass (``_chunk_keys``).  So
+    the output is bitwise independent of ``n_workers``.  A non-finite
+    entry of M raises ``NonFiniteError`` before anything is factored, and
+    a seed or stream that is not an integer raises TypeError.  Returns
+    (values, jitter_used).
     """
     M = np.asarray(M, dtype=float)
+    _check_finite(M, context)
+    keys = _chunk_keys(seed, stream, -(-n_samples // CHUNK_SIZE))
     dim = M.shape[0]
     if n_samples == 0:
         return np.empty((0, dim)), 0.0
     L, jitter = _factor_with_jitter(M, context)
     Lt = L.T.copy()
-    bounds = [(i, min(i + CHUNK_SIZE, n_samples))
-              for i in range(0, n_samples, CHUNK_SIZE)]
 
-    def draw(chunk_idx_and_span):
-        idx, (lo, hi) = chunk_idx_and_span
-        z = _stream(seed, stream, idx).standard_normal((hi - lo, dim))
+    def draw(task):
+        key, lo = task
+        z = _chunk_generator(key).standard_normal(
+            (min(CHUNK_SIZE, n_samples - lo), dim))
         return lo, z @ Lt
 
     values = np.empty((n_samples, dim))
-    tasks = list(enumerate(bounds))
+    tasks = list(zip(keys, range(0, n_samples, CHUNK_SIZE)))
     if n_workers > 1:   # no more threads than chunks
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(min(n_workers, len(tasks))) as pool:
@@ -437,8 +516,9 @@ def limit_partial_sums(r1: int, r2: int, t_points, seed: int = 0,
     step = max(1, (1 << 20) // scale.size)
     m = len(t_points)
     acc = np.zeros((m, m))
-    for chunk, lo in enumerate(range(0, n_reps, CHUNK_SIZE)):
-        rng = _stream(seed, 0, chunk)
+    keys = _chunk_keys(seed, 0, -(-n_reps // CHUNK_SIZE))
+    for key, lo in zip(keys, range(0, n_reps, CHUNK_SIZE)):
+        rng = _chunk_generator(key)
         take = min(CHUNK_SIZE, n_reps - lo)
         for sub in range(0, take, step):
             z = rng.standard_normal((min(step, take - sub),) + scale.shape)

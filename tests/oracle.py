@@ -18,9 +18,9 @@ criteria as a loop over the flips.  The last parts give the H = 1/2
 closed forms of the two quadrature identities, the quadrature engine's
 three origin-panel brackets as they were written out one by one
 (``_series_guarded``), the moving-average basis
-built on the one-sided power (u)_+^a, draw the Monte Carlo
-increment probes one probe at a time and write a point's CSV cell one
-coordinate at a time.
+built on the one-sided power (u)_+^a, key each chunk's Philox stream
+through its own SeedSequence, draw the Monte Carlo increment probes one
+probe at a time and write a point's CSV cell one coordinate at a time.
 """
 
 import itertools
@@ -346,6 +346,25 @@ def density_criterion_residual(f, H, x) -> float:
 # --------------------------------------------------------------------------
 # Monte Carlo probes, one probe at a time
 # --------------------------------------------------------------------------
+
+def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """The generator of chunk ``chunk`` of (seed, stream), numpy's own way:
+    one SeedSequence and one Philox per chunk."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, chunk))
+    return np.random.Generator(np.random.Philox(seed=ss))
+
+
+def cholesky_draws(M, seed: int, n_samples: int, stream: int = 0):
+    """``cholesky_sample``'s draws with no jitter: chunk c's normals from
+    ``_stream(seed, stream, c)``, through the Cholesky factor of M."""
+    from rectfield.simulate import CHUNK_SIZE
+
+    L = np.linalg.cholesky(M)
+    return np.concatenate([
+        _stream(seed, stream, c).standard_normal(
+            (min(CHUNK_SIZE, n_samples - lo), len(M))) @ L.T
+        for c, lo in enumerate(range(0, n_samples, CHUNK_SIZE))])
+
 
 def mc_estimates(spec, plan, seed: int, n_samples: int) -> list:
     """The ``estimate`` column of ``mc_increment_stationarity``, per probe.

@@ -150,19 +150,41 @@ def test_run_classify(tmp_path):
 
 def test_classify_label_that_contradicts_the_claim_is_inconclusive(
         tmp_path, capsys):
-    # far shifts cancel fBs's corner sums to a `none` label (var 8.05e-3):
-    # the spec claims strict_wide, so the run reports both and exits 1
-    # instead of printing `-> none` with exit 0
+    # a mild correction of 1e-12 leaves cross residuals far below the
+    # invariance threshold, so the residuals read strict_wide: the spec
+    # claims mild_only, so the run reports both and exits 1 instead of
+    # printing `-> strict_wide` with exit 0
     cfg = validate_config({
-        "command": "classify", "spec": {"family": "fbs", "H": [0.3, 0.7]},
-        "probes": {"shift_box": 1e6}, "out": str(tmp_path)})
+        "command": "classify",
+        "spec": {"family": "mildtheta", "H": [0.3, 0.7], "theta": 1e-12},
+        "out": str(tmp_path)})
     assert run(cfg) == 1
     with open(tmp_path / "classify.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["label"] == "inconclusive"
     out = capsys.readouterr().out
-    assert ("-> inconclusive: the residuals say none, the spec claims "
-            "strict_wide") in out
+    assert ("-> inconclusive: the residuals say strict_wide, the spec claims "
+            "mild_only") in out
+
+
+@pytest.mark.parametrize("spec, label", [
+    ({"family": "fbs", "H": [0.3, 0.7]}, "strict_wide"),
+    ({"family": "strict", "H": [0.3, 0.6, 0.8], "weights": {
+        "+++": 0.2, "---": 0.2, "+-+": 0.1, "-+-": 0.1, "++-": 0.05,
+        "--+": 0.05, "-++": 0.15, "+--": 0.15}}, "strict_wide"),
+    ({"family": "strict2d", "H": [0.3, 0.7], "gamma": 0.6}, "strict_wide"),
+    ({"family": "strict2d", "H": [0.5, 0.52], "gamma": -0.4}, "strict_wide"),
+    ({"family": "mildtheta", "H": [0.3, 0.7], "theta": 0.8}, "mild_only"),
+])
+def test_classify_labels_far_shifts_from_the_lags(tmp_path, capsys, spec,
+                                                  label):
+    # at shift_box 1e6 the corner sum of fBs at (0.3, 0.7) cancelled to a
+    # `none` label (var 8.05e-3); the lag forms keep the boxes' own scale
+    cfg = validate_config({"command": "classify", "spec": spec,
+                           "probes": {"shift_box": 1e6},
+                           "out": str(tmp_path)})
+    assert run(cfg) == 0
+    assert f"-> {label} (" in capsys.readouterr().out
 
 
 def test_run_simulate_and_byte_identical_reruns(tmp_path):
@@ -310,7 +332,7 @@ def test_density_rejects_non_sheet_families(tmp_path, capsys):
      ' "probes": {"box": 1.7e308, "shift_box": 1.7e308}}',
      "classify", "probes.box + shift_box"),
     # covariances that overflow: a NaN verdict, a traceback and an inf value
-    ('{"spec": {"family": "fbs", "H": [0.3, 0.7]},'
+    ('{"spec": {"family": "mildtheta", "H": [0.3, 0.7], "theta": 0.5},'
      ' "probes": {"n_pairs": 1, "n_shifts": 1, "shift_box": 1e300}}',
      "classify", "probes: the covariance is not finite"),
     ('{"spec": {"family": "fbs", "H": [0.3, 0.7]},'

@@ -20,6 +20,7 @@ from rectfield.increments import (
 )
 from rectfield.kernels import (
     FBS,
+    CovKernel,
     MildTheta,
     MovingPair,
     NonFiniteError,
@@ -29,6 +30,7 @@ from rectfield.kernels import (
     StrictWeights,
     YHalf,
     ZHalf,
+    _double_differences,
     make_kernel,
 )
 
@@ -246,11 +248,130 @@ def test_non_finite_increment_covariances_raise():
     far = Rectangle((0.0, 0.0), (1e300, 1e300))
     with pytest.raises(NonFiniteError, match=r"boxes \[\[0\. 0\.\], "):
         increment_cov(kernel, far, far)
+    # the lags of boxes anchored near 1e300 are finite; the mild letter's
+    # corner values are not
     plan = ProbePlan.default(2, n_pairs=1, n_shifts=1, shift_box=1e300)
     with pytest.raises(NonFiniteError, match="non-finite"):
-        probe_covariances(make_kernel(FBS((0.3, 0.7))), plan)
+        probe_covariances(make_kernel(MildTheta(0.3, 0.7, 0.5)), plan)
     with pytest.raises(NonFiniteError):
-        classify_stationarity(make_kernel(FBS((0.3, 0.7))), plan=plan)
+        classify_stationarity(make_kernel(MildTheta(0.3, 0.7, 0.5)),
+                              plan=plan)
+
+
+def test_hand_built_kernels_keep_the_corner_route():
+    # a kernel without its term table gets every corner pair in one call,
+    # the route that stays the tests' oracle, and names the same boxes
+    base = make_kernel(Strict2D(0.3, 0.7, 0.5))
+    shapes = []
+
+    def batch(s, t):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return base.batch(s, t)
+
+    hand = CovKernel(base.spec, base.claimed_class, batch)
+    r1, r2 = Rectangle((1.0, 0.5), (2.0, 3.0)), Rectangle((0.5, 1.0), (2.5, 2.0))
+    want, scale = _corner_loop(oracle.evaluator(base.spec), base.hurst, r1, r2)
+    for kernel in (hand, batch):
+        assert abs(increment_cov(kernel, r1, r2) - want) <= 1e-14 * scale
+    assert shapes == [(4, 4, 2)] * 2
+    assert abs(increment_cov(base, r1, r2) - want) <= 1e-14 * scale
+    far = Rectangle((0.0, 0.0), (1e300, 1e300))
+    nan = CovKernel(base.spec, base.claimed_class,
+                    lambda s, t: np.full(np.broadcast_shapes(
+                        np.shape(s), np.shape(t))[:-1], np.nan))
+    for kernel in (make_kernel(FBS((0.9, 0.9))), nan):
+        with pytest.raises(NonFiniteError, match=r"boxes \[\[0\. 0\.\], "):
+            increment_cov(kernel, far, far)
+
+
+def _mp_double_difference(mp, name, h, lo1, hi1, lo2, hi2):
+    """sum +-phi(t, s) of the letter a, b or arho over the corner pairs,
+    each letter in its corner form (``rectfield.kernels`` module docstring)
+    at the working precision; returns the value and the lags' scale
+    sum |d|^{2H}."""
+    h = mp.mpf(h)
+    total = 0
+    for t, s, sign in ((hi2, hi1, 1), (lo2, hi1, -1), (hi2, lo1, -1),
+                       (lo2, lo1, 1)):
+        t, s = mp.mpf(t), mp.mpf(s)
+        d = t - s
+        if h == 0.5:
+            def xlogx(x):
+                return x * mp.log(abs(x)) if x else mp.mpf(0)
+            a = 2 * min(t, s)
+            b = 2 / mp.pi * (xlogx(t) - xlogx(s) - xlogx(d))
+        else:
+            a = t**(2 * h) + s**(2 * h) - abs(d)**(2 * h)
+            b = mp.tan(mp.pi * h) * (-t**(2 * h) + s**(2 * h)
+                                     + mp.sign(d) * abs(d)**(2 * h))
+        if name == "arho":
+            m = max(t, s)**(2 * h)
+            a = a * (t**(2 * h) - s**(2 * h)) / m if m else mp.mpf(0)
+        total += sign * (b if name == "b" else a)
+    lags = (mp.mpf(hi2) - hi1, mp.mpf(lo2) - hi1, mp.mpf(hi2) - lo1,
+            mp.mpf(lo2) - lo1)
+    return total, sum(abs(x)**(2 * h) for x in lags)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.46, 0.499, 0.5, 0.5 + 1e-9, 0.52,
+                               0.7, 0.9])
+def test_lag_forms_match_mpmath_at_far_anchors(h):
+    # the corner sum lost digits like (shift / box)^{2H}: 9e-5 relative at
+    # shift 1e6 for strict2d at (0.3, 0.7); the lags keep the boxes' scale
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(round(h * 1e9))
+    compared = 0
+    for shift in (0.0, 1.0, 1e2, 1e4, 1e6):
+        for _ in range(8):
+            lo1 = shift + rng.uniform(1.5, 3.5)
+            lo2 = lo1 + rng.uniform(-1.5, 1.5)
+            hi1, hi2 = lo1 + rng.uniform(0.05, 2.0), lo2 + rng.uniform(0.05, 2.0)
+            got = _double_differences(h, lo1, hi1, lo2, hi2, {"a", "b"})
+            for name in ("a", "b"):
+                with mp.workdps(50):
+                    want, scale = _mp_double_difference(mp, name, h, lo1,
+                                                        hi1, lo2, hi2)
+                if abs(want) < 1e-3 * scale:   # a near-zero difference
+                    assert abs(got[name] - float(want)) <= 1e-13 * scale
+                    continue
+                compared += 1
+                assert abs(got[name] - float(want)) <= 1e-13 * abs(want), \
+                    (name, lo1, hi1, lo2, hi2)
+    assert compared >= 60
+    # a box with itself: the lags are (0, -u, u, 0), whatever the anchor
+    for shift in (0.0, 1e6):
+        got = _double_differences(h, shift + 1.0, shift + 3.0, shift + 1.0,
+                                  shift + 3.0, {"a", "b"})
+        assert got["a"] == pytest.approx(2.0 * 2.0**(2 * h), rel=1e-15)
+        assert got["b"] == 0.0
+
+
+@pytest.mark.parametrize("spec", [MildTheta(0.3, 0.7, 0.8),
+                                  MildTheta(0.8, 0.2, -0.5),
+                                  MildTheta(0.5, 0.52, 0.5), YHalf(0.9)],
+                         ids=repr)
+def test_mild_increment_covariances_match_mpmath_at_far_anchors(spec):
+    # a rho has no lag form and cancels over its own four corners, one
+    # coordinate at a time: its double difference is 2.5e-9 off at anchors
+    # near 1e6, but the mild term it enters decays like 1/shift^2 there
+    mp = pytest.importorskip("mpmath")
+    kernel = make_kernel(spec)
+    H, theta = kernel.hurst, spec.canonical().theta
+    rng = np.random.default_rng(7)
+    for shift in (0.0, 1e2, 1e4, 1e6):
+        for _ in range(4):
+            lo = shift + rng.uniform(0.0, 2.0, 2)
+            r1 = Rectangle(lo, lo + rng.uniform(0.05, 2.0, 2))
+            r2 = Rectangle(lo, lo + rng.uniform(0.05, 2.0, 2))
+            with mp.workdps(50):
+                want = mp.mpf(0.25) * mp.fprod(_mp_double_difference(
+                    mp, "a", H[j], r1.s[j], r1.t[j], r2.s[j], r2.t[j])[0]
+                    for j in range(2))
+                want += mp.mpf(theta) / 16 * mp.fprod(_mp_double_difference(
+                    mp, "arho", H[j], r1.s[j], r1.t[j], r2.s[j], r2.t[j])[0]
+                    for j in range(2))
+            got = increment_cov(kernel, r1, r2)
+            assert abs(got - float(want)) <= 1e-14 * abs(float(want))
 
 
 def test_probe_plan_reproducible():

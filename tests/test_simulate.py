@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from rectfield.simulate import (
     mc_increment_stationarity,
     sample_field,
 )
-from rectfield.simulate import _blocks, _probe_corners, _rect_sums, _stream
+from rectfield.simulate import _blocks, _chunk_keys, _probe_corners, _rect_sums
 
 
 def test_grid_validation():
@@ -120,6 +121,77 @@ def test_cholesky_sample_deterministic():
     assert np.array_equal(a, c)
     d, _ = cholesky_sample(M, seed=10, n_samples=700)
     assert not np.array_equal(a, d)
+
+
+# seeds of 1 to 5 uint32 words, and streams of 1 and 2 words
+_KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128 - 1,
+              2**128, 2**130 + 7, 12345678901234567890]
+_KEY_STREAMS = [0, 1, 7, 2**32 - 1, 2**32, 2**33 + 5, 2**40]
+
+
+@pytest.mark.parametrize("seed", _KEY_SEEDS)
+def test_chunk_keys_are_numpys_seed_sequence_keys(seed):
+    # one pass over the chunk words gives every key that a SeedSequence
+    # spawned at (stream, chunk) hands Philox
+    for stream in _KEY_STREAMS:
+        keys = _chunk_keys(seed, stream, 40)
+        assert keys.shape == (40, 2)
+        for c, key in enumerate(keys):
+            want = np.random.SeedSequence(
+                seed, spawn_key=(stream, c)).generate_state(2, np.uint64)
+            assert np.array_equal(key, want), (seed, stream, c)
+    assert _chunk_keys(seed, 3, 0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
+@pytest.mark.parametrize("stream", [0, 5, 2**33])
+def test_draws_keep_the_bits_of_one_seed_sequence_per_chunk(n_workers,
+                                                            stream):
+    M = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+    n = 3 * CHUNK_SIZE + 5
+    got, _ = cholesky_sample(M, 2**70 + 11, n, n_workers=n_workers,
+                             stream=stream)
+    assert np.array_equal(got, oracle.cholesky_draws(M, 2**70 + 11, n,
+                                                     stream))
+
+
+def test_seeds_must_be_integers():
+    # int(seed) truncated: seed 2.7 drew seed 2's bits
+    M = np.eye(2)
+    grid = grid_from_axes([[1.0, 2.0]] * 2)
+    plan = ProbePlan.default(2, n_pairs=1, n_shifts=1, seed=3)
+    for draw in (lambda seed: cholesky_sample(M, seed, 10)[0],
+                 lambda seed: sample_field(FBS((0.3, 0.7)), grid, seed,
+                                           10).values,
+                 lambda seed: [r["estimate"] for r in
+                               mc_increment_stationarity(
+                                   FBS((0.3, 0.7)), plan=plan, seed=seed,
+                                   n_samples=10)],
+                 lambda seed: limit_partial_sums(4, 4, [(1.0, 1.0)],
+                                                 seed=seed,
+                                                 n_reps=10).emp_cov):
+        for seed in (2.7, 2.0):
+            with pytest.raises(TypeError):
+                draw(seed)
+        assert np.array_equal(draw(np.int64(2)), draw(2))
+
+
+@pytest.mark.parametrize("bad, at", [(math.nan, (0, 0)), (math.inf, (1, 1)),
+                                     (-math.inf, (0, 1))])
+def test_cholesky_sample_rejects_non_finite_matrices(monkeypatch, bad, at):
+    # a NaN matrix drew NaN rows with jitter 0.0, an inf diagonal +-inf
+    # columns
+    def no_factor(*args):
+        raise AssertionError("factored a non-finite matrix")
+
+    monkeypatch.setattr(simulate, "_factor_with_jitter", no_factor)
+    M = np.eye(2)
+    M[at] = bad
+    with pytest.raises(NonFiniteError, match=re.escape(
+            f"covariance of grid has the non-finite entry {bad} at {at}")):
+        cholesky_sample(M, 0, 3, context="grid")
+    with pytest.raises(NonFiniteError, match="matrix has the non-finite"):
+        cholesky_sample(np.array([[bad]]), 0, 0)
 
 
 def test_cholesky_pool_has_no_more_threads_than_chunks(monkeypatch):
@@ -287,7 +359,7 @@ def test_limit_rejects_fewer_than_one_replication_before_drawing(
     def no_draw(*args, **kwargs):
         raise AssertionError("reached a draw")
 
-    monkeypatch.setattr(simulate, "_stream", no_draw)
+    monkeypatch.setattr(simulate, "_chunk_generator", no_draw)
     with pytest.raises(ValueError, match=f"n_reps must be at least 1, "
                                          f"got {n}"):
         limit_partial_sums(4, 4, [(1, 1)], n_reps=n)
@@ -343,7 +415,8 @@ def test_limit_partial_sums_same_seed_same_bits():
     n1, b1 = _blocks(np.array([64, 16, 96]))   # floor(t1 * 64)
     n2, b2 = _blocks(np.array([16, 64, 48]))   # floor(t2 * 32)
     z = np.concatenate([
-        _stream(12, 0, c).standard_normal((min(CHUNK_SIZE, n_reps - lo), 3, 3))
+        oracle._stream(12, 0, c).standard_normal(
+            (min(CHUNK_SIZE, n_reps - lo), 3, 3))
         for c, lo in enumerate(range(0, n_reps, CHUNK_SIZE))])
     v = _rect_sums(z * np.sqrt(np.outer(n1, n2) / (64 * 32)), b1, b2)
     assert np.allclose(a.emp_cov, v.T @ v / n_reps, rtol=1e-13, atol=0)
