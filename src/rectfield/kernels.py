@@ -25,10 +25,7 @@ and, at H = 1/2,
 
     min(t, s) + (i e / pi) (t log t - s log s - (t-s) log|t-s|),
 
-with the conventions 0 log 0 := 0 and sgn(0) := 0.  Within ``SEAM_DELTA``
-of H = 1/2, where tan(pi H) diverges and the skew bracket cancels, both
-brackets expand x^{2H} = x + x expm1((2H-1) log x) about their H = 1/2
-forms, so the covariance stays exact across the seam.
+with the conventions 0 log 0 := 0 and sgn(0) := 0.
 
 Writing P = (a + i e b)/2 and expanding the product, the covariance is
 evaluated in real arithmetic through the sign moments
@@ -50,24 +47,26 @@ names each letter "a", "b" or "arho".  Every family is one of two canonical
 specifications, the strict mixture (``StrictGeneral``: b on S, a elsewhere)
 or the mild family (``MildTheta``), and ``terms`` of either is its table.
 
-``cov_terms_array`` is the one evaluator of a covariance at points.  It
-takes point arrays of shape (..., N) that broadcast against each other,
-forms each coordinate's letters once, and returns the covariances, shape
-(...).  ``make_kernel`` hands a ``CovKernel`` its table as a ``TermTable``,
-whose call is that evaluator, and the functions of one pair of points
-(``cov_fbs``, ``cov_strict_general``, ``cov_mild_theta``) return ``float``
-of it at that pair.  A kernel claims mild-only stationarity exactly when
-its table has an a rho letter: a and b are sums of a function of t, one of
-s and one of t - s, so their double differences over a rectangular
-increment depend on its lags alone, and a rho is not.
+``cov_terms_array`` evaluates a table at points and
+``increment_cov_terms_array`` over pairs of rectangles; both take point
+arrays (..., N) that broadcast against each other and return shape (...).
+The fields vanish on the axes, so K(s, t) is the covariance of the
+increments over [0, s] and [0, t], and a and b are one rule over the lags
+d_k between the ends of two intervals, signed sigma_k (``_lag_letters``):
 
-``increment_cov_terms_array`` is the table's other evaluator: the
-covariance of two rectangle increments, sum_k c_k prod_j Delta phi_kj,
-with one double difference per coordinate and letter.  For a and b the
-double difference is taken over the four lags between the boxes' corners
-(``_double_differences``), so its terms have the size of the boxes, not of
-their anchors, and a far anchor costs no digits; a rho is taken over its
-own four corners, so that only one coordinate's part cancels.
+    a = -sum sigma_k |d_k|^{2H},   b = tan(pi H) sum sigma_k sgn(d_k)|d_k|^{2H}.
+
+At points the lags are (t, -s, t - s); over two boxes they are the four
+lags between their corners, whose size is that of the boxes, not of their
+anchors, so a far anchor costs no digits.  Within ``SEAM_DELTA`` of
+H = 1/2, where tan(pi H) diverges and b's sum cancels, the rule expands
+|d|^{2H} = |d| + |d| expm1((2H-1) log|d|) about its H = 1/2 form, so the
+covariance stays exact across the seam.  a rho has no lag form and is
+taken at its four corners per coordinate, so a kernel claims mild-only
+stationarity exactly when its table has an a rho letter.  ``make_kernel``
+hands a ``CovKernel`` its table as a ``TermTable``, whose call is
+``cov_terms_array``, and the functions of one pair of points (``cov_fbs``,
+``cov_strict_general``, ``cov_mild_theta``) return ``float`` of it there.
 """
 
 from __future__ import annotations
@@ -301,8 +300,8 @@ def _xlogx_array(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x != 0.0, np.abs(x), 1.0))
 
 
-# below this |H - 1/2| the brackets are taken in their seam form; every H
-# with |H - 1/2| >= 0.1 keeps the plain form's bits
+# below this |H - 1/2| a and b are taken in their seam form; every H with
+# |H - 1/2| >= 0.1 keeps the plain form's bits
 SEAM_DELTA = 0.05
 
 
@@ -312,100 +311,114 @@ def _expm1_power(delta: float, x: np.ndarray) -> np.ndarray:
     return np.expm1(2.0 * delta * np.log(np.where(x != 0.0, np.abs(x), 1.0)))
 
 
-def _seam_brackets_array(delta: float, t: np.ndarray, s: np.ndarray,
-                         need_b: bool):
-    """The a and b brackets at H = 1/2 + delta, |delta| < ``SEAM_DELTA``.
+def _signed_sum(signs, xs):
+    """sum_k signs_k xs_k for signs +-1, left to right."""
+    total = xs[0] if signs[0] > 0 else -xs[0]
+    for sign, x in zip(signs[1:], xs[1:]):
+        total = total + x if sign > 0 else total - x
+    return total
 
-    At delta = 0 they are a = 2 min(t, s) and b = (2/pi) times the log
-    bracket.  Otherwise, with x^{2H} = x + x E(x), E(x) = expm1(2 delta
-    log x), and d = t - s, the linear parts are 2 min(t, s) in a and cancel
-    exactly in the skew bracket, and tan(pi H) = -1/tan(pi delta):
 
-        a = 2 min(t, s) + t E(t) + s E(s) - |d| E(|d|)
-        b = -(s E(s) - t E(t) + d E(|d|)) / tan(pi delta)
+def _lag_letters(h: float, lags, signs, overlap, need_b: bool):
+    """a = -sum sigma_k |d_k|^{2H} and b = tan(pi H) sum sigma_k sgn(d_k)
+    |d_k|^{2H} of one coordinate, over its lags d_k with signs sigma_k = +-1.
 
-    with 0 E(0) := 0.  The E terms are O(delta) and nothing cancels
-    catastrophically, so both brackets tend to their H = 1/2 forms.
+    ``overlap`` is the length of the two intervals' overlap, which the
+    linear parts sum to: -sum sigma_k |d_k| = 2 overlap, sum sigma_k d_k = 0.
+    Within ``SEAM_DELTA`` of 1/2, with delta = H - 1/2 (exact there),
+    E = ``_expm1_power`` and tan(pi H) = -1/tan(pi delta),
+
+        a = 2 overlap - sum sigma_k |d_k| E(|d_k|),
+        b = -sum sigma_k d_k E(|d_k|) / tan(pi delta),
+
+    whose E terms are O(delta) and cancel nothing; at H = 1/2, a = 2 overlap
+    and b = -(2/pi) sum sigma_k d_k log|d_k|.  Every sum runs left to right,
+    a's over -sigma_k rather than negated after, so that at points a keeps
+    the bits (and the +0) of t^{2H} + s^{2H} - |t-s|^{2H}.  Returns (a,
+    b or None unless ``need_b``, the powers |d_k|^{2H} or None in the seam
+    form, which takes none).
     """
+    neg, delta = [-x for x in signs], h - 0.5
+    if abs(delta) >= SEAM_DELTA:
+        p = [np.abs(d) ** (2.0 * h) for d in lags]
+        # sgn(d)|d|^{2H} is copysign(|d|^{2H}, d), as |0|^{2H} = 0
+        b = (math.tan(math.pi * h)
+             * _signed_sum(signs, [np.copysign(pk, d)
+                                   for d, pk in zip(lags, p)])
+             if need_b else None)
+        return _signed_sum(neg, p), b, p
     if delta == 0.0:
-        a = 2.0 * np.minimum(t, s)
-        b = (2.0 / math.pi * (_xlogx_array(t) - _xlogx_array(s)
-                              - _xlogx_array(t - s)) if need_b else None)
-        return a, b
-    d = t - s
-    te, se = t * _expm1_power(delta, t), s * _expm1_power(delta, s)
-    de = _expm1_power(delta, d)
-    a = 2.0 * np.minimum(t, s) + (te + se - np.abs(d) * de)
-    b = -(se - te + d * de) / math.tan(math.pi * delta) if need_b else None
-    return a, b
+        b = (2.0 / math.pi * _signed_sum(neg, [_xlogx_array(d) for d in lags])
+             if need_b else None)
+        return 2.0 * overlap, b, None
+    e = [_expm1_power(delta, d) for d in lags]
+    a = 2.0 * overlap + _signed_sum(neg, [np.abs(d) * ek
+                                          for d, ek in zip(lags, e)])
+    b = (-_signed_sum(signs, [d * ek for d, ek in zip(lags, e)])
+         / math.tan(math.pi * delta) if need_b else None)
+    return a, b, None
 
 
 def _letters_array(h: float, t: np.ndarray, s: np.ndarray, names) -> dict:
     """The letters of one coordinate that ``names`` lists, by name.
 
-    a = t^{2H}+s^{2H}-|t-s|^{2H} and b = tan(pi H) times the skew bracket;
-    within ``SEAM_DELTA`` of 1/2, where tan(pi H) grows like 1/|H - 1/2|
-    and the skew bracket cancels to O(|H - 1/2|), both are taken by
-    ``_seam_brackets_array`` (H - 1/2 is exact there).  "arho" is a times
-    rho = (t^{2H}-s^{2H}) / max(s, t)^{2H}, with rho := 0 where that power
-    is 0 (or underflows; a is 0 there too).  Each power is taken once and
-    shared by the letters; sgn(0) := 0 comes from ``np.sign``.
+    a and b are ``_lag_letters`` over the lags (t, -s, t - s), signed
+    (-1, -1, +1), with overlap min(t, s).  "arho" is a times
+    rho = (t^{2H}-s^{2H}) / max(s, t)^{2H}, rho := 0 where that power is 0
+    (or underflows; a is 0 there too), with the powers a took, if it did.
     """
-    need_b, e = "b" in names, 2.0 * h
-    if abs(h - 0.5) < SEAM_DELTA:
-        a, b = _seam_brackets_array(h - 0.5, t, s, need_b)
-        te = se = None
-    else:
-        d = t - s
-        te, se, de = t**e, s**e, np.abs(d)**e
-        a = te + se - de
-        b = (math.tan(math.pi * h) * (-te + se + np.sign(d) * de)
-             if need_b else None)
+    a, b, p = _lag_letters(h, (t, -s, t - s), (-1.0, -1.0, 1.0),
+                           np.minimum(t, s), "b" in names)
     letters = {"a": a, "b": b}
     if "arho" in names:
-        if te is None:      # the seam forms take no power
-            te, se = t**e, s**e
+        te, se = p[:2] if p else (t**(2.0 * h), s**(2.0 * h))
         m = np.where(t >= s, te, se)   # max(s, t)^{2H}, the same power
         letters["arho"] = a * ((te - se) / np.where(m > 0.0, m, 1.0))
     return letters
 
 
 def _table_hurst(H, terms) -> tuple:
-    """H checked, with one letter per coordinate in every term."""
+    """H checked, and the one check of a term table: some terms, each with
+    a finite coefficient and one letter a, b or arho per coordinate."""
     H = validate_hurst(H)
-    if any(len(row) != len(H) for _, row in terms):
-        raise ValueError(f"every term needs one letter per coordinate of "
-                         f"the {len(H)}-dimensional H")
+    if not terms:
+        raise ValueError("a term table needs at least one term")
+    for coef, row in terms:
+        if not (math.isfinite(coef) and len(row) == len(H)
+                and {"a", "b", "arho"}.issuperset(row)):
+            raise ValueError(f"term {(coef, row)!r} needs a finite "
+                             f"coefficient and one letter per coordinate of "
+                             f"the {len(H)}-dimensional H, each a, b or arho")
     return H
 
 
-def _sum_terms(terms, letters) -> np.ndarray:
-    """sum_k c_k prod_j letters[j][phi_kj] over the rows of a term table."""
-    total = 0.0
-    for coef, row in terms:
-        for lj, name in zip(letters, row):
-            coef = coef * lj[name]
-        total = total + coef
-    return total
+def _sum_terms(H, terms, points, letters) -> np.ndarray:
+    """sum_k c_k prod_j phi_kj of a term table, where ``letters(h, *coords,
+    names)`` gives coordinate j's letters from the j-th coordinates of the
+    point arrays (..., N); one point is taken as an array of one, whose
+    powers are array powers, as in a batch.  Overflow and its NaNs are left
+    to the caller, which checks finiteness; numpy is told not to warn."""
+    H = _table_hurst(H, terms)
+    points = [_as_points(p, len(H)) for p in points]
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in points))
+    points = np.atleast_2d(*points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [letters(h, *(p[..., j] for p in points),
+                          {row[j] for _, row in terms})
+                  for j, h in enumerate(H)]
+        total = 0.0
+        for coef, row in terms:
+            for lj, name in zip(values, row):
+                coef = coef * lj[name]
+            total = total + coef
+    return total.reshape(shape)
 
 
 def cov_terms_array(H, terms, s, t) -> np.ndarray:
-    """The covariance sum_k c_k prod_j phi_kj(t_j, s_j) of a term table.
-
-    ``terms`` is ((c_1, (phi_11, ..., phi_1N)), ...), each letter "a", "b"
-    or "arho" (``_letters_array``), over point arrays (..., N) -> (...).
-    Each coordinate's letters are taken once for every term.  Overflow and
-    its NaNs are left to the caller, which checks finiteness; numpy is told
-    not to warn about them.
-    """
-    H = _table_hurst(H, terms)
-    s = _as_points(s, len(H))
-    t = _as_points(t, len(H))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_terms(terms, [
-            _letters_array(h, t[..., j], s[..., j],
-                           {row[j] for _, row in terms})
-            for j, h in enumerate(H)])
+    """The covariance sum_k c_k prod_j phi_kj(t_j, s_j) of a term table
+    ((c_1, (phi_11, ..., phi_1N)), ...) at point arrays (..., N) -> (...),
+    each coordinate's letters (``_letters_array``) taken once."""
+    return _sum_terms(H, terms, (t, s), _letters_array)
 
 
 # the signs of one coordinate's four corner pairs (t, s), t a corner of the
@@ -419,39 +432,18 @@ def _double_differences(h: float, lo1, hi1, lo2, hi2, names) -> dict:
 
     The letters that ``names`` lists, by name, over the corner pairs of
     [lo1, hi1] (s) and [lo2, hi2] (t), signed by ``_PAIR_SIGNS``.  a and b
-    are sums of a function of t, one of s and one of t - s, and the first
-    two cancel exactly, so both are taken over the four lags alone,
+    are ``_lag_letters`` over the four lags
 
         d = (lo2 - lo1) + (w - u, -u, w, 0),   u = hi1 - lo1, w = hi2 - lo2,
 
-        Delta a = -sum +-|d|^{2H},   Delta b = tan(pi H) sum +-sgn(d)|d|^{2H},
-
-    whose size is that of the boxes, not of their anchors.  Within
-    ``SEAM_DELTA`` of 1/2 these take the d-parts of
-    ``_seam_brackets_array``'s forms: at H = 1/2 + delta,
-    Delta a = -sum +-|d| (1 + E(|d|)) and
-    Delta b = -sum +-d E(|d|) / tan(pi delta) (``_expm1_power``; the linear
-    part sum +-d is 0), and at H = 1/2, where E = 0,
-    Delta b = -(2/pi) sum +-d log|d|.  a rho has no lag form: it is taken
-    at its four corner pairs, so that what cancels is this coordinate's
-    part alone.
+    with overlap max(0, min(hi1, hi2) - max(lo1, lo2)); a rho is taken at
+    its four corner pairs, so that only this coordinate's part cancels.
     """
-    u, w, c = np.broadcast_arrays(hi1 - lo1, hi2 - lo2, lo2 - lo1)
-    d = np.stack([c + (w - u), c - u, c + w, c], axis=-1)
-    delta, out = h - 0.5, {}
-    if abs(delta) < SEAM_DELTA:
-        ad = np.abs(d)
-        e = _expm1_power(delta, ad)     # 0 at H = 1/2
-        out["a"] = -(ad + ad * e) @ _PAIR_SIGNS
-        if "b" in names:
-            out["b"] = (-2.0 / math.pi * (_xlogx_array(d) @ _PAIR_SIGNS)
-                        if delta == 0.0 else
-                        -((d * e) @ _PAIR_SIGNS) / math.tan(math.pi * delta))
-    else:
-        p = np.abs(d) ** (2.0 * h)
-        out["a"] = -p @ _PAIR_SIGNS
-        if "b" in names:
-            out["b"] = math.tan(math.pi * h) * ((np.sign(d) * p) @ _PAIR_SIGNS)
+    u, w, c = hi1 - lo1, hi2 - lo2, lo2 - lo1
+    overlap = np.maximum(0.0, np.minimum(hi1, hi2) - np.maximum(lo1, lo2))
+    a, b, _ = _lag_letters(h, (c + (w - u), c - u, c + w, c), _PAIR_SIGNS,
+                           overlap, "b" in names)
+    out = {"a": a, "b": b}
     if "arho" in names:
         lo1, hi1, lo2, hi2 = np.broadcast_arrays(lo1, hi1, lo2, hi2)
         t = np.stack([hi2, lo2, hi2, lo2], axis=-1)
@@ -461,22 +453,10 @@ def _double_differences(h: float, lo1, hi1, lo2, hi2, names) -> dict:
 
 
 def increment_cov_terms_array(H, terms, lo1, hi1, lo2, hi2) -> np.ndarray:
-    """Covariances of the increments over [lo1, hi1] and [lo2, hi2].
-
-    The box corners are point arrays (..., N) that broadcast against each
-    other; the result has their broadcast leading shape.  For a term table
-    the covariance is sum_k c_k prod_j Delta phi_kj, one double difference
-    per coordinate and letter (``_double_differences``), 4 evaluations per
-    coordinate where the corner expansion takes 4^N kernel values.  Overflow
-    is left to the caller, as in ``cov_terms_array``.
-    """
-    H = _table_hurst(H, terms)
-    boxes = [_as_points(p, len(H)) for p in (lo1, hi1, lo2, hi2)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_terms(terms, [
-            _double_differences(h, *(b[..., j] for b in boxes),
-                                {row[j] for _, row in terms})
-            for j, h in enumerate(H)])
+    """Covariances of the increments over [lo1, hi1] and [lo2, hi2], box
+    corners (..., N) -> (...): sum_k c_k prod_j Delta phi_kj, one double
+    difference per coordinate and letter (``_double_differences``)."""
+    return _sum_terms(H, terms, (lo1, hi1, lo2, hi2), _double_differences)
 
 
 class TermTable:

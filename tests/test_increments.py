@@ -346,6 +346,23 @@ def test_lag_forms_match_mpmath_at_far_anchors(h):
         assert got["b"] == 0.0
 
 
+@pytest.mark.parametrize("shift", [0.0, 1.0, 1e2, 1e4, 1e6])
+def test_half_double_difference_of_a_is_twice_the_overlap(shift):
+    # at H = 1/2, a = 2 min(t, s), so its double difference is twice the
+    # overlap of the two intervals, 0 for disjoint or abutting ones; the sum
+    # over the rounded lags left noise of the anchor's ulp there
+    rng = np.random.default_rng(round(shift) + 3)
+    lo1, lo2 = shift + rng.uniform(0.0, 3.0, size=(2, 200))
+    hi1, hi2 = lo1 + rng.uniform(0.05, 2.0, 200), lo2 + rng.uniform(0.05, 2.0, 200)
+    lo2[:40] = hi1[:40]                        # abutting
+    lo2[40:80] = hi1[40:80] + rng.uniform(0.0, 1.0, 40)   # disjoint
+    hi2[:80] = lo2[:80] + 1.0
+    got = _double_differences(0.5, lo1, hi1, lo2, hi2, {"a"})["a"]
+    overlap = np.maximum(0.0, np.minimum(hi1, hi2) - np.maximum(lo1, lo2))
+    assert np.array_equal(got, 2.0 * overlap)
+    assert (got[:80] == 0.0).all() and (got[80:] > 0.0).any()
+
+
 @pytest.mark.parametrize("spec", [MildTheta(0.3, 0.7, 0.8),
                                   MildTheta(0.8, 0.2, -0.5),
                                   MildTheta(0.5, 0.52, 0.5), YHalf(0.9)],

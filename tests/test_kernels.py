@@ -29,6 +29,8 @@ from rectfield.kernels import (
     cov_fbs,
     cov_mild_theta,
     cov_strict_general,
+    cov_terms_array,
+    increment_cov_terms_array,
     make_kernel,
     strict2d_weights,
     validate_weights,
@@ -574,6 +576,71 @@ def test_scalar_calls_are_the_batch_form_bit_for_bit():
     one = make_kernel(FBS((0.4,)))
     assert cov_fbs((0.4,), 1.0, 2.0) == float(one.batch([1.0], [2.0]))
     assert one(1.0, 2.0) == cov_fbs((0.4,), [1.0], [2.0])
+
+
+def _every_family(h1, h2):
+    # on the unit-variance curve with d0 = d1; at H = 1/2 it is a circle
+    cross = 0.0 if h1 == 0.5 else math.sin(math.pi * h1) * math.sin(math.pi * h2)
+    d = 1.0 / math.sqrt(2.0 * (1.0 + cross))
+    w = DEFAULT_SPECS[-1].weights
+    return [FBS((h1, h2)), Strict2D(h1, h2, 0.5), MildTheta(h1, h2, 0.6),
+            StrictGeneral((h1, h2), w), MovingPair(h1, h2, d, d)]
+
+
+# every family off the seam, within SEAM_DELTA of it on both sides and at
+# H = 1/2 exactly, and a 3-D strict mixture
+_PAIR_SPECS = (
+    _every_family(0.3, 0.7) + _every_family(0.5 - 1e-9, 0.5 + 1e-9)
+    + _every_family(0.47, 0.52) + _every_family(0.5, 0.5)
+    + [YHalf(0.6), ZHalf(0.8), StrictGeneral((0.3, 0.5, 0.7), StrictWeights(
+        {e: (0.2 if e[0] == e[1] else 0.05)
+         for e in itertools.product((1, -1), repeat=3)}))])
+
+
+def _pairs(n, seed):
+    """300 pairs of points in [0, 3]^n, some equal, some on an axis."""
+    s, t = np.random.default_rng(seed).uniform(0.0, 3.0, size=(2, 300, n))
+    s[::10] = t[::10]
+    s[5::10, 0] = 0.0
+    return s, t
+
+
+@pytest.mark.parametrize("spec", _PAIR_SPECS, ids=repr)
+def test_one_pair_is_its_row_of_a_batch_bit_for_bit(spec):
+    # a single pair reached numpy's scalar power, whose last bit can differ
+    # from the array power's: 22 of 500 pairs differed for fBs at (0.3, 0.7)
+    kernel = make_kernel(spec)
+    s, t = _pairs(kernel.n, 11)
+    assert [kernel(p, q) for p, q in zip(s, t)] == kernel.batch(s, t).tolist()
+
+
+@pytest.mark.parametrize("spec", _PAIR_SPECS, ids=repr)
+def test_covariance_is_the_increment_covariance_from_the_origin(spec):
+    # the fields vanish on the axes, so K(s, t) is the covariance of the
+    # increments over [0, s] and [0, t]; one lag rule takes both
+    canon = spec.canonical()
+    H, terms = canon.hurst, canon.terms
+    s, t = _pairs(len(H), 12)
+    got = cov_terms_array(H, terms, s, t)
+    zero = np.zeros(len(H))
+    want = increment_cov_terms_array(H, terms, zero, s, zero, t)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("terms, match", [
+    (((1.0, ("a", "c")),), r"term \(1.0, \('a', 'c'\)\)"),
+    (((math.nan, ("a", "a")),), r"term \(nan, .*finite coefficient"),
+    (((0.25, ("a", "a")), (math.inf, ("b", "b"))), r"term \(inf, "),
+    ((), "at least one term"),
+], ids=["letter c", "nan coefficient", "inf coefficient", "empty table"])
+def test_both_evaluators_reject_a_bad_term_table(terms, match):
+    # a letter c raised KeyError, a non-finite coefficient returned NaN and
+    # an empty table a bare 0.0 whatever the points' shape
+    s, t = np.ones((3, 2)), np.full((3, 2), 2.0)
+    with pytest.raises(ValueError, match=match):
+        cov_terms_array((0.3, 0.7), terms, s, t)
+    with pytest.raises(ValueError, match=match):
+        increment_cov_terms_array((0.3, 0.7), terms, s, t, s, t)
 
 
 # --------------------------------------------------------------------------
