@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, check suites, CSV emission.
+"""Command-line front end: config parsing, running check suites, CSV emission.
 
 Configuration is a single strict JSON object (unknown keys are fatal) that
 can also be assembled from command-line flags; all randomness flows from
@@ -14,6 +14,11 @@ digits, so they read back exactly), a point is ``[a b]`` with one
 ``%.17g`` per coordinate, and rows are tuples taken from arrays.  Booleans
 are the text ``true``/``false``, and the only quoted field is the check
 suites' JSON ``params``, quoted as ``csv.writer`` would.
+
+A check suite sits in the module of its oracles: ``lemmas`` is
+``quadrature.identity_sweep``, paired here with the config's ``tol``;
+``densities`` and ``criteria`` are in ``spectral``, ``ma`` in ``movingavg``.
+A suite's ``scipy`` names the compiled SciPy modules validation loads for it.
 """
 
 from __future__ import annotations
@@ -31,13 +36,10 @@ from typing import get_args
 import numpy as np
 
 from . import movingavg, quadrature, spectral
-from .gammafn import _LOGGAMMA, _QUADPACK, _scipy_extension
+from .gammafn import _LOGGAMMA, _scipy_extension
 from .increments import ProbePlan, classify_stationarity
-from .kernels import (FieldSpec, MovingPair, NonFiniteError, StrictWeights,
-                      _as_points, _points, cov_fbs, make_kernel,
-                      moving_constraint_residual)
-from .lamperti import c_fbs_stationary, c_theta, mild_criterion_residual
-from .quadrature import OracleCheck
+from .kernels import (FieldSpec, NonFiniteError, StrictWeights, _as_points,
+                      _points, make_kernel)
 from .simulate import (
     MAX_WORKERS,
     MC_PLAN,
@@ -272,7 +274,7 @@ def validate_config(cfg: dict) -> RunConfig:
             raise ConfigError(f"suite: expected one of {'/'.join(_SUITES)}, "
                               f"got {suite!r}")
         params["suite"] = suite
-        for name in _SUITE_SCIPY[suite]:   # load them before the run
+        for name in _SUITES[suite].scipy:   # load them before the run
             _scipy_extension(name)
         if suite == _TOL_SUITE:
             params["tol"] = _number(cfg.get("tol", _DEFAULT_TOL), "tol", float)
@@ -375,117 +377,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 # --------------------------------------------------------------------------
-# Check suites
-# --------------------------------------------------------------------------
-
-def _suite_lemmas(tol):
-    return [(chk, tol) for chk in quadrature.identity_sweep()]
-
-
-def _suite_densities():
-    xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
-    rel = np.max(np.abs(spectral.g_fbm(0.5, xs) - spectral.g_w(xs))
-                 / spectral.g_w(xs))
-    checks = [(OracleCheck("half_reduces_to_cauchy",
-                           {"grid": "[-10,10]/0.1"}, rel, 0.0), 1e-10)]
-    for H in (0.1, 0.3, 0.5, 0.7, 0.9):
-        mass = spectral.cov_from_density(spectral.fbm_density(H), (0.0,)).value
-        checks.append((OracleCheck("unit_mass", {"H": H}, mass, 1.0), 1e-6))
-    lags = (-2.0, 0.7, 2.5)
-    for H in (0.3, 0.7):
-        wants = c_fbs_stationary((H,), np.array(lags)[:, None])
-        for v, want in zip(lags, wants):
-            got = spectral.cov_from_density(spectral.fbm_density(H), (v,)).value
-            checks.append((OracleCheck("fourier_reconstruction",
-                                       {"H": H, "v": v}, got, want), 1e-4))
-    for H, s, t in ((0.3, 1.0, 2.0), (0.7, 0.5, 3.0), (0.5, 1.0, math.e)):
-        spec_v, closed_v = spectral.fbm_spectral_cov_check(H, s, t)
-        checks.append((OracleCheck("fbm_spectral_representation",
-                                   {"H": H, "s": s, "t": t}, spec_v,
-                                   closed_v), 1e-4))
-    return checks
-
-
-def _suite_criteria():
-    checks = []
-    lags = np.stack(np.meshgrid(np.linspace(-3.0, 3.0, 7),
-                                np.linspace(-3.0, 3.0, 7), indexing="ij"), -1)
-    for h1, h2 in ((0.3, 0.7), (0.5, 0.5)):
-        for theta in (-1.0, 1.0):
-            worst = np.max(np.abs(mild_criterion_residual(
-                lambda v: c_theta(h1, h2, theta, v), (h1, h2), lags)))
-            checks.append((OracleCheck("mild_criterion",
-                                       {"H": [h1, h2], "theta": theta},
-                                       worst, 0.0), 1e-12))
-    H = (0.3, 0.7)
-    freqs = np.stack(np.meshgrid((-2.0, 0.5, 1.5), (-1.0, 0.4, 2.0),
-                                 indexing="ij"), -1)
-    dens = spectral.product_density(H)
-    worst = np.max(np.abs(spectral.density_criterion_residual(dens, H, freqs)))
-    checks.append((OracleCheck("density_criterion_even", {"H": list(H)},
-                               worst, 0.0), 1e-12))
-    ((_, g),) = dens.terms
-    # g (1 + 0.5 tanh(x1) tanh(x2)): an odd perturbation of the sheet's density
-    fdens = spectral.SpectralDensity(
-        ((1.0, g), (0.5, tuple((lambda x, gk=gk: gk(x) * np.tanh(x))
-                               for gk in g))))
-    worst = np.max(np.abs(spectral.density_criterion_residual(fdens, H, freqs)))
-    checks.append((OracleCheck("density_criterion_odd_perturbation",
-                               {"H": list(H), "delta": 0.5}, worst, 0.0),
-                   1e-12))
-    scaled = spectral.SpectralDensity(((1.1, g),))
-    resid = spectral.density_criterion_residual(scaled, H, (0.5, 0.4))
-    expect = 0.1 * 4 * spectral.g_product(H, (0.5, 0.4))
-    checks.append((OracleCheck("density_criterion_detects_scaling",
-                               {"H": list(H)}, resid, expect), 1e-12))
-    return checks
-
-
-def _suite_ma():
-    checks = []
-    d = 1.0 / math.sqrt(3.0)
-    for h1, h2, d0, d1 in ((0.3, 0.7, 1.0, 0.0), (0.5, 0.5, 1.0, 0.0),
-                           (0.5, 0.5, 0.0, 1.0), (0.25, 0.25, d, d)):
-        res = moving_constraint_residual(h1, h2, d0, d1)
-        checks.append((OracleCheck("dd_constraint", {"H": [h1, h2], "d0": d0,
-                                                     "d1": d1}, res, 0.0),
-                       1e-12))
-
-    spec = MovingPair(0.3, 0.7, 1.0, 0.0)
-    rng = np.random.default_rng(5)
-    for _ in range(4):
-        s = rng.uniform(0.3, 2.0, 2)
-        t = rng.uniform(0.3, 2.0, 2)
-        got = movingavg.cov_moving_pair(spec, s, t)
-        want = cov_fbs((0.3, 0.7), s, t)
-        checks.append((OracleCheck("ma_reproduces_fbs",
-                                   {"s": list(s), "t": list(t)}, got, want),
-                       1e-3))
-    sin2 = math.sin(math.pi * 0.3) * math.sin(math.pi * 0.7)
-    for d0 in (1.0, 0.4, -0.6):
-        d1 = -d0 * sin2 + math.sqrt(max(d0 * d0 * (sin2 * sin2 - 1.0) + 1.0, 0.0))
-        sp = MovingPair(0.3, 0.7, d0, d1)
-        got = movingavg.cov_moving_pair(sp, (1.0, 1.0), (1.0, 1.0))
-        checks.append((OracleCheck("unit_variance_on_constraint",
-                                   {"d0": d0, "d1": d1}, got, 1.0), 1e-3))
-    sp = MovingPair(0.5, 0.5, 0.0, 1.0)
-    got = movingavg.cov_moving_pair(sp, (1.0, 1.0), (1.0, 1.0))
-    checks.append((OracleCheck("unit_variance_half_pair",
-                               {"d0": 0.0, "d1": 1.0}, got, 1.0), 1e-3))
-    return checks
-
-
-# the suite that takes the config's ``tol``; the others have fixed tolerances
-_TOL_SUITE = "lemmas"
-_SUITES = {_TOL_SUITE: _suite_lemmas, "densities": _suite_densities,
-           "criteria": _suite_criteria, "ma": _suite_ma}
-# the compiled SciPy modules each suite calls: QUADPACK where it integrates,
-# log-gamma where it evaluates g_H
-_SUITE_SCIPY = {_TOL_SUITE: (_QUADPACK,), "densities": (_QUADPACK, _LOGGAMMA),
-                "criteria": (_LOGGAMMA,), "ma": (_QUADPACK,)}
-
-
-# --------------------------------------------------------------------------
 # Command execution
 # --------------------------------------------------------------------------
 
@@ -568,11 +459,19 @@ def _run_density(cfg, out_dir):
     return 0
 
 
+# the suite that takes the config's ``tol``; the others have fixed tolerances
+_TOL_SUITE = "lemmas"
+_SUITES = {_TOL_SUITE: quadrature.identity_sweep, "densities":
+           spectral.densities_suite, "criteria": spectral.criteria_suite,
+           "ma": movingavg.ma_suite}
+
+
 def _run_check(cfg, out_dir):
     """Run a verification suite."""
     suite = cfg.params["suite"]
-    checks = (_SUITES[suite](cfg.params["tol"]) if suite == _TOL_SUITE
-              else _SUITES[suite]())
+    checks = _SUITES[suite]()
+    if suite == _TOL_SUITE:
+        checks = [(c, cfg.params["tol"]) for c in checks]
     params = [json.dumps(c.params, sort_keys=True) for c, _ in checks]
     passed = [c.passed(tol) for c, tol in checks]
     _write_csv(out_dir / f"check_{suite}.csv",

@@ -57,10 +57,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .gammafn import c2, ma_basis, validate_hurst
-from .kernels import (MovingPair, _as_points, _one_point, _points,
-                      _sign_key, _sign_vectors)
-from .quadrature import QuadratureError, integrate_1d
+import numpy as np
+
+from .gammafn import _QUADPACK, c2, ma_basis, validate_hurst
+from .kernels import (MovingPair, _as_points, _one_point, _points, _sign_key,
+                      _sign_vectors, cov_fbs, moving_constraint_residual)
+from .quadrature import OracleCheck, QuadratureError, integrate_1d
 
 __all__ = [
     "MAKernel",
@@ -248,3 +250,37 @@ def cov_moving_pair(spec: MovingPair, s, t) -> float:
         c0, c1 = spec.d0 * c, spec.d1 * c
     return cov_from_ma(MAKernel((spec.h1, spec.h2),
                                 ((c0, (0, 0)), (c1, (1, 1)))), s, t)
+
+
+def ma_suite():
+    """``rectfield check --suite ma``'s rows: [(OracleCheck, tol)]."""
+    checks = []
+    d = 1.0 / math.sqrt(3.0)
+    for h1, h2, d0, d1 in ((0.3, 0.7, 1.0, 0.0), (0.5, 0.5, 1.0, 0.0),
+                           (0.5, 0.5, 0.0, 1.0), (0.25, 0.25, d, d)):
+        res = moving_constraint_residual(h1, h2, d0, d1)
+        checks.append((OracleCheck("dd_constraint", {
+            "H": [h1, h2], "d0": d0, "d1": d1}, res, 0.0), 1e-12))
+    spec = MovingPair(0.3, 0.7, 1.0, 0.0)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        s, t = rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 2.0, 2)
+        got = cov_moving_pair(spec, s, t)
+        want = cov_fbs((0.3, 0.7), s, t)
+        checks.append((OracleCheck("ma_reproduces_fbs", {
+            "s": list(s), "t": list(t)}, got, want), 1e-3))
+    sin2 = math.sin(math.pi * 0.3) * math.sin(math.pi * 0.7)
+    for d0 in (1.0, 0.4, -0.6):
+        d1 = -d0 * sin2 + math.sqrt(max(d0 * d0 * (sin2 * sin2 - 1.0) + 1.0, 0.0))
+        sp = MovingPair(0.3, 0.7, d0, d1)
+        got = cov_moving_pair(sp, (1.0, 1.0), (1.0, 1.0))
+        checks.append((OracleCheck("unit_variance_on_constraint",
+                                   {"d0": d0, "d1": d1}, got, 1.0), 1e-3))
+    sp = MovingPair(0.5, 0.5, 0.0, 1.0)
+    got = cov_moving_pair(sp, (1.0, 1.0), (1.0, 1.0))
+    checks.append((OracleCheck("unit_variance_half_pair",
+                               {"d0": 0.0, "d1": 1.0}, got, 1.0), 1e-3))
+    return checks
+
+
+ma_suite.scipy = (_QUADPACK,)   # the SciPy modules it calls

@@ -160,10 +160,13 @@ def integrate_1d(f, a, b, tol=1e-10, singular_points=()):
     extrapolation sees each singularity at a panel edge.
 
     Returns a :class:`QuadResult`; raises :class:`QuadratureError` past
-    ``BUDGET`` evaluations or on non-convergence.
+    ``BUDGET`` evaluations or on non-convergence, and ``ValueError`` on an
+    empty range or a ``tol`` that is not finite and positive.
     """
     if not a < b:
         raise ValueError(f"empty integration range [{a}, {b}]")
+    if not 0.0 < tol < math.inf:   # NaN would pass _quad_panel's guard
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     bud = _Budget()
     cuts = sorted(p for p in set(float(x) for x in singular_points) if a < p < b)
     edges = [a] + cuts + [b]
@@ -261,7 +264,8 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
 
     Both parts take the module's one origin-and-tail rule (``_part``).
     Raises ``QuadratureError`` if a part diverges, and ``ValueError``
-    naming the term if p, const or a coefficient or frequency is not finite.
+    naming the term if p, const or a coefficient or frequency is not finite,
+    or naming ``tol`` if it is not finite and positive.
     """
     cos_terms = [(float(c), float(a)) for c, a in cos_terms]
     sin_terms = [(float(d), float(b)) for d, b in sin_terms]
@@ -272,6 +276,8 @@ def oscillatory_power_integral(p, cos_terms=(), sin_terms=(), const=0.0,
     for name, value in named.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 < tol < math.inf:   # NaN would pass _quad_panel's guard
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     bud = _Budget()
     re, re_errs = _part(math.cos, cos_terms, const, p, bud, tol * 0.25)
     im, im_errs = _part(math.sin, sin_terms, 0.0, p, bud, tol * 0.25)
@@ -397,3 +403,6 @@ def identity_sweep() -> list[OracleCheck]:
                      for H in SWEEP_H + (0.5,)
                      for x in (-1.0, t / 2, t + 1.0)  # one per support bracket
                      for eps in (1, -1)]
+
+
+identity_sweep.scipy = (_QUADPACK,)   # the compiled SciPy modules it calls

@@ -46,9 +46,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import _LOGGAMMA, _scipy_extension, _sin_pi, validate_hurst
+from .gammafn import (_LOGGAMMA, _QUADPACK, _scipy_extension, _sin_pi,
+                      validate_hurst)
 from .kernels import _one_point, _points, _sign_vectors, _unique
-from .quadrature import _Budget, _quad_panel
+from .lamperti import c_fbs_stationary, c_theta, mild_criterion_residual
+from .quadrature import OracleCheck, _Budget, _quad_panel
 
 __all__ = [
     "SpectralDensity",
@@ -280,9 +282,72 @@ def fbm_spectral_cov_check(H: float, s: float, t: float) -> tuple:
     """
     (H,) = validate_hurst(H)
     s, t = float(s), float(t)
-    if s <= 0.0 or t <= 0.0:
-        raise ValueError("s and t must be strictly positive")
+    if not (0.0 < s < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"s and t must be finite and positive, got {s}, {t}")
     res = cov_from_density(fbm_density(H), (math.log(t / s),))
     spectral = (t * s)**H * res.value
     closed = 0.5 * (t**(2 * H) + s**(2 * H) - abs(t - s)**(2 * H))
     return spectral, closed
+
+
+
+def densities_suite():
+    """``rectfield check --suite densities``'s rows: [(OracleCheck, tol)]."""
+    xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
+    rel = np.max(np.abs(g_fbm(0.5, xs) - g_w(xs)) / g_w(xs))
+    checks = [(OracleCheck("half_reduces_to_cauchy",
+                           {"grid": "[-10,10]/0.1"}, rel, 0.0), 1e-10)]
+    for H in (0.1, 0.3, 0.5, 0.7, 0.9):
+        mass = cov_from_density(fbm_density(H), (0.0,)).value
+        checks.append((OracleCheck("unit_mass", {"H": H}, mass, 1.0), 1e-6))
+    lags = (-2.0, 0.7, 2.5)
+    for H in (0.3, 0.7):
+        wants = c_fbs_stationary((H,), np.array(lags)[:, None])
+        for v, want in zip(lags, wants):
+            got = cov_from_density(fbm_density(H), (v,)).value
+            checks.append((OracleCheck("fourier_reconstruction",
+                                       {"H": H, "v": v}, got, want), 1e-4))
+    for H, s, t in ((0.3, 1.0, 2.0), (0.7, 0.5, 3.0), (0.5, 1.0, math.e)):
+        spec_v, closed_v = fbm_spectral_cov_check(H, s, t)
+        checks.append((OracleCheck("fbm_spectral_representation", {
+            "H": H, "s": s, "t": t}, spec_v, closed_v), 1e-4))
+    return checks
+
+
+densities_suite.scipy = (_QUADPACK, _LOGGAMMA)   # the SciPy modules it calls
+
+
+def criteria_suite():
+    """``rectfield check --suite criteria``'s rows: [(OracleCheck, tol)]."""
+    checks = []
+    lags = np.stack(np.meshgrid(np.linspace(-3.0, 3.0, 7),
+                                np.linspace(-3.0, 3.0, 7), indexing="ij"), -1)
+    for h1, h2 in ((0.3, 0.7), (0.5, 0.5)):
+        for theta in (-1.0, 1.0):
+            worst = np.max(np.abs(mild_criterion_residual(
+                lambda v: c_theta(h1, h2, theta, v), (h1, h2), lags)))
+            checks.append((OracleCheck("mild_criterion", {
+                "H": [h1, h2], "theta": theta}, worst, 0.0), 1e-12))
+    H = (0.3, 0.7)
+    freqs = np.stack(np.meshgrid((-2.0, 0.5, 1.5), (-1.0, 0.4, 2.0),
+                                 indexing="ij"), -1)
+    dens = product_density(H)
+    worst = np.max(np.abs(density_criterion_residual(dens, H, freqs)))
+    checks.append((OracleCheck("density_criterion_even", {"H": list(H)},
+                               worst, 0.0), 1e-12))
+    ((_, g),) = dens.terms
+    # g (1 + 0.5 tanh(x1) tanh(x2)): an odd perturbation of the sheet's density
+    fdens = SpectralDensity(((1.0, g), (0.5, tuple(
+        (lambda x, gk=gk: gk(x) * np.tanh(x)) for gk in g))))
+    worst = np.max(np.abs(density_criterion_residual(fdens, H, freqs)))
+    checks.append((OracleCheck("density_criterion_odd_perturbation", {
+        "H": list(H), "delta": 0.5}, worst, 0.0), 1e-12))
+    scaled = SpectralDensity(((1.1, g),))
+    resid = density_criterion_residual(scaled, H, (0.5, 0.4))
+    expect = 0.1 * 4 * g_product(H, (0.5, 0.4))
+    checks.append((OracleCheck("density_criterion_detects_scaling",
+                               {"H": list(H)}, resid, expect), 1e-12))
+    return checks
+
+
+criteria_suite.scipy = (_LOGGAMMA,)   # g_H's log-gamma; it integrates nothing

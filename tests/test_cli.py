@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -576,6 +577,26 @@ def test_only_the_lemmas_suite_takes_a_tolerance(tmp_path):
     assert run(cfg) == 1   # the tolerance is honoured, so the sweep fails
     assert "tol" not in validate_config({"command": "check",
                                          "suite": "ma"}).params
+
+
+@pytest.mark.parametrize("name, suite", [
+    ("densities", "rectfield.spectral.densities_suite"),
+    ("criteria", "rectfield.spectral.criteria_suite"),
+    ("ma", "rectfield.movingavg.ma_suite"),
+])
+def test_suite_in_its_module_returns_the_rows_check_writes(tmp_path, name,
+                                                           suite):
+    module, _, function = suite.rpartition(".")
+    rows = getattr(importlib.import_module(module), function)()
+    assert main(["check", "--suite", name, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"check_{name}.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [(r["identity"], json.loads(r["params"]),
+             complex(float(r["numeric_re"]), float(r["numeric_im"])),
+             complex(float(r["closed_re"]), float(r["closed_im"])),
+             float(r["tol"]), r["pass"]) for r in written] == [
+        (c.identity, c.params, complex(c.numeric), complex(c.closed), tol,
+         "true" if c.passed(tol) else "false") for c, tol in rows]
 
 
 def _count_calls(monkeypatch, real):

@@ -4,7 +4,8 @@ Importing the package loads no SciPy: only ``check`` and ``density``
 use it, and they load it while their config is validated.  They load the
 top-level ``scipy`` package and, from its file, each compiled module they
 call: QUADPACK for the suites that integrate (``lemmas``, ``densities``,
-``ma``), the log-gamma ufuncs where g_H is evaluated.  No command loads
+``ma``), the log-gamma ufuncs where g_H is evaluated.  Each suite names
+those modules itself, and run alone it loads exactly them.  No command loads
 the ``scipy.integrate`` or ``scipy.special`` package.  A validated config
 then runs without importing any module, and the closed-form and sampling
 commands run, with the same bytes, where SciPy cannot be imported.  No
@@ -135,6 +136,38 @@ def test_validated_config_runs_without_importing(tmp_path, label):
                    "unused": (["concurrent.futures"]
                               if label == "simulate-pool" else []),
                    "subpackages": []}
+
+
+_COMPILED = """
+import importlib.machinery, json, sys
+import rectfield.cli as cli
+if sys.argv[1]:
+    cli._SUITES[sys.argv[1]]()
+else:
+    import scipy
+print(json.dumps(sorted(
+    name for name, mod in list(sys.modules.items())
+    if name.split(".")[0] == "scipy" and isinstance(
+        getattr(getattr(mod, "__spec__", None), "loader", None),
+        importlib.machinery.ExtensionFileLoader))))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_own_compiled():
+    """The compiled modules that importing the top-level scipy loads."""
+    return set(_python(_COMPILED, ""))
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITES))
+def test_each_suite_loads_exactly_the_compiled_modules_it_names(
+        suite, scipy_own_compiled):
+    # validation loads what a suite names, so a module it calls but does
+    # not name, or names but does not call, fails here
+    got = set(_python(_COMPILED, suite))
+    assert scipy_own_compiled <= got
+    assert sorted(got - scipy_own_compiled) == sorted(
+        f"scipy.{name}" for name in cli._SUITES[suite].scipy)
 
 
 _NO_SCIPY = """

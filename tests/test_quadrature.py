@@ -328,6 +328,25 @@ def test_non_finite_terms_are_rejected_by_name(call, term):
         call()
 
 
+_BAD_TOLS = (math.nan, 0.0, -1.0, math.inf)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_integrate_1d_needs_a_finite_positive_tol(tol):
+    # at tol = 0 or -1 it ran without complaint
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        integrate_1d(lambda x: x, 0.0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_oscillatory_power_integral_needs_a_finite_positive_tol(tol):
+    # at NaN, _quad_panel's convergence guard never fired: this returned an
+    # error estimate of 0.0126, where tol = 1e-10 gives 2.2e-11
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        oscillatory_power_integral(1.5, cos_terms=[(1.0, 1.0)], const=-1.0,
+                                   tol=tol)
+
+
 # --------------------------------------------------------------------------
 # Memoized power tails
 # --------------------------------------------------------------------------

@@ -281,6 +281,14 @@ def test_fbm_spectral_cov_check_domain():
         fbm_spectral_cov_check(0.7, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("s, t", [(math.inf, 1.0), (math.nan, 1.0),
+                                  (1.0, math.inf), (1.0, math.nan)])
+def test_fbm_spectral_cov_check_rejects_non_finite_points(s, t):
+    # s = inf raised "math domain error", and s = nan named a lag built here
+    with pytest.raises(ValueError, match="s and t must be finite and positive"):
+        fbm_spectral_cov_check(0.7, s, t)
+
+
 def test_fbm_spectral_cov_check_random_sweep():
     rng = np.random.default_rng(31)
     for _ in range(50):
