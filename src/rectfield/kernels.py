@@ -63,7 +63,17 @@ H = 1/2, where tan(pi H) diverges and b's sum cancels, the rule expands
 |d|^{2H} = |d| + |d| expm1((2H-1) log|d|) about its H = 1/2 form, so the
 covariance stays exact across the seam.  a rho has no lag form and is
 taken at its four corners per coordinate, so a kernel claims mild-only
-stationarity exactly when its table has an a rho letter.  ``make_kernel``
+stationarity exactly when its table has an a rho letter.
+
+At a Lamperti lag v the letters are those at s = e^{-v/2}, t = e^{v/2}
+(``_lamperti_letters``): t s = 1, so their table is the stationary
+covariance C(v) of :mod:`rectfield.lamperti`.  With L = log(1 - e^{-|v|}),
+E = e^{-H|v|} and T = e^{H|v|} expm1(2HL) <= 0, they are a = E - T,
+a rho = -a sgn(v) expm1(-2H|v|) and b = tan(pi H) sgn(v) (E + T), where,
+with delta = H - 1/2, E + T = -2 e^{-|v|/2} sinh(delta |v|)
++ 2 sinh(|v|/2) e^{delta |v|} expm1(2 delta L) is two terms of one sign
+at every H: b needs no seam, and at H = 1/2 it is
+(2/pi) sgn(v) (|v| e^{-|v|/2} - 2 sinh(|v|/2) L).  ``make_kernel``
 hands a ``CovKernel`` its table as a ``TermTable``, whose call is
 ``cov_terms_array``, and the functions of one pair of points (``cov_fbs``,
 ``cov_strict_general``, ``cov_mild_theta``) return ``float`` of it there.
@@ -377,6 +387,44 @@ def _letters_array(h: float, t: np.ndarray, s: np.ndarray, names) -> dict:
     return letters
 
 
+def _lamperti_letters(h: float, v: np.ndarray, names) -> dict:
+    """The letters that ``names`` lists of one coordinate at the Lamperti
+    lags v, by name, in the forms of the module docstring.  a is
+    e^{H|v|} (e^{-2H|v|} - expm1(2HL)), a bracket of positive terms, halved
+    and doubled so that the stationary sheet's factor a/2 keeps its bits.
+    b is k sgn(v) (first - second) with k = 2 delta / tan(pi delta), where
+    E + T = -2 delta (first - second) and, at H = 1/2, each factor of delta
+    takes its limit (k = 2/pi, first = |v| e^{-|v|/2}, second's
+    expm1(2 delta L) / (2 delta) = L).  first is taken as
+    e^{-min(H, 1-H)|v|} (1 - e^{-2|delta||v|}) / (2|delta|), whose factors
+    never overflow.  Where e^{-|v|} is subnormal, expm1(cL) is -c e^{-|v|}
+    to rounding: a is e^{-H|v|} + 2H e^{(H-1)|v|} and second is
+    -e^{(delta-1/2)|v|}."""
+    av, delta = np.abs(v), h - 0.5
+    u = np.exp(-av)
+    far = u < sys.float_info.min
+    # L = log(1 - e^{-|v|}) on the side of |v| = log 2 where it is accurate
+    L = np.where(av < math.log(2.0), np.log(-np.expm1(-av)), np.log1p(-u))
+    a = np.where(far, np.exp(-h * av) + 2.0 * h * np.exp((h - 1.0) * av),
+                 2.0 * np.exp(h * av + np.log(np.exp(-2.0 * h * av)
+                                              - np.expm1(2.0 * h * L))
+                              - math.log(2.0)))
+    letters = {"a": a, "b": None}
+    if "b" in names:
+        k, w, ex = ((2.0 * delta / math.tan(math.pi * delta),
+                     -np.expm1(-2.0 * abs(delta) * av) / (2.0 * abs(delta)),
+                     np.expm1(2.0 * delta * L) / (2.0 * delta)) if delta
+                    else (2.0 / math.pi, av, L))
+        second = np.where(far, -np.exp((delta - 0.5) * av),
+                          np.exp(delta * av) * 2.0 * np.sinh(av / 2.0) * ex)
+        first = np.exp(-min(h, 1.0 - h) * av) * w
+        letters["b"] = np.where(v == 0.0, 0.0,
+                                k * np.sign(v) * (first - second))
+    if "arho" in names:
+        letters["arho"] = a * (-np.sign(v) * np.expm1(-2.0 * h * av))
+    return letters
+
+
 def _table_hurst(H, terms) -> tuple:
     """H checked, and the one check of a term table: some terms, each with
     a finite coefficient and one letter a, b or arho per coordinate."""
@@ -392,17 +440,18 @@ def _table_hurst(H, terms) -> tuple:
     return H
 
 
-def _sum_terms(H, terms, points, letters) -> np.ndarray:
+def _sum_terms(H, terms, points, letters, check) -> np.ndarray:
     """sum_k c_k prod_j phi_kj of a term table, where ``letters(h, *coords,
     names)`` gives coordinate j's letters from the j-th coordinates of the
-    point arrays (..., N); one point is taken as an array of one, whose
-    powers are array powers, as in a batch.  Overflow and its NaNs are left
-    to the caller, which checks finiteness; numpy is told not to warn."""
+    point arrays (..., N) that ``check`` passes (``_as_points``, or
+    ``_points`` for lags); one point is taken as an array of one, as in a
+    batch.  Overflow and its NaNs are left to the caller, which checks
+    finiteness; numpy is told not to warn."""
     H = _table_hurst(H, terms)
-    points = [_as_points(p, len(H)) for p in points]
+    points = [check(p, len(H)) for p in points]
     shape = np.broadcast_shapes(*(p.shape[:-1] for p in points))
-    points = np.atleast_2d(*points)
-    with np.errstate(over="ignore", invalid="ignore"):
+    points = [np.atleast_2d(p) for p in points]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = [letters(h, *(p[..., j] for p in points),
                           {row[j] for _, row in terms})
                   for j, h in enumerate(H)]
@@ -418,7 +467,7 @@ def cov_terms_array(H, terms, s, t) -> np.ndarray:
     """The covariance sum_k c_k prod_j phi_kj(t_j, s_j) of a term table
     ((c_1, (phi_11, ..., phi_1N)), ...) at point arrays (..., N) -> (...),
     each coordinate's letters (``_letters_array``) taken once."""
-    return _sum_terms(H, terms, (t, s), _letters_array)
+    return _sum_terms(H, terms, (t, s), _letters_array, _as_points)
 
 
 # the signs of one coordinate's four corner pairs (t, s), t a corner of the
@@ -456,7 +505,8 @@ def increment_cov_terms_array(H, terms, lo1, hi1, lo2, hi2) -> np.ndarray:
     """Covariances of the increments over [lo1, hi1] and [lo2, hi2], box
     corners (..., N) -> (...): sum_k c_k prod_j Delta phi_kj, one double
     difference per coordinate and letter (``_double_differences``)."""
-    return _sum_terms(H, terms, (lo1, hi1, lo2, hi2), _double_differences)
+    return _sum_terms(H, terms, (lo1, hi1, lo2, hi2), _double_differences,
+                      _as_points)
 
 
 class TermTable:
@@ -494,6 +544,15 @@ def cov_fbs(H, s, t) -> float:
     H = validate_hurst(H)
     return float(cov_terms_array(
         H, StrictWeights.uniform(len(H)).sign_moment_terms, s, t))
+
+
+def _mild_terms(theta: float) -> tuple:
+    """((1/4, (a, a)), (theta/16, (a rho, a rho))) of a finite theta; 0
+    drops the second term, as zero sign moments drop theirs."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    terms = ((0.25, ("a", "a")), (theta / 16.0, ("arho", "arho")))
+    return terms if theta != 0.0 else terms[:1]
 
 
 def _warn_from_caller(message: str):
@@ -610,16 +669,12 @@ class MildTheta(_Family):
 
     def __post_init__(self):
         validate_hurst((self.h1, self.h2))
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        _mild_terms(self.theta)   # checks theta
         _warn_theta(self.theta)
 
     @property
     def terms(self):
-        """((1/4, (a, a)), (theta/16, (a rho, a rho))); theta = 0 drops the
-        second term, as zero sign moments drop theirs."""
-        terms = ((0.25, ("a", "a")), (self.theta / 16.0, ("arho", "arho")))
-        return terms if self.theta != 0.0 else terms[:1]
+        return _mild_terms(self.theta)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,15 @@ when its stationary covariance C satisfies the sign-symmetrization identity
 
 whose residual is exposed here for numerical verification.
 
-``c_fbs_stationary``, ``c_theta``, ``lamperti_inverse`` and the criterion
+The forward map of a kernel with a term table, as ``make_kernel`` builds
+it, is that table over the letters at Lamperti lags, the third letter
+form of :mod:`rectfield.kernels`, whose terms cancel at no lag;
+``c_fbs_stationary`` and ``c_theta`` are the sheet's and the mild
+family's tables there.  They, ``lamperti_inverse`` and the criterion
 map lag (or point) arrays of shape (..., N) to shape (...); a single lag
 gives a ``np.float64`` and a bare number is a one-dimensional lag.  Lags
-must be finite and points of ``lamperti_inverse`` finite and in the
-positive orthant; anything else raises ``ValueError``.  A stationary
+and theta must be finite and points of ``lamperti_inverse`` finite and in
+the positive orthant; anything else raises ``ValueError``.  A stationary
 covariance C is any callable with the same contract, such as the one
 ``lamperti_forward`` returns, so the criterion evaluates the 2^N sign flips
 of a whole lag grid in one call of C.
@@ -31,13 +35,15 @@ of a whole lag grid in one call of C.
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import Callable
 
 import numpy as np
 
 from .gammafn import validate_hurst
-from .kernels import CovKernel, _as_points, _points, _sign_vectors
+from .kernels import (FBS, CovKernel, TermTable, _as_points,
+                      _lamperti_letters, _mild_terms, _points, _sign_vectors,
+                      _sum_terms)
 
 __all__ = [
     "SelfSimilarityError",
@@ -73,9 +79,14 @@ def self_similarity_residual(kernel: CovKernel) -> float:
 def lamperti_forward(kernel: CovKernel) -> Callable[..., np.ndarray]:
     """Stationary covariance C of the exponentially time-changed kernel.
 
-    Verifies the kernel's self-similarity numerically, to
+    A kernel whose batch is a ``TermTable`` over its own Hurst vector is
+    self-similar by construction, and C is its table at Lamperti lags.  Any
+    other kernel's self-similarity is verified numerically, to
     ``SELF_SIMILARITY_TOL``, before trusting the Hurst vector attached to it.
     """
+    table = kernel.batch
+    if isinstance(table, TermTable) and table.H == tuple(kernel.hurst):
+        return functools.partial(_stationary_terms, table.H, table.terms)
     resid = self_similarity_residual(kernel)
     if not resid <= SELF_SIMILARITY_TOL:   # a NaN residual fails too
         raise SelfSimilarityError(f"self-similarity residual {resid:.3e} "
@@ -105,28 +116,15 @@ def lamperti_inverse(C: Callable[..., np.ndarray], H, s, t) -> np.ndarray:
     return np.where(edge[..., 0], 0.0, pref * C(np.log(t / s)))[()]
 
 
-def _c_fbs_factor(h, av):
-    """cosh(h v) - 2^{2h-1} |sinh(v/2)|^{2h} at av = |v|, cancellation-free.
-
-    Factoring out e^{h av}/2 leaves the bracket
-    e^{-2 h av} + (1 - (1 - e^{-av})^{2h}), a sum of positive terms, while
-    the direct difference loses all digits once av exceeds about 36.
-    log(1 - e^{-av}) is taken on the side of av = log 2 where it is
-    accurate.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log1mexp = np.where(av < math.log(2.0), np.log(-np.expm1(-av)),
-                            np.log1p(-np.exp(-av)))
-        bracket = np.exp(-2.0 * h * av) - np.expm1(2.0 * h * log1mexp)
-        out = np.exp(h * av + np.log(bracket) - math.log(2.0))
-    return np.where(av == 0.0, 1.0, np.where(bracket <= 0.0, 0.0, out))
+def _stationary_terms(H, terms, v) -> np.ndarray:
+    """C(v) = sum_k c_k prod_j phi_kj(v_j) of a term table at lags (..., N),
+    its letters at Lamperti lags (``kernels._lamperti_letters``)."""
+    return _sum_terms(H, terms, (v,), _lamperti_letters, _points)[()]
 
 
 def c_fbs_stationary(H, v) -> np.ndarray:
     """Stationary sheet covariance prod_i (cosh(H v) - 2^{2H-1}|sinh(v/2)|^{2H})."""
-    H = validate_hurst(H)
-    v = _points(v, len(H))
-    return np.prod(_c_fbs_factor(np.asarray(H), np.abs(v)), axis=-1)
+    return _stationary_terms(H, FBS(H).canonical().terms, v)
 
 
 def c_theta(h1: float, h2: float, theta: float, v) -> np.ndarray:
@@ -134,12 +132,7 @@ def c_theta(h1: float, h2: float, theta: float, v) -> np.ndarray:
 
     C_fbs(v) (1 + theta e^{-H1|v1|-H2|v2|} sinh(H1 v1) sinh(H2 v2)).
     """
-    validate_hurst((h1, h2))
-    v = _points(v, 2)
-    v1, v2 = v[..., 0], v[..., 1]
-    base = c_fbs_stationary((h1, h2), v)
-    damp = np.exp(-h1 * np.abs(v1) - h2 * np.abs(v2))
-    return base * (1.0 + theta * damp * np.sinh(h1 * v1) * np.sinh(h2 * v2))
+    return _stationary_terms((h1, h2), _mild_terms(theta), v)
 
 
 def mild_criterion_residual(C, H, v) -> np.ndarray:

@@ -261,14 +261,20 @@ def c_theta(h1: float, h2: float, theta: float, v) -> float:
     """Stationary covariance of the mild family:
 
     C_fbs(v) (1 + theta e^{-H1|v1|-H2|v2|} sinh(H1 v1) sinh(H2 v2)).
+
+    The modulation is taken as theta/4 r_1 r_2 with
+    r = e^{-H|v|} 2 sinh(H v) = sgn(v) (-expm1(-2H|v|)), so that no
+    factor's size grows with |v|: e^{-H|v|} and sinh(H v) of a far lag
+    carry about |v| eps each.
     """
     validate_hurst((h1, h2))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if len(v) != 2:
         raise ValueError("expected a two-dimensional argument")
     base = c_fbs_stationary((h1, h2), v)
-    damp = math.exp(-h1 * abs(v[0]) - h2 * abs(v[1]))
-    return base * (1.0 + theta * damp * math.sinh(h1 * v[0]) * math.sinh(h2 * v[1]))
+    r1, r2 = (math.copysign(-math.expm1(-2.0 * h * abs(float(x))), x)
+              for h, x in zip((h1, h2), v))
+    return base * (1.0 + theta / 4.0 * r1 * r2)
 
 
 def g_w(x: float) -> float:

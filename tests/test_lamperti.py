@@ -1,6 +1,9 @@
 """Lamperti transform, stationary covariances, mild-class criterion."""
 
+import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +12,14 @@ import oracle
 from rectfield.increments import classify_stationarity
 from rectfield.kernels import (
     FBS,
+    CovKernel,
     MildTheta,
+    MovingPair,
     StationarityClass,
     Strict2D,
+    StrictGeneral,
+    StrictWeights,
+    TermTable,
     YHalf,
     ZHalf,
     make_kernel,
@@ -296,10 +304,12 @@ def _EXP_C(v):
 @pytest.mark.parametrize("call", [
     lambda x: c_fbs_stationary(_H, (x, 1.0)),
     lambda x: c_theta(0.3, 0.7, 0.5, (1.0, x)),
+    lambda x: c_theta(0.3, 0.7, x, (1.0, 0.5)),
     lambda x: mild_criterion_residual(_EXP_C, _H, (x, 0.5)),
     lambda x: lamperti_inverse(_EXP_C, _H, (x, 1.0), (1.0, 2.0)),
     lambda x: lamperti_inverse(_EXP_C, _H, (1.0, 1.0), (1.0, x)),
-], ids=["c_fbs_stationary", "c_theta", "mild_criterion_residual",
+], ids=["c_fbs_stationary", "c_theta", "c_theta theta",
+        "mild_criterion_residual",
         "lamperti_inverse s", "lamperti_inverse t"])
 def test_non_finite_lags_and_points_raise(call, bad):
     # without the check, an infinite coordinate gives NaN, not an error
@@ -321,3 +331,120 @@ def test_lamperti_inverse_takes_a_bare_callable():
              * bare(np.log(t[:2] / s[:2])))
     np.testing.assert_array_equal(lamperti_inverse(bare, (0.3, 0.7), s, t),
                                   np.append(inner, 0.0))
+
+
+# --------------------------------------------------------------------------
+# The stationary covariance from the letters at Lamperti lags
+# --------------------------------------------------------------------------
+
+_FAMILIES = [
+    FBS((0.3, 0.7)), Strict2D(0.3, 0.7, 0.6), Strict2D(0.8, 0.2, -0.9),
+    MildTheta(0.3, 0.7, 0.8), MildTheta(0.9, 0.2, -0.5), YHalf(0.7),
+    ZHalf(0.6), MovingPair(0.3, 0.7, 1, 0),
+    # the seam, on both sides of H = 1/2 and at it
+    Strict2D(0.52, 0.5, -0.4), Strict2D(0.5 + 1e-9, 0.5 - 1e-9, 0.5),
+    Strict2D(0.549, 0.451, -0.8),
+    StrictGeneral((0.3, 0.5, 0.7), StrictWeights(dict(zip(
+        itertools.product((1, -1), repeat=3),
+        (0.2, 0.1, 0.05, 0.15, 0.15, 0.05, 0.1, 0.2))))),
+]
+
+
+@functools.cache
+def _mp_lamperti_letters(h: float, v: float) -> dict:
+    """The point letters at s = e^{-v/2}, t = e^{v/2}, at 100 digits."""
+    import mpmath as mp
+    with mp.workdps(100):
+        h, t, s = mp.mpf(h), mp.exp(mp.mpf(v) / 2), mp.exp(-mp.mpf(v) / 2)
+        tp, sp, dp = t**(2 * h), s**(2 * h), abs(t - s)**(2 * h)
+        if h == 0.5:
+            tail = (t - s) * mp.log(abs(t - s)) if v else 0
+            b = 2 / mp.pi * (t * mp.log(t) - s * mp.log(s) - tail)
+        else:
+            b = mp.tan(mp.pi * h) * (sp - tp + mp.sign(t - s) * dp)
+        a = tp + sp - dp
+        return {"a": a, "b": b, "arho": a * (tp - sp) / max(tp, sp)}
+
+
+@pytest.mark.parametrize("spec", _FAMILIES, ids=repr)
+def test_lamperti_forward_matches_mpmath(spec):
+    # the time change kernel.batch(e^{-v/2}, e^{v/2}) had no digit left by
+    # |v| = 40; the table over the letters at Lamperti lags is within 1e-14
+    # of 100 digits, relative to the sum of its terms' sizes (|C| where the
+    # terms do not cancel), on the same float lags
+    mp = pytest.importorskip("mpmath")
+    kernel = make_kernel(spec)
+    H, terms = kernel.batch.H, kernel.batch.terms
+    axis = (0.0, 0.3, -1.0, 5.0, -20.0, 40.0, -60.0)
+    lags = list(itertools.product(axis, repeat=len(H)))
+    if len(H) == 2:
+        lags += [(5.0, 3.0), (20.0, -15.0), (30.0, 30.0), (-40.0, 25.0),
+                 (60.0, 45.0)]
+    got = lamperti_forward(kernel)(np.array(lags))
+    with mp.workdps(100):
+        for v, g in zip(lags, got):
+            letters = [_mp_lamperti_letters(h, x) for h, x in zip(H, v)]
+            want = scale = 0
+            for coef, row in terms:
+                term = mp.mpf(coef) * mp.fprod(lj[name]
+                                               for lj, name in zip(letters, row))
+                want, scale = want + term, scale + abs(term)
+            assert abs(float(g) - want) <= 1e-14 * scale, v
+
+
+@pytest.mark.parametrize("spec", _FAMILIES, ids=repr)
+def test_lamperti_forward_is_finite_at_far_lags(spec):
+    # at |v| = 1500 the time change raised "points must be finite"
+    C = lamperti_forward(make_kernel(spec))
+    n = len(spec.hurst)
+    lags = np.array([[1500.0] * n, [-1500.0] + [1.0] * (n - 1),
+                     [1.0] + [1500.0] + [-1.0] * (n - 2)])
+    assert np.isfinite(C(lags)).all()
+
+
+def test_lamperti_forward_of_a_table_is_the_one_evaluator():
+    # the same table and letters as c_fbs_stationary and c_theta, bit for bit
+    lags = _LAG_GRID[:, ::3]
+    np.testing.assert_array_equal(
+        lamperti_forward(make_kernel(FBS((0.3, 0.7))))(lags),
+        c_fbs_stationary((0.3, 0.7), lags))
+    np.testing.assert_array_equal(
+        lamperti_forward(make_kernel(MildTheta(0.3, 0.7, 0.8)))(lags),
+        c_theta(0.3, 0.7, 0.8, lags))
+    # a table over another H is no proof of self-similarity: it is checked
+    base = make_kernel(FBS((0.3, 0.7)))
+    other = CovKernel(spec=base.spec, claimed_class=base.claimed_class,
+                      batch=TermTable((0.4, 0.7), base.batch.terms))
+    with pytest.raises(SelfSimilarityError):
+        lamperti_forward(other)
+
+
+def test_mild_criterion_of_the_forward_map_holds_at_far_lags():
+    # off by order 1 through the time change
+    H = (0.3, 0.7)
+    C = lamperti_forward(make_kernel(MildTheta(*H, 0.8)))
+    v = np.array([[40.0, -25.0], [60.0, 45.0]])
+    assert np.all(np.abs(mild_criterion_residual(C, H, v))
+                  <= 1e-15 * c_fbs_stationary(H, v))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
+def test_c_fbs_stationary_beyond_subnormal_e_minus_v(h):
+    # once e^{-|v|} was subnormal the bracket lost its digits: 7.73e-33 for
+    # 3.97e-33 at (0.9, 745), and 0.0 at 800; e^{H|v|} alone carries |v| eps
+    mp = pytest.importorskip("mpmath")
+    for v in (745.0, -800.0, 2000.0):
+        with mp.workdps(50):
+            av = mp.mpf(abs(v))
+            want = float((mp.exp(-h * av) - mp.exp(h * av) * mp.expm1(
+                2 * h * mp.log1p(-mp.exp(-av)))) / 2)
+        got = c_fbs_stationary((h,), (v,))
+        # (0.5, 2000) is e^{-1000}, which underflows: the float is 0.0
+        assert abs(got - want) <= 1e-13 * want, v
+
+
+def test_c_theta_does_not_warn_past_unit_theta():
+    # the mild table is built without MildTheta, which warns for |theta| > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(c_theta(0.3, 0.7, 1.7, (1.0, -0.5)))
