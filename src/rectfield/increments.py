@@ -8,19 +8,14 @@ anchor: invariance of all cross covariances means wide-sense (for Gaussian
 fields, strictly) stationary rectangular increments, invariance of the
 variances alone means the mild property, and neither means none.
 
-The algebra is batched over stacks of box pairs.  A kernel that carries its
-term table (every ``make_kernel`` kernel) gives the increment covariances
-one coordinate at a time, from the lags between the boxes' corners
-(``kernels.increment_cov_terms_array``), so they keep their digits however
-far out the boxes are anchored.  For any other kernel, or a bare callable,
-the corners (..., 2^N, N) of both boxes go to its array form in one call,
-and the corner covariances K (..., 2^N, 2^N) are contracted with the
-corner signs, signs @ K @ signs; that corner sum loses digits like
-(anchor / extent)^{2H}.  ``increment_cov`` goes through one of the two
-routes, and ``probe_covariances`` fills the table of every probe
-covariance of a plan with it, a block of probe pairs per call; the
-classifier and the analytic values of the Monte Carlo probes read that
-table.
+The algebra is batched over stacks of box pairs.  A kernel's increment
+covariances come from its term table one coordinate at a time, from the
+lags between the boxes' corners (``kernels.increment_cov_terms_array``), so
+they keep their digits however far out the boxes are anchored.
+``increment_cov`` takes one pair of boxes that way, and
+``probe_covariances`` fills the table of every probe covariance of a plan,
+a block of probe pairs per call; the classifier and the analytic values of
+the Monte Carlo probes read that table.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (CovKernel, NonFiniteError, StationarityClass, TermTable,
+from .kernels import (CovKernel, NonFiniteError, StationarityClass,
                       _as_points, increment_cov_terms_array)
 
 PLAN_BLOCK = 1 << 16      # corner pairs per kernel call in probe_covariances
@@ -106,27 +101,16 @@ def _corners(lo, hi):
     return corners, signs
 
 
-def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
-    """Covariances of the increments over [lo1, hi1] and [lo2, hi2].
+def _increment_covs(kernel: CovKernel, lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Covariances of the increments over [lo1, hi1] and [lo2, hi2], from
+    the kernel's term table by the lags.
 
     The box corners broadcast against each other over their leading axes;
-    the result has the broadcast leading shape.  A kernel that carries its
-    term table (``TermTable``, as every ``make_kernel`` kernel does) takes
-    them one coordinate at a time, from the lags; any other array form (a
-    bare callable is one) gets all corner pairs in one call, contracted
-    with the corner signs.  A non-finite covariance raises
-    ``NonFiniteError``, naming the first pair of boxes where it occurs.
+    the result has the broadcast leading shape.  A non-finite covariance
+    raises ``NonFiniteError``, naming the first pair of boxes where it
+    occurs.
     """
-    batch = kernel.batch if isinstance(kernel, CovKernel) else kernel
-    if isinstance(batch, TermTable):
-        C = increment_cov_terms_array(batch.H, batch.terms, lo1, hi1, lo2,
-                                      hi2)
-    else:
-        c1, signs = _corners(lo1, hi1)
-        c2, _ = _corners(lo2, hi2)
-        K = batch(c1[..., :, None, :], c2[..., None, :, :])
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            C = signs @ K @ signs
+    C = increment_cov_terms_array(kernel.H, kernel.terms, lo1, hi1, lo2, hi2)
     bad = np.argwhere(~np.isfinite(C))
     if len(bad):
         box = [np.broadcast_to(a, C.shape + np.shape(a)[-1:])[tuple(bad[0])]
@@ -136,9 +120,9 @@ def _increment_covs(kernel, lo1, hi1, lo2, hi2) -> np.ndarray:
     return C
 
 
-def increment_cov(kernel, r1: Rectangle, r2: Rectangle) -> float:
-    """E[increment over r1 * increment over r2], from the lags for a kernel
-    with its term table, by bilinear corner expansion otherwise."""
+def increment_cov(kernel: CovKernel, r1: Rectangle, r2: Rectangle) -> float:
+    """E[increment over r1 * increment over r2], from the kernel's term
+    table by the lags between the corners of the two boxes."""
     if r1.n != r2.n:
         raise ValueError(f"rectangle dimensions differ: {r1.n} vs {r2.n}")
     return float(_increment_covs(kernel, r1.s, r1.t, r2.s, r2.t))
@@ -175,6 +159,9 @@ class ProbePlan:
     u_pairs are box-extent pairs (u1, u2) drawn from (0, box]^N, shifts are
     anchors h in [0, shift_box]^N; the variance probes reuse each u1 with
     itself.  Built with a fixed seed so classification is reproducible.
+    Extents must be finite and positive, anchors finite and nonnegative,
+    one of them away from h = 0 (at h = 0 alone every probe compares a
+    value with itself), all of one dimension N, and every corner finite.
     """
 
     u_pairs: tuple
@@ -184,6 +171,26 @@ class ProbePlan:
         if not self.u_pairs or not self.shifts:
             raise ValueError("a probe plan needs at least one pair and one "
                              "shift")
+        try:
+            u = np.asarray(self.u_pairs, dtype=float)
+            h = np.asarray(self.shifts, dtype=float)
+        except (TypeError, ValueError):   # ragged, or not numbers
+            u = h = np.zeros(0)
+        if not (u.ndim == 3 and u.shape[1] == 2 and h.ndim == 2
+                and h.shape[1] == u.shape[2] > 0):
+            raise ValueError("u_pairs and shifts must hold pairs (u1, u2) "
+                             "of extents and anchors h, all vectors of one "
+                             "dimension")
+        if not np.all(np.isfinite(u) & (u > 0.0)):
+            raise ValueError("u_pairs must hold finite extents > 0")
+        if not np.all(np.isfinite(h) & (h >= 0.0)):
+            raise ValueError("shifts must hold finite anchors >= 0")
+        if not math.isfinite(float(u.max()) + float(h.max())):
+            raise ValueError("u_pairs and shifts must keep the farthest "
+                             "corner finite")
+        if not h.any():
+            raise ValueError("shifts need an anchor other than h = 0: there "
+                             "every probe compares a value with itself")
 
     @classmethod
     def default(cls, n: int, n_pairs: int = 20, n_shifts: int = 10,
@@ -210,7 +217,7 @@ class ProbePlan:
         return cls(u_pairs=pairs, shifts=shifts)
 
 
-def probe_covariances(kernel, plan: ProbePlan) -> np.ndarray:
+def probe_covariances(kernel: CovKernel, plan: ProbePlan) -> np.ndarray:
     """Increment covariances of every probe of a plan, shape (P, 3, S + 1).
 
     C[p, j, k] is the covariance of the increments over [h_k, x + h_k] and
@@ -259,7 +266,7 @@ class ClassificationReport:
         return self.label
 
 
-def classify_stationarity(kernel,
+def classify_stationarity(kernel: CovKernel,
                           plan: ProbePlan | None = None) -> ClassificationReport:
     """Probe shift-invariance of increment covariances and classify the kernel.
 
@@ -271,11 +278,7 @@ def classify_stationarity(kernel,
     the verdict inconclusive (label None) rather than guessing.
     """
     if plan is None:
-        n = getattr(kernel, "n", None)
-        if n is None:
-            raise ValueError("pass an explicit ProbePlan for kernels that "
-                             "do not carry a dimension")
-        plan = ProbePlan.default(n)
+        plan = ProbePlan.default(kernel.n)
 
     C = probe_covariances(kernel, plan)
     ref, val = C[:, :2, 0], C[:, :2, 1:]                         # (P, 2, S)

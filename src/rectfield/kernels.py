@@ -74,7 +74,7 @@ with delta = H - 1/2, E + T = -2 e^{-|v|/2} sinh(delta |v|)
 + 2 sinh(|v|/2) e^{delta |v|} expm1(2 delta L) is two terms of one sign
 at every H: b needs no seam, and at H = 1/2 it is
 (2/pi) sgn(v) (|v| e^{-|v|/2} - 2 sinh(|v|/2) L).  ``make_kernel``
-hands a ``CovKernel`` its table as a ``TermTable``, whose call is
+builds a ``CovKernel`` as its spec's table, whose ``batch`` is
 ``cov_terms_array``, and the functions of one pair of points (``cov_fbs``,
 ``cov_strict_general``, ``cov_mild_theta``) return ``float`` of it there.
 """
@@ -88,7 +88,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -113,7 +113,6 @@ __all__ = [
     "make_kernel",
     "cov_terms_array",
     "increment_cov_terms_array",
-    "TermTable",
     "cov_fbs",
     "cov_strict_general",
     "cov_mild_theta",
@@ -509,20 +508,6 @@ def increment_cov_terms_array(H, terms, lo1, hi1, lo2, hi2) -> np.ndarray:
                       _as_points)
 
 
-class TermTable:
-    """A term table over its Hurst vector, called as its array form:
-    ``TermTable(H, terms)(s, t)`` is ``cov_terms_array(H, terms, s, t)``.
-    A plain class: a dataclass would cost half a millisecond at import."""
-
-    __slots__ = ("H", "terms")
-
-    def __init__(self, H: tuple, terms: tuple):
-        self.H, self.terms = H, terms
-
-    def __call__(self, s, t) -> np.ndarray:
-        return cov_terms_array(self.H, self.terms, s, t)
-
-
 # --------------------------------------------------------------------------
 # Covariance functions: one pair of points through the evaluator; a bare
 # number is a 1-D point
@@ -782,46 +767,47 @@ FieldSpec = Union[FBS, StrictGeneral, Strict2D, MildTheta, YHalf, ZHalf, MovingP
 
 @dataclass(frozen=True)
 class CovKernel:
-    """A covariance with its family metadata.
+    """A field's covariance: the term table ``terms`` over its Hurst vector
+    ``H``, with the spec it was built from.
 
     ``batch(S, T)`` takes point arrays of shape (..., N) that broadcast
-    against each other and returns the covariances, shape (...).  Called
-    on two points (a bare number is a 1-D point), the kernel returns
-    ``float(batch(s, t))``.  ``make_kernel`` passes the spec's
-    ``TermTable``, from which :mod:`rectfield.increments` also takes
-    increment covariances by their lags; any other callable is evaluated
-    at the box corners.
+    against each other and returns the covariances, shape (...); it is
+    ``cov_terms_array`` of the table.  Called on two points (a bare number
+    is a 1-D point), the kernel returns ``float(batch(s, t))``.  The
+    kernel claims mild-only stationarity exactly when a term has an "arho"
+    letter (see the module docstring).
     """
 
     spec: FieldSpec
-    claimed_class: StationarityClass
-    batch: Callable[..., np.ndarray]
+    H: tuple
+    terms: tuple
+
+    def batch(self, s, t) -> np.ndarray:
+        return cov_terms_array(self.H, self.terms, s, t)
 
     def __call__(self, s, t) -> float:
         return float(self.batch(*np.atleast_1d(s, t)))
 
     @property
+    def claimed_class(self) -> StationarityClass:
+        if any("arho" in row for _, row in self.terms):
+            return StationarityClass.MILD_ONLY
+        return StationarityClass.STRICT_WIDE
+
+    @property
     def hurst(self):
-        return self.spec.hurst
+        return self.H
 
     @property
     def n(self) -> int:
-        return len(self.spec.hurst)
+        return len(self.H)
 
 
 def make_kernel(spec: FieldSpec) -> CovKernel:
-    """Build the evaluable covariance kernel for a field specification.
-
-    The kernel sums the term table of the spec's canonical form, computed
-    and checked once, here.  It claims mild-only stationarity exactly when
-    a term has an "arho" letter (see the module docstring).
-    """
+    """Build the evaluable covariance kernel for a field specification:
+    the term table of its canonical form, checked once, here."""
     if not isinstance(spec, _Family):
         raise TypeError(f"unknown field specification {type(spec).__name__}")
     canon = spec.canonical()
-    H, terms = canon.hurst, canon.terms
-    mild = any("arho" in row for _, row in terms)
-    return CovKernel(spec=spec,
-                     claimed_class=(StationarityClass.MILD_ONLY if mild
-                                    else StationarityClass.STRICT_WIDE),
-                     batch=TermTable(H, terms))
+    return CovKernel(spec, _table_hurst(canon.hurst, canon.terms),
+                     canon.terms)

@@ -19,18 +19,19 @@ when its stationary covariance C satisfies the sign-symmetrization identity
 
 whose residual is exposed here for numerical verification.
 
-The forward map of a kernel with a term table, as ``make_kernel`` builds
-it, is that table over the letters at Lamperti lags, the third letter
-form of :mod:`rectfield.kernels`, whose terms cancel at no lag;
-``c_fbs_stationary`` and ``c_theta`` are the sheet's and the mild
-family's tables there.  They, ``lamperti_inverse`` and the criterion
-map lag (or point) arrays of shape (..., N) to shape (...); a single lag
-gives a ``np.float64`` and a bare number is a one-dimensional lag.  Lags
-and theta must be finite and points of ``lamperti_inverse`` finite and in
-the positive orthant; anything else raises ``ValueError``.  A stationary
-covariance C is any callable with the same contract, such as the one
-``lamperti_forward`` returns, so the criterion evaluates the 2^N sign flips
-of a whole lag grid in one call of C.
+The forward map of a kernel is its term table over the letters at Lamperti
+lags, the third letter form of :mod:`rectfield.kernels`, whose terms
+cancel at no lag.  A table is self-similar by construction, so the map
+takes no numerical check.  ``c_fbs_stationary`` and ``c_theta`` are the
+sheet's and the mild family's tables there.  They, ``lamperti_inverse``
+and the criterion map lag (or point) arrays of shape (..., N) to shape
+(...); a single lag gives a ``np.float64`` and a bare number is a
+one-dimensional lag.  Lags and theta must be finite and points of
+``lamperti_inverse`` finite and in the positive orthant; anything else
+raises ``ValueError``.  A stationary covariance C is any callable with
+the same contract, such as the one ``lamperti_forward`` returns, so the
+criterion evaluates the 2^N sign flips of a whole lag grid in one call
+of C.
 """
 
 from __future__ import annotations
@@ -41,13 +42,10 @@ from typing import Callable
 import numpy as np
 
 from .gammafn import validate_hurst
-from .kernels import (FBS, CovKernel, TermTable, _as_points,
-                      _lamperti_letters, _mild_terms, _points, _sign_vectors,
-                      _sum_terms)
+from .kernels import (FBS, CovKernel, _as_points, _lamperti_letters,
+                      _mild_terms, _points, _sign_vectors, _sum_terms)
 
 __all__ = [
-    "SelfSimilarityError",
-    "self_similarity_residual",
     "lamperti_forward",
     "lamperti_inverse",
     "c_fbs_stationary",
@@ -55,48 +53,11 @@ __all__ = [
     "mild_criterion_residual",
 ]
 
-SELF_SIMILARITY_TRIALS = 10
-SELF_SIMILARITY_SEED = 7041
-SELF_SIMILARITY_TOL = 1e-10
-
-
-class SelfSimilarityError(ValueError):
-    """Kernel failed the numerical self-similarity check for its Hurst vector."""
-
-
-def self_similarity_residual(kernel: CovKernel) -> float:
-    """Max relative error of K(a o s, a o t) = prod a^{2H} K(s, t) over random triples."""
-    H = np.asarray(kernel.hurst)
-    # trial by trial, s, t and a: the draws of one trial are consecutive
-    s, t, a = np.random.default_rng(SELF_SIMILARITY_SEED).uniform(
-        0.2, 2.0, (SELF_SIMILARITY_TRIALS, 3, len(H))).transpose(1, 0, 2)
-    lhs = kernel.batch(a * s, a * t)
-    rhs = np.prod(a ** (2 * H), axis=-1) * kernel.batch(s, t)
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-12),
-                        initial=0.0))
-
 
 def lamperti_forward(kernel: CovKernel) -> Callable[..., np.ndarray]:
-    """Stationary covariance C of the exponentially time-changed kernel.
-
-    A kernel whose batch is a ``TermTable`` over its own Hurst vector is
-    self-similar by construction, and C is its table at Lamperti lags.  Any
-    other kernel's self-similarity is verified numerically, to
-    ``SELF_SIMILARITY_TOL``, before trusting the Hurst vector attached to it.
-    """
-    table = kernel.batch
-    if isinstance(table, TermTable) and table.H == tuple(kernel.hurst):
-        return functools.partial(_stationary_terms, table.H, table.terms)
-    resid = self_similarity_residual(kernel)
-    if not resid <= SELF_SIMILARITY_TOL:   # a NaN residual fails too
-        raise SelfSimilarityError(f"self-similarity residual {resid:.3e} "
-                                  f"exceeds {SELF_SIMILARITY_TOL:.1e}")
-
-    def evaluate(v):
-        v = np.asarray(v, dtype=float)
-        return kernel.batch(np.exp(-v / 2.0), np.exp(v / 2.0))
-
-    return evaluate
+    """Stationary covariance C of the exponentially time-changed kernel:
+    its term table at Lamperti lags."""
+    return functools.partial(_stationary_terms, kernel.H, kernel.terms)
 
 
 def lamperti_inverse(C: Callable[..., np.ndarray], H, s, t) -> np.ndarray:

@@ -20,7 +20,6 @@ from rectfield.increments import (
 )
 from rectfield.kernels import (
     FBS,
-    CovKernel,
     MildTheta,
     MovingPair,
     NonFiniteError,
@@ -196,30 +195,30 @@ def test_classify_families():
     assert report.max_cross_residual >= 1e-4
 
 
-def test_classify_synthetic_nonstationary():
-    base = make_kernel(FBS((0.5, 0.5)))
+def _warp_by_anchor(monkeypatch, eps):
+    """Scale every increment covariance by 1 + eps lo_1, lo_1 the first
+    anchor coordinate of the first box, so the variances of the probes
+    move with their anchor."""
+    exact = increments.increment_cov_terms_array
 
-    def warped(s, t):
-        return base.batch(s, t) * np.sqrt((1 + s[..., 0]) * (1 + t[..., 0]))
+    def warped(H, terms, lo1, hi1, lo2, hi2):
+        return (exact(H, terms, lo1, hi1, lo2, hi2)
+                * (1.0 + eps * np.asarray(lo1)[..., 0]))
 
-    plan = ProbePlan.default(2)
-    report = classify_stationarity(warped, plan=plan)
+    monkeypatch.setattr(increments, "increment_cov_terms_array", warped)
+
+
+def test_classify_synthetic_nonstationary(monkeypatch):
+    _warp_by_anchor(monkeypatch, 1.0)
+    report = classify_stationarity(make_kernel(FBS((0.5, 0.5))),
+                                   plan=ProbePlan.default(2))
     assert report.require_label() is StationarityClass.NONE
 
 
-def test_classify_requires_plan_for_bare_callables():
-    with pytest.raises(ValueError):
-        classify_stationarity(lambda s, t: 0.0)
-
-
-def test_classify_inconclusive_band():
-    base = make_kernel(FBS((0.5, 0.5)))
-
-    def slightly_off(s, t):
-        return base.batch(s, t) * (1 + 1e-6 * (s[..., 0] + t[..., 0]))
-
+def test_classify_inconclusive_band(monkeypatch):
+    _warp_by_anchor(monkeypatch, 1e-6)
     plan = ProbePlan.default(2, n_pairs=5, n_shifts=4)
-    report = classify_stationarity(slightly_off, plan=plan)
+    report = classify_stationarity(make_kernel(FBS((0.5, 0.5))), plan=plan)
     assert report.inconclusive
     with pytest.raises(InconclusiveClassification):
         report.require_label()
@@ -239,6 +238,27 @@ def test_probe_plan_rejects_empty_ranges_and_plans():
         ProbePlan(u_pairs=(), shifts=((0.0, 0.0),))
     with pytest.raises(ValueError, match="at least one"):
         ProbePlan.default(2, n_shifts=0)
+    # a plan built directly: every anchor at h = 0 and a zero extent passed
+    # a mild field as strict with both residuals 0.0, a pair of mixed
+    # dimension failed in numpy, and an overflowing corner in the kernel's
+    # point check
+    u = (((1.0, 1.0), (1.0, 2.0)),)
+    for kw, field in (({"shifts": ((0.0, 0.0),)}, "shifts"),
+                      ({"shifts": ((0.0, 0.0), (0.0, 0.0))}, "shifts"),
+                      ({"shifts": ((-1.0, 0.5),)}, "shifts"),
+                      ({"shifts": ((math.inf, 0.5),)}, "shifts"),
+                      ({"u_pairs": (((0.0, 0.0), (1.0, 2.0)),)}, "u_pairs"),
+                      ({"u_pairs": (((1.0, math.nan), (1.0, 2.0)),)},
+                       "u_pairs"),
+                      ({"u_pairs": (((1.0,), (1.0, 2.0)),)}, "u_pairs"),
+                      ({"shifts": ((1.0, 0.5, 0.5),)}, "u_pairs and shifts"),
+                      ({"u_pairs": (((), ()),), "shifts": ((),)},
+                       "u_pairs and shifts"),
+                      ({"u_pairs": (((1.7e308, 1.0), (1.0, 1.0)),),
+                        "shifts": ((1.7e308, 0.5),)}, "farthest corner")):
+        with pytest.raises(ValueError, match=field):
+            ProbePlan(**{"u_pairs": u, "shifts": ((1.0, 0.5),), **kw})
+    ProbePlan(u_pairs=u, shifts=((0.0, 0.0), (1.0, 0.0)))
 
 
 def test_non_finite_increment_covariances_raise():
@@ -258,30 +278,14 @@ def test_non_finite_increment_covariances_raise():
                               plan=plan)
 
 
-def test_hand_built_kernels_keep_the_corner_route():
-    # a kernel without its term table gets every corner pair in one call,
-    # the route that stays the tests' oracle, and names the same boxes
-    base = make_kernel(Strict2D(0.3, 0.7, 0.5))
-    shapes = []
-
-    def batch(s, t):
-        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
-        return base.batch(s, t)
-
-    hand = CovKernel(base.spec, base.claimed_class, batch)
-    r1, r2 = Rectangle((1.0, 0.5), (2.0, 3.0)), Rectangle((0.5, 1.0), (2.5, 2.0))
-    want, scale = _corner_loop(oracle.evaluator(base.spec), base.hurst, r1, r2)
-    for kernel in (hand, batch):
-        assert abs(increment_cov(kernel, r1, r2) - want) <= 1e-14 * scale
-    assert shapes == [(4, 4, 2)] * 2
-    assert abs(increment_cov(base, r1, r2) - want) <= 1e-14 * scale
-    far = Rectangle((0.0, 0.0), (1e300, 1e300))
-    nan = CovKernel(base.spec, base.claimed_class,
-                    lambda s, t: np.full(np.broadcast_shapes(
-                        np.shape(s), np.shape(t))[:-1], np.nan))
-    for kernel in (make_kernel(FBS((0.9, 0.9))), nan):
-        with pytest.raises(NonFiniteError, match=r"boxes \[\[0\. 0\.\], "):
-            increment_cov(kernel, far, far)
+def test_a_non_finite_increment_covariance_names_its_boxes():
+    # in a stack of box pairs, the first pair whose covariance overflows is
+    # named, with its corners broadcast to the stack
+    kernel = make_kernel(FBS((0.9, 0.9)))
+    hi = np.array([[1.0, 2.0], [1e300, 1e300], [2e300, 2e300]])
+    with pytest.raises(NonFiniteError, match=r"boxes \[\[0\. 0\.\], "
+                                             r"\[1\.e\+300 1\.e\+300\]\]"):
+        increments._increment_covs(kernel, np.zeros(2), hi, np.zeros(2), hi)
 
 
 def _mp_double_difference(mp, name, h, lo1, hi1, lo2, hi2):
@@ -453,18 +457,6 @@ def _classify_reference(ev, H, plan):
     return rows, label
 
 
-def _warped(s, t):
-    """A bare array-native covariance, points (..., 2) -> (...)."""
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    return (make_kernel(FBS((0.5, 0.5))).batch(s, t)
-            * np.sqrt((1 + s[..., 0]) * (1 + t[..., 0])))
-
-
-def _warped_scalar(s, t):
-    """``_warped`` at one pair of points, through the scalar oracle."""
-    return oracle.cov_fbs((0.5, 0.5), s, t) * math.sqrt((1 + s[0]) * (1 + t[0]))
-
-
 _CLASSIFY_CASES = [
     FBS((0.3, 0.7)), FBS((0.5, 0.5)), FBS((0.3, 0.6, 0.8)),
     Strict2D(0.3, 0.7, 0.5), Strict2D(0.5, 0.5, -0.4), ZHalf(1.0),
@@ -474,17 +466,13 @@ _CLASSIFY_CASES = [
         {(1, 1, 1): 0.2, (-1, -1, -1): 0.2, (1, 1, -1): 0.05,
          (-1, -1, 1): 0.05, (1, -1, 1): 0.15, (-1, 1, -1): 0.15,
          (-1, 1, 1): 0.1, (1, -1, -1): 0.1})),
-    "bare callable",
 ]
 
 
 @pytest.mark.parametrize("case", _CLASSIFY_CASES, ids=repr)
 def test_classify_matches_scalar_corner_loop(case):
-    if case == "bare callable":
-        kernel, ev, H = _warped, _warped_scalar, (0.5, 0.5)
-    else:
-        kernel = make_kernel(case)
-        ev, H = oracle.evaluator(case), case.hurst
+    kernel = make_kernel(case)
+    ev, H = oracle.evaluator(case), case.hurst
     plan = ProbePlan.default(len(H), n_pairs=4, n_shifts=3, seed=21)
     report = classify_stationarity(kernel, plan=plan)
     want_rows, want_label = _classify_reference(ev, H, plan)

@@ -554,7 +554,7 @@ def test_scalar_calls_are_the_batch_form_bit_for_bit():
     # one evaluation path: a kernel called on two points and each function
     # of one pair return float(batch(s, t)) with the same bits
     assert [f.name for f in dataclasses.fields(CovKernel)] == \
-        ["spec", "claimed_class", "batch"]
+        ["spec", "H", "terms"]
     rng = np.random.default_rng(10)
     pairs = rng.uniform(0.0, 3.0, size=(100, 2, 2))
     pairs[::10, 1] = pairs[::10, 0]                    # some s = t

@@ -13,7 +13,6 @@ from rectfield.increments import ProbePlan, Rectangle, _corners, corner_expansio
 from rectfield.kernels import (
     FBS,
     SEAM_DELTA,
-    CovKernel,
     MildTheta,
     NonFiniteError,
     Strict2D,
@@ -422,7 +421,7 @@ def test_limit_partial_sums_same_seed_same_bits():
     assert np.allclose(a.emp_cov, v.T @ v / n_reps, rtol=1e-13, atol=0)
 
 
-def test_cov_matrix_names_the_first_non_finite_pair():
+def test_cov_matrix_names_the_first_non_finite_pair(monkeypatch):
     # 1e200^1.8 overflows, so K(p, q) is NaN for every pair with q = big
     k = make_kernel(FBS((0.9, 0.5)))
     pts = np.array([[1.0, 1.0], [2.0, 2.0], [1e200, 1.0]])
@@ -435,18 +434,21 @@ def test_cov_matrix_names_the_first_non_finite_pair():
     grid = Grid(np.column_stack([np.linspace(0.1, 3.0, 300), np.ones(300)]))
     p, q = grid.points[150], grid.points[200]
     base = make_kernel(FBS((0.3, 0.7)))
+    clean = cov_matrix(base, grid)
 
     def poisoned(first, second):
-        def batch(s, t):
-            hit = np.all(s == first, axis=-1) & np.all(t == second, axis=-1)
-            return np.where(hit, np.nan, base.batch(s, t))
-        return CovKernel(base.spec, base.claimed_class, batch)
+        _replace_kernel(monkeypatch, lambda exact: lambda s, t: np.where(
+            np.all(s == first, axis=-1) & np.all(t == second, axis=-1),
+            np.nan, exact(s, t)))
 
+    poisoned(p, q)
     with pytest.raises(ValueError) as err:
-        cov_matrix(poisoned(p, q), grid)
+        cov_matrix(base, grid)
     assert f"{p}, {q}" in str(err.value)
-    M = cov_matrix(poisoned(q, p), grid)
-    assert np.array_equal(M, cov_matrix(base, grid))
+    monkeypatch.undo()
+    poisoned(q, p)
+    M = cov_matrix(base, grid)
+    assert np.array_equal(M, clean)
     assert np.array_equal(M, M.T)
 
 
@@ -553,16 +555,15 @@ def test_the_corner_table_holds_each_probes_unique_live_corners(plan):
 
 
 def _replace_kernel(monkeypatch, batch):
-    """Make ``make_kernel``, in ``simulate`` and for the oracle, return a
-    kernel of the spec whose array form is ``batch(the spec's kernel)``."""
-    real = make_kernel
+    """Make every kernel's array form ``batch(exact)``, where ``exact(s, t)``
+    is its own, by patching the evaluator ``kernels.cov_terms_array`` that
+    ``CovKernel.batch`` looks up at each call."""
+    real = kernels.cov_terms_array
 
-    def fake(spec):
-        base = real(spec)
-        return CovKernel(base.spec, base.claimed_class, batch(base))
+    def fake(H, terms, s, t):
+        return batch(lambda a, b: real(H, terms, a, b))(s, t)
 
-    monkeypatch.setattr(simulate, "make_kernel", fake)
-    monkeypatch.setattr(kernels, "make_kernel", fake)
+    monkeypatch.setattr(kernels, "cov_terms_array", fake)
 
 
 def test_mc_names_the_first_non_finite_corner_covariance(monkeypatch):
@@ -573,10 +574,10 @@ def test_mc_names_the_first_non_finite_corner_covariance(monkeypatch):
     s = np.array([h[0] + u2[0], h[1]])
     t = np.array([h[0] + u1[0], h[1]])
 
-    def poisoned(base):
+    def poisoned(exact):
         def batch(a, b):
             hit = np.all(a == s, axis=-1) & np.all(b == t, axis=-1)
-            return np.where(hit, np.nan, base.batch(a, b))
+            return np.where(hit, np.nan, exact(a, b))
         return batch
 
     _replace_kernel(monkeypatch, poisoned)
@@ -593,10 +594,10 @@ def test_mc_names_the_first_non_finite_corner_covariance(monkeypatch):
 def test_mc_corner_padding_is_never_named(monkeypatch):
     # the corner table pads with (1, 1), which no corner of this plan is;
     # a kernel that is NaN there draws as the spec's own kernel does
-    def nan_at_ones(base):
+    def nan_at_ones(exact):
         def batch(a, b):
             hit = np.all(a == 1.0, axis=-1) | np.all(b == 1.0, axis=-1)
-            return np.where(hit, np.nan, base.batch(a, b))
+            return np.where(hit, np.nan, exact(a, b))
         return batch
 
     spec = MildTheta(0.3, 0.7, 0.8)
@@ -621,7 +622,7 @@ def test_mc_rejects_fewer_than_one_sample_before_any_work(monkeypatch, n):
 
 
 def test_mc_names_the_family_of_a_matrix_that_is_not_psd(monkeypatch):
-    _replace_kernel(monkeypatch, lambda base: lambda a, b: -base.batch(a, b))
+    _replace_kernel(monkeypatch, lambda exact: lambda a, b: -exact(a, b))
     with pytest.raises(PSDError, match="covariance of mildtheta has min"):
         mc_increment_stationarity(MildTheta(0.3, 0.7, 0.8), plan=_PLAN_ON_AXES,
                                   seed=1, n_samples=50)
