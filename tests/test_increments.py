@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from rectfield import increments
+from rectfield import increments, kernels
 from rectfield.increments import (
     InconclusiveClassification,
     ProbePlan,
@@ -286,6 +286,35 @@ def test_a_non_finite_increment_covariance_names_its_boxes():
     with pytest.raises(NonFiniteError, match=r"boxes \[\[0\. 0\.\], "
                                              r"\[1\.e\+300 1\.e\+300\]\]"):
         increments._increment_covs(kernel, np.zeros(2), hi, np.zeros(2), hi)
+
+
+def test_increment_covariances_take_only_the_table_route(monkeypatch):
+    # no covariance at corner points is evaluated: with the point evaluator
+    # disabled, increment_cov and the classifier give the same bits
+    kernel = make_kernel(Strict2D(0.3, 0.7, 0.5))
+    r1, r2 = Rectangle((1.0, 0.5), (2.0, 3.0)), Rectangle((0.5, 1.0), (2.5, 2.0))
+    plan = ProbePlan.default(2, n_pairs=3, n_shifts=2, seed=5)
+    want = increment_cov(kernel, r1, r2), probe_covariances(kernel, plan)
+
+    def refused(*args):
+        raise AssertionError("a corner covariance was evaluated")
+
+    monkeypatch.setattr(kernels, "cov_terms_array", refused)
+    assert increment_cov(kernel, r1, r2) == want[0]
+    np.testing.assert_array_equal(probe_covariances(kernel, plan), want[1])
+    assert classify_stationarity(kernel, plan=plan).require_label() is \
+        StationarityClass.STRICT_WIDE
+
+
+def test_classify_without_a_plan_probes_in_the_kernel_dimension():
+    # the default plan takes its dimension from the kernel's H
+    for spec in (FBS((0.3, 0.6, 0.8)), FBS((0.4,)), MildTheta(0.3, 0.7, 0.5)):
+        kernel = make_kernel(spec)
+        report = classify_stationarity(kernel)
+        assert report.rows and all(
+            len(row["u1"]) == len(row["u2"]) == len(row["h"]) == kernel.n
+            for row in report.rows)
+        assert report.require_label() is kernel.claimed_class
 
 
 def _mp_double_difference(mp, name, h, lo1, hi1, lo2, hi2):

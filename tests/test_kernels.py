@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -414,6 +415,56 @@ def test_claimed_classes():
                        (MildTheta(0.3, 0.7, 0.5), StationarityClass.MILD_ONLY),
                        (ZHalf(0.5), StationarityClass.STRICT_WIDE)):
         assert make_kernel(spec).claimed_class is want, spec
+
+
+def test_kernel_is_its_canonical_table():
+    # H, n and the claimed class come from the canonical spec's table, and
+    # batch is that table's evaluator, bit for bit
+    rng = np.random.default_rng(31)
+    for spec in DEFAULT_SPECS + [MovingPair(0.3, 0.7, 1.0, 0.0),
+                                 FBS((0.3, 0.6, 0.8))]:
+        canon, kernel = spec.canonical(), make_kernel(spec)
+        assert kernel.spec is spec and kernel.terms == canon.terms
+        assert kernel.H == kernel.hurst == tuple(canon.hurst)
+        assert kernel.n == len(canon.hurst)
+        mild = any("arho" in row for _, row in canon.terms)
+        assert kernel.claimed_class is (StationarityClass.MILD_ONLY if mild
+                                        else StationarityClass.STRICT_WIDE)
+        s, t = rng.uniform(0.0, 3.0, size=(2, 20, kernel.n))
+        np.testing.assert_array_equal(
+            kernel.batch(s, t), cov_terms_array(canon.hurst, canon.terms, s, t))
+
+
+def test_batch_looks_up_the_module_evaluator_at_each_call(monkeypatch):
+    # a kernel built before a patch of kernels.cov_terms_array evaluates
+    # through the patch, as module wrappers that count evaluations need
+    from rectfield import kernels
+
+    kernel = make_kernel(MildTheta(0.3, 0.7, 0.5))
+    exact = kernels.cov_terms_array
+    calls = []
+
+    def counted(H, terms, s, t):
+        calls.append((H, terms))
+        return exact(H, terms, s, t)
+
+    monkeypatch.setattr(kernels, "cov_terms_array", counted)
+    s, t = np.array([[1.0, 2.0], [0.5, 0.3]]), np.array([2.0, 1.5])
+    np.testing.assert_array_equal(kernel.batch(s, t),
+                                  exact(kernel.H, kernel.terms, s, t))
+    assert kernel(s[0], t) == float(exact(kernel.H, kernel.terms, s[0], t))
+    assert calls == [(kernel.H, kernel.terms)] * 2
+
+
+def test_make_kernel_checks_the_table_when_it_builds_the_kernel(monkeypatch):
+    # a bad canonical table is refused by make_kernel, before any evaluation
+    bad = types.SimpleNamespace(hurst=(0.3, 0.7), terms=((1.0, ("a", "c")),))
+    monkeypatch.setattr(FBS, "canonical", lambda self: bad)
+    with pytest.raises(ValueError, match=r"term \(1.0, \('a', 'c'\)\)"):
+        make_kernel(FBS((0.3, 0.7)))
+    bad.hurst, bad.terms = (0.3, 1.2), ((1.0, ("a", "a")),)
+    with pytest.raises(ValueError):
+        make_kernel(FBS((0.3, 0.7)))
 
 
 @pytest.mark.parametrize("spec, canonical", [

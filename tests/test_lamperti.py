@@ -384,6 +384,24 @@ def test_lamperti_forward_of_a_table_is_the_one_evaluator():
         c_theta(0.3, 0.7, 0.8, lags))
 
 
+@pytest.mark.parametrize("spec", [FBS((0.3, 0.7)), MildTheta(0.3, 0.7, 0.8)],
+                         ids=repr)
+def test_lamperti_forward_evaluates_no_point_kernel(spec, monkeypatch):
+    # the forward map is the table at Lamperti lags: no covariance at
+    # points is evaluated, to check self-similarity or to time-change
+    from rectfield import kernels
+
+    kernel = make_kernel(spec)
+    lags = _LAG_GRID[:, ::3]
+    want = lamperti_forward(kernel)(lags)
+
+    def refused(*args):
+        raise AssertionError("a point covariance was evaluated")
+
+    monkeypatch.setattr(kernels, "cov_terms_array", refused)
+    np.testing.assert_array_equal(lamperti_forward(kernel)(lags), want)
+
+
 def test_mild_criterion_of_the_forward_map_holds_at_far_lags():
     # off by order 1 through the time change
     H = (0.3, 0.7)
