@@ -13,7 +13,10 @@ labels and separators are fixed text, floats are ``%.17g`` (17 significant
 digits, so they read back exactly), a point is ``[a b]`` with one
 ``%.17g`` per coordinate, and rows are tuples taken from arrays.  Booleans
 are the text ``true``/``false``, and the only quoted field is the check
-suites' JSON ``params``, quoted as ``csv.writer`` would.
+suites' JSON ``params``, quoted as ``csv.writer`` would.  The two tables
+that grow with the grid, ``samples.csv`` and ``report.csv``, are built
+from arrays instead, a block of lines at a time, with the same bytes
+(``_write_table`` and ``csvtext``).
 
 A check suite sits in the module of its oracles: ``lemmas`` is
 ``quadrature.identity_sweep``, paired here with the config's ``tol``;
@@ -35,7 +38,7 @@ from typing import get_args
 
 import numpy as np
 
-from . import movingavg, quadrature, spectral
+from . import csvtext, movingavg, quadrature, spectral
 from .gammafn import _LOGGAMMA, _scipy_extension
 from .increments import ProbePlan, classify_stationarity
 from .kernels import (FieldSpec, NonFiniteError, StrictWeights, _as_points,
@@ -388,11 +391,12 @@ def _quoted(text: str) -> str:
 
 
 @contextlib.contextmanager
-def _artifact(path: Path):
-    """``path`` open for writing; an OSError there is a ConfigError on out."""
+def _artifact(path: Path, binary: bool = False):
+    """``path`` open for writing, as text or as bytes; an OSError there is
+    a ConfigError on out."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
+        with (open(path, "wb") if binary else open(path, "w", newline="")) as fh:
             yield fh
     except OSError as exc:   # e.g. out names a file, or the disk is full
         raise ConfigError(f"out: {exc}") from None
@@ -411,17 +415,28 @@ def _write_csv(path: Path, rows, columns, template: str):
         fh.writelines(template % row for row in rows)
 
 
-def _write_samples(path: Path, values: np.ndarray):
-    """samples.csv, one (rep, point, value) line per draw, a rep at a time.
+def _write_table(path: Path, header: bytes, n_lines: int, cells):
+    """A CSV table from arrays, with the bytes of the ``%``-template
+    writer: ``header``, then ``csvtext.write_lines`` of n_lines lines."""
+    with _artifact(path, binary=True) as fh:
+        fh.write(header)
+        csvtext.write_lines(fh, n_lines, cells)
 
-    A rep's lines share one template in which the rep and point labels are
-    fixed text, so only the values are formatted.
-    """
-    template = "".join(f"\0,{p},%.17g\r\n" for p in range(values.shape[1]))
-    with _artifact(path) as fh:
-        fh.write("rep,point,value\r\n")
-        for rep, row in enumerate(values):
-            fh.write(template.replace("\0", str(rep)) % tuple(row.tolist()))
+
+def _write_samples(path: Path, values: np.ndarray):
+    """samples.csv, one (rep, point, value) line per draw, rep by rep;
+    ``values`` holds a rep per row."""
+    n_points = values.shape[1]
+    points = csvtext.labels(range(n_points), b",")   # once, for all reps
+
+    def reps(block):
+        first = block.start // n_points
+        rep = np.arange(block.start, block.stop) // n_points - first
+        return csvtext.labels(range(first, first + rep[-1] + 1), b",")[rep]
+
+    _write_table(path, b"rep,point,value\r\n", values.size,
+                 [reps, lambda b: points[np.arange(b.start, b.stop) % n_points],
+                  np.asarray(values, dtype=float).reshape(-1), b"\r\n"])
 
 
 def run(config: RunConfig) -> int:
@@ -534,11 +549,11 @@ def _run_simulate(cfg, out_dir):
     est, sd, ref = emp[i, j], se[i, j], batch.cov[i, j]
     z = (est - ref) / sd
     within = int(np.count_nonzero(np.abs(z) <= 4.0))
-    _write_csv(out_dir / "report.csv",
-               list(zip(i.tolist(), j.tolist(), est.tolist(), sd.tolist(),
-                        ref.tolist(), z.tolist())),
-               ["probe", "statistic", "estimate", "se", "reference", "z"],
-               "%d-%d,cov,%.17g,%.17g,%.17g,%.17g\r\n")
+    points = csvtext.labels(range(grid.n_points))
+    _write_table(out_dir / "report.csv",
+                 b"probe,statistic,estimate,se,reference,z\r\n", len(z),
+                 [lambda b: points[i[b]], b"-", lambda b: points[j[b]],
+                  b",cov,", est, b",", sd, b",", ref, b",", z, b"\r\n"])
     print(f"simulate[{cfg.spec.family}] n={batch.n_samples} "
           f"{within}/{len(z)} covariance entries within 4 SE")
     return 0 if within / len(z) >= 0.95 else 1

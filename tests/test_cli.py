@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from rectfield import cli
+from rectfield import cli, csvtext
 from rectfield.cli import (
     ConfigError,
     RunConfig,
@@ -361,6 +361,13 @@ def test_an_unusable_out_is_a_config_error(tmp_path, capsys):
         assert main(["cov", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: out: ") and str(out) in err
+    # samples.csv and report.csv are written as bytes, by another writer
+    flags = ["--spec", "fbs", "--H", "0.5", "0.5", "--n-samples", "100"]
+    for name in ("samples.csv", "report.csv"):
+        (tmp_path / name / name).mkdir(parents=True)
+        assert main(["simulate", *flags, "--out", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and name in err
 
 
 def test_only_artifact_writes_map_an_os_error_to_out(tmp_path, monkeypatch):
@@ -745,13 +752,24 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path):
     _samples_csv_per_row(tmp_path / "oracle.csv", batch.values)
     assert (tmp_path / "run" / "samples.csv").read_bytes() == \
         (tmp_path / "oracle.csv").read_bytes()
-    # values whose shortest and 17-digit forms differ, signed zeros, extremes
+    # values whose shortest and 17-digit forms differ, signed zeros,
+    # extremes; ties at the 18th digit, which round half to even; 1e-6,
+    # which is below 10^-6; both sides of the positional/exponent switch;
+    # doubles just below a power of ten
     edge = np.array([[0.1, -0.0, 1.0, -1e-300], [5e-324, 1.7976931348623157e308,
-                                                 -2.5, 1 / 3]])
+                                                 -2.5, 1 / 3],
+                     [1234567890123456.75, 1234567890123457.25, 1e-6,
+                      9.9999999999999995e-07],
+                     [9.99999999999999e-5, 1e-4, 1e-5, 1e16],
+                     [9.999999999999999e16, 1e23, 0.0, -1e-4]])
     _write_samples(tmp_path / "edge.csv", edge)
     _samples_csv_per_row(tmp_path / "edge_oracle.csv", edge)
-    assert (tmp_path / "edge.csv").read_bytes() == \
-        (tmp_path / "edge_oracle.csv").read_bytes()
+    data = (tmp_path / "edge.csv").read_bytes()
+    assert data == (tmp_path / "edge_oracle.csv").read_bytes()
+    for text in (b"1234567890123456.8", b"1234567890123457.2",
+                 b"9.9999999999999995e-07", b"99999999999999984",
+                 b"9.9999999999999992e+22"):
+        assert b"," + text + b"\r\n" in data
 
 
 def _reemitted(path):
@@ -780,6 +798,11 @@ def _reemitted(path):
 
 
 _FBS = {"family": "fbs", "H": [0.3, 0.7]}
+# points near 0 draw values of 1e-8 and below: the exponent form, Python's
+# %.17g below 1e-6 and the exact path above it, and both signs
+_TINY_SIMULATE = {"command": "simulate", "spec": _FBS,
+                  "grid": {"axes": [[1e-9, 1e-3, 0.5, 2.0], [1e-8, 1e-4, 1.0]]},
+                  "n_samples": 100, "seed": 6}
 _ARTIFACT_RUNS = [
     pytest.param({"command": "cov", "spec": {"family": "strict2d",
                                              "H": [0.3, 0.7], "gamma": 0.4},
@@ -808,6 +831,8 @@ _ARTIFACT_RUNS = [
                                       [1, 1, 1]]},
                   "n_samples": 300, "seed": 10},
                  ["grid.csv", "samples.csv", "report.csv"], id="simulate"),
+    pytest.param(_TINY_SIMULATE, ["samples.csv", "report.csv"],
+                 id="simulate-tiny-axes"),
     pytest.param({"command": "mc", "spec": {"family": "yhalf", "theta": 0.7},
                   "probes": {"n_pairs": 1, "n_shifts": 2, "seed": 3},
                   "n_samples": 200, "seed": 5}, ["mc.csv"], id="mc"),
@@ -825,6 +850,20 @@ def test_every_artifact_matches_the_csv_writer(tmp_path, cfg, files):
         data = (tmp_path / name).read_bytes()
         assert data.count(b"\n") > 1 and data.endswith(b"\r\n")
         assert data == _reemitted(tmp_path / name), name
+
+
+def test_table_blocks_keep_the_bytes(tmp_path, monkeypatch):
+    # samples.csv and report.csv are written csvtext.BLOCK floats at a
+    # time; blocks of one line, blocks that split reps, and the default
+    # agree
+    files = []
+    for block in (1, 7, csvtext.BLOCK):
+        monkeypatch.setattr(csvtext, "BLOCK", block)
+        out = tmp_path / str(block)
+        run(validate_config(dict(_TINY_SIMULATE, out=str(out))))
+        files.append([(out / name).read_bytes()
+                      for name in ("samples.csv", "report.csv")])
+    assert files[0] == files[1] == files[2]
 
 
 @pytest.mark.parametrize("r, t, key", [
