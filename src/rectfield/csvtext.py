@@ -68,9 +68,12 @@ def _text_tables():
     the head (row 0 for positive, row 1 for negative values) and the
     exponent text.
     """
-    digits = np.arange(_GROUP)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1] == 1
-    lanes = np.concatenate([digits + 48, np.where(trailing, 0, digits + 48)])
+    g = np.arange(_GROUP)
+    lanes = np.empty((2, _GROUP, 4), np.uint8)
+    for k, unit in enumerate((1000, 100, 10, 1)):
+        lanes[0, :, k] = g // unit % 10 + 48
+        # the digit and all after it are zero: a trailing zero
+        lanes[1, :, k] = lanes[0, :, k] * (g % (10 * unit) != 0)
     x = np.arange(_X_MIN, _X_MAX + 1)
     positional = (x >= -4) & (x < 17)   # %g's rule at 17 digits
     n_int = np.where(positional, np.maximum(x + 1, 0), 1)
@@ -79,7 +82,7 @@ def _text_tables():
              for sign in (b"", b"-") for e in x.tolist()]
     tails = [b"" if pos else b"e%+03d" % e
              for e, pos in zip(x.tolist(), positional.tolist())]
-    return (lanes.astype(np.uint8).view("<u4").ravel(),
+    return (lanes.view("<u4").reshape(-1),
             ((1 << 8 * kept) - 1).astype("<u4"),
             np.array(heads, "S8").view("<u8").reshape(2, -1),
             np.array(tails, "S4").view("<u4"))
@@ -164,12 +167,15 @@ def labels(ints, suffix=b""):
 def write_lines(fh, n_lines, cells):
     """n_lines CSV lines to the binary file fh, a block at a time.
 
-    ``cells`` are a line's cells in order: fixed text (bytes); a float
-    array of n_lines values, written ``%.17g``; or a function of a slice
-    of line numbers that returns those lines' cells as a numpy bytes array.
-    A block holds at most BLOCK floats (and at least one line).
+    ``cells`` are a line's cells in order: fixed text (bytes); a numpy
+    array of n_lines cells, floats (written ``%.17g``) or text; or a
+    function of a slice of line numbers that returns those lines' cells as
+    a numpy bytes array.  A block holds at most BLOCK floats (and at least
+    one line), and ``format_17g`` writes all of them in one call.
     """
-    step = max(1, BLOCK // sum(isinstance(c, np.ndarray) for c in cells))
+    n_floats = sum(isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                   for c in cells)
+    step = max(1, BLOCK // n_floats)
     for start in range(0, n_lines, step):
         block = slice(start, min(start + step, n_lines))
         parts = [np.array([c]) if isinstance(c, bytes) else
@@ -177,12 +183,18 @@ def write_lines(fh, n_lines, cells):
                  for c in cells]
         widths = [CELL if p.dtype.kind == "f" else p.itemsize for p in parts]
         lines = np.empty((block.stop - start, sum(widths)), np.uint8)
-        col = 0
+        col, floats = 0, []
         for p, w in zip(parts, widths):
             cols = lines[:, col:col + w]
             col += w
             if p.dtype.kind == "f":
-                format_17g(p, cols)
+                floats.append((p, cols))
             else:   # one fixed text is broadcast to every line
                 cols[:] = p.view(np.uint8).reshape(-1, w)
+        if len(floats) == 1:   # in place: a scratch matrix costs a copy
+            format_17g(*floats[0])
+        else:
+            text = format_17g(np.stack([p for p, _ in floats], axis=1))
+            for k, (_, cols) in enumerate(floats):
+                cols[:] = text[k::len(floats)]
         fh.write(lines.tobytes().translate(None, b"\0"))

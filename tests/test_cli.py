@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -772,6 +773,28 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path):
         assert b"," + text + b"\r\n" in data
 
 
+def test_report_csv_matches_the_per_row_writer(tmp_path, monkeypatch):
+    # each line holds its pair's estimate, se, reference and z, in blocks
+    # of two lines (csvtext.BLOCK = 10) and of all 21, with values for
+    # both of format_17g's paths in every column
+    rng = np.random.default_rng(8)
+    emp, se, cov = rng.standard_normal((3, 6, 6)) * 10.0 ** rng.integers(
+        -9, 19, (3, 6, 6))
+    emp[0, :4], cov[1, 1:5] = [-0.0, 5e-324, 1e23, 0.1], [1e-6, 0.0, -1e17, 7.0]
+    se = np.abs(se) + 1e-300
+    i, j = np.triu_indices(6)
+    z = (emp[i, j] - cov[i, j]) / se[i, j]
+    oracle = b"probe,statistic,estimate,se,reference,z\r\n" + b"".join(
+        b"%d-%d,cov,%.17g,%.17g,%.17g,%.17g\r\n" % row for row in zip(
+            i.tolist(), j.tolist(), emp[i, j].tolist(), se[i, j].tolist(),
+            cov[i, j].tolist(), z.tolist()))
+    for block in (10, csvtext.BLOCK):
+        monkeypatch.setattr(csvtext, "BLOCK", block)
+        counts = cli._write_report(tmp_path / "report.csv", emp, se, cov)
+        assert (tmp_path / "report.csv").read_bytes() == oracle
+        assert counts == (np.count_nonzero(np.abs(z) <= 4.0), 21)
+
+
 def _reemitted(path):
     """The bytes the pre-template writer (``csv.writer``, each cell
     formatted on its own) gives for the table at ``path`` once its numeric
@@ -854,16 +877,45 @@ def test_every_artifact_matches_the_csv_writer(tmp_path, cfg, files):
 
 def test_table_blocks_keep_the_bytes(tmp_path, monkeypatch):
     # samples.csv and report.csv are written csvtext.BLOCK floats at a
-    # time; blocks of one line, blocks that split reps, and the default
-    # agree
+    # time; blocks of one line, blocks that split reps, report.csv blocks
+    # of two and three lines (four floats a line), and the default agree
     files = []
-    for block in (1, 7, csvtext.BLOCK):
+    for block in (1, 7, 10, 13, csvtext.BLOCK):
         monkeypatch.setattr(csvtext, "BLOCK", block)
         out = tmp_path / str(block)
         run(validate_config(dict(_TINY_SIMULATE, out=str(out))))
         files.append([(out / name).read_bytes()
                       for name in ("samples.csv", "report.csv")])
-    assert files[0] == files[1] == files[2]
+    assert all(f == files[-1] for f in files)
+
+
+def test_report_csv_is_written_in_block_memory(tmp_path, monkeypatch):
+    # report.csv holds n_points^2 / 2 lines; it is built a block of pairs
+    # at a time, so on a 32x32 grid (524,800 lines) its peak stays within
+    # 2 MB of the run's peak up to samples.csv, where arrays over every
+    # pair would add about 20 MB
+    peaks = []
+    write_samples = cli._write_samples
+
+    def traced(path, values):
+        write_samples(path, values)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(cli, "_write_samples", traced)
+    axis = np.linspace(0.1, 3.2, 32).tolist()
+    cfg = validate_config({"command": "simulate", "spec": _FBS,
+                           "grid": {"axes": [axis, axis]}, "n_samples": 100,
+                           "seed": 6, "out": str(tmp_path)})
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(cfg) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert "524800/524800 covariance entries" in out.getvalue()
+    assert peaks[1] <= peaks[0] + 2e6, peaks
 
 
 @pytest.mark.parametrize("r, t, key", [
