@@ -13,10 +13,14 @@ labels and separators are fixed text, floats are ``%.17g`` (17 significant
 digits, so they read back exactly), a point is ``[a b]`` with one
 ``%.17g`` per coordinate, and rows are tuples taken from arrays.  Booleans
 are the text ``true``/``false``, and the only quoted field is the check
-suites' JSON ``params``, quoted as ``csv.writer`` would.  The two tables
-that grow with the grid, ``samples.csv`` and ``report.csv``, are built
-from arrays instead, a block of lines at a time, with the same bytes
-(``_write_table``, ``_write_report`` and ``csvtext``).
+suites' JSON ``params``, quoted as ``csv.writer`` would.  ``samples.csv``
+and ``report.csv`` are formatted from arrays instead, a block of lines at a
+time, with the same bytes (``_write_table``, ``_write_report`` and
+``csvtext``).  The two tables that grow as the square of the points,
+``report.csv`` and ``limit_demo.csv``, are computed a block of pairs at a
+time by one walk, ``_pair_blocks``; ``limit_demo.csv`` keeps its row
+template, since ``csvtext``'s fixed cost per table outweighs its gain on
+the few hundred lines of a usual demo.
 
 A check suite sits in the module of its oracles: ``lemmas`` is
 ``quadrature.identity_sweep``, paired here with the config's ``tol``;
@@ -167,9 +171,10 @@ _MIN_N_SAMPLES = 100
 # allocated.  A grid of MAX_GRID_POINTS points has a 128 MiB covariance
 # matrix; simulate holds n_samples x grid points draws, at most
 # MAX_SAMPLE_VALUES (128 MiB).  The limit demo's t points share the grid's
-# ceiling: it keeps three matrices of their pairs.  A spec's work grows
-# like 4^N in its dimension N (classify's default plan at N = 7 peaks near
-# 80 MB), so H has at most MAX_DIM components.
+# ceiling: LimitDemo holds four m x m matrices of their pairs (32 MiB at
+# m = 1024, with a 48 MiB peak while it is built) and its CSV adds none.
+# A spec's work grows like 4^N in its dimension N (classify's default plan
+# at N = 7 peaks near 80 MB), so H has at most MAX_DIM components.
 MAX_DIM = 7
 MAX_N_SAMPLES = 1_000_000
 MAX_GRID_POINTS = 4096
@@ -439,30 +444,40 @@ def _write_samples(path: Path, values: np.ndarray):
                   np.asarray(values, dtype=float).reshape(-1), b"\r\n"])
 
 
-def _write_report(path: Path, emp, se, cov):
-    """report.csv, one line per pair i <= j of points, row by row, built
-    a block of pairs at a time; returns how many of its n_pairs z-scores
-    lie within 4, and n_pairs."""
-    n = len(cov)
-    n_pairs = n * (n + 1) // 2
-    points = csvtext.labels(range(n))
+# pairs a block in the pair tables: report.csv's four floats a line fill
+# one csvtext.BLOCK
+PAIR_BLOCK = csvtext.BLOCK // 4
+
+
+def _pair_blocks(n: int):
+    """The pairs i <= j of n points, row by row (the order of
+    ``np.triu_indices(n)``), as arrays (i, j, i n + j) of at most
+    PAIR_BLOCK pairs, the last their flat index in an n x n matrix.  A
+    block's pairs come from its line numbers, found among the row ends."""
     ends = np.cumsum(np.arange(n, 0, -1))   # the line after row i's pairs
-    step = max(1, csvtext.BLOCK // 4)       # write_lines' block of 4 floats
-    within = 0
+    for start in range(0, n * (n + 1) // 2, PAIR_BLOCK):
+        line = np.arange(start, min(start + PAIR_BLOCK, ends[-1]))
+        i = np.searchsorted(ends, line, side="right")
+        j = line - ends[i] + n
+        yield i, j, i * n + j
+
+
+def _write_report(path: Path, emp, se, cov):
+    """report.csv, one line per pair i <= j of points, a block of pairs at
+    a time; returns how many of its n_pairs z-scores lie within 4, and
+    n_pairs."""
+    n, within = len(cov), 0
+    points = csvtext.labels(range(n))
     with _artifact(path, binary=True) as fh:
         fh.write(b"probe,statistic,estimate,se,reference,z\r\n")
-        for start in range(0, n_pairs, step):
-            line = np.arange(start, min(start + step, n_pairs))
-            i = np.searchsorted(ends, line, side="right")
-            j = line - ends[i] + n
-            flat = i * n + j
+        for i, j, flat in _pair_blocks(n):
             est, sd, ref = emp.take(flat), se.take(flat), cov.take(flat)
             z = (est - ref) / sd
             within += int(np.count_nonzero(np.abs(z) <= 4.0))
-            csvtext.write_lines(fh, len(line), [
+            csvtext.write_lines(fh, len(i), [
                 points[i], b"-", points[j], b",cov,", est, b",", sd, b",",
                 ref, b",", z, b"\r\n"])
-    return within, n_pairs
+    return within, n * (n + 1) // 2
 
 
 def run(config: RunConfig) -> int:
@@ -601,20 +616,20 @@ def _run_limit_demo(cfg, out_dir):
     demo = limit_partial_sums(cfg.params["r1"], cfg.params["r2"],
                               cfg.t_points, seed=cfg.params["seed"],
                               n_reps=cfg.params["n_reps"])
-    i, j = np.triu_indices(len(cfg.t_points))
-    est, se = demo.emp_cov[i, j], demo.se[i, j]
-    limit = demo.limit_cov[i, j]
-    passed = np.abs(est - limit) <= 0.05 * np.abs(limit) + 4.0 * se
-    ok = int(np.count_nonzero(passed))
-    t = cfg.t_points
-    cells = np.column_stack([t[i], t[j], est, se, demo.exact_cov[i, j], limit])
+    t, n, ok = cfg.t_points, len(cfg.t_points), 0
     point = _point_field(t.shape[1])
-    _write_csv(out_dir / "limit_demo.csv",
-               [(*row, flag) for row, flag in zip(
-                   cells.tolist(), np.where(passed, "true", "false").tolist())],
-               ["t_i", "t_j", "estimate", "se", "exact_prelimit", "limit",
-                "pass"], f"{point},{point},%.17g,%.17g,%.17g,%.17g,%s\r\n")
-    total = len(passed)
+    template = f"{point},{point},%.17g,%.17g,%.17g,%.17g,%s\r\n"
+    with _artifact(out_dir / "limit_demo.csv") as fh:
+        fh.write("t_i,t_j,estimate,se,exact_prelimit,limit,pass\r\n")
+        for i, j, flat in _pair_blocks(n):
+            est, se, exact, limit = (m.take(flat) for m in (
+                demo.emp_cov, demo.se, demo.exact_cov, demo.limit_cov))
+            passed = np.abs(est - limit) <= 0.05 * np.abs(limit) + 4.0 * se
+            ok += int(np.count_nonzero(passed))
+            cells = np.column_stack([t[i], t[j], est, se, exact, limit])
+            fh.writelines(template % (*row, flag) for row, flag in zip(
+                cells.tolist(), np.where(passed, "true", "false").tolist()))
+    total = n * (n + 1) // 2
     print(f"limit-demo r=({cfg.params['r1']},{cfg.params['r2']}) "
           f"n_reps={demo.n_reps}: {ok}/{total} entries within 5% + 4 SE "
           f"of the limit covariance")

@@ -671,11 +671,11 @@ class YHalf(_Family):
     family = "yhalf"
     h1 = h2 = 0.5
 
-    def __post_init__(self):
-        self.canonical()   # validates theta
+    def __post_init__(self):   # validates theta and warns, once
+        object.__setattr__(self, "_mild", MildTheta(0.5, 0.5, self.theta))
 
     def canonical(self):
-        return MildTheta(0.5, 0.5, self.theta)
+        return self._mild
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import re
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,19 @@ def test_a_covariance_that_is_not_psd_is_a_config_error(tmp_path, capsys):
         assert err.startswith("config error: spec:")
         assert "not positive semidefinite on this grid" in err
         assert "Traceback" not in err
+
+
+def test_cov_warns_once_for_a_theta_outside_the_safe_range(tmp_path, capsys):
+    # the warning comes from building the spec; YHalf's kernel is built
+    # from the MildTheta made then, so evaluating it warns no more
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        assert main(["cov", "--spec", "yhalf", "--theta", "1.5", "--s", "1",
+                     "1", "--t", "2", "1.5", "--out", str(tmp_path)]) == 0
+    assert len(rec) == 1, [str(w.message) for w in rec]
+    assert "theta=1.5 outside [-1,1]" in str(rec[0].message)
+    assert Path(rec[0].filename).name == "cli.py"
+    assert "cov[yhalf] K(s,t) = " in capsys.readouterr().out
 
 
 _CEILINGS = [
@@ -915,6 +929,71 @@ def test_report_csv_is_written_in_block_memory(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert "524800/524800 covariance entries" in out.getvalue()
+    assert peaks[1] <= peaks[0] + 2e6, peaks
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64, cli.PAIR_BLOCK])
+def test_pair_blocks_walk_the_upper_triangle(monkeypatch, block):
+    # one walk serves both pair tables: the pairs of np.triu_indices(n) in
+    # its order, blocks of PAIR_BLOCK pairs but the last, flat indices i n + j
+    monkeypatch.setattr(cli, "PAIR_BLOCK", block)
+    assert list(cli._pair_blocks(0)) == []
+    for n in range(1, 41):
+        blocks = list(cli._pair_blocks(n))
+        sizes = [len(i) for i, _, _ in blocks]
+        assert sizes[:-1] == [block] * (len(sizes) - 1) and sizes[-1] <= block
+        i, j, flat = (np.concatenate(parts) for parts in zip(*blocks))
+        want_i, want_j = np.triu_indices(n)
+        np.testing.assert_array_equal(i, want_i)
+        np.testing.assert_array_equal(j, want_j)
+        np.testing.assert_array_equal(flat, want_i * n + want_j)
+
+
+def test_pair_blocks_keep_the_bytes(tmp_path, monkeypatch, capsys):
+    # report.csv and limit_demo.csv are written PAIR_BLOCK pairs at a
+    # time; blocks of one pair, of seven and the default (49 t points give
+    # limit_demo.csv 1,225 lines, two default blocks) agree, counts too
+    demo = {"command": "limit-demo", "r1": 4, "r2": 3, "n_reps": 20,
+            "t_axes": np.linspace(0.5, 2.0, 7).tolist(), "seed": 2}
+    files = []
+    for block in (1, 7, cli.PAIR_BLOCK):
+        monkeypatch.setattr(cli, "PAIR_BLOCK", block)
+        out = tmp_path / str(block)
+        for cfg in (_TINY_SIMULATE, demo):
+            run(validate_config(dict(cfg, out=str(out))))
+        files.append([capsys.readouterr().out] + [
+            (out / name).read_bytes() for name in ("report.csv",
+                                                   "limit_demo.csv")])
+    assert files[-1][2].count(b"\r\n") == 1 + 49 * 50 // 2
+    assert all(f == files[-1] for f in files)
+
+
+def test_limit_demo_csv_is_written_in_block_memory(tmp_path, monkeypatch):
+    # limit_demo.csv holds m^2 / 2 lines for m t points; it is built a
+    # block of pairs at a time, so on 16 t-axis values (256 points, 32,896
+    # lines) its peak stays within 2 MB of the demo's own, where rows over
+    # every pair would add about 20 MB
+    peaks = []
+    demo = cli.limit_partial_sums
+
+    def traced(*args, **kwargs):
+        result = demo(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(cli, "limit_partial_sums", traced)
+    cfg = validate_config({"command": "limit-demo", "r1": 16, "r2": 16,
+                           "t_axes": np.linspace(1.0, 2.0, 16).tolist(),
+                           "n_reps": 50, "seed": 3, "out": str(tmp_path)})
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            run(cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert "/32896 entries" in out.getvalue()
     assert peaks[1] <= peaks[0] + 2e6, peaks
 
 
