@@ -14,13 +14,14 @@ digits, so they read back exactly), a point is ``[a b]`` with one
 ``%.17g`` per coordinate, and rows are tuples taken from arrays.  Booleans
 are the text ``true``/``false``, and the only quoted field is the check
 suites' JSON ``params``, quoted as ``csv.writer`` would.  ``samples.csv``
-and ``report.csv`` are formatted from arrays instead, a block of lines at a
-time, with the same bytes (``_write_table``, ``_write_report`` and
-``csvtext``).  The two tables that grow as the square of the points,
-``report.csv`` and ``limit_demo.csv``, are computed a block of pairs at a
-time by one walk, ``_pair_blocks``; ``limit_demo.csv`` keeps its row
-template, since ``csvtext``'s fixed cost per table outweighs its gain on
-the few hundred lines of a usual demo.
+and ``report.csv`` are formatted from arrays instead, with the same bytes:
+``_write_samples`` and ``_write_report`` hand ``csvtext.write_lines`` one
+block of lines at a time, BLOCK floats at most.  The two tables that grow
+as the square of the points, ``report.csv`` and ``limit_demo.csv``, are
+computed a block of pairs at a time by one walk, ``_pair_blocks``;
+``limit_demo.csv`` keeps its row template, since ``csvtext``'s fixed cost
+per table outweighs its gain on the few hundred lines of a usual demo.
+Every artifact is written as bytes.
 
 A check suite sits in the module of its oracles: ``lemmas`` is
 ``quadrature.identity_sweep``, paired here with the config's ``tol``;
@@ -100,7 +101,7 @@ def spec_from_dict(d) -> FieldSpec:
     family = d.get("family")
     if family is None:
         raise ConfigError("spec.family: missing")
-    if family not in _SPEC_FIELDS:
+    if not isinstance(family, str) or family not in _SPEC_FIELDS:
         raise ConfigError(f"spec.family: unknown family {family!r} "
                           f"(known: {sorted(_SPEC_FIELDS)})")
     keys = set(d) - {"family"}
@@ -111,16 +112,18 @@ def spec_from_dict(d) -> FieldSpec:
     if missing:
         raise ConfigError(f"spec: missing keys {sorted(missing)} for {family!r}")
     try:   # every key but H and weights is one number
-        H = tuple(float(h) for h in d.get("H", ()))
+        H = tuple(float(h) for h in _json_numbers(d.get("H", ()), "spec.H"))
         if len(H) > MAX_DIM:   # before the weights and the spec are built
             raise ConfigError(f"spec.H: {len(H)} components exceed {MAX_DIM}")
-        args = {k: float(d[k]) for k in sorted(keys - {"H", "weights"})}
+        args = {k: float(_json_numbers(d[k], f"spec.{k}"))
+                for k in sorted(keys - {"H", "weights"})}
         if "weights" in d:
             if not isinstance(d["weights"], dict):
                 raise ConfigError("spec.weights: expected an object mapping "
                                   "sign strings to weights")
             args["weights"] = StrictWeights(
-                {_signs_from_key(k): float(v) for k, v in d["weights"].items()})
+                {_signs_from_key(k): float(_json_numbers(v, "spec.weights"))
+                 for k, v in d["weights"].items()})
         if "H" in _SPEC_CLASSES[family].__dataclass_fields__:
             args["H"] = H
         elif "H" in d:
@@ -204,6 +207,17 @@ def _number(value, name, kind, lo=None, hi=None):
     return value
 
 
+def _json_numbers(value, name):
+    """``value`` once no leaf of its nested lists is a string, a boolean or
+    null, which ``float`` and ``np.asarray`` would read as numbers."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _json_numbers(v, name)
+    elif value is None or isinstance(value, (str, bool)):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return value
+
+
 def _checked(where: str, check, *args, **kwargs):
     """Return ``check(*args, **kwargs)``; its ValueError or TypeError is
     raised as a ConfigError led by ``where`` (a key and ": ", or "probes.")."""
@@ -259,7 +273,9 @@ def validate_config(cfg: dict) -> RunConfig:
     if not 0 <= params["seed"] < 2**64:
         raise ConfigError(f"seed: must be an unsigned 64-bit integer, "
                           f"got {params['seed']}")
-    params["out"] = str(cfg.get("out", "."))
+    params["out"] = cfg.get("out", ".")
+    if not isinstance(params["out"], str):
+        raise ConfigError(f"out: expected a string, got {params['out']!r}")
 
     spec = grid = plan = t_points = None
     if "spec" in allowed:
@@ -268,17 +284,19 @@ def validate_config(cfg: dict) -> RunConfig:
 
     if command == "cov":
         for key in ("s", "t"):
-            pt = _checked(f"{key}: ", lambda: _as_points(cfg[key], n).reshape(n))
+            pt = _checked(f"{key}: ", lambda p: _as_points(p, n).reshape(n),
+                          _json_numbers(cfg[key], key))
             params[key] = pt.tolist()
     elif command == "density":
         if spec.family != "fbs":
             raise ConfigError(f"spec.family: density is only available for "
                               f"'fbs', not {spec.family!r}")
-        params["x"] = _checked("x: ", _points, cfg["x"], n).reshape(-1, n).tolist()
+        params["x"] = _checked("x: ", _points, _json_numbers(cfg["x"], "x"),
+                               n).reshape(-1, n).tolist()
         _scipy_extension(_LOGGAMMA)   # g_H's log-gamma: load it before the run
     elif command == "check":
         suite = cfg.get("suite")
-        if suite not in _SUITES:
+        if not isinstance(suite, str) or suite not in _SUITES:
             raise ConfigError(f"suite: expected one of {'/'.join(_SUITES)}, "
                               f"got {suite!r}")
         params["suite"] = suite
@@ -312,13 +330,14 @@ def validate_config(cfg: dict) -> RunConfig:
                 or not set(raw) <= {"axes", "points"}):
             raise ConfigError("grid: expected {'axes': [...]} or {'points': [...]}")
         if "axes" in raw:   # the ceiling is checked before the grid is built
+            axes = _json_numbers(raw["axes"], "grid.axes")
             value = _checked("grid: ", lambda: [np.asarray(a, dtype=float)
-                                                for a in raw["axes"]])
+                                                for a in axes])
             build, n_points = grid_from_axes, math.prod(a.size for a in value)
             params["grid"] = {"axes": [a.tolist() for a in value]}
         else:
-            value = np.atleast_2d(_checked("grid: ", np.asarray, raw["points"],
-                                           float))
+            value = np.atleast_2d(_checked("grid: ", np.asarray, _json_numbers(
+                raw["points"], "grid.points"), float))
             build, n_points = Grid, len(value)
             params["grid"] = {"points": value.tolist()}
         if n_points > MAX_GRID_POINTS:
@@ -331,8 +350,8 @@ def validate_config(cfg: dict) -> RunConfig:
         if "t_points" in cfg and "t_axes" in cfg:
             raise ConfigError("limit-demo: give either t_axes or t_points")
         key = "t_points" if "t_points" in cfg else "t_axes"
-        pts = _checked(f"{key}: ", np.asarray,
-                       cfg.get(key, [0.5, 1.0, 1.5, 2.0]), float)
+        pts = _checked(f"{key}: ", np.asarray, _json_numbers(
+            cfg.get(key, [0.5, 1.0, 1.5, 2.0]), key), float)
         if key == "t_axes" and pts.ndim > 1:
             raise ConfigError("t_axes: expected a number or a list of numbers")
         n_points = pts.size ** 2 if key == "t_axes" else len(np.atleast_2d(pts))
@@ -396,12 +415,12 @@ def _quoted(text: str) -> str:
 
 
 @contextlib.contextmanager
-def _artifact(path: Path, binary: bool = False):
-    """``path`` open for writing, as text or as bytes; an OSError there is
-    a ConfigError on out."""
+def _artifact(path: Path):
+    """``path`` open for writing bytes; an OSError there is a ConfigError
+    on out."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with (open(path, "wb") if binary else open(path, "w", newline="")) as fh:
+        with open(path, "wb") as fh:
             yield fh
     except OSError as exc:   # e.g. out names a file, or the disk is full
         raise ConfigError(f"out: {exc}") from None
@@ -416,47 +435,40 @@ def _write_csv(path: Path, rows, columns, template: str):
     by ``_quoted`` where needed.  ``rows`` is a sequence of tuples.
     """
     with _artifact(path) as fh:
-        fh.write(",".join(columns) + "\r\n")
-        fh.writelines(template % row for row in rows)
+        fh.write((",".join(columns) + "\r\n").encode())
+        fh.writelines((template % row).encode() for row in rows)
 
 
-def _write_table(path: Path, header: bytes, n_lines: int, cells):
-    """A CSV table from arrays, with the bytes of the ``%``-template
-    writer: ``header``, then ``csvtext.write_lines`` of n_lines lines."""
-    with _artifact(path, binary=True) as fh:
-        fh.write(header)
-        csvtext.write_lines(fh, n_lines, cells)
+# floats a block of samples.csv and report.csv, whose pair walk limit_demo.csv
+# shares: well under 1 MB of work
+BLOCK = 4096
 
 
 def _write_samples(path: Path, values: np.ndarray):
-    """samples.csv, one (rep, point, value) line per draw, rep by rep;
-    ``values`` holds a rep per row."""
+    """samples.csv, one (rep, point, value) line per draw, rep by rep,
+    BLOCK draws at a time; ``values`` holds a rep per row."""
     n_points = values.shape[1]
     points = csvtext.labels(range(n_points), b",")   # once, for all reps
-
-    def reps(block):
-        first = block.start // n_points
-        rep = np.arange(block.start, block.stop) // n_points - first
-        return csvtext.labels(range(first, first + rep[-1] + 1), b",")[rep]
-
-    _write_table(path, b"rep,point,value\r\n", values.size,
-                 [reps, lambda b: points[np.arange(b.start, b.stop) % n_points],
-                  np.asarray(values, dtype=float).reshape(-1), b"\r\n"])
-
-
-# pairs a block in the pair tables: report.csv's four floats a line fill
-# one csvtext.BLOCK
-PAIR_BLOCK = csvtext.BLOCK // 4
+    values = np.asarray(values, dtype=float).reshape(-1)
+    with _artifact(path) as fh:
+        fh.write(b"rep,point,value\r\n")
+        for start in range(0, values.size, BLOCK):
+            draw = np.arange(start, min(start + BLOCK, values.size))
+            rep = draw // n_points
+            reps = csvtext.labels(range(rep[0], rep[-1] + 1), b",")
+            csvtext.write_lines(fh, [reps[rep - rep[0]], points[draw % n_points],
+                                     values[start:start + BLOCK], b"\r\n"])
 
 
 def _pair_blocks(n: int):
     """The pairs i <= j of n points, row by row (the order of
     ``np.triu_indices(n)``), as arrays (i, j, i n + j) of at most
-    PAIR_BLOCK pairs, the last their flat index in an n x n matrix.  A
-    block's pairs come from its line numbers, found among the row ends."""
+    BLOCK // 4 pairs (report.csv has four floats a line), the last their
+    flat index in an n x n matrix.  A block's pairs come from its line
+    numbers, found among the row ends."""
     ends = np.cumsum(np.arange(n, 0, -1))   # the line after row i's pairs
-    for start in range(0, n * (n + 1) // 2, PAIR_BLOCK):
-        line = np.arange(start, min(start + PAIR_BLOCK, ends[-1]))
+    for start in range(0, n * (n + 1) // 2, BLOCK // 4):
+        line = np.arange(start, min(start + BLOCK // 4, ends[-1]))
         i = np.searchsorted(ends, line, side="right")
         j = line - ends[i] + n
         yield i, j, i * n + j
@@ -468,13 +480,13 @@ def _write_report(path: Path, emp, se, cov):
     n_pairs."""
     n, within = len(cov), 0
     points = csvtext.labels(range(n))
-    with _artifact(path, binary=True) as fh:
+    with _artifact(path) as fh:
         fh.write(b"probe,statistic,estimate,se,reference,z\r\n")
         for i, j, flat in _pair_blocks(n):
             est, sd, ref = emp.take(flat), se.take(flat), cov.take(flat)
             z = (est - ref) / sd
             within += int(np.count_nonzero(np.abs(z) <= 4.0))
-            csvtext.write_lines(fh, len(i), [
+            csvtext.write_lines(fh, [
                 points[i], b"-", points[j], b",cov,", est, b",", sd, b",",
                 ref, b",", z, b"\r\n"])
     return within, n * (n + 1) // 2
@@ -488,7 +500,7 @@ def run(config: RunConfig) -> int:
         raise ConfigError(f"{need}: missing; build the RunConfig with validate_config")
     out_dir = Path(config.params["out"])
     with _artifact(out_dir / "config_echo.json") as fh:
-        fh.write(config.to_json() + "\n")
+        fh.write((config.to_json() + "\n").encode())
     return _HANDLERS[config.command](config, out_dir)
 
 
@@ -620,15 +632,16 @@ def _run_limit_demo(cfg, out_dir):
     point = _point_field(t.shape[1])
     template = f"{point},{point},%.17g,%.17g,%.17g,%.17g,%s\r\n"
     with _artifact(out_dir / "limit_demo.csv") as fh:
-        fh.write("t_i,t_j,estimate,se,exact_prelimit,limit,pass\r\n")
+        fh.write(b"t_i,t_j,estimate,se,exact_prelimit,limit,pass\r\n")
         for i, j, flat in _pair_blocks(n):
             est, se, exact, limit = (m.take(flat) for m in (
                 demo.emp_cov, demo.se, demo.exact_cov, demo.limit_cov))
             passed = np.abs(est - limit) <= 0.05 * np.abs(limit) + 4.0 * se
             ok += int(np.count_nonzero(passed))
             cells = np.column_stack([t[i], t[j], est, se, exact, limit])
-            fh.writelines(template % (*row, flag) for row, flag in zip(
+            fh.write("".join(template % (*row, flag) for row, flag in zip(
                 cells.tolist(), np.where(passed, "true", "false").tolist()))
+                     .encode())
     total = n * (n + 1) // 2
     print(f"limit-demo r=({cfg.params['r1']},{cfg.params['r2']}) "
           f"n_reps={demo.n_reps}: {ok}/{total} entries within 5% + 4 SE "
@@ -689,9 +702,9 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    try:   # args.config is a Path
-        text = "{}" if args.config is None else args.config.read_text()
-    except OSError as exc:
+    try:   # args.config is a Path; JSON text is UTF-8 (RFC 8259)
+        text = "{}" if args.config is None else args.config.read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 2

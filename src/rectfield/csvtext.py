@@ -2,9 +2,10 @@
 speed.
 
 ``format_17g(x)`` gives, for each value v of x, the bytes ``b"%.17g" % v``
-as one row of a NUL-padded uint8 matrix.  ``write_lines`` builds a block
-of CSV lines as one such matrix, a row per line with its cells side by
-side, and writes it with its NULs deleted.
+as one row of a NUL-padded uint8 matrix.  ``write_lines`` builds the one
+block of CSV lines it is given as one such matrix, a row per line with its
+cells side by side, and writes it with its NULs deleted; its caller picks
+the block's size.
 
 The exact path takes 1e-6 <= |v| < 1e17.  The 17 digits of v are the
 integer N nearest to the exact product |v| 10^(16 - X) in [1e16, 1e17),
@@ -41,7 +42,6 @@ _LANES = (0, 1, 5, 9, 13)      # the first digit of each lane
 _GROUP = 10_000                # a lane's four digits are one table entry
 _X_MIN, _X_MAX = -6, 16        # the decimal exponents of the exact path
 _VELTKAMP = 134217729.0        # 2^27 + 1 splits a double into two halves
-BLOCK = 4096                   # floats per block: well under 1 MB of work
 
 
 def _split(a):
@@ -164,37 +164,29 @@ def labels(ints, suffix=b""):
     return np.array([b"%d%s" % (k, suffix) for k in ints], dtype=bytes)
 
 
-def write_lines(fh, n_lines, cells):
-    """n_lines CSV lines to the binary file fh, a block at a time.
+def write_lines(fh, cells):
+    """One block of CSV lines to the binary file fh, in one write.
 
-    ``cells`` are a line's cells in order: fixed text (bytes); a numpy
-    array of n_lines cells, floats (written ``%.17g``) or text; or a
-    function of a slice of line numbers that returns those lines' cells as
-    a numpy bytes array.  A block holds at most BLOCK floats (and at least
-    one line), and ``format_17g`` writes all of them in one call.
+    ``cells`` are a line's cells in order: fixed text (bytes), or a numpy
+    array of the block's cells, floats (written ``%.17g``) or text.
+    ``format_17g`` writes all of the block's floats in one call.
     """
-    n_floats = sum(isinstance(c, np.ndarray) and c.dtype.kind == "f"
-                   for c in cells)
-    step = max(1, BLOCK // n_floats)
-    for start in range(0, n_lines, step):
-        block = slice(start, min(start + step, n_lines))
-        parts = [np.array([c]) if isinstance(c, bytes) else
-                 c[block] if isinstance(c, np.ndarray) else c(block)
-                 for c in cells]
-        widths = [CELL if p.dtype.kind == "f" else p.itemsize for p in parts]
-        lines = np.empty((block.stop - start, sum(widths)), np.uint8)
-        col, floats = 0, []
-        for p, w in zip(parts, widths):
-            cols = lines[:, col:col + w]
-            col += w
-            if p.dtype.kind == "f":
-                floats.append((p, cols))
-            else:   # one fixed text is broadcast to every line
-                cols[:] = p.view(np.uint8).reshape(-1, w)
-        if len(floats) == 1:   # in place: a scratch matrix costs a copy
-            format_17g(*floats[0])
-        else:
-            text = format_17g(np.stack([p for p, _ in floats], axis=1))
-            for k, (_, cols) in enumerate(floats):
-                cols[:] = text[k::len(floats)]
-        fh.write(lines.tobytes().translate(None, b"\0"))
+    parts = [np.array([c]) if isinstance(c, bytes) else c for c in cells]
+    n_lines = max(len(p) for p in parts)
+    widths = [CELL if p.dtype.kind == "f" else p.itemsize for p in parts]
+    lines = np.empty((n_lines, sum(widths)), np.uint8)
+    col, floats = 0, []
+    for p, w in zip(parts, widths):
+        cols = lines[:, col:col + w]
+        col += w
+        if p.dtype.kind == "f":
+            floats.append((p, cols))
+        else:   # one fixed text is broadcast to every line
+            cols[:] = p.view(np.uint8).reshape(-1, w)
+    if len(floats) == 1:   # in place: a scratch matrix costs a copy
+        format_17g(*floats[0])
+    else:
+        text = format_17g(np.stack([p for p, _ in floats], axis=1))
+        for k, (_, cols) in enumerate(floats):
+            cols[:] = text[k::len(floats)]
+    fh.write(lines.tobytes().translate(None, b"\0"))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracle
-from rectfield import cli, csvtext
+from rectfield import cli
 from rectfield.cli import (
     ConfigError,
     RunConfig,
@@ -257,7 +257,8 @@ def test_mc_command(tmp_path):
 def _main_with_config(tmp_path, text, command):
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    return main([command, "--config", str(path), "--out", str(tmp_path)])
+    out = [] if '"out"' in text else ["--out", str(tmp_path)]   # --out wins
+    return main([command, "--config", str(path), *out])
 
 
 def test_density_rejects_non_sheet_families(tmp_path, capsys):
@@ -344,12 +345,59 @@ def test_density_rejects_non_sheet_families(tmp_path, capsys):
     ('{"spec": {"family": "fbs", "H": [0.9, 0.9]},'
      ' "s": [1e300, 1e300], "t": [1e300, 1e300]}',
      "cov", "s, t: the covariance is not finite"),
+    # a family or suite that is not a string was a TypeError traceback
+    ('{"spec": {"family": ["fbs"], "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.family"),
+    ('{"spec": {"family": {"fbs": 1}, "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.family"),
+    ('{"suite": ["ma"]}', "check", "suite"),
+    ('{"suite": {"ma": 1}}', "check", "suite"),
+    # out was any JSON value's str(): ./None, or a directory "{'a': 1}"
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, 2], "out": null}', "cov", "out:"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [1, 1], "t": [2, 2], "out": {"a": 1}}', "cov", "out:"),
+    # a string, boolean or null where a number goes was read as a number
+    ('{"spec": {"family": "zhalf", "gamma": false},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.gamma"),
+    ('{"spec": {"family": "yhalf", "theta": "0.5"},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.theta"),
+    ('{"spec": {"family": "yhalf", "theta": null},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.theta"),
+    ('{"spec": {"family": "fbs", "H": ["0.3", 0.7]},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.H"),
+    ('{"spec": {"family": "strict", "H": [0.3, 0.7], "weights":'
+     ' {"++": "0.25", "--": 0.25, "+-": 0.25, "-+": 0.25}},'
+     ' "s": [1, 1], "t": [2, 2]}', "cov", "spec.weights"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]},'
+     ' "s": [true, 1], "t": [2, 2]}', "cov", "s:"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "x": [["1", 2]]}',
+     "density", "x:"),
+    ('{"r1": 8, "r2": 8, "t_axes": "1"}', "limit-demo", "t_axes"),
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": 100,'
+     ' "grid": {"axes": "12"}}', "simulate", "grid.axes"),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, command, where):
     assert _main_with_config(tmp_path, text, command) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
     assert "Traceback" not in err
+
+
+def test_a_config_file_is_utf8_json(tmp_path, capsys):
+    # a file that is not UTF-8 text was a UnicodeDecodeError traceback; a
+    # UTF-8 file with a non-ASCII out still runs
+    text = ('{"command": "cov", "spec": {"family": "fbs", "H": [0.5, 0.5]},'
+            ' "s": [1, 1], "t": [2, 2], "out": "%s"}')
+    path = tmp_path / "cfg.json"
+    path.write_bytes((text % (tmp_path / "\xff")).encode("latin-1"))
+    assert main(["cov", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ")
+    assert "Traceback" not in err
+    path.write_bytes((text % (tmp_path / "caf\xe9 \u03b8")).encode())
+    assert main(["cov", "--config", str(path)]) == 0
+    assert (tmp_path / "caf\xe9 \u03b8" / "cov.csv").is_file()
 
 
 def test_an_unusable_out_is_a_config_error(tmp_path, capsys):
@@ -754,7 +802,7 @@ def _samples_csv_per_row(path, values):
             writer.writerow([row["rep"], row["point"], f"{row['value']:.17g}"])
 
 
-def test_samples_csv_matches_the_per_row_writer(tmp_path):
+def test_samples_csv_matches_the_per_row_writer(tmp_path, monkeypatch):
     import rectfield.simulate as sim
 
     cfg = {"command": "simulate",
@@ -777,10 +825,12 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path):
                       9.9999999999999995e-07],
                      [9.99999999999999e-5, 1e-4, 1e-5, 1e16],
                      [9.999999999999999e16, 1e23, 0.0, -1e-4]])
-    _write_samples(tmp_path / "edge.csv", edge)
     _samples_csv_per_row(tmp_path / "edge_oracle.csv", edge)
-    data = (tmp_path / "edge.csv").read_bytes()
-    assert data == (tmp_path / "edge_oracle.csv").read_bytes()
+    for block in (1, 7, cli.BLOCK):   # one line, and blocks that split reps
+        monkeypatch.setattr(cli, "BLOCK", block)
+        _write_samples(tmp_path / "edge.csv", edge)
+        data = (tmp_path / "edge.csv").read_bytes()
+        assert data == (tmp_path / "edge_oracle.csv").read_bytes()
     for text in (b"1234567890123456.8", b"1234567890123457.2",
                  b"9.9999999999999995e-07", b"99999999999999984",
                  b"9.9999999999999992e+22"):
@@ -789,7 +839,7 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path):
 
 def test_report_csv_matches_the_per_row_writer(tmp_path, monkeypatch):
     # each line holds its pair's estimate, se, reference and z, in blocks
-    # of two lines (csvtext.BLOCK = 10) and of all 21, with values for
+    # of two lines (cli.BLOCK = 10) and of all 21, with values for
     # both of format_17g's paths in every column
     rng = np.random.default_rng(8)
     emp, se, cov = rng.standard_normal((3, 6, 6)) * 10.0 ** rng.integers(
@@ -802,8 +852,8 @@ def test_report_csv_matches_the_per_row_writer(tmp_path, monkeypatch):
         b"%d-%d,cov,%.17g,%.17g,%.17g,%.17g\r\n" % row for row in zip(
             i.tolist(), j.tolist(), emp[i, j].tolist(), se[i, j].tolist(),
             cov[i, j].tolist(), z.tolist()))
-    for block in (10, csvtext.BLOCK):
-        monkeypatch.setattr(csvtext, "BLOCK", block)
+    for block in (10, cli.BLOCK):
+        monkeypatch.setattr(cli, "BLOCK", block)
         counts = cli._write_report(tmp_path / "report.csv", emp, se, cov)
         assert (tmp_path / "report.csv").read_bytes() == oracle
         assert counts == (np.count_nonzero(np.abs(z) <= 4.0), 21)
@@ -890,12 +940,12 @@ def test_every_artifact_matches_the_csv_writer(tmp_path, cfg, files):
 
 
 def test_table_blocks_keep_the_bytes(tmp_path, monkeypatch):
-    # samples.csv and report.csv are written csvtext.BLOCK floats at a
-    # time; blocks of one line, blocks that split reps, report.csv blocks
-    # of two and three lines (four floats a line), and the default agree
+    # samples.csv and report.csv are written cli.BLOCK floats at a time;
+    # samples.csv blocks that split reps, report.csv blocks of one, two and
+    # three lines (four floats a line), and the default agree
     files = []
-    for block in (1, 7, 10, 13, csvtext.BLOCK):
-        monkeypatch.setattr(csvtext, "BLOCK", block)
+    for block in (4, 7, 10, 13, cli.BLOCK):
+        monkeypatch.setattr(cli, "BLOCK", block)
         out = tmp_path / str(block)
         run(validate_config(dict(_TINY_SIMULATE, out=str(out))))
         files.append([(out / name).read_bytes()
@@ -932,11 +982,11 @@ def test_report_csv_is_written_in_block_memory(tmp_path, monkeypatch):
     assert peaks[1] <= peaks[0] + 2e6, peaks
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 64, cli.PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 2, 7, 64, cli.BLOCK // 4])
 def test_pair_blocks_walk_the_upper_triangle(monkeypatch, block):
     # one walk serves both pair tables: the pairs of np.triu_indices(n) in
-    # its order, blocks of PAIR_BLOCK pairs but the last, flat indices i n + j
-    monkeypatch.setattr(cli, "PAIR_BLOCK", block)
+    # its order, blocks of BLOCK // 4 pairs but the last, flat indices i n + j
+    monkeypatch.setattr(cli, "BLOCK", 4 * block)
     assert list(cli._pair_blocks(0)) == []
     for n in range(1, 41):
         blocks = list(cli._pair_blocks(n))
@@ -950,14 +1000,14 @@ def test_pair_blocks_walk_the_upper_triangle(monkeypatch, block):
 
 
 def test_pair_blocks_keep_the_bytes(tmp_path, monkeypatch, capsys):
-    # report.csv and limit_demo.csv are written PAIR_BLOCK pairs at a
+    # report.csv and limit_demo.csv are written BLOCK // 4 pairs at a
     # time; blocks of one pair, of seven and the default (49 t points give
     # limit_demo.csv 1,225 lines, two default blocks) agree, counts too
     demo = {"command": "limit-demo", "r1": 4, "r2": 3, "n_reps": 20,
             "t_axes": np.linspace(0.5, 2.0, 7).tolist(), "seed": 2}
     files = []
-    for block in (1, 7, cli.PAIR_BLOCK):
-        monkeypatch.setattr(cli, "PAIR_BLOCK", block)
+    for block in (1, 7, cli.BLOCK // 4):
+        monkeypatch.setattr(cli, "BLOCK", 4 * block)
         out = tmp_path / str(block)
         for cfg in (_TINY_SIMULATE, demo):
             run(validate_config(dict(cfg, out=str(out))))

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rectfield.csvtext import CELL, _LANES, _X_MAX, _X_MIN, _text_tables, \
-    format_17g
+    format_17g, labels, write_lines
 
 
 def _texts(cells):
@@ -98,3 +98,27 @@ def test_format_17g_of_columns_is_one_call_per_column_hypothesis(rows):
     text = format_17g(x).reshape(*x.shape, CELL)
     for m in range(x.shape[1]):
         assert np.array_equal(text[:, m], format_17g(x[:, m]))
+
+
+def test_write_lines_writes_its_block_in_one_write():
+    # the lines it is given and no more, in one write: fixed text on every
+    # line, a text column, one float column formatted in place and two
+    # formatted together, on both of format_17g's paths
+    class File:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+    x = np.array([0.1, -1e-300, 1e23])
+    y = np.array([1 / 3, 0.0, -2.5])
+    lines = [b"%d:%.17g,%.17g\r\n" % row for row in zip(range(3), x, y)]
+    for cells, want in (
+            ([labels(range(3), b":"), x, b",", y, b"\r\n"], lines),
+            ([b"v=", x[:1], b"\n"], [b"v=0.10000000000000001\n"]),
+            ([labels(range(3)), b",", x, b"\r\n"],
+             [b"%d,%.17g\r\n" % row for row in zip(range(3), x)])):
+        fh = File()
+        write_lines(fh, cells)
+        assert fh.writes == [b"".join(want)]
