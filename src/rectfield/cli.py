@@ -14,11 +14,13 @@ digits, so they read back exactly), a point is ``[a b]`` with one
 ``%.17g`` per coordinate, and rows are tuples taken from arrays.  Booleans
 are the text ``true``/``false``, and the only quoted field is the check
 suites' JSON ``params``, quoted as ``csv.writer`` would.  ``samples.csv``
-and ``report.csv`` are formatted from arrays instead, with the same bytes:
-``_write_samples`` and ``_write_report`` hand ``csvtext.write_lines`` one
-block of lines at a time, BLOCK floats at most.  The two tables that grow
-as the square of the points, ``report.csv`` and ``limit_demo.csv``, are
-computed a block of pairs at a time by one walk, ``_pair_blocks``;
+and ``report.csv`` are formatted from arrays instead, with the same bytes,
+a block of lines at a time, BLOCK floats at most: ``_write_report`` hands
+``csvtext.write_lines`` each block, and ``_write_samples`` fills a block
+of whole reps itself, with one ``csvtext.format_17g`` call.  The two
+tables that grow as the square of the points, ``report.csv`` and
+``limit_demo.csv``, are computed a block of pairs at a time by one walk,
+``_pair_blocks``;
 ``limit_demo.csv`` keeps its row template, since ``csvtext``'s fixed cost
 per table outweighs its gain on the few hundred lines of a usual demo.
 Every artifact is written as bytes.
@@ -333,6 +335,9 @@ def validate_config(cfg: dict) -> RunConfig:
             axes = _json_numbers(raw["axes"], "grid.axes")
             value = _checked("grid: ", lambda: [np.asarray(a, dtype=float)
                                                 for a in axes])
+            if any(a.ndim > 1 for a in value):   # meshgrid would flatten it
+                raise ConfigError("grid.axes: expected a list of axes, each "
+                                  "a number or a list of numbers")
             build, n_points = grid_from_axes, math.prod(a.size for a in value)
             params["grid"] = {"axes": [a.tolist() for a in value]}
         else:
@@ -445,19 +450,33 @@ BLOCK = 4096
 
 
 def _write_samples(path: Path, values: np.ndarray):
-    """samples.csv, one (rep, point, value) line per draw, rep by rep,
-    BLOCK draws at a time; ``values`` holds a rep per row."""
-    n_points = values.shape[1]
-    points = csvtext.labels(range(n_points), b",")   # once, for all reps
-    values = np.asarray(values, dtype=float).reshape(-1)
+    """samples.csv, one (rep, point, value) line per draw, rep by rep;
+    ``values`` holds a rep per row.  A block of lines holds whole reps,
+    max(1, BLOCK // n_points) of them, as one (reps, points, width) line
+    matrix: its point labels and line ends are written once, its rep
+    labels are broadcast across it, and its values are formatted in place
+    by one ``format_17g`` call."""
+    values = np.asarray(values, dtype=float)
+    n_reps, n_points = values.shape
+    points = csvtext.labels(range(n_points), b",")
+    step = max(1, BLOCK // n_points)
+    # the widest rep label; the NULs that pad the others are deleted
+    a = len(b"%d," % (n_reps - 1))
+    b = a + points.itemsize
+    lines = np.empty((min(step, n_reps), n_points, b + csvtext.CELL + 2),
+                     np.uint8)
+    lines[..., a:b] = points.view(np.uint8).reshape(n_points, -1)
+    lines[..., -2:] = np.frombuffer(b"\r\n", np.uint8)
     with _artifact(path) as fh:
         fh.write(b"rep,point,value\r\n")
-        for start in range(0, values.size, BLOCK):
-            draw = np.arange(start, min(start + BLOCK, values.size))
-            rep = draw // n_points
-            reps = csvtext.labels(range(rep[0], rep[-1] + 1), b",")
-            csvtext.write_lines(fh, [reps[rep - rep[0]], points[draw % n_points],
-                                     values[start:start + BLOCK], b"\r\n"])
+        for lo in range(0, n_reps, step):
+            block = lines[:min(step, n_reps - lo)]
+            reps = csvtext.labels(range(lo, lo + len(block)), b",")
+            block[..., :a] = reps.astype(f"S{a}").view(np.uint8).reshape(
+                len(block), 1, a)
+            csvtext.format_17g(values[lo:lo + len(block)], out=block.reshape(
+                -1, block.shape[-1])[:, b:b + csvtext.CELL])
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def _pair_blocks(n: int):

@@ -3,8 +3,12 @@
 Sampling is plain dense linear algebra: assemble the covariance matrix of a
 kernel over the grid, factor it (Cholesky, with one diagonal-jitter retry),
 and multiply standard normals through the factor.  The matrix is assembled
-by the kernel's array form, one call per block of rows, so the temporaries
-stay O(block * n) next to the n x n result.  Normals come from
+a block of rows at a time, so the temporaries stay O(block * n) next to
+the n x n result.  On a tensor grid, the mesh of per-coordinate axes, the
+kernel's separable terms make it a sum of Kronecker products of per-axis
+letter matrices, and each coordinate's letters are taken once, over its
+axis pairs; on any other point list each block is one call of the
+kernel's array form.  Both give the same bits.  Normals come from
 counter-based Philox streams keyed by (seed, stream, chunk index) as
 numpy's ``SeedSequence(seed, spawn_key=(stream, chunk))`` keys them, so the
 same seed reproduces the same bits regardless of how many workers generate
@@ -30,6 +34,7 @@ not on the scaling factors.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .increments import PLAN_BLOCK, ProbePlan, _corners, probe_covariances
 from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
-                      _unique, make_kernel)
+                      _letters_array, _unique, make_kernel)
 
 __all__ = [
     "PSDError",
@@ -106,6 +111,37 @@ def grid_from_axes(axes) -> Grid:
     return Grid(pts)
 
 
+def _tensor_axes(pts: np.ndarray):
+    """The axes whose ``grid_from_axes`` mesh is the point list ``pts``
+    (n, N), each in its own order, or None when no mesh of axes is: each
+    axis has as many values as its coordinate takes, read off the mesh."""
+    sizes = [1 + np.count_nonzero(np.diff(np.sort(col))) for col in pts.T]
+    if math.prod(sizes) != len(pts):
+        return None
+    # coordinate d steps once every prod(sizes[d + 1:]) points
+    axes = [pts[::math.prod(sizes[d + 1:]), d][:k] for d, k in enumerate(sizes)]
+    for d, (col, axis) in enumerate(zip(pts.T, axes)):
+        shape = [1] * len(sizes)
+        shape[d] = -1
+        if not (col.reshape(sizes) == axis.reshape(shape)).all():
+            return None
+    return axes
+
+
+def _non_finite(p, q) -> NonFiniteError:
+    return NonFiniteError(f"kernel returned non-finite value at points "
+                          f"{p}, {q}")
+
+
+def _mirror_squares(block: np.ndarray):
+    """Mirror the strictly lower triangle of each leading square of the
+    stack ``block`` (..., r, c >= r) from its upper one, in place."""
+    r = block.shape[-2]
+    square = block[..., :r]
+    np.copyto(square, np.swapaxes(square, -1, -2),
+              where=np.tri(r, k=-1, dtype=bool))
+
+
 def _symmetric_blocks(kernel: CovKernel, rows: np.ndarray, cols: np.ndarray,
                       live: np.ndarray | None = None) -> np.ndarray:
     """K(rows_i, cols_j) over stacks of points rows (..., r, N) and cols
@@ -120,34 +156,86 @@ def _symmetric_blocks(kernel: CovKernel, rows: np.ndarray, cols: np.ndarray,
     never named.
     """
     block = kernel.batch(rows[..., :, None, :], cols[..., None, :, :])
-    i, j = np.tril_indices(rows.shape[-2], -1)
-    block[..., i, j] = block[..., j, i]
+    _mirror_squares(block)
     bad = ~np.isfinite(block)
     if live is not None:
         bad &= live[..., :rows.shape[-2], None] & live[..., None, :]
     if bad.any():
         *stack, i, j = np.argwhere(bad)[0]
-        raise NonFiniteError(f"kernel returned non-finite value at points "
-                             f"{rows[(*stack, i)]}, {cols[(*stack, j)]}")
+        raise _non_finite(rows[(*stack, i)], cols[(*stack, j)])
     return block
+
+
+def _axis_factors(kernel: CovKernel, axes) -> list:
+    """The kernel's term table on the mesh of ``axes``, as Kronecker
+    factors: per term, its coefficient times its first letter's matrix,
+    then its other letters' matrices, where coordinate j's letter phi
+    gives the n_j x n_j matrix phi(t = axis_j[b], s = axis_j[a]) (row a,
+    column b).  Each coordinate's letters are taken once, over its axis
+    pairs (``_letters_array``); numpy is told not to warn, as in
+    ``cov_terms_array``, and finiteness is left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        letters = [_letters_array(h, x[None, :], x[:, None],
+                                  {row[j] for _, row in kernel.terms})
+                   for j, (h, x) in enumerate(zip(kernel.H, axes))]
+        return [[coef * letters[0][row[0]],
+                 *(lj[name] for lj, name in zip(letters[1:], row[1:]))]
+                for coef, row in kernel.terms]
+
+
+def _kron_sum(terms, rows, first: int, out: np.ndarray):
+    """Rows ``rows`` (one index array per axis) of the sum over ``terms``
+    of the Kronecker products of their factors, from the first axis's
+    column ``first`` on, into ``out`` (r, c).  Entry by entry it is
+    0.0 + ((F_11 F_12) F_13) ... + ..., the product and sum order of
+    ``cov_terms_array``."""
+    r, n_axes = len(rows[0]), len(rows)
+    total = out.reshape(r, -1, *(len(f) for f in terms[0][1:]))
+    total[...] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factors in terms:
+            # factor d's rows as (r, 1, ..., n_d, ..., 1), n_d on axis d + 1
+            total += functools.reduce(operator.mul, [
+                f[i, first if d == 0 else 0:].reshape(
+                    r, *[1] * d, -1, *[1] * (n_axes - 1 - d))
+                for d, (f, i) in enumerate(zip(factors, rows))])
 
 
 def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
     """Dense covariance matrix M[i, j] = K(p_i, p_j), exactly symmetric.
 
-    Each block of ``ROW_BLOCK`` rows is one ``_symmetric_blocks`` call over
-    the columns j >= the block's first row; its entries with i <= j are
-    kept and mirrored.  A non-finite value raises ``NonFiniteError``, naming
-    the first pair (i <= j, in row order) where it occurs.
+    M is written a block of ``ROW_BLOCK`` rows at a time.  On a grid whose
+    points are the ``grid_from_axes`` mesh of some axes (in any order), a
+    block is the sum of the rows of the Kronecker products of the axes'
+    letter matrices (``_axis_factors``), from the first column whose
+    first-axis index is the block's first row's on; on any other point
+    list, one ``kernel.batch`` call over the columns j >= the block's
+    first row.  Both give the same bits.  The block's square is mirrored
+    from its upper triangle and its columns j < lo from the rows above;
+    a non-finite value among its entries i <= j raises
+    ``NonFiniteError``, naming the first pair (in row order) where it
+    occurs.
     """
     pts = grid.points
-    n = grid.n_points
+    n = len(pts)
+    axes = _tensor_axes(pts)
+    if axes is not None:
+        terms = _axis_factors(kernel, axes)
+        sizes = [len(x) for x in axes]
+        stride = n // sizes[0]
     M = np.empty((n, n))
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
-        block = _symmetric_blocks(kernel, pts[lo:hi], pts[lo:])
-        M[lo:hi, lo:] = block
-        M[lo:, lo:hi] = block.T
+        if axes is None:
+            M[lo:hi, lo:] = kernel.batch(pts[lo:hi, None], pts[None, lo:])
+        else:
+            _kron_sum(terms, np.unravel_index(np.arange(lo, hi), sizes),
+                      lo // stride, M[lo:hi, lo // stride * stride:])
+        _mirror_squares(M[lo:hi, lo:])
+        if not np.isfinite(M[lo:hi, lo:]).all():
+            i, j = np.argwhere(~np.isfinite(M[lo:hi, lo:]))[0]
+            raise _non_finite(pts[lo + i], pts[lo + j])
+        M[lo:hi, :lo] = M[:lo, lo:hi].T
     return M
 
 
@@ -265,8 +353,11 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
 
     Chunk c of ``CHUNK_SIZE`` rows draws from the Philox stream keyed by
     (seed, stream, c) as ``SeedSequence(seed, spawn_key=(stream, c))``
-    keys it; all keys of a call come from one pass (``_chunk_keys``).  So
-    the output is bitwise independent of ``n_workers``.  A non-finite
+    keys it; all keys of a call come from one pass (``_chunk_keys``).  Each
+    chunk's normals are multiplied through the factor by one matmul that
+    writes the chunk's rows of the result in place, and with
+    ``n_workers`` > 1 a thread pool runs the chunks, each on its own rows.
+    So the output is bitwise independent of ``n_workers``.  A non-finite
     entry of M raises ``NonFiniteError`` before anything is factored, and
     a seed or stream that is not an integer raises TypeError.  Returns
     (values, jitter_used).
@@ -275,8 +366,9 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
     _check_finite(M, context)
     keys = _chunk_keys(seed, stream, -(-n_samples // CHUNK_SIZE))
     dim = M.shape[0]
+    values = np.empty((n_samples, dim))
     if n_samples == 0:
-        return np.empty((0, dim)), 0.0
+        return values, 0.0
     L, jitter = _factor_with_jitter(M, context)
     Lt = L.T.copy()
 
@@ -284,18 +376,16 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
         key, lo = task
         z = _chunk_generator(key).standard_normal(
             (min(CHUNK_SIZE, n_samples - lo), dim))
-        return lo, z @ Lt
+        np.matmul(z, Lt, out=values[lo:lo + len(z)])
 
-    values = np.empty((n_samples, dim))
     tasks = list(zip(keys, range(0, n_samples, CHUNK_SIZE)))
     if n_workers > 1:   # no more threads than chunks
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(min(n_workers, len(tasks))) as pool:
-            for lo, block in pool.map(draw, tasks):
-                values[lo:lo + block.shape[0]] = block
+            list(pool.map(draw, tasks))
     else:
-        for lo, block in map(draw, tasks):
-            values[lo:lo + block.shape[0]] = block
+        for task in tasks:
+            draw(task)
     return values, jitter
 
 

@@ -376,12 +376,23 @@ def test_density_rejects_non_sheet_families(tmp_path, capsys):
     ('{"r1": 8, "r2": 8, "t_axes": "1"}', "limit-demo", "t_axes"),
     ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": 100,'
      ' "grid": {"axes": "12"}}', "simulate", "grid.axes"),
+    # a nested axis was flattened into the mesh and echoed nested
+    ('{"spec": {"family": "fbs", "H": [0.5, 0.5]}, "n_samples": 100,'
+     ' "grid": {"axes": [[[0.5, 1.0]], [1.0, 2.0]]}}', "simulate", "grid.axes"),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, command, where):
     assert _main_with_config(tmp_path, text, command) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
     assert "Traceback" not in err
+
+
+def test_a_bare_number_is_a_one_point_axis():
+    cfg = validate_config({"command": "simulate",
+                           "spec": {"family": "fbs", "H": [0.5, 0.5]},
+                           "grid": {"axes": [0.5, [1.0, 2.0]]}})
+    assert cfg.grid.points.tolist() == [[0.5, 1.0], [0.5, 2.0]]
+    assert cfg.params["grid"] == {"axes": [0.5, [1.0, 2.0]]}
 
 
 def test_a_config_file_is_utf8_json(tmp_path, capsys):
@@ -835,6 +846,32 @@ def test_samples_csv_matches_the_per_row_writer(tmp_path, monkeypatch):
                  b"9.9999999999999995e-07", b"99999999999999984",
                  b"9.9999999999999992e+22"):
         assert b"," + text + b"\r\n" in data
+
+
+@pytest.mark.parametrize("n_points", [1, 144])
+def test_samples_csv_blocks_of_whole_reps_keep_the_bytes(tmp_path,
+                                                         monkeypatch,
+                                                         n_points):
+    # a block holds max(1, BLOCK // n_points) whole reps and formats its
+    # values in one format_17g call; reps 0-11 change the rep label's
+    # width within a block, and 144 points exceed BLOCK at 1, 7 and 143
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((12, n_points)) * 10.0 ** rng.integers(
+        -9, 19, (12, n_points))
+    values[0, :1] = -0.0
+    values[-1, -1:] = 5e-324
+    _samples_csv_per_row(tmp_path / "oracle.csv", values)
+    calls = []
+    real = cli.csvtext.format_17g
+    monkeypatch.setattr(cli.csvtext, "format_17g",
+                        lambda x, out=None: calls.append(1) or real(x, out))
+    for block in (1, 7, 143, 144, 145, 4096):
+        monkeypatch.setattr(cli, "BLOCK", block)
+        calls.clear()
+        _write_samples(tmp_path / "samples.csv", values)
+        assert (tmp_path / "samples.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes(), block
+        assert len(calls) == -(-12 // max(1, block // n_points)), block
 
 
 def test_report_csv_matches_the_per_row_writer(tmp_path, monkeypatch):

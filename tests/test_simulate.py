@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from rectfield.kernels import (
     FBS,
     SEAM_DELTA,
     MildTheta,
+    MovingPair,
     NonFiniteError,
     Strict2D,
+    StrictGeneral,
+    StrictWeights,
     YHalf,
     ZHalf,
     make_kernel,
@@ -152,6 +156,27 @@ def test_draws_keep_the_bits_of_one_seed_sequence_per_chunk(n_workers,
                              stream=stream)
     assert np.array_equal(got, oracle.cholesky_draws(M, 2**70 + 11, n,
                                                      stream))
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 4000])
+def test_draws_are_each_chunks_own_product(n, n_workers):
+    # each chunk's rows are its normals times L^T, one matmul per chunk
+    # with the same shapes (a one-row chunk is a matrix-vector product,
+    # whose bits differ from a row of a matrix product), at every worker
+    # count; L^T is contiguous, as the sampler holds it
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((31, 31))
+    M = A @ A.T + 31.0 * np.eye(31)
+    got, jitter = cholesky_sample(M, 77, n, n_workers=n_workers, stream=3)
+    Lt = np.linalg.cholesky(M).T.copy()
+    keys = _chunk_keys(77, 3, -(-n // CHUNK_SIZE))
+    want = np.concatenate([
+        simulate._chunk_generator(key).standard_normal(
+            (min(CHUNK_SIZE, n - lo), 31)) @ Lt
+        for key, lo in zip(keys, range(0, n, CHUNK_SIZE))])
+    assert jitter == 0.0
+    assert np.array_equal(got, want)
 
 
 def test_seeds_must_be_integers():
@@ -430,8 +455,10 @@ def test_cov_matrix_names_the_first_non_finite_pair(monkeypatch):
     assert f"{pts[0]}, {pts[2]}" in str(err.value)
 
     # across row blocks: a NaN at (p_i, p_j) with i < j is named; a NaN only
-    # at (p_j, p_i) is never evaluated, since M[j, i] mirrors M[i, j]
-    grid = Grid(np.column_stack([np.linspace(0.1, 3.0, 300), np.ones(300)]))
+    # at (p_j, p_i) is never evaluated, since M[j, i] mirrors M[i, j]; the
+    # points lie on a diagonal, no mesh of axes, so each pair is evaluated
+    grid = Grid(np.column_stack([np.linspace(0.1, 3.0, 300),
+                                 np.linspace(1.0, 2.0, 300)]))
     p, q = grid.points[150], grid.points[200]
     base = make_kernel(FBS((0.3, 0.7)))
     clean = cov_matrix(base, grid)
@@ -450,6 +477,111 @@ def test_cov_matrix_names_the_first_non_finite_pair(monkeypatch):
     M = cov_matrix(base, grid)
     assert np.array_equal(M, clean)
     assert np.array_equal(M, M.T)
+
+
+def _dense_cov(monkeypatch, kernel, grid):
+    """``cov_matrix`` on its dense route, every pair through the kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_tensor_axes", lambda pts: None)
+        return cov_matrix(kernel, grid)
+
+
+_SEAM = 0.5 + SEAM_DELTA / 2   # within SEAM_DELTA of 1/2
+_AXIS_SPECS = [
+    FBS((0.3, 0.7)), FBS((0.5, 0.5)), FBS((_SEAM, 1.0 - _SEAM)),
+    FBS((0.3, 0.5, 0.8)), Strict2D(0.3, 0.7, 0.5), Strict2D(0.52, 0.5, -0.4),
+    StrictGeneral((0.3, _SEAM, 0.8), StrictWeights(dict(zip(
+        itertools.product((1, -1), repeat=3),
+        [0.2, 0.15, 0.1, 0.05, 0.05, 0.1, 0.15, 0.2])))),
+    MildTheta(0.3, 0.7, 0.8), MildTheta(0.5, _SEAM, -0.6), YHalf(0.7),
+    ZHalf(0.5), MovingPair(0.5, 0.5, 0.6, 0.8),
+]
+
+
+@pytest.mark.parametrize("spec", _AXIS_SPECS, ids=lambda s: s.family)
+def test_cov_matrix_on_axes_has_the_dense_bits(monkeypatch, spec):
+    # unsorted axes whose mesh spans two row blocks (13 x 11 = 143 points
+    # in 2-D, 4 x 5 x 7 = 140 in 3-D); the axis route gives the dense
+    # route's bits, signed zeros included
+    rng = np.random.default_rng(31)
+    sizes = (13, 11) if len(spec.hurst) == 2 else (4, 5, 7)
+    axes = [rng.permutation(np.linspace(0.05, 3.0, k) + rng.uniform(
+        0.0, 0.01, k)) for k in sizes]
+    grid = grid_from_axes(axes)
+    found = simulate._tensor_axes(grid.points)
+    assert all(np.array_equal(a, b) for a, b in zip(found, axes))
+    kernel = make_kernel(spec)
+    M, dense = cov_matrix(kernel, grid), _dense_cov(monkeypatch, kernel, grid)
+    assert np.array_equal(M, dense)
+    assert np.array_equal(np.signbit(M), np.signbit(dense))
+    assert np.array_equal(M, M.T)
+
+
+def test_cov_matrix_takes_the_axis_route_on_a_mesh_only(monkeypatch):
+    calls = []
+    real = simulate._axis_factors
+    monkeypatch.setattr(simulate, "_axis_factors",
+                        lambda *args: calls.append(1) or real(*args))
+    kernel = make_kernel(Strict2D(0.3, 0.7, 0.5))
+    grid = grid_from_axes([[2.0, 0.5, 1.0, 1.7], [1.5, 0.7, 2.2]])
+    M = cov_matrix(kernel, grid)
+    assert calls == [1]
+    # a shuffled copy is no mesh of axes, and takes the dense route
+    order = np.random.default_rng(5).permutation(grid.n_points)
+    shuffled = Grid(grid.points[order])
+    assert simulate._tensor_axes(shuffled.points) is None
+    S = cov_matrix(kernel, shuffled)
+    assert calls == [1]
+    assert np.allclose(S, M[np.ix_(order, order)], rtol=1e-14, atol=0)
+    # a point list with a mesh's coordinate counts but not its points
+    assert simulate._tensor_axes(np.array([[1.0, 1.0], [1.0, 2.0],
+                                           [2.0, 2.0], [2.0, 3.0]])) is None
+    assert simulate._tensor_axes(np.array([[1.0, 1.0], [2.0, 2.0]])) is None
+    # one point and one coordinate are meshes too
+    for pts in (np.array([[1.5, 2.0]]), np.array([[2.0], [0.5], [1.0]])):
+        axes = simulate._tensor_axes(pts)
+        assert np.array_equal(grid_from_axes(axes).points, pts)
+
+
+@pytest.mark.parametrize("axes, first", [
+    # 1e200^1.8 overflows: every pair with a far first coordinate is NaN,
+    # from row 0 on
+    ([[1.0, 2.0, 1e200], [1.0, 2.0]], (0, 4)),
+    # x^1.8 is finite but two of them overflow: only the pairs of far
+    # points, all in the second row block (15 x 10 = 150 points)
+    ([list(np.linspace(0.1, 3.0, 14)) + [(1.5e308) ** (1 / 1.8)],
+      list(np.linspace(1.0, 2.0, 10))], (140, 140)),
+])
+def test_both_routes_name_the_same_first_non_finite_pair(monkeypatch, axes,
+                                                         first):
+    kernel = make_kernel(FBS((0.9, 0.5)))
+    grid = grid_from_axes(axes)
+    messages = []
+    for route in (cov_matrix, lambda k, g: _dense_cov(monkeypatch, k, g)):
+        with pytest.raises(NonFiniteError) as err:
+            route(kernel, grid)
+        messages.append(str(err.value))
+    i, j = first
+    assert messages[0] == messages[1]
+    assert f"{grid.points[i]}, {grid.points[j]}" in messages[0]
+
+
+def test_cov_matrix_on_axes_peaks_no_higher_than_the_dense_route(monkeypatch):
+    # a 64 x 64 mesh: the axis route's two-term sum is written a row block
+    # at a time, so it holds no whole-matrix temporary
+    axis = np.linspace(0.1, 3.0, 64)
+    grid = grid_from_axes([axis, axis])
+    kernel = make_kernel(Strict2D(0.3, 0.7, 0.5))
+    peaks = []
+    for route in (cov_matrix, lambda k, g: _dense_cov(monkeypatch, k, g)):
+        tracemalloc.start()
+        try:
+            M = route(kernel, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del M
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_cov_matrix_matches_the_scalar_kernel_across_row_blocks():
