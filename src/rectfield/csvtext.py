@@ -183,10 +183,7 @@ def write_lines(fh, cells):
             floats.append((p, cols))
         else:   # one fixed text is broadcast to every line
             cols[:] = p.view(np.uint8).reshape(-1, w)
-    if len(floats) == 1:   # in place: a scratch matrix costs a copy
-        format_17g(*floats[0])
-    else:
-        text = format_17g(np.stack([p for p, _ in floats], axis=1))
-        for k, (_, cols) in enumerate(floats):
-            cols[:] = text[k::len(floats)]
+    text = format_17g(np.stack([p for p, _ in floats], axis=1))
+    for k, (_, cols) in enumerate(floats):
+        cols[:] = text[k::len(floats)]
     fh.write(lines.tobytes().translate(None, b"\0"))

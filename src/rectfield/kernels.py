@@ -50,6 +50,9 @@ or the mild family (``MildTheta``), and ``terms`` of either is its table.
 ``cov_terms_array`` evaluates a table at points and
 ``increment_cov_terms_array`` over pairs of rectangles; both take point
 arrays (..., N) that broadcast against each other and return shape (...).
+One loop (``_term_sum``) multiplies the letters into terms and adds the
+terms, for these, for Lamperti lags and for the per-axis letter tables of
+a tensor grid (``simulate.cov_matrix``), so every route has its bits.
 The fields vanish on the axes, so K(s, t) is the covariance of the
 increments over [0, s] and [0, t], and a and b are one rule over the lags
 d_k between the ends of two intervals, signed sigma_k (``_lag_letters``):
@@ -426,7 +429,8 @@ def _lamperti_letters(h: float, v: np.ndarray, names) -> dict:
 
 def _table_hurst(H, terms) -> tuple:
     """H checked, and the one check of a term table: some terms, each with
-    a finite coefficient and one letter a, b or arho per coordinate."""
+    a finite coefficient and one letter a, b or arho per coordinate, an
+    even number of them b or arho, the letters antisymmetric in (t, s)."""
     H = validate_hurst(H)
     if not terms:
         raise ValueError("a term table needs at least one term")
@@ -436,30 +440,45 @@ def _table_hurst(H, terms) -> tuple:
             raise ValueError(f"term {(coef, row)!r} needs a finite "
                              f"coefficient and one letter per coordinate of "
                              f"the {len(H)}-dimensional H, each a, b or arho")
+        if (len(row) - row.count("a")) % 2:
+            raise ValueError(f"term {(coef, row)!r} has an odd number of "
+                             "letters b or arho, which change sign when s "
+                             "and t swap")
     return H
 
 
+def _term_sum(H, terms, coords, letters, out) -> np.ndarray:
+    """The one loop of a checked term table: sum_k c_k prod_j phi_kj into
+    ``out``, where ``letters(h, *coords[j], names)`` gives coordinate j's
+    letters that ``names`` lists, by name, as arrays that broadcast to
+    ``out``.  Each product is ((c_k phi_k1) phi_k2) ..., and the products
+    are added in table order to 0.0, so a -0.0 product reads 0.  Overflow
+    and its NaNs are left to the caller, which checks finiteness; numpy is
+    told not to warn.  Returns ``out``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = [letters(h, *coords[j], {row[j] for _, row in terms})
+                  for j, h in enumerate(H)]
+        for k, (coef, row) in enumerate(terms):
+            for lj, name in zip(values, row):
+                coef = coef * lj[name]
+            np.add(out if k else 0.0, coef, out=out)
+    return out
+
+
 def _sum_terms(H, terms, points, letters, check) -> np.ndarray:
-    """sum_k c_k prod_j phi_kj of a term table, where ``letters(h, *coords,
-    names)`` gives coordinate j's letters from the j-th coordinates of the
-    point arrays (..., N) that ``check`` passes (``_as_points``, or
-    ``_points`` for lags); one point is taken as an array of one, as in a
-    batch.  Overflow and its NaNs are left to the caller, which checks
-    finiteness; numpy is told not to warn."""
+    """``_term_sum`` of a table that ``_table_hurst`` checks, at points,
+    box corners or Lamperti lags: coordinate j's letters come from the j-th
+    coordinates of the point arrays (..., N) that ``check`` passes
+    (``_as_points``, or ``_points`` for lags), into a new array of their
+    broadcast shape; one point is taken as an array of one, as in a
+    batch."""
     H = _table_hurst(H, terms)
     points = [check(p, len(H)) for p in points]
     shape = np.broadcast_shapes(*(p.shape[:-1] for p in points))
-    points = [np.atleast_2d(p) for p in points]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = [letters(h, *(p[..., j] for p in points),
-                          {row[j] for _, row in terms})
-                  for j, h in enumerate(H)]
-        total = 0.0
-        for coef, row in terms:
-            for lj, name in zip(values, row):
-                coef = coef * lj[name]
-            total = total + coef
-    return total.reshape(shape)
+    points = [np.atleast_2d(p) for p in points]   # leading shape: shape or 1
+    return _term_sum(H, terms, [[p[..., j] for p in points]
+                                for j in range(len(H))],
+                     letters, np.empty(shape or 1)).reshape(shape)
 
 
 def cov_terms_array(H, terms, s, t) -> np.ndarray:

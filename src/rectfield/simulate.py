@@ -6,9 +6,11 @@ and multiply standard normals through the factor.  The matrix is assembled
 a block of rows at a time, so the temporaries stay O(block * n) next to
 the n x n result.  On a tensor grid, the mesh of per-coordinate axes, the
 kernel's separable terms make it a sum of Kronecker products of per-axis
-letter matrices, and each coordinate's letters are taken once, over its
-axis pairs; on any other point list each block is one call of the
-kernel's array form.  Both give the same bits.  Normals come from
+letter matrices: each coordinate's letters are taken once, over its axis
+pairs, and each block is summed from these tables by the term loop of
+:mod:`rectfield.kernels`; on any other point list each block is one call
+of the kernel's array form, which runs the same loop.  Both give the same
+bits, and one finish mirrors and checks every block.  Normals come from
 counter-based Philox streams keyed by (seed, stream, chunk index) as
 numpy's ``SeedSequence(seed, spawn_key=(stream, chunk))`` keys them, so the
 same seed reproduces the same bits regardless of how many workers generate
@@ -22,7 +24,7 @@ The Monte Carlo side estimates increment covariances from simulated fields
 per probe pair and shift, from stream p S + k, at the distinct corners of
 both boxes.  One corner table serves the whole plan, and the corner
 covariance matrices of a block of probes come from one kernel call, with
-the same code that mirrors ``cov_matrix``'s blocks.  It also runs the
+the finish of ``cov_matrix``'s blocks.  It also runs the
 partial-sum demonstration: normalized rectangular sums of an iid lattice
 field converge to the Brownian sheet, and the empirical covariance of the
 normalized sums is compared against both the pre-limit lattice covariance
@@ -34,7 +36,6 @@ not on the scaling factors.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .increments import PLAN_BLOCK, ProbePlan, _corners, probe_covariances
 from .kernels import (CovKernel, FieldSpec, NonFiniteError, _as_points,
-                      _letters_array, _unique, make_kernel)
+                      _letters_array, _table_hurst, _term_sum, _unique,
+                      make_kernel)
 
 __all__ = [
     "PSDError",
@@ -128,113 +130,87 @@ def _tensor_axes(pts: np.ndarray):
     return axes
 
 
-def _non_finite(p, q) -> NonFiniteError:
-    return NonFiniteError(f"kernel returned non-finite value at points "
-                          f"{p}, {q}")
-
-
-def _mirror_squares(block: np.ndarray):
-    """Mirror the strictly lower triangle of each leading square of the
-    stack ``block`` (..., r, c >= r) from its upper one, in place."""
+def _finish_squares(block: np.ndarray, pts: np.ndarray,
+                    live: np.ndarray | None = None) -> np.ndarray:
+    """The one finish of a block (..., r, c) of K(p_i, p_j) over stacks of
+    points pts (..., c, N), the rows its first r, in place; returns the
+    block.  The strictly lower triangle of each leading r x r square is
+    mirrored from the upper one: every table that ``_table_hurst`` accepts
+    is bitwise symmetric, so the mirror changes no bit of it, and it stays
+    so that a value only at (p_j, p_i) is never read.  A non-finite value
+    raises ``NonFiniteError``, naming the first pair (in stack order, then
+    i <= j in row order) where it occurs; ``live`` (..., c) marks the
+    points that count, so padding is never named.
+    """
     r = block.shape[-2]
     square = block[..., :r]
     np.copyto(square, np.swapaxes(square, -1, -2),
               where=np.tri(r, k=-1, dtype=bool))
-
-
-def _symmetric_blocks(kernel: CovKernel, rows: np.ndarray, cols: np.ndarray,
-                      live: np.ndarray | None = None) -> np.ndarray:
-    """K(rows_i, cols_j) over stacks of points rows (..., r, N) and cols
-    (..., c, N) whose first r points are the rows, in one call of
-    ``kernel.batch``.
-
-    Only the entries with i <= j are kept: the strictly lower triangle of
-    each leading r x r square is mirrored from the upper one, so the squares
-    are exactly symmetric.  A non-finite value raises ``NonFiniteError``,
-    naming the first pair (in stack order, then i <= j in row order) where
-    it occurs; ``live`` (..., c) marks the points that count, so padding is
-    never named.
-    """
-    block = kernel.batch(rows[..., :, None, :], cols[..., None, :, :])
-    _mirror_squares(block)
-    bad = ~np.isfinite(block)
+    ok = np.isfinite(block)
     if live is not None:
-        bad &= live[..., :rows.shape[-2], None] & live[..., None, :]
-    if bad.any():
-        *stack, i, j = np.argwhere(bad)[0]
-        raise _non_finite(rows[(*stack, i)], cols[(*stack, j)])
+        ok |= ~(live[..., :r, None] & live[..., None, :])
+    if not ok.all():
+        *stack, i, j = np.argwhere(~ok)[0]
+        raise NonFiniteError(f"kernel returned non-finite value at points "
+                             f"{pts[(*stack, i)]}, {pts[(*stack, j)]}")
     return block
 
 
-def _axis_factors(kernel: CovKernel, axes) -> list:
-    """The kernel's term table on the mesh of ``axes``, as Kronecker
-    factors: per term, its coefficient times its first letter's matrix,
-    then its other letters' matrices, where coordinate j's letter phi
-    gives the n_j x n_j matrix phi(t = axis_j[b], s = axis_j[a]) (row a,
-    column b).  Each coordinate's letters are taken once, over its axis
-    pairs (``_letters_array``); numpy is told not to warn, as in
-    ``cov_terms_array``, and finiteness is left to the caller."""
+def _axis_letters(H, terms, axes) -> list:
+    """Each coordinate's letters over its axis pairs, the tables of a
+    kernel on the mesh of ``axes``: coordinate j's letter phi, by name, as
+    the n_j x n_j matrix phi(t = axis_j[b], s = axis_j[a]) (row a, column
+    b), taken once (``_letters_array``); numpy is told not to warn, and
+    finiteness is left to the caller."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        letters = [_letters_array(h, x[None, :], x[:, None],
-                                  {row[j] for _, row in kernel.terms})
-                   for j, (h, x) in enumerate(zip(kernel.H, axes))]
-        return [[coef * letters[0][row[0]],
-                 *(lj[name] for lj, name in zip(letters[1:], row[1:]))]
-                for coef, row in kernel.terms]
+        return [_letters_array(h, x[None, :], x[:, None],
+                               {row[j] for _, row in terms})
+                for j, (h, x) in enumerate(zip(H, axes))]
 
 
-def _kron_sum(terms, rows, first: int, out: np.ndarray):
-    """Rows ``rows`` (one index array per axis) of the sum over ``terms``
-    of the Kronecker products of their factors, from the first axis's
-    column ``first`` on, into ``out`` (r, c).  Entry by entry it is
-    0.0 + ((F_11 F_12) F_13) ... + ..., the product and sum order of
-    ``cov_terms_array``."""
-    r, n_axes = len(rows[0]), len(rows)
-    total = out.reshape(r, -1, *(len(f) for f in terms[0][1:]))
-    total[...] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for factors in terms:
-            # factor d's rows as (r, 1, ..., n_d, ..., 1), n_d on axis d + 1
-            total += functools.reduce(operator.mul, [
-                f[i, first if d == 0 else 0:].reshape(
-                    r, *[1] * d, -1, *[1] * (n_axes - 1 - d))
-                for d, (f, i) in enumerate(zip(factors, rows))])
+def _table_rows(h, table, rows, first, shape, names) -> dict:
+    """The letters that ``names`` lists of one coordinate's ``table`` at
+    its ``rows``, from column ``first`` on, each row shaped ``shape``."""
+    return {name: table[name][rows, first:].reshape(len(rows), *shape)
+            for name in names}
 
 
 def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
     """Dense covariance matrix M[i, j] = K(p_i, p_j), exactly symmetric.
 
-    M is written a block of ``ROW_BLOCK`` rows at a time.  On a grid whose
-    points are the ``grid_from_axes`` mesh of some axes (in any order), a
-    block is the sum of the rows of the Kronecker products of the axes'
-    letter matrices (``_axis_factors``), from the first column whose
-    first-axis index is the block's first row's on; on any other point
-    list, one ``kernel.batch`` call over the columns j >= the block's
-    first row.  Both give the same bits.  The block's square is mirrored
-    from its upper triangle and its columns j < lo from the rows above;
-    a non-finite value among its entries i <= j raises
-    ``NonFiniteError``, naming the first pair (in row order) where it
-    occurs.
+    The kernel's term table is checked once (``_table_hurst``), and M is
+    written a block of ``ROW_BLOCK`` rows at a time by the one term loop.
+    On a grid whose points are the ``grid_from_axes`` mesh of some axes
+    (in any order), a block is ``_term_sum`` of the axis letter tables
+    (``_axis_letters``) read at its rows, the first axis's from the
+    block's first row's index on, each shaped to broadcast along its own
+    axis of the mesh; on any other point list, one ``kernel.batch`` call
+    over the columns j >= the block's first row.  Both give the same bits.
+    ``_finish_squares`` finishes the block's square, and its columns
+    j < lo are copied from the rows above.
     """
     pts = grid.points
     n = len(pts)
+    H = _table_hurst(kernel.H, kernel.terms)
     axes = _tensor_axes(pts)
     if axes is not None:
-        terms = _axis_factors(kernel, axes)
+        tables = _axis_letters(H, kernel.terms, axes)
         sizes = [len(x) for x in axes]
         stride = n // sizes[0]
+        shapes = [[1] * d + [-1] + [1] * (len(axes) - 1 - d)
+                  for d in range(len(axes))]
     M = np.empty((n, n))
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
         if axes is None:
             M[lo:hi, lo:] = kernel.batch(pts[lo:hi, None], pts[None, lo:])
         else:
-            _kron_sum(terms, np.unravel_index(np.arange(lo, hi), sizes),
-                      lo // stride, M[lo:hi, lo // stride * stride:])
-        _mirror_squares(M[lo:hi, lo:])
-        if not np.isfinite(M[lo:hi, lo:]).all():
-            i, j = np.argwhere(~np.isfinite(M[lo:hi, lo:]))[0]
-            raise _non_finite(pts[lo + i], pts[lo + j])
+            first = [lo // stride] + [0] * (len(axes) - 1)
+            rows = np.unravel_index(np.arange(lo, hi), sizes)
+            _term_sum(H, kernel.terms, list(zip(tables, rows, first, shapes)),
+                      _table_rows, M[lo:hi, first[0] * stride:].reshape(
+                          hi - lo, -1, *sizes[1:]))
+        _finish_squares(M[lo:hi, lo:], pts[lo:])
         M[lo:hi, :lo] = M[:lo, lo:hi].T
     return M
 
@@ -357,11 +333,16 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
     chunk's normals are multiplied through the factor by one matmul that
     writes the chunk's rows of the result in place, and with
     ``n_workers`` > 1 a thread pool runs the chunks, each on its own rows.
-    So the output is bitwise independent of ``n_workers``.  A non-finite
-    entry of M raises ``NonFiniteError`` before anything is factored, and
-    a seed or stream that is not an integer raises TypeError.  Returns
-    (values, jitter_used).
+    So the output is bitwise independent of ``n_workers``.  An
+    ``n_workers`` outside [1, ``MAX_WORKERS``] raises ValueError, and one
+    that is not an integer TypeError, before anything is factored or a
+    thread started.  A non-finite entry of M raises ``NonFiniteError``
+    before anything is factored, and a seed or stream that is not an
+    integer raises TypeError.  Returns (values, jitter_used).
     """
+    if not 1 <= operator.index(n_workers) <= MAX_WORKERS:
+        raise ValueError(f"n_workers must lie in [1, {MAX_WORKERS}], got "
+                         f"{n_workers}")
     M = np.asarray(M, dtype=float)
     _check_finite(M, context)
     keys = _chunk_keys(seed, stream, -(-n_samples // CHUNK_SIZE))
@@ -485,9 +466,9 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     pts, count, index, signs = _probe_corners(plan)
     live = np.arange(pts.shape[1]) < count[:, None]
     step = max(1, PLAN_BLOCK // pts.shape[1] ** 2)
-    M = np.concatenate([_symmetric_blocks(kernel, pts[i:i + step],
-                                          pts[i:i + step], live[i:i + step])
-                        for i in range(0, len(pts), step)])
+    M = np.concatenate([_finish_squares(
+        kernel.batch(pts[b, :, None], pts[b, None]), pts[b], live[b])
+        for b in (slice(i, i + step) for i in range(0, len(pts), step))])
     signs = signs.tolist()
     est = []
     for q, m in enumerate(count.tolist()):

@@ -362,13 +362,15 @@ def _stream(seed: int, stream: int, chunk: int) -> np.random.Generator:
 
 def cholesky_draws(M, seed: int, n_samples: int, stream: int = 0):
     """``cholesky_sample``'s draws with no jitter: chunk c's normals from
-    ``_stream(seed, stream, c)``, through the Cholesky factor of M."""
+    ``_stream(seed, stream, c)`` times the transpose of M's Cholesky
+    factor, made contiguous as the sampler holds it: a one-row chunk is a
+    matrix-vector product, whose last bits depend on that layout."""
     from rectfield.simulate import CHUNK_SIZE
 
-    L = np.linalg.cholesky(M)
+    Lt = np.linalg.cholesky(M).T.copy()
     return np.concatenate([
         _stream(seed, stream, c).standard_normal(
-            (min(CHUNK_SIZE, n_samples - lo), len(M))) @ L.T
+            (min(CHUNK_SIZE, n_samples - lo), len(M))) @ Lt
         for c, lo in enumerate(range(0, n_samples, CHUNK_SIZE))])
 
 

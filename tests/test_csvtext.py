@@ -102,8 +102,8 @@ def test_format_17g_of_columns_is_one_call_per_column_hypothesis(rows):
 
 def test_write_lines_writes_its_block_in_one_write():
     # the lines it is given and no more, in one write: fixed text on every
-    # line, a text column, one float column formatted in place and two
-    # formatted together, on both of format_17g's paths
+    # line, a text column, and one float column or two, each block's floats
+    # formatted together in one call, on both of format_17g's paths
     class File:
         def __init__(self):
             self.writes = []

@@ -37,6 +37,7 @@ from rectfield.kernels import (
     validate_weights,
 )
 from rectfield.quadrature import oscillatory_power_integral
+from rectfield.simulate import Grid, cov_matrix, grid_from_axes
 
 # reference values from a 50-digit evaluation
 COV_FBS_0307 = 1.1430476754146098795        # H=(0.3,0.7), s=(1,1), t=(2,3)
@@ -684,15 +685,73 @@ def test_covariance_is_the_increment_covariance_from_the_origin(spec):
     (((math.nan, ("a", "a")),), r"term \(nan, .*finite coefficient"),
     (((0.25, ("a", "a")), (math.inf, ("b", "b"))), r"term \(inf, "),
     ((), "at least one term"),
-], ids=["letter c", "nan coefficient", "inf coefficient", "empty table"])
+    (((0.25, ("a", "a")), (0.1, ("b", "a"))),
+     r"term \(0.1, \('b', 'a'\)\) has an odd number of letters b or arho"),
+], ids=["letter c", "nan coefficient", "inf coefficient", "empty table",
+        "odd term"])
 def test_both_evaluators_reject_a_bad_term_table(terms, match):
-    # a letter c raised KeyError, a non-finite coefficient returned NaN and
-    # an empty table a bare 0.0 whatever the points' shape
+    # a letter c raised KeyError, a non-finite coefficient returned NaN, an
+    # empty table a bare 0.0 whatever the points' shape, and an odd term a
+    # covariance with K(t, s) != K(s, t), whose upper triangle cov_matrix
+    # mirrored; cov_matrix checks the table once on both of its routes, a
+    # mesh of axes (where a letter c raised KeyError) and any other points
     s, t = np.ones((3, 2)), np.full((3, 2), 2.0)
     with pytest.raises(ValueError, match=match):
         cov_terms_array((0.3, 0.7), terms, s, t)
     with pytest.raises(ValueError, match=match):
         increment_cov_terms_array((0.3, 0.7), terms, s, t, s, t)
+    kernel = CovKernel(None, (0.3, 0.7), terms)
+    for grid in (grid_from_axes([[0.5, 1.0, 2.0], [1.0, 2.0]]),
+                 Grid([[0.5, 1.0], [1.0, 2.0], [2.0, 1.5]])):
+        with pytest.raises(ValueError, match=match):
+            cov_matrix(kernel, grid)
+
+
+_SYMMETRY_H = (0.5, 0.5 + SEAM_DELTA / 2, 0.5 - SEAM_DELTA / 3, 0.5 + 1e-9,
+               0.2, 0.35, 0.7, 0.85)
+
+
+@st.composite
+def _tables_and_pairs(draw):
+    """A family's table, at H exactly 1/2, within SEAM_DELTA of it or away
+    from it per coordinate, in 2-D or 3-D, and m pairs of points s, t."""
+    h = st.sampled_from(_SYMMETRY_H)
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    kind = draw(st.sampled_from(("fbs", "strict2d", "mildtheta", "strict")))
+    if kind == "fbs":
+        spec = FBS(tuple(draw(h) for _ in range(draw(st.integers(2, 3)))))
+    elif kind == "strict2d":
+        spec = Strict2D(draw(h), draw(h), draw(unit))
+    elif kind == "mildtheta":
+        spec = MildTheta(draw(h), draw(h), draw(unit))
+    else:   # a 3-D mixture: positive weights, equal on e and -e
+        raw = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                            min_size=4, max_size=4))
+        gamma = {}
+        for e, g in zip(list(itertools.product((1, -1), repeat=3))[:4], raw):
+            gamma[e] = gamma[tuple(-x for x in e)] = g / (2.0 * sum(raw))
+        spec = StrictGeneral(tuple(draw(h) for _ in range(3)),
+                             StrictWeights(gamma))
+    n = len(spec.hurst)
+    coordinate = st.one_of(_coordinate, st.floats(min_value=0.0,
+                                                  max_value=1e3))
+    pts = st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                   min_size=1, max_size=8)
+    s = draw(pts)
+    t = [p if draw(st.booleans()) else draw(pts)[0] for p in s]
+    return spec, np.array(s), np.array(t)
+
+
+@given(_tables_and_pairs())
+@settings(max_examples=200, deadline=None)
+def test_every_family_is_bitwise_symmetric_hypothesis(case):
+    # a is symmetric in (t, s) bit for bit, b and a rho antisymmetric, and
+    # each term has an even number of b and a rho letters: K(s, t) and
+    # K(t, s) have the same bits, so the mirror of cov_matrix and mc's
+    # corner matrices changes no bit of an accepted table
+    spec, s, t = case
+    kernel = make_kernel(spec)
+    assert kernel.batch(s, t).tobytes() == kernel.batch(t, s).tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -150,12 +150,18 @@ def test_chunk_keys_are_numpys_seed_sequence_keys(seed):
 @pytest.mark.parametrize("stream", [0, 5, 2**33])
 def test_draws_keep_the_bits_of_one_seed_sequence_per_chunk(n_workers,
                                                             stream):
-    M = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
-    n = 3 * CHUNK_SIZE + 5
-    got, _ = cholesky_sample(M, 2**70 + 11, n, n_workers=n_workers,
-                             stream=stream)
-    assert np.array_equal(got, oracle.cholesky_draws(M, 2**70 + 11, n,
-                                                     stream))
+    # a 3 x 3 matrix over four chunks, and a 31 x 31 one with a last chunk
+    # of one row, a matrix-vector product whose bits the oracle keeps only
+    # with a contiguous L^T, as the sampler holds it
+    A = np.random.default_rng(31).standard_normal((31, 31))
+    for M, n in ((np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2],
+                            [0.1, 0.2, 0.7]]), 3 * CHUNK_SIZE + 5),
+                 (A @ A.T + 31.0 * np.eye(31), 1),
+                 (A @ A.T + 31.0 * np.eye(31), CHUNK_SIZE + 1)):
+        got, _ = cholesky_sample(M, 2**70 + 11, n, n_workers=n_workers,
+                                 stream=stream)
+        assert np.array_equal(got, oracle.cholesky_draws(M, 2**70 + 11, n,
+                                                         stream))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -198,6 +204,36 @@ def test_seeds_must_be_integers():
             with pytest.raises(TypeError):
                 draw(seed)
         assert np.array_equal(draw(np.int64(2)), draw(2))
+
+
+@pytest.mark.parametrize("n_workers, error", [
+    (0, ValueError), (-1, ValueError), (simulate.MAX_WORKERS + 1, ValueError),
+    (2.5, TypeError)])
+def test_worker_counts_outside_the_bound_raise_before_any_work(
+        monkeypatch, n_workers, error):
+    # only the CLI checked MAX_WORKERS: a library call started min(n_workers,
+    # chunks) threads, ran one thread for n_workers <= 0 and took 2.5
+    def no_work(*args, **kwargs):
+        raise AssertionError("factored a matrix or started a pool")
+
+    import concurrent.futures   # the sampler imports its pool at first use
+
+    monkeypatch.setattr(simulate, "_factor_with_jitter", no_work)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_work)
+    grid = grid_from_axes([[1.0, 2.0]] * 2)
+    plan = ProbePlan.default(2, n_pairs=1, n_shifts=1, seed=3)
+    for draw in (lambda: cholesky_sample(np.eye(2), 0, 10,
+                                         n_workers=n_workers),
+                 lambda: sample_field(FBS((0.3, 0.7)), grid, 0, 10,
+                                      n_workers=n_workers),
+                 lambda: mc_increment_stationarity(
+                     FBS((0.3, 0.7)), plan=plan, n_samples=10,
+                     n_workers=n_workers)):
+        with pytest.raises(error):
+            draw()
+    with pytest.raises(ValueError, match=re.escape(
+            f"n_workers must lie in [1, {simulate.MAX_WORKERS}], got 0")):
+        cholesky_sample(np.eye(2), 0, 10, n_workers=0)
 
 
 @pytest.mark.parametrize("bad, at", [(math.nan, (0, 0)), (math.inf, (1, 1)),
@@ -519,8 +555,8 @@ def test_cov_matrix_on_axes_has_the_dense_bits(monkeypatch, spec):
 
 def test_cov_matrix_takes_the_axis_route_on_a_mesh_only(monkeypatch):
     calls = []
-    real = simulate._axis_factors
-    monkeypatch.setattr(simulate, "_axis_factors",
+    real = simulate._axis_letters
+    monkeypatch.setattr(simulate, "_axis_letters",
                         lambda *args: calls.append(1) or real(*args))
     kernel = make_kernel(Strict2D(0.3, 0.7, 0.5))
     grid = grid_from_axes([[2.0, 0.5, 1.0, 1.7], [1.5, 0.7, 2.2]])
