@@ -51,8 +51,8 @@ or the mild family (``MildTheta``), and ``terms`` of either is its table.
 ``increment_cov_terms_array`` over pairs of rectangles; both take point
 arrays (..., N) that broadcast against each other and return shape (...).
 One loop (``_term_sum``) multiplies the letters into terms and adds the
-terms, for these, for Lamperti lags and for the per-axis letter tables of
-a tensor grid (``simulate.cov_matrix``), so every route has its bits.
+terms, for these, for Lamperti lags and for each row block of a
+covariance matrix (``simulate.cov_matrix``), so every route has its bits.
 The fields vanish on the axes, so K(s, t) is the covariance of the
 increments over [0, s] and [0, t], and a and b are one rule over the lags
 d_k between the ends of two intervals, signed sigma_k (``_lag_letters``):

@@ -4,13 +4,14 @@ Sampling is plain dense linear algebra: assemble the covariance matrix of a
 kernel over the grid, factor it (Cholesky, with one diagonal-jitter retry),
 and multiply standard normals through the factor.  The matrix is assembled
 a block of rows at a time, so the temporaries stay O(block * n) next to
-the n x n result.  On a tensor grid, the mesh of per-coordinate axes, the
-kernel's separable terms make it a sum of Kronecker products of per-axis
-letter matrices: each coordinate's letters are taken once, over its axis
-pairs, and each block is summed from these tables by the term loop of
-:mod:`rectfield.kernels`; on any other point list each block is one call
-of the kernel's array form, which runs the same loop.  Both give the same
-bits, and one finish mirrors and checks every block.  Normals come from
+the n x n result, after one check of the kernel's term table and of the
+points' dimension.  Every block is one call of the term loop of
+:mod:`rectfield.kernels` over each coordinate's letters, and the layout is
+data: on a tensor grid, the mesh of per-coordinate axes, a coordinate's
+letters are taken along its own axis of the block's columns, so the block
+is a sum of Kronecker-shaped products; any other point list is one axis of
+points that every coordinate reads.  Both give the same bits, and one
+finish mirrors and checks every block.  Normals come from
 counter-based Philox streams keyed by (seed, stream, chunk index) as
 numpy's ``SeedSequence(seed, spawn_key=(stream, chunk))`` keys them, so the
 same seed reproduces the same bits regardless of how many workers generate
@@ -156,60 +157,39 @@ def _finish_squares(block: np.ndarray, pts: np.ndarray,
     return block
 
 
-def _axis_letters(H, terms, axes) -> list:
-    """Each coordinate's letters over its axis pairs, the tables of a
-    kernel on the mesh of ``axes``: coordinate j's letter phi, by name, as
-    the n_j x n_j matrix phi(t = axis_j[b], s = axis_j[a]) (row a, column
-    b), taken once (``_letters_array``); numpy is told not to warn, and
-    finiteness is left to the caller."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return [_letters_array(h, x[None, :], x[:, None],
-                               {row[j] for _, row in terms})
-                for j, (h, x) in enumerate(zip(H, axes))]
-
-
-def _table_rows(h, table, rows, first, shape, names) -> dict:
-    """The letters that ``names`` lists of one coordinate's ``table`` at
-    its ``rows``, from column ``first`` on, each row shaped ``shape``."""
-    return {name: table[name][rows, first:].reshape(len(rows), *shape)
-            for name in names}
-
-
 def cov_matrix(kernel: CovKernel, grid: Grid) -> np.ndarray:
     """Dense covariance matrix M[i, j] = K(p_i, p_j), exactly symmetric.
 
-    The kernel's term table is checked once (``_table_hurst``), and M is
-    written a block of ``ROW_BLOCK`` rows at a time by the one term loop.
-    On a grid whose points are the ``grid_from_axes`` mesh of some axes
-    (in any order), a block is ``_term_sum`` of the axis letter tables
-    (``_axis_letters``) read at its rows, the first axis's from the
-    block's first row's index on, each shaped to broadcast along its own
-    axis of the mesh; on any other point list, one ``kernel.batch`` call
-    over the columns j >= the block's first row.  Both give the same bits.
-    ``_finish_squares`` finishes the block's square, and its columns
-    j < lo are copied from the rows above.
+    The kernel's term table (``_table_hurst``) and the points' dimension
+    (``_as_points``) are checked once, and M is written a block of
+    ``ROW_BLOCK`` rows at a time, each block by one call of the term loop
+    ``_term_sum`` over ``_letters_array``, s the block's rows and t the
+    columns from the block's first row on.  The layout is data: on a grid
+    whose points are the ``grid_from_axes`` mesh of some axes (in any
+    order), coordinate j's t is its own axis, shaped along that axis of
+    the block, the first axis cut at the block's first row; any other
+    point list is one axis of points that every coordinate reads.  Both
+    give the same bits.  ``_finish_squares`` finishes the block's square,
+    and its columns j < lo are copied from the rows above.
     """
-    pts = grid.points
-    n = len(pts)
     H = _table_hurst(kernel.H, kernel.terms)
+    pts = _as_points(grid.points, len(H))
+    n = len(pts)
     axes = _tensor_axes(pts)
-    if axes is not None:
-        tables = _axis_letters(H, kernel.terms, axes)
-        sizes = [len(x) for x in axes]
-        stride = n // sizes[0]
-        shapes = [[1] * d + [-1] + [1] * (len(axes) - 1 - d)
-                  for d in range(len(axes))]
+    if axes is None:   # one axis of points, which every coordinate reads
+        sizes, reads = [n], [(0, x) for x in pts.T]
+    else:              # coordinate j reads the mesh's axis j
+        sizes, reads = [len(x) for x in axes], list(enumerate(axes))
+    stride, ones = n // sizes[0], [1] * len(sizes)
     M = np.empty((n, n))
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
-        if axes is None:
-            M[lo:hi, lo:] = kernel.batch(pts[lo:hi, None], pts[None, lo:])
-        else:
-            first = [lo // stride] + [0] * (len(axes) - 1)
-            rows = np.unravel_index(np.arange(lo, hi), sizes)
-            _term_sum(H, kernel.terms, list(zip(tables, rows, first, shapes)),
-                      _table_rows, M[lo:hi, first[0] * stride:].reshape(
-                          hi - lo, -1, *sizes[1:]))
+        first = lo // stride   # columns: the mesh from axis 0's value first
+        rows = np.unravel_index(np.arange(lo, hi), sizes)
+        coords = [(x[first if d == 0 else 0:].reshape(-1, *ones[d + 1:]),
+                   x[rows[d]].reshape(-1, *ones)) for d, x in reads]
+        _term_sum(H, kernel.terms, coords, _letters_array,
+                  M[lo:hi, first * stride:].reshape(hi - lo, -1, *sizes[1:]))
         _finish_squares(M[lo:hi, lo:], pts[lo:])
         M[lo:hi, :lo] = M[:lo, lo:hi].T
     return M
@@ -308,6 +288,14 @@ def _factor_with_jitter(M: np.ndarray, context: str):
             f"{jitter:.3e}") from None
 
 
+def _check_workers(n_workers):
+    """The one check of a sampler's worker count: ValueError outside [1,
+    ``MAX_WORKERS``], TypeError for one that is not an integer."""
+    if not 1 <= operator.index(n_workers) <= MAX_WORKERS:
+        raise ValueError(f"n_workers must lie in [1, {MAX_WORKERS}], got "
+                         f"{n_workers}")
+
+
 @dataclass
 class SampleBatch:
     seed: int
@@ -340,9 +328,7 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
     before anything is factored, and a seed or stream that is not an
     integer raises TypeError.  Returns (values, jitter_used).
     """
-    if not 1 <= operator.index(n_workers) <= MAX_WORKERS:
-        raise ValueError(f"n_workers must lie in [1, {MAX_WORKERS}], got "
-                         f"{n_workers}")
+    _check_workers(n_workers)
     M = np.asarray(M, dtype=float)
     _check_finite(M, context)
     keys = _chunk_keys(seed, stream, -(-n_samples // CHUNK_SIZE))
@@ -372,7 +358,9 @@ def cholesky_sample(M: np.ndarray, seed: int, n_samples: int,
 
 def sample_field(spec: FieldSpec, grid: Grid, seed: int, n_samples: int,
                  n_workers: int = 1) -> SampleBatch:
-    """Exact draws of the field described by ``spec`` on a grid."""
+    """Exact draws of the field described by ``spec`` on a grid; the worker
+    count is checked before any kernel work."""
+    _check_workers(n_workers)
     kernel = make_kernel(spec)
     M = cov_matrix(kernel, grid)
     values, jitter = cholesky_sample(M, seed, n_samples, n_workers=n_workers,
@@ -394,13 +382,19 @@ def empirical_cov(batch: SampleBatch, analytic: np.ndarray | None = None):
 
     The fields are centered, so no mean is subtracted.  Standard errors use
     the Gaussian fourth-moment identity var(x y) = K_xx K_yy + K_xy^2 with
-    the analytic kernel matrix when supplied, empirical moments otherwise.
+    the analytic kernel matrix when supplied, empirical moments otherwise;
+    an ``analytic`` that is not a finite (n_points, n_points) matrix raises
+    ValueError.
     """
     n = batch.n_samples
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     emp = batch.values.T @ batch.values / n
     K = emp if analytic is None else np.asarray(analytic, dtype=float)
+    if analytic is not None and not (K.shape == emp.shape
+                                     and np.isfinite(K).all()):
+        raise ValueError(f"analytic must be a finite {emp.shape} matrix for "
+                         f"a batch of {len(emp)} points, got shape {K.shape}")
     var = np.diag(K)
     return emp, _wick_se(var[:, None], var[None, :], K, n)
 
@@ -459,6 +453,7 @@ def mc_increment_stationarity(spec: FieldSpec, plan: ProbePlan | None = None,
     """
     if n_samples < 1:   # no draws would give 0/0 estimates
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    _check_workers(n_workers)
     kernel = make_kernel(spec)
     if plan is None:
         plan = ProbePlan.default(len(spec.hurst), **MC_PLAN)

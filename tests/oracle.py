@@ -3,8 +3,8 @@
 These are the pointwise evaluators of the strict mixture and of the mild
 family, written with ``math`` on one pair of points at a time and each in
 its own form, the mild one without letter tables.  The library evaluates
-every covariance through its one array evaluator
-(``rectfield.kernels.cov_terms_array``) over a spec's term table; the
+every covariance through its one term loop over a spec's term table
+(``rectfield.kernels._term_sum``, at points ``cov_terms_array``); the
 tests check it, and everything built on it (``cov_matrix``, the increment
 algebra, the classifier, the Monte Carlo analytic values), against the
 scalar code here.  Each bracket is the one named in the

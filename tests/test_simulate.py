@@ -214,12 +214,17 @@ def test_worker_counts_outside_the_bound_raise_before_any_work(
     # only the CLI checked MAX_WORKERS: a library call started min(n_workers,
     # chunks) threads, ran one thread for n_workers <= 0 and took 2.5
     def no_work(*args, **kwargs):
-        raise AssertionError("factored a matrix or started a pool")
+        raise AssertionError("did kernel work, factored a matrix or started "
+                             "a pool")
 
     import concurrent.futures   # the sampler imports its pool at first use
 
     monkeypatch.setattr(simulate, "_factor_with_jitter", no_work)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_work)
+    # and before any kernel work: the bound was reached only after the
+    # covariance matrix, or the plan's increment and corner covariances
+    monkeypatch.setattr(simulate, "cov_matrix", no_work)
+    monkeypatch.setattr(simulate, "probe_covariances", no_work)
     grid = grid_from_axes([[1.0, 2.0]] * 2)
     plan = ProbePlan.default(2, n_pairs=1, n_shifts=1, seed=3)
     for draw in (lambda: cholesky_sample(np.eye(2), 0, 10,
@@ -305,6 +310,43 @@ def test_empirical_cov_matches_kernel():
     z = np.abs(emp - analytic) / se
     iu = np.triu_indices(grid.n_points)
     assert np.mean(z[iu] <= 4.0) >= 0.95
+
+
+def test_empirical_cov_rejects_an_analytic_matrix_that_does_not_fit():
+    # a 3 x 3 analytic for 6 points gave emp of shape (6, 6) and se of
+    # shape (3, 3), with no error
+    batch = sample_field(FBS((0.3, 0.7)),
+                         grid_from_axes([[1.0, 2.0, 3.0], [1.0, 2.0]]),
+                         seed=5, n_samples=50)
+    empirical_cov(batch, batch.cov)
+    nan_diagonal = np.where(np.eye(6, dtype=bool), np.nan, batch.cov)
+    for bad, shape in ((batch.cov[:3, :3], (3, 3)), (nan_diagonal, (6, 6))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"analytic must be a finite (6, 6) matrix for a batch of 6 "
+                f"points, got shape {shape}")):
+            empirical_cov(batch, bad)
+
+
+@pytest.mark.parametrize("points", [
+    grid_from_axes([[0.5, 1.0], [1.0, 2.0], [0.5, 3.0]]).points,
+    grid_from_axes([[0.5, 1.0, 2.0]]).points,
+    np.array([[0.5, 1.0, 2.0], [1.0, 2.0, 0.5], [2.0, 0.5, 1.0]]),
+], ids=["3-D mesh", "1-D mesh", "3-D point list"])
+def test_a_grid_of_another_dimension_than_the_kernel_raises(monkeypatch,
+                                                            points):
+    # a 3-D mesh gave a 2-D kernel's 8 x 8 matrix that ignored the third
+    # coordinate (M[0, 0] = 0.5^0.6 1^1.4), and sample_field drew from it;
+    # a 1-D mesh raised IndexError, a 3-D point list named a block shape
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew from the matrix")
+
+    monkeypatch.setattr(simulate, "cholesky_sample", no_draw)
+    message = re.escape(f"points of shape {points.shape} do not have "
+                        f"dimension 2 on their last axis")
+    for run in (lambda g: cov_matrix(make_kernel(FBS((0.3, 0.7))), g),
+                lambda g: sample_field(FBS((0.3, 0.7)), g, 0, 10)):
+        with pytest.raises(ValueError, match=message):
+            run(Grid(points))
 
 
 def test_sampling_other_dimensions():
@@ -491,32 +533,43 @@ def test_cov_matrix_names_the_first_non_finite_pair(monkeypatch):
     assert f"{pts[0]}, {pts[2]}" in str(err.value)
 
     # across row blocks: a NaN at (p_i, p_j) with i < j is named; a NaN only
-    # at (p_j, p_i) is never evaluated, since M[j, i] mirrors M[i, j]; the
-    # points lie on a diagonal, no mesh of axes, so each pair is evaluated
+    # at (p_j, p_i) is never read, since M[j, i] mirrors M[i, j]; the
+    # points lie on a diagonal, no mesh of axes, so each pair is evaluated,
+    # and each coordinate value belongs to one point: coordinate 0's
+    # letters at (t, s) = (q_0, p_0) are NaN for the pair (p, q) alone
     grid = Grid(np.column_stack([np.linspace(0.1, 3.0, 300),
                                  np.linspace(1.0, 2.0, 300)]))
     p, q = grid.points[150], grid.points[200]
     base = make_kernel(FBS((0.3, 0.7)))
     clean = cov_matrix(base, grid)
 
-    def poisoned(first, second):
-        _replace_kernel(monkeypatch, lambda exact: lambda s, t: np.where(
-            np.all(s == first, axis=-1) & np.all(t == second, axis=-1),
-            np.nan, exact(s, t)))
-
-    poisoned(p, q)
+    _poison_letters(monkeypatch, 0.3, q[0], p[0])
     with pytest.raises(ValueError) as err:
         cov_matrix(base, grid)
     assert f"{p}, {q}" in str(err.value)
     monkeypatch.undo()
-    poisoned(q, p)
+    _poison_letters(monkeypatch, 0.3, p[0], q[0])
     M = cov_matrix(base, grid)
     assert np.array_equal(M, clean)
     assert np.array_equal(M, M.T)
 
 
+def _poison_letters(monkeypatch, h, t, s):
+    """Make the letters that ``cov_matrix`` takes of the coordinate with
+    Hurst index h NaN at (t, s), by patching ``simulate._letters_array``."""
+    real = simulate._letters_array
+
+    def fake(hj, tj, sj, names):
+        letters = real(hj, tj, sj, names)
+        hit = (hj == h) & (tj == t) & (sj == s)
+        return {name: None if v is None else np.where(hit, np.nan, v)
+                for name, v in letters.items()}
+
+    monkeypatch.setattr(simulate, "_letters_array", fake)
+
+
 def _dense_cov(monkeypatch, kernel, grid):
-    """``cov_matrix`` on its dense route, every pair through the kernel."""
+    """``cov_matrix`` with its points as one axis, every pair evaluated."""
     with monkeypatch.context() as m:
         m.setattr(simulate, "_tensor_axes", lambda pts: None)
         return cov_matrix(kernel, grid)
@@ -530,17 +583,17 @@ _AXIS_SPECS = [
         itertools.product((1, -1), repeat=3),
         [0.2, 0.15, 0.1, 0.05, 0.05, 0.1, 0.15, 0.2])))),
     MildTheta(0.3, 0.7, 0.8), MildTheta(0.5, _SEAM, -0.6), YHalf(0.7),
-    ZHalf(0.5), MovingPair(0.5, 0.5, 0.6, 0.8),
+    ZHalf(0.5), MovingPair(0.5, 0.5, 0.6, 0.8), FBS((0.3,)),
 ]
 
 
 @pytest.mark.parametrize("spec", _AXIS_SPECS, ids=lambda s: s.family)
 def test_cov_matrix_on_axes_has_the_dense_bits(monkeypatch, spec):
-    # unsorted axes whose mesh spans two row blocks (13 x 11 = 143 points
-    # in 2-D, 4 x 5 x 7 = 140 in 3-D); the axis route gives the dense
-    # route's bits, signed zeros included
+    # unsorted axes whose mesh spans two row blocks (143 points in 1-D,
+    # 13 x 11 = 143 in 2-D, 4 x 5 x 7 = 140 in 3-D); the mesh layout gives
+    # the bits of the points as one axis, signed zeros included
     rng = np.random.default_rng(31)
-    sizes = (13, 11) if len(spec.hurst) == 2 else (4, 5, 7)
+    sizes = {1: (143,), 2: (13, 11), 3: (4, 5, 7)}[len(spec.hurst)]
     axes = [rng.permutation(np.linspace(0.05, 3.0, k) + rng.uniform(
         0.0, 0.01, k)) for k in sizes]
     grid = grid_from_axes(axes)
@@ -553,21 +606,36 @@ def test_cov_matrix_on_axes_has_the_dense_bits(monkeypatch, spec):
     assert np.array_equal(M, M.T)
 
 
-def test_cov_matrix_takes_the_axis_route_on_a_mesh_only(monkeypatch):
-    calls = []
-    real = simulate._axis_letters
-    monkeypatch.setattr(simulate, "_axis_letters",
-                        lambda *args: calls.append(1) or real(*args))
+def test_cov_matrix_takes_letters_along_the_axes_on_a_mesh_only(
+        monkeypatch):
+    sizes = []
+    real = simulate._letters_array
+
+    def recorded(*args):
+        letters = real(*args)
+        sizes.append(letters["a"].size)
+        return letters
+
+    monkeypatch.setattr(simulate, "_letters_array", recorded)
     kernel = make_kernel(Strict2D(0.3, 0.7, 0.5))
-    grid = grid_from_axes([[2.0, 0.5, 1.0, 1.7], [1.5, 0.7, 2.2]])
+    # unsorted axes of 20 x 9 = 180 points, two row blocks
+    rng = np.random.default_rng(4)
+    grid = grid_from_axes([rng.permutation(np.linspace(0.2, 3.0, 20)),
+                           rng.permutation(np.linspace(0.5, 2.0, 9))])
     M = cov_matrix(kernel, grid)
-    assert calls == [1]
-    # a shuffled copy is no mesh of axes, and takes the dense route
+    # one call per coordinate and block, of at most ROW_BLOCK x (longest
+    # axis) pairs: the block's rows by the axis, the first axis cut at the
+    # block's first row (the second block's, 128, is on axis 0's 15th value)
+    r = simulate.ROW_BLOCK
+    assert sizes == [r * 20, r * 9, (180 - r) * (20 - r // 9), (180 - r) * 9]
+    # a shuffled copy is no mesh of axes: each block's columns, from its
+    # first row on, are evaluated pair by pair
     order = np.random.default_rng(5).permutation(grid.n_points)
     shuffled = Grid(grid.points[order])
     assert simulate._tensor_axes(shuffled.points) is None
+    sizes.clear()
     S = cov_matrix(kernel, shuffled)
-    assert calls == [1]
+    assert sizes == [r * 180] * 2 + [(180 - r) ** 2] * 2
     assert np.allclose(S, M[np.ix_(order, order)], rtol=1e-14, atol=0)
     # a point list with a mesh's coordinate counts but not its points
     assert simulate._tensor_axes(np.array([[1.0, 1.0], [1.0, 2.0],
@@ -754,6 +822,10 @@ def test_mc_names_the_first_non_finite_corner_covariance(monkeypatch):
     with pytest.raises(NonFiniteError) as err:
         mc_increment_stationarity(spec, plan=plan, seed=1, n_samples=50)
     assert str(err.value).endswith(f"{s}, {t}")
+    # the oracle's cov_matrix takes letters, not the kernel's array form:
+    # coordinate 0's at (t_0, s_0) are NaN for the corners (s_0, .) and
+    # (t_0, .) alone, of which (s, t) is the first pair
+    _poison_letters(monkeypatch, 0.3, t[0], s[0])
     with pytest.raises(NonFiniteError) as want:
         oracle.mc_estimates(spec, plan, 1, 50)
     assert str(err.value) == str(want.value)
